@@ -1,0 +1,55 @@
+"""Golden corpus: SHA-256 digests of the exact CLI reports.
+
+Any change to the arithmetic, the interval representation or the report
+rendering that alters a single byte of these reports fails here.
+"""
+
+import hashlib
+
+import pytest
+
+from torusapprox.cli import run
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+PAIRWISE_M2 = "bb7e97b86031ec54d2d98fbe85181117ecb242033fc982fa470f671929fe0976"
+
+GOLDEN = [
+    ("measure --q 12 --psi const:1/3 --y const:2/7",
+     "a8297e89cd927490cd437e8e8736c3e8dd9a0386665f50969e1a0cc1abd65a1b"),
+    ("overlap --q 12 --r 18 --psi const:1/4 --y const:1/3",
+     "45219c07ed33ad99d0d1a76a488a610a26692ffd551e1ca98d860d50013698f4"),
+    ("pairwise --Q 40 --m 2 --psi const:1/4 --y const:1/5", PAIRWISE_M2),
+    # The worker count goes to stderr only; the report must not move.
+    ("pairwise --Q 40 --m 2 --psi const:1/4 --y const:1/5 --workers 2", PAIRWISE_M2),
+    ("pairwise --Q 40 --psi pow:1/2,1 --y zero --mode enclosure --precision 64",
+     "1121f0fa785ffff19bd722f7e6014260c523c5aaaf8a2f9a5d196624ca14ae8d"),
+    ("equidist --Q 30 --psi const:1/4 --y const:1/3 --windows 0:1/3,1/4:3/4",
+     "47246124dd4c7a879b8c40fa621e8a3dfce7e6ab6881e4f6aeb575f3721ef347"),
+    ("msum --ladder 16,32 --m 3 --psi div3",
+     "9064102a8fdd94dfb53bef38f530f895214261cce21ad9af740dc36ff83a6543"),
+]
+
+
+@pytest.mark.parametrize("command,digest", GOLDEN, ids=[c for c, _ in GOLDEN])
+def test_report_digest(capsys, command, digest):
+    code = run(command.split())
+    out = capsys.readouterr().out
+    assert code == 0
+    assert sha256(out.encode()) == digest
+
+
+def test_counterexample_save_digests(capsys, tmp_path):
+    path = tmp_path / "inst.json"
+    code = run(["counterexample", "--primes", "2,3,5", "--save", str(path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert sha256(out.encode()) == (
+        "275c66aeae483a8ffb5379b697229960363a025e9389f21ab93eefc8f734cf45"
+    )
+    assert sha256(path.read_bytes()) == (
+        "205be918054637692f7196b2b895648ad3681be5af861288fe57a1efdff7ace1"
+    )

@@ -83,8 +83,8 @@ def build_approx_set(q: int, psi_q, y_q) -> TorusIntervalSet:
     reaches 1.  All endpoints are exact rationals.
 
     Every endpoint is (a + y +- psi)/q, so the whole construction runs on
-    integer numerators over the common denominator q * den(y) * den(psi);
-    fractions only appear in the final canonical pieces.
+    integer numerators over the common denominator q * den(y) * den(psi)
+    and hands them to the set's integer form; no piece becomes a Fraction.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -94,32 +94,14 @@ def build_approx_set(q: int, psi_q, y_q) -> TorusIntervalSet:
     if psi == 0:
         return TorusIntervalSet.empty()
     y = Fraction(y_q)
-    if 2 * psi.numerator >= psi.denominator * q:  # interval length reaches 1
-        return TorusIntervalSet.full()
     scale = y.denominator * psi.denominator
-    den = q * scale
-    base = y.numerator * psi.denominator
-    radius = psi.numerator * y.denominator
-    length = 2 * radius  # < den by the full-circle check above
-    spans: list[tuple[int, int]] = []
+    start = y.numerator * psi.denominator - psi.numerator * y.denominator
+    length = 2 * psi.numerator * y.denominator
+    spans = []
     for a in coprime_residues(q):
-        lo = (a * scale + base - radius) % den
-        hi = lo + length
-        if hi <= den:
-            spans.append((lo, hi))
-        else:
-            spans.append((lo, den))
-            spans.append((0, hi - den))
-    spans.sort()
-    merged: list[list[int]] = []
-    for lo, hi in spans:
-        if merged and lo <= merged[-1][1]:
-            if hi > merged[-1][1]:
-                merged[-1][1] = hi
-        else:
-            merged.append([lo, hi])
-    pieces = tuple((Fraction(lo, den), Fraction(hi, den)) for lo, hi in merged)
-    return TorusIntervalSet._trusted(pieces)
+        lo = a * scale + start
+        spans.append((lo, lo + length))
+    return TorusIntervalSet.from_spans(q * scale, spans)
 
 
 class MeasureCheck(NamedTuple):

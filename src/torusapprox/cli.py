@@ -3,7 +3,8 @@
 Every subcommand echoes its resolved configuration into the report header,
 emits exact values as "p/q" strings (Monte Carlo estimates are the only
 decimals), and keeps diagnostics on stderr.  Exit statuses: 0 success,
-1 verification failure, 2 usage error, 3 budget refusal.
+1 verification failure, 2 usage error (any ValueError or OSError, reported
+as one line), 3 budget refusal.
 
 Flag precedence is flags > config file > defaults; the config file is flat
 `key=value` text whose keys match the long flag names.
@@ -576,10 +577,11 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    args.config_values = _load_config_file(args.config) if args.config else {}
     try:
+        args.config_values = _load_config_file(args.config) if args.config else {}
         return args.handler(args)
-    except UsageError as exc:
+    except (ValueError, OSError) as exc:
+        # Bad input rejected anywhere below the CLI (UsageError included).
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetError as exc:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .approx import build_approx_set, reduced_fractions
+from .approx import build_approx_set, coprime_residues
 from .arith import is_prime, primes_for_epsilon, DEFAULT_PRIME_RUN_CAP, PRIME_TEST_LIMIT
 from .errors import BudgetError
 from .rationals import format_rational, parse_rational
@@ -338,10 +338,8 @@ def block_union_set(
         raise BudgetError(
             f"block {j}: union needs {pieces_needed} pieces, cap is {piece_cap}"
         )
-    spans: list = []
-    for q in blk.divisors:
-        spans.extend(build_approx_set(q, inst.psi_of(q), inst.y_of(q)).pieces)
-    return TorusIntervalSet.from_unit_spans(spans)
+    sets = [build_approx_set(q, inst.psi_of(q), inst.y_of(q)) for q in blk.divisors]
+    return TorusIntervalSet.empty().union(*sets)
 
 
 def verify_containment(
@@ -351,22 +349,10 @@ def verify_containment(
     residues of P_j (radius 1/(2 P_j), half-open)."""
     blk = inst.block(j)
     union = block_union_set(inst, j, piece_cap)
-    radius = Fraction(1, 2 * blk.P)
-    spans: list = []
-    one = Fraction(1)
-    zero = Fraction(0)
-    for point in reduced_fractions(blk.P).points:
-        lo = point - radius
-        hi = point + radius
-        if lo < 0:
-            spans.append((lo + 1, one))
-            spans.append((zero, hi))
-        elif hi > 1:
-            spans.append((lo, one))
-            spans.append((zero, hi - 1))
-        else:
-            spans.append((lo, hi))
-    thickened = TorusIntervalSet.from_unit_spans(spans)
+    # [a/P - 1/(2P), a/P + 1/(2P)) in units of 1/(2P).
+    thickened = TorusIntervalSet.from_spans(
+        2 * blk.P, [(2 * a - 1, 2 * a + 1) for a in coprime_residues(blk.P)]
+    )
     return union.is_subset_of(thickened)
 
 

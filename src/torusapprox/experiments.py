@@ -26,7 +26,7 @@ from .approx import ApproxFunction, TargetSequence, build_approx_set
 from .arith import factorize_with_table, spf_table, totient, totient_range
 from .errors import BudgetError
 from .rationals import format_rational, parse_rational
-from .torus import TorusIntervalSet
+from .torus import _overlap_units
 
 DEFAULT_EXACT_Q_CAP = 512
 
@@ -141,93 +141,32 @@ class ExperimentConfig:
 # -- pairwise overlap sums ----------------------------------------------------------
 
 
-def _coordinate_sets(cfg: ExperimentConfig) -> list[tuple[TorusIntervalSet, ...] | None]:
-    """sets[q] = the per-coordinate 1-d sets for q (coordinates sharing a
-    target component share the object)."""
-    sets: list[tuple[TorusIntervalSet, ...] | None] = [None] * (cfg.Q + 1)
+def _coordinate_sets(cfg: ExperimentConfig) -> list[tuple | None]:
+    """sets[q] = one (key, set) entry per coordinate for q.  Coordinates
+    sharing a target component share the set and its key, so one
+    intersection serves all of them."""
+    sets: list[tuple | None] = [None] * (cfg.Q + 1)
     for q in range(1, cfg.Q + 1):
         psi_q = cfg.psi(q)
-        components = cfg.target(q)
-        cache: dict[Fraction, TorusIntervalSet] = {}
+        cache: dict[Fraction, tuple] = {}
         row = []
-        for y in components:
+        for y in cfg.target(q):
             if y not in cache:
-                cache[y] = build_approx_set(q, psi_q, y)
+                cache[y] = ((q, len(cache)), build_approx_set(q, psi_q, y))
             row.append(cache[y])
         sets[q] = tuple(row)
     return sets
 
 
-def _scaled_coordinate_sets(cfg: ExperimentConfig) -> list:
-    """Per coordinate: (slot, den, endpoints) with endpoints the piece
-    boundaries as integers over the per-set common denominator.
-
-    Scaling each pair of sets to their joint denominator turns the overlap
-    merge into machine-integer arithmetic, which is what makes exact scans
-    to Q = 512 practical.  `slot` identifies shared coordinate sets so one
-    intersection serves every coordinate with the same target component.
-    """
-    sets = _coordinate_sets(cfg)
-    scaled = [None] * (cfg.Q + 1)
-    for q in range(1, cfg.Q + 1):
-        seen: dict[int, tuple] = {}
-        row = []
-        for piece_set in sets[q]:
-            entry = seen.get(id(piece_set))
-            if entry is None:
-                den = 1
-                for lo, hi in piece_set.pieces:
-                    den = den * lo.denominator // math.gcd(den, lo.denominator)
-                    den = den * hi.denominator // math.gcd(den, hi.denominator)
-                endpoints = []
-                for lo, hi in piece_set.pieces:
-                    endpoints.append(lo.numerator * (den // lo.denominator))
-                    endpoints.append(hi.numerator * (den // hi.denominator))
-                entry = ((q, len(seen)), den, endpoints)
-                seen[id(piece_set)] = entry
-            row.append(entry)
-        scaled[q] = tuple(row)
-    return scaled
-
-
-def _overlap_scaled(da: int, ea: list, db: int, eb: list) -> tuple[int, int]:
-    """Intersection measure of two scaled endpoint lists as (units, den)."""
-    g = math.gcd(da, db)
-    den = da // g * db
-    fa = den // da
-    fb = den // db
-    a = [v * fa for v in ea]
-    b = [v * fb for v in eb]
-    i = j = 0
-    na = len(a)
-    nb = len(b)
-    total = 0
-    while i < na and j < nb:
-        alo = a[i]
-        blo = b[j]
-        lo = alo if alo > blo else blo
-        ahi = a[i + 1]
-        bhi = b[j + 1]
-        if ahi <= bhi:
-            hi = ahi
-            i += 2
-        else:
-            hi = bhi
-            j += 2
-        if hi > lo:
-            total += hi - lo
-    return total, den
-
-
-def _pair_value(scaled, q: int, r: int, m: int, memo: dict) -> Fraction:
+def _pair_value(sets, q: int, r: int, m: int, memo: dict) -> Fraction:
     value = None
     for i in range(m):
-        ka, da, ea = scaled[q][i]
-        kb, db, eb = scaled[r][i]
+        ka, a = sets[q][i]
+        kb, b = sets[r][i]
         key = (ka, kb)
         got = memo.get(key)
         if got is None:
-            got = _overlap_scaled(da, ea, db, eb)
+            got = _overlap_units(a, b)
             memo[key] = got
         units, den = got
         if units == 0:
@@ -238,21 +177,21 @@ def _pair_value(scaled, q: int, r: int, m: int, memo: dict) -> Fraction:
 
 def _pairwise_worker(payload) -> tuple[int, object]:
     cfg, worker_index, worker_count = payload
-    scaled = _scaled_coordinate_sets(cfg)
+    sets = _coordinate_sets(cfg)
     if cfg.mode == "exact":
         partial: object = Fraction(0)
         for q in range(1 + worker_index, cfg.Q, worker_count):
             row = Fraction(0)
             memo: dict = {}
             for r in range(q + 1, cfg.Q + 1):
-                row += _pair_value(scaled, q, r, cfg.m, memo)
+                row += _pair_value(sets, q, r, cfg.m, memo)
             partial += row
         return worker_index, partial
     enclosure = Enclosure(cfg.precision)
     for q in range(1 + worker_index, cfg.Q, worker_count):
         memo = {}
         for r in range(q + 1, cfg.Q + 1):
-            value = _pair_value(scaled, q, r, cfg.m, memo)
+            value = _pair_value(sets, q, r, cfg.m, memo)
             if value:
                 enclosure.add(value)
     return worker_index, (enclosure.lo_units, enclosure.hi_units)
@@ -265,7 +204,6 @@ class SumReport:
     measure_sum: Fraction
     ratio: object  # Fraction, (lo, hi), or None when undefined
     per_q_measures: tuple = ()
-    stripe_partials: tuple = ()
 
     def to_json_obj(self, fixture_version: str | None = None) -> dict:
         def render(value):
@@ -301,7 +239,7 @@ def pairwise_overlap_sum(cfg: ExperimentConfig) -> SumReport:
     measure_sum = Fraction(0)
     for q in range(1, cfg.Q + 1):
         value = Fraction(1)
-        for piece_set in sets[q]:
+        for _, piece_set in sets[q]:
             value *= piece_set.measure()
         per_q.append((q, value))
         measure_sum += value
@@ -323,7 +261,6 @@ def pairwise_overlap_sum(cfg: ExperimentConfig) -> SumReport:
         ratio: object = None
         if measure_sum > 0:
             ratio = pair_sum / measure_sum**2
-        stripes = tuple(partial for _, partial in results)
     else:
         total = Enclosure(cfg.precision)
         for _, (lo_units, hi_units) in results:
@@ -334,7 +271,6 @@ def pairwise_overlap_sum(cfg: ExperimentConfig) -> SumReport:
         ratio = None
         if measure_sum > 0:
             ratio = (2 * lo / measure_sum**2, 2 * hi / measure_sum**2)
-        stripes = tuple((lo_u, hi_u) for _, (lo_u, hi_u) in results)
 
     return SumReport(
         config=cfg.describe(),
@@ -342,7 +278,6 @@ def pairwise_overlap_sum(cfg: ExperimentConfig) -> SumReport:
         measure_sum=measure_sum,
         ratio=ratio,
         per_q_measures=tuple(per_q),
-        stripe_partials=stripes,
     )
 
 

@@ -207,7 +207,8 @@ def overlap_bound_terms(
 ) -> tuple[Fraction, Fraction]:
     """The two addends of the overlap upper bound.
 
-    addend1 = [D > 1] * (psi(q)phi(q)/q) * (psi(r)phi(r)/r)
+    addend1 = M(q, r) with the strict window indicator [D > 1], that is
+              [D > 1] * (psi(q)phi(q)/q) * (psi(r)phi(r)/r)
               * prod over p | q*r/gcd**2 with p > D of (1 + 1/p)
     addend2 = phi(gcd(q, r)) * min(psi(q)/q, psi(r)/r)
 
@@ -221,12 +222,7 @@ def overlap_bound_terms(
     psi_q = Fraction(psi(q)) if callable(psi) else Fraction(psi)
     psi_r = Fraction(psi(r)) if callable(psi) else Fraction(psi)
     addend2 = totient(dec.gcd) * min(Fraction(psi_q, q), Fraction(psi_r, r))
-    if geometry.window_length <= 1:
-        return _ZERO, addend2
-    addend1 = Fraction(psi_q * totient(q), q) * Fraction(psi_r * totient(r), r)
-    for p in _split_primes(dec):
-        if p > geometry.window_length:
-            addend1 *= 1 + Fraction(1, p)
+    addend1 = main_term(q, r, psi, dec, geometry, strict_indicator=True)
     return addend1, addend2
 
 
@@ -236,9 +232,9 @@ def main_term(
 ) -> Fraction:
     """The main pairwise term M(q, r).
 
-    Identical to addend1 except for the window indicator: the default uses
-    D >= 1 (what the pairwise sums downstream use); strict_indicator=True
-    switches to D > 1.  The two differ only on the measure-zero locus D = 1.
+    The default window indicator is D >= 1 (what the pairwise sums
+    downstream use); strict_indicator=True switches to D > 1, which is the
+    bound's addend1.  The two differ only on the measure-zero locus D = 1.
     """
     if dec is None:
         dec = decompose_pair(q, r)

@@ -1,10 +1,21 @@
 """Exact finite unions of half-open intervals on the circle [0, 1).
 
-Every set is a canonical tuple of pieces [lo, hi) with Fraction endpoints:
-sorted, pairwise disjoint, never touching (hi_i < lo_{i+1}), and contained
-in [0, 1].  Content crossing the seam at 0/1 is stored as two pieces; the
-canonical form therefore never merges across the seam, which keeps
-representations unique.  All operations are exact and return new values.
+A set is stored in integer form: a denominator `den` and a flat tuple
+`ends = (lo0, hi0, lo1, hi1, ...)` of endpoint numerators, so piece i is
+[lo_i/den, hi_i/den).  The pieces are sorted, pairwise disjoint, never
+touching (hi_i < lo_{i+1}) and contained in [0, 1].  The form is reduced,
+gcd(den, *ends) = 1, which makes `den` the lcm of the reduced endpoint
+denominators and the representation unique, so equality and hashing are
+structural.  Content crossing the seam at 0/1 is stored as two pieces; the
+canonical form never merges across the seam.
+
+Binary operations lift both operands to one common denominator and then run
+on integers; only `measure`, `measure_intersection` and the `pieces` view
+build Fractions.  `_overlap_units` is the one integer intersection merge,
+shared by `measure_intersection` and the pairwise scans.  `pieces` (a
+`PieceView`), `to_pairs`/`from_pairs`, `repr` and pickling present the
+endpoints as Fractions, exactly as a Fraction-endpoint representation
+would.  All operations are exact and return new values.
 
 The half-open convention makes complement/union/measure exact partitions;
 it differs from closed intervals only on finitely many points, which no
@@ -15,13 +26,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections.abc import Sequence
 from fractions import Fraction
 
 from .errors import BudgetError
 from .rationals import format_rational, parse_rational
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 # Optional guard against runaway denominators.  None disables the check;
 # operations never fall back to floating point, they refuse instead.
@@ -37,35 +46,140 @@ def set_denominator_budget(limit: int | None) -> int | None:
     return previous
 
 
-def _check_budget(pieces) -> None:
+def _check_budget(s: "TorusIntervalSet") -> "TorusIntervalSet":
+    """Return s, or refuse it when its largest reduced endpoint denominator
+    exceeds the budget.  Every reduced denominator divides den, so
+    den <= budget is enough to pass."""
     budget = _denominator_budget
-    if budget is None:
-        return
-    for lo, hi in pieces:
-        if lo.denominator > budget or hi.denominator > budget:
+    den, ends = s.den, s.ends
+    if budget is None or den <= budget:
+        return s
+    gcd = math.gcd
+    for i in range(0, len(ends), 2):
+        lo_den = den // gcd(den, ends[i])
+        hi_den = den // gcd(den, ends[i + 1])
+        if lo_den > budget or hi_den > budget:
             raise BudgetError(
-                f"denominator {max(lo.denominator, hi.denominator)} exceeds "
+                f"denominator {max(lo_den, hi_den)} exceeds "
                 f"the configured budget {budget}"
             )
+    return s
 
 
-def _coalesce_unit_spans(spans: list[tuple[Fraction, Fraction]]):
-    """Sort spans already inside [0, 1] and merge overlaps/adjacencies."""
-    spans.sort()
-    merged: list[tuple[Fraction, Fraction]] = []
+def _new(den: int, ends: tuple) -> "TorusIntervalSet":
+    """Wrap a form already known to be canonical and reduced."""
+    obj = object.__new__(TorusIntervalSet)
+    object.__setattr__(obj, "den", den)
+    object.__setattr__(obj, "ends", ends)
+    return obj
+
+
+def _reduced(den: int, ends: list) -> "TorusIntervalSet":
+    """Wrap canonical ends over den, dividing out their common factor, and
+    apply the denominator budget."""
+    g = math.gcd(den, *ends)
+    if g != 1:
+        den //= g
+        ends = [e // g for e in ends]
+    return _check_budget(_new(den, tuple(ends)))
+
+
+def _canonical(den: int, spans) -> "TorusIntervalSet":
+    """The set covered by integer spans (lo, hi) over den, with lo <= hi
+    anywhere on the line.  Each span is reduced mod 1 and split if it wraps;
+    a span of length >= 1 covers the circle; lo == hi spans are dropped."""
+    unit: list[tuple[int, int]] = []
     for lo, hi in spans:
-        if merged and lo <= merged[-1][1]:
-            if hi > merged[-1][1]:
-                merged[-1] = (merged[-1][0], hi)
+        if hi <= lo:
+            if hi < lo:
+                raise ValueError(
+                    f"interval with lo > hi: [{Fraction(lo, den)}, {Fraction(hi, den)})"
+                )
+            continue
+        if hi - lo >= den:
+            return _new(1, (0, 1))
+        base = lo % den
+        end = base + (hi - lo)
+        if end <= den:
+            unit.append((base, end))
         else:
-            merged.append((lo, hi))
-    return tuple(merged)
+            unit.append((base, den))
+            unit.append((0, end - den))
+    unit.sort()
+    ends: list[int] = []
+    for lo, hi in unit:
+        if ends and lo <= ends[-1]:
+            if hi > ends[-1]:
+                ends[-1] = hi
+        else:
+            ends.append(lo)
+            ends.append(hi)
+    return _reduced(den, ends)
+
+
+def _lift(a: "TorusIntervalSet", b: "TorusIntervalSet"):
+    """Both endpoint sequences over the lcm of the two denominators."""
+    da, db = a.den, b.den
+    if da == db:
+        return da, a.ends, b.ends
+    den = da // math.gcd(da, db) * db
+    fa = den // da
+    fb = den // db
+    ea = a.ends if fa == 1 else [v * fa for v in a.ends]
+    eb = b.ends if fb == 1 else [v * fb for v in b.ends]
+    return den, ea, eb
+
+
+def _fraction_pairs(pieces) -> tuple[int, list[tuple[int, int]]]:
+    """(lo, hi) rational pairs as integer spans over the lcm of their
+    denominators."""
+    pairs = [(Fraction(lo), Fraction(hi)) for lo, hi in pieces]
+    den = math.lcm(1, *(f.denominator for pair in pairs for f in pair))
+    spans = [
+        (lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator))
+        for lo, hi in pairs
+    ]
+    return den, spans
+
+
+class PieceView(Sequence):
+    """Read-only view of a set's pieces as (lo, hi) Fraction pairs.
+
+    The pairs are built on access and never stored, so the length costs
+    nothing; the view compares equal to the tuple of its pairs.
+    """
+
+    __slots__ = ("_den", "_ends")
+
+    def __init__(self, den: int, ends: tuple):
+        self._den = den
+        self._ends = ends
+
+    def __len__(self):
+        return len(self._ends) // 2
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        i = 2 * range(len(self))[index]
+        return (Fraction(self._ends[i], self._den), Fraction(self._ends[i + 1], self._den))
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, PieceView)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return repr(tuple(self))
 
 
 class TorusIntervalSet:
     """Canonical finite union of half-open rational intervals in [0, 1)."""
 
-    __slots__ = ("pieces",)
+    __slots__ = ("den", "ends")
 
     def __init__(self, pieces=()):
         """Build from arbitrary (lo, hi) pairs with lo < hi.
@@ -75,118 +189,106 @@ class TorusIntervalSet:
         circle.  Degenerate pieces (lo == hi) are dropped silently; lo > hi
         is an error.
         """
-        spans: list[tuple[Fraction, Fraction]] = []
-        full = False
-        for raw_lo, raw_hi in pieces:
-            lo = Fraction(raw_lo)
-            hi = Fraction(raw_hi)
-            if lo == hi:
-                continue
-            if lo > hi:
-                raise ValueError(f"interval with lo > hi: [{lo}, {hi})")
-            if hi - lo >= 1:
-                full = True
-                break
-            base = lo - math.floor(lo)
-            end = base + (hi - lo)
-            if end <= 1:
-                spans.append((base, end))
-            else:
-                spans.append((base, _ONE))
-                spans.append((_ZERO, end - 1))
-        if full:
-            object.__setattr__(self, "pieces", ((_ZERO, _ONE),))
-            return
-        merged = _coalesce_unit_spans(spans)
-        _check_budget(merged)
-        object.__setattr__(self, "pieces", merged)
+        built = _canonical(*_fraction_pairs(pieces))
+        object.__setattr__(self, "den", built.den)
+        object.__setattr__(self, "ends", built.ends)
 
     # -- construction helpers -------------------------------------------------
 
     @classmethod
     def _trusted(cls, pieces: tuple) -> "TorusIntervalSet":
-        """Wrap pieces already known to be canonical (internal fast path)."""
-        obj = cls.__new__(cls)
-        object.__setattr__(obj, "pieces", pieces)
-        return obj
+        """Wrap Fraction pieces already known to be canonical; the pickle
+        constructor."""
+        den, spans = _fraction_pairs(pieces)
+        return _new(den, tuple(e for span in spans for e in span))
 
     @classmethod
-    def from_unit_spans(cls, spans: list) -> "TorusIntervalSet":
-        """Canonicalize spans that already lie inside [0, 1]."""
-        merged = _coalesce_unit_spans(list(spans))
-        _check_budget(merged)
-        return cls._trusted(merged)
+    def from_spans(cls, den: int, spans) -> "TorusIntervalSet":
+        """The set covered by integer spans (lo, hi) meaning [lo/den, hi/den),
+        with the same conventions as the Fraction-pair constructor."""
+        if den < 1:
+            raise ValueError("denominator must be >= 1")
+        return _canonical(den, spans)
 
     @classmethod
     def empty(cls) -> "TorusIntervalSet":
-        return cls._trusted(())
+        return _new(1, ())
 
     @classmethod
     def full(cls) -> "TorusIntervalSet":
-        return cls._trusted(((_ZERO, _ONE),))
+        return _new(1, (0, 1))
 
     def __setattr__(self, name, value):
         raise AttributeError("TorusIntervalSet is immutable")
+
+    @property
+    def pieces(self) -> PieceView:
+        """The canonical pieces as (lo, hi) Fraction pairs."""
+        return PieceView(self.den, self.ends)
 
     # -- basic queries --------------------------------------------------------
 
     def measure(self) -> Fraction:
         """Exact Lebesgue measure: the sum of piece lengths."""
-        total = _ZERO
-        for lo, hi in self.pieces:
-            total += hi - lo
-        return total
+        ends = self.ends
+        return Fraction(sum(ends[1::2]) - sum(ends[0::2]), self.den)
 
     def is_empty(self) -> bool:
-        return not self.pieces
+        return not self.ends
 
     def contains(self, x) -> bool:
         """Point membership under the half-open convention, x taken mod 1."""
         point = Fraction(x)
         point -= math.floor(point)
-        los = [lo for lo, _ in self.pieces]
-        i = bisect_right(los, point) - 1
-        return i >= 0 and point < self.pieces[i][1]
+        # An integer endpoint e satisfies e <= point*den iff e <= floor of
+        # it; the point is inside iff it has passed an odd number of ends.
+        scaled = point.numerator * self.den // point.denominator
+        return bisect_right(self.ends, scaled) % 2 == 1
 
     # -- set algebra -----------------------------------------------------------
 
-    def union(self, other: "TorusIntervalSet") -> "TorusIntervalSet":
-        return TorusIntervalSet.from_unit_spans(
-            list(self.pieces) + list(other.pieces)
-        )
+    def union(self, *others: "TorusIntervalSet") -> "TorusIntervalSet":
+        """Union with any number of other sets."""
+        sets = (self,) + others
+        den = math.lcm(*(s.den for s in sets))
+        spans: list[tuple[int, int]] = []
+        for s in sets:
+            factor = den // s.den
+            ends = s.ends
+            for i in range(0, len(ends), 2):
+                spans.append((ends[i] * factor, ends[i + 1] * factor))
+        return _canonical(den, spans)
 
     def intersect(self, other: "TorusIntervalSet") -> "TorusIntervalSet":
-        pa, pb = self.pieces, other.pieces
-        out: list[tuple[Fraction, Fraction]] = []
+        den, a, b = _lift(self, other)
+        out: list[int] = []
         i = j = 0
-        na, nb = len(pa), len(pb)
+        na, nb = len(a), len(b)
         while i < na and j < nb:
-            alo, ahi = pa[i]
-            blo, bhi = pb[j]
+            alo, ahi = a[i], a[i + 1]
+            blo, bhi = b[j], b[j + 1]
             lo = alo if alo > blo else blo
             if ahi <= bhi:
                 hi = ahi
-                i += 1
+                i += 2
             else:
                 hi = bhi
-                j += 1
+                j += 2
             if hi > lo:
-                out.append((lo, hi))
+                out.append(lo)
+                out.append(hi)
         # Intersecting two canonical sets cannot create touching pieces.
-        result = tuple(out)
-        _check_budget(result)
-        return TorusIntervalSet._trusted(result)
+        return _reduced(den, out)
 
     def complement(self) -> "TorusIntervalSet":
-        out: list[tuple[Fraction, Fraction]] = []
-        cursor = _ZERO
-        for lo, hi in self.pieces:
-            if lo > cursor:
-                out.append((cursor, lo))
-            cursor = hi
-        if cursor < 1:
-            out.append((cursor, _ONE))
-        return TorusIntervalSet._trusted(tuple(out))
+        # 0 and den carry no common factor beyond den's own, so the form
+        # stays reduced.
+        ends = (0,) + self.ends + (self.den,)
+        if ends[0] == ends[1]:
+            ends = ends[2:]
+        if ends and ends[-2] == ends[-1]:
+            ends = ends[:-2]
+        return _new(self.den, ends)
 
     def minus(self, other: "TorusIntervalSet") -> "TorusIntervalSet":
         return self.intersect(other.complement())
@@ -197,18 +299,15 @@ class TorusIntervalSet:
         shift -= math.floor(shift)
         if shift == 0:
             return self
-        spans: list[tuple[Fraction, Fraction]] = []
-        for lo, hi in self.pieces:
-            nlo = lo + shift
-            nhi = hi + shift
-            if nhi <= 1:
-                spans.append((nlo, nhi))
-            elif nlo >= 1:
-                spans.append((nlo - 1, nhi - 1))
-            else:
-                spans.append((nlo, _ONE))
-                spans.append((_ZERO, nhi - 1))
-        return TorusIntervalSet.from_unit_spans(spans)
+        den = math.lcm(self.den, shift.denominator)
+        factor = den // self.den
+        offset = shift.numerator * (den // shift.denominator)
+        ends = self.ends
+        spans = [
+            (ends[i] * factor + offset, ends[i + 1] * factor + offset)
+            for i in range(0, len(ends), 2)
+        ]
+        return _canonical(den, spans)
 
     def restrict(self, lo, hi) -> "TorusIntervalSet":
         """Intersection with the window [lo, hi), 0 <= lo < hi <= 1."""
@@ -220,12 +319,12 @@ class TorusIntervalSet:
 
     def is_subset_of(self, other: "TorusIntervalSet") -> bool:
         """Exact containment of point sets (not just almost-everywhere)."""
-        other_los = [lo for lo, _ in other.pieces]
-        for lo, hi in self.pieces:
-            i = bisect_right(other_los, lo) - 1
+        _, mine, theirs = _lift(self, other)
+        for i in range(0, len(mine), 2):
+            k = bisect_right(theirs, mine[i])
             # Pieces of `other` are separated by real gaps, so [lo, hi) must
-            # sit inside a single one of them.
-            if i < 0 or hi > other.pieces[i][1]:
+            # sit inside the single one whose lo it has passed.
+            if k % 2 == 0 or mine[i + 1] > theirs[k]:
                 return False
         return True
 
@@ -249,46 +348,55 @@ class TorusIntervalSet:
             if previous_hi is not None and lo <= previous_hi:
                 raise ValueError("pieces not in canonical order")
             previous_hi = hi
-        _check_budget(pieces)
-        return cls._trusted(pieces)
+        return _check_budget(cls._trusted(pieces))
 
     # -- dunder plumbing ---------------------------------------------------------
 
     def __reduce__(self):
-        return (TorusIntervalSet._trusted, (self.pieces,))
+        return (TorusIntervalSet._trusted, (tuple(self.pieces),))
 
     def __eq__(self, other):
         if not isinstance(other, TorusIntervalSet):
             return NotImplemented
-        return self.pieces == other.pieces
+        return self.den == other.den and self.ends == other.ends
 
     def __hash__(self):
-        return hash(self.pieces)
+        return hash((self.den, self.ends))
 
     def __len__(self):
-        return len(self.pieces)
+        return len(self.ends) // 2
 
     def __repr__(self):
         inner = ", ".join(f"[{lo}, {hi})" for lo, hi in self.pieces)
         return f"TorusIntervalSet({{{inner}}})"
 
 
-def measure_intersection(a: TorusIntervalSet, b: TorusIntervalSet) -> Fraction:
-    """Measure of a.intersect(b) without building the set; used in hot loops."""
-    pa, pb = a.pieces, b.pieces
-    total = _ZERO
+def _overlap_units(a: TorusIntervalSet, b: TorusIntervalSet) -> tuple[int, int]:
+    """Measure of a.intersect(b) as (units, den), units/den unreduced.
+
+    The integer merge behind measure_intersection and the pairwise scans.
+    """
+    den, ea, eb = _lift(a, b)
+    total = 0
     i = j = 0
-    na, nb = len(pa), len(pb)
+    na, nb = len(ea), len(eb)
     while i < na and j < nb:
-        alo, ahi = pa[i]
-        blo, bhi = pb[j]
+        alo = ea[i]
+        blo = eb[j]
         lo = alo if alo > blo else blo
+        ahi = ea[i + 1]
+        bhi = eb[j + 1]
         if ahi <= bhi:
             hi = ahi
-            i += 1
+            i += 2
         else:
             hi = bhi
-            j += 1
+            j += 2
         if hi > lo:
             total += hi - lo
-    return total
+    return total, den
+
+
+def measure_intersection(a: TorusIntervalSet, b: TorusIntervalSet) -> Fraction:
+    """Measure of a.intersect(b) without building the set; used in hot loops."""
+    return Fraction(*_overlap_units(a, b))

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from torusapprox.cli import run
 
 
@@ -136,3 +138,27 @@ def test_verify_single_suite(capsys):
     code, out, _ = run_capture(capsys, ["verify", "--suite", "counterexample"])
     assert code == 0
     assert out.startswith("PASS  counterexample")
+
+
+@pytest.mark.parametrize("argv", [
+    "pairwise --Q 1 --psi const:1/4 --y zero",
+    "pairwise --Q 8 --workers 0 --psi const:1/4 --y zero",
+    "pairwise --Q 8 --psi const:1/4 --mode enclosure --precision 8",
+    "counterexample --eps abc",
+    "counterexample --primes 4,6",
+    "--config /nonexistent measure --q 5 --psi const:1/4",
+    "measure --q 0 --psi const:1/4",
+    "measure --q 5 --psi const:-1/4",
+    "overlap --q 0 --r 3 --psi const:1/4",
+    "msum --ladder 1,2 --psi div3",
+    "phigcd --q 0",
+    "sift --X 0 --Y 10 --n 0",
+    "equidist --Q 10 --psi const:1/4 --windows 1/2:1/4",
+    "mc --q-range 2,3 --psi const:1/4 --samples 10",
+    "verify --suite bogus",
+])
+def test_bad_input_exits_2_with_one_line(capsys, argv):
+    code, out, err = run_capture(capsys, argv.split())
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("usage error: ")

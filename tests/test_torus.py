@@ -177,6 +177,12 @@ def test_denominator_budget():
         TorusIntervalSet([(F(1, 99), F(2, 99))])
         with pytest.raises(BudgetError):
             TorusIntervalSet([(F(1, 101), F(2, 101))])
+        # The budget bounds each reduced endpoint denominator, not their
+        # lcm (9702 here).
+        mixed = TorusIntervalSet([(F(1, 98), F(3, 98)), (F(1, 99), F(2, 99))])
+        assert mixed.den == 9702
+        assert mixed.union(mixed.complement()) == TorusIntervalSet.full()
+        assert mixed.intersect(mixed) == mixed
     finally:
         set_denominator_budget(previous)
 

@@ -45,7 +45,7 @@ from .counterexample import (
     verify_block_measure,
     verify_containment,
 )
-from .errors import BudgetError, UsageError
+from .errors import BudgetError, IdentityError, UsageError
 from .experiments import (
     Enclosure,
     ExperimentConfig,

@@ -3,8 +3,9 @@
 Every subcommand echoes its resolved configuration into the report header,
 emits exact values as "p/q" strings (Monte Carlo estimates are the only
 decimals), and keeps diagnostics on stderr.  Exit statuses: 0 success,
-1 verification failure, 2 usage error (any ValueError or OSError, reported
-as one line), 3 budget refusal.
+1 verification failure (a failed suite or check, or an exact identity that
+failed to hold, reported as one line), 2 usage error (any ValueError or
+OSError, reported as one line), 3 budget refusal.
 
 Flag precedence is flags > config file > defaults; the config file is flat
 `key=value` text whose keys match the long flag names.
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from fractions import Fraction
 
 from .approx import ApproxFunction, TargetSequence, approx_set_measure
@@ -27,7 +29,8 @@ from .counterexample import (
     verify_block_measure,
     verify_containment,
 )
-from .errors import BudgetError, UsageError
+from .arith import factorize
+from .errors import BudgetError, IdentityError, UsageError
 from .experiments import (
     ExperimentConfig,
     baselines_version,
@@ -224,7 +227,9 @@ def _cmd_pairwise(args) -> int:
         seed=_int_arg(args, "seed", 0),
         exact_q_cap=_int_arg(args, "exact-cap", 512),
     )
+    start = time.perf_counter()
     report = pairwise_overlap_sum(cfg)
+    elapsed = time.perf_counter() - start
     row = {
         "Q": q_max,
         "m": m,
@@ -233,6 +238,11 @@ def _cmd_pairwise(args) -> int:
         "ratio": _fmt(report.ratio),
     }
     _emit(list(row), [row], report.config, args.format, args.out)
+    print(
+        f"pairs closed_form={report.closed_form_pairs} merge={report.merge_pairs} "
+        f"seconds={elapsed:.3f}",
+        file=sys.stderr,
+    )
     return EXIT_OK
 
 
@@ -361,7 +371,7 @@ def _cmd_sift(args) -> int:
     if n < 1 or x > y:
         raise UsageError("sift needs n >= 1 and X <= Y")
     count, main, error = sifted_interval_count(x, y, n)
-    omega = len([p for p in _distinct_primes(n)])
+    omega = len(factorize(n))
     rows = [{
         "X": format_rational(x), "Y": format_rational(y), "n": n,
         "count": count, "main_term": format_rational(main),
@@ -370,12 +380,6 @@ def _cmd_sift(args) -> int:
     config = {"subcommand": "sift", "n": n}
     _emit(list(rows[0]), rows, config, args.format, args.out)
     return EXIT_OK
-
-
-def _distinct_primes(n: int):
-    from .arith import factorize
-
-    return [p for p, _ in factorize(n)]
 
 
 def _cmd_equidist(args) -> int:
@@ -587,6 +591,9 @@ def run(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except IdentityError as exc:
+        print(f"identity failure: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAIL
 
 
 def main() -> None:

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from .approx import build_approx_set, coprime_residues
 from .arith import is_prime, primes_for_epsilon, DEFAULT_PRIME_RUN_CAP, PRIME_TEST_LIMIT
-from .errors import BudgetError
+from .errors import BudgetError, IdentityError
 from .rationals import format_rational, parse_rational
 from .torus import TorusIntervalSet
 
@@ -375,7 +375,7 @@ def verify_block_measure(
 def divergence_partial_sum(inst: CounterexampleInstance, upto: int) -> Fraction:
     """Exact sum of phi(q) psi(q) / q over the first `upto` blocks.
 
-    Computed term by term whenever the block is materialized and asserted
+    Computed term by term whenever the block is materialized and checked
     against the closed form (P_j - 1) / (2 P_j); deferred blocks use the
     closed form, which the divisor-sum identity sum_{q | P} phi(q) = P
     makes exact.
@@ -390,6 +390,9 @@ def divergence_partial_sum(inst: CounterexampleInstance, upto: int) -> Fraction:
             for q, phi_q in _squarefree_divisors_with_totients(blk.primes):
                 if q > 1:
                     brute += Fraction(phi_q, q) * inst.psi_of(q)
-            assert brute == closed
+            if brute != closed:
+                raise IdentityError(
+                    f"block {blk.index}: divergence sum {brute} != (P-1)/(2P) = {closed}"
+                )
         total += closed
     return total

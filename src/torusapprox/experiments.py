@@ -5,6 +5,13 @@ independence ratio), the main-term sum check, totient-of-gcd sums both by
 brute force and through the divisor identity, Monte Carlo coverage with a
 counter-based generator, and exact equidistribution scans.
 
+The pairwise scan takes each pair's overlap from the summed closed form
+f(c) (`overlap._pair_overlap_units`) when psi(q), psi(r) <= 1/2, working
+from per-q integer rows (factorization, psi and target numerators), and
+falls back to the interval merge `torus._overlap_units` on sets built for
+the other pairs only.  The set measures come from the sets themselves, one
+q at a time, so they do not depend on either engine.
+
 Exact mode accumulates fractions.Fraction values; results are independent
 of the worker count because rational addition is exact.  Enclosure mode
 rounds every pair contribution outward to a dyadic grid of the configured
@@ -24,7 +31,8 @@ from importlib import resources
 
 from .approx import ApproxFunction, TargetSequence, build_approx_set
 from .arith import factorize_with_table, spf_table, totient, totient_range
-from .errors import BudgetError
+from .errors import BudgetError, IdentityError
+from .overlap import _overlap_row, _pair_overlap_units
 from .rationals import format_rational, parse_rational
 from .torus import _overlap_units
 
@@ -141,60 +149,88 @@ class ExperimentConfig:
 # -- pairwise overlap sums ----------------------------------------------------------
 
 
-def _coordinate_sets(cfg: ExperimentConfig) -> list[tuple | None]:
-    """sets[q] = one (key, set) entry per coordinate for q.  Coordinates
-    sharing a target component share the set and its key, so one
-    intersection serves all of them."""
-    sets: list[tuple | None] = [None] * (cfg.Q + 1)
+_HALF = Fraction(1, 2)
+
+
+def _coordinate_rows(cfg: ExperimentConfig) -> list[tuple | None]:
+    """rows[q] = one (key, row) entry per coordinate for q, the row from
+    `_overlap_row`.  Coordinates sharing a target component share the row
+    and its key, so one overlap serves all of them."""
+    table = spf_table(cfg.Q)
+    rows: list[tuple | None] = [None] * (cfg.Q + 1)
     for q in range(1, cfg.Q + 1):
         psi_q = cfg.psi(q)
+        factors = factorize_with_table(q, table)
         cache: dict[Fraction, tuple] = {}
         row = []
         for y in cfg.target(q):
             if y not in cache:
-                cache[y] = ((q, len(cache)), build_approx_set(q, psi_q, y))
+                cache[y] = ((q, len(cache)), _overlap_row(q, factors, psi_q, y))
             row.append(cache[y])
-        sets[q] = tuple(row)
-    return sets
+        rows[q] = tuple(row)
+    return rows
 
 
-def _pair_value(sets, q: int, r: int, m: int, memo: dict) -> Fraction:
-    value = None
+def _merge_set(sets: dict, key, row):
+    """The interval set of a row, built on first use."""
+    got = sets.get(key)
+    if got is None:
+        q, _, den, psi, y = row
+        got = sets[key] = build_approx_set(q, Fraction(psi, den), Fraction(y, den))
+    return got
+
+
+def _pair_value(rows, q: int, r: int, m: int, memo: dict, sets: dict | None) -> Fraction:
+    """Product over the coordinates of |A_q & A_r|: by the closed form when
+    `sets` is None, else by the interval merge on sets cached there."""
+    num = den_product = 1
     for i in range(m):
-        ka, a = sets[q][i]
-        kb, b = sets[r][i]
+        ka, a = rows[q][i]
+        kb, b = rows[r][i]
         key = (ka, kb)
         got = memo.get(key)
         if got is None:
-            got = _overlap_units(a, b)
+            if sets is None:
+                got = _pair_overlap_units(a, b)
+            else:
+                got = _overlap_units(_merge_set(sets, ka, a), _merge_set(sets, kb, b))
             memo[key] = got
         units, den = got
         if units == 0:
             return _ZERO
-        value = Fraction(units, den) if value is None else value * Fraction(units, den)
-    return value
+        num *= units
+        den_product *= den
+    return Fraction(num, den_product)
 
 
-def _pairwise_worker(payload) -> tuple[int, object]:
+def _pairwise_worker(payload) -> tuple[int, object, tuple[int, int]]:
+    """One stripe of q: its partial sum and the pairs done by closed form
+    and by merge."""
     cfg, worker_index, worker_count = payload
-    sets = _coordinate_sets(cfg)
-    if cfg.mode == "exact":
-        partial: object = Fraction(0)
-        for q in range(1 + worker_index, cfg.Q, worker_count):
-            row = Fraction(0)
-            memo: dict = {}
-            for r in range(q + 1, cfg.Q + 1):
-                row += _pair_value(sets, q, r, cfg.m, memo)
-            partial += row
-        return worker_index, partial
-    enclosure = Enclosure(cfg.precision)
+    rows = _coordinate_rows(cfg)
+    # The closed form needs psi <= 1/2 on both sides of a pair.
+    closed = [False] + [cfg.psi(q) <= _HALF for q in range(1, cfg.Q + 1)]
+    sets: dict = {}
+    pairs = merge_pairs = 0
+    exact = cfg.mode == "exact"
+    partial = Fraction(0) if exact else Enclosure(cfg.precision)
     for q in range(1 + worker_index, cfg.Q, worker_count):
-        memo = {}
+        row_sum = Fraction(0)
+        memo: dict = {}
+        pairs += cfg.Q - q
         for r in range(q + 1, cfg.Q + 1):
-            value = _pair_value(sets, q, r, cfg.m, memo)
-            if value:
-                enclosure.add(value)
-    return worker_index, (enclosure.lo_units, enclosure.hi_units)
+            merge = not (closed[q] and closed[r])
+            merge_pairs += merge
+            value = _pair_value(rows, q, r, cfg.m, memo, sets if merge else None)
+            if exact:
+                row_sum += value
+            elif value:
+                partial.add(value)
+        if exact:
+            partial += row_sum
+    if not exact:
+        partial = (partial.lo_units, partial.hi_units)
+    return worker_index, partial, (pairs - merge_pairs, merge_pairs)
 
 
 @dataclass
@@ -204,6 +240,10 @@ class SumReport:
     measure_sum: Fraction
     ratio: object  # Fraction, (lo, hi), or None when undefined
     per_q_measures: tuple = ()
+    # Pairs q < r whose overlap came from the closed form f(c) / from the
+    # interval merge; execution detail, not part of the report.
+    closed_form_pairs: int = 0
+    merge_pairs: int = 0
 
     def to_json_obj(self, fixture_version: str | None = None) -> dict:
         def render(value):
@@ -234,13 +274,16 @@ def pairwise_overlap_sum(cfg: ExperimentConfig) -> SumReport:
             f"exact accumulation is capped at Q = {cfg.exact_q_cap}; "
             "use enclosure mode beyond that"
         )
-    sets = _coordinate_sets(cfg)
     per_q = []
     measure_sum = Fraction(0)
     for q in range(1, cfg.Q + 1):
+        psi_q = cfg.psi(q)
+        measures: dict[Fraction, Fraction] = {}
         value = Fraction(1)
-        for _, piece_set in sets[q]:
-            value *= piece_set.measure()
+        for y in cfg.target(q):
+            if y not in measures:
+                measures[y] = build_approx_set(q, psi_q, y).measure()
+            value *= measures[y]
         per_q.append((q, value))
         measure_sum += value
 
@@ -255,7 +298,7 @@ def pairwise_overlap_sum(cfg: ExperimentConfig) -> SumReport:
 
     if cfg.mode == "exact":
         half_sum = Fraction(0)
-        for _, partial in results:
+        for _, partial, _ in results:
             half_sum += partial
         pair_sum: object = 2 * half_sum
         ratio: object = None
@@ -263,7 +306,7 @@ def pairwise_overlap_sum(cfg: ExperimentConfig) -> SumReport:
             ratio = pair_sum / measure_sum**2
     else:
         total = Enclosure(cfg.precision)
-        for _, (lo_units, hi_units) in results:
+        for _, (lo_units, hi_units), _ in results:
             total.lo_units += lo_units
             total.hi_units += hi_units
         lo, hi = total.bounds()
@@ -278,6 +321,8 @@ def pairwise_overlap_sum(cfg: ExperimentConfig) -> SumReport:
         measure_sum=measure_sum,
         ratio=ratio,
         per_q_measures=tuple(per_q),
+        closed_form_pairs=sum(counts[0] for _, _, counts in results),
+        merge_pairs=sum(counts[1] for _, _, counts in results),
     )
 
 
@@ -374,7 +419,7 @@ def main_term_sum_check(
 
 def phigcd_sum(q: int, m: int) -> tuple[int, int]:
     """Sum over r <= q of phi(gcd(q, r))**m, brute force and via the
-    divisor identity sum_{d | q} phi(d)**m phi(q/d).  Asserted equal."""
+    divisor identity sum_{d | q} phi(d)**m phi(q/d).  Checked equal."""
     if q < 1 or m < 1:
         raise ValueError("phigcd_sum requires q >= 1 and m >= 1")
     divisor_phis = {}
@@ -386,7 +431,8 @@ def phigcd_sum(q: int, m: int) -> tuple[int, int]:
     divisor_form = sum(
         divisor_phis[d] ** m * divisor_phis[q // d] for d in divisor_phis
     )
-    assert brute == divisor_form
+    if brute != divisor_form:
+        raise IdentityError(f"phigcd sums differ at q={q}, m={m}: {brute} != {divisor_form}")
     return brute, divisor_form
 
 

@@ -20,6 +20,19 @@ its brute-force twin, the overlap geometry (interval widths, the sifting
 window length D, the thresholds), the exact pairwise overlap measure, the
 bound right-hand sides it is checked against, and exact sifted counts of
 integers coprime to a modulus inside a rational window.
+
+Summed over the integer differences c, the closed form gives the overlap
+itself.  With L = lcm(q, r), w_q = psi(q)/q and the trapezoid
+trap(x) = max(0, min(w_q + w_r - |x|, 2 min(w_q, w_r))), the overlap of
+two intervals whose centres lie x apart,
+
+    |A_q & A_r| = sum over c in Z of f(c mod L) * trap(c/L + y_q/q - y_r/r)
+
+whenever psi(q), psi(r) <= 1/2, so that each set's intervals are disjoint
+(up to endpoints).  `_pair_overlap_units` evaluates this sum without a loop
+over c: f expands into 2**omega(L) signed terms a_k [k | c], and the
+trapezoid summed over the multiples of k has a closed form.  The interval
+merge of `pair_overlap_exact` / `measure_intersection` stays the oracle.
 """
 
 from __future__ import annotations
@@ -30,7 +43,7 @@ from fractions import Fraction
 
 from .approx import build_approx_set, coprime_residues
 from .arith import factorize, prime_tail_threshold, totient
-from .errors import BudgetError
+from .errors import BudgetError, IdentityError
 from .torus import measure_intersection
 
 _ZERO = Fraction(0)
@@ -50,36 +63,58 @@ class PairDecomposition:
     prime_valuations: tuple[tuple[int, int, int], ...]  # (p, v_p(q), v_p(r))
 
 
+def _ell_em_en(fq: dict, fr: dict):
+    """The ell/em/en split of two factorizations given as {p: exponent}.
+
+    Returns (ell, em, en, phi(em), balanced primes, split primes), the
+    primes in no particular order.
+    """
+    ell = em = en = phi_em = 1
+    balanced = []
+    split = []
+    for p, u in fq.items():
+        v = fr.get(p, 0)
+        if u == v:
+            ell *= p**u
+            balanced.append(p)
+            continue
+        split.append(p)
+        low, high = (u, v) if u < v else (v, u)
+        if low:
+            em *= p**low
+            phi_em *= p ** (low - 1) * (p - 1)
+        en *= p**high
+    for p, v in fr.items():
+        if p not in fq:
+            split.append(p)
+            en *= p**v
+    return ell, em, en, phi_em, balanced, split
+
+
 def decompose_pair(q: int, r: int) -> PairDecomposition:
-    """Decompose (q, r) and assert every structural identity on the spot."""
+    """Decompose (q, r) and check every structural identity on the spot."""
     if q < 1 or r < 1:
         raise ValueError("moduli must be >= 1")
     fq = dict(factorize(q))
     fr = dict(factorize(r))
-    ell = em = en = 1
-    valuations = []
-    for p in sorted(set(fq) | set(fr)):
-        u = fq.get(p, 0)
-        v = fr.get(p, 0)
-        valuations.append((p, u, v))
-        if u == v:
-            ell *= p**u
-        else:
-            em *= p ** min(u, v)
-            en *= p ** max(u, v)
+    ell, em, en, _, balanced, split = _ell_em_en(fq, fr)
+    valuations = sorted((p, fq.get(p, 0), fr.get(p, 0)) for p in balanced + split)
     g = math.gcd(q, r)
     l = q * r // g
     dec = PairDecomposition(
         q=q, r=r, gcd=g, lcm=l, ell=ell, em=em, en=en,
         prime_valuations=tuple(valuations),
     )
-    assert g == ell * em
-    assert l == ell * en
-    assert q * r * em == g * g * en
-    assert math.gcd(ell, em * en) == 1
-    assert en % em == 0
-    assert totient(em) * totient(ell) == totient(g)
-    assert totient(em) * totient(ell) ** 2 * totient(en) == totient(q) * totient(r)
+    if not (
+        g == ell * em
+        and l == ell * en
+        and q * r * em == g * g * en
+        and math.gcd(ell, em * en) == 1
+        and en % em == 0
+        and totient(em) * totient(ell) == totient(g)
+        and totient(em) * totient(ell) ** 2 * totient(en) == totient(q) * totient(r)
+    ):
+        raise IdentityError(f"ell/em/en identities fail for q={q}, r={r}")
     return dec
 
 
@@ -94,7 +129,7 @@ def _split_primes(dec: PairDecomposition) -> list[int]:
 def coprime_pair_count(dec: PairDecomposition, c: int) -> int:
     """Closed-form f(c): pairs of coprime residues at integer difference c.
 
-    c is reduced modulo whatever each gcd needs; the result is asserted to
+    c is reduced modulo whatever each gcd needs; the result is checked to
     be a non-negative integer before returning.
     """
     if math.gcd(abs(c), dec.en) != 1:
@@ -105,7 +140,8 @@ def coprime_pair_count(dec: PairDecomposition, c: int) -> int:
             value *= 1 - Fraction(1, p)
         else:
             value *= 1 - Fraction(2, p)
-    assert value.denominator == 1 and value >= 0
+    if value.denominator != 1 or value < 0:
+        raise IdentityError(f"f({c}) = {value} is not a non-negative integer")
     return int(value)
 
 
@@ -199,6 +235,93 @@ def pair_overlap_exact(q: int, r: int, psi, y_q=0, y_r=0) -> Fraction:
     a = build_approx_set(q, psi_q, y_q)
     b = build_approx_set(r, psi_r, y_r)
     return measure_intersection(a, b)
+
+
+def _overlap_row(q: int, factors, psi_q, y_q) -> tuple:
+    """One set's integer data for `_pair_overlap_units`:
+    (q, {p: e}, den, psi, y) with psi(q) = psi/den and y_q = y/den."""
+    psi = Fraction(psi_q)
+    y = Fraction(y_q)
+    den = math.lcm(psi.denominator, y.denominator)
+    return (
+        q, dict(factors), den,
+        psi.numerator * (den // psi.denominator),
+        y.numerator * (den // y.denominator),
+    )
+
+
+def _pair_overlap_units(row_q: tuple, row_r: tuple) -> tuple[int, int]:
+    """|A_q & A_r| as (units, den), units/den unreduced, by the summed
+    closed form of the module docstring.  Both rows from `_overlap_row`;
+    requires psi(q), psi(r) <= 1/2.
+
+    Everything is scaled by N = L * den, den the lcm of the two row
+    denominators, so the centre offset of the pair at difference c is
+    X = c*den + delta, and with W_q = N w_q the trapezoid is the difference
+    of two hats H_h(X) = max(0, h - |X|) of half-widths h = W_q + W_r and
+    |W_q - W_r|.  Over the multiples c = jk, a hat sums in closed form:
+    with s = k*den and d = delta mod s, the points X >= 0 are d + js for
+    0 <= j < u and the points X < 0 are d - is for 1 <= i <= v, where
+    u = (h - d)//s + 1 and v = (h + d)//s, so
+
+        2 * sum_j H_h(js + delta) = u(2(h - d) - s(u - 1)) + v(2(h + d) - s(v + 1)).
+
+    When s >= 2h only the point nearest 0 can lie inside the hat.
+    """
+    q, fq, den_q, psi_q, y_q = row_q
+    r, fr, den_r, psi_r, y_r = row_r
+    if not psi_q or not psi_r:
+        return 0, 1
+    g = math.gcd(q, r)
+    # L/q and L/r, each times den over the row's own denominator.
+    den = den_q // math.gcd(den_q, den_r) * den_r
+    scale_q = r // g * (den // den_q)
+    scale_r = q // g * (den // den_r)
+    w_q = scale_q * psi_q
+    w_r = scale_r * psi_r
+    delta = scale_q * y_q - scale_r * y_r
+    outer = w_q + w_r
+    inner = w_q - w_r if w_q > w_r else w_r - w_q
+    # f(c) = phi(em) (ell/rad ell) [gcd(c, en) = 1] prod_{p | ell} ((p-2) + [p | c])
+    # as coefficients a_k on the steps s = k*den.
+    ell, _, _, phi_em, balanced, split = _ell_em_en(fq, fr)
+    coef = phi_em * ell
+    for p in balanced:
+        coef //= p
+    steps = [den]
+    coefs = [coef]
+    for p in split:
+        steps += [s * p for s in steps]
+        coefs += [-a for a in coefs]
+    for p in balanced:
+        if p == 2:  # p - 2 = 0: only the [2 | c] half survives
+            steps = [2 * s for s in steps]
+        else:
+            coefs = [a * (p - 2) for a in coefs] + coefs
+            steps += [s * p for s in steps]
+    total = 0
+    sparse = 2 * outer
+    for s, a in zip(steps, coefs):
+        d = delta % s
+        if s >= sparse:
+            if d > s - d:
+                d = s - d
+            if d < outer:
+                total += 2 * a * (outer - (d if d > inner else inner))
+            continue
+        t = outer - d
+        u = t // s + 1
+        e = outer + d
+        v = e // s
+        value = u * (2 * t - s * (u - 1)) + v * (2 * e - s * (v + 1))
+        if inner:
+            t = inner - d
+            u = t // s + 1
+            e = inner + d
+            v = e // s
+            value -= u * (2 * t - s * (u - 1)) + v * (2 * e - s * (v + 1))
+        total += a * value
+    return total, 2 * q * (r // g) * den
 
 
 def overlap_bound_terms(
@@ -315,7 +438,10 @@ def sifted_interval_count(
     for p in primes:
         main *= 1 - Fraction(1, p)
     error = abs(count - main)
-    assert error <= 2 ** len(primes)
+    if error > 2 ** len(primes):
+        raise IdentityError(
+            f"sifted count error {error} exceeds 2**omega(n) for n={n}"
+        )
     return count, main, error
 
 

@@ -11,8 +11,10 @@ canonical form never merges across the seam.
 
 Binary operations lift both operands to one common denominator and then run
 on integers; only `measure`, `measure_intersection` and the `pieces` view
-build Fractions.  `_overlap_units` is the one integer intersection merge,
-shared by `measure_intersection` and the pairwise scans.  `pieces` (a
+build Fractions.  `_overlap_units` is the one integer intersection merge:
+`measure_intersection` uses it, and so do the pairwise scans for the pairs
+the closed form of `overlap._pair_overlap_units` does not cover (a weight
+above 1/2).  `pieces` (a
 `PieceView`), `to_pairs`/`from_pairs`, `repr` and pickling present the
 endpoints as Fractions, exactly as a Fraction-endpoint representation
 would.  All operations are exact and return new values.
@@ -374,7 +376,8 @@ class TorusIntervalSet:
 def _overlap_units(a: TorusIntervalSet, b: TorusIntervalSet) -> tuple[int, int]:
     """Measure of a.intersect(b) as (units, den), units/den unreduced.
 
-    The integer merge behind measure_intersection and the pairwise scans.
+    The integer merge behind measure_intersection and the pairwise scans'
+    fallback for weights above 1/2.
     """
     den, ea, eb = _lift(a, b)
     total = 0

@@ -20,7 +20,7 @@ from .approx import (
     reduced_fractions,
     sumset_reduced,
 )
-from .arith import totient, totient_range
+from .arith import factorize, factorize_with_table, spf_table, totient, totient_range
 from .counterexample import (
     BlockSchedule,
     build_counterexample,
@@ -40,6 +40,8 @@ from .experiments import (
     within_baseline,
 )
 from .overlap import (
+    _overlap_row,
+    _pair_overlap_units,
     coprime_pair_count,
     coprime_pair_histogram,
     decompose_pair,
@@ -277,7 +279,7 @@ def check_sifted_counts(trials: int = 10**4, seed: int = 20260808) -> CheckResul
         x = Fraction(rng.randint(-4000, 4000), rng.randint(1, 40))
         y = x + Fraction(rng.randint(0, 8000), rng.randint(1, 40))
         count, main, error = sifted_interval_count(x, y, n)
-        omega = len([1 for _ in _prime_iter(n)])
+        omega = len(factorize(n))
         if error > 2**omega:
             return CheckResult(
                 "sift", False,
@@ -287,13 +289,6 @@ def check_sifted_counts(trials: int = 10**4, seed: int = 20260808) -> CheckResul
         "sift", True,
         f"{trials} random windows: |count - main term| <= 2**omega(n) throughout",
     )
-
-
-def _prime_iter(n: int):
-    from .arith import factorize
-
-    for p, _ in factorize(n):
-        yield p
 
 
 # -- 8: quasi-independence ladder ---------------------------------------------------------------
@@ -409,6 +404,55 @@ def check_mc_calibration(samples: int = 100_000, seed: int = 7) -> CheckResult:
     )
 
 
+# -- 10: closed-form overlap engine vs the interval merge -----------------------------
+
+
+def check_overlap_engine(limit: int = 120, seed: int = 20260808) -> CheckResult:
+    """The scan's closed-form pair overlap against the interval merge on
+    every pair r < q <= limit, for weights up to 1/2 and fixed or moving
+    targets."""
+    rng = random.Random(seed)
+    moving = [None] + [
+        Fraction(rng.randint(-64, 64), rng.randint(1, 64)) for _ in range(limit)
+    ]
+    families = (
+        ApproxFunction.constant(Fraction(1, 4)),
+        ApproxFunction.constant(Fraction(1, 2)),
+        ApproxFunction.power(Fraction(1, 2), 1),
+        ApproxFunction.divergent_m3(),
+    )
+    targets = (
+        ("zero", lambda q: 0),
+        ("1/3", lambda q: Fraction(1, 3)),
+        (f"moving (seed {seed})", moving.__getitem__),
+    )
+    table = spf_table(limit)
+    pairs = 0
+    for psi in families:
+        for label, target in targets:
+            rows = [None]
+            sets = [None]
+            for q in range(1, limit + 1):
+                rows.append(_overlap_row(q, factorize_with_table(q, table), psi(q), target(q)))
+                sets.append(build_approx_set(q, psi(q), target(q)))
+            for q in range(2, limit + 1):
+                for r in range(1, q):
+                    units, den = _pair_overlap_units(rows[q], rows[r])
+                    if Fraction(units, den) != measure_intersection(sets[q], sets[r]):
+                        return CheckResult(
+                            "overlap-engine", False,
+                            f"closed form != merge at q={q}, r={r}, "
+                            f"psi={psi.describe()}, y={label}",
+                        )
+                    pairs += 1
+    return CheckResult(
+        "overlap-engine", True,
+        f"closed form == interval merge on {pairs} pairs r < q <= {limit}: psi in "
+        + ", ".join(psi.describe() for psi in families)
+        + "; targets " + ", ".join(label for label, _ in targets),
+    )
+
+
 SUITES = {
     "coprime-count": check_coprime_counts,
     "sumset": check_sumsets,
@@ -419,6 +463,7 @@ SUITES = {
     "sift": check_sifted_counts,
     "ladder": check_quasi_ladder,
     "mc": check_mc_calibration,
+    "overlap-engine": check_overlap_engine,
 }
 
 

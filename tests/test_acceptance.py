@@ -10,6 +10,7 @@ from torusapprox.verification import (
     check_mc_calibration,
     check_measure_law,
     check_overlap_bound,
+    check_overlap_engine,
     check_phigcd,
     check_quasi_ladder,
     check_sifted_counts,
@@ -66,3 +67,9 @@ def test_criterion_8_quasi_independence_ladder():
 def test_criterion_9_mc_calibration():
     # 20 exactly-known measures, >= 19 inside the 3-sigma interval
     _report(check_mc_calibration(samples=100_000, seed=7))
+
+
+def test_criterion_10_overlap_engine():
+    # closed-form pair overlap == interval merge on every pair r < q <= 120,
+    # four weight families, zero, constant and seeded moving targets
+    _report(check_overlap_engine(limit=120))

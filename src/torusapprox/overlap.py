@@ -98,7 +98,7 @@ def decompose_pair(q: int, r: int) -> PairDecomposition:
     fq = dict(factorize(q))
     fr = dict(factorize(r))
     ell, em, en, _, balanced, split = _ell_em_en(fq, fr)
-    valuations = sorted((p, fq.get(p, 0), fr.get(p, 0)) for p in balanced + split)
+    valuations = [(p, fq.get(p, 0), fr.get(p, 0)) for p in sorted(balanced + split)]
     g = math.gcd(q, r)
     l = q * r // g
     dec = PairDecomposition(

@@ -24,15 +24,17 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from itertools import repeat
 
 from .approx import ApproxFunction, TargetSequence, build_approx_set
 from .arith import factorize_with_table, spf_table, totient, totient_range
 from .errors import BudgetError, IdentityError
-from .overlap import _overlap_row, _pair_overlap_units
+from .overlap import _main_term_units, _overlap_row, _pair_overlap_units
 from .rationals import format_rational, parse_rational
 from .torus import _overlap_units
 
@@ -180,21 +182,24 @@ def _merge_set(sets: dict, key, row):
     return got
 
 
-def _pair_value(rows, q: int, r: int, m: int, memo: dict, sets: dict | None) -> Fraction:
+def _pair_value(
+    rows, q: int, r: int, m: int, memo: dict | None, sets: dict | None
+) -> Fraction:
     """Product over the coordinates of |A_q & A_r|: by the closed form when
-    `sets` is None, else by the interval merge on sets cached there."""
+    `sets` is None, else by the interval merge on sets cached there.  memo
+    holds the coordinate overlaps already computed in q's row, or is None."""
     num = den_product = 1
     for i in range(m):
         ka, a = rows[q][i]
         kb, b = rows[r][i]
-        key = (ka, kb)
-        got = memo.get(key)
+        got = None if memo is None else memo.get((ka, kb))
         if got is None:
             if sets is None:
                 got = _pair_overlap_units(a, b)
             else:
                 got = _overlap_units(_merge_set(sets, ka, a), _merge_set(sets, kb, b))
-            memo[key] = got
+            if memo is not None:
+                memo[(ka, kb)] = got
         units, den = got
         if units == 0:
             return _ZERO
@@ -216,7 +221,8 @@ def _pairwise_worker(payload) -> tuple[int, object, tuple[int, int]]:
     partial = Fraction(0) if exact else Enclosure(cfg.precision)
     for q in range(1 + worker_index, cfg.Q, worker_count):
         row_sum = Fraction(0)
-        memo: dict = {}
+        # With one coordinate no memo key can repeat in a row.
+        memo = {} if cfg.m > 1 else None
         pairs += cfg.Q - q
         for r in range(q + 1, cfg.Q + 1):
             merge = not (closed[q] and closed[r])
@@ -367,41 +373,42 @@ def main_term_sum_check(
     table = spf_table(q_top)
     phi = totient_range(q_top)
     factors = [None] * (q_top + 1)
-    weights = [None] * (q_top + 1)  # psi(q) * phi(q) / q
-    widths = [None] * (q_top + 1)  # psi(q) / q
+    psis = [None] * (q_top + 1)
     for q in range(1, q_top + 1):
         factors[q] = dict(factorize_with_table(q, table))
-        psi_q = psi(q)
-        weights[q] = Fraction(psi_q * phi[q], q)
-        widths[q] = Fraction(psi_q, q)
+        psis[q] = Fraction(psi(q))
 
     rows = []
     lhs_half = Fraction(0)
-    rhs_base = weights[1] ** m
+    # Terms not yet in lhs_half, summed as integers per reduced denominator:
+    # pending[den] = sum of num**m over the terms (num/den)**m.
+    pending: dict[int, int] = {}
+    rhs_base = psis[1] ** m  # the weight psi(q) phi(q) / q at q = 1
     ladder_sorted = sorted(set(ladder))
     bound_index = 0
     for q in range(2, q_top + 1):
-        rhs_base += weights[q] ** m
-        for r in range(1, q):
-            if weights[q] == 0 or weights[r] == 0:
-                continue
-            width_max = max(widths[q], widths[r])
-            g = math.gcd(q, r)
-            lcm = q * r // g
-            big_d = 2 * lcm * width_max
-            if big_d < 1 or (strict_indicator and big_d == 1):
-                continue
-            value = weights[q] * weights[r]
+        psi_q = psis[q]
+        rhs_base += Fraction(psi_q * phi[q], q) ** m
+        if psi_q:
             fq = factors[q]
-            fr = factors[r]
-            for p in fq:
-                if fq[p] != fr.get(p, 0) and p > big_d:
-                    value *= 1 + Fraction(1, p)
-            for p in fr:
-                if p not in fq and p > big_d:
-                    value *= 1 + Fraction(1, p)
-            lhs_half += value**m
+            for r in range(1, q):
+                psi_r = psis[r]
+                if not psi_r:
+                    continue
+                fr = factors[r]
+                split = [p for p in fq if fq[p] != fr.get(p, 0)]
+                split += [p for p in fr if p not in fq]
+                num, den = _main_term_units(
+                    q, r, psi_q, psi_r, phi[q], phi[r], split, strict_indicator
+                )
+                if num:
+                    g = math.gcd(num, den)
+                    den //= g
+                    pending[den] = pending.get(den, 0) + (num // g) ** m
         while bound_index < len(ladder_sorted) and ladder_sorted[bound_index] == q:
+            for den, total in pending.items():
+                lhs_half += Fraction(total, den**m)
+            pending.clear()
             rhs = rhs_base**2
             pair_sum = 2 * lhs_half
             rows.append(
@@ -445,12 +452,9 @@ def phigcd_batch_check(limit: int, ms=(1, 2, 3, 4)) -> dict:
     phi = totient_range(limit)
     gcd = math.gcd
     mismatches = 0
-    max_ratios: dict[int, Fraction] = {}
+    best: dict[int, tuple[int, int]] = {}  # max ratio per m as (num, den)
     for q in range(1, limit + 1):
-        counts: dict[int, int] = {}
-        for r in range(1, q + 1):
-            g = gcd(q, r)
-            counts[g] = counts.get(g, 0) + 1
+        counts = Counter(map(gcd, repeat(q), range(1, q + 1)))
         for m in ms:
             brute = sum(count * phi[g] ** m for g, count in counts.items())
             divisor_form = sum(phi[d] ** m * phi[q // d] for d in counts)
@@ -458,13 +462,14 @@ def phigcd_batch_check(limit: int, ms=(1, 2, 3, 4)) -> dict:
                 mismatches += 1
                 continue
             if m >= 3:
-                ratio = Fraction(brute, phi[q] ** m)
+                den = phi[q] ** m
             elif m == 2:
-                ratio = Fraction(brute, q * q)
+                den = q * q
             else:
                 continue
-            if m not in max_ratios or ratio > max_ratios[m]:
-                max_ratios[m] = ratio
+            if m not in best or brute * best[m][1] > best[m][0] * den:
+                best[m] = (brute, den)
+    max_ratios = {m: Fraction(num, den) for m, (num, den) in best.items()}
     return {"ok": mismatches == 0, "mismatches": mismatches, "max_ratios": max_ratios}
 
 
@@ -475,7 +480,7 @@ def phigcd_ratio_scan(limit: int, m: int = 3) -> Fraction:
         raise ValueError("ratio scan needs m >= 2")
     table = spf_table(limit)
     phi = totient_range(limit)
-    best = _ZERO
+    best_num, best_den = 0, 1
     for q in range(1, limit + 1):
         divisors = [1]
         for p, e in factorize_with_table(q, table):
@@ -486,10 +491,10 @@ def phigcd_ratio_scan(limit: int, m: int = 3) -> Fraction:
                 extra.extend(d * power for d in divisors)
             divisors.extend(extra)
         total = sum(phi[d] ** m * phi[q // d] for d in divisors)
-        ratio = Fraction(total, phi[q] ** m) if m >= 3 else Fraction(total, q * q)
-        if ratio > best:
-            best = ratio
-    return best
+        den = phi[q] ** m if m >= 3 else q * q
+        if total * best_den > best_num * den:
+            best_num, best_den = total, den
+    return Fraction(best_num, best_den)
 
 
 # -- Monte Carlo coverage -----------------------------------------------------------
@@ -563,11 +568,19 @@ def mc_coverage(
     seed = cfg.seed
     gcd = math.gcd
     floor = math.floor
+    counter = 0
     for i in range(samples):
         if mode == "grid":
             point = ((i + 0.5) / samples,)
         else:
-            point = tuple(unit_sample(seed, i * m + d) for d in range(m))
+            # unit_sample(seed, i * m + d) for each coordinate d, written out
+            point = []
+            for _ in range(m):
+                z = (seed + counter * _GOLDEN) & _MASK64
+                counter += 1
+                z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+                point.append(((z ^ (z >> 31)) >> 11) * 2.0**-53)
         for q, psi_q, targets in per_q:
             for d in range(m):
                 t = q * point[d] - targets[d]

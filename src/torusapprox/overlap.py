@@ -118,10 +118,6 @@ def decompose_pair(q: int, r: int) -> PairDecomposition:
     return dec
 
 
-def _balanced_primes(dec: PairDecomposition) -> list[int]:
-    return [p for p, u, v in dec.prime_valuations if u == v]
-
-
 def _split_primes(dec: PairDecomposition) -> list[int]:
     return [p for p, u, v in dec.prime_valuations if u != v]
 
@@ -129,20 +125,23 @@ def _split_primes(dec: PairDecomposition) -> list[int]:
 def coprime_pair_count(dec: PairDecomposition, c: int) -> int:
     """Closed-form f(c): pairs of coprime residues at integer difference c.
 
-    c is reduced modulo whatever each gcd needs; the result is checked to
-    be a non-negative integer before returning.
+    c is reduced modulo whatever each gcd needs.  In integers,
+    f(c) = phi(em) (ell / rad ell) prod over p | ell of (p - 1 if p | c else
+    p - 2), with phi(em) read off the valuations; that rad(ell) divides ell
+    (what makes f an integer) is checked before returning.
     """
-    if math.gcd(abs(c), dec.en) != 1:
+    if math.gcd(c, dec.en) != 1:
         return 0
-    value = Fraction(totient(dec.em) * dec.ell)
-    for p in _balanced_primes(dec):
-        if c % p == 0:
-            value *= 1 - Fraction(1, p)
-        else:
-            value *= 1 - Fraction(2, p)
-    if value.denominator != 1 or value < 0:
-        raise IdentityError(f"f({c}) = {value} is not a non-negative integer")
-    return int(value)
+    value = rad = 1
+    for p, u, v in dec.prime_valuations:
+        if u == v:
+            rad *= p
+            value *= p - 1 if c % p == 0 else p - 2
+        elif u and v:  # p | em with exponent min(u, v)
+            value *= p ** (min(u, v) - 1) * (p - 1)
+    if dec.ell % rad:
+        raise IdentityError(f"rad(ell) = {rad} does not divide ell = {dec.ell}")
+    return value * (dec.ell // rad)
 
 
 def coprime_pair_histogram(dec: PairDecomposition) -> list[int]:
@@ -196,11 +195,19 @@ class OverlapGeometry:
         return self.window_length == 0
 
 
-def overlap_geometry(q: int, r: int, psi, y_q=0, y_r=0) -> OverlapGeometry:
-    psi_q = Fraction(psi(q)) if callable(psi) else Fraction(psi)
-    psi_r = Fraction(psi(r)) if callable(psi) else Fraction(psi)
+def _psi_pair(psi, q: int, r: int) -> tuple[Fraction, Fraction]:
+    """psi(q) and psi(r) as Fractions; psi is a callable or one constant."""
+    if callable(psi):
+        psi_q, psi_r = Fraction(psi(q)), Fraction(psi(r))
+    else:
+        psi_q = psi_r = Fraction(psi)
     if psi_q < 0 or psi_r < 0:
         raise ValueError("psi must be non-negative")
+    return psi_q, psi_r
+
+
+def overlap_geometry(q: int, r: int, psi, y_q=0, y_r=0) -> OverlapGeometry:
+    psi_q, psi_r = _psi_pair(psi, q, r)
     wq = Fraction(psi_q, q)
     wr = Fraction(psi_r, r)
     g = math.gcd(q, r)
@@ -324,9 +331,56 @@ def _pair_overlap_units(row_q: tuple, row_r: tuple) -> tuple[int, int]:
     return total, 2 * q * (r // g) * den
 
 
+def _main_term_units(
+    q: int, r: int, psi_q: Fraction, psi_r: Fraction, phi_q: int, phi_r: int,
+    split, strict_indicator: bool = False,
+) -> tuple[int, int]:
+    """M(q, r) as (num, den), unreduced, in integers: the one form behind
+    `main_term`, `overlap_bound_terms` and the `msum` ladder.
+
+    With psi(q) = a/b and psi(r) = c/d the window length is
+    D = 2 lcm(q, r) max(a/(bq), c/(dr)) = dn/dd, so the window test and the
+    comparisons p > D are cross-multiplications.  split holds the primes
+    whose valuations in q and r differ (the primes of q*r/gcd**2).
+    """
+    a, b = psi_q.numerator, psi_q.denominator
+    c, d = psi_r.numerator, psi_r.denominator
+    lcm = q // math.gcd(q, r) * r
+    if a * d * r >= c * b * q:
+        dn, dd = 2 * lcm * a, b * q
+    else:
+        dn, dd = 2 * lcm * c, d * r
+    if dn < dd or (strict_indicator and dn == dd):
+        return 0, 1
+    num = a * c * phi_q * phi_r
+    den = b * d * q * r
+    for p in split:
+        if p * dd > dn:
+            num *= p + 1
+            den *= p
+    return num, den
+
+
+def _addend2_units(
+    q: int, r: int, psi_q: Fraction, psi_r: Fraction, phi_g: int
+) -> tuple[int, int]:
+    """phi(gcd) * min(psi(q)/q, psi(r)/r) as (num, den), phi_g = phi(gcd(q, r))."""
+    a, b = psi_q.numerator, psi_q.denominator
+    c, d = psi_r.numerator, psi_r.denominator
+    if a * d * r <= c * b * q:
+        return phi_g * a, b * q
+    return phi_g * c, d * r
+
+
+def _trivial_units(q: int, psi_q: Fraction, psi_r: Fraction, phi_g: int) -> tuple[int, int]:
+    """psi(q)psi(r) + (psi(q)/q) phi_g = a(cq + d phi_g) / (bdq) as (num, den)."""
+    a, b = psi_q.numerator, psi_q.denominator
+    c, d = psi_r.numerator, psi_r.denominator
+    return a * (c * q + d * phi_g), b * d * q
+
+
 def overlap_bound_terms(
     q: int, r: int, psi, dec: PairDecomposition | None = None,
-    geometry: OverlapGeometry | None = None,
 ) -> tuple[Fraction, Fraction]:
     """The two addends of the overlap upper bound.
 
@@ -340,18 +394,17 @@ def overlap_bound_terms(
     """
     if dec is None:
         dec = decompose_pair(q, r)
-    if geometry is None:
-        geometry = overlap_geometry(q, r, psi)
-    psi_q = Fraction(psi(q)) if callable(psi) else Fraction(psi)
-    psi_r = Fraction(psi(r)) if callable(psi) else Fraction(psi)
-    addend2 = totient(dec.gcd) * min(Fraction(psi_q, q), Fraction(psi_r, r))
-    addend1 = main_term(q, r, psi, dec, geometry, strict_indicator=True)
-    return addend1, addend2
+    psi_q, psi_r = _psi_pair(psi, q, r)
+    addend1 = _main_term_units(
+        q, r, psi_q, psi_r, totient(q), totient(r), _split_primes(dec), strict_indicator=True
+    )
+    addend2 = _addend2_units(q, r, psi_q, psi_r, totient(dec.gcd))
+    return Fraction(*addend1), Fraction(*addend2)
 
 
 def main_term(
     q: int, r: int, psi, dec: PairDecomposition | None = None,
-    geometry: OverlapGeometry | None = None, strict_indicator: bool = False,
+    strict_indicator: bool = False,
 ) -> Fraction:
     """The main pairwise term M(q, r).
 
@@ -361,17 +414,10 @@ def main_term(
     """
     if dec is None:
         dec = decompose_pair(q, r)
-    if geometry is None:
-        geometry = overlap_geometry(q, r, psi)
-    if geometry.window_length < 1 or (strict_indicator and geometry.window_length == 1):
-        return _ZERO
-    psi_q = Fraction(psi(q)) if callable(psi) else Fraction(psi)
-    psi_r = Fraction(psi(r)) if callable(psi) else Fraction(psi)
-    value = Fraction(psi_q * totient(q), q) * Fraction(psi_r * totient(r), r)
-    for p in _split_primes(dec):
-        if p > geometry.window_length:
-            value *= 1 + Fraction(1, p)
-    return value
+    psi_q, psi_r = _psi_pair(psi, q, r)
+    return Fraction(*_main_term_units(
+        q, r, psi_q, psi_r, totient(q), totient(r), _split_primes(dec), strict_indicator
+    ))
 
 
 def trivial_overlap_bound(q: int, r: int, psi) -> Fraction:
@@ -381,9 +427,8 @@ def trivial_overlap_bound(q: int, r: int, psi) -> Fraction:
     """
     if not 1 <= r < q:
         raise ValueError("trivial_overlap_bound requires 1 <= r < q")
-    psi_q = Fraction(psi(q)) if callable(psi) else Fraction(psi)
-    psi_r = Fraction(psi(r)) if callable(psi) else Fraction(psi)
-    return psi_q * psi_r + Fraction(psi_q, q) * totient(math.gcd(q, r))
+    psi_q, psi_r = _psi_pair(psi, q, r)
+    return Fraction(*_trivial_units(q, psi_q, psi_r, totient(math.gcd(q, r))))
 
 
 def overlap_count_bound(q: int, r: int, psi, y_q=0, y_r=0) -> Fraction:
@@ -431,18 +476,24 @@ def sifted_interval_count(
     signed: list[tuple[int, int]] = [(1, 1)]
     for p in primes:
         signed += [(d * p, -sign) for d, sign in signed]
+    # floor(y/d) and ceil(x/d) on the numerators, x = xn/xd and y = yn/yd.
+    xn, xd = x.numerator, x.denominator
+    yn, yd = y.numerator, y.denominator
     count = 0
     for d, sign in signed:
-        count += sign * (math.floor(y / d) - math.ceil(x / d) + 1)
-    main = (y - x)
+        count += sign * (yn // (yd * d) + (-xn) // (xd * d) + 1)
+    # main = (y - x) * prod (p - 1)/p = main_num / main_den
+    main_num = yn * xd - xn * yd
+    main_den = yd * xd
     for p in primes:
-        main *= 1 - Fraction(1, p)
-    error = abs(count - main)
-    if error > 2 ** len(primes):
+        main_num *= p - 1
+        main_den *= p
+    gap = abs(count * main_den - main_num)
+    if gap > 2 ** len(primes) * main_den:
         raise IdentityError(
-            f"sifted count error {error} exceeds 2**omega(n) for n={n}"
+            f"sifted count error {Fraction(gap, main_den)} exceeds 2**omega(n) for n={n}"
         )
-    return count, main, error
+    return count, Fraction(main_num, main_den), Fraction(gap, main_den)
 
 
 @dataclass(frozen=True)
@@ -468,8 +519,8 @@ def overlap_report(q: int, r: int, psi, y_q=0, y_r=0) -> OverlapReport:
     dec = decompose_pair(q, r)
     geometry = overlap_geometry(q, r, psi, y_q, y_r)
     exact = pair_overlap_exact(q, r, psi, y_q, y_r)
-    addend1, addend2 = overlap_bound_terms(q, r, psi, dec, geometry)
-    m_value = main_term(q, r, psi, dec, geometry)
+    addend1, addend2 = overlap_bound_terms(q, r, psi, dec)
+    m_value = main_term(q, r, psi, dec)
     hi, lo = (q, r) if q > r else (r, q)
     trivial = trivial_overlap_bound(hi, lo, psi) if q != r else None
     rhs = addend1 + addend2

@@ -40,17 +40,19 @@ from .experiments import (
     within_baseline,
 )
 from .overlap import (
+    _addend2_units,
+    _main_term_units,
     _overlap_row,
     _pair_overlap_units,
+    _split_primes,
+    _trivial_units,
     coprime_pair_count,
     coprime_pair_histogram,
     decompose_pair,
-    overlap_bound_terms,
     sifted_interval_count,
-    trivial_overlap_bound,
 )
 from .rationals import format_rational
-from .torus import TorusIntervalSet, measure_intersection
+from .torus import TorusIntervalSet, _overlap_units, measure_intersection
 
 
 @dataclass(frozen=True)
@@ -156,27 +158,40 @@ def check_measure_law(
 
 
 def _bound_ratio_max(limit: int, psi: ApproxFunction) -> tuple[Fraction, Fraction]:
-    """Max of exact/(addend1+addend2) and exact/trivial over r < q <= limit."""
-    sets = [None] * (limit + 1)
-    for q in range(1, limit + 1):
-        sets[q] = build_approx_set(q, psi(q), 0)
-    worst_bound = Fraction(0)
-    worst_trivial = Fraction(0)
+    """Max of exact/(addend1+addend2) and exact/trivial over r < q <= limit.
+
+    The exact overlap is the interval merge; the bound terms come from the
+    integer forms behind `overlap_bound_terms` and `trivial_overlap_bound`,
+    and each ratio is compared by cross-multiplication as (num, den).
+    """
+    phi = totient_range(limit)
+    psis = [None] + [Fraction(psi(q)) for q in range(1, limit + 1)]
+    sets = [None] + [build_approx_set(q, psis[q], 0) for q in range(1, limit + 1)]
+    bound_num, bound_den = 0, 1
+    trivial_num, trivial_den = 0, 1
     for q in range(2, limit + 1):
+        psi_q = psis[q]
         for r in range(1, q):
-            exact = measure_intersection(sets[q], sets[r])
-            if exact == 0:
+            units, den = _overlap_units(sets[q], sets[r])
+            if units == 0:
                 continue
             dec = decompose_pair(q, r)
-            addend1, addend2 = overlap_bound_terms(q, r, psi, dec)
-            ratio = exact / (addend1 + addend2)
-            if ratio > worst_bound:
-                worst_bound = ratio
-            trivial = trivial_overlap_bound(q, r, psi)
-            ratio = exact / trivial
-            if ratio > worst_trivial:
-                worst_trivial = ratio
-    return worst_bound, worst_trivial
+            psi_r = psis[r]
+            n1, d1 = _main_term_units(
+                q, r, psi_q, psi_r, phi[q], phi[r], _split_primes(dec), strict_indicator=True
+            )
+            n2, d2 = _addend2_units(q, r, psi_q, psi_r, phi[dec.gcd])
+            # exact / (n1/d1 + n2/d2) = units d1 d2 / (den (n1 d2 + n2 d1))
+            num = units * d1 * d2
+            rden = den * (n1 * d2 + n2 * d1)
+            if num * bound_den > bound_num * rden:
+                bound_num, bound_den = num, rden
+            tn, td = _trivial_units(q, psi_q, psi_r, phi[dec.gcd])
+            num = units * td
+            rden = den * tn
+            if num * trivial_den > trivial_num * rden:
+                trivial_num, trivial_den = num, rden
+    return Fraction(bound_num, bound_den), Fraction(trivial_num, trivial_den)
 
 
 def check_overlap_bound(limit: int = 200) -> CheckResult:
@@ -465,12 +480,3 @@ SUITES = {
     "mc": check_mc_calibration,
     "overlap-engine": check_overlap_engine,
 }
-
-
-def run_suites(names) -> list[CheckResult]:
-    results = []
-    for name in names:
-        if name not in SUITES:
-            raise ValueError(f"unknown suite {name!r}")
-        results.append(SUITES[name]())
-    return results

@@ -1,8 +1,17 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import torusapprox.cli as cli
 from torusapprox.cli import run
+from torusapprox.verification import check_counterexample, check_sifted_counts
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_capture(capsys, argv):
@@ -138,6 +147,33 @@ def test_verify_single_suite(capsys):
     code, out, _ = run_capture(capsys, ["verify", "--suite", "counterexample"])
     assert code == 0
     assert out.startswith("PASS  counterexample")
+
+
+def test_verify_times_each_suite_on_stderr_only(capsys, monkeypatch):
+    code, out, err = run_capture(capsys, ["verify", "--suite", "counterexample"])
+    assert code == 0
+    assert re.fullmatch(r"suite=counterexample seconds=\d+\.\d{3}\n", err)
+    quiet = subprocess.run(
+        [sys.executable, "-c", "from torusapprox.cli import main; main()",
+         "verify", "--suite", "counterexample"],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert quiet.returncode == 0
+    assert quiet.stdout == out
+    # One stderr line per suite, after that suite's report line.
+    monkeypatch.setattr(cli, "SUITES", {
+        "counterexample": check_counterexample,
+        "sift": lambda: check_sifted_counts(trials=200),
+    })
+    code, out, err = run_capture(capsys, ["verify", "--suite", "all"])
+    assert code == 0
+    reports = [line.split(":")[0] for line in out.splitlines()]
+    assert reports == ["PASS  counterexample", "PASS  sift"]
+    lines = err.splitlines()
+    assert len(lines) == 2
+    assert re.fullmatch(r"suite=counterexample seconds=\d+\.\d{3}", lines[0])
+    assert re.fullmatch(r"suite=sift seconds=\d+\.\d{3}", lines[1])
 
 
 @pytest.mark.parametrize("argv", [

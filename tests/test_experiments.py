@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from torusapprox.approx import ApproxFunction, TargetSequence, build_approx_set
+from torusapprox.approx import ApproxFunction, TargetSequence, build_approx_set, hit_test
 from torusapprox.arith import totient
 from torusapprox.errors import BudgetError
 from torusapprox.experiments import (
@@ -176,6 +176,34 @@ def test_unit_sample_deterministic():
     assert values == [unit_sample(9, i) for i in range(5)]
     assert all(0.0 <= v < 1.0 for v in values)
     assert values != [unit_sample(10, i) for i in range(5)]
+
+
+# Hits of 4000 samples as mc_coverage gave them when it called unit_sample
+# once per coordinate: (m, psi, target components, q_range, seed, hits).
+MC_PINNED = [
+    (1, "const:1/4", (F(0),), (2, 3), 101, 2086),
+    (2, "const:1/3", (F(1, 5), F(2, 7)), (3, 4, 5), 5004, 1671),
+    (3, "pow:1/2,1", (F(0), F(1, 3), F(-2, 9)), (2, 3, 4), 7, 119),
+    (1, "div3", (F(1, 3),), tuple(range(5, 13)), -5, 3673),
+]
+
+
+@pytest.mark.parametrize("m, spec, comps, q_range, seed, hits", MC_PINNED)
+def test_mc_inline_draws_match_unit_sample(m, spec, comps, q_range, seed, hits):
+    psi = ApproxFunction.parse(spec)
+    cfg = ExperimentConfig(
+        Q=max(q_range) + 1, psi=psi, target=TargetSequence.constant(comps, m), m=m, seed=seed,
+    )
+    report = mc_coverage(cfg, q_range, 4000)
+    assert report.hits == hits
+    expected = sum(
+        any(
+            all(hit_test(unit_sample(seed, i * m + d), q, psi(q), comps[d]) for d in range(m))
+            for q in q_range
+        )
+        for i in range(4000)
+    )
+    assert report.hits == expected
 
 
 def test_mc_determinism_and_exact_zero():

@@ -1,12 +1,17 @@
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from torusapprox.approx import ApproxFunction
 from torusapprox.arith import totient
 from torusapprox.errors import BudgetError
+from torusapprox.experiments import main_term_sum_check
 from torusapprox.overlap import (
     coprime_pair_count,
     coprime_pair_count_brute,
@@ -21,8 +26,11 @@ from torusapprox.overlap import (
     sifted_interval_count,
     trivial_overlap_bound,
 )
+from torusapprox.verification import _bound_ratio_max
 
 F = Fraction
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 CONST4 = ApproxFunction.constant(F(1, 4))
 
@@ -206,3 +214,209 @@ def test_overlap_report_fields():
     self_report = overlap_report(5, 5, CONST4)
     assert self_report.trivial_rhs is None
     assert self_report.exact_overlap == pair_overlap_exact(5, 5, CONST4)
+
+
+# -- the integer kernels against Fraction reference formulas --------------------
+#
+# The references below share no code with src/: primes by trial division,
+# the totient from them, and every formula written out in Fractions.
+
+
+def ref_primes(n):
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def ref_phi(n):
+    value = F(n)
+    for p in ref_primes(n):
+        value *= 1 - F(1, p)
+    return int(value)
+
+
+def ref_window(q, r, psi_q, psi_r):
+    lcm = q * r // math.gcd(q, r)
+    return 2 * lcm * max(F(psi_q) / q, F(psi_r) / r)
+
+
+def ref_main_term(q, r, psi_q, psi_r, strict):
+    window = ref_window(q, r, psi_q, psi_r)
+    if window < 1 or (strict and window == 1):
+        return F(0)
+    value = F(psi_q) * ref_phi(q) / q * F(psi_r) * ref_phi(r) / r
+    g = math.gcd(q, r)
+    for p in ref_primes(q * r // (g * g)):
+        if p > window:
+            value *= 1 + F(1, p)
+    return value
+
+
+PSI_FAMILIES = ["const:0", "const:1/4", "const:1/2", "const:3/4", "pow:1/2,1", "div3"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 300), st.integers(1, 300), st.sampled_from(PSI_FAMILIES))
+@example(4, 2, "const:1/4")  # D = lcm / (2 min) = 1 exactly
+@example(7, 7, "const:1/2")  # q = r and D = 1 exactly
+@example(210, 143, "const:3/4")
+@example(1, 300, "pow:1/2,1")
+def test_main_term_and_bound_terms_match_reference(q, r, spec):
+    psi = ApproxFunction.parse(spec)
+    psi_q, psi_r = psi(q), psi(r)
+    loose = ref_main_term(q, r, psi_q, psi_r, strict=False)
+    strict = ref_main_term(q, r, psi_q, psi_r, strict=True)
+    assert main_term(q, r, psi) == loose
+    assert main_term(q, r, psi, strict_indicator=True) == strict
+    if ref_window(q, r, psi_q, psi_r) == 1 and psi_q:
+        assert loose > 0 and strict == 0
+    phi_g = ref_phi(math.gcd(q, r))
+    assert overlap_bound_terms(q, r, psi) == (strict, phi_g * min(F(psi_q) / q, F(psi_r) / r))
+    if q != r:
+        hi, lo = max(q, r), min(q, r)
+        assert trivial_overlap_bound(hi, lo, psi) == (
+            F(psi(hi)) * F(psi(lo)) + F(psi(hi)) / hi * phi_g
+        )
+
+
+def test_main_term_window_exactly_one_with_table_weights():
+    # D = 2 * 6 * max(1/12, 1/12) = 1 from both sides of the max
+    psi = ApproxFunction.from_table({2: F(1, 6), 3: F(1, 4)})
+    assert ref_window(2, 3, F(1, 6), F(1, 4)) == 1
+    assert main_term(3, 2, psi) == ref_main_term(3, 2, F(1, 4), F(1, 6), strict=False) > 0
+    assert main_term(3, 2, psi, strict_indicator=True) == 0
+
+
+def ref_pair_count(q, r, c):
+    """f(c) from the module docstring's product form, in Fractions."""
+    ell = em = en = 1
+    for p in ref_primes(q * r):
+        u = v = 0
+        while q % p ** (u + 1) == 0:
+            u += 1
+        while r % p ** (v + 1) == 0:
+            v += 1
+        if u == v:
+            ell *= p**u
+        else:
+            em *= p ** min(u, v)
+            en *= p ** max(u, v)
+    if math.gcd(c, en) != 1:
+        return 0
+    value = F(ref_phi(em) * ell)
+    for p in ref_primes(ell):
+        value *= 1 - F(1, p) if c % p == 0 else 1 - F(2, p)
+    assert value.denominator == 1
+    return int(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 60), st.integers(1, 60), st.integers(0, 10**6),
+    st.one_of(st.integers(-5, -1), st.integers(1, 5)),
+)
+@example(12, 18, 5, -1)
+@example(30, 30, 0, 3)
+def test_pair_count_outside_one_period(q, r, offset, periods):
+    dec = decompose_pair(q, r)
+    offset %= dec.lcm
+    c = offset + periods * dec.lcm  # c < 0 or c >= lcm
+    expected = coprime_pair_histogram(dec)[offset]
+    assert coprime_pair_count(dec, c) == expected == ref_pair_count(q, r, c)
+
+
+endpoints = st.one_of(
+    st.integers(-60, 60).map(F),
+    st.fractions(min_value=-60, max_value=60, max_denominator=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(endpoints, st.one_of(st.just(F(0)), st.integers(0, 40).map(F), endpoints.map(abs)),
+       st.integers(1, 5000))
+@example(F(-7), F(0), 6)  # x = y, an integer
+@example(F(-7, 2), F(0), 6)  # x = y, no integer inside
+@example(F(-30), F(60), 2 * 3 * 5 * 7)
+def test_sifted_count_matches_direct_count(x, width, n):
+    y = x + width
+    count, main, error = sifted_interval_count(x, y, n)
+    direct = sum(1 for c in range(math.ceil(x), math.floor(y) + 1) if math.gcd(c, n) == 1)
+    assert count == direct
+    expected_main = y - x
+    for p in ref_primes(n):
+        expected_main *= 1 - F(1, p)
+    assert main == expected_main
+    assert error == abs(count - expected_main) <= 2 ** len(ref_primes(n))
+    assert type(count) is int and type(main) is F and type(error) is F
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(PSI_FAMILIES + ["const:2/3", "pow:3,1"]),
+    st.integers(1, 3), st.booleans(), st.integers(2, 18), st.integers(2, 18),
+)
+@example("const:3/4", 2, True, 6, 12)  # psi > 1/2 everywhere, strict window
+@example("const:1/4", 1, True, 4, 9)  # pairs with D = 1 exactly drop out
+def test_main_term_sum_check_matches_pairwise_main_terms(spec, m, strict, q1, q2):
+    psi = ApproxFunction.parse(spec)
+    ladder = sorted({q1, q2})
+    rows = main_term_sum_check(psi, m, ladder, strict_indicator=strict)
+    for row, q_max in zip(rows, ladder):
+        direct = sum(
+            ref_main_term(q, r, psi(q), psi(r), strict) ** m
+            for q in range(1, q_max + 1) for r in range(1, q_max + 1) if q != r
+        )
+        assert row.pair_sum == direct
+        assert row.pair_sum == sum(
+            main_term(q, r, psi, strict_indicator=strict) ** m
+            for q in range(1, q_max + 1) for r in range(1, q_max + 1) if q != r
+        )
+        assert row.rhs == sum(
+            (F(psi(q)) * ref_phi(q) / q) ** m for q in range(1, q_max + 1)
+        ) ** 2
+
+
+RAD_CHECK = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from torusapprox.errors import IdentityError
+from torusapprox.overlap import PairDecomposition, coprime_pair_count
+# ell = 3 is not divisible by rad(ell) = 6 read off the valuations
+dec = PairDecomposition(q=6, r=6, gcd=6, lcm=6, ell=3, em=1, en=1,
+                        prime_valuations=((2, 1, 1), (3, 1, 1)))
+try:
+    coprime_pair_count(dec, 1)
+except IdentityError as exc:
+    print(exc)
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+def test_pair_count_integrality_check_survives_optimize_flag():
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", RAD_CHECK, str(SRC)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("rad(ell) = 6 does not divide ell = 3")
+
+
+@pytest.mark.parametrize("spec", ["const:1/4", "pow:1/2,1", "const:3/4", "div3"])
+def test_bound_ratio_max_matches_fraction_api(spec):
+    psi = ApproxFunction.parse(spec)
+    worst_bound = worst_trivial = F(0)
+    for q in range(2, 31):
+        for r in range(1, q):
+            exact = pair_overlap_exact(q, r, psi)
+            if exact:
+                worst_bound = max(worst_bound, exact / sum(overlap_bound_terms(q, r, psi)))
+                worst_trivial = max(worst_trivial, exact / trivial_overlap_bound(q, r, psi))
+    assert _bound_ratio_max(30, psi) == (worst_bound, worst_trivial)

@@ -333,7 +333,7 @@ def _pair_overlap_units(row_q: tuple, row_r: tuple) -> tuple[int, int]:
 
 def _main_term_units(
     q: int, r: int, psi_q: Fraction, psi_r: Fraction, phi_q: int, phi_r: int,
-    split, strict_indicator: bool = False,
+    split, strict_indicator: bool,
 ) -> tuple[int, int]:
     """M(q, r) as (num, den), unreduced, in integers: the one form behind
     `main_term`, `overlap_bound_terms` and the `msum` ladder.
@@ -395,11 +395,8 @@ def overlap_bound_terms(
     if dec is None:
         dec = decompose_pair(q, r)
     psi_q, psi_r = _psi_pair(psi, q, r)
-    addend1 = _main_term_units(
-        q, r, psi_q, psi_r, totient(q), totient(r), _split_primes(dec), strict_indicator=True
-    )
     addend2 = _addend2_units(q, r, psi_q, psi_r, totient(dec.gcd))
-    return Fraction(*addend1), Fraction(*addend2)
+    return main_term(q, r, psi, dec, strict_indicator=True), Fraction(*addend2)
 
 
 def main_term(

@@ -31,6 +31,21 @@ GOLDEN = [
      "47246124dd4c7a879b8c40fa621e8a3dfce7e6ab6881e4f6aeb575f3721ef347"),
     ("msum --ladder 16,32 --m 3 --psi div3",
      "9064102a8fdd94dfb53bef38f530f895214261cce21ad9af740dc36ff83a6543"),
+    ("mc --q-range 2,3,6 --psi const:1/4 --samples 2000 --seed 7",
+     "4beda6487cff73735475285f144ed878013a0064698ae287f89925daa684df41"),
+    ("mc --q-range 2,3,6 --psi const:1/4 --samples 2000 --seed 7 --grid",
+     "1b93a9639edd1ebad02dc4efa084eef1a63c86f3970698e44f8f5afc7a82a2da"),
+    ("phigcd --q 6 --m 3",
+     "a64c1b48b7addbd68bd67ce864ee24e8e3dc2e60254a23f42bfe4cf88fee2c2c"),
+    ("phigcd --limit 300 --m 3",
+     "cf857586b534c59e161b442fd5e20f00d987a31076d0b53110f3b3513fa20da8"),
+    # "--X=" form: argparse would read a bare "-7/3" as a flag.
+    ("sift --X=-7/3 --Y 50 --n 30",
+     "98bb2f5c134507794f1a955d57ae479a4cea662bf460ef50a51bcb2b70afeec3"),
+    ("counterexample --blocks 1 --eps 1/2 --verify",
+     "da0e8317a565cf00a5bddd8b5a45faffd5e32bac2a2343e3694526c6f0854db8"),
+    ("verify --suite counterexample",
+     "4d50a061bbfc43655fa460f93400123c6a487141e6a7bb83d564fe6b0112d30b"),
 ]
 
 

@@ -78,6 +78,6 @@ from .overlap import (
     trivial_overlap_bound,
 )
 from .rationals import format_rational, parse_rational
-from .torus import TorusIntervalSet, measure_intersection, set_denominator_budget
+from .torus import TorusIntervalSet, measure_intersection
 
 __version__ = "0.1.0"

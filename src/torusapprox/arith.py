@@ -221,14 +221,8 @@ def primes_for_epsilon(
     return primes, product
 
 
-def prime_tail_threshold(s: int) -> int:
-    """Least n >= 1 such that sum of 1/p over primes p | s with p > n is < 1/2.
-
-    Depends on s only through its radical.  Computed with exact fractions.
-    """
-    if s < 1:
-        raise ValueError("prime_tail_threshold requires s >= 1")
-    primes = [p for p, _ in factorize(s)]
+def _tail_threshold(primes) -> int:
+    """g(s) from the distinct primes of s in increasing order."""
     half = Fraction(1, 2)
     tail = sum((Fraction(1, p) for p in primes), Fraction(0))
     if tail < half:
@@ -242,6 +236,16 @@ def prime_tail_threshold(s: int) -> int:
     raise AssertionError("empty tail must fall below 1/2")
 
 
+def prime_tail_threshold(s: int) -> int:
+    """Least n >= 1 such that sum of 1/p over primes p | s with p > n is < 1/2.
+
+    Depends on s only through its radical.  Computed with exact fractions.
+    """
+    if s < 1:
+        raise ValueError("prime_tail_threshold requires s >= 1")
+    return _tail_threshold([p for p, _ in factorize(s)])
+
+
 def prime_tail_threshold_count(x: int, v: int, table: list[int] | None = None) -> int:
     """Exact number of n < x with prime_tail_threshold(n) == v."""
     if x < 1 or v < 1:
@@ -250,23 +254,13 @@ def prime_tail_threshold_count(x: int, v: int, table: list[int] | None = None) -
         return 0
     if table is None:
         table = spf_table(x - 1)
-    half = Fraction(1, 2)
     memo: dict[tuple[int, ...], int] = {}
     count = 0
     for n in range(1, x):
         primes = tuple(p for p, _ in factorize_with_table(n, table))
         g = memo.get(primes)
         if g is None:
-            tail = sum((Fraction(1, p) for p in primes), Fraction(0))
-            if tail < half:
-                g = 1
-            else:
-                for p in primes:
-                    tail -= Fraction(1, p)
-                    if tail < half:
-                        g = p
-                        break
-            memo[primes] = g
+            g = memo[primes] = _tail_threshold(primes)
         if g == v:
             count += 1
     return count

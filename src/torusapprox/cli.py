@@ -23,6 +23,7 @@ from .approx import ApproxFunction, TargetSequence, approx_set_measure
 from .counterexample import (
     BlockSchedule,
     CounterexampleInstance,
+    _write_atomic,
     build_counterexample,
     divergence_partial_sum,
     instance_from_prime_blocks,
@@ -98,8 +99,7 @@ def _emit(columns, rows, config, fmt: str, out_path):
             sort_keys=True, indent=2,
         ) + "\n"
     if out_path:
-        with open(out_path, "w") as handle:
-            handle.write(text)
+        _write_atomic(out_path, text)
     else:
         sys.stdout.write(text)
 
@@ -224,7 +224,6 @@ def _cmd_pairwise(args) -> int:
         Q=q_max, psi=psi, target=target, m=m, mode=mode,
         precision=_int_arg(args, "precision", 128),
         workers=_int_arg(args, "workers", 1),
-        seed=_int_arg(args, "seed", 0),
         exact_q_cap=_int_arg(args, "exact-cap", 512),
     )
     start = time.perf_counter()
@@ -452,7 +451,7 @@ def _cmd_mc(args) -> int:
         "wilson3s_lo": repr(report.wilson3s[0]),
         "wilson3s_hi": repr(report.wilson3s[1]),
     }
-    _emit(list(row), [row], report.to_json_obj()["config"] | {
+    _emit(list(row), [row], report.config | {
         "subcommand": "mc", "q_range": text, "seed": report.seed, "mode": report.mode,
     }, args.format, args.out)
     return EXIT_OK
@@ -513,7 +512,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exact", "enclosure"))
     p.add_argument("--precision")
     p.add_argument("--workers")
-    p.add_argument("--seed")
     p.add_argument("--exact-cap")
     common(p)
     p.set_defaults(handler=_cmd_pairwise)
@@ -573,7 +571,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the exhaustive verification suites")
     p.add_argument("--suite", default="all",
                    help="suite name or 'all': " + ", ".join(SUITES))
-    common(p)
     p.set_defaults(handler=_cmd_verify)
 
     return parser

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -222,14 +223,30 @@ class CounterexampleInstance:
         return cls.from_json_obj(json.loads(text))
 
     def save(self, path) -> None:
-        with open(path, "w") as handle:
-            handle.write(self.to_json())
-            handle.write("\n")
+        _write_atomic(path, self.to_json() + "\n")
 
     @classmethod
     def load(cls, path) -> "CounterexampleInstance":
         with open(path) as handle:
             return cls.from_json(handle.read())
+
+
+def _write_atomic(path, text: str) -> None:
+    """Write text to path through a temp file in path's directory and
+    os.replace, so a write that fails part-way leaves no partial file and
+    any file already at path intact.  The CLI's --out reports use it too."""
+    directory, name = os.path.split(os.fspath(path))
+    temp = os.path.join(directory, f".{name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+    handle = open(temp, "x")
+    try:
+        with handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 def _squarefree_divisors_with_totients(primes) -> list[tuple[int, int]]:

@@ -2,7 +2,7 @@
 
 
 class BudgetError(RuntimeError):
-    """A configured resource cap (memory, pieces, primes, denominators) was hit.
+    """A resource cap (sieve size, primes, divisors, pieces, exact-mode Q) was hit.
 
     Raised instead of silently degrading to floating point or to partial
     results.  The CLI maps this to exit status 3.

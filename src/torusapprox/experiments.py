@@ -35,7 +35,7 @@ from .approx import ApproxFunction, TargetSequence, build_approx_set
 from .arith import factorize_with_table, spf_table, totient, totient_range
 from .errors import BudgetError, IdentityError
 from .overlap import _main_term_units, _overlap_row, _pair_overlap_units
-from .rationals import format_rational, parse_rational
+from .rationals import parse_rational
 from .torus import _overlap_units
 
 DEFAULT_EXACT_Q_CAP = 512
@@ -62,16 +62,6 @@ def unit_sample(seed: int, counter: int) -> float:
 
 
 # -- guaranteed enclosure accumulation ------------------------------------------
-
-
-def round_down_dyadic(value: Fraction, bits: int) -> Fraction:
-    scale = 1 << bits
-    return Fraction(value.numerator * scale // value.denominator, scale)
-
-
-def round_up_dyadic(value: Fraction, bits: int) -> Fraction:
-    scale = 1 << bits
-    return Fraction(-((-value.numerator * scale) // value.denominator), scale)
 
 
 @dataclass
@@ -208,9 +198,9 @@ def _pair_value(
     return Fraction(num, den_product)
 
 
-def _pairwise_worker(payload) -> tuple[int, object, tuple[int, int]]:
-    """One stripe of q: its partial sum and the pairs done by closed form
-    and by merge."""
+def _pairwise_worker(payload) -> tuple[object, tuple[int, int]]:
+    """One stripe of q: its partial sum (a Fraction, or an Enclosure) and
+    the pairs done by closed form and by merge."""
     cfg, worker_index, worker_count = payload
     rows = _coordinate_rows(cfg)
     # The closed form needs psi <= 1/2 on both sides of a pair.
@@ -234,9 +224,7 @@ def _pairwise_worker(payload) -> tuple[int, object, tuple[int, int]]:
                 partial.add(value)
         if exact:
             partial += row_sum
-    if not exact:
-        partial = (partial.lo_units, partial.hi_units)
-    return worker_index, partial, (pairs - merge_pairs, merge_pairs)
+    return partial, (pairs - merge_pairs, merge_pairs)
 
 
 @dataclass
@@ -250,25 +238,6 @@ class SumReport:
     # interval merge; execution detail, not part of the report.
     closed_form_pairs: int = 0
     merge_pairs: int = 0
-
-    def to_json_obj(self, fixture_version: str | None = None) -> dict:
-        def render(value):
-            if value is None:
-                return None
-            if isinstance(value, tuple):
-                return {"lo": format_rational(value[0]), "hi": format_rational(value[1])}
-            return format_rational(value)
-
-        return {
-            "config": self.config,
-            "fixture_version": fixture_version or baselines_version(),
-            "pair_sum": render(self.pair_sum),
-            "measure_sum": format_rational(self.measure_sum),
-            "ratio": render(self.ratio),
-            "per_q_measures": [
-                [q, format_rational(v)] for q, v in self.per_q_measures
-            ],
-        }
 
 
 def pairwise_overlap_sum(cfg: ExperimentConfig) -> SumReport:
@@ -300,11 +269,11 @@ def pairwise_overlap_sum(cfg: ExperimentConfig) -> SumReport:
     else:
         with ProcessPoolExecutor(max_workers=worker_count) as pool:
             results = list(pool.map(_pairwise_worker, payloads))
-    results.sort(key=lambda item: item[0])
 
+    # Both sums are exact, so the order of the stripes does not matter.
     if cfg.mode == "exact":
         half_sum = Fraction(0)
-        for _, partial, _ in results:
+        for partial, _ in results:
             half_sum += partial
         pair_sum: object = 2 * half_sum
         ratio: object = None
@@ -312,9 +281,8 @@ def pairwise_overlap_sum(cfg: ExperimentConfig) -> SumReport:
             ratio = pair_sum / measure_sum**2
     else:
         total = Enclosure(cfg.precision)
-        for _, (lo_units, hi_units), _ in results:
-            total.lo_units += lo_units
-            total.hi_units += hi_units
+        for partial, _ in results:
+            total.merge(partial)
         lo, hi = total.bounds()
         pair_sum = (2 * lo, 2 * hi)
         ratio = None
@@ -327,8 +295,8 @@ def pairwise_overlap_sum(cfg: ExperimentConfig) -> SumReport:
         measure_sum=measure_sum,
         ratio=ratio,
         per_q_measures=tuple(per_q),
-        closed_form_pairs=sum(counts[0] for _, _, counts in results),
-        merge_pairs=sum(counts[1] for _, _, counts in results),
+        closed_form_pairs=sum(counts[0] for _, counts in results),
+        merge_pairs=sum(counts[1] for _, counts in results),
     )
 
 
@@ -424,6 +392,18 @@ def main_term_sum_check(
 # -- totient-of-gcd sums -----------------------------------------------------------
 
 
+def _divisor_form(q: int, m: int, divisors, phi) -> int:
+    """sum_{d | q} phi(d)**m phi(q/d) over the divisors d of q, with phi
+    indexable by every divisor."""
+    return sum(phi[d] ** m * phi[q // d] for d in divisors)
+
+
+def _ratio_den(q: int, m: int, phi) -> int:
+    """The normaliser of the divisor-form sum for m >= 2: phi(q)**m for
+    m >= 3, q**2 for m = 2."""
+    return phi[q] ** m if m >= 3 else q * q
+
+
 def phigcd_sum(q: int, m: int) -> tuple[int, int]:
     """Sum over r <= q of phi(gcd(q, r))**m, brute force and via the
     divisor identity sum_{d | q} phi(d)**m phi(q/d).  Checked equal."""
@@ -435,9 +415,7 @@ def phigcd_sum(q: int, m: int) -> tuple[int, int]:
         if g not in divisor_phis:
             divisor_phis[g] = totient(g)
     brute = sum(divisor_phis[math.gcd(q, r)] ** m for r in range(1, q + 1))
-    divisor_form = sum(
-        divisor_phis[d] ** m * divisor_phis[q // d] for d in divisor_phis
-    )
+    divisor_form = _divisor_form(q, m, divisor_phis, divisor_phis)
     if brute != divisor_form:
         raise IdentityError(f"phigcd sums differ at q={q}, m={m}: {brute} != {divisor_form}")
     return brute, divisor_form
@@ -457,16 +435,12 @@ def phigcd_batch_check(limit: int, ms=(1, 2, 3, 4)) -> dict:
         counts = Counter(map(gcd, repeat(q), range(1, q + 1)))
         for m in ms:
             brute = sum(count * phi[g] ** m for g, count in counts.items())
-            divisor_form = sum(phi[d] ** m * phi[q // d] for d in counts)
-            if brute != divisor_form:
+            if brute != _divisor_form(q, m, counts, phi):
                 mismatches += 1
                 continue
-            if m >= 3:
-                den = phi[q] ** m
-            elif m == 2:
-                den = q * q
-            else:
+            if m < 2:
                 continue
+            den = _ratio_den(q, m, phi)
             if m not in best or brute * best[m][1] > best[m][0] * den:
                 best[m] = (brute, den)
     max_ratios = {m: Fraction(num, den) for m, (num, den) in best.items()}
@@ -490,8 +464,8 @@ def phigcd_ratio_scan(limit: int, m: int = 3) -> Fraction:
                 power *= p
                 extra.extend(d * power for d in divisors)
             divisors.extend(extra)
-        total = sum(phi[d] ** m * phi[q // d] for d in divisors)
-        den = phi[q] ** m if m >= 3 else q * q
+        total = _divisor_form(q, m, divisors, phi)
+        den = _ratio_den(q, m, phi)
         if total * best_den > best_num * den:
             best_num, best_den = total, den
     return Fraction(best_num, best_den)
@@ -521,19 +495,6 @@ class McReport:
     wilson3s: tuple[float, float]
     seed: int
     mode: str
-
-    def to_json_obj(self) -> dict:
-        return {
-            "config": self.config,
-            "q_range": list(self.q_range),
-            "samples": self.samples,
-            "hits": self.hits,
-            "estimate": repr(self.estimate),
-            "wilson95": [repr(v) for v in self.wilson95],
-            "wilson3sigma": [repr(v) for v in self.wilson3s],
-            "seed": self.seed,
-            "mode": self.mode,
-        }
 
 
 def mc_coverage(
@@ -647,28 +608,6 @@ def equidistribution_scan(cfg: ExperimentConfig, windows) -> dict:
             if deviation > max_dev[window]:
                 max_dev[window] = deviation
     return {"rows": rows, "max_deviation": max_dev}
-
-
-# -- prime-tail threshold statistics -----------------------------------------------
-
-
-def threshold_level_report(x: int, v_max: int = 8) -> list[dict]:
-    """Counts of n < x at each threshold level v with the scaled ratio
-    count * (v-1)! / x, the shape the level counts are bounded by."""
-    from .arith import prime_tail_threshold_count
-
-    table = spf_table(max(2, x - 1))
-    rows = []
-    for v in range(1, v_max + 1):
-        count = prime_tail_threshold_count(x, v, table)
-        rows.append(
-            {
-                "v": v,
-                "count": count,
-                "scaled": Fraction(count * math.factorial(v - 1), x),
-            }
-        )
-    return rows
 
 
 # -- regression baselines --------------------------------------------------------------

@@ -509,7 +509,6 @@ class OverlapReport:
     M: Fraction
     trivial_rhs: Fraction | None
     bound_ratio: Fraction | None  # exact / (addend1 + addend2)
-    trivial_ratio: Fraction | None
 
 
 def overlap_report(q: int, r: int, psi, y_q=0, y_r=0) -> OverlapReport:
@@ -526,5 +525,4 @@ def overlap_report(q: int, r: int, psi, y_q=0, y_r=0) -> OverlapReport:
         exact_overlap=exact, addend1=addend1, addend2=addend2, M=m_value,
         trivial_rhs=trivial,
         bound_ratio=exact / rhs if rhs > 0 else None,
-        trivial_ratio=exact / trivial if trivial else None,
     )

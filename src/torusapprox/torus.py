@@ -31,41 +31,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .errors import BudgetError
 from .rationals import format_rational, parse_rational
-
-# Optional guard against runaway denominators.  None disables the check;
-# operations never fall back to floating point, they refuse instead.
-_denominator_budget: int | None = None
-
-
-def set_denominator_budget(limit: int | None) -> int | None:
-    """Set (or clear, with None) the global denominator budget. Returns the
-    previous value."""
-    global _denominator_budget
-    previous = _denominator_budget
-    _denominator_budget = limit
-    return previous
-
-
-def _check_budget(s: "TorusIntervalSet") -> "TorusIntervalSet":
-    """Return s, or refuse it when its largest reduced endpoint denominator
-    exceeds the budget.  Every reduced denominator divides den, so
-    den <= budget is enough to pass."""
-    budget = _denominator_budget
-    den, ends = s.den, s.ends
-    if budget is None or den <= budget:
-        return s
-    gcd = math.gcd
-    for i in range(0, len(ends), 2):
-        lo_den = den // gcd(den, ends[i])
-        hi_den = den // gcd(den, ends[i + 1])
-        if lo_den > budget or hi_den > budget:
-            raise BudgetError(
-                f"denominator {max(lo_den, hi_den)} exceeds "
-                f"the configured budget {budget}"
-            )
-    return s
 
 
 def _new(den: int, ends: tuple) -> "TorusIntervalSet":
@@ -77,13 +43,12 @@ def _new(den: int, ends: tuple) -> "TorusIntervalSet":
 
 
 def _reduced(den: int, ends: list) -> "TorusIntervalSet":
-    """Wrap canonical ends over den, dividing out their common factor, and
-    apply the denominator budget."""
+    """Wrap canonical ends over den, dividing out their common factor."""
     g = math.gcd(den, *ends)
     if g != 1:
         den //= g
         ends = [e // g for e in ends]
-    return _check_budget(_new(den, tuple(ends)))
+    return _new(den, tuple(ends))
 
 
 def _canonical(den: int, spans) -> "TorusIntervalSet":
@@ -350,7 +315,7 @@ class TorusIntervalSet:
             if previous_hi is not None and lo <= previous_hi:
                 raise ValueError("pieces not in canonical order")
             previous_hi = hi
-        return _check_budget(cls._trusted(pieces))
+        return cls._trusted(pieces)
 
     # -- dunder plumbing ---------------------------------------------------------
 

@@ -8,7 +8,10 @@ from pathlib import Path
 import pytest
 
 import torusapprox.cli as cli
+import torusapprox.counterexample as counterexample
+import torusapprox.verification as verification
 from torusapprox.cli import run
+from torusapprox.errors import IdentityError
 from torusapprox.verification import check_counterexample, check_sifted_counts
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -91,6 +94,73 @@ def test_json_format_and_out_file(capsys, tmp_path):
     assert payload["rows"][0]["measure"] == "1/6"
     assert payload["config"]["subcommand"] == "measure"
     assert "fixture_version" in payload["config"]
+
+
+class _FailingWriter:
+    """A text file whose writes stop with OSError after a few bytes."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def write(self, text):
+        self._handle.write(text[:5])
+        raise OSError("disk full")
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._handle.close()
+
+
+@pytest.mark.parametrize("fail_in", ["write", "replace"])
+@pytest.mark.parametrize("argv", [
+    ["measure", "--q", "6", "--psi", "const:1/4", "--out"],
+    ["counterexample", "--primes", "2,3,5", "--save"],
+])
+def test_failed_write_keeps_the_old_file(capsys, monkeypatch, tmp_path, fail_in, argv):
+    target = tmp_path / "report"
+    target.write_text("old contents\n")
+    if fail_in == "write":
+        monkeypatch.setattr(
+            counterexample, "open",
+            lambda *a, **k: _FailingWriter(open(*a, **k)), raising=False,
+        )
+    else:
+        def refuse(src, dst):
+            raise OSError("rename refused")
+        monkeypatch.setattr(counterexample.os, "replace", refuse)
+    code, _, err = run_capture(capsys, argv + [str(target)])
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("usage error: ")
+    assert target.read_text() == "old contents\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report"]
+
+
+def test_removed_flags_exit_2(capsys):
+    # pairwise uses no randomness, and verify prints only its suite lines.
+    for argv in ("pairwise --Q 10 --psi const:1/4 --seed 1",
+                 "verify --suite sift --format json"):
+        code, out, err = run_capture(capsys, argv.split())
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+
+def test_sift_suite_reports_a_raising_kernel(capsys, monkeypatch):
+    def broken(x, y, n):
+        raise IdentityError(f"sifted count error exceeds 2**omega(n) for n={n}")
+
+    monkeypatch.setattr(verification, "sifted_interval_count", broken)
+    result = check_sifted_counts(trials=5)
+    assert not result.ok
+    assert result.line().startswith("FAIL  sift: trial 0: sifted count error")
+    code, out, _ = run_capture(capsys, ["verify", "--suite", "sift"])
+    assert code == 1
+    assert out.startswith("FAIL  sift: trial 0:")
 
 
 def test_config_file_precedence(capsys, tmp_path):

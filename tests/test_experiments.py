@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -16,9 +15,6 @@ from torusapprox.experiments import (
     phigcd_batch_check,
     phigcd_ratio_scan,
     phigcd_sum,
-    round_down_dyadic,
-    round_up_dyadic,
-    threshold_level_report,
     unit_sample,
 )
 from torusapprox.overlap import main_term
@@ -120,11 +116,14 @@ def test_enclosure_precision_validation():
 
 def test_dyadic_rounding():
     value = F(1, 3)
-    lo = round_down_dyadic(value, 8)
-    hi = round_up_dyadic(value, 8)
+    third = Enclosure(8)
+    third.add(value)
+    lo, hi = third.bounds()
     assert lo <= value <= hi
     assert hi - lo == F(1, 256)
-    assert round_down_dyadic(F(1, 4), 8) == round_up_dyadic(F(1, 4), 8) == F(1, 4)
+    quarter = Enclosure(8)
+    quarter.add(F(1, 4))
+    assert quarter.bounds() == (F(1, 4), F(1, 4))
     enc = Enclosure(64)
     enc.add(F(1, 3))
     enc.add(F(-1, 7))
@@ -279,13 +278,3 @@ def test_equidistribution_scan():
     )["rows"]:
         if row.q in (3, 5, 7, 11, 13):
             assert row.deviation == 0
-
-
-def test_threshold_level_report():
-    rows = threshold_level_report(100, v_max=4)
-    assert rows[0]["v"] == 1
-    counts = {row["v"]: row["count"] for row in rows}
-    assert sum(counts.values()) <= 99
-    assert counts[1] == rows[0]["count"]
-    assert rows[1]["scaled"] == F(counts[2] * 1, 100)
-    assert rows[3]["scaled"] == F(counts[4] * math.factorial(3), 100)

@@ -3,12 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from torusapprox.errors import BudgetError
-from torusapprox.torus import (
-    TorusIntervalSet,
-    measure_intersection,
-    set_denominator_budget,
-)
+from torusapprox.torus import TorusIntervalSet, measure_intersection
 
 F = Fraction
 
@@ -169,22 +164,6 @@ def test_json_round_trip_bit_exact():
     with pytest.raises(ValueError):
         # touching pieces are not canonical
         TorusIntervalSet.from_pairs([["0/1", "1/2"], ["1/2", "3/4"]])
-
-
-def test_denominator_budget():
-    previous = set_denominator_budget(100)
-    try:
-        TorusIntervalSet([(F(1, 99), F(2, 99))])
-        with pytest.raises(BudgetError):
-            TorusIntervalSet([(F(1, 101), F(2, 101))])
-        # The budget bounds each reduced endpoint denominator, not their
-        # lcm (9702 here).
-        mixed = TorusIntervalSet([(F(1, 98), F(3, 98)), (F(1, 99), F(2, 99))])
-        assert mixed.den == 9702
-        assert mixed.union(mixed.complement()) == TorusIntervalSet.full()
-        assert mixed.intersect(mixed) == mixed
-    finally:
-        set_denominator_budget(previous)
 
 
 def test_immutability():

@@ -19,6 +19,7 @@ from torusapprox.experiments import (
 )
 from torusapprox.overlap import main_term
 from torusapprox.torus import measure_intersection
+from torusapprox.verification import check_quasi_ladder
 
 F = Fraction
 
@@ -82,6 +83,16 @@ def test_pairwise_worker_invariance():
     ]
     assert results[0].pair_sum == results[1].pair_sum == results[2].pair_sum
     assert results[0].measure_sum == results[1].measure_sum == results[2].measure_sum
+
+
+def test_quasi_ladder_line_pinned():
+    # The ladder suite's report line at reduced size, byte for byte.
+    result = check_quasi_ladder(ladder=(16, 32, 64), worker_counts=(1, 2))
+    assert result.line() == (
+        "PASS  ladder: ratios bounded by baselines over Q in (16, 32, 64); "
+        "ratio(64) ~ 1.035396478 (exact rational checked); "
+        "bit-identical for workers (1, 2)"
+    )
 
 
 def test_pairwise_exact_cap_refusal():

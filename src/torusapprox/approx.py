@@ -217,33 +217,29 @@ class ApproxFunction:
       div3       min(1/2, q / (phi(q) * floor(q**(1/3)))), a clipped family
                  whose cubed normalized sum diverges like sum 1/q
       cx         the weight map of a counterexample instance
-
-    Queries beyond support_cap (when set) return 0.
     """
 
-    __slots__ = ("kind", "value", "alpha", "clip", "table", "instance", "support_cap", "spec")
+    __slots__ = ("kind", "value", "alpha", "clip", "table", "instance", "spec")
 
     def __init__(self, kind, *, value=None, alpha=None, clip=True, table=None,
-                 instance=None, support_cap=None, spec=None):
+                 instance=None, spec=None):
         self.kind = kind
         self.value = value
         self.alpha = alpha
         self.clip = clip
         self.table = table
         self.instance = instance
-        self.support_cap = support_cap
         self.spec = spec if spec is not None else kind
 
     @classmethod
-    def constant(cls, c, support_cap=None) -> "ApproxFunction":
+    def constant(cls, c) -> "ApproxFunction":
         c = Fraction(c)
         if c < 0:
             raise ValueError("psi must be non-negative")
-        return cls("const", value=c, support_cap=support_cap,
-                   spec=f"const:{c.numerator}/{c.denominator}")
+        return cls("const", value=c, spec=f"const:{c.numerator}/{c.denominator}")
 
     @classmethod
-    def power(cls, c, alpha: int, clip: bool = True, support_cap=None) -> "ApproxFunction":
+    def power(cls, c, alpha: int, clip: bool = True) -> "ApproxFunction":
         c = Fraction(c)
         if c < 0:
             raise ValueError("psi must be non-negative")
@@ -252,30 +248,29 @@ class ApproxFunction:
         spec = f"pow:{c.numerator}/{c.denominator},{int(alpha)}"
         if not clip:
             spec += ",raw"
-        return cls("power", value=c, alpha=int(alpha), clip=clip,
-                   support_cap=support_cap, spec=spec)
+        return cls("power", value=c, alpha=int(alpha), clip=clip, spec=spec)
 
     @classmethod
-    def from_table(cls, mapping, support_cap=None, spec="table") -> "ApproxFunction":
+    def from_table(cls, mapping, spec="table") -> "ApproxFunction":
         table = {int(q): Fraction(v) for q, v in mapping.items()}
         for q, v in table.items():
             if q < 1 or v < 0:
                 raise ValueError("table entries need q >= 1 and psi >= 0")
-        return cls("table", table=table, support_cap=support_cap, spec=spec)
+        return cls("table", table=table, spec=spec)
 
     @classmethod
-    def from_csv(cls, path, support_cap=None) -> "ApproxFunction":
+    def from_csv(cls, path) -> "ApproxFunction":
         mapping = {}
         with open(path, newline="") as handle:
             for row in csv.reader(handle):
                 if not row or row[0].startswith("#"):
                     continue
                 mapping[int(row[0])] = parse_rational(row[1])
-        return cls.from_table(mapping, support_cap=support_cap, spec=f"table:{path}")
+        return cls.from_table(mapping, spec=f"table:{path}")
 
     @classmethod
-    def divergent_m3(cls, support_cap=None) -> "ApproxFunction":
-        return cls("div3", support_cap=support_cap, spec="div3")
+    def divergent_m3(cls) -> "ApproxFunction":
+        return cls("div3", spec="div3")
 
     @classmethod
     def counterexample(cls, instance, spec="cx") -> "ApproxFunction":
@@ -314,8 +309,6 @@ class ApproxFunction:
     def __call__(self, q: int) -> Fraction:
         if q < 1:
             raise ValueError("q must be >= 1")
-        if self.support_cap is not None and q > self.support_cap:
-            return _ZERO
         if self.kind == "const":
             return self.value
         if self.kind == "power":

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -576,10 +577,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_rationals(argv: list[str]) -> list[str]:
+    """Pass "--X -7/3" on as "--X=-7/3": argparse reads "-7/3" as a flag."""
+    joined: list[str] = []
+    for token in argv:
+        flag = joined[-1] if joined else ""
+        if flag.startswith("--") and "=" not in flag and re.fullmatch(r"-\d+/\d+", token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def run(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_rationals(argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -26,7 +26,7 @@ import json
 import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
 from itertools import repeat
@@ -199,8 +199,9 @@ def _pair_value(
 
 
 def _pairwise_worker(payload) -> tuple[object, tuple[int, int]]:
-    """One stripe of q: its partial sum (a Fraction, or an Enclosure) and
-    the pairs done by closed form and by merge."""
+    """One stripe of rows r, each the pairs q < r: the (r, row sum) list in
+    exact mode or one Enclosure of every pair, and the pairs done by closed
+    form and by merge."""
     cfg, worker_index, worker_count = payload
     rows = _coordinate_rows(cfg)
     # The closed form needs psi <= 1/2 on both sides of a pair.
@@ -208,13 +209,13 @@ def _pairwise_worker(payload) -> tuple[object, tuple[int, int]]:
     sets: dict = {}
     pairs = merge_pairs = 0
     exact = cfg.mode == "exact"
-    partial = Fraction(0) if exact else Enclosure(cfg.precision)
-    for q in range(1 + worker_index, cfg.Q, worker_count):
+    partial = [] if exact else Enclosure(cfg.precision)
+    for r in range(1 + worker_index, cfg.Q + 1, worker_count):
         row_sum = Fraction(0)
         # With one coordinate no memo key can repeat in a row.
         memo = {} if cfg.m > 1 else None
-        pairs += cfg.Q - q
-        for r in range(q + 1, cfg.Q + 1):
+        pairs += r - 1
+        for q in range(1, r):
             merge = not (closed[q] and closed[r])
             merge_pairs += merge
             value = _pair_value(rows, q, r, cfg.m, memo, sets if merge else None)
@@ -223,7 +224,7 @@ def _pairwise_worker(payload) -> tuple[object, tuple[int, int]]:
             elif value:
                 partial.add(value)
         if exact:
-            partial += row_sum
+            partial.append((r, row_sum))
     return partial, (pairs - merge_pairs, merge_pairs)
 
 
@@ -234,6 +235,8 @@ class SumReport:
     measure_sum: Fraction
     ratio: object  # Fraction, (lo, hi), or None when undefined
     per_q_measures: tuple = ()
+    # Exact mode: (r, sum over q < r of the pair's overlap) for r <= Q.
+    row_sums: tuple = ()
     # Pairs q < r whose overlap came from the closed form f(c) / from the
     # interval merge; execution detail, not part of the report.
     closed_form_pairs: int = 0
@@ -271,23 +274,18 @@ def pairwise_overlap_sum(cfg: ExperimentConfig) -> SumReport:
             results = list(pool.map(_pairwise_worker, payloads))
 
     # Both sums are exact, so the order of the stripes does not matter.
+    row_sums: tuple = ()
     if cfg.mode == "exact":
-        half_sum = Fraction(0)
-        for partial, _ in results:
-            half_sum += partial
-        pair_sum: object = 2 * half_sum
-        ratio: object = None
-        if measure_sum > 0:
-            ratio = pair_sum / measure_sum**2
+        row_sums = tuple(sorted(row for partial, _ in results for row in partial))
+        pair_sum: object = 2 * sum(row_sum for _, row_sum in row_sums)
+        ratio: object = pair_sum / measure_sum**2 if measure_sum > 0 else None
     else:
         total = Enclosure(cfg.precision)
         for partial, _ in results:
             total.merge(partial)
         lo, hi = total.bounds()
         pair_sum = (2 * lo, 2 * hi)
-        ratio = None
-        if measure_sum > 0:
-            ratio = (2 * lo / measure_sum**2, 2 * hi / measure_sum**2)
+        ratio = (2 * lo / measure_sum**2, 2 * hi / measure_sum**2) if measure_sum > 0 else None
 
     return SumReport(
         config=cfg.describe(),
@@ -295,6 +293,7 @@ def pairwise_overlap_sum(cfg: ExperimentConfig) -> SumReport:
         measure_sum=measure_sum,
         ratio=ratio,
         per_q_measures=tuple(per_q),
+        row_sums=row_sums,
         closed_form_pairs=sum(counts[0] for _, counts in results),
         merge_pairs=sum(counts[1] for _, counts in results),
     )
@@ -303,14 +302,27 @@ def pairwise_overlap_sum(cfg: ExperimentConfig) -> SumReport:
 def quasi_independence_ladder(
     psi: ApproxFunction, target: TargetSequence, m: int, ladder, workers: int = 1
 ) -> list[SumReport]:
-    """pairwise_overlap_sum at each Q of a ladder, exact mode."""
+    """pairwise_overlap_sum at each Q of a ladder, exact mode, read off one
+    scan at the top Q: the prefixes r <= Q of its rows and measures.  Every
+    report keeps that scan's pair counts."""
+    if min(ladder) < 2:
+        raise ValueError("ladder values must be >= 2")
+    q_top = max(ladder)
+    top = pairwise_overlap_sum(ExperimentConfig(
+        Q=q_top, psi=psi, target=target, m=m, workers=workers,
+        exact_q_cap=max(DEFAULT_EXACT_Q_CAP, q_top),
+    ))
     reports = []
     for q_max in ladder:
-        cfg = ExperimentConfig(
-            Q=q_max, psi=psi, target=target, m=m, workers=workers,
-            exact_q_cap=max(DEFAULT_EXACT_Q_CAP, q_max),
-        )
-        reports.append(pairwise_overlap_sum(cfg))
+        rows, measures = top.row_sums[:q_max], top.per_q_measures[:q_max]
+        pair_sum = 2 * sum(row_sum for _, row_sum in rows)
+        measure_sum = sum(measure for _, measure in measures)
+        reports.append(replace(
+            top, config=top.config | {"Q": q_max}, pair_sum=pair_sum,
+            measure_sum=measure_sum,
+            ratio=pair_sum / measure_sum**2 if measure_sum > 0 else None,
+            per_q_measures=measures, row_sums=rows,
+        ))
     return reports
 
 

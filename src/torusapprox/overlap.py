@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .approx import build_approx_set, coprime_residues
-from .arith import factorize, prime_tail_threshold, totient
+from .arith import factorize, totient
 from .errors import BudgetError, IdentityError
 from .torus import measure_intersection
 
@@ -167,32 +167,21 @@ def coprime_pair_count_brute(q: int, r: int, c: int) -> int:
 
 @dataclass(frozen=True)
 class OverlapGeometry:
-    """Exact geometry of a pair: interval lengths, window, tail threshold.
+    """Exact geometry of a pair: interval lengths and windows.
 
     min_length / max_length are the two interval lengths 2*psi/q.
-    window_length = max_length * lcm is the sifting window length;
-    [window_lo, window_hi] is that window shifted by (r/g) y_q - (q/g) y_r.
-    The cover window [cover_lo, cover_hi] is wider: it provably contains
-    the integer difference c of every pair of intersecting intervals
-    (half-width lcm * (psi(q)/q + psi(r)/r), centered where the differences
-    actually fall).  tail_threshold is the larger prime-tail threshold of
-    the two cofactors q/gcd and r/gcd.
+    window_length = max_length * lcm is the sifting window length.
+    The cover window [cover_lo, cover_hi] provably contains the integer
+    difference c of every pair of intersecting intervals (half-width
+    lcm * (psi(q)/q + psi(r)/r), centered at (q/g) y_r - (r/g) y_q, where
+    the differences actually fall).
     """
 
-    q: int
-    r: int
     min_length: Fraction
     max_length: Fraction
     window_length: Fraction
-    window_lo: Fraction
-    window_hi: Fraction
     cover_lo: Fraction
     cover_hi: Fraction
-    tail_threshold: int
-
-    @property
-    def degenerate(self) -> bool:
-        return self.window_length == 0
 
 
 def _psi_pair(psi, q: int, r: int) -> tuple[Fraction, Fraction]:
@@ -214,20 +203,13 @@ def overlap_geometry(q: int, r: int, psi, y_q=0, y_r=0) -> OverlapGeometry:
     l = q * r // g
     min_length = 2 * min(wq, wr)
     max_length = 2 * max(wq, wr)
-    window_length = max_length * l
-    shift = Fraction(r, g) * Fraction(y_q) - Fraction(q, g) * Fraction(y_r)
-    window_lo = -window_length / 2 + shift
-    window_hi = window_length / 2 + shift
-    cover_center = -shift
+    cover_center = Fraction(q, g) * Fraction(y_r) - Fraction(r, g) * Fraction(y_q)
     cover_halfwidth = l * (wq + wr)
-    threshold = max(prime_tail_threshold(q // g), prime_tail_threshold(r // g))
     return OverlapGeometry(
-        q=q, r=r, min_length=min_length, max_length=max_length,
-        window_length=window_length,
-        window_lo=window_lo, window_hi=window_hi,
+        min_length=min_length, max_length=max_length,
+        window_length=max_length * l,
         cover_lo=cover_center - cover_halfwidth,
         cover_hi=cover_center + cover_halfwidth,
-        tail_threshold=threshold,
     )
 
 
@@ -508,7 +490,6 @@ class OverlapReport:
     addend2: Fraction
     M: Fraction
     trivial_rhs: Fraction | None
-    bound_ratio: Fraction | None  # exact / (addend1 + addend2)
 
 
 def overlap_report(q: int, r: int, psi, y_q=0, y_r=0) -> OverlapReport:
@@ -519,10 +500,8 @@ def overlap_report(q: int, r: int, psi, y_q=0, y_r=0) -> OverlapReport:
     m_value = main_term(q, r, psi, dec)
     hi, lo = (q, r) if q > r else (r, q)
     trivial = trivial_overlap_bound(hi, lo, psi) if q != r else None
-    rhs = addend1 + addend2
     return OverlapReport(
         q=q, r=r, ell=dec.ell, em=dec.em, en=dec.en, D=geometry.window_length,
         exact_overlap=exact, addend1=addend1, addend2=addend2, M=m_value,
         trivial_rhs=trivial,
-        bound_ratio=exact / rhs if rhs > 0 else None,
     )

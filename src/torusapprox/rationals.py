@@ -14,8 +14,10 @@ def parse_rational(text: str) -> Fraction:
     if not s:
         raise ValueError("empty rational")
     if "/" in s:
-        num, den = s.split("/", 1)
-        return Fraction(int(num), int(den))
+        num, den = (int(part) for part in s.split("/", 1))
+        if den == 0:
+            raise ValueError(f"zero denominator in {text!r}")
+        return Fraction(num, den)
     return Fraction(int(s))
 
 

@@ -34,7 +34,6 @@ from .experiments import (
     ExperimentConfig,
     baseline_fraction,
     mc_coverage,
-    pairwise_overlap_sum,
     phigcd_batch_check,
     phigcd_ratio_scan,
     quasi_independence_ladder,
@@ -323,23 +322,22 @@ def check_quasi_ladder(
                 f"Q={q_max}: ratio {report.ratio} exceeds baseline {base}",
             )
     q_top = max(ladder)
-    sums = []
-    for workers in worker_counts:
-        cfg = ExperimentConfig(
-            Q=q_top, psi=psi, target=target, m=3, workers=workers,
-            exact_q_cap=max(512, q_top),
-        )
-        sums.append(pairwise_overlap_sum(cfg).pair_sum)
+    top = max(reports, key=lambda report: report.config["Q"])
+    # The ladder's own scan at the top Q is the 1-worker run.
+    sums = [
+        top.pair_sum if workers == 1
+        else quasi_independence_ladder(psi, target, 3, [q_top], workers)[0].pair_sum
+        for workers in worker_counts
+    ]
     if any(s != sums[0] for s in sums[1:]):
         return CheckResult(
             "ladder", False,
             f"pair sums differ across worker counts {worker_counts} at Q={q_top}",
         )
-    top_ratio = reports[-1].ratio
     return CheckResult(
         "ladder", True,
         f"ratios bounded by baselines over Q in {tuple(ladder)}; "
-        f"ratio({q_top}) ~ {float(top_ratio):.9f} (exact rational checked); "
+        f"ratio({q_top}) ~ {float(top.ratio):.9f} (exact rational checked); "
         f"bit-identical for workers {tuple(worker_counts)}",
     )
 

@@ -171,8 +171,6 @@ def test_approx_function_families():
         if value < F(1, 2):
             cube = (F(totient(q) * value, q)) ** 3
             assert cube.denominator <= q and cube >= F(1, q)
-    capped = ApproxFunction.constant(F(1, 4), support_cap=10)
-    assert capped(10) == F(1, 4) and capped(11) == 0
     with pytest.raises(ValueError):
         ApproxFunction.parse("pow:1/2,1/3")
     with pytest.raises(ValueError):

@@ -262,6 +262,10 @@ def test_verify_times_each_suite_on_stderr_only(capsys, monkeypatch):
     "equidist --Q 10 --psi const:1/4 --windows 1/2:1/4",
     "mc --q-range 2,3 --psi const:1/4 --samples 10",
     "verify --suite bogus",
+    "measure --q 3 --psi const:1/0",
+    "measure --q 3 --psi const:1/4 --y const:1/0",
+    "sift --X=1/0 --Y 5 --n 6",
+    "equidist --Q 5 --psi const:1/4 --windows 0:1/0",
 ])
 def test_bad_input_exits_2_with_one_line(capsys, argv):
     code, out, err = run_capture(capsys, argv.split())

@@ -16,6 +16,7 @@ def sha256(data: bytes) -> str:
 
 
 PAIRWISE_M2 = "bb7e97b86031ec54d2d98fbe85181117ecb242033fc982fa470f671929fe0976"
+SIFT = "98bb2f5c134507794f1a955d57ae479a4cea662bf460ef50a51bcb2b70afeec3"
 
 GOLDEN = [
     ("measure --q 12 --psi const:1/3 --y const:2/7",
@@ -39,9 +40,9 @@ GOLDEN = [
      "a64c1b48b7addbd68bd67ce864ee24e8e3dc2e60254a23f42bfe4cf88fee2c2c"),
     ("phigcd --limit 300 --m 3",
      "cf857586b534c59e161b442fd5e20f00d987a31076d0b53110f3b3513fa20da8"),
-    # "--X=" form: argparse would read a bare "-7/3" as a flag.
-    ("sift --X=-7/3 --Y 50 --n 30",
-     "98bb2f5c134507794f1a955d57ae479a4cea662bf460ef50a51bcb2b70afeec3"),
+    ("sift --X=-7/3 --Y 50 --n 30", SIFT),
+    # A negative rational as a separate argument gives the same report.
+    ("sift --X -7/3 --Y 50 --n 30", SIFT),
     ("counterexample --blocks 1 --eps 1/2 --verify",
      "da0e8317a565cf00a5bddd8b5a45faffd5e32bac2a2343e3694526c6f0854db8"),
     ("verify --suite counterexample",

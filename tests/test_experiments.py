@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from torusapprox import experiments
 from torusapprox.approx import ApproxFunction, TargetSequence, build_approx_set, hit_test
 from torusapprox.arith import totient
 from torusapprox.errors import BudgetError
@@ -15,6 +16,7 @@ from torusapprox.experiments import (
     phigcd_batch_check,
     phigcd_ratio_scan,
     phigcd_sum,
+    quasi_independence_ladder,
     unit_sample,
 )
 from torusapprox.overlap import main_term
@@ -93,6 +95,36 @@ def test_quasi_ladder_line_pinned():
         "ratio(64) ~ 1.035396478 (exact rational checked); "
         "bit-identical for workers (1, 2)"
     )
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_quasi_ladder_reads_prefixes_of_one_scan(monkeypatch, workers):
+    # psi > 1/2 at q = 3, 6, 9 sends their pairs to the interval merge;
+    # the targets move with q, and share a component for even q.
+    weights = ["1/4", "1/3", "3/5", "1/5", "1/2", "2/3", "1/4", "1/6", "3/4", "2/5", "1/3"]
+    psi = ApproxFunction.from_table({q: F(w) for q, w in enumerate(weights, start=1)})
+    target = TargetSequence.from_table(
+        {q: (F(q, 13), F(q, 13) if q % 2 == 0 else F(1, q + 1)) for q in range(1, 12)}, 2
+    )
+    scan = experiments.pairwise_overlap_sum
+    calls = []
+    monkeypatch.setattr(
+        experiments, "pairwise_overlap_sum", lambda cfg: calls.append(cfg.Q) or scan(cfg)
+    )
+    ladder = (7, 2, 11, 5)
+    reports = quasi_independence_ladder(psi, target, 2, ladder, workers=workers)
+    assert calls == [11]
+    assert reports[2].merge_pairs > 0
+    for q_max, report in zip(ladder, reports):
+        alone = scan(ExperimentConfig(Q=q_max, psi=psi, target=target, m=2, workers=workers))
+        assert report.config == alone.config
+        assert report.pair_sum == alone.pair_sum
+        assert report.measure_sum == alone.measure_sum
+        assert report.ratio == alone.ratio
+        assert report.per_q_measures == alone.per_q_measures
+        assert report.row_sums == alone.row_sums
+        assert [r for r, _ in alone.row_sums] == list(range(1, q_max + 1))
+        assert 2 * sum(row_sum for _, row_sum in alone.row_sums) == alone.pair_sum
 
 
 def test_pairwise_exact_cap_refusal():

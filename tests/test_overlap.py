@@ -86,9 +86,6 @@ def test_geometry_examples():
     assert geo.window_length == F(10, 3)
     geo = overlap_geometry(2, 3, CONST4)
     assert (geo.min_length, geo.max_length, geo.window_length) == (F(1, 6), F(1, 4), F(3, 2))
-    assert (geo.window_lo, geo.window_hi) == (F(-3, 4), F(3, 4))
-    zero = ApproxFunction.constant(0)
-    assert overlap_geometry(5, 7, zero).degenerate
 
 
 def test_geometry_width_identity():
@@ -111,10 +108,9 @@ def test_geometry_width_identity():
 def test_geometry_window_shift():
     geo = overlap_geometry(2, 3, CONST4, y_q=F(1, 5), y_r=F(1, 7))
     shift = F(3, 1) * F(1, 5) - F(2, 1) * F(1, 7)
-    assert geo.window_lo == -geo.window_length / 2 + shift
-    assert geo.window_hi - geo.window_lo == geo.window_length
-    # thresholds of the cofactors: the tail of 2 at n=1 is exactly 1/2
-    assert geo.tail_threshold == 2
+    # the cover window is centered where the differences fall, -shift
+    assert geo.cover_lo + geo.cover_hi == -2 * shift
+    assert geo.cover_hi - geo.cover_lo == 2 * 6 * (F(1, 8) + F(1, 12))
 
 
 def test_exact_overlap_examples():
@@ -210,7 +206,6 @@ def test_overlap_report_fields():
     assert report.exact_overlap == F(1, 12)
     assert report.addend2 == F(1, 12)
     assert report.trivial_rhs == F(7, 48)
-    assert report.bound_ratio == report.exact_overlap / (report.addend1 + report.addend2)
     self_report = overlap_report(5, 5, CONST4)
     assert self_report.trivial_rhs is None
     assert self_report.exact_overlap == pair_overlap_exact(5, 5, CONST4)

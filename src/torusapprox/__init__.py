@@ -9,7 +9,6 @@ batch experiment drivers with deterministic parallel reduction.
 from .approx import (
     ApproxFunction,
     MeasureCheck,
-    ReducedResidues,
     TargetSequence,
     approx_set_measure,
     build_approx_set,

@@ -16,16 +16,20 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from .arith import totient
+from .errors import BudgetError
 from .rationals import parse_rational
 from .torus import TorusIntervalSet
 
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
+
+# The union piece cap.  A set has at most phi(q) < q pieces, so refusing
+# q > _PIECE_CAP bounds them without factorizing q.
+_PIECE_CAP = 10**6
 
 
 def coprime_residues(q: int) -> list[int]:
@@ -37,23 +41,9 @@ def coprime_residues(q: int) -> list[int]:
     return [a for a in range(1, q) if math.gcd(a, q) == 1]
 
 
-@dataclass(frozen=True)
-class ReducedResidues:
+def reduced_fractions(q: int) -> tuple[Fraction, ...]:
     """The phi(q) reduced fractions a/q on the circle, sorted."""
-
-    q: int
-    points: tuple[Fraction, ...]
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __len__(self):
-        return len(self.points)
-
-
-def reduced_fractions(q: int) -> ReducedResidues:
-    points = tuple(Fraction(a, q) for a in coprime_residues(q))
-    return ReducedResidues(q=q, points=points)
+    return tuple(Fraction(a, q) for a in coprime_residues(q))
 
 
 def sumset_reduced(r: int, s: int) -> tuple[Fraction, ...]:
@@ -85,9 +75,12 @@ def build_approx_set(q: int, psi_q, y_q) -> TorusIntervalSet:
     Every endpoint is (a + y +- psi)/q, so the whole construction runs on
     integer numerators over the common denominator q * den(y) * den(psi)
     and hands them to the set's integer form; no piece becomes a Fraction.
+    Refuses q above the piece cap before building anything.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
+    if q > _PIECE_CAP:
+        raise BudgetError(f"q = {q} exceeds the approximation-set cap {_PIECE_CAP}")
     psi = Fraction(psi_q)
     if psi < 0:
         raise ValueError("psi must be non-negative")

@@ -25,14 +25,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .approx import build_approx_set, coprime_residues
+from .approx import _PIECE_CAP, build_approx_set, coprime_residues
 from .arith import is_prime, primes_for_epsilon, DEFAULT_PRIME_RUN_CAP, PRIME_TEST_LIMIT
 from .errors import BudgetError, IdentityError
 from .rationals import format_rational, parse_rational
 from .torus import TorusIntervalSet
 
 DEFAULT_DIVISOR_CAP = 1 << 16
-DEFAULT_PIECE_CAP = 10**6
+DEFAULT_PIECE_CAP = _PIECE_CAP
 
 
 @dataclass(frozen=True)

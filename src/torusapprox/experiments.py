@@ -7,9 +7,9 @@ counter-based generator, and exact equidistribution scans.
 
 The pairwise scan takes each pair's overlap from the summed closed form
 f(c) (`overlap._pair_overlap_units`) when psi(q), psi(r) <= 1/2, working
-from per-q integer rows (factorization, psi and target numerators), and
-falls back to the interval merge `torus._overlap_units` on sets built for
-the other pairs only.  The set measures come from the sets themselves, one
+from the per-q integer rows of `overlap._overlap_row`, and falls back to
+the interval merge `torus._overlap_units` on sets built for the other
+pairs only.  The set measures come from the sets themselves, one
 q at a time, so they do not depend on either engine.
 
 Exact mode accumulates fractions.Fraction values; results are independent
@@ -34,11 +34,18 @@ from itertools import repeat
 from .approx import ApproxFunction, TargetSequence, build_approx_set
 from .arith import factorize_with_table, spf_table, totient, totient_range
 from .errors import BudgetError, IdentityError
-from .overlap import _main_term_units, _overlap_row, _pair_overlap_units
+from .overlap import _main_term_units, _overlap_row, _overlap_rows, _pair_overlap_units
 from .rationals import parse_rational
 from .torus import _overlap_units
 
 DEFAULT_EXACT_Q_CAP = 512
+# Worker processes a scan may start (the ladder suite uses 8).
+_WORKER_CAP = 64
+# Enclosure bits.  A bound's numerator grows by about 0.3 digits per bit,
+# and Python renders integers of up to 4300 digits: at 2048 bits the
+# pow:1/2,1 report at Q = 2048, whose ratio carries the square of a
+# 1747-digit measure sum, still renders.
+_PRECISION_CAP = 2048
 
 _ZERO = Fraction(0)
 
@@ -124,6 +131,10 @@ class ExperimentConfig:
             raise ValueError("enclosure precision must be at least 64 bits")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.mode == "enclosure" and self.precision > _PRECISION_CAP:
+            raise BudgetError(f"enclosure precision is capped at {_PRECISION_CAP} bits")
+        if self.workers > _WORKER_CAP:
+            raise BudgetError(f"workers are capped at {_WORKER_CAP}")
 
     def describe(self) -> dict:
         return {
@@ -167,7 +178,7 @@ def _merge_set(sets: dict, key, row):
     """The interval set of a row, built on first use."""
     got = sets.get(key)
     if got is None:
-        q, _, den, psi, y = row
+        q, _, _, den, psi, y = row
         got = sets[key] = build_approx_set(q, Fraction(psi, den), Fraction(y, den))
     return got
 
@@ -344,43 +355,28 @@ def main_term_sum_check(
     """Sum of M(q, r)**m over q != r <= Q against the squared normalized
     weight sum, for each Q in the ladder.
 
-    Works directly from factorizations; no per-pair assertions, so ladders
-    to Q = 512 stay cheap.
+    Works from the `_overlap_row` of each q <= max(ladder); no per-pair
+    identity checks, so ladders to Q = 512 stay cheap.
     """
     if min(ladder) < 2:
         raise ValueError("ladder values must be >= 2")
-    q_top = max(ladder)
-    table = spf_table(q_top)
-    phi = totient_range(q_top)
-    factors = [None] * (q_top + 1)
-    psis = [None] * (q_top + 1)
-    for q in range(1, q_top + 1):
-        factors[q] = dict(factorize_with_table(q, table))
-        psis[q] = Fraction(psi(q))
-
-    rows = []
+    rows = _overlap_rows(max(ladder), psi)
+    results = []
     lhs_half = Fraction(0)
     # Terms not yet in lhs_half, summed as integers per reduced denominator:
     # pending[den] = sum of num**m over the terms (num/den)**m.
     pending: dict[int, int] = {}
-    rhs_base = psis[1] ** m  # the weight psi(q) phi(q) / q at q = 1
+    rhs_base = Fraction(0)  # sum of the weights psi(q) phi(q) / q
     ladder_sorted = sorted(set(ladder))
     bound_index = 0
-    for q in range(2, q_top + 1):
-        psi_q = psis[q]
-        rhs_base += Fraction(psi_q * phi[q], q) ** m
+    for row_q in rows[1:]:
+        q, _, phi_q, den_q, psi_q, _ = row_q
+        rhs_base += Fraction(psi_q * phi_q, den_q * q) ** m
         if psi_q:
-            fq = factors[q]
-            for r in range(1, q):
-                psi_r = psis[r]
-                if not psi_r:
+            for row_r in rows[1:q]:
+                if not row_r[4]:
                     continue
-                fr = factors[r]
-                split = [p for p in fq if fq[p] != fr.get(p, 0)]
-                split += [p for p in fr if p not in fq]
-                num, den = _main_term_units(
-                    q, r, psi_q, psi_r, phi[q], phi[r], split, strict_indicator
-                )
+                num, den = _main_term_units(row_q, row_r, strict_indicator)
                 if num:
                     g = math.gcd(num, den)
                     den //= g
@@ -391,14 +387,14 @@ def main_term_sum_check(
             pending.clear()
             rhs = rhs_base**2
             pair_sum = 2 * lhs_half
-            rows.append(
+            results.append(
                 MainTermRow(
                     Q=q, m=m, pair_sum=pair_sum, rhs=rhs,
                     ratio=pair_sum / rhs if rhs > 0 else None,
                 )
             )
             bound_index += 1
-    return rows
+    return results
 
 
 # -- totient-of-gcd sums -----------------------------------------------------------

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .approx import build_approx_set, coprime_residues
-from .arith import factorize, totient
+from .arith import factorize, factorize_with_table, spf_table, totient
 from .errors import BudgetError, IdentityError
 from .torus import measure_intersection
 
@@ -116,10 +116,6 @@ def decompose_pair(q: int, r: int) -> PairDecomposition:
     ):
         raise IdentityError(f"ell/em/en identities fail for q={q}, r={r}")
     return dec
-
-
-def _split_primes(dec: PairDecomposition) -> list[int]:
-    return [p for p, u, v in dec.prime_valuations if u != v]
 
 
 def coprime_pair_count(dec: PairDecomposition, c: int) -> int:
@@ -201,13 +197,12 @@ def overlap_geometry(q: int, r: int, psi, y_q=0, y_r=0) -> OverlapGeometry:
     wr = Fraction(psi_r, r)
     g = math.gcd(q, r)
     l = q * r // g
-    min_length = 2 * min(wq, wr)
-    max_length = 2 * max(wq, wr)
+    window_length = Fraction(*_window_units(*_pair_rows(q, r, psi)))
     cover_center = Fraction(q, g) * Fraction(y_r) - Fraction(r, g) * Fraction(y_q)
     cover_halfwidth = l * (wq + wr)
     return OverlapGeometry(
-        min_length=min_length, max_length=max_length,
-        window_length=max_length * l,
+        min_length=2 * min(wq, wr), max_length=window_length / l,
+        window_length=window_length,
         cover_lo=cover_center - cover_halfwidth,
         cover_hi=cover_center + cover_halfwidth,
     )
@@ -219,24 +214,43 @@ def pair_overlap_exact(q: int, r: int, psi, y_q=0, y_r=0) -> Fraction:
     q = r is allowed and yields the self-intersection (the set measure),
     which is reported for diagnostics but excluded from bound checks.
     """
-    psi_q = psi(q) if callable(psi) else psi
-    psi_r = psi(r) if callable(psi) else psi
-    a = build_approx_set(q, psi_q, y_q)
-    b = build_approx_set(r, psi_r, y_r)
-    return measure_intersection(a, b)
+    psi_q, psi_r = _psi_pair(psi, q, r)
+    return measure_intersection(build_approx_set(q, psi_q, y_q), build_approx_set(r, psi_r, y_r))
 
 
 def _overlap_row(q: int, factors, psi_q, y_q) -> tuple:
-    """One set's integer data for `_pair_overlap_units`:
-    (q, {p: e}, den, psi, y) with psi(q) = psi/den and y_q = y/den."""
+    """One set's integer data, read by every pair formula:
+    (q, {p: e}, phi(q), den, psi, y) with psi(q) = psi/den and y_q = y/den.
+    psi/den is unreduced when den(y_q) has a factor den(psi(q)) lacks; the
+    pair formulas only cross-multiply, so that changes no value."""
+    factors = dict(factors)
+    phi = 1
+    for p, e in factors.items():
+        phi *= p ** (e - 1) * (p - 1)
     psi = Fraction(psi_q)
     y = Fraction(y_q)
     den = math.lcm(psi.denominator, y.denominator)
     return (
-        q, dict(factors), den,
+        q, factors, phi, den,
         psi.numerator * (den // psi.denominator),
         y.numerator * (den // y.denominator),
     )
+
+
+def _overlap_rows(limit: int, psi, target=lambda q: 0) -> list:
+    """[None, row of 1, ..., row of limit]: `_overlap_row` at psi(q) and
+    target(q), every q factorized from one sieve."""
+    table = spf_table(limit)
+    return [None] + [
+        _overlap_row(q, factorize_with_table(q, table), psi(q), target(q))
+        for q in range(1, limit + 1)
+    ]
+
+
+def _pair_rows(q: int, r: int, psi, y_q=0, y_r=0) -> tuple[tuple, tuple]:
+    """The rows of one pair, for the single-pair `Fraction` wrappers."""
+    psi_q, psi_r = _psi_pair(psi, q, r)
+    return _overlap_row(q, factorize(q), psi_q, y_q), _overlap_row(r, factorize(r), psi_r, y_r)
 
 
 def _pair_overlap_units(row_q: tuple, row_r: tuple) -> tuple[int, int]:
@@ -257,8 +271,8 @@ def _pair_overlap_units(row_q: tuple, row_r: tuple) -> tuple[int, int]:
 
     When s >= 2h only the point nearest 0 can lie inside the hat.
     """
-    q, fq, den_q, psi_q, y_q = row_q
-    r, fr, den_r, psi_r, y_r = row_r
+    q, fq, _, den_q, psi_q, y_q = row_q
+    r, fr, _, den_r, psi_r, y_r = row_r
     if not psi_q or not psi_r:
         return 0, 1
     g = math.gcd(q, r)
@@ -313,57 +327,66 @@ def _pair_overlap_units(row_q: tuple, row_r: tuple) -> tuple[int, int]:
     return total, 2 * q * (r // g) * den
 
 
-def _main_term_units(
-    q: int, r: int, psi_q: Fraction, psi_r: Fraction, phi_q: int, phi_r: int,
-    split, strict_indicator: bool,
-) -> tuple[int, int]:
+def _window_units(row_q: tuple, row_r: tuple) -> tuple[int, int]:
+    """The sifting window length D = 2 lcm(q, r) max(psi(q)/q, psi(r)/r)
+    as (num, den): with psi(q) = a/b and psi(r) = c/d, the larger of
+    2 lcm a/(bq) and 2 lcm c/(dr), chosen by cross-multiplication."""
+    q, _, _, b, a, _ = row_q
+    r, _, _, d, c, _ = row_r
+    lcm = q // math.gcd(q, r) * r
+    if a * d * r >= c * b * q:
+        return 2 * lcm * a, b * q
+    return 2 * lcm * c, d * r
+
+
+def _phi_gcd(row_q: tuple, row_r: tuple) -> int:
+    """phi(gcd(q, r)) = phi(ell) phi(em)."""
+    ell, _, _, phi_em, balanced, _ = _ell_em_en(row_q[1], row_r[1])
+    for p in balanced:
+        ell = ell // p * (p - 1)
+    return ell * phi_em
+
+
+def _main_term_units(row_q: tuple, row_r: tuple, strict_indicator: bool = False) -> tuple[int, int]:
     """M(q, r) as (num, den), unreduced, in integers: the one form behind
     `main_term`, `overlap_bound_terms` and the `msum` ladder.
 
-    With psi(q) = a/b and psi(r) = c/d the window length is
-    D = 2 lcm(q, r) max(a/(bq), c/(dr)) = dn/dd, so the window test and the
-    comparisons p > D are cross-multiplications.  split holds the primes
-    whose valuations in q and r differ (the primes of q*r/gcd**2).
+    The window test D >= 1 (D > 1 with strict_indicator) and the
+    comparisons p > D over the split primes (those of q*r/gcd**2) are
+    cross-multiplications with D = dn/dd.
     """
-    a, b = psi_q.numerator, psi_q.denominator
-    c, d = psi_r.numerator, psi_r.denominator
-    lcm = q // math.gcd(q, r) * r
-    if a * d * r >= c * b * q:
-        dn, dd = 2 * lcm * a, b * q
-    else:
-        dn, dd = 2 * lcm * c, d * r
+    q, fq, phi_q, b, a, _ = row_q
+    r, fr, phi_r, d, c, _ = row_r
+    dn, dd = _window_units(row_q, row_r)
     if dn < dd or (strict_indicator and dn == dd):
         return 0, 1
     num = a * c * phi_q * phi_r
     den = b * d * q * r
-    for p in split:
+    for p in _ell_em_en(fq, fr)[5]:
         if p * dd > dn:
             num *= p + 1
             den *= p
     return num, den
 
 
-def _addend2_units(
-    q: int, r: int, psi_q: Fraction, psi_r: Fraction, phi_g: int
-) -> tuple[int, int]:
-    """phi(gcd) * min(psi(q)/q, psi(r)/r) as (num, den), phi_g = phi(gcd(q, r))."""
-    a, b = psi_q.numerator, psi_q.denominator
-    c, d = psi_r.numerator, psi_r.denominator
+def _addend2_units(row_q: tuple, row_r: tuple) -> tuple[int, int]:
+    """phi(gcd(q, r)) * min(psi(q)/q, psi(r)/r) as (num, den)."""
+    q, _, _, b, a, _ = row_q
+    r, _, _, d, c, _ = row_r
+    phi_g = _phi_gcd(row_q, row_r)
     if a * d * r <= c * b * q:
         return phi_g * a, b * q
     return phi_g * c, d * r
 
 
-def _trivial_units(q: int, psi_q: Fraction, psi_r: Fraction, phi_g: int) -> tuple[int, int]:
-    """psi(q)psi(r) + (psi(q)/q) phi_g = a(cq + d phi_g) / (bdq) as (num, den)."""
-    a, b = psi_q.numerator, psi_q.denominator
-    c, d = psi_r.numerator, psi_r.denominator
-    return a * (c * q + d * phi_g), b * d * q
+def _trivial_units(row_q: tuple, row_r: tuple) -> tuple[int, int]:
+    """psi(q)psi(r) + (psi(q)/q) phi(gcd) = a(cq + d phi(gcd)) / (bdq) as (num, den)."""
+    q, _, _, b, a, _ = row_q
+    _, _, _, d, c, _ = row_r
+    return a * (c * q + d * _phi_gcd(row_q, row_r)), b * d * q
 
 
-def overlap_bound_terms(
-    q: int, r: int, psi, dec: PairDecomposition | None = None,
-) -> tuple[Fraction, Fraction]:
+def overlap_bound_terms(q: int, r: int, psi) -> tuple[Fraction, Fraction]:
     """The two addends of the overlap upper bound.
 
     addend1 = M(q, r) with the strict window indicator [D > 1], that is
@@ -374,29 +397,23 @@ def overlap_bound_terms(
     Both exact; the bound itself holds up to an absolute constant that is
     tracked empirically, never assumed.
     """
-    if dec is None:
-        dec = decompose_pair(q, r)
-    psi_q, psi_r = _psi_pair(psi, q, r)
-    addend2 = _addend2_units(q, r, psi_q, psi_r, totient(dec.gcd))
-    return main_term(q, r, psi, dec, strict_indicator=True), Fraction(*addend2)
+    decompose_pair(q, r)  # checks the pair's ell/em/en identities
+    row_q, row_r = _pair_rows(q, r, psi)
+    return (
+        Fraction(*_main_term_units(row_q, row_r, strict_indicator=True)),
+        Fraction(*_addend2_units(row_q, row_r)),
+    )
 
 
-def main_term(
-    q: int, r: int, psi, dec: PairDecomposition | None = None,
-    strict_indicator: bool = False,
-) -> Fraction:
+def main_term(q: int, r: int, psi, strict_indicator: bool = False) -> Fraction:
     """The main pairwise term M(q, r).
 
     The default window indicator is D >= 1 (what the pairwise sums
     downstream use); strict_indicator=True switches to D > 1, which is the
     bound's addend1.  The two differ only on the measure-zero locus D = 1.
     """
-    if dec is None:
-        dec = decompose_pair(q, r)
-    psi_q, psi_r = _psi_pair(psi, q, r)
-    return Fraction(*_main_term_units(
-        q, r, psi_q, psi_r, totient(q), totient(r), _split_primes(dec), strict_indicator
-    ))
+    decompose_pair(q, r)  # checks the pair's ell/em/en identities
+    return Fraction(*_main_term_units(*_pair_rows(q, r, psi), strict_indicator))
 
 
 def trivial_overlap_bound(q: int, r: int, psi) -> Fraction:
@@ -406,8 +423,7 @@ def trivial_overlap_bound(q: int, r: int, psi) -> Fraction:
     """
     if not 1 <= r < q:
         raise ValueError("trivial_overlap_bound requires 1 <= r < q")
-    psi_q, psi_r = _psi_pair(psi, q, r)
-    return Fraction(*_trivial_units(q, psi_q, psi_r, totient(math.gcd(q, r))))
+    return Fraction(*_trivial_units(*_pair_rows(q, r, psi)))
 
 
 def overlap_count_bound(q: int, r: int, psi, y_q=0, y_r=0) -> Fraction:
@@ -494,14 +510,14 @@ class OverlapReport:
 
 def overlap_report(q: int, r: int, psi, y_q=0, y_r=0) -> OverlapReport:
     dec = decompose_pair(q, r)
-    geometry = overlap_geometry(q, r, psi, y_q, y_r)
-    exact = pair_overlap_exact(q, r, psi, y_q, y_r)
-    addend1, addend2 = overlap_bound_terms(q, r, psi, dec)
-    m_value = main_term(q, r, psi, dec)
-    hi, lo = (q, r) if q > r else (r, q)
-    trivial = trivial_overlap_bound(hi, lo, psi) if q != r else None
+    row_q, row_r = _pair_rows(q, r, psi, y_q, y_r)
+    hi, lo = (row_q, row_r) if q > r else (row_r, row_q)
     return OverlapReport(
-        q=q, r=r, ell=dec.ell, em=dec.em, en=dec.en, D=geometry.window_length,
-        exact_overlap=exact, addend1=addend1, addend2=addend2, M=m_value,
-        trivial_rhs=trivial,
+        q=q, r=r, ell=dec.ell, em=dec.em, en=dec.en,
+        D=Fraction(*_window_units(row_q, row_r)),
+        exact_overlap=pair_overlap_exact(q, r, psi, y_q, y_r),
+        addend1=Fraction(*_main_term_units(row_q, row_r, strict_indicator=True)),
+        addend2=Fraction(*_addend2_units(row_q, row_r)),
+        M=Fraction(*_main_term_units(row_q, row_r)),
+        trivial_rhs=Fraction(*_trivial_units(hi, lo)) if q != r else None,
     )

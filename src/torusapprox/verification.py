@@ -20,7 +20,7 @@ from .approx import (
     reduced_fractions,
     sumset_reduced,
 )
-from .arith import factorize_with_table, spf_table, totient, totient_range
+from .arith import totient, totient_range
 from .counterexample import (
     BlockSchedule,
     build_counterexample,
@@ -42,9 +42,8 @@ from .experiments import (
 from .overlap import (
     _addend2_units,
     _main_term_units,
-    _overlap_row,
+    _overlap_rows,
     _pair_overlap_units,
-    _split_primes,
     _trivial_units,
     coprime_pair_count,
     coprime_pair_histogram,
@@ -111,7 +110,7 @@ def check_sumsets(limit: int = 2310) -> CheckResult:
     for q in range(1, limit + 1):
         if not squarefree[q]:
             continue
-        expected = reduced_fractions(q).points
+        expected = reduced_fractions(q)
         for r in range(1, q + 1):
             if q % r != 0:
                 continue
@@ -164,29 +163,24 @@ def _bound_ratio_max(limit: int, psi: ApproxFunction) -> tuple[Fraction, Fractio
     integer forms behind `overlap_bound_terms` and `trivial_overlap_bound`,
     and each ratio is compared by cross-multiplication as (num, den).
     """
-    phi = totient_range(limit)
-    psis = [None] + [Fraction(psi(q)) for q in range(1, limit + 1)]
-    sets = [None] + [build_approx_set(q, psis[q], 0) for q in range(1, limit + 1)]
+    rows = _overlap_rows(limit, psi)
+    sets = [None] + [build_approx_set(q, psi(q), 0) for q in range(1, limit + 1)]
     bound_num, bound_den = 0, 1
     trivial_num, trivial_den = 0, 1
     for q in range(2, limit + 1):
-        psi_q = psis[q]
         for r in range(1, q):
             units, den = _overlap_units(sets[q], sets[r])
             if units == 0:
                 continue
-            dec = decompose_pair(q, r)
-            psi_r = psis[r]
-            n1, d1 = _main_term_units(
-                q, r, psi_q, psi_r, phi[q], phi[r], _split_primes(dec), strict_indicator=True
-            )
-            n2, d2 = _addend2_units(q, r, psi_q, psi_r, phi[dec.gcd])
+            decompose_pair(q, r)  # checks the pair's ell/em/en identities
+            n1, d1 = _main_term_units(rows[q], rows[r], strict_indicator=True)
+            n2, d2 = _addend2_units(rows[q], rows[r])
             # exact / (n1/d1 + n2/d2) = units d1 d2 / (den (n1 d2 + n2 d1))
             num = units * d1 * d2
             rden = den * (n1 * d2 + n2 * d1)
             if num * bound_den > bound_num * rden:
                 bound_num, bound_den = num, rden
-            tn, td = _trivial_units(q, psi_q, psi_r, phi[dec.gcd])
+            tn, td = _trivial_units(rows[q], rows[r])
             num = units * td
             rden = den * tn
             if num * trivial_den > trivial_num * rden:
@@ -394,7 +388,8 @@ def _calibration_configs():
         for y in comps:
             exact *= approx_set_measure(q, psi_val, y).measure
         configs.append((psi, target, m, (q,), exact))
-    assert len(configs) == 20
+    if len(configs) != 20:
+        raise IdentityError(f"{len(configs)} calibration configurations, expected 20")
     return configs
 
 
@@ -445,15 +440,11 @@ def check_overlap_engine(limit: int = 120, seed: int = 20260808) -> CheckResult:
         ("1/3", lambda q: Fraction(1, 3)),
         (f"moving (seed {seed})", moving.__getitem__),
     )
-    table = spf_table(limit)
     pairs = 0
     for psi in families:
         for label, target in targets:
-            rows = [None]
-            sets = [None]
-            for q in range(1, limit + 1):
-                rows.append(_overlap_row(q, factorize_with_table(q, table), psi(q), target(q)))
-                sets.append(build_approx_set(q, psi(q), target(q)))
+            rows = _overlap_rows(limit, psi, target)
+            sets = [None] + [build_approx_set(q, psi(q), target(q)) for q in range(1, limit + 1)]
             for q in range(2, limit + 1):
                 for r in range(1, q):
                     units, den = _pair_overlap_units(rows[q], rows[r])

@@ -272,3 +272,20 @@ def test_bad_input_exits_2_with_one_line(capsys, argv):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    # Q = 3 starts at most two processes even if the cap were missing.
+    "pairwise --Q 3 --psi const:1/4 --y zero --workers 65",
+    "pairwise --Q 3 --psi const:1/4 --y zero --workers 1000000",
+    "pairwise --Q 10 --psi const:1/4 --mode enclosure --precision 20000",
+    "pairwise --Q 10 --psi const:1/4 --mode enclosure --precision 2049",
+    "measure --q 100000000000000000000 --psi const:1/4",
+    "measure --q 1000001 --psi const:1/4",
+    "overlap --q 1000001 --r 3 --psi const:1/4",
+])
+def test_resource_caps_exit_3_with_one_line(capsys, argv):
+    code, out, err = run_capture(capsys, argv.split())
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("budget refusal: ")

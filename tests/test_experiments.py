@@ -157,6 +157,28 @@ def test_enclosure_precision_validation():
         ExperimentConfig(Q=8, psi=CONST4, target=ZERO1, mode="enclosure", precision=32)
 
 
+def test_worker_and_precision_caps():
+    cap = experiments._WORKER_CAP
+    assert cap >= 8  # the ladder suite runs 8 workers
+    assert ExperimentConfig(Q=3, psi=CONST4, target=ZERO1, workers=cap).workers == cap
+    with pytest.raises(BudgetError, match="workers"):
+        ExperimentConfig(Q=3, psi=CONST4, target=ZERO1, workers=cap + 1)
+    bits = experiments._PRECISION_CAP
+    ExperimentConfig(Q=3, psi=CONST4, target=ZERO1, mode="enclosure", precision=bits)
+    with pytest.raises(BudgetError, match="precision"):
+        ExperimentConfig(Q=3, psi=CONST4, target=ZERO1, mode="enclosure", precision=bits + 1)
+    # Exact mode never reads the precision.
+    ExperimentConfig(Q=3, psi=CONST4, target=ZERO1, precision=bits + 1)
+
+
+def test_build_cap_refuses_before_building():
+    assert build_approx_set(10**6, 0, 0).measure() == 0
+    with pytest.raises(BudgetError):
+        build_approx_set(10**6 + 1, 0, 0)
+    with pytest.raises(BudgetError):
+        build_approx_set(10**20, F(1, 4), 0)
+
+
 def test_dyadic_rounding():
     value = F(1, 3)
     third = Enclosure(8)

@@ -9,10 +9,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from torusapprox.approx import ApproxFunction
-from torusapprox.arith import totient
+from torusapprox.arith import factorize, totient
 from torusapprox.errors import BudgetError
 from torusapprox.experiments import main_term_sum_check
 from torusapprox.overlap import (
+    _addend2_units,
+    _main_term_units,
+    _overlap_row,
+    _trivial_units,
     coprime_pair_count,
     coprime_pair_count_brute,
     coprime_pair_histogram,
@@ -287,6 +291,38 @@ def test_main_term_window_exactly_one_with_table_weights():
     assert ref_window(2, 3, F(1, 6), F(1, 4)) == 1
     assert main_term(3, 2, psi) == ref_main_term(3, 2, F(1, 4), F(1, 6), strict=False) > 0
     assert main_term(3, 2, psi, strict_indicator=True) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 300), st.integers(1, 300), st.sampled_from(PSI_FAMILIES),
+    st.fractions(min_value=-40, max_value=40, max_denominator=60).filter(bool),
+    st.fractions(min_value=-40, max_value=40, max_denominator=60),
+)
+@example(2, 3, "const:1/4", F(1, 6), F(0))  # psi(2) = 3/12 over y's denominator
+@example(4, 2, "const:1/4", F(5, 4), F(1, 6))  # D = 1 exactly, psi(2) = 3/12
+@example(6, 10, "pow:1/2,1", F(-1, 3), F(7, 10))
+def test_pair_formulas_on_rows_sharing_a_denominator_with_y(q, r, spec, y_q, y_r):
+    # Each row carries psi over lcm(den psi, den y), unreduced when y's
+    # denominator adds a factor; the integer forms must not notice.
+    psi = ApproxFunction.parse(spec)
+    psi_q, psi_r = F(psi(q)), F(psi(r))
+    row_q = _overlap_row(q, factorize(q), psi_q, y_q)
+    row_r = _overlap_row(r, factorize(r), psi_r, y_r)
+    assert F(row_q[4], row_q[3]) == psi_q and F(row_q[5], row_q[3]) == y_q
+    assert row_q[2] == totient(q)
+    for strict in (False, True):
+        assert F(*_main_term_units(row_q, row_r, strict)) == ref_main_term(
+            q, r, psi_q, psi_r, strict
+        )
+    phi_g = ref_phi(math.gcd(q, r))
+    assert F(*_addend2_units(row_q, row_r)) == phi_g * min(psi_q / q, psi_r / r)
+    assert F(*_trivial_units(row_q, row_r)) == psi_q * psi_r + psi_q / q * phi_g
+
+
+def test_example_row_psi_is_unreduced():
+    row = _overlap_row(2, factorize(2), F(1, 4), F(1, 6))
+    assert row == (2, {2: 1}, 1, 12, 3, 2)
 
 
 def ref_pair_count(q, r, c):

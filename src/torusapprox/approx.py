@@ -258,6 +258,8 @@ class ApproxFunction:
             for row in csv.reader(handle):
                 if not row or row[0].startswith("#"):
                     continue
+                if len(row) < 2:
+                    raise ValueError(f"table row {row!r} needs q,psi")
                 mapping[int(row[0])] = parse_rational(row[1])
         return cls.from_table(mapping, spec=f"table:{path}")
 

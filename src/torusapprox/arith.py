@@ -20,8 +20,10 @@ from .errors import BudgetError
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 PRIME_TEST_LIMIT = 1 << 64
-DEFAULT_SPF_CAP = 10_000_000
-DEFAULT_PRIME_RUN_CAP = 20_000
+# Resource caps, read at call time: the largest sieve `spf_table` builds
+# and the longest prime run `primes_for_epsilon` takes.
+_SPF_CAP = 10_000_000
+_PRIME_RUN_CAP = 20_000
 
 
 def is_prime(n: int) -> bool:
@@ -98,16 +100,16 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def spf_table(limit: int, cap: int = DEFAULT_SPF_CAP) -> list[int]:
+def spf_table(limit: int) -> list[int]:
     """Smallest-prime-factor table for 1..limit.
 
     table[n] is the least prime dividing n; table[1] = 0 marks the unit.
-    Refuses limits above `cap` rather than exhausting memory.
+    Refuses limits above the sieve cap rather than exhausting memory.
     """
     if limit < 1:
         raise ValueError("spf_table requires limit >= 1")
-    if limit > cap:
-        raise BudgetError(f"spf table of size {limit} exceeds the cap {cap}")
+    if limit > _SPF_CAP:
+        raise BudgetError(f"spf table of size {limit} exceeds the cap {_SPF_CAP}")
     table = [0] * (limit + 1)
     for p in range(2, limit + 1):
         if table[p] == 0:
@@ -184,16 +186,14 @@ def radical_and_smooth_part(n: int, bound) -> tuple[int, int]:
     return rad, smooth
 
 
-def primes_for_epsilon(
-    above: int, eps, max_run: int = DEFAULT_PRIME_RUN_CAP
-) -> tuple[list[int], Fraction]:
+def primes_for_epsilon(above: int, eps) -> tuple[list[int], Fraction]:
     """Shortest run of consecutive primes past `above` whose totient density
     drops strictly below eps.
 
     Returns (primes, product) where product = prod (1 - 1/p) < eps and the
     run one prime shorter still has product >= eps.  The first prime is the
-    smallest prime exceeding `above`.  Refuses runs longer than max_run,
-    reporting the partial product reached.
+    smallest prime exceeding `above`.  Refuses runs longer than the prime
+    run cap, reporting the partial product reached.
     """
     eps = Fraction(eps)
     if not 0 < eps <= 1:
@@ -202,12 +202,12 @@ def primes_for_epsilon(
     product = Fraction(1)
     candidate = next_prime(above)
     while not product < eps:
-        if len(primes) >= max_run:
+        if len(primes) >= _PRIME_RUN_CAP:
             # The exact partial product can run to thousands of digits, so
             # the message carries a decimal rendering; the exact value rides
             # on the exception.
             error = BudgetError(
-                f"prime run cap {max_run} reached above {above}; "
+                f"prime run cap {_PRIME_RUN_CAP} reached above {above}; "
                 f"partial product ~ {float(product):.6g} (target {float(eps):.6g})"
             )
             error.partial_product = product

@@ -44,7 +44,7 @@ from .experiments import (
     phigcd_sum,
 )
 from .overlap import overlap_report, sifted_interval_count
-from .rationals import format_rational, parse_rational
+from .rationals import _unlimited_int_digits, format_rational, parse_rational
 from .verification import SUITES
 
 EXIT_OK = 0
@@ -88,17 +88,18 @@ def _emit(columns, rows, config, fmt: str, out_path):
     if workers is not None:
         print(f"workers={workers}", file=sys.stderr)
     config["fixture_version"] = baselines_version()
-    if fmt == "csv":
-        lines = [f"# {key}={config[key]}" for key in sorted(config)]
-        lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(str(row[col]) for col in columns))
-        text = "\n".join(lines) + "\n"
-    else:
-        text = json.dumps(
-            {"config": config, "columns": list(columns), "rows": rows},
-            sort_keys=True, indent=2,
-        ) + "\n"
+    with _unlimited_int_digits():
+        if fmt == "csv":
+            lines = [f"# {key}={config[key]}" for key in sorted(config)]
+            lines.append(",".join(columns))
+            for row in rows:
+                lines.append(",".join(str(row[col]) for col in columns))
+            text = "\n".join(lines) + "\n"
+        else:
+            text = json.dumps(
+                {"config": config, "columns": list(columns), "rows": rows},
+                sort_keys=True, indent=2,
+            ) + "\n"
     if out_path:
         _write_atomic(out_path, text)
     else:

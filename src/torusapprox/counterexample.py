@@ -26,13 +26,14 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .approx import _PIECE_CAP, build_approx_set, coprime_residues
-from .arith import is_prime, primes_for_epsilon, DEFAULT_PRIME_RUN_CAP, PRIME_TEST_LIMIT
+from .arith import is_prime, primes_for_epsilon, PRIME_TEST_LIMIT
 from .errors import BudgetError, IdentityError
 from .rationals import format_rational, parse_rational
 from .torus import TorusIntervalSet
 
-DEFAULT_DIVISOR_CAP = 1 << 16
-DEFAULT_PIECE_CAP = _PIECE_CAP
+# Blocks with more divisors than this keep `divisors = None`; read at
+# call time.
+_DIVISOR_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -49,8 +50,6 @@ class BlockSchedule:
     blocks: int
     eps: tuple[Fraction, ...] | None = None
     mode: str = "product"
-    prime_run_cap: int = DEFAULT_PRIME_RUN_CAP
-    divisor_cap: int = DEFAULT_DIVISOR_CAP
 
     def __post_init__(self):
         if self.blocks < 1:
@@ -82,18 +81,30 @@ class Block:
     divisors: tuple[int, ...] | None  # None when past the materialization cap
 
 
+def _block(index: int, primes: tuple[int, ...], eps: Fraction) -> Block:
+    """Block `index` over `primes`; every field but eps follows from them."""
+    P = phi = 1
+    for p in primes:
+        P *= p
+        phi *= p - 1
+    count = 2 ** len(primes) - 1
+    divisors = None
+    if count <= _DIVISOR_CAP:
+        divisors = tuple(sorted(d for d, _ in _squarefree_divisors_with_totients(primes) if d > 1))
+    return Block(index, primes, P, eps, Fraction(phi, P), count, divisors)
+
+
 @dataclass
 class CounterexampleInstance:
-    """A fully explicit instance: blocks, weights, shifts, residue choices.
+    """A fully explicit instance: blocks and residue choices.
 
-    psi, y and residue are materialized maps for every block whose divisor
-    list fits the cap; the accessor methods also answer for deferred blocks.
+    On block j's support, psi(q) = q/(2P_j) and y_q = q*a/(P_j/q) for q's
+    residue choice a.  `residue` holds the choices read from a file; every
+    other q takes a = 1, or a = 0 when q = P_j.
     """
 
     mode: str
     blocks: list[Block]
-    psi: dict[int, Fraction] = field(default_factory=dict)
-    y: dict[int, Fraction] = field(default_factory=dict)
     residue: dict[int, int] = field(default_factory=dict)
 
     def block(self, j: int) -> Block:
@@ -111,8 +122,6 @@ class CounterexampleInstance:
         return None
 
     def psi_of(self, q: int) -> Fraction:
-        if q in self.psi:
-            return self.psi[q]
         j = self.block_of(q)
         if j is None:
             return Fraction(0)
@@ -120,54 +129,44 @@ class CounterexampleInstance:
 
     def y_of(self, q: int) -> Fraction:
         """Target shift; 0 off the support, where nothing depends on it."""
-        if q in self.y:
-            return self.y[q]
         j = self.block_of(q)
         if j is None:
             return Fraction(0)
         cofactor = self.blocks[j - 1].P // q
-        a = 1 if cofactor > 1 else 0
-        return Fraction(q * a, cofactor)
+        return Fraction(q * self._residue(q, cofactor), cofactor)
+
+    def _residue(self, q: int, cofactor: int) -> int:
+        return self.residue.get(q, 1 if cofactor > 1 else 0)
 
     def validate(self) -> None:
         # prime disjointness across blocks first: a reused prime makes the
-        # later per-q maps ambiguous, so report it as the root cause
+        # block of a q ambiguous, so report it as the root cause
         seen: set[int] = set()
         for blk in self.blocks:
-            product = 1
             for p in blk.primes:
                 if not is_prime(p):
                     raise ValueError(f"block {blk.index}: {p} is not prime")
                 if p in seen:
                     raise ValueError(f"block {blk.index}: prime {p} reused")
                 seen.add(p)
-                product *= p
-            if product != blk.P:
-                raise ValueError(f"block {blk.index}: P does not match its primes")
+        for j, blk in enumerate(self.blocks, start=1):
+            if blk != _block(j, blk.primes, blk.eps):
+                raise ValueError(
+                    f"block {blk.index}: index, P, density or divisors do not "
+                    "follow from its primes"
+                )
             if not blk.density < blk.eps:
                 raise ValueError(
                     f"block {blk.index}: density {blk.density} not below eps {blk.eps}"
                 )
-        for blk in self.blocks:
-            if blk.divisors is not None:
-                if len(blk.divisors) != blk.divisor_count:
-                    raise ValueError(f"block {blk.index}: divisor count mismatch")
-                for q in blk.divisors:
-                    if q <= 1 or blk.P % q != 0:
-                        raise ValueError(f"block {blk.index}: bad divisor {q}")
-                    if self.psi[q] != Fraction(q, 2 * blk.P):
-                        raise ValueError(f"psi({q}) is not q/(2P)")
-                    cofactor = blk.P // q
-                    a = self.residue[q]
-                    if cofactor == 1:
-                        if a != 0:
-                            raise ValueError(f"residue for q = P must be 0, got {a}")
-                    elif not (0 <= a < cofactor and math.gcd(a, cofactor) == 1):
-                        raise ValueError(
-                            f"residue {a} for q={q} is not reduced mod {cofactor}"
-                        )
-                    if self.y[q] != Fraction(q * a, cofactor):
-                        raise ValueError(f"y({q}) does not match its residue choice")
+        for q, a in self.residue.items():
+            j = self.block_of(q)
+            if j is None or self.blocks[j - 1].divisors is None:
+                raise ValueError(f"residue for q={q}, outside every materialized block")
+            cofactor = self.blocks[j - 1].P // q
+            # The only residue mod 1 is 0, so this also fixes a = 0 at q = P.
+            if type(a) is not int or not (0 <= a < cofactor and math.gcd(a, cofactor) == 1):
+                raise ValueError(f"residue {a!r} for q={q} is not reduced mod {cofactor}")
 
     # -- serialization ---------------------------------------------------------
 
@@ -184,9 +183,9 @@ class CounterexampleInstance:
                 "divisors": list(blk.divisors) if blk.divisors is not None else None,
             }
             if blk.divisors is not None:
-                entry["psi"] = {str(q): format_rational(self.psi[q]) for q in blk.divisors}
-                entry["y"] = {str(q): format_rational(self.y[q]) for q in blk.divisors}
-                entry["residue"] = {str(q): self.residue[q] for q in blk.divisors}
+                entry["psi"] = {str(q): format_rational(self.psi_of(q)) for q in blk.divisors}
+                entry["y"] = {str(q): format_rational(self.y_of(q)) for q in blk.divisors}
+                entry["residue"] = {str(q): self._residue(q, blk.P // q) for q in blk.divisors}
             blocks.append(entry)
         return {"mode": self.mode, "blocks": blocks}
 
@@ -194,28 +193,45 @@ class CounterexampleInstance:
         return json.dumps(self.to_json_obj(), sort_keys=True, indent=2)
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "CounterexampleInstance":
-        inst = cls(mode=obj["mode"], blocks=[])
-        for entry in obj["blocks"]:
-            divisors = entry["divisors"]
-            blk = Block(
-                index=entry["index"],
-                primes=tuple(entry["primes"]),
-                P=entry["P"],
-                eps=parse_rational(entry["eps"]),
-                density=parse_rational(entry["density"]),
-                divisor_count=entry["divisor_count"],
-                divisors=tuple(divisors) if divisors is not None else None,
-            )
-            inst.blocks.append(blk)
-            if divisors is not None:
-                for q_str, value in entry["psi"].items():
-                    inst.psi[int(q_str)] = parse_rational(value)
-                for q_str, value in entry["y"].items():
-                    inst.y[int(q_str)] = parse_rational(value)
-                for q_str, value in entry["residue"].items():
-                    inst.residue[int(q_str)] = int(value)
-        inst.validate()
+    def from_json_obj(cls, obj) -> "CounterexampleInstance":
+        """The instance `to_json_obj` wrote.  Each materialized block's psi,
+        y and residue maps must have exactly its divisors as keys, and psi
+        and y must equal what the residues give; anything else raises
+        ValueError."""
+        try:
+            inst = cls(mode=obj["mode"], blocks=[])
+            entries = obj["blocks"]
+            for entry in entries:
+                divisors = entry["divisors"]
+                inst.blocks.append(Block(
+                    index=entry["index"],
+                    primes=tuple(entry["primes"]),
+                    P=entry["P"],
+                    eps=parse_rational(entry["eps"]),
+                    density=parse_rational(entry["density"]),
+                    divisor_count=entry["divisor_count"],
+                    divisors=tuple(divisors) if divisors is not None else None,
+                ))
+                keys = {str(q) for q in divisors or ()}
+                for name in ("psi", "y", "residue"):
+                    if set(entry.get(name, ())) != keys:
+                        raise ValueError(
+                            f"block {entry['index']}: {name} keys are not its divisors"
+                        )
+                for q in divisors or ():
+                    inst.residue[q] = entry["residue"][str(q)]
+            inst.validate()
+            for entry, blk in zip(entries, inst.blocks):
+                for q in blk.divisors or ():
+                    for name, value in (("psi", inst.psi_of(q)), ("y", inst.y_of(q))):
+                        if parse_rational(entry[name][str(q)]) != value:
+                            raise ValueError(
+                                f"{name}({q}) is not {format_rational(value)}"
+                            )
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(
+                f"malformed counterexample instance ({type(exc).__name__}: {exc})"
+            ) from exc
         return inst
 
     @classmethod
@@ -256,46 +272,11 @@ def _squarefree_divisors_with_totients(primes) -> list[tuple[int, int]]:
     return divisors
 
 
-def _populate_block(
-    inst: CounterexampleInstance,
-    index: int,
-    primes: tuple[int, ...],
-    eps: Fraction,
-    divisor_cap: int,
-    residue_override=None,
-) -> None:
-    P = 1
-    phi = 1
-    for p in primes:
-        P *= p
-        phi *= p - 1
-    density = Fraction(phi, P)
-    count = 2 ** len(primes) - 1
-    if count > divisor_cap:
-        inst.blocks.append(Block(index, primes, P, eps, density, count, None))
-        return
-    pairs = _squarefree_divisors_with_totients(primes)
-    divisors = tuple(sorted(d for d, _ in pairs if d > 1))
-    inst.blocks.append(Block(index, primes, P, eps, density, count, divisors))
-    for q in divisors:
-        cofactor = P // q
-        if residue_override and q in residue_override:
-            a = residue_override[q]
-        else:
-            a = 1 if cofactor > 1 else 0
-        inst.psi[q] = Fraction(q, 2 * P)
-        inst.residue[q] = a
-        inst.y[q] = Fraction(q * a, cofactor)
-
-
-def build_counterexample(
-    schedule: BlockSchedule, residue_override: dict[int, int] | None = None
-) -> CounterexampleInstance:
+def build_counterexample(schedule: BlockSchedule) -> CounterexampleInstance:
     """Build an instance block by block according to the schedule.
 
-    Residue choices default to numerator 1 (0 when the cofactor is 1);
-    every verified property is choice-independent, so overrides are for
-    exploration only.
+    Residue choices take the default numerator 1 (0 when the cofactor is
+    1); every verified property is choice-independent.
     """
     inst = CounterexampleInstance(mode=schedule.mode, blocks=[])
     previous_P = 1
@@ -307,65 +288,50 @@ def build_counterexample(
                 f"block {j}: starting point {start} is past the 64-bit prime range"
             )
         try:
-            primes, _ = primes_for_epsilon(
-                start, schedule.eps_for(j), max_run=schedule.prime_run_cap
-            )
+            primes, _ = primes_for_epsilon(start, schedule.eps_for(j))
         except BudgetError as exc:
             raise BudgetError(f"block {j}: {exc}") from exc
-        _populate_block(
-            inst, j, tuple(primes), schedule.eps_for(j), schedule.divisor_cap,
-            residue_override,
-        )
+        inst.blocks.append(_block(j, tuple(primes), schedule.eps_for(j)))
         previous_P = inst.blocks[-1].P
         largest_prime = primes[-1]
     inst.validate()
     return inst
 
 
-def instance_from_prime_blocks(
-    prime_blocks, eps=None, divisor_cap: int = DEFAULT_DIVISOR_CAP,
-    residue_override: dict[int, int] | None = None,
-) -> CounterexampleInstance:
-    """Build an instance from explicit prime lists, one list per block.
-
-    eps defaults to 1 for every block, which any product of primes beats.
-    """
+def instance_from_prime_blocks(prime_blocks) -> CounterexampleInstance:
+    """Build an instance from explicit prime lists, one list per block,
+    with eps = 1 for every block, which any product of primes beats."""
     inst = CounterexampleInstance(mode="explicit", blocks=[])
     for j, primes in enumerate(prime_blocks, start=1):
-        primes = tuple(sorted(int(p) for p in primes))
-        if len(set(primes)) != len(primes):
-            raise ValueError(f"block {j}: repeated prime")
-        block_eps = Fraction(1) if eps is None else Fraction(eps[j - 1])
-        _populate_block(inst, j, primes, block_eps, divisor_cap, residue_override)
+        inst.blocks.append(_block(j, tuple(sorted(int(p) for p in primes)), Fraction(1)))
     inst.validate()
     return inst
 
 
-def block_union_set(
-    inst: CounterexampleInstance, j: int, piece_cap: int = DEFAULT_PIECE_CAP
-) -> TorusIntervalSet:
-    """Exact union of the approximation sets over block j's support."""
+def block_union_set(inst: CounterexampleInstance, j: int) -> TorusIntervalSet:
+    """Exact union of the approximation sets over block j's support.
+
+    Refuses P_j past the approximation-set cap before building any set:
+    q = P_j is in the support, and the union has phi(P_j) < P_j pieces.
+    """
     blk = inst.block(j)
     if blk.divisors is None:
         raise BudgetError(
             f"block {j}: {blk.divisor_count} divisors exceed the materialization cap"
         )
-    pieces_needed = blk.density.numerator * (blk.P // blk.density.denominator)
-    if pieces_needed > piece_cap:
+    if blk.P > _PIECE_CAP:
         raise BudgetError(
-            f"block {j}: union needs {pieces_needed} pieces, cap is {piece_cap}"
+            f"block {j}: P = {blk.P} exceeds the approximation-set cap {_PIECE_CAP}"
         )
     sets = [build_approx_set(q, inst.psi_of(q), inst.y_of(q)) for q in blk.divisors]
     return TorusIntervalSet.empty().union(*sets)
 
 
-def verify_containment(
-    inst: CounterexampleInstance, j: int, piece_cap: int = DEFAULT_PIECE_CAP
-) -> bool:
+def verify_containment(inst: CounterexampleInstance, j: int) -> bool:
     """Exact check that block j's union sits inside the thickened reduced
     residues of P_j (radius 1/(2 P_j), half-open)."""
     blk = inst.block(j)
-    union = block_union_set(inst, j, piece_cap)
+    union = block_union_set(inst, j)
     # [a/P - 1/(2P), a/P + 1/(2P)) in units of 1/(2P).
     thickened = TorusIntervalSet.from_spans(
         2 * blk.P, [(2 * a - 1, 2 * a + 1) for a in coprime_residues(blk.P)]
@@ -379,12 +345,10 @@ class BlockMeasure(NamedTuple):
     ok: bool
 
 
-def verify_block_measure(
-    inst: CounterexampleInstance, j: int, piece_cap: int = DEFAULT_PIECE_CAP
-) -> BlockMeasure:
+def verify_block_measure(inst: CounterexampleInstance, j: int) -> BlockMeasure:
     """Exact block union measure against phi(P_j)/P_j and eps_j."""
     blk = inst.block(j)
-    measure = block_union_set(inst, j, piece_cap).measure()
+    measure = block_union_set(inst, j).measure()
     bound = blk.density
     return BlockMeasure(measure=measure, bound=bound, ok=measure <= bound < blk.eps)
 

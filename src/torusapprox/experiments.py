@@ -31,7 +31,7 @@ from fractions import Fraction
 from importlib import resources
 from itertools import repeat
 
-from .approx import ApproxFunction, TargetSequence, build_approx_set
+from .approx import _PIECE_CAP, ApproxFunction, TargetSequence, build_approx_set
 from .arith import factorize_with_table, spf_table, totient, totient_range
 from .errors import BudgetError, IdentityError
 from .overlap import _main_term_units, _overlap_row, _overlap_rows, _pair_overlap_units
@@ -41,10 +41,9 @@ from .torus import _overlap_units
 DEFAULT_EXACT_Q_CAP = 512
 # Worker processes a scan may start (the ladder suite uses 8).
 _WORKER_CAP = 64
-# Enclosure bits.  A bound's numerator grows by about 0.3 digits per bit,
-# and Python renders integers of up to 4300 digits: at 2048 bits the
-# pow:1/2,1 report at Q = 2048, whose ratio carries the square of a
-# 1747-digit measure sum, still renders.
+# Enclosure bits.  Every pair term is scaled by 2**precision, so a huge
+# --precision would build integers of that many bits per pair; 2048 bits
+# (617 digits) is far finer than any reported bound needs.
 _PRECISION_CAP = 2048
 
 _ZERO = Fraction(0)
@@ -263,6 +262,10 @@ def pairwise_overlap_sum(cfg: ExperimentConfig) -> SumReport:
             f"exact accumulation is capped at Q = {cfg.exact_q_cap}; "
             "use enclosure mode beyond that"
         )
+    # Refused here, before any set is built: `build_approx_set` would
+    # refuse only q = _PIECE_CAP + 1, after building every smaller set.
+    if cfg.Q > _PIECE_CAP:
+        raise BudgetError(f"Q = {cfg.Q} exceeds the approximation-set cap {_PIECE_CAP}")
     per_q = []
     measure_sum = Fraction(0)
     for q in range(1, cfg.Q + 1):
@@ -349,9 +352,7 @@ class MainTermRow:
     ratio: Fraction | None
 
 
-def main_term_sum_check(
-    psi: ApproxFunction, m: int, ladder, strict_indicator: bool = False
-) -> list[MainTermRow]:
+def main_term_sum_check(psi: ApproxFunction, m: int, ladder) -> list[MainTermRow]:
     """Sum of M(q, r)**m over q != r <= Q against the squared normalized
     weight sum, for each Q in the ladder.
 
@@ -376,7 +377,7 @@ def main_term_sum_check(
             for row_r in rows[1:q]:
                 if not row_r[4]:
                     continue
-                num, den = _main_term_units(row_q, row_r, strict_indicator)
+                num, den = _main_term_units(row_q, row_r)
                 if num:
                     g = math.gcd(num, den)
                     den //= g
@@ -429,8 +430,8 @@ def phigcd_sum(q: int, m: int) -> tuple[int, int]:
     return brute, divisor_form
 
 
-def phigcd_batch_check(limit: int, ms=(1, 2, 3, 4)) -> dict:
-    """Brute force vs divisor identity for every q <= limit and every m.
+def phigcd_batch_check(limit: int) -> dict:
+    """Brute force vs divisor identity for every q <= limit and m in 1..4.
 
     Also tracks max over q of sum/phi(q)**m for m >= 3 and of sum/q**2 for
     m = 2.  Returns {"ok": bool, "mismatches": int, "max_ratios": {m: Fraction}}.
@@ -441,7 +442,7 @@ def phigcd_batch_check(limit: int, ms=(1, 2, 3, 4)) -> dict:
     best: dict[int, tuple[int, int]] = {}  # max ratio per m as (num, den)
     for q in range(1, limit + 1):
         counts = Counter(map(gcd, repeat(q), range(1, q + 1)))
-        for m in ms:
+        for m in range(1, 5):
             brute = sum(count * phi[g] ** m for g, count in counts.items())
             if brute != _divisor_form(q, m, counts, phi):
                 mismatches += 1
@@ -592,6 +593,8 @@ def equidistribution_scan(cfg: ExperimentConfig, windows) -> dict:
     Skips q with psi(q) = 0 (the ratio is undefined there).  Targets use
     the first coordinate; the scan is one-dimensional.
     """
+    if cfg.Q > _PIECE_CAP:
+        raise BudgetError(f"Q = {cfg.Q} exceeds the approximation-set cap {_PIECE_CAP}")
     parsed = []
     for lo, hi in windows:
         lo = Fraction(lo)

@@ -43,7 +43,7 @@ from fractions import Fraction
 
 from .approx import build_approx_set, coprime_residues
 from .arith import factorize, factorize_with_table, spf_table, totient
-from .errors import BudgetError, IdentityError
+from .errors import IdentityError
 from .torus import measure_intersection
 
 _ZERO = Fraction(0)
@@ -445,16 +445,15 @@ def overlap_count_bound(q: int, r: int, psi, y_q=0, y_r=0) -> Fraction:
     return geometry.min_length * count
 
 
-def sifted_interval_count(
-    x, y, n: int, omega_cap: int = 24
-) -> tuple[int, Fraction, Fraction]:
+def sifted_interval_count(x, y, n: int) -> tuple[int, Fraction, Fraction]:
     """Exact count of integers c in [x, y] with gcd(c, n) = 1.
 
     Inclusion-exclusion over the squarefree divisors of rad(n).  Returns
     (count, main_term, error) where main_term = (y - x) * phi(rad n)/rad n
     and error = |count - main_term|, which inclusion-exclusion bounds by
-    2**omega(n).  Both window endpoints are inclusive.  Refuses moduli with
-    more than omega_cap distinct primes (the 2**omega subset walk blows up).
+    2**omega(n).  Both window endpoints are inclusive.  `factorize` refuses
+    n >= 2**64, so n has at most 15 distinct primes and the subset walk
+    at most 2**15 terms.
     """
     x = Fraction(x)
     y = Fraction(y)
@@ -463,10 +462,6 @@ def sifted_interval_count(
     if n < 1:
         raise ValueError("modulus must be >= 1")
     primes = [p for p, _ in factorize(n)]
-    if len(primes) > omega_cap:
-        raise BudgetError(
-            f"{len(primes)} distinct primes exceed the inclusion-exclusion cap {omega_cap}"
-        )
     # Signed squarefree divisors of rad(n).
     signed: list[tuple[int, int]] = [(1, 1)]
     for p in primes:

@@ -258,7 +258,7 @@ def check_counterexample() -> CheckResult:
 
 
 def check_phigcd(limit_equal: int = 10**4, limit_ratio: int = 10**5) -> CheckResult:
-    outcome = phigcd_batch_check(limit_equal, ms=(1, 2, 3, 4))
+    outcome = phigcd_batch_check(limit_equal)
     if not outcome["ok"]:
         return CheckResult(
             "phigcd", False,

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import torusapprox.arith as arith
 from torusapprox.arith import (
     factorize,
     factorize_with_table,
@@ -72,9 +73,13 @@ def test_spf_table_agrees_with_factorize():
         assert factorize_with_table(n, table) == factorize(n)
 
 
-def test_spf_table_budget_refusal():
+def test_spf_table_budget_refusal(monkeypatch):
     with pytest.raises(BudgetError):
         spf_table(10**9)
+    monkeypatch.setattr(arith, "_SPF_CAP", 99)
+    assert len(spf_table(99)) == 100
+    with pytest.raises(BudgetError, match="cap 99"):
+        spf_table(100)
 
 
 def test_totient_examples():
@@ -130,9 +135,10 @@ def test_primes_for_epsilon_minimality():
         assert shorter >= eps
 
 
-def test_primes_for_epsilon_cap():
-    with pytest.raises(BudgetError, match="partial product"):
-        primes_for_epsilon(10, Fraction(1, 10**6), max_run=5)
+def test_primes_for_epsilon_cap(monkeypatch):
+    monkeypatch.setattr(arith, "_PRIME_RUN_CAP", 5)
+    with pytest.raises(BudgetError, match="prime run cap 5 .*partial product"):
+        primes_for_epsilon(10, Fraction(1, 10**6))
 
 
 def test_prime_tail_threshold_examples():

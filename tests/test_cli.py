@@ -3,15 +3,21 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import torusapprox.cli as cli
 import torusapprox.counterexample as counterexample
+import torusapprox.experiments as experiments
 import torusapprox.verification as verification
+from torusapprox.approx import ApproxFunction, TargetSequence
 from torusapprox.cli import run
+from torusapprox.counterexample import instance_from_prime_blocks
 from torusapprox.errors import IdentityError
+from torusapprox.experiments import ExperimentConfig, pairwise_overlap_sum
+from torusapprox.rationals import _unlimited_int_digits, parse_rational
 from torusapprox.verification import check_counterexample, check_sifted_counts
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -289,3 +295,66 @@ def test_resource_caps_exit_3_with_one_line(capsys, argv):
     assert code == 3
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("budget refusal: ")
+
+
+def _p6_file(**block_fields) -> str:
+    """The saved P = 6 instance with some of block 1's entries replaced."""
+    obj = instance_from_prime_blocks([[2, 3]]).to_json_obj()
+    obj["blocks"][0].update(block_fields)
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("kind,text", [
+    ("cx", _p6_file(psi={"3": "1/4", "6": "1/2"})),
+    ("cx", _p6_file(psi={"2": "1/6", "3": "1/4", "5": "5/12", "6": "1/2"})),
+    ("cx", json.dumps({"mode": "explicit"})),
+    ("cx", _p6_file(divisors="abc")),
+    ("cx", "[]"),
+    ("table", "5\n"),
+], ids=["cx-psi-2-missing", "cx-psi-5-extra", "cx-no-blocks", "cx-divisors-str",
+        "cx-json-list", "table-one-column"])
+def test_bad_input_files_exit_2_with_one_line(capsys, tmp_path, kind, text):
+    path = tmp_path / "input"
+    path.write_text(text)
+    code, out, err = run_capture(capsys, ["measure", "--q", "2", "--psi", f"{kind}:{path}"])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    "pairwise --Q 1000001 --psi const:1/4 --mode enclosure",
+    "equidist --Q 1000001 --psi const:1/4",
+])
+def test_oversized_scans_refuse_before_building_a_set(capsys, monkeypatch, argv):
+    def build_approx_set(*args):
+        raise AssertionError("a set was built before the Q cap refused the scan")
+
+    monkeypatch.setattr(experiments, "build_approx_set", build_approx_set)
+    code, out, err = run_capture(capsys, argv.split())
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("budget refusal: ")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_reports_render_integers_past_the_str_digit_limit(capsys, fmt):
+    # The ratio's numerator and denominator run to thousands of digits.
+    argv = f"pairwise --Q 30 --m 600 --psi const:1/3 --format {fmt}".split()
+    code, out, err = run_capture(capsys, argv)
+    assert code == 0
+    if fmt == "csv":
+        text = out.splitlines()[-1].split(",")[-1]
+    else:
+        text = json.loads(out)["rows"][0]["ratio"]
+    expected = pairwise_overlap_sum(ExperimentConfig(
+        Q=30, psi=ApproxFunction.constant(Fraction(1, 3)), target=TargetSequence.zero(600),
+        m=600,
+    )).ratio
+    assert expected.denominator > 10**4300
+    with _unlimited_int_digits():
+        assert parse_rational(text) == expected
+    # Input keeps the limit once the report is rendered.
+    code, out, err = run_capture(capsys, ["measure", "--q", "9" * 5000, "--psi", "const:1/4"])
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("usage error: ")

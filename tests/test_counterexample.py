@@ -1,7 +1,10 @@
+import json
 from fractions import Fraction
 
 import pytest
 
+import torusapprox.arith as arith
+import torusapprox.counterexample as counterexample
 from torusapprox.counterexample import (
     BlockSchedule,
     CounterexampleInstance,
@@ -111,18 +114,31 @@ def test_interval_radius_equals_thickening_radius():
         assert F(inst.psi_of(q), q) == F(1, 2 * P)
 
 
+def _saved(inst) -> dict:
+    return json.loads(inst.to_json())
+
+
 def test_residue_override_is_verified_too():
-    inst = instance_from_prime_blocks([[2, 3]], residue_override={2: 2})
+    obj = _saved(instance_from_prime_blocks([[2, 3]]))
+    obj["blocks"][0]["residue"]["2"] = 2
+    obj["blocks"][0]["y"]["2"] = "4/3"
+    inst = CounterexampleInstance.from_json_obj(obj)
     assert inst.y_of(2) == F(4, 3)
     assert verify_containment(inst, 1)
-    with pytest.raises(ValueError):
-        instance_from_prime_blocks([[2, 3]], residue_override={2: 3})  # 3 not reduced mod 3
+    assert json.loads(inst.to_json()) == obj
+    obj["blocks"][0]["residue"]["2"] = 3  # 3 not reduced mod 3
+    obj["blocks"][0]["y"]["2"] = "2/1"
+    with pytest.raises(ValueError, match="not reduced"):
+        CounterexampleInstance.from_json_obj(obj)
 
 
 def test_corrupted_target_breaks_containment():
     inst = instance_from_prime_blocks([[2, 3]])
-    inst.y[2] = F(1, 2)  # center leaves the P=6 residue grid
+    inst.residue[2] = 0  # center leaves the P=6 residue grid
+    assert inst.y_of(2) == 0
     assert not verify_containment(inst, 1)
+    with pytest.raises(ValueError, match="not reduced"):
+        inst.validate()
 
 
 def test_validation_rejections():
@@ -130,30 +146,93 @@ def test_validation_rejections():
         instance_from_prime_blocks([[4]])
     with pytest.raises(ValueError, match="reused"):
         instance_from_prime_blocks([[2, 3], [3, 5]])
-    inst = instance_from_prime_blocks([[2, 3]])
-    inst.psi[2] = F(1, 7)
-    with pytest.raises(ValueError, match="q/\\(2P\\)"):
-        inst.validate()
+    with pytest.raises(ValueError, match="reused"):
+        instance_from_prime_blocks([[2, 2]])
+    obj = _saved(instance_from_prime_blocks([[2, 3]]))
+    obj["blocks"][0]["psi"]["2"] = "1/7"
+    with pytest.raises(ValueError, match="psi\\(2\\) is not 1/6"):
+        CounterexampleInstance.from_json_obj(obj)
 
 
-def test_budget_refusals():
+def _drop(key):
+    def edit(obj):
+        del obj["blocks"][0][key]["2"]
+    return edit
+
+
+def _set(key, q, value):
+    def edit(obj):
+        obj["blocks"][0][key][q] = value
+    return edit
+
+
+def _set_field(key, value):
+    def edit(obj):
+        obj["blocks"][0][key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _drop("psi"),
+    _drop("y"),
+    _drop("residue"),
+    _set("psi", "5", "5/12"),  # q = 5 is outside the block
+    _set("y", "02", "2/3"),
+    _set("residue", "2", "1"),
+    _set("residue", "2", True),
+    _set("psi", "2", 1),
+    _set("y", "3", "1/2"),
+    _set_field("divisors", "abc"),
+    _set_field("divisors", [2, 3]),
+    _set_field("density", "1/2"),
+    _set_field("P", 30),
+    _set_field("index", 2),
+    lambda obj: obj["blocks"][0].pop("residue"),
+    lambda obj: obj.pop("blocks"),
+    lambda obj: obj["blocks"].append(7),
+], ids=[
+    "psi-missing", "y-missing", "residue-missing", "psi-extra", "y-bad-key",
+    "residue-str", "residue-bool", "psi-int", "y-value", "divisors-str",
+    "divisors-short", "density", "P", "index", "no-residue-map", "no-blocks",
+    "block-int",
+])
+def test_malformed_files_raise_value_error(edit):
+    obj = _saved(instance_from_prime_blocks([[2, 3]]))
+    edit(obj)
+    with pytest.raises(ValueError):
+        CounterexampleInstance.from_json_obj(obj)
+    with pytest.raises(ValueError):
+        CounterexampleInstance.from_json_obj([obj])
+
+
+def test_budget_refusals(monkeypatch):
+    monkeypatch.setattr(counterexample, "_DIVISOR_CAP", 4)
     with pytest.raises(BudgetError, match="divisors"):
-        inst = instance_from_prime_blocks([[2, 3, 5, 7]], divisor_cap=4)
+        inst = instance_from_prime_blocks([[2, 3, 5, 7]])
         block_union_set(inst, 1)
-    inst = instance_from_prime_blocks([[2, 3, 5]])
-    with pytest.raises(BudgetError, match="pieces"):
-        block_union_set(inst, 1, piece_cap=3)
+    monkeypatch.undo()
+    inst = instance_from_prime_blocks([[2, 3, 5, 7, 11, 13, 17, 19]])  # P > 10**6
+    with pytest.raises(BudgetError, match="approximation-set cap"):
+        block_union_set(inst, 1)
+    monkeypatch.setattr(counterexample, "_PIECE_CAP", 29)
+    with pytest.raises(BudgetError, match="P = 30 exceeds"):
+        verify_containment(instance_from_prime_blocks([[2, 3, 5]]), 1)
+    monkeypatch.setattr(arith, "_PRIME_RUN_CAP", 10)
     with pytest.raises(BudgetError, match="block 1"):
-        build_counterexample(BlockSchedule(blocks=1, eps=(F(1, 10**4),), prime_run_cap=10))
+        build_counterexample(BlockSchedule(blocks=1, eps=(F(1, 10**4),)))
 
 
-def test_deferred_block_closed_form_divergence():
-    inst = instance_from_prime_blocks([[2, 3, 5, 7, 11, 13]], divisor_cap=8)
+def test_deferred_block_closed_form_divergence(monkeypatch):
+    monkeypatch.setattr(counterexample, "_DIVISOR_CAP", 8)
+    inst = instance_from_prime_blocks([[2, 3, 5, 7, 11, 13]])
     assert inst.blocks[0].divisors is None
     P = inst.blocks[0].P
     assert divergence_partial_sum(inst, 1) == F(P - 1, 2 * P)
     assert inst.psi_of(30030) == F(30030, 2 * P)
     assert inst.psi_of(7) == F(7, 2 * P)
+    obj = _saved(inst)
+    assert "psi" not in obj["blocks"][0]
+    assert CounterexampleInstance.from_json_obj(obj).to_json() == inst.to_json()
 
 
 def test_json_round_trip():

@@ -229,7 +229,7 @@ def test_phigcd_examples():
 
 
 def test_phigcd_batch_and_scan_agree():
-    outcome = phigcd_batch_check(400, ms=(1, 2, 3, 4))
+    outcome = phigcd_batch_check(400)
     assert outcome["ok"]
     assert outcome["max_ratios"][3] == phigcd_ratio_scan(400, 3)
     assert outcome["max_ratios"][2] <= 1  # the m = 2 sum never exceeds q**2

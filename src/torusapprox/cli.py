@@ -24,6 +24,7 @@ from .approx import ApproxFunction, TargetSequence, approx_set_measure
 from .counterexample import (
     BlockSchedule,
     CounterexampleInstance,
+    _refuse_unbuildable,
     _write_atomic,
     build_counterexample,
     divergence_partial_sum,
@@ -53,6 +54,16 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
+def _shown(value) -> str:
+    """A rejected input for a usage error: its repr, or when longer than 60
+    characters the repr of its first 60 and its length, so one oversized
+    argument cannot make the message as long as itself."""
+    text = str(value)
+    if len(text) <= 60:
+        return repr(text)
+    return f"{text[:60]!r}... ({len(text)} characters)"
+
+
 def _load_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     with open(path) as handle:
@@ -61,7 +72,7 @@ def _load_config_file(path: str) -> dict[str, str]:
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise UsageError(f"bad config line: {line!r}")
+                raise UsageError(f"bad config line: {_shown(line)}")
             key, value = line.split("=", 1)
             values[key.strip()] = value.strip()
     return values
@@ -125,7 +136,7 @@ def _psi_from(args, key="psi") -> ApproxFunction:
     try:
         return ApproxFunction.parse(spec, cx_loader=CounterexampleInstance.load)
     except (ValueError, OSError) as exc:
-        raise UsageError(f"bad psi spec {spec!r}: {exc}") from exc
+        raise UsageError(f"bad psi spec {_shown(spec)}: {exc}") from exc
 
 
 def _target_from(args, m: int, key="y") -> TargetSequence:
@@ -135,7 +146,7 @@ def _target_from(args, m: int, key="y") -> TargetSequence:
     try:
         return TargetSequence.parse(spec, m, cx_loader=CounterexampleInstance.load)
     except (ValueError, OSError) as exc:
-        raise UsageError(f"bad target spec {spec!r}: {exc}") from exc
+        raise UsageError(f"bad target spec {_shown(spec)}: {exc}") from exc
 
 
 def _int_arg(args, key, default=None) -> int | None:
@@ -145,7 +156,7 @@ def _int_arg(args, key, default=None) -> int | None:
     try:
         return int(value)
     except ValueError as exc:
-        raise UsageError(f"--{key} wants an integer, got {value!r}") from exc
+        raise UsageError(f"--{key} wants an integer, got {_shown(value)}") from exc
 
 
 def _rational_arg(args, key, default=None) -> Fraction | None:
@@ -157,7 +168,7 @@ def _rational_arg(args, key, default=None) -> Fraction | None:
     try:
         return parse_rational(value)
     except ValueError as exc:
-        raise UsageError(f"--{key} wants a rational p/q, got {value!r}") from exc
+        raise UsageError(f"--{key} wants a rational p/q, got {_shown(value)}") from exc
 
 
 # -- subcommand handlers -------------------------------------------------------------
@@ -253,7 +264,7 @@ def _cmd_msum(args) -> int:
         try:
             ladder = [int(v) for v in str(ladder_text).split(",")]
         except ValueError as exc:
-            raise UsageError(f"bad ladder {ladder_text!r}") from exc
+            raise UsageError(f"bad ladder {_shown(ladder_text)}") from exc
     else:
         q_max = _int_arg(args, "Q")
         if q_max is None:
@@ -307,7 +318,7 @@ def _cmd_counterexample(args) -> int:
                 for chunk in str(primes_text).split(";")
             ]
         except ValueError as exc:
-            raise UsageError(f"bad primes spec {primes_text!r}") from exc
+            raise UsageError(f"bad primes spec {_shown(primes_text)}") from exc
         inst = instance_from_prime_blocks(blocks)
         config = {"subcommand": "counterexample", "primes": primes_text}
     else:
@@ -325,6 +336,11 @@ def _cmd_counterexample(args) -> int:
             "subcommand": "counterexample", "blocks": blocks_n,
             "eps": eps_text or "2^-j", "mode": mode,
         }
+    if args.verify:
+        # A block too large to build is a resource cap, refused before any
+        # block is checked or the instance is saved.
+        for block in inst.blocks:
+            _refuse_unbuildable(block)
     if args.save:
         inst.save(args.save)
     rows = []
@@ -338,20 +354,15 @@ def _cmd_counterexample(args) -> int:
             "divisors": block.divisor_count,
         }
         if args.verify:
-            if block.divisors is None:
-                row.update(containment="deferred", measure="deferred",
-                           bound=format_rational(block.density), ok=False)
-                all_ok = False
-            else:
-                contained = verify_containment(inst, block.index)
-                measured = verify_block_measure(inst, block.index)
-                row.update(
-                    containment=contained,
-                    measure=format_rational(measured.measure),
-                    bound=format_rational(measured.bound),
-                    ok=contained and measured.ok,
-                )
-                all_ok = all_ok and contained and measured.ok
+            contained = verify_containment(inst, block.index)
+            measured = verify_block_measure(inst, block.index)
+            row.update(
+                containment=contained,
+                measure=format_rational(measured.measure),
+                bound=format_rational(measured.bound),
+                ok=contained and measured.ok,
+            )
+            all_ok = all_ok and contained and measured.ok
         rows.append(row)
     summary_columns = list(rows[0])
     config["divergence_sum"] = format_rational(
@@ -396,7 +407,7 @@ def _cmd_equidist(args) -> int:
             lo, hi = chunk.split(":")
             windows.append((parse_rational(lo), parse_rational(hi)))
         except ValueError as exc:
-            raise UsageError(f"bad window {chunk!r}; want lo:hi") from exc
+            raise UsageError(f"bad window {_shown(chunk)}; want lo:hi") from exc
     cfg = ExperimentConfig(Q=q_max, psi=psi, target=target, m=1)
     scan = equidistribution_scan(cfg, windows)
     rows = []
@@ -434,7 +445,7 @@ def _cmd_mc(args) -> int:
         else:
             q_range = [int(v) for v in text.split(",")]
     except ValueError as exc:
-        raise UsageError(f"bad q-range {text!r}") from exc
+        raise UsageError(f"bad q-range {_shown(text)}") from exc
     m = _int_arg(args, "m", 1)
     samples = _int_arg(args, "samples", 10_000)
     psi = _psi_from(args)
@@ -462,7 +473,7 @@ def _cmd_mc(args) -> int:
 def _cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     if any(name not in SUITES for name in names):
-        raise UsageError(f"unknown suite {args.suite!r}; choose from {', '.join(SUITES)} or all")
+        raise UsageError(f"unknown suite {_shown(args.suite)}; choose from {', '.join(SUITES)} or all")
     failures = 0
     for name in names:
         start = time.perf_counter()

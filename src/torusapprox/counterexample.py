@@ -308,21 +308,25 @@ def instance_from_prime_blocks(prime_blocks) -> CounterexampleInstance:
     return inst
 
 
-def block_union_set(inst: CounterexampleInstance, j: int) -> TorusIntervalSet:
-    """Exact union of the approximation sets over block j's support.
-
-    Refuses P_j past the approximation-set cap before building any set:
-    q = P_j is in the support, and the union has phi(P_j) < P_j pieces.
-    """
-    blk = inst.block(j)
+def _refuse_unbuildable(blk: Block) -> None:
+    """Raise BudgetError when a block's union cannot be built: its divisors
+    were never materialized, or P is past the approximation-set cap (q = P
+    is in the support, and the union has phi(P) < P pieces)."""
     if blk.divisors is None:
         raise BudgetError(
-            f"block {j}: {blk.divisor_count} divisors exceed the materialization cap"
+            f"block {blk.index}: {blk.divisor_count} divisors exceed the materialization cap"
         )
     if blk.P > _PIECE_CAP:
         raise BudgetError(
-            f"block {j}: P = {blk.P} exceeds the approximation-set cap {_PIECE_CAP}"
+            f"block {blk.index}: P = {blk.P} exceeds the approximation-set cap {_PIECE_CAP}"
         )
+
+
+def block_union_set(inst: CounterexampleInstance, j: int) -> TorusIntervalSet:
+    """Exact union of the approximation sets over block j's support,
+    refused by `_refuse_unbuildable` before any set is built."""
+    blk = inst.block(j)
+    _refuse_unbuildable(blk)
     sets = [build_approx_set(q, inst.psi_of(q), inst.y_of(q)) for q in blk.divisors]
     return TorusIntervalSet.empty().union(*sets)
 

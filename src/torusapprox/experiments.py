@@ -12,12 +12,14 @@ the interval merge `torus._overlap_units` on sets built for the other
 pairs only.  The set measures come from the sets themselves, one
 q at a time, so they do not depend on either engine.
 
-Exact mode accumulates fractions.Fraction values; results are independent
-of the worker count because rational addition is exact.  Enclosure mode
-rounds every pair contribution outward to a dyadic grid of the configured
-precision before summing, so partial sums stay cheap, the reported
-lower/upper bounds are guaranteed, and the output is still bit-identical
-for any partitioning.
+Every pair term stays an unreduced integer (num, den) from the kernel on.
+Exact mode sums each row r (the pairs q < r) as one integer numerator over
+the running lcm of the row's denominators and reduces it once, to the
+row's Fraction; results are independent of the worker count because
+rational addition is exact.  Enclosure mode rounds every pair term outward
+to a dyadic grid of the configured precision before summing, so partial
+sums stay cheap, the reported lower/upper bounds are guaranteed, and the
+output is still bit-identical for any partitioning.
 """
 
 from __future__ import annotations
@@ -34,7 +36,13 @@ from itertools import repeat
 from .approx import _PIECE_CAP, ApproxFunction, TargetSequence, build_approx_set
 from .arith import factorize_with_table, spf_table, totient, totient_range
 from .errors import BudgetError, IdentityError
-from .overlap import _main_term_units, _overlap_row, _overlap_rows, _pair_overlap_units
+from .overlap import (
+    _ell_em_en,
+    _main_term_units,
+    _overlap_row,
+    _overlap_rows,
+    _pair_overlap_units,
+)
 from .rationals import parse_rational
 from .torus import _overlap_units
 
@@ -82,12 +90,12 @@ class Enclosure:
     lo_units: int = 0  # multiples of 2**-bits
     hi_units: int = 0
 
-    def add(self, value: Fraction) -> None:
-        scale = 1 << self.bits
-        num = value.numerator * scale
-        den = value.denominator
+    def add(self, num: int, den: int) -> None:
+        """Add num/den (den > 0, reduced or not): floor and ceil of
+        num * 2**bits / den depend only on the rational."""
+        num <<= self.bits
         self.lo_units += num // den
-        self.hi_units += -((-num) // den)
+        self.hi_units -= (-num) // den
 
     def merge(self, other: "Enclosure") -> None:
         if other.bits != self.bits:
@@ -184,8 +192,9 @@ def _merge_set(sets: dict, key, row):
 
 def _pair_value(
     rows, q: int, r: int, m: int, memo: dict | None, sets: dict | None
-) -> Fraction:
-    """Product over the coordinates of |A_q & A_r|: by the closed form when
+) -> tuple[int, int]:
+    """Product over the coordinates of |A_q & A_r| as an unreduced
+    (num, den), (0, 1) when a coordinate misses: by the closed form when
     `sets` is None, else by the interval merge on sets cached there.  memo
     holds the coordinate overlaps already computed in q's row, or is None."""
     num = den_product = 1
@@ -202,10 +211,10 @@ def _pair_value(
                 memo[(ka, kb)] = got
         units, den = got
         if units == 0:
-            return _ZERO
+            return 0, 1
         num *= units
         den_product *= den
-    return Fraction(num, den_product)
+    return num, den_product
 
 
 def _pairwise_worker(payload) -> tuple[object, tuple[int, int]]:
@@ -221,20 +230,28 @@ def _pairwise_worker(payload) -> tuple[object, tuple[int, int]]:
     exact = cfg.mode == "exact"
     partial = [] if exact else Enclosure(cfg.precision)
     for r in range(1 + worker_index, cfg.Q + 1, worker_count):
-        row_sum = Fraction(0)
+        # The row's sum: one numerator over the running lcm of its pairs'
+        # denominators, reduced once when the row is done.
+        row_num, row_den = 0, 1
         # With one coordinate no memo key can repeat in a row.
         memo = {} if cfg.m > 1 else None
         pairs += r - 1
         for q in range(1, r):
             merge = not (closed[q] and closed[r])
             merge_pairs += merge
-            value = _pair_value(rows, q, r, cfg.m, memo, sets if merge else None)
-            if exact:
-                row_sum += value
-            elif value:
-                partial.add(value)
+            num, den = _pair_value(rows, q, r, cfg.m, memo, sets if merge else None)
+            if not num:
+                continue
+            if not exact:
+                partial.add(num, den)
+                continue
+            if row_den % den:
+                scale = den // math.gcd(row_den, den)
+                row_num *= scale
+                row_den *= scale
+            row_num += num * (row_den // den)
         if exact:
-            partial.append((r, row_sum))
+            partial.append((r, Fraction(row_num, row_den)))
     return partial, (pairs - merge_pairs, merge_pairs)
 
 
@@ -377,7 +394,7 @@ def main_term_sum_check(psi: ApproxFunction, m: int, ladder) -> list[MainTermRow
             for row_r in rows[1:q]:
                 if not row_r[4]:
                     continue
-                num, den = _main_term_units(row_q, row_r)
+                num, den = _main_term_units(row_q, row_r, _ell_em_en(row_q[1], row_r[1]))
                 if num:
                     g = math.gcd(num, den)
                     den //= g

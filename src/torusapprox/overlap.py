@@ -339,51 +339,55 @@ def _window_units(row_q: tuple, row_r: tuple) -> tuple[int, int]:
     return 2 * lcm * c, d * r
 
 
-def _phi_gcd(row_q: tuple, row_r: tuple) -> int:
-    """phi(gcd(q, r)) = phi(ell) phi(em)."""
-    ell, _, _, phi_em, balanced, _ = _ell_em_en(row_q[1], row_r[1])
+def _phi_gcd(split: tuple) -> int:
+    """phi(gcd(q, r)) = phi(ell) phi(em), from the pair's `_ell_em_en`
+    split.  The pair formulas below take that split as an argument, so a
+    caller needing several of them splits the pair's primes once."""
+    ell, _, _, phi_em, balanced, _ = split
     for p in balanced:
         ell = ell // p * (p - 1)
     return ell * phi_em
 
 
-def _main_term_units(row_q: tuple, row_r: tuple, strict_indicator: bool = False) -> tuple[int, int]:
+def _main_term_units(
+    row_q: tuple, row_r: tuple, split: tuple, strict_indicator: bool = False
+) -> tuple[int, int]:
     """M(q, r) as (num, den), unreduced, in integers: the one form behind
     `main_term`, `overlap_bound_terms` and the `msum` ladder.
 
     The window test D >= 1 (D > 1 with strict_indicator) and the
-    comparisons p > D over the split primes (those of q*r/gcd**2) are
-    cross-multiplications with D = dn/dd.
+    comparisons p > D over the split primes (those of q*r/gcd**2, read off
+    the pair's `split`) are cross-multiplications with D = dn/dd.
     """
-    q, fq, phi_q, b, a, _ = row_q
-    r, fr, phi_r, d, c, _ = row_r
+    q, _, phi_q, b, a, _ = row_q
+    r, _, phi_r, d, c, _ = row_r
     dn, dd = _window_units(row_q, row_r)
     if dn < dd or (strict_indicator and dn == dd):
         return 0, 1
     num = a * c * phi_q * phi_r
     den = b * d * q * r
-    for p in _ell_em_en(fq, fr)[5]:
+    for p in split[5]:
         if p * dd > dn:
             num *= p + 1
             den *= p
     return num, den
 
 
-def _addend2_units(row_q: tuple, row_r: tuple) -> tuple[int, int]:
+def _addend2_units(row_q: tuple, row_r: tuple, split: tuple) -> tuple[int, int]:
     """phi(gcd(q, r)) * min(psi(q)/q, psi(r)/r) as (num, den)."""
     q, _, _, b, a, _ = row_q
     r, _, _, d, c, _ = row_r
-    phi_g = _phi_gcd(row_q, row_r)
+    phi_g = _phi_gcd(split)
     if a * d * r <= c * b * q:
         return phi_g * a, b * q
     return phi_g * c, d * r
 
 
-def _trivial_units(row_q: tuple, row_r: tuple) -> tuple[int, int]:
+def _trivial_units(row_q: tuple, row_r: tuple, split: tuple) -> tuple[int, int]:
     """psi(q)psi(r) + (psi(q)/q) phi(gcd) = a(cq + d phi(gcd)) / (bdq) as (num, den)."""
     q, _, _, b, a, _ = row_q
     _, _, _, d, c, _ = row_r
-    return a * (c * q + d * _phi_gcd(row_q, row_r)), b * d * q
+    return a * (c * q + d * _phi_gcd(split)), b * d * q
 
 
 def overlap_bound_terms(q: int, r: int, psi) -> tuple[Fraction, Fraction]:
@@ -399,21 +403,22 @@ def overlap_bound_terms(q: int, r: int, psi) -> tuple[Fraction, Fraction]:
     """
     decompose_pair(q, r)  # checks the pair's ell/em/en identities
     row_q, row_r = _pair_rows(q, r, psi)
+    split = _ell_em_en(row_q[1], row_r[1])
     return (
-        Fraction(*_main_term_units(row_q, row_r, strict_indicator=True)),
-        Fraction(*_addend2_units(row_q, row_r)),
+        Fraction(*_main_term_units(row_q, row_r, split, strict_indicator=True)),
+        Fraction(*_addend2_units(row_q, row_r, split)),
     )
 
 
-def main_term(q: int, r: int, psi, strict_indicator: bool = False) -> Fraction:
-    """The main pairwise term M(q, r).
-
-    The default window indicator is D >= 1 (what the pairwise sums
-    downstream use); strict_indicator=True switches to D > 1, which is the
-    bound's addend1.  The two differ only on the measure-zero locus D = 1.
+def main_term(q: int, r: int, psi) -> Fraction:
+    """The main pairwise term M(q, r), with the window indicator D >= 1
+    (what the pairwise sums downstream use).  The bound's addend1 in
+    `overlap_bound_terms` is the strict D > 1 form; the two differ only on
+    the measure-zero locus D = 1.
     """
     decompose_pair(q, r)  # checks the pair's ell/em/en identities
-    return Fraction(*_main_term_units(*_pair_rows(q, r, psi), strict_indicator))
+    row_q, row_r = _pair_rows(q, r, psi)
+    return Fraction(*_main_term_units(row_q, row_r, _ell_em_en(row_q[1], row_r[1])))
 
 
 def trivial_overlap_bound(q: int, r: int, psi) -> Fraction:
@@ -423,7 +428,8 @@ def trivial_overlap_bound(q: int, r: int, psi) -> Fraction:
     """
     if not 1 <= r < q:
         raise ValueError("trivial_overlap_bound requires 1 <= r < q")
-    return Fraction(*_trivial_units(*_pair_rows(q, r, psi)))
+    row_q, row_r = _pair_rows(q, r, psi)
+    return Fraction(*_trivial_units(row_q, row_r, _ell_em_en(row_q[1], row_r[1])))
 
 
 def overlap_count_bound(q: int, r: int, psi, y_q=0, y_r=0) -> Fraction:
@@ -507,12 +513,13 @@ def overlap_report(q: int, r: int, psi, y_q=0, y_r=0) -> OverlapReport:
     dec = decompose_pair(q, r)
     row_q, row_r = _pair_rows(q, r, psi, y_q, y_r)
     hi, lo = (row_q, row_r) if q > r else (row_r, row_q)
+    split = _ell_em_en(row_q[1], row_r[1])
     return OverlapReport(
         q=q, r=r, ell=dec.ell, em=dec.em, en=dec.en,
         D=Fraction(*_window_units(row_q, row_r)),
         exact_overlap=pair_overlap_exact(q, r, psi, y_q, y_r),
-        addend1=Fraction(*_main_term_units(row_q, row_r, strict_indicator=True)),
-        addend2=Fraction(*_addend2_units(row_q, row_r)),
-        M=Fraction(*_main_term_units(row_q, row_r)),
-        trivial_rhs=Fraction(*_trivial_units(hi, lo)) if q != r else None,
+        addend1=Fraction(*_main_term_units(row_q, row_r, split, strict_indicator=True)),
+        addend2=Fraction(*_addend2_units(row_q, row_r, split)),
+        M=Fraction(*_main_term_units(row_q, row_r, split)),
+        trivial_rhs=Fraction(*_trivial_units(hi, lo, split)) if q != r else None,
     )

@@ -41,6 +41,7 @@ from .experiments import (
 )
 from .overlap import (
     _addend2_units,
+    _ell_em_en,
     _main_term_units,
     _overlap_rows,
     _pair_overlap_units,
@@ -173,14 +174,15 @@ def _bound_ratio_max(limit: int, psi: ApproxFunction) -> tuple[Fraction, Fractio
             if units == 0:
                 continue
             decompose_pair(q, r)  # checks the pair's ell/em/en identities
-            n1, d1 = _main_term_units(rows[q], rows[r], strict_indicator=True)
-            n2, d2 = _addend2_units(rows[q], rows[r])
+            split = _ell_em_en(rows[q][1], rows[r][1])
+            n1, d1 = _main_term_units(rows[q], rows[r], split, strict_indicator=True)
+            n2, d2 = _addend2_units(rows[q], rows[r], split)
             # exact / (n1/d1 + n2/d2) = units d1 d2 / (den (n1 d2 + n2 d1))
             num = units * d1 * d2
             rden = den * (n1 * d2 + n2 * d1)
             if num * bound_den > bound_num * rden:
                 bound_num, bound_den = num, rden
-            tn, td = _trivial_units(rows[q], rows[r])
+            tn, td = _trivial_units(rows[q], rows[r], split)
             num = units * td
             rden = den * tn
             if num * trivial_den > trivial_num * rden:

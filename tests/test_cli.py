@@ -14,7 +14,7 @@ import torusapprox.experiments as experiments
 import torusapprox.verification as verification
 from torusapprox.approx import ApproxFunction, TargetSequence
 from torusapprox.cli import run
-from torusapprox.counterexample import instance_from_prime_blocks
+from torusapprox.counterexample import BlockSchedule, build_counterexample, instance_from_prime_blocks
 from torusapprox.errors import IdentityError
 from torusapprox.experiments import ExperimentConfig, pairwise_overlap_sum
 from torusapprox.rationals import _unlimited_int_digits, parse_rational
@@ -289,12 +289,43 @@ def test_bad_input_exits_2_with_one_line(capsys, argv):
     "measure --q 100000000000000000000 --psi const:1/4",
     "measure --q 1000001 --psi const:1/4",
     "overlap --q 1000001 --r 3 --psi const:1/4",
+    # Block 2 has 2^k - 1 divisors for a k past the materialization cap.
+    "counterexample --blocks 2 --verify",
+    "counterexample --primes 2,3,5,7,11,13,17,19 --verify",
 ])
 def test_resource_caps_exit_3_with_one_line(capsys, argv):
     code, out, err = run_capture(capsys, argv.split())
     assert code == 3
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("budget refusal: ")
+
+
+def test_deferred_block_refusal_names_block_and_divisor_count(capsys, tmp_path):
+    saved = tmp_path / "cx.json"
+    code, out, err = run_capture(
+        capsys, ["counterexample", "--blocks", "2", "--verify", "--save", str(saved)]
+    )
+    count = build_counterexample(BlockSchedule(blocks=2)).blocks[1].divisor_count
+    assert code == 3 and out == ""
+    assert err == f"budget refusal: block 2: {count} divisors exceed the materialization cap\n"
+    assert not saved.exists()  # refused before anything is written
+    # Without --verify the same instance is reported as before.
+    code, out, _ = run_capture(capsys, ["counterexample", "--blocks", "2"])
+    assert code == 0 and out.splitlines()[-1].endswith(f",{count}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["measure", "--q", "9" * 5000, "--psi", "const:1/4"],
+    ["sift", "--X", "1/" + "x" * 5000, "--Y", "5", "--n", "6"],
+    ["msum", "--ladder", "8," * 3000, "--psi", "const:1/4"],
+    ["mc", "--q-range", "a" * 5000, "--psi", "const:1/4"],
+], ids=["int", "rational", "ladder", "q-range"])
+def test_usage_errors_echo_a_bounded_input(capsys, argv):
+    code, out, err = run_capture(capsys, argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("usage error: ")
+    assert len(err) < 200
+    assert "characters)" in err
 
 
 def _p6_file(**block_fields) -> str:

@@ -1,6 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from torusapprox import experiments
 from torusapprox.approx import ApproxFunction, TargetSequence, build_approx_set, hit_test
@@ -19,7 +21,7 @@ from torusapprox.experiments import (
     quasi_independence_ladder,
     unit_sample,
 )
-from torusapprox.overlap import main_term
+from torusapprox.overlap import main_term, pair_overlap_exact
 from torusapprox.torus import measure_intersection
 from torusapprox.verification import check_quasi_ladder
 
@@ -182,18 +184,79 @@ def test_build_cap_refuses_before_building():
 def test_dyadic_rounding():
     value = F(1, 3)
     third = Enclosure(8)
-    third.add(value)
+    third.add(1, 3)
     lo, hi = third.bounds()
     assert lo <= value <= hi
     assert hi - lo == F(1, 256)
     quarter = Enclosure(8)
-    quarter.add(F(1, 4))
+    quarter.add(1, 4)
     assert quarter.bounds() == (F(1, 4), F(1, 4))
     enc = Enclosure(64)
-    enc.add(F(1, 3))
-    enc.add(F(-1, 7))
+    enc.add(1, 3)
+    enc.add(-1, 7)
     lo, hi = enc.bounds()
     assert lo <= F(1, 3) - F(1, 7) <= hi
+    # An unreduced term rounds as its reduced value, and so does a
+    # negative numerator: the bounds depend only on the rational.
+    for num, den in ((2, 6), (-2, 6), (-5, 7)):
+        unreduced, reduced = Enclosure(8), Enclosure(8)
+        unreduced.add(num, den)
+        g = math.gcd(num, den)
+        reduced.add(num // g, den // g)
+        assert unreduced.bounds() == reduced.bounds()
+        lo, hi = unreduced.bounds()
+        assert lo < F(num, den) < hi and hi - lo == F(1, 256)
+    assert third.bounds() == (F(85, 256), F(86, 256))
+    negative = Enclosure(8)
+    negative.add(-2, 6)
+    assert negative.bounds() == (F(-86, 256), F(-85, 256))
+
+
+def _direct_pair_sums(psi, target, m, q_max):
+    """Row sums and pair sum of the scan as a Fraction double sum of
+    `pair_overlap_exact` products, one coordinate at a time."""
+    rows = []
+    for r in range(1, q_max + 1):
+        row = F(0)
+        for q in range(1, r):
+            value = F(1)
+            for y_q, y_r in zip(target(q), target(r)):
+                value *= pair_overlap_exact(q, r, psi, y_q, y_r)
+            row += value
+        rows.append((r, row))
+    return tuple(rows), 2 * sum(row for _, row in rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, 3),
+    weights=st.lists(
+        st.fractions(min_value=0, max_value=F(3, 4), max_denominator=12), min_size=2, max_size=11
+    ),
+    targets=st.lists(
+        st.fractions(min_value=-3, max_value=3, max_denominator=10), min_size=33, max_size=33
+    ),
+    workers=st.sampled_from([1, 3]),
+)
+@example(  # psi > 1/2 at q = 3 and q = 6 sends their pairs to the merge
+    m=2, weights=[F(1, 4), F(1, 3), F(3, 5), F(1, 5), F(1, 2), F(2, 3), F(1, 6)],
+    targets=[F(q, 7) for q in range(33)], workers=3,
+)
+@example(m=3, weights=[F(1, 4)] * 11, targets=[F(0)] * 33, workers=1)
+def test_row_sums_match_a_fraction_double_sum(m, weights, targets, workers):
+    q_max = len(weights)
+    psi = ApproxFunction.from_table({q: w for q, w in enumerate(weights, start=1)})
+    # Coordinate i of q's target is targets[(q + 11 i) mod 33]: moving with q.
+    target = TargetSequence.from_table(
+        {q: tuple(targets[(q + 11 * i) % 33] for i in range(m)) for q in range(1, q_max + 1)}, m
+    )
+    report = pairwise_overlap_sum(
+        ExperimentConfig(Q=q_max, psi=psi, target=target, m=m, workers=workers)
+    )
+    assert (report.merge_pairs > 0) == any(w > F(1, 2) for w in weights)
+    rows, pair_sum = _direct_pair_sums(psi, target, m, q_max)
+    assert report.row_sums == rows
+    assert report.pair_sum == pair_sum
 
 
 def test_main_term_sum_matches_module_function():

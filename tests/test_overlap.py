@@ -13,6 +13,7 @@ from torusapprox.arith import factorize, totient
 from torusapprox.experiments import main_term_sum_check
 from torusapprox.overlap import (
     _addend2_units,
+    _ell_em_en,
     _main_term_units,
     _overlap_row,
     _trivial_units,
@@ -149,7 +150,7 @@ def test_main_term_indicator_flag():
     geo = overlap_geometry(2, 3, psi)
     assert geo.window_length == 1
     assert main_term(2, 3, psi) > 0
-    assert main_term(2, 3, psi, strict_indicator=True) == 0
+    assert overlap_bound_terms(2, 3, psi)[0] == 0
 
 
 def test_trivial_bound():
@@ -266,7 +267,6 @@ def test_main_term_and_bound_terms_match_reference(q, r, spec):
     loose = ref_main_term(q, r, psi_q, psi_r, strict=False)
     strict = ref_main_term(q, r, psi_q, psi_r, strict=True)
     assert main_term(q, r, psi) == loose
-    assert main_term(q, r, psi, strict_indicator=True) == strict
     if ref_window(q, r, psi_q, psi_r) == 1 and psi_q:
         assert loose > 0 and strict == 0
     phi_g = ref_phi(math.gcd(q, r))
@@ -283,7 +283,7 @@ def test_main_term_window_exactly_one_with_table_weights():
     psi = ApproxFunction.from_table({2: F(1, 6), 3: F(1, 4)})
     assert ref_window(2, 3, F(1, 6), F(1, 4)) == 1
     assert main_term(3, 2, psi) == ref_main_term(3, 2, F(1, 4), F(1, 6), strict=False) > 0
-    assert main_term(3, 2, psi, strict_indicator=True) == 0
+    assert overlap_bound_terms(3, 2, psi)[0] == 0
 
 
 @settings(max_examples=300, deadline=None)
@@ -304,13 +304,14 @@ def test_pair_formulas_on_rows_sharing_a_denominator_with_y(q, r, spec, y_q, y_r
     row_r = _overlap_row(r, factorize(r), psi_r, y_r)
     assert F(row_q[4], row_q[3]) == psi_q and F(row_q[5], row_q[3]) == y_q
     assert row_q[2] == totient(q)
+    split = _ell_em_en(row_q[1], row_r[1])
     for strict in (False, True):
-        assert F(*_main_term_units(row_q, row_r, strict)) == ref_main_term(
+        assert F(*_main_term_units(row_q, row_r, split, strict)) == ref_main_term(
             q, r, psi_q, psi_r, strict
         )
     phi_g = ref_phi(math.gcd(q, r))
-    assert F(*_addend2_units(row_q, row_r)) == phi_g * min(psi_q / q, psi_r / r)
-    assert F(*_trivial_units(row_q, row_r)) == psi_q * psi_r + psi_q / q * phi_g
+    assert F(*_addend2_units(row_q, row_r, split)) == phi_g * min(psi_q / q, psi_r / r)
+    assert F(*_trivial_units(row_q, row_r, split)) == psi_q * psi_r + psi_q / q * phi_g
 
 
 def test_example_row_psi_is_unreduced():

@@ -64,6 +64,17 @@ def _shown(value) -> str:
     return f"{text[:60]!r}... ({len(text)} characters)"
 
 
+def _spec_error(kind: str, spec, exc: Exception) -> UsageError:
+    """A bad spec, shown once by `_shown`, and the parser's reason less its quote of it."""
+    reason = str(exc).replace(repr(spec), "").rstrip(": ")
+    return UsageError(f"bad {kind} spec {_shown(spec)}: {reason[:60]}")
+
+
+def _given(**options) -> dict:
+    """The options a flag or config line set; `ExperimentConfig` owns the other defaults."""
+    return {key: value for key, value in options.items() if value is not None}
+
+
 def _load_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     with open(path) as handle:
@@ -136,7 +147,7 @@ def _psi_from(args, key="psi") -> ApproxFunction:
     try:
         return ApproxFunction.parse(spec, cx_loader=CounterexampleInstance.load)
     except (ValueError, OSError) as exc:
-        raise UsageError(f"bad psi spec {_shown(spec)}: {exc}") from exc
+        raise _spec_error("psi", spec, exc) from exc
 
 
 def _target_from(args, m: int, key="y") -> TargetSequence:
@@ -146,7 +157,7 @@ def _target_from(args, m: int, key="y") -> TargetSequence:
     try:
         return TargetSequence.parse(spec, m, cx_loader=CounterexampleInstance.load)
     except (ValueError, OSError) as exc:
-        raise UsageError(f"bad target spec {_shown(spec)}: {exc}") from exc
+        raise _spec_error("target", spec, exc) from exc
 
 
 def _int_arg(args, key, default=None) -> int | None:
@@ -232,13 +243,10 @@ def _cmd_pairwise(args) -> int:
     m = _int_arg(args, "m", 1)
     psi = _psi_from(args)
     target = _target_from(args, m)
-    mode = _resolve(args, "mode", "exact")
-    cfg = ExperimentConfig(
-        Q=q_max, psi=psi, target=target, m=m, mode=mode,
-        precision=_int_arg(args, "precision", 128),
-        workers=_int_arg(args, "workers", 1),
-        exact_q_cap=_int_arg(args, "exact-cap", 512),
-    )
+    cfg = ExperimentConfig(Q=q_max, psi=psi, target=target, m=m, **_given(
+        mode=_resolve(args, "mode"), precision=_int_arg(args, "precision"),
+        workers=_int_arg(args, "workers"), exact_q_cap=_int_arg(args, "exact-cap"),
+    ))
     start = time.perf_counter()
     report = pairwise_overlap_sum(cfg)
     elapsed = time.perf_counter() - start
@@ -451,8 +459,7 @@ def _cmd_mc(args) -> int:
     psi = _psi_from(args)
     target = _target_from(args, m)
     cfg = ExperimentConfig(
-        Q=max(q_range) + 1, psi=psi, target=target, m=m,
-        seed=_int_arg(args, "seed", 0),
+        Q=max(q_range) + 1, psi=psi, target=target, m=m, **_given(seed=_int_arg(args, "seed")),
     )
     report = mc_coverage(cfg, q_range, samples, mode="grid" if args.grid else "random")
     row = {

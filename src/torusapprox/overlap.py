@@ -15,11 +15,14 @@ form
            * prod over p | gcd(ell, c) of (1 - 1/p)
            * prod over p | ell, p not | c of (1 - 2/p),
 
-always a non-negative integer.  This module carries the closed form and
-its brute-force twin, the overlap geometry (interval widths, the sifting
-window length D, the thresholds), the exact pairwise overlap measure, the
-bound right-hand sides it is checked against, and exact sifted counts of
-integers coprime to a modulus inside a rational window.
+always a non-negative integer.  Its one body, `_f_terms`, expands it into
+signed divisor terms f(c) = sum over k of a_k [k | c], read off the prime
+split that `PairDecomposition` carries; every user of f reads those terms.
+This module carries the closed form and its brute-force twin, the overlap
+geometry (interval widths, the sifting window length D, the thresholds),
+the exact pairwise overlap measure, the bound right-hand sides it is
+checked against, and exact sifted counts of integers coprime to a modulus
+inside a rational window.
 
 Summed over the integer differences c, the closed form gives the overlap
 itself.  With L = lcm(q, r), w_q = psi(q)/q and the trapezoid
@@ -30,9 +33,9 @@ two intervals whose centres lie x apart,
 
 whenever psi(q), psi(r) <= 1/2, so that each set's intervals are disjoint
 (up to endpoints).  `_pair_overlap_units` evaluates this sum without a loop
-over c: f expands into 2**omega(L) signed terms a_k [k | c], and the
-trapezoid summed over the multiples of k has a closed form.  The interval
-merge of `pair_overlap_exact` / `measure_intersection` stays the oracle.
+over c: for each term a_k [k | c] of f, the trapezoid summed over the
+multiples of k has a closed form.  The interval merge of
+`pair_overlap_exact` / `measure_intersection` stays the oracle.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ _ZERO = Fraction(0)
 
 @dataclass(frozen=True)
 class PairDecomposition:
-    """ell/em/en splitting of a pair of moduli, with gcd and lcm."""
+    """ell/em/en splitting of a pair of moduli, with gcd, lcm and the split."""
 
     q: int
     r: int
@@ -60,7 +63,7 @@ class PairDecomposition:
     ell: int
     em: int
     en: int
-    prime_valuations: tuple[tuple[int, int, int], ...]  # (p, v_p(q), v_p(r))
+    split: tuple  # (ell, em, en, phi(em), balanced primes, split primes)
 
 
 def _ell_em_en(fq: dict, fr: dict):
@@ -91,20 +94,42 @@ def _ell_em_en(fq: dict, fr: dict):
     return ell, em, en, phi_em, balanced, split
 
 
+def _f_terms(split: tuple, unit: int = 1) -> tuple[list[int], list[int]]:
+    """The one body of f(c) = phi(em) (ell / rad ell) [gcd(c, en) = 1] prod
+    over p | ell of ((p - 2) + [p | c]), from the pair's `_ell_em_en` split:
+    (steps, coefs) with f(c) the sum of the coefs whose step divides c, each
+    step times `unit`.  rad(ell) | ell, which makes f integral, is checked."""
+    ell, _, _, phi_em, balanced, primes = split
+    rad = 1
+    for p in balanced:
+        rad *= p
+    if ell % rad:
+        raise IdentityError(f"rad(ell) = {rad} does not divide ell = {ell}")
+    steps = [unit]
+    coefs = [phi_em * (ell // rad)]
+    for p in primes:
+        steps += [s * p for s in steps]
+        coefs += [-a for a in coefs]
+    for p in balanced:
+        if p == 2:  # p - 2 = 0: only the [2 | c] half survives
+            steps = [2 * s for s in steps]
+        else:
+            coefs = [a * (p - 2) for a in coefs] + coefs
+            steps += [s * p for s in steps]
+    return steps, coefs
+
+
 def decompose_pair(q: int, r: int) -> PairDecomposition:
     """Decompose (q, r) and check every structural identity on the spot."""
     if q < 1 or r < 1:
         raise ValueError("moduli must be >= 1")
     fq = dict(factorize(q))
     fr = dict(factorize(r))
-    ell, em, en, _, balanced, split = _ell_em_en(fq, fr)
-    valuations = [(p, fq.get(p, 0), fr.get(p, 0)) for p in sorted(balanced + split)]
+    ell, em, en, phi_em, balanced, primes = _ell_em_en(fq, fr)
     g = math.gcd(q, r)
     l = q * r // g
-    dec = PairDecomposition(
-        q=q, r=r, gcd=g, lcm=l, ell=ell, em=em, en=en,
-        prime_valuations=tuple(valuations),
-    )
+    dec = PairDecomposition(q=q, r=r, gcd=g, lcm=l, ell=ell, em=em, en=en,
+                            split=(ell, em, en, phi_em, tuple(balanced), tuple(primes)))
     if not (
         g == ell * em
         and l == ell * en
@@ -119,25 +144,18 @@ def decompose_pair(q: int, r: int) -> PairDecomposition:
 
 
 def coprime_pair_count(dec: PairDecomposition, c: int) -> int:
-    """Closed-form f(c): pairs of coprime residues at integer difference c.
+    """Closed-form f(c): pairs of coprime residues at integer difference c
+    (any integer), the sum of the `_f_terms` whose step divides c."""
+    steps, coefs = _f_terms(dec.split)
+    return sum(a for k, a in zip(steps, coefs) if c % k == 0)
 
-    c is reduced modulo whatever each gcd needs.  In integers,
-    f(c) = phi(em) (ell / rad ell) prod over p | ell of (p - 1 if p | c else
-    p - 2), with phi(em) read off the valuations; that rad(ell) divides ell
-    (what makes f an integer) is checked before returning.
-    """
-    if math.gcd(c, dec.en) != 1:
-        return 0
-    value = rad = 1
-    for p, u, v in dec.prime_valuations:
-        if u == v:
-            rad *= p
-            value *= p - 1 if c % p == 0 else p - 2
-        elif u and v:  # p | em with exponent min(u, v)
-            value *= p ** (min(u, v) - 1) * (p - 1)
-    if dec.ell % rad:
-        raise IdentityError(f"rad(ell) = {rad} does not divide ell = {dec.ell}")
-    return value * (dec.ell // rad)
+
+def _f_table(dec: PairDecomposition) -> list[int]:
+    """f over one period [0, lcm), each term added at the multiples of its step."""
+    table = [0] * dec.lcm
+    for k, a in zip(*_f_terms(dec.split)):
+        table[::k] = [v + a for v in table[::k]]
+    return table
 
 
 def coprime_pair_histogram(dec: PairDecomposition) -> list[int]:
@@ -181,11 +199,8 @@ class OverlapGeometry:
 
 
 def _psi_pair(psi, q: int, r: int) -> tuple[Fraction, Fraction]:
-    """psi(q) and psi(r) as Fractions; psi is a callable or one constant."""
-    if callable(psi):
-        psi_q, psi_r = Fraction(psi(q)), Fraction(psi(r))
-    else:
-        psi_q = psi_r = Fraction(psi)
+    """psi(q) and psi(r) as Fractions."""
+    psi_q, psi_r = Fraction(psi(q)), Fraction(psi(r))
     if psi_q < 0 or psi_r < 0:
         raise ValueError("psi must be non-negative")
     return psi_q, psi_r
@@ -197,7 +212,7 @@ def overlap_geometry(q: int, r: int, psi, y_q=0, y_r=0) -> OverlapGeometry:
     wr = Fraction(psi_r, r)
     g = math.gcd(q, r)
     l = q * r // g
-    window_length = Fraction(*_window_units(*_pair_rows(q, r, psi)))
+    window_length = Fraction(*_window_units(*_pair_setup(q, r, psi)[1:]))
     cover_center = Fraction(q, g) * Fraction(y_r) - Fraction(r, g) * Fraction(y_q)
     cover_halfwidth = l * (wq + wr)
     return OverlapGeometry(
@@ -247,10 +262,11 @@ def _overlap_rows(limit: int, psi, target=lambda q: 0) -> list:
     ]
 
 
-def _pair_rows(q: int, r: int, psi, y_q=0, y_r=0) -> tuple[tuple, tuple]:
-    """The rows of one pair, for the single-pair `Fraction` wrappers."""
+def _pair_setup(q: int, r: int, psi, y_q=0, y_r=0) -> tuple[PairDecomposition, tuple, tuple]:
+    """The checked decomposition and two rows of one pair, for the `Fraction` wrappers."""
+    dec = decompose_pair(q, r)
     psi_q, psi_r = _psi_pair(psi, q, r)
-    return _overlap_row(q, factorize(q), psi_q, y_q), _overlap_row(r, factorize(r), psi_r, y_r)
+    return dec, _overlap_row(q, factorize(q), psi_q, y_q), _overlap_row(r, factorize(r), psi_r, y_r)
 
 
 def _pair_overlap_units(row_q: tuple, row_r: tuple) -> tuple[int, int]:
@@ -285,23 +301,7 @@ def _pair_overlap_units(row_q: tuple, row_r: tuple) -> tuple[int, int]:
     delta = scale_q * y_q - scale_r * y_r
     outer = w_q + w_r
     inner = w_q - w_r if w_q > w_r else w_r - w_q
-    # f(c) = phi(em) (ell/rad ell) [gcd(c, en) = 1] prod_{p | ell} ((p-2) + [p | c])
-    # as coefficients a_k on the steps s = k*den.
-    ell, _, _, phi_em, balanced, split = _ell_em_en(fq, fr)
-    coef = phi_em * ell
-    for p in balanced:
-        coef //= p
-    steps = [den]
-    coefs = [coef]
-    for p in split:
-        steps += [s * p for s in steps]
-        coefs += [-a for a in coefs]
-    for p in balanced:
-        if p == 2:  # p - 2 = 0: only the [2 | c] half survives
-            steps = [2 * s for s in steps]
-        else:
-            coefs = [a * (p - 2) for a in coefs] + coefs
-            steps += [s * p for s in steps]
+    steps, coefs = _f_terms(_ell_em_en(fq, fr), den)
     total = 0
     sparse = 2 * outer
     for s, a in zip(steps, coefs):
@@ -401,12 +401,10 @@ def overlap_bound_terms(q: int, r: int, psi) -> tuple[Fraction, Fraction]:
     Both exact; the bound itself holds up to an absolute constant that is
     tracked empirically, never assumed.
     """
-    decompose_pair(q, r)  # checks the pair's ell/em/en identities
-    row_q, row_r = _pair_rows(q, r, psi)
-    split = _ell_em_en(row_q[1], row_r[1])
+    dec, row_q, row_r = _pair_setup(q, r, psi)
     return (
-        Fraction(*_main_term_units(row_q, row_r, split, strict_indicator=True)),
-        Fraction(*_addend2_units(row_q, row_r, split)),
+        Fraction(*_main_term_units(row_q, row_r, dec.split, strict_indicator=True)),
+        Fraction(*_addend2_units(row_q, row_r, dec.split)),
     )
 
 
@@ -416,9 +414,8 @@ def main_term(q: int, r: int, psi) -> Fraction:
     `overlap_bound_terms` is the strict D > 1 form; the two differ only on
     the measure-zero locus D = 1.
     """
-    decompose_pair(q, r)  # checks the pair's ell/em/en identities
-    row_q, row_r = _pair_rows(q, r, psi)
-    return Fraction(*_main_term_units(row_q, row_r, _ell_em_en(row_q[1], row_r[1])))
+    dec, row_q, row_r = _pair_setup(q, r, psi)
+    return Fraction(*_main_term_units(row_q, row_r, dec.split))
 
 
 def trivial_overlap_bound(q: int, r: int, psi) -> Fraction:
@@ -428,8 +425,8 @@ def trivial_overlap_bound(q: int, r: int, psi) -> Fraction:
     """
     if not 1 <= r < q:
         raise ValueError("trivial_overlap_bound requires 1 <= r < q")
-    row_q, row_r = _pair_rows(q, r, psi)
-    return Fraction(*_trivial_units(row_q, row_r, _ell_em_en(row_q[1], row_r[1])))
+    dec, row_q, row_r = _pair_setup(q, r, psi)
+    return Fraction(*_trivial_units(row_q, row_r, dec.split))
 
 
 def overlap_count_bound(q: int, r: int, psi, y_q=0, y_r=0) -> Fraction:
@@ -442,12 +439,11 @@ def overlap_count_bound(q: int, r: int, psi, y_q=0, y_r=0) -> Fraction:
     geometry = overlap_geometry(q, r, psi, y_q, y_r)
     if geometry.min_length == 0:
         return _ZERO
-    dec = decompose_pair(q, r)
     lo = math.ceil(geometry.cover_lo)
     hi = math.floor(geometry.cover_hi)
-    count = 0
-    for c in range(lo, hi + 1):
-        count += coprime_pair_count(dec, c)
+    # Each term a [k | c] of f counts the multiples of k in [lo, hi].
+    steps, coefs = _f_terms(decompose_pair(q, r).split)
+    count = sum(a * (hi // k - (lo - 1) // k) for k, a in zip(steps, coefs))
     return geometry.min_length * count
 
 
@@ -510,16 +506,14 @@ class OverlapReport:
 
 
 def overlap_report(q: int, r: int, psi, y_q=0, y_r=0) -> OverlapReport:
-    dec = decompose_pair(q, r)
-    row_q, row_r = _pair_rows(q, r, psi, y_q, y_r)
+    dec, row_q, row_r = _pair_setup(q, r, psi, y_q, y_r)
     hi, lo = (row_q, row_r) if q > r else (row_r, row_q)
-    split = _ell_em_en(row_q[1], row_r[1])
     return OverlapReport(
         q=q, r=r, ell=dec.ell, em=dec.em, en=dec.en,
         D=Fraction(*_window_units(row_q, row_r)),
         exact_overlap=pair_overlap_exact(q, r, psi, y_q, y_r),
-        addend1=Fraction(*_main_term_units(row_q, row_r, split, strict_indicator=True)),
-        addend2=Fraction(*_addend2_units(row_q, row_r, split)),
-        M=Fraction(*_main_term_units(row_q, row_r, split)),
-        trivial_rhs=Fraction(*_trivial_units(hi, lo, split)) if q != r else None,
+        addend1=Fraction(*_main_term_units(row_q, row_r, dec.split, strict_indicator=True)),
+        addend2=Fraction(*_addend2_units(row_q, row_r, dec.split)),
+        M=Fraction(*_main_term_units(row_q, row_r, dec.split)),
+        trivial_rhs=Fraction(*_trivial_units(hi, lo, dec.split)) if q != r else None,
     )

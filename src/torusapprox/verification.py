@@ -41,12 +41,11 @@ from .experiments import (
 )
 from .overlap import (
     _addend2_units,
-    _ell_em_en,
+    _f_table,
     _main_term_units,
     _overlap_rows,
     _pair_overlap_units,
     _trivial_units,
-    coprime_pair_count,
     coprime_pair_histogram,
     decompose_pair,
     sifted_interval_count,
@@ -74,12 +73,13 @@ def check_coprime_counts(limit: int = 60) -> CheckResult:
         for r in range(1, q):
             dec = decompose_pair(q, r)
             hist = coprime_pair_histogram(dec)
-            for c, brute in enumerate(hist):
-                if coprime_pair_count(dec, c) != brute:
-                    return CheckResult(
-                        "coprime-count", False,
-                        f"formula != brute force at q={q}, r={r}, c={c}",
-                    )
+            table = _f_table(dec)
+            if table != hist:
+                c = next(c for c, (f, brute) in enumerate(zip(table, hist)) if f != brute)
+                return CheckResult(
+                    "coprime-count", False,
+                    f"formula != brute force at q={q}, r={r}, c={c}",
+                )
             if sum(hist) != totient(q) * totient(r):
                 return CheckResult(
                     "coprime-count", False,
@@ -173,8 +173,7 @@ def _bound_ratio_max(limit: int, psi: ApproxFunction) -> tuple[Fraction, Fractio
             units, den = _overlap_units(sets[q], sets[r])
             if units == 0:
                 continue
-            decompose_pair(q, r)  # checks the pair's ell/em/en identities
-            split = _ell_em_en(rows[q][1], rows[r][1])
+            split = decompose_pair(q, r).split  # checks the ell/em/en identities
             n1, d1 = _main_term_units(rows[q], rows[r], split, strict_indicator=True)
             n2, d2 = _addend2_units(rows[q], rows[r], split)
             # exact / (n1/d1 + n2/d2) = units d1 d2 / (den (n1 d2 + n2 d1))

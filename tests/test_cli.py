@@ -319,7 +319,10 @@ def test_deferred_block_refusal_names_block_and_divisor_count(capsys, tmp_path):
     ["sift", "--X", "1/" + "x" * 5000, "--Y", "5", "--n", "6"],
     ["msum", "--ladder", "8," * 3000, "--psi", "const:1/4"],
     ["mc", "--q-range", "a" * 5000, "--psi", "const:1/4"],
-], ids=["int", "rational", "ladder", "q-range"])
+    ["measure", "--q", "5", "--psi", "x" * 500],
+    ["measure", "--q", "5", "--psi", "const:1/4", "--y", "y" * 500],
+    ["measure", "--q", "5", "--psi", "pow:" + "1" * 500],
+], ids=["int", "rational", "ladder", "q-range", "psi", "target", "psi-pow"])
 def test_usage_errors_echo_a_bounded_input(capsys, argv):
     code, out, err = run_capture(capsys, argv)
     assert code == 2 and out == ""

@@ -14,6 +14,7 @@ from torusapprox.experiments import main_term_sum_check
 from torusapprox.overlap import (
     _addend2_units,
     _ell_em_en,
+    _f_table,
     _main_term_units,
     _overlap_row,
     _trivial_units,
@@ -30,7 +31,8 @@ from torusapprox.overlap import (
     sifted_interval_count,
     trivial_overlap_bound,
 )
-from torusapprox.verification import _bound_ratio_max
+from torusapprox import verification
+from torusapprox.verification import _bound_ratio_max, check_coprime_counts
 
 F = Fraction
 
@@ -46,6 +48,8 @@ def test_decomposition_examples():
     assert (dec.ell, dec.em, dec.en) == (2, 1, 15)
     dec = decompose_pair(9, 9)
     assert (dec.ell, dec.em, dec.en) == (9, 1, 1)
+    assert dec.split == (9, 1, 1, 1, (3,), ())
+    assert hash(dec) == hash(decompose_pair(9, 9))  # frozen, so hashable
 
 
 def test_decomposition_identities_random():
@@ -344,17 +348,35 @@ def ref_pair_count(q, r, c):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.integers(1, 60), st.integers(1, 60), st.integers(0, 10**6),
+    st.integers(1, 120), st.integers(1, 120), st.integers(0, 10**6),
     st.one_of(st.integers(-5, -1), st.integers(1, 5)),
 )
 @example(12, 18, 5, -1)
 @example(30, 30, 0, 3)
+@example(64, 64, 0, -1)  # p = 2 balanced: only even steps
 def test_pair_count_outside_one_period(q, r, offset, periods):
+    # The full-period table is the brute-force histogram, and the count at
+    # any c reads the same terms.
     dec = decompose_pair(q, r)
+    table = _f_table(dec)
+    assert table == coprime_pair_histogram(dec)
     offset %= dec.lcm
     c = offset + periods * dec.lcm  # c < 0 or c >= lcm
-    expected = coprime_pair_histogram(dec)[offset]
-    assert coprime_pair_count(dec, c) == expected == ref_pair_count(q, r, c)
+    assert coprime_pair_count(dec, c) == table[offset] == ref_pair_count(q, r, c)
+
+
+def test_coprime_count_suite_names_the_first_differing_residue(monkeypatch):
+    def perturbed(dec):
+        table = _f_table(dec)
+        if (dec.q, dec.r) == (6, 4):
+            table[9] += 1
+            table[5] -= 1
+        return table
+
+    monkeypatch.setattr(verification, "_f_table", perturbed)
+    result = check_coprime_counts(8)
+    assert not result.ok
+    assert result.detail == "formula != brute force at q=6, r=4, c=5"
 
 
 endpoints = st.one_of(
@@ -413,9 +435,9 @@ import sys
 sys.path.insert(0, sys.argv[1])
 from torusapprox.errors import IdentityError
 from torusapprox.overlap import PairDecomposition, coprime_pair_count
-# ell = 3 is not divisible by rad(ell) = 6 read off the valuations
+# ell = 3 is not divisible by rad(ell) = 6 read off the balanced primes
 dec = PairDecomposition(q=6, r=6, gcd=6, lcm=6, ell=3, em=1, en=1,
-                        prime_valuations=((2, 1, 1), (3, 1, 1)))
+                        split=(3, 1, 1, 1, (2, 3), ()))
 try:
     coprime_pair_count(dec, 1)
 except IdentityError as exc:

@@ -454,12 +454,16 @@ def _cmd_mc(args) -> int:
             q_range = [int(v) for v in text.split(",")]
     except ValueError as exc:
         raise UsageError(f"bad q-range {_shown(text)}") from exc
+    if not q_range:
+        raise UsageError(f"empty q-range {_shown(text)}")
+    # A range's last element is its maximum; max() would walk all of it.
+    q_top = q_range[-1] if isinstance(q_range, range) else max(q_range)
     m = _int_arg(args, "m", 1)
     samples = _int_arg(args, "samples", 10_000)
     psi = _psi_from(args)
     target = _target_from(args, m)
     cfg = ExperimentConfig(
-        Q=max(q_range) + 1, psi=psi, target=target, m=m, **_given(seed=_int_arg(args, "seed")),
+        Q=q_top + 1, psi=psi, target=target, m=m, **_given(seed=_int_arg(args, "seed")),
     )
     report = mc_coverage(cfg, q_range, samples, mode="grid" if args.grid else "random")
     row = {

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+from array import array
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -53,6 +55,9 @@ _WORKER_CAP = 64
 # --precision would build integers of that many bits per pair; 2048 bits
 # (617 digits) is far finer than any reported bound needs.
 _PRECISION_CAP = 2048
+# Coordinate tests (samples x q values x m) one Monte Carlo run may make;
+# the full-size calibration suite makes at most 3 * 10**5 per configuration.
+_MC_WORK_CAP = 10**8
 
 _ZERO = Fraction(0)
 
@@ -73,6 +78,48 @@ def _mix64(z: int) -> int:
 def unit_sample(seed: int, counter: int) -> float:
     """Deterministic uniform double in [0, 1) at (seed, counter)."""
     return (_mix64((seed + counter * _GOLDEN) & _MASK64) >> 11) * 2.0**-53
+
+
+# `_draws` runs `_mix64` on _LANES counters at once: each 64-bit state sits
+# in its own 128-bit lane of one int (64 KiB), so a 64 x 64-bit product
+# stays inside its lane and every mixing step is one big-int operation.
+_LANES = 4096
+_LANE_BITS = 128
+
+
+def _lane_constants() -> tuple[int, int]:
+    """(ones, ramp): lane k of ones holds 1 and lane k of ramp holds
+    k * _GOLDEN mod 2**64, built by doubling the lane count."""
+    ones, ramp, lanes = 1, 0, 1
+    while lanes < _LANES:
+        shift = _LANE_BITS * lanes
+        step = ones * ((lanes * _GOLDEN) & _MASK64)
+        ramp |= ((ramp + step) & ones * _MASK64) << shift
+        ones |= ones << shift
+        lanes *= 2
+    return ones, ramp
+
+
+_LANE_ONES, _LANE_RAMP = _lane_constants()
+_LANE_MASK = _LANE_ONES * _MASK64
+
+
+def _draws(seed: int, start: int, count: int) -> list[float]:
+    """[unit_sample(seed, start + k) for k in range(count)], _LANES at a time."""
+    out: list[float] = []
+    for first in range(start, start + count, _LANES):
+        z = ((seed + first * _GOLDEN) & _MASK64) * _LANE_ONES + _LANE_RAMP & _LANE_MASK
+        # Mask before each product: the shift pulls the next lane's low
+        # bits into this lane's high half.
+        z = ((z ^ (z >> 30)) & _LANE_MASK) * 0xBF58476D1CE4E5B9 & _LANE_MASK
+        z = ((z ^ (z >> 27)) & _LANE_MASK) * 0x94D049BB133111EB & _LANE_MASK
+        # The low half of each lane is now the draw's top 53 bits; the high
+        # half holds bits of the next lane and is skipped.
+        words = array("Q", ((z ^ (z >> 31)) >> 11).to_bytes(_LANES * _LANE_BITS // 8, "little"))
+        if sys.byteorder == "big":
+            words.byteswap()
+        out += [v * 2.0**-53 for v in words[0 : 2 * min(_LANES, start + count - first) : 2]]
+    return out
 
 
 # -- guaranteed enclosure accumulation ------------------------------------------
@@ -424,10 +471,10 @@ def _divisor_form(q: int, m: int, divisors, phi) -> int:
     return sum(phi[d] ** m * phi[q // d] for d in divisors)
 
 
-def _ratio_den(q: int, m: int, phi) -> int:
+def _ratio_den(q: int, m: int, phi_q: int) -> int:
     """The normaliser of the divisor-form sum for m >= 2: phi(q)**m for
     m >= 3, q**2 for m = 2."""
-    return phi[q] ** m if m >= 3 else q * q
+    return phi_q**m if m >= 3 else q * q
 
 
 def phigcd_sum(q: int, m: int) -> tuple[int, int]:
@@ -466,11 +513,41 @@ def phigcd_batch_check(limit: int) -> dict:
                 continue
             if m < 2:
                 continue
-            den = _ratio_den(q, m, phi)
+            den = _ratio_den(q, m, phi[q])
             if m not in best or brute * best[m][1] > best[m][0] * den:
                 best[m] = (brute, den)
     max_ratios = {m: Fraction(num, den) for m, (num, den) in best.items()}
     return {"ok": mismatches == 0, "mismatches": mismatches, "max_ratios": max_ratios}
+
+
+def _divisor_forms(limit: int, m: int):
+    """Yield (q, h(q), phi(q)) for q = 1, ..., limit, where h(q) is the
+    divisor-form sum sum_{d | q} phi(d)**m phi(q/d).
+
+    phi and h are multiplicative (h is the Dirichlet convolution of phi**m
+    and phi), so each is its value at p**e times its value at q / p**e, for
+    the smallest prime p of q, and `_divisor_form` runs on prime powers
+    only.  A proper factor of q is at most q/2, so only the lower half of
+    the range is kept."""
+    table = spf_table(limit)
+    kept_h = [0, 1] + [0] * (limit // 2 - 1)
+    kept_phi = kept_h[:]
+    yield 1, 1, 1
+    for q in range(2, limit + 1):
+        p = table[q]
+        powers = [1, p]
+        while q % (powers[-1] * p) == 0:
+            powers.append(powers[-1] * p)
+        power = powers[-1]
+        if power == q:
+            phis = {d: d - d // p for d in powers}
+            h, phi = _divisor_form(q, m, powers, phis), phis[q]
+        else:
+            h = kept_h[power] * kept_h[q // power]
+            phi = kept_phi[power] * kept_phi[q // power]
+        if q < len(kept_h):
+            kept_h[q], kept_phi[q] = h, phi
+        yield q, h, phi
 
 
 def phigcd_ratio_scan(limit: int, m: int = 3) -> Fraction:
@@ -478,22 +555,11 @@ def phigcd_ratio_scan(limit: int, m: int = 3) -> Fraction:
     (m >= 3) or q**2 (m = 2).  Divisor form only, so it scales to 10**5."""
     if m < 2:
         raise ValueError("ratio scan needs m >= 2")
-    table = spf_table(limit)
-    phi = totient_range(limit)
     best_num, best_den = 0, 1
-    for q in range(1, limit + 1):
-        divisors = [1]
-        for p, e in factorize_with_table(q, table):
-            power = 1
-            extra = []
-            for _ in range(e):
-                power *= p
-                extra.extend(d * power for d in divisors)
-            divisors.extend(extra)
-        total = _divisor_form(q, m, divisors, phi)
+    for q, h, phi in _divisor_forms(limit, m):
         den = _ratio_den(q, m, phi)
-        if total * best_den > best_num * den:
-            best_num, best_den = total, den
+        if h * best_den > best_num * den:
+            best_num, best_den = h, den
     return Fraction(best_num, best_den)
 
 
@@ -523,23 +589,79 @@ class McReport:
     mode: str
 
 
+def _mc_hits(xs: list[float], m: int, per_q) -> int:
+    """How many points (xs[i*m : i*m + m]) lie in the set of some (q, psi_q,
+    targets) of per_q: in every coordinate, q*x - y is within psi_q of one
+    of its three nearest integers a, with a coprime to q (`hit_test`).
+
+    -p < v < p is abs(v) < p without the call; one dimension, the common
+    case, gets its own loop without the per-point tuples."""
+    gcd = math.gcd
+    floor = math.floor
+    hits = 0
+    if m == 1:
+        per_q1 = [(q, p, -p, y) for q, p, (y,) in per_q]
+        for x in xs:
+            for q, p, n, y in per_q1:
+                t = q * x - y
+                a = floor(t + 0.5)
+                if (
+                    n < t - a < p and gcd(a, q) == 1
+                    or n < t - (a - 1) < p and gcd(a - 1, q) == 1
+                    or n < t - (a + 1) < p and gcd(a + 1, q) == 1
+                ):
+                    hits += 1
+                    break
+        return hits
+    for point in zip(*[iter(xs)] * m):
+        for q, p, targets in per_q:
+            n = -p
+            for x, y in zip(point, targets):
+                t = q * x - y
+                a = floor(t + 0.5)
+                if not (
+                    n < t - a < p and gcd(a, q) == 1
+                    or n < t - (a - 1) < p and gcd(a - 1, q) == 1
+                    or n < t - (a + 1) < p and gcd(a + 1, q) == 1
+                ):
+                    break
+            else:
+                hits += 1
+                break
+    return hits
+
+
 def mc_coverage(
     cfg: ExperimentConfig, q_range, samples: int, mode: str = "random"
 ) -> McReport:
     """Fraction of sampled points of [0,1)**m landing in the union of the
     approximation sets over q_range, via the strict hit test per coordinate.
 
-    Deterministic for a given seed (counter-based generator).  Grid mode
-    (equispaced midpoints plus offset) is one-dimensional only.
+    Sample i is the point (unit_sample(seed, i*m + d) for d < m), drawn by
+    `_draws` in batches of whole samples; grid mode (one-dimensional only)
+    takes the midpoints (i + 1/2) / samples instead.  So the result is
+    deterministic for a given seed.  Refuses a q above _PIECE_CAP, or more
+    than _MC_WORK_CAP coordinate tests, before building the q set.
     """
-    if cfg.m > 3:
+    m = cfg.m
+    if m > 3:
         raise ValueError("Monte Carlo coverage is limited to m <= 3")
     if samples < 1000:
         raise ValueError("need at least 10**3 samples")
     if mode not in ("random", "grid"):
         raise ValueError(f"unknown sampling mode {mode!r}")
-    if mode == "grid" and cfg.m != 1:
+    if mode == "grid" and m != 1:
         raise ValueError("grid sampling is one-dimensional")
+    # Sorted, or a range: either way the largest q is at one end, so a
+    # range is bounded without walking it.
+    if not isinstance(q_range, range):
+        q_range = sorted(q_range)
+    if q_range and max(q_range[0], q_range[-1]) > _PIECE_CAP:
+        raise BudgetError(f"q exceeds the approximation-set cap {_PIECE_CAP}")
+    if samples * len(q_range) * m > _MC_WORK_CAP:
+        raise BudgetError(
+            f"samples x q values x m exceeds the Monte Carlo work cap {_MC_WORK_CAP}"
+        )
     qs = tuple(sorted(set(int(q) for q in q_range)))
     if not qs or qs[0] < 1:
         raise ValueError("q_range must contain integers >= 1")
@@ -550,36 +672,17 @@ def mc_coverage(
             continue
         targets = tuple(float(y) for y in cfg.target(q))
         per_q.append((q, psi_q, targets))
-    hits = 0
-    m = cfg.m
     seed = cfg.seed
-    gcd = math.gcd
-    floor = math.floor
-    counter = 0
-    for i in range(samples):
+    hits = 0
+    # Whole samples per batch, so draw i*m + d keeps its counter.
+    per_batch = _LANES // m
+    for first in range(0, samples, per_batch):
+        count = min(per_batch, samples - first)
         if mode == "grid":
-            point = ((i + 0.5) / samples,)
+            xs = [(i + 0.5) / samples for i in range(first, first + count)]
         else:
-            # unit_sample(seed, i * m + d) for each coordinate d, written out
-            point = []
-            for _ in range(m):
-                z = (seed + counter * _GOLDEN) & _MASK64
-                counter += 1
-                z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-                point.append(((z ^ (z >> 31)) >> 11) * 2.0**-53)
-        for q, psi_q, targets in per_q:
-            for d in range(m):
-                t = q * point[d] - targets[d]
-                base = floor(t + 0.5)
-                for a in (base - 1, base, base + 1):
-                    if abs(t - a) < psi_q and gcd(abs(a), q) == 1:
-                        break
-                else:
-                    break
-            else:
-                hits += 1
-                break
+            xs = _draws(seed, first * m, count * m)
+        hits += _mc_hits(xs, m, per_q)
     return McReport(
         config=cfg.describe(),
         q_range=qs,

@@ -207,12 +207,17 @@ def _psi_pair(psi, q: int, r: int) -> tuple[Fraction, Fraction]:
 
 
 def overlap_geometry(q: int, r: int, psi, y_q=0, y_r=0) -> OverlapGeometry:
+    return _geometry(q, r, psi, y_q, y_r, _pair_setup(q, r, psi))
+
+
+def _geometry(q: int, r: int, psi, y_q, y_r, setup) -> OverlapGeometry:
+    """overlap_geometry from the pair's `_pair_setup` at zero targets."""
     psi_q, psi_r = _psi_pair(psi, q, r)
     wq = Fraction(psi_q, q)
     wr = Fraction(psi_r, r)
     g = math.gcd(q, r)
     l = q * r // g
-    window_length = Fraction(*_window_units(*_pair_setup(q, r, psi)[1:]))
+    window_length = Fraction(*_window_units(*setup[1:]))
     cover_center = Fraction(q, g) * Fraction(y_r) - Fraction(r, g) * Fraction(y_q)
     cover_halfwidth = l * (wq + wr)
     return OverlapGeometry(
@@ -436,13 +441,14 @@ def overlap_count_bound(q: int, r: int, psi, y_q=0, y_r=0) -> Fraction:
     min_length and has its integer difference inside the cover window, so
     this always dominates the exact overlap measure.
     """
-    geometry = overlap_geometry(q, r, psi, y_q, y_r)
+    setup = _pair_setup(q, r, psi)
+    geometry = _geometry(q, r, psi, y_q, y_r, setup)
     if geometry.min_length == 0:
         return _ZERO
     lo = math.ceil(geometry.cover_lo)
     hi = math.floor(geometry.cover_hi)
     # Each term a [k | c] of f counts the multiples of k in [lo, hi].
-    steps, coefs = _f_terms(decompose_pair(q, r).split)
+    steps, coefs = _f_terms(setup[0].split)
     count = sum(a * (hi // k - (lo - 1) // k) for k, a in zip(steps, coefs))
     return geometry.min_length * count
 

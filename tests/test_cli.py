@@ -267,6 +267,7 @@ def test_verify_times_each_suite_on_stderr_only(capsys, monkeypatch):
     "sift --X 0 --Y 10 --n 0",
     "equidist --Q 10 --psi const:1/4 --windows 1/2:1/4",
     "mc --q-range 2,3 --psi const:1/4 --samples 10",
+    "mc --q-range 5..3 --psi const:1/4",
     "verify --suite bogus",
     "measure --q 3 --psi const:1/0",
     "measure --q 3 --psi const:1/4 --y const:1/0",
@@ -289,6 +290,11 @@ def test_bad_input_exits_2_with_one_line(capsys, argv):
     "measure --q 100000000000000000000 --psi const:1/4",
     "measure --q 1000001 --psi const:1/4",
     "overlap --q 1000001 --r 3 --psi const:1/4",
+    # Refused before the q set is built or a sample is drawn.
+    "mc --q-range 2 --samples 100000000000000 --psi const:1/4",
+    "mc --q-range 1..2000000 --samples 1000 --psi const:1/4",
+    "mc --q-range 1..1000000 --samples 1000 --psi const:1/4",
+    "mc --q-range 1..100000000000000000000 --samples 1000 --psi const:1/4",
     # Block 2 has 2^k - 1 divisors for a k past the materialization cap.
     "counterexample --blocks 2 --verify",
     "counterexample --primes 2,3,5,7,11,13,17,19 --verify",

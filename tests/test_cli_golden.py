@@ -5,6 +5,10 @@ rendering that alters a single byte of these reports fails here.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,7 @@ def sha256(data: bytes) -> str:
 
 PAIRWISE_M2 = "bb7e97b86031ec54d2d98fbe85181117ecb242033fc982fa470f671929fe0976"
 SIFT = "98bb2f5c134507794f1a955d57ae479a4cea662bf460ef50a51bcb2b70afeec3"
+VERIFY_COUNTEREXAMPLE = "4d50a061bbfc43655fa460f93400123c6a487141e6a7bb83d564fe6b0112d30b"
 
 GOLDEN = [
     ("measure --q 12 --psi const:1/3 --y const:2/7",
@@ -36,6 +41,12 @@ GOLDEN = [
      "4beda6487cff73735475285f144ed878013a0064698ae287f89925daa684df41"),
     ("mc --q-range 2,3,6 --psi const:1/4 --samples 2000 --seed 7 --grid",
      "1b93a9639edd1ebad02dc4efa084eef1a63c86f3970698e44f8f5afc7a82a2da"),
+    # 30000 draws span eight batches of 4096; the m = 3 run's 5000 samples
+    # are not a multiple of its 1365 samples per batch.
+    ("mc --q-range 2,3,6 --psi const:1/4 --samples 30000 --seed 7",
+     "edf6df23996a1b1b7a5d7d65e6a48f9304eff0365fac556f565edce6bc1d0f64"),
+    ("mc --q-range 2,3,5 --m 3 --psi const:1/3 --y const:1/5,2/7,0 --samples 5000 --seed 11",
+     "a476599214fb5d3f342c3cec20ad4a7e8bd29c851107bff535f0f8258cc0eac0"),
     ("phigcd --q 6 --m 3",
      "a64c1b48b7addbd68bd67ce864ee24e8e3dc2e60254a23f42bfe4cf88fee2c2c"),
     ("phigcd --limit 300 --m 3",
@@ -45,8 +56,7 @@ GOLDEN = [
     ("sift --X -7/3 --Y 50 --n 30", SIFT),
     ("counterexample --blocks 1 --eps 1/2 --verify",
      "da0e8317a565cf00a5bddd8b5a45faffd5e32bac2a2343e3694526c6f0854db8"),
-    ("verify --suite counterexample",
-     "4d50a061bbfc43655fa460f93400123c6a487141e6a7bb83d564fe6b0112d30b"),
+    ("verify --suite counterexample", VERIFY_COUNTEREXAMPLE),
 ]
 
 
@@ -56,6 +66,16 @@ def test_report_digest(capsys, command, digest):
     out = capsys.readouterr().out
     assert code == 0
     assert sha256(out.encode()) == digest
+
+
+def test_python_dash_m_runs_the_cli():
+    done = subprocess.run(
+        [sys.executable, "-m", "torusapprox", "verify", "--suite", "counterexample"],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+    )
+    assert done.returncode == 0
+    assert sha256(done.stdout) == VERIFY_COUNTEREXAMPLE
 
 
 def test_counterexample_save_digests(capsys, tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from torusapprox import experiments
 from torusapprox.approx import ApproxFunction, TargetSequence, build_approx_set, hit_test
-from torusapprox.arith import totient
+from torusapprox.arith import totient, totient_range
 from torusapprox.errors import BudgetError
 from torusapprox.experiments import (
     Enclosure,
@@ -298,6 +298,23 @@ def test_phigcd_batch_and_scan_agree():
     assert outcome["max_ratios"][2] <= 1  # the m = 2 sum never exceeds q**2
 
 
+def test_divisor_forms_match_divisor_enumeration():
+    limit = 3000
+    phi = totient_range(limit)
+    divisors = [[] for _ in range(limit + 1)]
+    for d in range(1, limit + 1):
+        for multiple in range(d, limit + 1, d):
+            divisors[multiple].append(d)
+    for m in range(2, 6):
+        forms = list(experiments._divisor_forms(limit, m))
+        assert forms == [
+            (q, sum(phi[d] ** m * phi[q // d] for d in divisors[q]), phi[q])
+            for q in range(1, limit + 1)
+        ]
+        best = max(F(h, phi_q**m if m >= 3 else q * q) for q, h, phi_q in forms)
+        assert phigcd_ratio_scan(limit, m) == best
+
+
 def test_unit_sample_deterministic():
     values = [unit_sample(9, i) for i in range(5)]
     assert values == [unit_sample(9, i) for i in range(5)]
@@ -312,6 +329,10 @@ MC_PINNED = [
     (2, "const:1/3", (F(1, 5), F(2, 7)), (3, 4, 5), 5004, 1671),
     (3, "pow:1/2,1", (F(0), F(1, 3), F(-2, 9)), (2, 3, 4), 7, 119),
     (1, "div3", (F(1, 3),), tuple(range(5, 13)), -5, 3673),
+    # 8000 draws, past one batch of 4096, at a seed above 2**64.  With psi
+    # above 1/2 the integers next to the nearest one can hit.
+    (2, "const:3/5", (F(1, 3), F(0)), (2, 3, 5, 7), 2**70, 3106),
+    (1, "const:3/4", (F(1, 7),), (4, 6, 9), 11, 3776),
 ]
 
 
@@ -331,6 +352,15 @@ def test_mc_inline_draws_match_unit_sample(m, spec, comps, q_range, seed, hits):
         for i in range(4000)
     )
     assert report.hits == expected
+
+
+@pytest.mark.parametrize("seed", [0, -3, 5004, 2**70])
+def test_draws_match_unit_sample_across_batches(seed):
+    start = 3 * experiments._LANES + 5
+    for count in (1, experiments._LANES - 1, experiments._LANES, experiments._LANES + 1):
+        assert experiments._draws(seed, start, count) == [
+            unit_sample(seed, start + k) for k in range(count)
+        ]
 
 
 def test_mc_determinism_and_exact_zero():

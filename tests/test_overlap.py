@@ -181,6 +181,21 @@ def test_count_bound_dominates_exact_overlap():
         assert overlap_count_bound(q, r, psi, y_q, y_r) >= exact
 
 
+def test_overlap_count_bound_splits_the_pair_once(monkeypatch):
+    from torusapprox import overlap
+
+    calls = []
+
+    def counting(q, r):
+        calls.append((q, r))
+        return decompose_pair(q, r)
+
+    monkeypatch.setattr(overlap, "decompose_pair", counting)
+    bound = overlap_count_bound(12, 18, CONST4, F(1, 5), F(2, 7))
+    assert calls == [(12, 18)]
+    assert bound >= pair_overlap_exact(12, 18, CONST4, F(1, 5), F(2, 7))
+
+
 def test_sifted_count_examples():
     count, main, error = sifted_interval_count(0, 10, 6)
     assert (count, main, error) == (3, F(10, 3), F(1, 3))

@@ -64,7 +64,6 @@ from .overlap import (
     OverlapReport,
     PairDecomposition,
     coprime_pair_count,
-    coprime_pair_count_brute,
     coprime_pair_histogram,
     decompose_pair,
     main_term,

@@ -36,14 +36,14 @@ from importlib import resources
 from itertools import repeat
 
 from .approx import _PIECE_CAP, ApproxFunction, TargetSequence, build_approx_set
-from .arith import factorize_with_table, spf_table, totient, totient_range
+from .arith import spf_table, totient, totient_range
 from .errors import BudgetError, IdentityError
 from .overlap import (
-    _ell_em_en,
     _main_term_units,
     _overlap_row,
     _overlap_rows,
     _pair_overlap_units,
+    _split,
 )
 from .rationals import parse_rational
 from .torus import _overlap_units
@@ -210,19 +210,19 @@ _HALF = Fraction(1, 2)
 
 
 def _coordinate_rows(cfg: ExperimentConfig) -> list[tuple | None]:
-    """rows[q] = one (key, row) entry per coordinate for q, the row from
-    `_overlap_row`.  Coordinates sharing a target component share the row
-    and its key, so one overlap serves all of them."""
-    table = spf_table(cfg.Q)
-    rows: list[tuple | None] = [None] * (cfg.Q + 1)
+    """rows[q] = one (key, row) entry per coordinate for q.  The rows of
+    `_overlap_rows` are aimed at target 0; a coordinate with another target
+    component gets q's row again at that target, from the factorization the
+    row carries.  Coordinates sharing a target component share the row and
+    its key, so one overlap serves all of them."""
+    rows: list[tuple | None] = _overlap_rows(cfg.Q, cfg.psi)
     for q in range(1, cfg.Q + 1):
-        psi_q = cfg.psi(q)
-        factors = factorize_with_table(q, table)
-        cache: dict[Fraction, tuple] = {}
+        base = rows[q]
+        cache: dict[Fraction, tuple] = {0: ((q, 0), base)}
         row = []
         for y in cfg.target(q):
             if y not in cache:
-                cache[y] = ((q, len(cache)), _overlap_row(q, factors, psi_q, y))
+                cache[y] = ((q, len(cache)), _overlap_row(q, base[1], cfg.psi(q), y))
             row.append(cache[y])
         rows[q] = tuple(row)
     return rows
@@ -232,7 +232,7 @@ def _merge_set(sets: dict, key, row):
     """The interval set of a row, built on first use."""
     got = sets.get(key)
     if got is None:
-        q, _, _, den, psi, y = row
+        q, _, _, den, psi, y, _, _ = row
         got = sets[key] = build_approx_set(q, Fraction(psi, den), Fraction(y, den))
     return got
 
@@ -435,13 +435,13 @@ def main_term_sum_check(psi: ApproxFunction, m: int, ladder) -> list[MainTermRow
     ladder_sorted = sorted(set(ladder))
     bound_index = 0
     for row_q in rows[1:]:
-        q, _, phi_q, den_q, psi_q, _ = row_q
+        q, _, phi_q, den_q, psi_q, _, _, _ = row_q
         rhs_base += Fraction(psi_q * phi_q, den_q * q) ** m
         if psi_q:
             for row_r in rows[1:q]:
                 if not row_r[4]:
                     continue
-                num, den = _main_term_units(row_q, row_r, _ell_em_en(row_q[1], row_r[1]))
+                num, den = _main_term_units(row_q, row_r, _split(row_q, row_r))
                 if num:
                     g = math.gcd(num, den)
                     den //= g

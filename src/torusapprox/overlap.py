@@ -17,7 +17,10 @@ form
 
 always a non-negative integer.  Its one body, `_f_terms`, expands it into
 signed divisor terms f(c) = sum over k of a_k [k | c], read off the prime
-split that `PairDecomposition` carries; every user of f reads those terms.
+split `_split` makes from two per-q rows of `_overlap_row`; every user of
+f reads those terms.  Each row carries rad(q), its primes and the signed
+divisors d * mu(d) of rad(q), so the split walks only the primes of
+gcd(q, r) and the terms are products of two precomputed lists.
 This module carries the closed form and its brute-force twin, the overlap
 geometry (interval widths, the sifting window length D, the thresholds),
 the exact pairwise overlap measure, the bound right-hand sides it is
@@ -63,73 +66,84 @@ class PairDecomposition:
     ell: int
     em: int
     en: int
-    split: tuple  # (ell, em, en, phi(em), balanced primes, split primes)
+    # (ell, em, en, phi(em), balanced primes, split primes, signed_q, signed_r)
+    split: tuple
 
 
-def _ell_em_en(fq: dict, fr: dict):
-    """The ell/em/en split of two factorizations given as {p: exponent}.
+def _split(row_q: tuple, row_r: tuple) -> tuple:
+    """The ell/em/en split of a pair from its two `_overlap_row` rows:
+    (ell, em, en, phi(em), balanced primes, split primes, signed_q,
+    signed_r).  The d * mu(d) over the d | rad(en) are the products of an
+    entry of signed_q and one of signed_r.
 
-    Returns (ell, em, en, phi(em), balanced primes, split primes), the
-    primes in no particular order.
-    """
-    ell = em = en = phi_em = 1
+    Only the primes of rad(gcd) = gcd(rad q, rad r) are split by
+    valuation: equal valuations put p**u into ell, unequal ones p**min into
+    em and p into signed_q.  Every other prime is split, and signed_q and
+    signed_r start as the rows' signed lists of rad(q)/rad(gcd) and
+    rad(r)/rad(gcd).  A coprime pair has no common prime and starts from
+    both rows' whole lists."""
+    q, fq, _, _, _, _, rad_q, lists_q = row_q
+    r, fr, _, _, _, _, rad_r, lists_r = row_r
+    rad_g = math.gcd(rad_q, rad_r)
+    split, signed_q = lists_q[rad_q // rad_g]
+    primes_r, signed_r = lists_r[rad_r // rad_g]
+    split += primes_r
+    ell = em = phi_em = 1
     balanced = []
-    split = []
-    for p, u in fq.items():
-        v = fr.get(p, 0)
+    for p in lists_q[rad_g][0]:
+        u = fq[p]
+        v = fr[p]
         if u == v:
             ell *= p**u
             balanced.append(p)
             continue
-        split.append(p)
-        low, high = (u, v) if u < v else (v, u)
-        if low:
-            em *= p**low
-            phi_em *= p ** (low - 1) * (p - 1)
-        en *= p**high
-    for p, v in fr.items():
-        if p not in fq:
-            split.append(p)
-            en *= p**v
-    return ell, em, en, phi_em, balanced, split
+        split += (p,)
+        low = u if u < v else v
+        em *= p**low
+        phi_em *= p ** (low - 1) * (p - 1)
+        signed_q = [d * m for m in (1, -p) for d in signed_q]
+    return ell, em, q // (ell * em) * r // ell, phi_em, balanced, split, signed_q, signed_r
 
 
-def _f_terms(split: tuple, unit: int = 1) -> tuple[list[int], list[int]]:
+def _f_terms(split: tuple) -> tuple:
     """The one body of f(c) = phi(em) (ell / rad ell) [gcd(c, en) = 1] prod
-    over p | ell of ((p - 2) + [p | c]), from the pair's `_ell_em_en` split:
-    (steps, coefs) with f(c) the sum of the coefs whose step divides c, each
-    step times `unit`.  rad(ell) | ell, which makes f integral, is checked."""
-    ell, _, _, phi_em, balanced, primes = split
+    over p | ell of ((p - 2) + [p | c]), from the pair's `_split`: (left,
+    weights, right), with f(c) the sum over x in left, with its weight
+    w > 0, and y in right of sign(xy) w [xy | c].  The balanced primes
+    expand left.  rad(ell) | ell, which makes f integral, is checked."""
+    ell, _, _, phi_em, balanced, _, left, right = split
     rad = 1
     for p in balanced:
         rad *= p
     if ell % rad:
         raise IdentityError(f"rad(ell) = {rad} does not divide ell = {ell}")
-    steps = [unit]
-    coefs = [phi_em * (ell // rad)]
-    for p in primes:
-        steps += [s * p for s in steps]
-        coefs += [-a for a in coefs]
+    weights = [phi_em * (ell // rad)] * len(left)
     for p in balanced:
         if p == 2:  # p - 2 = 0: only the [2 | c] half survives
-            steps = [2 * s for s in steps]
+            left = [2 * x for x in left]
         else:
-            coefs = [a * (p - 2) for a in coefs] + coefs
-            steps += [s * p for s in steps]
-    return steps, coefs
+            weights = [w * m for m in (p - 2, 1) for w in weights]
+            left = [x * m for m in (1, p) for x in left]
+    return left, weights, right
 
 
 def decompose_pair(q: int, r: int) -> PairDecomposition:
     """Decompose (q, r) and check every structural identity on the spot."""
     if q < 1 or r < 1:
         raise ValueError("moduli must be >= 1")
-    fq = dict(factorize(q))
-    fr = dict(factorize(r))
-    ell, em, en, phi_em, balanced, primes = _ell_em_en(fq, fr)
+    return _decompose(_overlap_row(q, factorize(q), 0, 0), _overlap_row(r, factorize(r), 0, 0))
+
+
+def _decompose(row_q: tuple, row_r: tuple) -> PairDecomposition:
+    """`decompose_pair` from the pair's two `_overlap_row` rows."""
+    q = row_q[0]
+    r = row_r[0]
+    split = _split(row_q, row_r)
+    ell, em, en = split[:3]
     g = math.gcd(q, r)
     l = q * r // g
     dec = PairDecomposition(q=q, r=r, gcd=g, lcm=l, ell=ell, em=em, en=en,
-                            split=(ell, em, en, phi_em, tuple(balanced), tuple(primes)))
+                            split=split[:4] + tuple(map(tuple, split[4:])))
     if not (
         g == ell * em
         and l == ell * en
@@ -145,16 +159,23 @@ def decompose_pair(q: int, r: int) -> PairDecomposition:
 
 def coprime_pair_count(dec: PairDecomposition, c: int) -> int:
     """Closed-form f(c): pairs of coprime residues at integer difference c
-    (any integer), the sum of the `_f_terms` whose step divides c."""
-    steps, coefs = _f_terms(dec.split)
-    return sum(a for k, a in zip(steps, coefs) if c % k == 0)
+    (any integer), the sum of the `_f_terms` whose step xy divides c."""
+    left, weights, right = _f_terms(dec.split)
+    return sum(
+        w if x * y > 0 else -w
+        for x, w in zip(left, weights) for y in right if c % (x * y) == 0
+    )
 
 
 def _f_table(dec: PairDecomposition) -> list[int]:
     """f over one period [0, lcm), each term added at the multiples of its step."""
     table = [0] * dec.lcm
-    for k, a in zip(*_f_terms(dec.split)):
-        table[::k] = [v + a for v in table[::k]]
+    left, weights, right = _f_terms(dec.split)
+    for x, w in zip(left, weights):
+        for y in right:
+            k = x * y
+            a = w if k > 0 else -w
+            table[::abs(k)] = [v + a for v in table[::abs(k)]]
     return table
 
 
@@ -171,12 +192,6 @@ def coprime_pair_histogram(dec: PairDecomposition) -> list[int]:
         for b in residues_r:
             hist[(base - b * qp) % dec.lcm] += 1
     return hist
-
-
-def coprime_pair_count_brute(q: int, r: int, c: int) -> int:
-    """Single-value brute force count, c interpreted mod lcm(q, r)."""
-    dec = decompose_pair(q, r)
-    return coprime_pair_histogram(dec)[c % dec.lcm]
 
 
 @dataclass(frozen=True)
@@ -240,13 +255,19 @@ def pair_overlap_exact(q: int, r: int, psi, y_q=0, y_r=0) -> Fraction:
 
 def _overlap_row(q: int, factors, psi_q, y_q) -> tuple:
     """One set's integer data, read by every pair formula:
-    (q, {p: e}, phi(q), den, psi, y) with psi(q) = psi/den and y_q = y/den.
+    (q, {p: e}, phi(q), den, psi, y, rad(q), lists) with psi(q) = psi/den,
+    y_q = y/den and lists[t] = (primes of t, signed divisors of t), the
+    signed divisors being the d * mu(d) over the d | t, for each t | rad(q).
     psi/den is unreduced when den(y_q) has a factor den(psi(q)) lacks; the
     pair formulas only cross-multiply, so that changes no value."""
     factors = dict(factors)
-    phi = 1
+    phi = rad = 1
+    lists = {1: ((), (1,))}
     for p, e in factors.items():
         phi *= p ** (e - 1) * (p - 1)
+        rad *= p
+        for t, (primes, signed) in list(lists.items()):
+            lists[t * p] = (primes + (p,), tuple(d * m for m in (1, -p) for d in signed))
     psi = Fraction(psi_q)
     y = Fraction(y_q)
     den = math.lcm(psi.denominator, y.denominator)
@@ -254,6 +275,7 @@ def _overlap_row(q: int, factors, psi_q, y_q) -> tuple:
         q, factors, phi, den,
         psi.numerator * (den // psi.denominator),
         y.numerator * (den // y.denominator),
+        rad, lists,
     )
 
 
@@ -285,15 +307,15 @@ def _pair_overlap_units(row_q: tuple, row_r: tuple) -> tuple[int, int]:
     of two hats H_h(X) = max(0, h - |X|) of half-widths h = W_q + W_r and
     |W_q - W_r|.  Over the multiples c = jk, a hat sums in closed form:
     with s = k*den and d = delta mod s, the points X >= 0 are d + js for
-    0 <= j < u and the points X < 0 are d - is for 1 <= i <= v, where
-    u = (h - d)//s + 1 and v = (h + d)//s, so
+    0 <= j <= u and the points X < 0 are d - is for 1 <= i <= v, where
+    u = (h - d)//s and v = (h + d)//s, so
 
-        2 * sum_j H_h(js + delta) = u(2(h - d) - s(u - 1)) + v(2(h + d) - s(v + 1)).
+        2 * sum_j H_h(js + delta) = (u + 1)(2(h - d) - su) + v(2(h + d) - s(v + 1)).
 
     When s >= 2h only the point nearest 0 can lie inside the hat.
     """
-    q, fq, _, den_q, psi_q, y_q = row_q
-    r, fr, _, den_r, psi_r, y_r = row_r
+    q, _, _, den_q, psi_q, y_q, _, _ = row_q
+    r, _, _, den_r, psi_r, y_r, _, _ = row_r
     if not psi_q or not psi_r:
         return 0, 1
     g = math.gcd(q, r)
@@ -306,29 +328,36 @@ def _pair_overlap_units(row_q: tuple, row_r: tuple) -> tuple[int, int]:
     delta = scale_q * y_q - scale_r * y_r
     outer = w_q + w_r
     inner = w_q - w_r if w_q > w_r else w_r - w_q
-    steps, coefs = _f_terms(_ell_em_en(fq, fr), den)
+    left, weights, right = _f_terms(_split(row_q, row_r))
     total = 0
     sparse = 2 * outer
-    for s, a in zip(steps, coefs):
-        d = delta % s
-        if s >= sparse:
-            if d > s - d:
-                d = s - d
-            if d < outer:
-                total += 2 * a * (outer - (d if d > inner else inner))
-            continue
-        t = outer - d
-        u = t // s + 1
-        e = outer + d
-        v = e // s
-        value = u * (2 * t - s * (u - 1)) + v * (2 * e - s * (v + 1))
-        if inner:
-            t = inner - d
-            u = t // s + 1
-            e = inner + d
+    for x, w in zip(left, weights):
+        x *= den
+        for y in right:
+            s = x * y
+            a = w
+            if s < 0:
+                s = -s
+                a = -w
+            d = delta % s
+            if s >= sparse:
+                if d > s - d:
+                    d = s - d
+                if d < outer:
+                    total += 2 * a * (outer - (d if d > inner else inner))
+                continue
+            t = outer - d
+            u = t // s
+            e = outer + d
             v = e // s
-            value -= u * (2 * t - s * (u - 1)) + v * (2 * e - s * (v + 1))
-        total += a * value
+            value = (u + 1) * (t + t - s * u) + v * (e + e - s * (v + 1))
+            if inner:
+                t = inner - d
+                u = t // s
+                e = inner + d
+                v = e // s
+                value -= (u + 1) * (t + t - s * u) + v * (e + e - s * (v + 1))
+            total += a * value
     return total, 2 * q * (r // g) * den
 
 
@@ -336,8 +365,8 @@ def _window_units(row_q: tuple, row_r: tuple) -> tuple[int, int]:
     """The sifting window length D = 2 lcm(q, r) max(psi(q)/q, psi(r)/r)
     as (num, den): with psi(q) = a/b and psi(r) = c/d, the larger of
     2 lcm a/(bq) and 2 lcm c/(dr), chosen by cross-multiplication."""
-    q, _, _, b, a, _ = row_q
-    r, _, _, d, c, _ = row_r
+    q, _, _, b, a, _, _, _ = row_q
+    r, _, _, d, c, _, _, _ = row_r
     lcm = q // math.gcd(q, r) * r
     if a * d * r >= c * b * q:
         return 2 * lcm * a, b * q
@@ -345,10 +374,10 @@ def _window_units(row_q: tuple, row_r: tuple) -> tuple[int, int]:
 
 
 def _phi_gcd(split: tuple) -> int:
-    """phi(gcd(q, r)) = phi(ell) phi(em), from the pair's `_ell_em_en`
-    split.  The pair formulas below take that split as an argument, so a
-    caller needing several of them splits the pair's primes once."""
-    ell, _, _, phi_em, balanced, _ = split
+    """phi(gcd(q, r)) = phi(ell) phi(em), from the pair's `_split`.  The
+    pair formulas below take that split as an argument, so a caller
+    needing several of them splits the pair's primes once."""
+    ell, _, _, phi_em, balanced = split[:5]
     for p in balanced:
         ell = ell // p * (p - 1)
     return ell * phi_em
@@ -364,8 +393,8 @@ def _main_term_units(
     comparisons p > D over the split primes (those of q*r/gcd**2, read off
     the pair's `split`) are cross-multiplications with D = dn/dd.
     """
-    q, _, phi_q, b, a, _ = row_q
-    r, _, phi_r, d, c, _ = row_r
+    q, _, phi_q, b, a, _, _, _ = row_q
+    r, _, phi_r, d, c, _, _, _ = row_r
     dn, dd = _window_units(row_q, row_r)
     if dn < dd or (strict_indicator and dn == dd):
         return 0, 1
@@ -380,8 +409,8 @@ def _main_term_units(
 
 def _addend2_units(row_q: tuple, row_r: tuple, split: tuple) -> tuple[int, int]:
     """phi(gcd(q, r)) * min(psi(q)/q, psi(r)/r) as (num, den)."""
-    q, _, _, b, a, _ = row_q
-    r, _, _, d, c, _ = row_r
+    q, _, _, b, a, _, _, _ = row_q
+    r, _, _, d, c, _, _, _ = row_r
     phi_g = _phi_gcd(split)
     if a * d * r <= c * b * q:
         return phi_g * a, b * q
@@ -390,8 +419,8 @@ def _addend2_units(row_q: tuple, row_r: tuple, split: tuple) -> tuple[int, int]:
 
 def _trivial_units(row_q: tuple, row_r: tuple, split: tuple) -> tuple[int, int]:
     """psi(q)psi(r) + (psi(q)/q) phi(gcd) = a(cq + d phi(gcd)) / (bdq) as (num, den)."""
-    q, _, _, b, a, _ = row_q
-    _, _, _, d, c, _ = row_r
+    q, _, _, b, a, _, _, _ = row_q
+    _, _, _, d, c, _, _, _ = row_r
     return a * (c * q + d * _phi_gcd(split)), b * d * q
 
 
@@ -447,9 +476,15 @@ def overlap_count_bound(q: int, r: int, psi, y_q=0, y_r=0) -> Fraction:
         return _ZERO
     lo = math.ceil(geometry.cover_lo)
     hi = math.floor(geometry.cover_hi)
-    # Each term a [k | c] of f counts the multiples of k in [lo, hi].
-    steps, coefs = _f_terms(setup[0].split)
-    count = sum(a * (hi // k - (lo - 1) // k) for k, a in zip(steps, coefs))
+    # Each term sign(k) w [k | c] of f, k = xy, counts the multiples of |k|
+    # in [lo, hi].
+    count = 0
+    left, weights, right = _f_terms(setup[0].split)
+    for x, w in zip(left, weights):
+        for y in right:
+            k = x * y
+            n = hi // abs(k) - (lo - 1) // abs(k)
+            count += w * n if k > 0 else -w * n
     return geometry.min_length * count
 
 

@@ -41,13 +41,13 @@ from .experiments import (
 )
 from .overlap import (
     _addend2_units,
+    _decompose,
     _f_table,
     _main_term_units,
     _overlap_rows,
     _pair_overlap_units,
     _trivial_units,
     coprime_pair_histogram,
-    decompose_pair,
     sifted_interval_count,
 )
 from .rationals import format_rational
@@ -69,9 +69,10 @@ class CheckResult:
 
 def check_coprime_counts(limit: int = 60) -> CheckResult:
     pairs = 0
+    rows = _overlap_rows(limit, lambda q: 0)
     for q in range(2, limit + 1):
         for r in range(1, q):
-            dec = decompose_pair(q, r)
+            dec = _decompose(rows[q], rows[r])
             hist = coprime_pair_histogram(dec)
             table = _f_table(dec)
             if table != hist:
@@ -173,7 +174,7 @@ def _bound_ratio_max(limit: int, psi: ApproxFunction) -> tuple[Fraction, Fractio
             units, den = _overlap_units(sets[q], sets[r])
             if units == 0:
                 continue
-            split = decompose_pair(q, r).split  # checks the ell/em/en identities
+            split = _decompose(rows[q], rows[r]).split  # checks the ell/em/en identities
             n1, d1 = _main_term_units(rows[q], rows[r], split, strict_indicator=True)
             n2, d2 = _addend2_units(rows[q], rows[r], split)
             # exact / (n1/d1 + n2/d2) = units d1 d2 / (den (n1 d2 + n2 d1))

@@ -68,9 +68,10 @@ def test_report_digest(capsys, command, digest):
     assert sha256(out.encode()) == digest
 
 
-def test_python_dash_m_runs_the_cli():
+@pytest.mark.parametrize("module", ["torusapprox", "torusapprox.cli"])
+def test_python_dash_m_runs_the_cli(module):
     done = subprocess.run(
-        [sys.executable, "-m", "torusapprox", "verify", "--suite", "counterexample"],
+        [sys.executable, "-m", module, "verify", "--suite", "counterexample"],
         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, timeout=120,
         env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
     )

@@ -13,13 +13,12 @@ from torusapprox.arith import factorize, totient
 from torusapprox.experiments import main_term_sum_check
 from torusapprox.overlap import (
     _addend2_units,
-    _ell_em_en,
     _f_table,
     _main_term_units,
     _overlap_row,
+    _split,
     _trivial_units,
     coprime_pair_count,
-    coprime_pair_count_brute,
     coprime_pair_histogram,
     decompose_pair,
     main_term,
@@ -48,8 +47,19 @@ def test_decomposition_examples():
     assert (dec.ell, dec.em, dec.en) == (2, 1, 15)
     dec = decompose_pair(9, 9)
     assert (dec.ell, dec.em, dec.en) == (9, 1, 1)
-    assert dec.split == (9, 1, 1, 1, (3,), ())
+    assert dec.split == (9, 1, 1, 1, (3,), (), (1,), (1,))
     assert hash(dec) == hash(decompose_pair(9, 9))  # frozen, so hashable
+    # 2, 3 and 5 balanced, 7 and 11 split
+    dec = decompose_pair(210, 330)
+    assert (dec.ell, dec.em, dec.en) == (30, 1, 77)
+    # 2 and 3**2 balanced, 5 and 7 split
+    dec = decompose_pair(90, 126)
+    assert (dec.ell, dec.em, dec.en) == (18, 1, 35)
+    # 2**4 balanced, 3 split with em = 3
+    dec = decompose_pair(48, 144)
+    assert (dec.ell, dec.em, dec.en) == (16, 3, 9)
+    dec = decompose_pair(1, 30)
+    assert (dec.ell, dec.em, dec.en) == (1, 1, 30)
 
 
 def test_decomposition_identities_random():
@@ -72,7 +82,7 @@ def test_pair_count_examples():
     assert [c for c, v in enumerate(hist) if v] == [1, 5]
     assert sum(coprime_pair_histogram(d)) == totient(6) * totient(10) == 8
     assert coprime_pair_histogram(decompose_pair(7, 7))[0] == totient(7)
-    assert coprime_pair_count_brute(6, 10, 4) == 1
+    assert coprime_pair_histogram(decompose_pair(6, 10))[4] == 1
 
 
 def test_pair_count_formula_vs_brute_small():
@@ -323,7 +333,7 @@ def test_pair_formulas_on_rows_sharing_a_denominator_with_y(q, r, spec, y_q, y_r
     row_r = _overlap_row(r, factorize(r), psi_r, y_r)
     assert F(row_q[4], row_q[3]) == psi_q and F(row_q[5], row_q[3]) == y_q
     assert row_q[2] == totient(q)
-    split = _ell_em_en(row_q[1], row_r[1])
+    split = _split(row_q, row_r)
     for strict in (False, True):
         assert F(*_main_term_units(row_q, row_r, split, strict)) == ref_main_term(
             q, r, psi_q, psi_r, strict
@@ -335,7 +345,7 @@ def test_pair_formulas_on_rows_sharing_a_denominator_with_y(q, r, spec, y_q, y_r
 
 def test_example_row_psi_is_unreduced():
     row = _overlap_row(2, factorize(2), F(1, 4), F(1, 6))
-    assert row == (2, {2: 1}, 1, 12, 3, 2)
+    assert row == (2, {2: 1}, 1, 12, 3, 2, 2, {1: ((), (1,)), 2: ((2,), (1, -2))})
 
 
 def ref_pair_count(q, r, c):
@@ -452,7 +462,7 @@ from torusapprox.errors import IdentityError
 from torusapprox.overlap import PairDecomposition, coprime_pair_count
 # ell = 3 is not divisible by rad(ell) = 6 read off the balanced primes
 dec = PairDecomposition(q=6, r=6, gcd=6, lcm=6, ell=3, em=1, en=1,
-                        split=(3, 1, 1, 1, (2, 3), ()))
+                        split=(3, 1, 1, 1, (2, 3), (), (1,), (1,)))
 try:
     coprime_pair_count(dec, 1)
 except IdentityError as exc:

@@ -65,6 +65,10 @@ def moduli_pairs(draw):
 @example((210, 210), F(1, 2), F(1, 4), F(0), F(1, 2))
 @example((64, 128), F(1, 2), F(1, 2), F(0), F(0))
 @example((299, 300), F(123457, 999983), F(1, 999979), F(-31, 999961), F(17, 3))
+@example((210, 330), F(1, 2), F(1, 3), F(2, 7), F(-5, 3))  # 2, 3, 5 balanced; 7, 11 split
+@example((90, 126), F(1, 2), F(1, 2), F(1, 5), F(0))  # 2 and 3**2 balanced (p - 2 = 1)
+@example((48, 144), F(1, 2), F(1, 4), F(0), F(3, 8))  # 2**4 balanced, 3 split, em = 3
+@example((1, 30), F(1, 2), F(1, 2), F(1, 3), F(0))
 def test_kernel_equals_merge(pair, psi_q, psi_r, y_q, y_r):
     q, r = pair
     expected = merge(q, psi_q, y_q, r, psi_r, y_r)

@@ -3,7 +3,9 @@
 Correctness checks must still run under `python -O`, which strips every
 `assert` statement, so the package raises explicit errors instead.
 Resource caps are module constants read at call time, never per-call
-parameters.
+parameters.  No function memoizes through `functools.cache` or
+`lru_cache`: such a cache is state of the whole process, and results must
+not depend on which calls a process, or a pool worker, made before.
 """
 
 import ast
@@ -33,4 +35,18 @@ def test_package_functions_take_no_cap_parameters():
         for arg in [*node.posonlyargs, *node.args, *node.kwonlyargs, node.vararg, node.kwarg]
         if arg is not None and (arg.arg == "cap" or arg.arg.endswith("_cap"))
     ]
+    assert found == []
+
+
+def test_package_source_has_no_functools_caches():
+    banned = {"cache", "lru_cache"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                found += [f"{path.name}:{node.lineno} {a.name}" for a in node.names
+                          if a.name in banned]
+            elif (isinstance(node, ast.Attribute) and node.attr in banned
+                  and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+                found.append(f"{path.name}:{node.lineno} functools.{node.attr}")
     assert found == []

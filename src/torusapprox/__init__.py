@@ -15,7 +15,6 @@ from .approx import (
     coprime_residues,
     equidistribution_ratio,
     hit_test,
-    product_measure,
     reduced_fractions,
     sumset_reduced,
 )

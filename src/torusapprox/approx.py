@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import NamedTuple
 
 from .arith import totient
 from .errors import BudgetError
 from .rationals import parse_rational
-from .torus import TorusIntervalSet
+from .torus import TorusIntervalSet, _merge, _reduced
 
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
@@ -46,6 +47,17 @@ def reduced_fractions(q: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(a, q) for a in coprime_residues(q))
 
 
+def _sumset_numerators(r: int, s: int) -> list[int]:
+    """The sumset of `sumset_reduced` as sorted numerators over r*s; r and
+    s must be coprime."""
+    rs = r * s
+    return sorted(
+        (a * s + b * r) % rs
+        for a in coprime_residues(r)
+        for b in coprime_residues(s)
+    )
+
+
 def sumset_reduced(r: int, s: int) -> tuple[Fraction, ...]:
     """Mod-1 sumset of the reduced fractions with denominators r and s.
 
@@ -58,12 +70,7 @@ def sumset_reduced(r: int, s: int) -> tuple[Fraction, ...]:
     if math.gcd(r, s) != 1:
         raise ValueError(f"sumset_reduced requires coprime inputs, got {r}, {s}")
     rs = r * s
-    numerators = sorted(
-        (a * s + b * r) % rs
-        for a in coprime_residues(r)
-        for b in coprime_residues(s)
-    )
-    return tuple(Fraction(c, rs) for c in numerators)
+    return tuple(Fraction(c, rs) for c in _sumset_numerators(r, s))
 
 
 def build_approx_set(q: int, psi_q, y_q) -> TorusIntervalSet:
@@ -73,8 +80,19 @@ def build_approx_set(q: int, psi_q, y_q) -> TorusIntervalSet:
     reaches 1.  All endpoints are exact rationals.
 
     Every endpoint is (a + y +- psi)/q, so the whole construction runs on
-    integer numerators over the common denominator q * den(y) * den(psi)
-    and hands them to the set's integer form; no piece becomes a Fraction.
+    integer numerators over den = q * den(y) * den(psi); no piece becomes a
+    Fraction.  Arc a starts at a * scale + off, which lies in [0, 2 den),
+    with scale = den/q and off the start of arc 0 reduced mod den.  So the
+    arcs starting at or past 1 are a suffix of `coprime_residues(q)`, found
+    by one bisect, and rotating that suffix (shifted down by den) to the
+    front lists the starts in order: no arc is reduced mod 1 and nothing is
+    sorted.  Below
+    psi = 1/2 no two arcs touch and only the last can cross 1, so its two
+    halves are written around the interleaved starts and ends.  From
+    psi = 1/2 on, arcs may touch or overlap: the arcs crossing 1 leave
+    [0, tail) in front, and one pass of the torus union merge joins the
+    arcs, whose ends (capped at 1) never decrease.
+
     Refuses q above the piece cap before building anything.
     """
     if q < 1:
@@ -88,13 +106,31 @@ def build_approx_set(q: int, psi_q, y_q) -> TorusIntervalSet:
         return TorusIntervalSet.empty()
     y = Fraction(y_q)
     scale = y.denominator * psi.denominator
-    start = y.numerator * psi.denominator - psi.numerator * y.denominator
     length = 2 * psi.numerator * y.denominator
-    spans = []
-    for a in coprime_residues(q):
-        lo = a * scale + start
-        spans.append((lo, lo + length))
-    return TorusIntervalSet.from_spans(q * scale, spans)
+    den = q * scale
+    if length >= den:
+        return TorusIntervalSet.full()
+    off = (y.numerator * psi.denominator - psi.numerator * y.denominator) % den
+    residues = coprime_residues(q)
+    # The first residue a with a * scale + off >= den.
+    k = bisect_left(residues, (den - off + scale - 1) // scale)
+    wrap = off - den
+    starts = [a * scale + wrap for a in residues[k:]]
+    starts += [a * scale + off for a in residues[:k]]
+    if length < scale:
+        ends = [0] * (2 * len(starts))
+        ends[0::2] = starts
+        ends[1::2] = [lo + length for lo in starts]
+        tail = ends[-1] - den
+        if tail > 0:
+            ends[-1] = den
+            ends[:0] = (0, tail)
+        return _reduced(den, ends)
+    crossing = bisect_right(starts, den - length)
+    his = [lo + length for lo in starts[:crossing]]
+    his += [den] * (len(starts) - crossing)
+    ends = [0, starts[-1] + length - den] if crossing < len(starts) else []
+    return _reduced(den, _merge(zip(starts, his), ends))
 
 
 class MeasureCheck(NamedTuple):
@@ -107,35 +143,24 @@ def approx_set_measure(q: int, psi_q, y_q) -> MeasureCheck:
     """Exact measure together with the closed-form consistency flag.
 
     ok asserts measure == 2*phi(q)*psi/q whenever psi <= 1/2, and
-    measure <= min(1, closed form) in every case.
+    measure <= min(1, closed form) in every case; both are compared by
+    cross-multiplying the set's integer ends.
     """
     psi = Fraction(psi_q)
-    measure = build_approx_set(q, psi, y_q).measure()
-    closed = 2 * Fraction(totient(q) * psi, q)
-    ok = measure <= min(Fraction(1), closed)
-    if psi <= _HALF:
-        ok = ok and measure == closed
-    return MeasureCheck(measure=measure, closed_form=closed, ok=ok)
-
-
-def product_measure(measure_1d, m: int) -> Fraction:
-    """m-dimensional product measure from per-coordinate 1-d measures.
-
-    A single rational is raised to the m-th power; a sequence must have
-    exactly m entries (one per coordinate) and is multiplied out.
-    """
-    if m < 1:
-        raise ValueError("dimension must be >= 1")
-    if isinstance(measure_1d, (list, tuple)):
-        if len(measure_1d) != m:
-            raise ValueError(
-                f"dimension mismatch: {len(measure_1d)} coordinate measures for m={m}"
-            )
-        out = Fraction(1)
-        for value in measure_1d:
-            out *= Fraction(value)
-        return out
-    return Fraction(measure_1d) ** m
+    approx = build_approx_set(q, psi, y_q)
+    ends, den = approx.ends, approx.den
+    units = sum(ends[1::2]) - sum(ends[0::2])
+    closed_num = 2 * totient(q) * psi.numerator
+    closed_den = q * psi.denominator
+    # measure = units/den against closed = closed_num/closed_den
+    lhs = units * closed_den
+    rhs = closed_num * den
+    ok = units <= den and lhs <= rhs
+    if 2 * psi.numerator <= psi.denominator:
+        ok = ok and lhs == rhs
+    return MeasureCheck(
+        measure=Fraction(units, den), closed_form=Fraction(closed_num, closed_den), ok=ok
+    )
 
 
 def equidistribution_ratio(q: int, psi_q, y_q, lo, hi) -> Fraction:

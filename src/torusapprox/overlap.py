@@ -290,10 +290,15 @@ def _overlap_rows(limit: int, psi, target=lambda q: 0) -> list:
 
 
 def _pair_setup(q: int, r: int, psi, y_q=0, y_r=0) -> tuple[PairDecomposition, tuple, tuple]:
-    """The checked decomposition and two rows of one pair, for the `Fraction` wrappers."""
-    dec = decompose_pair(q, r)
+    """The checked decomposition and two rows of one pair, for the `Fraction`
+    wrappers: each row is built once, at psi and the targets, and the pair
+    is decomposed from them."""
+    if q < 1 or r < 1:
+        raise ValueError("moduli must be >= 1")
     psi_q, psi_r = _psi_pair(psi, q, r)
-    return dec, _overlap_row(q, factorize(q), psi_q, y_q), _overlap_row(r, factorize(r), psi_r, y_r)
+    row_q = _overlap_row(q, factorize(q), psi_q, y_q)
+    row_r = _overlap_row(r, factorize(r), psi_r, y_r)
+    return _decompose(row_q, row_r), row_q, row_r
 
 
 def _pair_overlap_units(row_q: tuple, row_r: tuple) -> tuple[int, int]:

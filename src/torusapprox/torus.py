@@ -11,13 +11,16 @@ canonical form never merges across the seam.
 
 Binary operations lift both operands to one common denominator and then run
 on integers; only `measure`, `measure_intersection` and the `pieces` view
-build Fractions.  `_overlap_units` is the one integer intersection merge:
-`measure_intersection` uses it, and so do the pairwise scans for the pairs
-the closed form of `overlap._pair_overlap_units` does not cover (a weight
-above 1/2).  `pieces` (a
-`PieceView`), `to_pairs`/`from_pairs`, `repr` and pickling present the
-endpoints as Fractions, exactly as a Fraction-endpoint representation
-would.  All operations are exact and return new values.
+build Fractions.  `_merge` is the one union merge of spans sorted by their
+start: `_canonical` runs it after reducing and sorting arbitrary spans, and
+`approx.build_approx_set` on arcs that its rotation of the residue list
+already delivers in order.  `_overlap_units` is the one integer intersection
+merge: `measure_intersection` uses it, and so do the pairwise scans for the
+pairs the closed form of `overlap._pair_overlap_units` does not cover (a
+weight above 1/2).  `pieces` (a `PieceView`), `to_pairs`/`from_pairs`,
+`repr` and pickling present the endpoints as Fractions, exactly as a
+Fraction-endpoint representation would.  All operations are exact and return
+new values.
 
 The half-open convention makes complement/union/measure exact partitions;
 it differs from closed intervals only on finitely many points, which no
@@ -73,15 +76,21 @@ def _canonical(den: int, spans) -> "TorusIntervalSet":
             unit.append((base, den))
             unit.append((0, end - den))
     unit.sort()
-    ends: list[int] = []
-    for lo, hi in unit:
+    return _reduced(den, _merge(unit, []))
+
+
+def _merge(spans, ends: list) -> list:
+    """Append spans (lo, hi) inside [0, den], sorted by lo, to the
+    canonical ends, joining each span to the last piece when they overlap
+    or touch; returns ends."""
+    for lo, hi in spans:
         if ends and lo <= ends[-1]:
             if hi > ends[-1]:
                 ends[-1] = hi
         else:
             ends.append(lo)
             ends.append(hi)
-    return _reduced(den, ends)
+    return ends
 
 
 def _lift(a: "TorusIntervalSet", b: "TorusIntervalSet"):

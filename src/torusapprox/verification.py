@@ -15,10 +15,10 @@ from fractions import Fraction
 from .approx import (
     ApproxFunction,
     TargetSequence,
+    _sumset_numerators,
     approx_set_measure,
     build_approx_set,
-    reduced_fractions,
-    sumset_reduced,
+    coprime_residues,
 )
 from .arith import totient, totient_range
 from .counterexample import (
@@ -112,11 +112,11 @@ def check_sumsets(limit: int = 2310) -> CheckResult:
     for q in range(1, limit + 1):
         if not squarefree[q]:
             continue
-        expected = reduced_fractions(q)
+        expected = coprime_residues(q)
         for r in range(1, q + 1):
             if q % r != 0:
                 continue
-            if sumset_reduced(r, q // r) != expected:
+            if _sumset_numerators(r, q // r) != expected:
                 return CheckResult(
                     "sumset", False, f"sumset mismatch at q={q}, r={r}"
                 )

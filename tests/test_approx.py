@@ -3,7 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from torusapprox import verification
 from torusapprox.approx import (
     ApproxFunction,
     TargetSequence,
@@ -12,7 +14,6 @@ from torusapprox.approx import (
     coprime_residues,
     equidistribution_ratio,
     hit_test,
-    product_measure,
     reduced_fractions,
     sumset_reduced,
 )
@@ -46,6 +47,23 @@ def test_sumset_squarefree_divisor_pairs():
         for r in range(1, q + 1):
             if q % r == 0:
                 assert sumset_reduced(r, q // r) == reduced_fractions(q)
+
+
+def _drop_one_residue(r, s):
+    rs = r * s
+    return sorted((a * s + b * r) % rs for a in coprime_residues(r)[1:] for b in coprime_residues(s))
+
+
+def _swap_r_and_s(r, s):
+    rs = r * s
+    return sorted((a * r + b * s) % rs for a in coprime_residues(r) for b in coprime_residues(s))
+
+
+@pytest.mark.parametrize("mutant", [_drop_one_residue, _swap_r_and_s])
+def test_sumset_suite_catches_core_mutations(monkeypatch, mutant):
+    assert verification.check_sumsets(limit=30).ok
+    monkeypatch.setattr(verification, "_sumset_numerators", mutant)
+    assert not verification.check_sumsets(limit=30).ok
 
 
 def test_translated_residue_copies_disjoint():
@@ -111,12 +129,25 @@ def test_build_translate_identity():
         assert direct == rotated
 
 
-def test_product_measure():
-    assert product_measure(F(1, 4), 3) == F(1, 64)
-    assert product_measure(F(3, 7), 1) == F(3, 7)
-    assert product_measure([F(1, 4), F(1, 4)], 2) == F(1, 16)
-    with pytest.raises(ValueError):
-        product_measure([F(1, 4)], 2)
+psis = st.integers(1, 12).flatmap(lambda b: st.builds(F, st.integers(0, 2 * b), st.just(b)))
+targets = st.builds(F, st.integers(-300, 300), st.integers(1, 40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 60), psis, targets)
+@example(2, F(1, 4), F(1))  # the arc at 1/2 + 1/2 crosses 1
+@example(5, F(1, 2), F(0))  # psi = 1/2: the four arcs touch end to end
+@example(5, F(3, 4), F(0))  # overlapping arcs
+@example(1, F(1, 4), F(1, 3))  # q = 1: the one arc at y
+@example(3, F(2), F(0))  # 2 psi / q >= 1: the full circle
+def test_build_matches_from_spans(q, psi, y):
+    # The raw arcs [(a + y - psi)/q, (a + y + psi)/q) over the coprime a,
+    # reduced, sorted and merged by the general constructor.
+    scale = y.denominator * psi.denominator
+    start = y.numerator * psi.denominator - psi.numerator * y.denominator
+    length = 2 * psi.numerator * y.denominator
+    spans = [(a * scale + start, a * scale + start + length) for a in coprime_residues(q)]
+    assert build_approx_set(q, psi, y) == TorusIntervalSet.from_spans(q * scale, spans)
 
 
 def test_equidistribution_ratio():

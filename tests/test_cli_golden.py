@@ -26,6 +26,15 @@ VERIFY_COUNTEREXAMPLE = "4d50a061bbfc43655fa460f93400123c6a487141e6a7bb83d564fe6
 GOLDEN = [
     ("measure --q 12 --psi const:1/3 --y const:2/7",
      "a8297e89cd927490cd437e8e8736c3e8dd9a0386665f50969e1a0cc1abd65a1b"),
+    # Touching arcs at psi = 1/2 with a negative target, overlapping arcs
+    # (measure 5/6 below the closed form 1) and the full circle: these pin
+    # the report's `ok` flag on each branch of the builder.
+    ("measure --q 30 --psi const:1/2 --y const:-7/3",
+     "40acbd7c5516eba0c3716298f0c6d02fe72b8dfa7fcf3db9cecd842903950272"),
+    ("measure --q 12 --psi const:3/2 --y const:5/2",
+     "354c52a41556dec808ea155640388888ef8f671f92dc06baae0bdeffef09e73f"),
+    ("measure --q 3 --psi const:2 --y zero",
+     "6a5173417c4586b13c0ec247b8118874ba040bbad727217de4f03af2422169d0"),
     ("overlap --q 12 --r 18 --psi const:1/4 --y const:1/3",
      "45219c07ed33ad99d0d1a76a488a610a26692ffd551e1ca98d860d50013698f4"),
     ("pairwise --Q 40 --m 2 --psi const:1/4 --y const:1/5", PAIRWISE_M2),

@@ -196,11 +196,13 @@ def test_overlap_count_bound_splits_the_pair_once(monkeypatch):
 
     calls = []
 
-    def counting(q, r):
-        calls.append((q, r))
-        return decompose_pair(q, r)
+    decompose = overlap._decompose
 
-    monkeypatch.setattr(overlap, "decompose_pair", counting)
+    def counting(row_q, row_r):
+        calls.append((row_q[0], row_r[0]))
+        return decompose(row_q, row_r)
+
+    monkeypatch.setattr(overlap, "_decompose", counting)
     bound = overlap_count_bound(12, 18, CONST4, F(1, 5), F(2, 7))
     assert calls == [(12, 18)]
     assert bound >= pair_overlap_exact(12, 18, CONST4, F(1, 5), F(2, 7))

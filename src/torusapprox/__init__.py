@@ -13,7 +13,6 @@ from .approx import (
     approx_set_measure,
     build_approx_set,
     coprime_residues,
-    equidistribution_ratio,
     hit_test,
     reduced_fractions,
     sumset_reduced,
@@ -59,7 +58,6 @@ from .experiments import (
     quasi_independence_ladder,
 )
 from .overlap import (
-    OverlapGeometry,
     OverlapReport,
     PairDecomposition,
     coprime_pair_count,
@@ -67,8 +65,6 @@ from .overlap import (
     decompose_pair,
     main_term,
     overlap_bound_terms,
-    overlap_count_bound,
-    overlap_geometry,
     overlap_report,
     pair_overlap_exact,
     sifted_interval_count,

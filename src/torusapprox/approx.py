@@ -163,22 +163,6 @@ def approx_set_measure(q: int, psi_q, y_q) -> MeasureCheck:
     )
 
 
-def equidistribution_ratio(q: int, psi_q, y_q, lo, hi) -> Fraction:
-    """measure(A intersect [lo, hi)) / measure(A), exact.
-
-    Errors out when the set is empty (ratio undefined).
-    """
-    lo = Fraction(lo)
-    hi = Fraction(hi)
-    if not (0 <= lo < hi <= 1):
-        raise ValueError("window must satisfy 0 <= lo < hi <= 1")
-    approx = build_approx_set(q, psi_q, y_q)
-    total = approx.measure()
-    if total == 0:
-        raise ValueError("equidistribution ratio undefined for an empty set")
-    return approx.restrict(lo, hi).measure() / total
-
-
 def hit_test(x, q: int, psi_q, y_q) -> bool:
     """Whether |q*x - a - y_q| < psi_q holds for some a coprime to q.
 

@@ -36,7 +36,7 @@ from importlib import resources
 from itertools import repeat
 
 from .approx import _PIECE_CAP, ApproxFunction, TargetSequence, build_approx_set
-from .arith import spf_table, totient, totient_range
+from .arith import _SPF_CAP, spf_table, totient, totient_range
 from .errors import BudgetError, IdentityError
 from .overlap import (
     _main_term_units,
@@ -58,8 +58,18 @@ _PRECISION_CAP = 2048
 # Coordinate tests (samples x q values x m) one Monte Carlo run may make;
 # the full-size calibration suite makes at most 3 * 10**5 per configuration.
 _MC_WORK_CAP = 10**8
+# Dimension m of a scan or sum.  Terms are raised to the m-th power, so their
+# size grows with m; the verify suites use m <= 4.
+_DIMENSION_CAP = 64
 
 _ZERO = Fraction(0)
+
+
+def _check_dimension(m: int) -> None:
+    if m < 1:
+        raise ValueError("dimension must be >= 1")
+    if m > _DIMENSION_CAP:
+        raise BudgetError(f"dimension m = {m} exceeds the cap {_DIMENSION_CAP}")
 
 
 # -- deterministic counter-based sampling --------------------------------------
@@ -173,8 +183,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.Q < 2:
             raise ValueError("Q must be >= 2")
-        if self.m < 1:
-            raise ValueError("dimension must be >= 1")
+        _check_dimension(self.m)
         if self.target.m != self.m:
             raise ValueError(
                 f"target dimension {self.target.m} does not match m={self.m}"
@@ -425,6 +434,7 @@ def main_term_sum_check(psi: ApproxFunction, m: int, ladder) -> list[MainTermRow
     """
     if min(ladder) < 2:
         raise ValueError("ladder values must be >= 2")
+    _check_dimension(m)
     rows = _overlap_rows(max(ladder), psi)
     results = []
     lhs_half = Fraction(0)
@@ -477,18 +487,26 @@ def _ratio_den(q: int, m: int, phi_q: int) -> int:
     return phi_q**m if m >= 3 else q * q
 
 
+def _phigcd_brute(q: int, ms, phi) -> tuple[dict, list[int]]:
+    """Brute-force sum over r <= q of phi(gcd(q, r))**m for each m in ms:
+    the histogram of gcd(q, r) over r = 1, ..., q summed against phi**m,
+    with phi(g) the totient of a divisor g.  Returns {g: phi(g)} over the
+    divisors of q and the sums."""
+    counts = Counter(map(math.gcd, repeat(q), range(1, q + 1)))
+    phis = {g: phi(g) for g in counts}
+    return phis, [sum(count * phis[g] ** m for g, count in counts.items()) for m in ms]
+
+
 def phigcd_sum(q: int, m: int) -> tuple[int, int]:
     """Sum over r <= q of phi(gcd(q, r))**m, brute force and via the
     divisor identity sum_{d | q} phi(d)**m phi(q/d).  Checked equal."""
     if q < 1 or m < 1:
         raise ValueError("phigcd_sum requires q >= 1 and m >= 1")
-    divisor_phis = {}
-    for r in range(1, q + 1):
-        g = math.gcd(q, r)
-        if g not in divisor_phis:
-            divisor_phis[g] = totient(g)
-    brute = sum(divisor_phis[math.gcd(q, r)] ** m for r in range(1, q + 1))
-    divisor_form = _divisor_form(q, m, divisor_phis, divisor_phis)
+    if q > _SPF_CAP:
+        raise BudgetError(f"q = {q} exceeds the cap {_SPF_CAP}")
+    _check_dimension(m)
+    phis, (brute,) = _phigcd_brute(q, (m,), totient)
+    divisor_form = _divisor_form(q, m, phis, phis)
     if brute != divisor_form:
         raise IdentityError(f"phigcd sums differ at q={q}, m={m}: {brute} != {divisor_form}")
     return brute, divisor_form
@@ -501,14 +519,12 @@ def phigcd_batch_check(limit: int) -> dict:
     m = 2.  Returns {"ok": bool, "mismatches": int, "max_ratios": {m: Fraction}}.
     """
     phi = totient_range(limit)
-    gcd = math.gcd
     mismatches = 0
     best: dict[int, tuple[int, int]] = {}  # max ratio per m as (num, den)
     for q in range(1, limit + 1):
-        counts = Counter(map(gcd, repeat(q), range(1, q + 1)))
-        for m in range(1, 5):
-            brute = sum(count * phi[g] ** m for g, count in counts.items())
-            if brute != _divisor_form(q, m, counts, phi):
+        phis, sums = _phigcd_brute(q, range(1, 5), phi.__getitem__)
+        for m, brute in enumerate(sums, 1):
+            if brute != _divisor_form(q, m, phis, phis):
                 mismatches += 1
                 continue
             if m < 2:
@@ -555,6 +571,7 @@ def phigcd_ratio_scan(limit: int, m: int = 3) -> Fraction:
     (m >= 3) or q**2 (m = 2).  Divisor form only, so it scales to 10**5."""
     if m < 2:
         raise ValueError("ratio scan needs m >= 2")
+    _check_dimension(m)
     best_num, best_den = 0, 1
     for q, h, phi in _divisor_forms(limit, m):
         den = _ratio_den(q, m, phi)

@@ -21,11 +21,10 @@ split `_split` makes from two per-q rows of `_overlap_row`; every user of
 f reads those terms.  Each row carries rad(q), its primes and the signed
 divisors d * mu(d) of rad(q), so the split walks only the primes of
 gcd(q, r) and the terms are products of two precomputed lists.
-This module carries the closed form and its brute-force twin, the overlap
-geometry (interval widths, the sifting window length D, the thresholds),
-the exact pairwise overlap measure, the bound right-hand sides it is
-checked against, and exact sifted counts of integers coprime to a modulus
-inside a rational window.
+This module carries the closed form and its brute-force twin, the sifting
+window length D, the exact pairwise overlap measure, the bound right-hand
+sides it is checked against, and exact sifted counts of integers coprime
+to a modulus inside a rational window.
 
 Summed over the integer differences c, the closed form gives the overlap
 itself.  With L = lcm(q, r), w_q = psi(q)/q and the trapezoid
@@ -51,8 +50,6 @@ from .approx import build_approx_set, coprime_residues
 from .arith import factorize, factorize_with_table, spf_table, totient
 from .errors import IdentityError
 from .torus import measure_intersection
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -194,53 +191,12 @@ def coprime_pair_histogram(dec: PairDecomposition) -> list[int]:
     return hist
 
 
-@dataclass(frozen=True)
-class OverlapGeometry:
-    """Exact geometry of a pair: interval lengths and windows.
-
-    min_length / max_length are the two interval lengths 2*psi/q.
-    window_length = max_length * lcm is the sifting window length.
-    The cover window [cover_lo, cover_hi] provably contains the integer
-    difference c of every pair of intersecting intervals (half-width
-    lcm * (psi(q)/q + psi(r)/r), centered at (q/g) y_r - (r/g) y_q, where
-    the differences actually fall).
-    """
-
-    min_length: Fraction
-    max_length: Fraction
-    window_length: Fraction
-    cover_lo: Fraction
-    cover_hi: Fraction
-
-
 def _psi_pair(psi, q: int, r: int) -> tuple[Fraction, Fraction]:
     """psi(q) and psi(r) as Fractions."""
     psi_q, psi_r = Fraction(psi(q)), Fraction(psi(r))
     if psi_q < 0 or psi_r < 0:
         raise ValueError("psi must be non-negative")
     return psi_q, psi_r
-
-
-def overlap_geometry(q: int, r: int, psi, y_q=0, y_r=0) -> OverlapGeometry:
-    return _geometry(q, r, psi, y_q, y_r, _pair_setup(q, r, psi))
-
-
-def _geometry(q: int, r: int, psi, y_q, y_r, setup) -> OverlapGeometry:
-    """overlap_geometry from the pair's `_pair_setup` at zero targets."""
-    psi_q, psi_r = _psi_pair(psi, q, r)
-    wq = Fraction(psi_q, q)
-    wr = Fraction(psi_r, r)
-    g = math.gcd(q, r)
-    l = q * r // g
-    window_length = Fraction(*_window_units(*setup[1:]))
-    cover_center = Fraction(q, g) * Fraction(y_r) - Fraction(r, g) * Fraction(y_q)
-    cover_halfwidth = l * (wq + wr)
-    return OverlapGeometry(
-        min_length=2 * min(wq, wr), max_length=window_length / l,
-        window_length=window_length,
-        cover_lo=cover_center - cover_halfwidth,
-        cover_hi=cover_center + cover_halfwidth,
-    )
 
 
 def pair_overlap_exact(q: int, r: int, psi, y_q=0, y_r=0) -> Fraction:
@@ -466,31 +422,6 @@ def trivial_overlap_bound(q: int, r: int, psi) -> Fraction:
         raise ValueError("trivial_overlap_bound requires 1 <= r < q")
     dec, row_q, row_r = _pair_setup(q, r, psi)
     return Fraction(*_trivial_units(row_q, row_r, dec.split))
-
-
-def overlap_count_bound(q: int, r: int, psi, y_q=0, y_r=0) -> Fraction:
-    """The shorter interval length times the f-count over the cover window.
-
-    Every pair of intersecting intervals overlaps in measure at most
-    min_length and has its integer difference inside the cover window, so
-    this always dominates the exact overlap measure.
-    """
-    setup = _pair_setup(q, r, psi)
-    geometry = _geometry(q, r, psi, y_q, y_r, setup)
-    if geometry.min_length == 0:
-        return _ZERO
-    lo = math.ceil(geometry.cover_lo)
-    hi = math.floor(geometry.cover_hi)
-    # Each term sign(k) w [k | c] of f, k = xy, counts the multiples of |k|
-    # in [lo, hi].
-    count = 0
-    left, weights, right = _f_terms(setup[0].split)
-    for x, w in zip(left, weights):
-        for y in right:
-            k = x * y
-            n = hi // abs(k) - (lo - 1) // abs(k)
-            count += w * n if k > 0 else -w * n
-    return geometry.min_length * count
 
 
 def sifted_interval_count(x, y, n: int) -> tuple[int, Fraction, Fraction]:

@@ -12,12 +12,12 @@ from torusapprox.approx import (
     approx_set_measure,
     build_approx_set,
     coprime_residues,
-    equidistribution_ratio,
     hit_test,
     reduced_fractions,
     sumset_reduced,
 )
 from torusapprox.arith import totient
+from torusapprox.experiments import ExperimentConfig, equidistribution_scan
 from torusapprox.torus import TorusIntervalSet
 
 F = Fraction
@@ -151,11 +151,12 @@ def test_build_matches_from_spans(q, psi, y):
 
 
 def test_equidistribution_ratio():
-    assert equidistribution_ratio(5, F(1, 5), 0, 0, F(1, 2)) == F(1, 2)
-    assert equidistribution_ratio(5, F(1, 5), 0, 0, 1) == 1
-    assert equidistribution_ratio(2, F(1, 4), 0, 0, F(1, 2)) == F(1, 2)
-    with pytest.raises(ValueError):
-        equidistribution_ratio(5, 0, 0, 0, F(1, 2))
+    psi = ApproxFunction.from_table({2: F(1, 4), 5: F(1, 5)})
+    cfg = ExperimentConfig(Q=5, psi=psi, target=TargetSequence.zero())
+    rows = equidistribution_scan(cfg, [(0, F(1, 2)), (0, 1)])["rows"]
+    ratios = {(row.q, row.window[1]): row.ratio for row in rows}
+    # psi(q) = 0 at q = 1, 3, 4: the ratio is undefined and the scan skips q.
+    assert ratios == {(2, F(1, 2)): F(1, 2), (2, 1): 1, (5, F(1, 2)): F(1, 2), (5, 1): 1}
 
 
 def test_hit_test_examples():

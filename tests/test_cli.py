@@ -273,6 +273,8 @@ def test_verify_times_each_suite_on_stderr_only(capsys, monkeypatch):
     "measure --q 3 --psi const:1/4 --y const:1/0",
     "sift --X=1/0 --Y 5 --n 6",
     "equidist --Q 5 --psi const:1/4 --windows 0:1/0",
+    "msum --Q 4 --m 0 --psi const:1/4",
+    "msum --Q 4 --m -3 --psi const:1/4",
 ])
 def test_bad_input_exits_2_with_one_line(capsys, argv):
     code, out, err = run_capture(capsys, argv.split())
@@ -298,6 +300,12 @@ def test_bad_input_exits_2_with_one_line(capsys, argv):
     # Block 2 has 2^k - 1 divisors for a k past the materialization cap.
     "counterexample --blocks 2 --verify",
     "counterexample --primes 2,3,5,7,11,13,17,19 --verify",
+    "phigcd --q 10000001",
+    # The dimension cap is 64.
+    "pairwise --Q 3 --m 65 --psi const:1/4",
+    "msum --Q 4 --m 65 --psi const:1/4",
+    "phigcd --q 12 --m 65",
+    "phigcd --limit 100 --m 65",
 ])
 def test_resource_caps_exit_3_with_one_line(capsys, argv):
     code, out, err = run_capture(capsys, argv.split())
@@ -378,8 +386,9 @@ def test_oversized_scans_refuse_before_building_a_set(capsys, monkeypatch, argv)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_reports_render_integers_past_the_str_digit_limit(capsys, fmt):
+def test_reports_render_integers_past_the_str_digit_limit(capsys, monkeypatch, fmt):
     # The ratio's numerator and denominator run to thousands of digits.
+    monkeypatch.setattr(experiments, "_DIMENSION_CAP", 600)
     argv = f"pairwise --Q 30 --m 600 --psi const:1/3 --format {fmt}".split()
     code, out, err = run_capture(capsys, argv)
     assert code == 0

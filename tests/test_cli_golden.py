@@ -44,6 +44,8 @@ GOLDEN = [
      "1121f0fa785ffff19bd722f7e6014260c523c5aaaf8a2f9a5d196624ca14ae8d"),
     ("equidist --Q 30 --psi const:1/4 --y const:1/3 --windows 0:1/3,1/4:3/4",
      "47246124dd4c7a879b8c40fa621e8a3dfce7e6ab6881e4f6aeb575f3721ef347"),
+    ("equidist --Q 30 --psi const:1/4 --y const:1/3 --windows 0:1/3,1/4:3/4 --per-q",
+     "c6dc0ef003761dacb417ea30fc05e0ef34391ae137fe692ec9ab236c4542f3b0"),
     ("msum --ladder 16,32 --m 3 --psi div3",
      "9064102a8fdd94dfb53bef38f530f895214261cce21ad9af740dc36ff83a6543"),
     ("mc --q-range 2,3,6 --psi const:1/4 --samples 2000 --seed 7",
@@ -58,6 +60,9 @@ GOLDEN = [
      "a476599214fb5d3f342c3cec20ad4a7e8bd29c851107bff535f0f8258cc0eac0"),
     ("phigcd --q 6 --m 3",
      "a64c1b48b7addbd68bd67ce864ee24e8e3dc2e60254a23f42bfe4cf88fee2c2c"),
+    # 360 has 24 divisors.
+    ("phigcd --q 360 --m 4",
+     "529b579099ff9889ed87cf73f9d861e4763bd2380f74fc571f845c688af69754"),
     ("phigcd --limit 300 --m 3",
      "cf857586b534c59e161b442fd5e20f00d987a31076d0b53110f3b3513fa20da8"),
     ("sift --X=-7/3 --Y 50 --n 30", SIFT),

@@ -23,8 +23,6 @@ from torusapprox.overlap import (
     decompose_pair,
     main_term,
     overlap_bound_terms,
-    overlap_count_bound,
-    overlap_geometry,
     overlap_report,
     pair_overlap_exact,
     sifted_interval_count,
@@ -100,15 +98,13 @@ def test_pair_count_formula_vs_brute_small():
 
 def test_geometry_examples():
     table = ApproxFunction.from_table({6: F(1, 3), 10: F(1, 5)})
-    geo = overlap_geometry(6, 10, table)
-    assert geo.window_length == F(10, 3)
-    geo = overlap_geometry(2, 3, CONST4)
-    assert (geo.min_length, geo.max_length, geo.window_length) == (F(1, 6), F(1, 4), F(3, 2))
+    assert overlap_report(6, 10, table).D == F(10, 3)
+    assert overlap_report(2, 3, CONST4).D == F(3, 2)
 
 
 def test_geometry_width_identity():
-    # em * ell * D * delta = 4 psi(q) psi(r), the exact form of the
-    # width/window product identity
+    # em * ell * D * min_width = 4 psi(q) psi(r), the exact form of the
+    # width/window product identity, min_width = 2 min(psi(q)/q, psi(r)/r)
     rng = random.Random(59)
     for _ in range(200):
         q = rng.randint(1, 300)
@@ -119,16 +115,9 @@ def test_geometry_width_identity():
         if q == r:
             continue
         dec = decompose_pair(q, r)
-        geo = overlap_geometry(q, r, psi)
-        assert dec.em * dec.ell * geo.window_length * geo.min_length == 4 * psi_q * psi_r
-
-
-def test_geometry_window_shift():
-    geo = overlap_geometry(2, 3, CONST4, y_q=F(1, 5), y_r=F(1, 7))
-    shift = F(3, 1) * F(1, 5) - F(2, 1) * F(1, 7)
-    # the cover window is centered where the differences fall, -shift
-    assert geo.cover_lo + geo.cover_hi == -2 * shift
-    assert geo.cover_hi - geo.cover_lo == 2 * 6 * (F(1, 8) + F(1, 12))
+        window = overlap_report(q, r, psi).D
+        min_width = 2 * min(psi_q / q, psi_r / r)
+        assert dec.em * dec.ell * window * min_width == 4 * psi_q * psi_r
 
 
 def test_exact_overlap_examples():
@@ -161,8 +150,7 @@ def test_main_term_examples():
 def test_main_term_indicator_flag():
     # D = 1 exactly: q=2, r=3, psi with max width 1/12
     psi = ApproxFunction.from_table({2: F(1, 6), 3: F(1, 4)})
-    geo = overlap_geometry(2, 3, psi)
-    assert geo.window_length == 1
+    assert overlap_report(2, 3, psi).D == 1
     assert main_term(2, 3, psi) > 0
     assert overlap_bound_terms(2, 3, psi)[0] == 0
 
@@ -175,23 +163,7 @@ def test_trivial_bound():
         trivial_overlap_bound(2, 3, CONST4)
 
 
-def test_count_bound_dominates_exact_overlap():
-    rng = random.Random(61)
-    for _ in range(150):
-        q = rng.randint(1, 60)
-        r = rng.randint(1, 60)
-        if q == r:
-            continue
-        psi_q = F(rng.randint(0, 12), 24)
-        psi_r = F(rng.randint(0, 12), 24)
-        psi = ApproxFunction.from_table({q: psi_q, r: psi_r})
-        y_q = F(rng.randint(-40, 40), rng.randint(1, 12))
-        y_r = F(rng.randint(-40, 40), rng.randint(1, 12))
-        exact = pair_overlap_exact(q, r, psi, y_q, y_r)
-        assert overlap_count_bound(q, r, psi, y_q, y_r) >= exact
-
-
-def test_overlap_count_bound_splits_the_pair_once(monkeypatch):
+def test_overlap_report_splits_the_pair_once(monkeypatch):
     from torusapprox import overlap
 
     calls = []
@@ -203,9 +175,9 @@ def test_overlap_count_bound_splits_the_pair_once(monkeypatch):
         return decompose(row_q, row_r)
 
     monkeypatch.setattr(overlap, "_decompose", counting)
-    bound = overlap_count_bound(12, 18, CONST4, F(1, 5), F(2, 7))
+    report = overlap_report(12, 18, CONST4, F(1, 5), F(2, 7))
     assert calls == [(12, 18)]
-    assert bound >= pair_overlap_exact(12, 18, CONST4, F(1, 5), F(2, 7))
+    assert report.exact_overlap == pair_overlap_exact(12, 18, CONST4, F(1, 5), F(2, 7))
 
 
 def test_sifted_count_examples():

@@ -95,6 +95,12 @@ def build_approx_set(q: int, psi_q, y_q) -> TorusIntervalSet:
 
     Refuses q above the piece cap before building anything.
     """
+    return _build_approx_set(q, psi_q, y_q, None)
+
+
+def _build_approx_set(q: int, psi_q, y_q, residues) -> TorusIntervalSet:
+    """`build_approx_set` on `coprime_residues(q)` from a caller that holds
+    them for several builds at one q, or computed here when None."""
     if q < 1:
         raise ValueError("q must be >= 1")
     if q > _PIECE_CAP:
@@ -111,7 +117,8 @@ def build_approx_set(q: int, psi_q, y_q) -> TorusIntervalSet:
     if length >= den:
         return TorusIntervalSet.full()
     off = (y.numerator * psi.denominator - psi.numerator * y.denominator) % den
-    residues = coprime_residues(q)
+    if residues is None:
+        residues = coprime_residues(q)
     # The first residue a with a * scale + off >= den.
     k = bisect_left(residues, (den - off + scale - 1) // scale)
     wrap = off - den
@@ -147,10 +154,16 @@ def approx_set_measure(q: int, psi_q, y_q) -> MeasureCheck:
     cross-multiplying the set's integer ends.
     """
     psi = Fraction(psi_q)
-    approx = build_approx_set(q, psi, y_q)
+    # The build refuses q above the piece cap before phi(q) factorizes it.
+    return _measure_check(q, psi, build_approx_set(q, psi, y_q), totient(q))
+
+
+def _measure_check(q: int, psi: Fraction, approx: TorusIntervalSet, phi: int) -> MeasureCheck:
+    """`approx_set_measure` of the set `approx` built at q and psi, given
+    phi(q), for a caller that checks many sets at one q."""
     ends, den = approx.ends, approx.den
     units = sum(ends[1::2]) - sum(ends[0::2])
-    closed_num = 2 * totient(q) * psi.numerator
+    closed_num = 2 * phi * psi.numerator
     closed_den = q * psi.denominator
     # measure = units/den against closed = closed_num/closed_den
     lhs = units * closed_den

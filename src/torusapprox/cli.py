@@ -64,6 +64,22 @@ def _shown(value) -> str:
     return f"{text[:60]!r}... ({len(text)} characters)"
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise `UsageError`, so a bad command
+    line is reported as one `usage error:` line instead of a usage block."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+    def _check_value(self, action, value):
+        # argparse's own message quotes the whole rejected value.
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {_shown(value)} (choose from {choices})"
+            )
+
+
 def _spec_error(kind: str, spec, exc: Exception) -> UsageError:
     """A bad spec, shown once by `_shown`, and the parser's reason less its quote of it."""
     reason = str(exc).replace(repr(spec), "").rstrip(": ")
@@ -456,8 +472,14 @@ def _cmd_mc(args) -> int:
         raise UsageError(f"bad q-range {_shown(text)}") from exc
     if not q_range:
         raise UsageError(f"empty q-range {_shown(text)}")
-    # A range's last element is its maximum; max() would walk all of it.
-    q_top = q_range[-1] if isinstance(q_range, range) else max(q_range)
+    # A range's ends are its extremes; min() and max() would walk all of it.
+    if isinstance(q_range, range):
+        q_low, q_top = q_range[0], q_range[-1]
+    else:
+        q_low, q_top = min(q_range), max(q_range)
+    if q_low < 1:
+        # Checked here: the config built from q_top would name a --Q never passed.
+        raise UsageError("q_range must contain integers >= 1")
     m = _int_arg(args, "m", 1)
     samples = _int_arg(args, "samples", 10_000)
     psi = _psi_from(args)
@@ -502,7 +524,7 @@ def _cmd_verify(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="torusapprox",
         description="Exact experiments with coprime approximation sets on the circle.",
     )
@@ -616,10 +638,12 @@ def run(argv=None) -> int:
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(_join_negative_rationals(argv))
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
+        try:
+            args, extra = parser.parse_known_args(_join_negative_rationals(argv))
+        except SystemExit:  # --help printed; a parse error raises UsageError
+            return EXIT_OK
+        if extra:
+            raise UsageError(f"unrecognized arguments: {_shown(' '.join(extra))}")
         args.config_values = _load_config_file(args.config) if args.config else {}
         return args.handler(args)
     except (ValueError, OSError) as exc:

@@ -36,8 +36,12 @@ two intervals whose centres lie x apart,
 whenever psi(q), psi(r) <= 1/2, so that each set's intervals are disjoint
 (up to endpoints).  `_pair_overlap_units` evaluates this sum without a loop
 over c: for each term a_k [k | c] of f, the trapezoid summed over the
-multiples of k has a closed form.  The interval merge of
-`pair_overlap_exact` / `measure_intersection` stays the oracle.
+multiples of k has a closed form.  When 2 splits the pair (2 | en), the
+factor [gcd(c, en) = 1] makes f vanish at even c, so the terms carry no
+prime 2 and each is summed over the odd multiples k, 3k, 5k, ... of its
+step instead: an arithmetic progression of step 2k, the same closed form.
+The interval merge of `pair_overlap_exact` / `measure_intersection` stays
+the oracle.
 """
 
 from __future__ import annotations
@@ -70,21 +74,30 @@ class PairDecomposition:
 def _split(row_q: tuple, row_r: tuple) -> tuple:
     """The ell/em/en split of a pair from its two `_overlap_row` rows:
     (ell, em, en, phi(em), balanced primes, split primes, signed_q,
-    signed_r).  The d * mu(d) over the d | rad(en) are the products of an
-    entry of signed_q and one of signed_r.
+    signed_r).  The d * mu(d) over the odd d | rad(en) are the products of
+    an entry of signed_q and one of signed_r.
 
     Only the primes of rad(gcd) = gcd(rad q, rad r) are split by
     valuation: equal valuations put p**u into ell, unequal ones p**min into
-    em and p into signed_q.  Every other prime is split, and signed_q and
-    signed_r start as the rows' signed lists of rad(q)/rad(gcd) and
-    rad(r)/rad(gcd).  A coprime pair has no common prime and starts from
-    both rows' whole lists."""
+    em and an odd p into signed_q.  Every other prime is split, and
+    signed_q and signed_r start as the rows' signed lists of the odd parts
+    of rad(q)/rad(gcd) and rad(r)/rad(gcd).  A coprime pair has no common
+    prime and starts from both rows' odd parts.
+
+    The prime 2 never enters the signed lists: when it splits, f(c)
+    vanishes at every even c, so its readers take f's terms at the odd
+    multiples of each step instead of expanding 2 into a pair of terms.
+    It stays among the split primes, which `_main_term_units` reads, and
+    "2 splits" is `2 in split[5]`."""
     q, fq, _, _, _, _, rad_q, lists_q = row_q
     r, fr, _, _, _, _, rad_r, lists_r = row_r
     rad_g = math.gcd(rad_q, rad_r)
-    split, signed_q = lists_q[rad_q // rad_g]
-    primes_r, signed_r = lists_r[rad_r // rad_g]
-    split += primes_r
+    only_q = rad_q // rad_g
+    only_r = rad_r // rad_g
+    split = lists_q[only_q][0] + lists_r[only_r][0]
+    # A split 2 leaves the signed lists: they are those of the odd part.
+    signed_q = lists_q[only_q if only_q & 1 else only_q // 2][1]
+    signed_r = lists_r[only_r if only_r & 1 else only_r // 2][1]
     ell = em = phi_em = 1
     balanced = []
     for p in lists_q[rad_g][0]:
@@ -98,7 +111,8 @@ def _split(row_q: tuple, row_r: tuple) -> tuple:
         low = u if u < v else v
         em *= p**low
         phi_em *= p ** (low - 1) * (p - 1)
-        signed_q = [d * m for m in (1, -p) for d in signed_q]
+        if p != 2:
+            signed_q = [d * m for m in (1, -p) for d in signed_q]
     return ell, em, q // (ell * em) * r // ell, phi_em, balanced, split, signed_q, signed_r
 
 
@@ -107,7 +121,11 @@ def _f_terms(split: tuple) -> tuple:
     over p | ell of ((p - 2) + [p | c]), from the pair's `_split`: (left,
     weights, right), with f(c) the sum over x in left, with its weight
     w > 0, and y in right of sign(xy) w [xy | c].  The balanced primes
-    expand left.  rad(ell) | ell, which makes f integral, is checked."""
+    expand left.  rad(ell) | ell, which makes f integral, is checked.
+
+    When 2 splits (`2 in split[5]`) the sum is f(c) at odd c only, and
+    f(c) = 0 at even c: every step xy is then odd, and each reader takes
+    a term at the odd multiples xy, 3xy, 5xy, ... of its step."""
     ell, _, _, phi_em, balanced, _, left, right = split
     rad = 1
     for p in balanced:
@@ -156,7 +174,10 @@ def _decompose(row_q: tuple, row_r: tuple) -> PairDecomposition:
 
 def coprime_pair_count(dec: PairDecomposition, c: int) -> int:
     """Closed-form f(c): pairs of coprime residues at integer difference c
-    (any integer), the sum of the `_f_terms` whose step xy divides c."""
+    (any integer), the sum of the `_f_terms` whose step xy divides c; 0 at
+    even c when 2 splits."""
+    if c % 2 == 0 and 2 in dec.split[5]:
+        return 0
     left, weights, right = _f_terms(dec.split)
     return sum(
         w if x * y > 0 else -w
@@ -165,14 +186,18 @@ def coprime_pair_count(dec: PairDecomposition, c: int) -> int:
 
 
 def _f_table(dec: PairDecomposition) -> list[int]:
-    """f over one period [0, lcm), each term added at the multiples of its step."""
+    """f over one period [0, lcm), each term added at the multiples of its
+    step, or at its odd multiples when 2 splits."""
     table = [0] * dec.lcm
     left, weights, right = _f_terms(dec.split)
+    odd = 2 in dec.split[5]
     for x, w in zip(left, weights):
         for y in right:
             k = x * y
             a = w if k > 0 else -w
-            table[::abs(k)] = [v + a for v in table[::abs(k)]]
+            k = abs(k)
+            run = slice(k, None, 2 * k) if odd else slice(None, None, k)
+            table[run] = [v + a for v in table[run]]
     return table
 
 
@@ -273,7 +298,10 @@ def _pair_overlap_units(row_q: tuple, row_r: tuple) -> tuple[int, int]:
 
         2 * sum_j H_h(js + delta) = (u + 1)(2(h - d) - su) + v(2(h + d) - s(v + 1)).
 
-    When s >= 2h only the point nearest 0 can lie inside the hat.
+    When 2 splits the pair, the terms run over the odd multiples
+    c = (2i + 1)k only, whose points X = 2s i + (s + delta) form the same
+    progression with step 2s and d = (delta + s) mod 2s.  When the step is
+    at least 2h only the point nearest 0 can lie inside the hat.
     """
     q, _, _, den_q, psi_q, y_q, _, _ = row_q
     r, _, _, den_r, psi_r, y_r, _, _ = row_r
@@ -289,7 +317,9 @@ def _pair_overlap_units(row_q: tuple, row_r: tuple) -> tuple[int, int]:
     delta = scale_q * y_q - scale_r * y_r
     outer = w_q + w_r
     inner = w_q - w_r if w_q > w_r else w_r - w_q
-    left, weights, right = _f_terms(_split(row_q, row_r))
+    split = _split(row_q, row_r)
+    left, weights, right = _f_terms(split)
+    odd = 2 in split[5]
     total = 0
     sparse = 2 * outer
     for x, w in zip(left, weights):
@@ -300,7 +330,12 @@ def _pair_overlap_units(row_q: tuple, row_r: tuple) -> tuple[int, int]:
             if s < 0:
                 s = -s
                 a = -w
-            d = delta % s
+            if odd:
+                # c = (2i + 1)k: the points s(2i + 1) + delta, step 2s.
+                d = (delta + s) % (s + s)
+                s += s
+            else:
+                d = delta % s
             if s >= sparse:
                 if d > s - d:
                     d = s - d

@@ -15,6 +15,8 @@ from fractions import Fraction
 from .approx import (
     ApproxFunction,
     TargetSequence,
+    _build_approx_set,
+    _measure_check,
     _sumset_numerators,
     approx_set_measure,
     build_approx_set,
@@ -138,10 +140,12 @@ def check_measure_law(
     phi = totient_range(limit)
     checked = 0
     for q in range(1, limit + 1):
+        residues = coprime_residues(q)  # shared by the q's builds
         for psi in psis:
             for _ in range(targets_per):
                 y = Fraction(rng.randint(-256, 256), rng.randint(1, 64))
-                report = approx_set_measure(q, psi, y)
+                approx = _build_approx_set(q, psi, y, residues)
+                report = _measure_check(q, psi, approx, phi[q])
                 expected = 2 * Fraction(phi[q] * psi, q)
                 if report.measure != expected or not report.ok:
                     return CheckResult(

@@ -146,6 +146,13 @@ def test_failed_write_keeps_the_old_file(capsys, monkeypatch, tmp_path, fail_in,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["report"]
 
 
+@pytest.mark.parametrize("q_range", ["0", "-1", "0,5", "0..5"])
+def test_mc_q_range_below_1_names_the_q_range(capsys, q_range):
+    code, out, err = run_capture(capsys, ["mc", "--q-range", q_range, "--psi", "const:1/4"])
+    assert code == 2 and out == ""
+    assert err == "usage error: q_range must contain integers >= 1\n"
+
+
 def test_removed_flags_exit_2(capsys):
     # pairwise uses no randomness, and verify prints only its suite lines.
     for argv in ("pairwise --Q 10 --psi const:1/4 --seed 1",
@@ -275,6 +282,13 @@ def test_verify_times_each_suite_on_stderr_only(capsys, monkeypatch):
     "equidist --Q 5 --psi const:1/4 --windows 0:1/0",
     "msum --Q 4 --m 0 --psi const:1/4",
     "msum --Q 4 --m -3 --psi const:1/4",
+    # Parse errors: one line, not argparse's usage block.
+    "pairwise --bogus 3",
+    "pairwise --Q",
+    "nosuchcmd",
+    "pairwise --mode fast --Q 8 --psi const:1/4",
+    "mc --q-range -3,5 --psi const:1/4",
+    "pairwise --Q 8 --psi const:1/4 --mode " + "x" * 3000,
 ])
 def test_bad_input_exits_2_with_one_line(capsys, argv):
     code, out, err = run_capture(capsys, argv.split())
@@ -336,7 +350,10 @@ def test_deferred_block_refusal_names_block_and_divisor_count(capsys, tmp_path):
     ["measure", "--q", "5", "--psi", "x" * 500],
     ["measure", "--q", "5", "--psi", "const:1/4", "--y", "y" * 500],
     ["measure", "--q", "5", "--psi", "pow:" + "1" * 500],
-], ids=["int", "rational", "ladder", "q-range", "psi", "target", "psi-pow"])
+    ["pairwise", "--Q", "8", "--psi", "const:1/4", "--mode", "x" * 3000],
+    ["pairwise", "--Q", "8", "--psi", "const:1/4", "--" + "z" * 3000, "1"],
+], ids=["int", "rational", "ladder", "q-range", "psi", "target", "psi-pow", "choice",
+        "unrecognized"])
 def test_usage_errors_echo_a_bounded_input(capsys, argv):
     code, out, err = run_capture(capsys, argv)
     assert code == 2 and out == ""

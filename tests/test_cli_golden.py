@@ -40,6 +40,10 @@ GOLDEN = [
     ("pairwise --Q 40 --m 2 --psi const:1/4 --y const:1/5", PAIRWISE_M2),
     # The worker count goes to stderr only; the report must not move.
     ("pairwise --Q 40 --m 2 --psi const:1/4 --y const:1/5 --workers 2", PAIRWISE_M2),
+    # Touching arcs off centre: 2 splits 767 of the 1128 pairs, whose
+    # overlap terms run over the odd multiples of their steps.
+    ("pairwise --Q 48 --psi const:1/2 --y const:1/3",
+     "8f62b1b68899c75b0cec8c2f104b16374a703f4632d69da06789945fd3bd4408"),
     ("pairwise --Q 40 --psi pow:1/2,1 --y zero --mode enclosure --precision 64",
      "1121f0fa785ffff19bd722f7e6014260c523c5aaaf8a2f9a5d196624ca14ae8d"),
     ("equidist --Q 30 --psi const:1/4 --y const:1/3 --windows 0:1/3,1/4:3/4",

@@ -14,6 +14,7 @@ from torusapprox.experiments import main_term_sum_check
 from torusapprox.overlap import (
     _addend2_units,
     _f_table,
+    _f_terms,
     _main_term_units,
     _overlap_row,
     _split,
@@ -353,6 +354,8 @@ def ref_pair_count(q, r, c):
 @example(12, 18, 5, -1)
 @example(30, 30, 0, 3)
 @example(64, 64, 0, -1)  # p = 2 balanced: only even steps
+@example(12, 8, 4, -2)  # p = 2 split: f = 0 at even c
+@example(12, 8, 7, 1)  # p = 2 split, c odd
 def test_pair_count_outside_one_period(q, r, offset, periods):
     # The full-period table is the brute-force histogram, and the count at
     # any c reads the same terms.
@@ -362,6 +365,28 @@ def test_pair_count_outside_one_period(q, r, offset, periods):
     offset %= dec.lcm
     c = offset + periods * dec.lcm  # c < 0 or c >= lcm
     assert coprime_pair_count(dec, c) == table[offset] == ref_pair_count(q, r, c)
+
+
+def test_split_two_leaves_odd_steps_and_halves_the_terms():
+    # Unfolded, f has one term per squarefree d | rad(en) times two per odd
+    # balanced prime.  A split 2 adds no term pair: every step stays odd.
+    folded = 0
+    for q in range(1, 61):
+        for r in range(1, 61):
+            dec = decompose_pair(q, r)
+            left, _, right = _f_terms(dec.split)
+            steps = [x * y for x in left for y in right]
+            odd_balanced = [p for p in ref_primes(dec.ell) if p != 2]
+            unfolded = 2 ** (len(ref_primes(dec.en)) + len(odd_balanced))
+            two_splits = dec.en % 2 == 0
+            assert (2 in dec.split[5]) == two_splits
+            if two_splits:
+                assert all(k % 2 for k in steps)
+                assert 2 * len(steps) == unfolded
+                folded += 1
+            else:
+                assert len(steps) == unfolded
+    assert folded > 1000
 
 
 def test_coprime_count_suite_names_the_first_differing_residue(monkeypatch):

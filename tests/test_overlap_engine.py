@@ -7,14 +7,17 @@ the scan must give the same sums whichever engine serves a pair.
 """
 
 import hashlib
+import inspect
 import re
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction as F
 from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 
+from torusapprox import overlap, verification
 from torusapprox.approx import ApproxFunction, TargetSequence, build_approx_set
 from torusapprox.arith import factorize
 from torusapprox.cli import run
@@ -69,6 +72,12 @@ def moduli_pairs(draw):
 @example((90, 126), F(1, 2), F(1, 2), F(1, 5), F(0))  # 2 and 3**2 balanced (p - 2 = 1)
 @example((48, 144), F(1, 2), F(1, 4), F(0), F(3, 8))  # 2**4 balanced, 3 split, em = 3
 @example((1, 30), F(1, 2), F(1, 2), F(1, 3), F(0))
+# The prime 2 splits the pair: its terms run over the odd multiples.
+@example((6, 15), F(1, 2), F(1, 2), F(1, 3), F(-2, 7))  # 2 only in q
+@example((15, 4), F(1, 2), F(1, 2), F(5, 3), F(1, 9))  # 2 only in r
+@example((12, 8), F(1, 2), F(1, 2), F(-1, 5), F(3, 4))  # v2 = 2 and 3
+@example((2, 16), F(1, 2), F(1, 2), F(2, 3), F(-1, 6))  # v2 = 1 and 4
+@example((6, 10), F(1, 2), F(1, 2), F(1, 3), F(3, 7))  # 2 balanced: the control
 def test_kernel_equals_merge(pair, psi_q, psi_r, y_q, y_r):
     q, r = pair
     expected = merge(q, psi_q, y_q, r, psi_r, y_r)
@@ -185,3 +194,28 @@ def test_identity_checks_survive_optimize_flag():
     lines = done.stderr.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("identity failure: ell/em/en identities fail")
+
+
+def mutant(function, old, new):
+    """`function` with the source text `old` replaced by `new`, compiled in
+    its module's namespace."""
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(old) == 1
+    namespace = dict(function.__globals__)
+    exec(compile(source.replace(old, new), inspect.getsourcefile(function), "exec"), namespace)
+    return namespace[function.__name__]
+
+
+def test_overlap_engine_suite_catches_a_dropped_odd_offset(monkeypatch):
+    # Without the lift by s, a 2-split pair's terms sit at the even multiples.
+    assert verification.check_overlap_engine(limit=8).ok
+    broken = mutant(overlap._pair_overlap_units, "(delta + s) % (s + s)", "delta % (s + s)")
+    monkeypatch.setattr(verification, "_pair_overlap_units", broken)
+    assert not verification.check_overlap_engine(limit=8).ok
+
+
+def test_coprime_count_suite_catches_a_parity_blind_table(monkeypatch):
+    assert verification.check_coprime_counts(8).ok
+    broken = mutant(overlap._f_table, "if odd else", "if False else")
+    monkeypatch.setattr(verification, "_f_table", broken)
+    assert not verification.check_coprime_counts(8).ok

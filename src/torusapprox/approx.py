@@ -86,12 +86,15 @@ def build_approx_set(q: int, psi_q, y_q) -> TorusIntervalSet:
     arcs starting at or past 1 are a suffix of `coprime_residues(q)`, found
     by one bisect, and rotating that suffix (shifted down by den) to the
     front lists the starts in order: no arc is reduced mod 1 and nothing is
-    sorted.  Below
-    psi = 1/2 no two arcs touch and only the last can cross 1, so its two
-    halves are written around the interleaved starts and ends.  From
-    psi = 1/2 on, arcs may touch or overlap: the arcs crossing 1 leave
-    [0, tail) in front, and one pass of the torus union merge joins the
-    arcs, whose ends (capped at 1) never decrease.
+    sorted.  Up to psi = 1/2 only the last arc can cross 1, so its two
+    halves are written around the other ends, its part past 1, [0, tail),
+    joining the first piece when that starts at tail.  Below psi = 1/2 no
+    two arcs touch and the ends are the interleaved starts and ends.  At
+    psi = 1/2 arcs of consecutive residues touch end to end, so the pieces
+    are the runs of starts one scale apart, cut at the larger gaps.  Above
+    psi = 1/2 arcs may overlap: the arcs crossing 1 leave [0, tail) in
+    front, and one pass of the torus union merge joins the arcs, whose ends
+    (capped at 1) never decrease.
 
     Refuses q above the piece cap before building anything.
     """
@@ -128,16 +131,34 @@ def _build_approx_set(q: int, psi_q, y_q, residues) -> TorusIntervalSet:
         ends = [0] * (2 * len(starts))
         ends[0::2] = starts
         ends[1::2] = [lo + length for lo in starts]
-        tail = ends[-1] - den
-        if tail > 0:
-            ends[-1] = den
+    elif length == scale:
+        # Consecutive starts differ by a multiple of scale = length, so two
+        # arcs touch exactly when their starts are scale apart: a piece ends
+        # and the next begins at each larger gap.
+        ends = [starts[0]]
+        ends += [
+            end
+            for lo, hi in zip(starts, starts[1:])
+            if hi - lo > scale
+            for end in (lo + scale, hi)
+        ]
+        ends.append(starts[-1] + scale)
+    else:
+        crossing = bisect_right(starts, den - length)
+        his = [lo + length for lo in starts[:crossing]]
+        his += [den] * (len(starts) - crossing)
+        ends = [0, starts[-1] + length - den] if crossing < len(starts) else []
+        return _reduced(den, _merge(zip(starts, his), ends))
+    # Only the last arc can cross 1.  Its part past 1, [0, tail), joins the
+    # first piece when that starts at tail, which only psi = 1/2 allows.
+    tail = ends[-1] - den
+    if tail > 0:
+        ends[-1] = den
+        if ends[0] == tail:
+            ends[0] = 0
+        else:
             ends[:0] = (0, tail)
-        return _reduced(den, ends)
-    crossing = bisect_right(starts, den - length)
-    his = [lo + length for lo in starts[:crossing]]
-    his += [den] * (len(starts) - crossing)
-    ends = [0, starts[-1] + length - den] if crossing < len(starts) else []
-    return _reduced(den, _merge(zip(starts, his), ends))
+    return _reduced(den, ends)
 
 
 class MeasureCheck(NamedTuple):

@@ -622,12 +622,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _join_negative_rationals(argv: list[str]) -> list[str]:
-    """Pass "--X -7/3" on as "--X=-7/3": argparse reads "-7/3" as a flag."""
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Pass "--X -7/3" on as "--X=-7/3", and likewise any value that starts
+    with a minus sign and a digit, such as "-3,5" or "-3..5": argparse reads
+    those as flags."""
     joined: list[str] = []
     for token in argv:
         flag = joined[-1] if joined else ""
-        if flag.startswith("--") and "=" not in flag and re.fullmatch(r"-\d+/\d+", token):
+        if flag.startswith("--") and "=" not in flag and re.match(r"-\d", token):
             joined[-1] += "=" + token
         else:
             joined.append(token)
@@ -639,7 +641,7 @@ def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         try:
-            args, extra = parser.parse_known_args(_join_negative_rationals(argv))
+            args, extra = parser.parse_known_args(_join_negative_values(argv))
         except SystemExit:  # --help printed; a parse error raises UsageError
             return EXIT_OK
         if extra:

@@ -491,8 +491,18 @@ def _phigcd_brute(q: int, ms, phi) -> tuple[dict, list[int]]:
     """Brute-force sum over r <= q of phi(gcd(q, r))**m for each m in ms:
     the histogram of gcd(q, r) over r = 1, ..., q summed against phi**m,
     with phi(g) the totient of a divisor g.  Returns {g: phi(g)} over the
-    divisors of q and the sums."""
-    counts = Counter(map(math.gcd, repeat(q), range(1, q + 1)))
+    divisors of q and the sums.
+
+    gcd(q, r) = gcd(q, q - r), so the histogram counts r < q/2 by calling
+    gcd and doubles each count for its mirror q - r, then adds the two
+    unpaired terms: r = q/2 (q even, gcd q/2) and r = q (gcd q).  It
+    never uses the divisor identity it is checked against."""
+    counts = Counter(map(math.gcd, repeat(q), range(1, (q + 1) // 2)))
+    for g in counts:
+        counts[g] *= 2
+    if q % 2 == 0:
+        counts[q // 2] += 1
+    counts[q] += 1
     phis = {g: phi(g) for g in counts}
     return phis, [sum(count * phis[g] ** m for g, count in counts.items()) for m in ms]
 

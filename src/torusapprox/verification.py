@@ -142,11 +142,11 @@ def check_measure_law(
     for q in range(1, limit + 1):
         residues = coprime_residues(q)  # shared by the q's builds
         for psi in psis:
+            expected = 2 * Fraction(phi[q] * psi, q)
             for _ in range(targets_per):
                 y = Fraction(rng.randint(-256, 256), rng.randint(1, 64))
                 approx = _build_approx_set(q, psi, y, residues)
                 report = _measure_check(q, psi, approx, phi[q])
-                expected = 2 * Fraction(phi[q] * psi, q)
                 if report.measure != expected or not report.ok:
                     return CheckResult(
                         "measure-law", False,

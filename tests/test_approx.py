@@ -136,7 +136,10 @@ targets = st.builds(F, st.integers(-300, 300), st.integers(1, 40))
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 60), psis, targets)
 @example(2, F(1, 4), F(1))  # the arc at 1/2 + 1/2 crosses 1
-@example(5, F(1, 2), F(0))  # psi = 1/2: the four arcs touch end to end
+@example(5, F(1, 2), F(0))  # psi = 1/2, q prime, y = 0: every residue is one run
+@example(9, F(1, 2), F(2))  # psi = 1/2: the run {7, 8} wraps past 1 and joins run {1, 2}
+@example(9, F(1, 2), F(1))  # psi = 1/2: the run {7, 8} wraps but misses run {1, 2}
+@example(2, F(1, 2), F(1))  # psi = 1/2, one residue: the one arc crosses 1
 @example(5, F(3, 4), F(0))  # overlapping arcs
 @example(1, F(1, 4), F(1, 3))  # q = 1: the one arc at y
 @example(3, F(2), F(0))  # 2 psi / q >= 1: the full circle

@@ -259,6 +259,14 @@ def test_verify_times_each_suite_on_stderr_only(capsys, monkeypatch):
     assert re.fullmatch(r"suite=sift seconds=\d+\.\d{3}", lines[1])
 
 
+# Rows whose message must name the option at fault: a value that starts
+# with "-" and a digit is joined to its flag, not read as one.
+NAMED_OPTION = {
+    "mc --q-range -3,5 --psi const:1/4": "q_range",
+    "mc --q-range -3..5 --psi const:1/4": "q_range",
+}
+
+
 @pytest.mark.parametrize("argv", [
     "pairwise --Q 1 --psi const:1/4 --y zero",
     "pairwise --Q 8 --workers 0 --psi const:1/4 --y zero",
@@ -288,6 +296,7 @@ def test_verify_times_each_suite_on_stderr_only(capsys, monkeypatch):
     "nosuchcmd",
     "pairwise --mode fast --Q 8 --psi const:1/4",
     "mc --q-range -3,5 --psi const:1/4",
+    "mc --q-range -3..5 --psi const:1/4",
     "pairwise --Q 8 --psi const:1/4 --mode " + "x" * 3000,
 ])
 def test_bad_input_exits_2_with_one_line(capsys, argv):
@@ -295,6 +304,7 @@ def test_bad_input_exits_2_with_one_line(capsys, argv):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("usage error: ")
+    assert NAMED_OPTION.get(argv, "") in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -289,6 +290,18 @@ def test_phigcd_examples():
     assert phigcd_sum(6, 3) == (20, 20)
     assert phigcd_sum(4, 2) == (7, 7)
     assert phigcd_sum(1, 5) == (1, 1)
+
+
+def test_phigcd_brute_matches_the_full_gcd_histogram():
+    # The brute force counts r < q/2 and mirrors them; this oracle calls
+    # gcd at every r = 1, ..., q, from q = 1 and q = 2, where no r mirrors.
+    for q in range(1, 601):
+        counts = Counter(math.gcd(q, r) for r in range(1, q + 1))
+        phis, sums = experiments._phigcd_brute(q, range(1, 5), totient)
+        assert phis == {g: totient(g) for g in counts}
+        assert sums == [
+            sum(count * totient(g) ** m for g, count in counts.items()) for m in range(1, 5)
+        ]
 
 
 def test_phigcd_batch_and_scan_agree():

@@ -128,6 +128,9 @@ def _build_approx_set(q: int, psi_q, y_q, residues) -> TorusIntervalSet:
     starts = [a * scale + wrap for a in residues[k:]]
     starts += [a * scale + off for a in residues[:k]]
     if length < scale:
+        # No two arcs touch.  The gap cut below, at gaps > length, would give
+        # these same interleaved ends, but slice assignment writes them three
+        # to four times faster, and most builds are below psi = 1/2.
         ends = [0] * (2 * len(starts))
         ends[0::2] = starts
         ends[1::2] = [lo + length for lo in starts]

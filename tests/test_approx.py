@@ -137,7 +137,7 @@ targets = st.builds(F, st.integers(-300, 300), st.integers(1, 40))
 @given(st.integers(1, 60), psis, targets)
 @example(2, F(1, 4), F(1))  # the arc at 1/2 + 1/2 crosses 1
 @example(5, F(1, 2), F(0))  # psi = 1/2, q prime, y = 0: every residue is one run
-@example(9, F(1, 2), F(2))  # psi = 1/2: the run {7, 8} wraps past 1 and joins run {1, 2}
+@example(9, F(1, 2), F(2))  # psi = 1/2: run {7, 8} straddles 1; arc 7's tail [0, 1/18) joins arc 8's [1/18, 3/18)
 @example(9, F(1, 2), F(1))  # psi = 1/2: the run {7, 8} wraps but misses run {1, 2}
 @example(2, F(1, 2), F(1))  # psi = 1/2, one residue: the one arc crosses 1
 @example(5, F(3, 4), F(0))  # overlapping arcs

@@ -14,18 +14,12 @@ from .approx import (
     build_approx_set,
     coprime_residues,
     hit_test,
-    reduced_fractions,
-    sumset_reduced,
 )
 from .arith import (
     factorize,
     is_prime,
     next_prime,
-    prime_tail_threshold,
-    prime_tail_threshold_count,
     primes_for_epsilon,
-    radical,
-    radical_and_smooth_part,
     spf_table,
     totient,
     totient_range,
@@ -60,15 +54,11 @@ from .experiments import (
 from .overlap import (
     OverlapReport,
     PairDecomposition,
-    coprime_pair_count,
     coprime_pair_histogram,
     decompose_pair,
-    main_term,
-    overlap_bound_terms,
     overlap_report,
     pair_overlap_exact,
     sifted_interval_count,
-    trivial_overlap_bound,
 )
 from .rationals import format_rational, parse_rational
 from .torus import TorusIntervalSet, measure_intersection

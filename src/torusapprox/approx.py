@@ -42,35 +42,17 @@ def coprime_residues(q: int) -> list[int]:
     return [a for a in range(1, q) if math.gcd(a, q) == 1]
 
 
-def reduced_fractions(q: int) -> tuple[Fraction, ...]:
-    """The phi(q) reduced fractions a/q on the circle, sorted."""
-    return tuple(Fraction(a, q) for a in coprime_residues(q))
-
-
 def _sumset_numerators(r: int, s: int) -> list[int]:
-    """The sumset of `sumset_reduced` as sorted numerators over r*s; r and
-    s must be coprime."""
+    """The mod-1 sumset of the reduced fractions with denominators r and s,
+    as sorted numerators over r*s; r and s must be coprime.  The Chinese
+    remainder theorem makes a/r + b/s (mod 1) a bijection onto the reduced
+    fractions with denominator r*s, so this is `coprime_residues(r*s)`."""
     rs = r * s
     return sorted(
         (a * s + b * r) % rs
         for a in coprime_residues(r)
         for b in coprime_residues(s)
     )
-
-
-def sumset_reduced(r: int, s: int) -> tuple[Fraction, ...]:
-    """Mod-1 sumset of the reduced fractions with denominators r and s.
-
-    Requires gcd(r, s) = 1.  The Chinese remainder theorem makes
-    a/r + b/s  (mod 1) a bijection onto the reduced fractions with
-    denominator r*s, so the result always has phi(r) * phi(s) points.
-    """
-    if r < 1 or s < 1:
-        raise ValueError("denominators must be >= 1")
-    if math.gcd(r, s) != 1:
-        raise ValueError(f"sumset_reduced requires coprime inputs, got {r}, {s}")
-    rs = r * s
-    return tuple(Fraction(c, rs) for c in _sumset_numerators(r, s))
 
 
 def build_approx_set(q: int, psi_q, y_q) -> TorusIntervalSet:

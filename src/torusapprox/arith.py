@@ -1,13 +1,9 @@
 """Exact integer and rational number theory.
 
-Factorization (direct and sieve-backed), Euler's totient, radicals and
-smooth parts, runs of consecutive primes chosen against a density target,
-and the prime-tail threshold function
-
-    g(s) = min { n >= 1 : sum of 1/p over primes p | s with p > n  <  1/2 },
-
-all computed with unbounded integers and fractions.Fraction.  Everything
-here is pure and safe to call from worker processes.
+Factorization (direct and sieve-backed), Euler's totient, and runs of
+consecutive primes chosen against a density target, all computed with
+unbounded integers and fractions.Fraction.  Everything here is pure and
+safe to call from worker processes.
 """
 
 from __future__ import annotations
@@ -160,32 +156,6 @@ def totient_range(limit: int) -> list[int]:
     return phi
 
 
-def radical(n: int) -> int:
-    """Product of the distinct primes dividing n; radical(1) = 1."""
-    r = 1
-    for p, _ in factorize(n):
-        r *= p
-    return r
-
-
-def radical_and_smooth_part(n: int, bound) -> tuple[int, int]:
-    """Radical of n together with its bound-smooth part.
-
-    The smooth part keeps the full prime power p**v for every prime
-    p <= bound dividing n.  The bound may be a Fraction.
-    """
-    b = Fraction(bound)
-    if n < 1 or b < 1:
-        raise ValueError("radical_and_smooth_part requires n >= 1 and bound >= 1")
-    rad = 1
-    smooth = 1
-    for p, e in factorize(n):
-        rad *= p
-        if p <= b:
-            smooth *= p**e
-    return rad, smooth
-
-
 def primes_for_epsilon(above: int, eps) -> tuple[list[int], Fraction]:
     """Shortest run of consecutive primes past `above` whose totient density
     drops strictly below eps.
@@ -219,48 +189,3 @@ def primes_for_epsilon(above: int, eps) -> tuple[list[int], Fraction]:
             break
         candidate = next_prime(candidate)
     return primes, product
-
-
-def _tail_threshold(primes) -> int:
-    """g(s) from the distinct primes of s in increasing order."""
-    half = Fraction(1, 2)
-    tail = sum((Fraction(1, p) for p in primes), Fraction(0))
-    if tail < half:
-        return 1
-    # Raising n past a prime removes exactly that prime from the tail, and
-    # nothing changes strictly between primes, so the minimum sits on a prime.
-    for p in primes:
-        tail -= Fraction(1, p)
-        if tail < half:
-            return p
-    raise AssertionError("empty tail must fall below 1/2")
-
-
-def prime_tail_threshold(s: int) -> int:
-    """Least n >= 1 such that sum of 1/p over primes p | s with p > n is < 1/2.
-
-    Depends on s only through its radical.  Computed with exact fractions.
-    """
-    if s < 1:
-        raise ValueError("prime_tail_threshold requires s >= 1")
-    return _tail_threshold([p for p, _ in factorize(s)])
-
-
-def prime_tail_threshold_count(x: int, v: int, table: list[int] | None = None) -> int:
-    """Exact number of n < x with prime_tail_threshold(n) == v."""
-    if x < 1 or v < 1:
-        raise ValueError("prime_tail_threshold_count requires x >= 1 and v >= 1")
-    if x == 1:
-        return 0
-    if table is None:
-        table = spf_table(x - 1)
-    memo: dict[tuple[int, ...], int] = {}
-    count = 0
-    for n in range(1, x):
-        primes = tuple(p for p, _ in factorize_with_table(n, table))
-        g = memo.get(primes)
-        if g is None:
-            g = memo[primes] = _tail_threshold(primes)
-        if g == v:
-            count += 1
-    return count

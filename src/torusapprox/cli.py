@@ -66,7 +66,13 @@ def _shown(value) -> str:
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose errors raise `UsageError`, so a bad command
-    line is reported as one `usage error:` line instead of a usage block."""
+    line is reported as one `usage error:` line instead of a usage block.
+    Flags must be spelled out: an abbreviation such as "--ps" is refused,
+    not read as the one flag it prefixes, so a new flag never changes what
+    an old command line means.  Subparsers are built by this class too."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise UsageError(message)

@@ -36,7 +36,7 @@ from importlib import resources
 from itertools import repeat
 
 from .approx import _PIECE_CAP, ApproxFunction, TargetSequence, build_approx_set
-from .arith import _SPF_CAP, spf_table, totient, totient_range
+from .arith import _SPF_CAP, factorize, spf_table, totient, totient_range
 from .errors import BudgetError, IdentityError
 from .overlap import (
     _main_term_units,
@@ -487,11 +487,10 @@ def _ratio_den(q: int, m: int, phi_q: int) -> int:
     return phi_q**m if m >= 3 else q * q
 
 
-def _phigcd_brute(q: int, ms, phi) -> tuple[dict, list[int]]:
+def _phigcd_brute(q: int, ms, phi) -> list[int]:
     """Brute-force sum over r <= q of phi(gcd(q, r))**m for each m in ms:
     the histogram of gcd(q, r) over r = 1, ..., q summed against phi**m,
-    with phi(g) the totient of a divisor g.  Returns {g: phi(g)} over the
-    divisors of q and the sums.
+    with phi(g) the totient of a divisor g.
 
     gcd(q, r) = gcd(q, q - r), so the histogram counts r < q/2 by calling
     gcd and doubles each count for its mirror q - r, then adds the two
@@ -504,19 +503,23 @@ def _phigcd_brute(q: int, ms, phi) -> tuple[dict, list[int]]:
         counts[q // 2] += 1
     counts[q] += 1
     phis = {g: phi(g) for g in counts}
-    return phis, [sum(count * phis[g] ** m for g, count in counts.items()) for m in ms]
+    return [sum(count * phis[g] ** m for g, count in counts.items()) for m in ms]
 
 
 def phigcd_sum(q: int, m: int) -> tuple[int, int]:
     """Sum over r <= q of phi(gcd(q, r))**m, brute force and via the
-    divisor identity sum_{d | q} phi(d)**m phi(q/d).  Checked equal."""
+    divisor identity sum_{d | q} phi(d)**m phi(q/d).  Checked equal; the
+    divisors come from `factorize(q)`, not from the brute force."""
     if q < 1 or m < 1:
         raise ValueError("phigcd_sum requires q >= 1 and m >= 1")
     if q > _SPF_CAP:
         raise BudgetError(f"q = {q} exceeds the cap {_SPF_CAP}")
     _check_dimension(m)
-    phis, (brute,) = _phigcd_brute(q, (m,), totient)
-    divisor_form = _divisor_form(q, m, phis, phis)
+    (brute,) = _phigcd_brute(q, (m,), totient)
+    divisors = [1]
+    for p, e in factorize(q):
+        divisors = [d * p**k for k in range(e + 1) for d in divisors]
+    divisor_form = _divisor_form(q, m, divisors, {d: totient(d) for d in divisors})
     if brute != divisor_form:
         raise IdentityError(f"phigcd sums differ at q={q}, m={m}: {brute} != {divisor_form}")
     return brute, divisor_form
@@ -525,16 +528,19 @@ def phigcd_sum(q: int, m: int) -> tuple[int, int]:
 def phigcd_batch_check(limit: int) -> dict:
     """Brute force vs divisor identity for every q <= limit and m in 1..4.
 
-    Also tracks max over q of sum/phi(q)**m for m >= 3 and of sum/q**2 for
-    m = 2.  Returns {"ok": bool, "mismatches": int, "max_ratios": {m: Fraction}}.
+    The divisor forms come from the sieve of `_divisor_forms`, not from the
+    brute force.  Also tracks max over q of sum/phi(q)**m for m >= 3 and of
+    sum/q**2 for m = 2.  Returns
+    {"ok": bool, "mismatches": int, "max_ratios": {m: Fraction}}.
     """
     phi = totient_range(limit)
     mismatches = 0
     best: dict[int, tuple[int, int]] = {}  # max ratio per m as (num, den)
+    forms = [_divisor_forms(limit, m) for m in range(1, 5)]
     for q in range(1, limit + 1):
-        phis, sums = _phigcd_brute(q, range(1, 5), phi.__getitem__)
-        for m, brute in enumerate(sums, 1):
-            if brute != _divisor_form(q, m, phis, phis):
+        sums = _phigcd_brute(q, range(1, 5), phi.__getitem__)
+        for m, (brute, (_, form, _)) in enumerate(zip(sums, map(next, forms)), 1):
+            if brute != form:
                 mismatches += 1
                 continue
             if m < 2:

@@ -172,19 +172,6 @@ def _decompose(row_q: tuple, row_r: tuple) -> PairDecomposition:
     return dec
 
 
-def coprime_pair_count(dec: PairDecomposition, c: int) -> int:
-    """Closed-form f(c): pairs of coprime residues at integer difference c
-    (any integer), the sum of the `_f_terms` whose step xy divides c; 0 at
-    even c when 2 splits."""
-    if c % 2 == 0 and 2 in dec.split[5]:
-        return 0
-    left, weights, right = _f_terms(dec.split)
-    return sum(
-        w if x * y > 0 else -w
-        for x, w in zip(left, weights) for y in right if c % (x * y) == 0
-    )
-
-
 def _f_table(dec: PairDecomposition) -> list[int]:
     """f over one period [0, lcm), each term added at the multiples of its
     step, or at its odd multiples when 2 splits."""
@@ -268,18 +255,6 @@ def _overlap_rows(limit: int, psi, target=lambda q: 0) -> list:
         _overlap_row(q, factorize_with_table(q, table), psi(q), target(q))
         for q in range(1, limit + 1)
     ]
-
-
-def _pair_setup(q: int, r: int, psi, y_q=0, y_r=0) -> tuple[PairDecomposition, tuple, tuple]:
-    """The checked decomposition and two rows of one pair, for the `Fraction`
-    wrappers: each row is built once, at psi and the targets, and the pair
-    is decomposed from them."""
-    if q < 1 or r < 1:
-        raise ValueError("moduli must be >= 1")
-    psi_q, psi_r = _psi_pair(psi, q, r)
-    row_q = _overlap_row(q, factorize(q), psi_q, y_q)
-    row_r = _overlap_row(r, factorize(r), psi_r, y_r)
-    return _decompose(row_q, row_r), row_q, row_r
 
 
 def _pair_overlap_units(row_q: tuple, row_r: tuple) -> tuple[int, int]:
@@ -383,7 +358,7 @@ def _main_term_units(
     row_q: tuple, row_r: tuple, split: tuple, strict_indicator: bool = False
 ) -> tuple[int, int]:
     """M(q, r) as (num, den), unreduced, in integers: the one form behind
-    `main_term`, `overlap_bound_terms` and the `msum` ladder.
+    the report's `M` and `addend1` and the `msum` ladder.
 
     The window test D >= 1 (D > 1 with strict_indicator) and the
     comparisons p > D over the split primes (those of q*r/gcd**2, read off
@@ -418,45 +393,6 @@ def _trivial_units(row_q: tuple, row_r: tuple, split: tuple) -> tuple[int, int]:
     q, _, _, b, a, _, _, _ = row_q
     _, _, _, d, c, _, _, _ = row_r
     return a * (c * q + d * _phi_gcd(split)), b * d * q
-
-
-def overlap_bound_terms(q: int, r: int, psi) -> tuple[Fraction, Fraction]:
-    """The two addends of the overlap upper bound.
-
-    addend1 = M(q, r) with the strict window indicator [D > 1], that is
-              [D > 1] * (psi(q)phi(q)/q) * (psi(r)phi(r)/r)
-              * prod over p | q*r/gcd**2 with p > D of (1 + 1/p)
-    addend2 = phi(gcd(q, r)) * min(psi(q)/q, psi(r)/r)
-
-    Both exact; the bound itself holds up to an absolute constant that is
-    tracked empirically, never assumed.
-    """
-    dec, row_q, row_r = _pair_setup(q, r, psi)
-    return (
-        Fraction(*_main_term_units(row_q, row_r, dec.split, strict_indicator=True)),
-        Fraction(*_addend2_units(row_q, row_r, dec.split)),
-    )
-
-
-def main_term(q: int, r: int, psi) -> Fraction:
-    """The main pairwise term M(q, r), with the window indicator D >= 1
-    (what the pairwise sums downstream use).  The bound's addend1 in
-    `overlap_bound_terms` is the strict D > 1 form; the two differ only on
-    the measure-zero locus D = 1.
-    """
-    dec, row_q, row_r = _pair_setup(q, r, psi)
-    return Fraction(*_main_term_units(row_q, row_r, dec.split))
-
-
-def trivial_overlap_bound(q: int, r: int, psi) -> Fraction:
-    """Elementary overlap bound psi(q)psi(r) + (psi(q)/q) phi(gcd(q, r)).
-
-    Stated for ordered pairs r < q; callers order the pair first.
-    """
-    if not 1 <= r < q:
-        raise ValueError("trivial_overlap_bound requires 1 <= r < q")
-    dec, row_q, row_r = _pair_setup(q, r, psi)
-    return Fraction(*_trivial_units(row_q, row_r, dec.split))
 
 
 def sifted_interval_count(x, y, n: int) -> tuple[int, Fraction, Fraction]:
@@ -518,7 +454,18 @@ class OverlapReport:
 
 
 def overlap_report(q: int, r: int, psi, y_q=0, y_r=0) -> OverlapReport:
-    dec, row_q, row_r = _pair_setup(q, r, psi, y_q, y_r)
+    """One pair's report.  addend1 is M(q, r) with the strict window
+    indicator [D > 1] and M the one with [D >= 1] that the pairwise sums
+    use; they differ only on the measure-zero locus D = 1.  addend2 is
+    phi(gcd(q, r)) min(psi(q)/q, psi(r)/r), and trivial_rhs the elementary
+    bound psi(q)psi(r) + (psi(q)/q) phi(gcd(q, r)) with q the larger
+    modulus.  Each row is built once, at psi and the targets."""
+    if q < 1 or r < 1:
+        raise ValueError("moduli must be >= 1")
+    psi_q, psi_r = _psi_pair(psi, q, r)
+    row_q = _overlap_row(q, factorize(q), psi_q, y_q)
+    row_r = _overlap_row(r, factorize(r), psi_r, y_r)
+    dec = _decompose(row_q, row_r)
     hi, lo = (row_q, row_r) if q > r else (row_r, row_q)
     return OverlapReport(
         q=q, r=r, ell=dec.ell, em=dec.em, en=dec.en,

@@ -17,10 +17,9 @@ start: `_canonical` runs it after reducing and sorting arbitrary spans, and
 already delivers in order.  `_overlap_units` is the one integer intersection
 merge: `measure_intersection` uses it, and so do the pairwise scans for the
 pairs the closed form of `overlap._pair_overlap_units` does not cover (a
-weight above 1/2).  `pieces` (a `PieceView`), `to_pairs`/`from_pairs`,
-`repr` and pickling present the endpoints as Fractions, exactly as a
-Fraction-endpoint representation would.  All operations are exact and return
-new values.
+weight above 1/2).  `pieces` (a `PieceView`), `repr` and pickling present
+the endpoints as Fractions, exactly as a Fraction-endpoint representation
+would.  All operations are exact and return new values.
 
 The half-open convention makes complement/union/measure exact partitions;
 it differs from closed intervals only on finitely many points, which no
@@ -33,8 +32,6 @@ import math
 from bisect import bisect_right
 from collections.abc import Sequence
 from fractions import Fraction
-
-from .rationals import format_rational, parse_rational
 
 
 def _new(den: int, ends: tuple) -> "TorusIntervalSet":
@@ -303,28 +300,6 @@ class TorusIntervalSet:
             if k % 2 == 0 or mine[i + 1] > theirs[k]:
                 return False
         return True
-
-    # -- serialization ----------------------------------------------------------
-
-    def to_pairs(self) -> list[list[str]]:
-        """JSON-ready form: a list of ["p/q", "p/q"] endpoint pairs."""
-        return [[format_rational(lo), format_rational(hi)] for lo, hi in self.pieces]
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "TorusIntervalSet":
-        """Inverse of to_pairs.  Input must already be canonical; round trips
-        are bit-exact."""
-        pieces = tuple(
-            (parse_rational(lo), parse_rational(hi)) for lo, hi in pairs
-        )
-        previous_hi = None
-        for lo, hi in pieces:
-            if not (0 <= lo < hi <= 1):
-                raise ValueError("piece endpoints outside the canonical range")
-            if previous_hi is not None and lo <= previous_hi:
-                raise ValueError("pieces not in canonical order")
-            previous_hi = hi
-        return cls._trusted(pieces)
 
     # -- dunder plumbing ---------------------------------------------------------
 

@@ -166,8 +166,9 @@ def _bound_ratio_max(limit: int, psi: ApproxFunction) -> tuple[Fraction, Fractio
     """Max of exact/(addend1+addend2) and exact/trivial over r < q <= limit.
 
     The exact overlap is the interval merge; the bound terms come from the
-    integer forms behind `overlap_bound_terms` and `trivial_overlap_bound`,
-    and each ratio is compared by cross-multiplication as (num, den).
+    integer forms behind the `overlap_report` fields `addend1`, `addend2`
+    and `trivial_rhs`, and each ratio is compared by cross-multiplication
+    as (num, den).
     """
     rows = _overlap_rows(limit, psi)
     sets = [None] + [build_approx_set(q, psi(q), 0) for q in range(1, limit + 1)]

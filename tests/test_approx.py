@@ -7,14 +7,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from torusapprox import verification
 from torusapprox.approx import (
+    _sumset_numerators,
     ApproxFunction,
     TargetSequence,
     approx_set_measure,
     build_approx_set,
     coprime_residues,
     hit_test,
-    reduced_fractions,
-    sumset_reduced,
 )
 from torusapprox.arith import totient
 from torusapprox.experiments import ExperimentConfig, equidistribution_scan
@@ -24,21 +23,21 @@ F = Fraction
 
 
 def test_reduced_fractions():
-    assert reduced_fractions(1) == (F(0),)
-    assert reduced_fractions(6) == (F(1, 6), F(5, 6))
-    assert reduced_fractions(5) == (F(1, 5), F(2, 5), F(3, 5), F(4, 5))
+    # The reduced fractions a/q on the circle, as their numerators a.
+    assert coprime_residues(1) == [0]
+    assert coprime_residues(6) == [1, 5]
+    assert coprime_residues(5) == [1, 2, 3, 4]
     for q in range(1, 200):
-        rf = reduced_fractions(q)
-        assert len(rf) == totient(q)
-        assert all(p.denominator == q or q == 1 for p in rf)
+        residues = coprime_residues(q)
+        assert len(residues) == totient(q)
+        assert residues == sorted(residues)
+        assert all(0 <= a < q and math.gcd(a, q) == 1 for a in residues)
 
 
 def test_sumset_examples():
-    assert sumset_reduced(2, 3) == (F(1, 6), F(5, 6))
-    assert sumset_reduced(1, 9) == reduced_fractions(9)
-    assert sumset_reduced(3, 5) == reduced_fractions(15)
-    with pytest.raises(ValueError):
-        sumset_reduced(6, 10)
+    assert _sumset_numerators(2, 3) == [1, 5]
+    assert _sumset_numerators(1, 9) == coprime_residues(9)
+    assert _sumset_numerators(3, 5) == coprime_residues(15)
 
 
 def test_sumset_squarefree_divisor_pairs():
@@ -46,7 +45,7 @@ def test_sumset_squarefree_divisor_pairs():
     for q in (2, 6, 30, 42, 105, 210):
         for r in range(1, q + 1):
             if q % r == 0:
-                assert sumset_reduced(r, q // r) == reduced_fractions(q)
+                assert _sumset_numerators(r, q // r) == coprime_residues(q)
 
 
 def _drop_one_residue(r, s):

@@ -10,11 +10,7 @@ from torusapprox.arith import (
     factorize_with_table,
     is_prime,
     next_prime,
-    prime_tail_threshold,
-    prime_tail_threshold_count,
     primes_for_epsilon,
-    radical,
-    radical_and_smooth_part,
     spf_table,
     totient,
     totient_range,
@@ -103,14 +99,6 @@ def test_totient_range_matches_totient():
         assert phi[n] == totient(n)
 
 
-def test_radical_and_smooth_part():
-    assert radical_and_smooth_part(12, 2) == (6, 4)
-    assert radical_and_smooth_part(1, 7) == (1, 1)
-    assert radical_and_smooth_part(30, 10) == (30, 30)
-    assert radical_and_smooth_part(360, Fraction(5, 2)) == (30, 8)
-    assert radical(n=98) == 14
-
-
 def test_primes_for_epsilon_examples():
     assert primes_for_epsilon(1, Fraction(1, 2)) == ([2, 3], Fraction(1, 3))
     assert primes_for_epsilon(2, Fraction(7, 10)) == ([3], Fraction(2, 3))
@@ -139,39 +127,6 @@ def test_primes_for_epsilon_cap(monkeypatch):
     monkeypatch.setattr(arith, "_PRIME_RUN_CAP", 5)
     with pytest.raises(BudgetError, match="prime run cap 5 .*partial product"):
         primes_for_epsilon(10, Fraction(1, 10**6))
-
-
-def test_prime_tail_threshold_examples():
-    assert prime_tail_threshold(1) == 1
-    assert prime_tail_threshold(2) == 2
-    assert prime_tail_threshold(15) == 3
-
-
-def test_prime_tail_threshold_radical_invariance():
-    for s in range(1, 10**4 + 1, 7):
-        assert prime_tail_threshold(s) == prime_tail_threshold(radical(s))
-
-
-def test_prime_tail_threshold_minimality():
-    half = Fraction(1, 2)
-    for s in range(1, 10**4 + 1, 11):
-        g = prime_tail_threshold(s)
-        primes = [p for p, _ in factorize(s)]
-        tail = sum((Fraction(1, p) for p in primes if p > g), Fraction(0))
-        assert tail < half
-        if g > 1:
-            below = sum((Fraction(1, p) for p in primes if p > g - 1), Fraction(0))
-            assert below >= half
-
-
-def test_prime_tail_threshold_count():
-    # brute-force frozen values: among n = 1..9 the odd n have threshold 1
-    # (their smallest odd prime tail is below 1/2) and the even n threshold 2
-    assert prime_tail_threshold_count(10, 1) == 5
-    assert prime_tail_threshold_count(10, 2) == 4
-    assert prime_tail_threshold_count(2, 5) == 0
-    total = sum(prime_tail_threshold_count(50, v) for v in range(1, 50))
-    assert total == 49
 
 
 def test_is_prime_against_sieve():

@@ -264,6 +264,8 @@ def test_verify_times_each_suite_on_stderr_only(capsys, monkeypatch):
 NAMED_OPTION = {
     "mc --q-range -3,5 --psi const:1/4": "q_range",
     "mc --q-range -3..5 --psi const:1/4": "q_range",
+    "pairwise --Q 8 --ps div3 --wor 1": "--ps div3 --wor 1",
+    "counterexample --m 3": "--m 3",
 }
 
 
@@ -298,6 +300,9 @@ NAMED_OPTION = {
     "mc --q-range -3,5 --psi const:1/4",
     "mc --q-range -3..5 --psi const:1/4",
     "pairwise --Q 8 --psi const:1/4 --mode " + "x" * 3000,
+    # Abbreviated flags are refused, not expanded to --psi, --workers, --mode.
+    "pairwise --Q 8 --ps div3 --wor 1",
+    "counterexample --m 3",
 ])
 def test_bad_input_exits_2_with_one_line(capsys, argv):
     code, out, err = run_capture(capsys, argv.split())

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from torusapprox import experiments
 from torusapprox.approx import ApproxFunction, TargetSequence, build_approx_set, hit_test
 from torusapprox.arith import totient, totient_range
-from torusapprox.errors import BudgetError
+from torusapprox.errors import BudgetError, IdentityError
 from torusapprox.experiments import (
     Enclosure,
     ExperimentConfig,
@@ -22,7 +22,7 @@ from torusapprox.experiments import (
     quasi_independence_ladder,
     unit_sample,
 )
-from torusapprox.overlap import main_term, pair_overlap_exact
+from torusapprox.overlap import overlap_report, pair_overlap_exact
 from torusapprox.torus import measure_intersection
 from torusapprox.verification import check_quasi_ladder
 
@@ -266,7 +266,7 @@ def test_main_term_sum_matches_module_function():
     for q in range(1, 13):
         for r in range(1, 13):
             if q != r:
-                direct += main_term(q, r, CONST4)
+                direct += overlap_report(q, r, CONST4).M
     assert rows[0].pair_sum == direct
     expected_rhs = sum(
         F(totient(q) * F(1, 4), q) for q in range(1, 13)
@@ -297,11 +297,26 @@ def test_phigcd_brute_matches_the_full_gcd_histogram():
     # gcd at every r = 1, ..., q, from q = 1 and q = 2, where no r mirrors.
     for q in range(1, 601):
         counts = Counter(math.gcd(q, r) for r in range(1, q + 1))
-        phis, sums = experiments._phigcd_brute(q, range(1, 5), totient)
-        assert phis == {g: totient(g) for g in counts}
+        sums = experiments._phigcd_brute(q, range(1, 5), totient)
         assert sums == [
             sum(count * totient(g) ** m for g, count in counts.items()) for m in range(1, 5)
         ]
+
+
+def test_phigcd_checks_catch_a_brute_force_that_drops_a_divisor(monkeypatch):
+    # Dropping gcd = 2 loses sqrt(q) at q = 4; the divisor forms come from
+    # factorize and the sieve, so the loss shows as a mismatch, not a KeyError.
+    def drop_two(q, ms, phi):
+        counts = Counter(math.gcd(q, r) for r in range(1, q + 1))
+        counts.pop(2, None)
+        return [sum(count * phi(g) ** m for g, count in counts.items()) for m in ms]
+
+    monkeypatch.setattr(experiments, "_phigcd_brute", drop_two)
+    with pytest.raises(IdentityError):
+        phigcd_sum(4, 3)
+    outcome = phigcd_batch_check(20)
+    assert outcome["ok"] is False
+    assert outcome["mismatches"] == 4 * len(range(2, 21, 2))
 
 
 def test_phigcd_batch_and_scan_agree():

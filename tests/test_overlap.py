@@ -19,15 +19,11 @@ from torusapprox.overlap import (
     _overlap_row,
     _split,
     _trivial_units,
-    coprime_pair_count,
     coprime_pair_histogram,
     decompose_pair,
-    main_term,
-    overlap_bound_terms,
     overlap_report,
     pair_overlap_exact,
     sifted_interval_count,
-    trivial_overlap_bound,
 )
 from torusapprox import verification
 from torusapprox.verification import _bound_ratio_max, check_coprime_counts
@@ -73,10 +69,10 @@ def test_decomposition_identities_random():
 
 
 def test_pair_count_examples():
-    assert coprime_pair_count(decompose_pair(3, 2), 1) == 1
+    assert _f_table(decompose_pair(3, 2))[1] == 1
     d = decompose_pair(6, 10)
-    assert coprime_pair_count(d, 3) == 0
-    assert coprime_pair_count(d, 4) == 1
+    assert _f_table(d)[3] == 0
+    assert _f_table(d)[4] == 1
     hist = coprime_pair_histogram(decompose_pair(3, 2))
     assert [c for c, v in enumerate(hist) if v] == [1, 5]
     assert sum(coprime_pair_histogram(d)) == totient(6) * totient(10) == 8
@@ -90,11 +86,8 @@ def test_pair_count_formula_vs_brute_small():
         for r in range(1, q):
             dec = decompose_pair(q, r)
             hist = coprime_pair_histogram(dec)
-            for c, expected in enumerate(hist):
-                assert coprime_pair_count(dec, c) == expected
+            assert _f_table(dec) == hist
             assert sum(hist) == totient(q) * totient(r)
-            # negative representatives reduce the same way
-            assert coprime_pair_count(dec, -1) == hist[dec.lcm - 1]
 
 
 def test_geometry_examples():
@@ -128,40 +121,39 @@ def test_exact_overlap_examples():
 
 
 def test_bound_terms_examples():
-    addend1, addend2 = overlap_bound_terms(2, 3, CONST4)
-    assert addend2 == F(1, 12)
-    assert addend2 >= pair_overlap_exact(2, 3, CONST4)
+    report = overlap_report(2, 3, CONST4)
+    assert report.addend2 == F(1, 12)
+    assert report.addend2 >= report.exact_overlap
     table = ApproxFunction.from_table({6: F(1, 3), 10: F(1, 5)})
-    addend1, _ = overlap_bound_terms(6, 10, table)
-    assert addend1 == F(1, 9) * F(2, 25) * F(6, 5)
+    assert overlap_report(6, 10, table).addend1 == F(1, 9) * F(2, 25) * F(6, 5)
     # indicator off below D = 1
     tiny = ApproxFunction.constant(F(1, 100))
-    addend1, _ = overlap_bound_terms(2, 3, tiny)
-    assert addend1 == 0
+    assert overlap_report(2, 3, tiny).addend1 == 0
 
 
 def test_main_term_examples():
     table = ApproxFunction.from_table({6: F(1, 3), 10: F(1, 5)})
-    assert main_term(6, 10, table) == F(4, 375)
-    assert main_term(2, 3, ApproxFunction.constant(F(1, 100))) == 0
+    assert overlap_report(6, 10, table).M == F(4, 375)
+    assert overlap_report(2, 3, ApproxFunction.constant(F(1, 100))).M == 0
     half = ApproxFunction.constant(F(1, 2))
-    assert main_term(2, 3, half) == F(1, 12)
+    assert overlap_report(2, 3, half).M == F(1, 12)
 
 
 def test_main_term_indicator_flag():
     # D = 1 exactly: q=2, r=3, psi with max width 1/12
     psi = ApproxFunction.from_table({2: F(1, 6), 3: F(1, 4)})
-    assert overlap_report(2, 3, psi).D == 1
-    assert main_term(2, 3, psi) > 0
-    assert overlap_bound_terms(2, 3, psi)[0] == 0
+    report = overlap_report(2, 3, psi)
+    assert report.D == 1
+    assert report.M > 0
+    assert report.addend1 == 0
 
 
 def test_trivial_bound():
-    assert trivial_overlap_bound(3, 2, CONST4) == F(7, 48)
-    assert trivial_overlap_bound(4, 2, CONST4) == F(1, 8)
-    assert trivial_overlap_bound(3, 2, ApproxFunction.constant(0)) == 0
-    with pytest.raises(ValueError):
-        trivial_overlap_bound(2, 3, CONST4)
+    # Stated for r < q; the report orders the pair itself.
+    assert overlap_report(3, 2, CONST4).trivial_rhs == F(7, 48)
+    assert overlap_report(2, 3, CONST4).trivial_rhs == F(7, 48)
+    assert overlap_report(4, 2, CONST4).trivial_rhs == F(1, 8)
+    assert overlap_report(3, 2, ApproxFunction.constant(0)).trivial_rhs == 0
 
 
 def test_overlap_report_splits_the_pair_once(monkeypatch):
@@ -270,24 +262,27 @@ def test_main_term_and_bound_terms_match_reference(q, r, spec):
     psi_q, psi_r = psi(q), psi(r)
     loose = ref_main_term(q, r, psi_q, psi_r, strict=False)
     strict = ref_main_term(q, r, psi_q, psi_r, strict=True)
-    assert main_term(q, r, psi) == loose
+    report = overlap_report(q, r, psi)
+    assert report.M == loose
     if ref_window(q, r, psi_q, psi_r) == 1 and psi_q:
         assert loose > 0 and strict == 0
     phi_g = ref_phi(math.gcd(q, r))
-    assert overlap_bound_terms(q, r, psi) == (strict, phi_g * min(F(psi_q) / q, F(psi_r) / r))
+    assert report.addend1 == strict
+    assert report.addend2 == phi_g * min(F(psi_q) / q, F(psi_r) / r)
     if q != r:
         hi, lo = max(q, r), min(q, r)
-        assert trivial_overlap_bound(hi, lo, psi) == (
-            F(psi(hi)) * F(psi(lo)) + F(psi(hi)) / hi * phi_g
-        )
+        assert report.trivial_rhs == F(psi(hi)) * F(psi(lo)) + F(psi(hi)) / hi * phi_g
+    else:
+        assert report.trivial_rhs is None
 
 
 def test_main_term_window_exactly_one_with_table_weights():
     # D = 2 * 6 * max(1/12, 1/12) = 1 from both sides of the max
     psi = ApproxFunction.from_table({2: F(1, 6), 3: F(1, 4)})
     assert ref_window(2, 3, F(1, 6), F(1, 4)) == 1
-    assert main_term(3, 2, psi) == ref_main_term(3, 2, F(1, 4), F(1, 6), strict=False) > 0
-    assert overlap_bound_terms(3, 2, psi)[0] == 0
+    report = overlap_report(3, 2, psi)
+    assert report.M == ref_main_term(3, 2, F(1, 4), F(1, 6), strict=False) > 0
+    assert report.addend1 == 0
 
 
 @settings(max_examples=300, deadline=None)
@@ -357,14 +352,14 @@ def ref_pair_count(q, r, c):
 @example(12, 8, 4, -2)  # p = 2 split: f = 0 at even c
 @example(12, 8, 7, 1)  # p = 2 split, c odd
 def test_pair_count_outside_one_period(q, r, offset, periods):
-    # The full-period table is the brute-force histogram, and the count at
-    # any c reads the same terms.
+    # The full-period table is the brute-force histogram, and the product
+    # form at any c outside the period reads the table at c mod lcm.
     dec = decompose_pair(q, r)
     table = _f_table(dec)
     assert table == coprime_pair_histogram(dec)
     offset %= dec.lcm
     c = offset + periods * dec.lcm  # c < 0 or c >= lcm
-    assert coprime_pair_count(dec, c) == table[offset] == ref_pair_count(q, r, c)
+    assert table[offset] == ref_pair_count(q, r, c)
 
 
 def test_split_two_leaves_odd_steps_and_halves_the_terms():
@@ -446,7 +441,7 @@ def test_main_term_sum_check_matches_pairwise_main_terms(spec, m, q1, q2):
         )
         assert row.pair_sum == direct
         assert row.pair_sum == sum(
-            main_term(q, r, psi) ** m
+            overlap_report(q, r, psi).M ** m
             for q in range(1, q_max + 1) for r in range(1, q_max + 1) if q != r
         )
         assert row.rhs == sum(
@@ -458,12 +453,12 @@ RAD_CHECK = """
 import sys
 sys.path.insert(0, sys.argv[1])
 from torusapprox.errors import IdentityError
-from torusapprox.overlap import PairDecomposition, coprime_pair_count
+from torusapprox.overlap import PairDecomposition, _f_table
 # ell = 3 is not divisible by rad(ell) = 6 read off the balanced primes
 dec = PairDecomposition(q=6, r=6, gcd=6, lcm=6, ell=3, em=1, en=1,
                         split=(3, 1, 1, 1, (2, 3), (), (1,), (1,)))
 try:
-    coprime_pair_count(dec, 1)
+    _f_table(dec)
 except IdentityError as exc:
     print(exc)
     sys.exit(0)
@@ -486,8 +481,9 @@ def test_bound_ratio_max_matches_fraction_api(spec):
     worst_bound = worst_trivial = F(0)
     for q in range(2, 31):
         for r in range(1, q):
-            exact = pair_overlap_exact(q, r, psi)
+            report = overlap_report(q, r, psi)
+            exact = report.exact_overlap
             if exact:
-                worst_bound = max(worst_bound, exact / sum(overlap_bound_terms(q, r, psi)))
-                worst_trivial = max(worst_trivial, exact / trivial_overlap_bound(q, r, psi))
+                worst_bound = max(worst_bound, exact / (report.addend1 + report.addend2))
+                worst_trivial = max(worst_trivial, exact / report.trivial_rhs)
     assert _bound_ratio_max(30, psi) == (worst_bound, worst_trivial)

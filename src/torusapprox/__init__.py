@@ -34,7 +34,6 @@ from .counterexample import (
     divergence_partial_sum,
     instance_from_prime_blocks,
     verify_block_measure,
-    verify_containment,
 )
 from .errors import BudgetError, IdentityError, UsageError
 from .experiments import (

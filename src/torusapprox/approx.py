@@ -192,21 +192,10 @@ def hit_test(x, q: int, psi_q, y_q) -> bool:
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    if isinstance(x, float):
-        psi = float(psi_q)
-        if psi == 0.0:
-            return False
-        t = q * x - float(y_q)
-        base = math.floor(t + 0.5)
-        for a in (base - 1, base, base + 1):
-            if abs(t - a) < psi and math.gcd(abs(a), q) == 1:
-                return True
-        return False
-    psi = Fraction(psi_q)
-    if psi == 0:
-        return False
-    t = q * Fraction(x) - Fraction(y_q)
-    base = math.floor(t + _HALF)
+    num = float if isinstance(x, float) else Fraction
+    psi = num(psi_q)
+    t = q * num(x) - num(y_q)
+    base = math.floor(t + num(0.5))
     for a in (base - 1, base, base + 1):
         if abs(t - a) < psi and math.gcd(abs(a), q) == 1:
             return True

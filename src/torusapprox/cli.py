@@ -30,7 +30,6 @@ from .counterexample import (
     divergence_partial_sum,
     instance_from_prime_blocks,
     verify_block_measure,
-    verify_containment,
 )
 from .arith import factorize
 from .errors import BudgetError, IdentityError, UsageError
@@ -356,7 +355,10 @@ def _cmd_counterexample(args) -> int:
         eps_text = _resolve(args, "eps")
         eps = None
         if eps_text:
-            eps = tuple(parse_rational(v) for v in str(eps_text).split(","))
+            try:
+                eps = tuple(parse_rational(v) for v in str(eps_text).split(","))
+            except ValueError as exc:
+                raise UsageError(f"bad eps {_shown(eps_text)}") from exc
             if len(eps) == 1 and blocks_n > 1:
                 eps = eps * blocks_n
         mode = _resolve(args, "mode", "product")
@@ -384,15 +386,14 @@ def _cmd_counterexample(args) -> int:
             "divisors": block.divisor_count,
         }
         if args.verify:
-            contained = verify_containment(inst, block.index)
             measured = verify_block_measure(inst, block.index)
             row.update(
-                containment=contained,
+                containment=measured.contained,
                 measure=format_rational(measured.measure),
                 bound=format_rational(measured.bound),
-                ok=contained and measured.ok,
+                ok=measured.ok,
             )
-            all_ok = all_ok and contained and measured.ok
+            all_ok = all_ok and measured.ok
         rows.append(row)
     summary_columns = list(rows[0])
     config["divergence_sum"] = format_rational(

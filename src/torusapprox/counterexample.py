@@ -331,30 +331,27 @@ def block_union_set(inst: CounterexampleInstance, j: int) -> TorusIntervalSet:
     return TorusIntervalSet.empty().union(*sets)
 
 
-def verify_containment(inst: CounterexampleInstance, j: int) -> bool:
-    """Exact check that block j's union sits inside the thickened reduced
-    residues of P_j (radius 1/(2 P_j), half-open)."""
+class BlockMeasure(NamedTuple):
+    measure: Fraction
+    bound: Fraction  # phi(P)/P
+    contained: bool
+    ok: bool
+
+
+def verify_block_measure(inst: CounterexampleInstance, j: int) -> BlockMeasure:
+    """Block j's union, built once, checked exactly: it sits inside the
+    reduced residues of P_j thickened by 1/(2 P_j) (half-open), and its
+    measure against phi(P_j)/P_j and eps_j."""
     blk = inst.block(j)
     union = block_union_set(inst, j)
     # [a/P - 1/(2P), a/P + 1/(2P)) in units of 1/(2P).
     thickened = TorusIntervalSet.from_spans(
         2 * blk.P, [(2 * a - 1, 2 * a + 1) for a in coprime_residues(blk.P)]
     )
-    return union.is_subset_of(thickened)
-
-
-class BlockMeasure(NamedTuple):
-    measure: Fraction
-    bound: Fraction  # phi(P)/P
-    ok: bool
-
-
-def verify_block_measure(inst: CounterexampleInstance, j: int) -> BlockMeasure:
-    """Exact block union measure against phi(P_j)/P_j and eps_j."""
-    blk = inst.block(j)
-    measure = block_union_set(inst, j).measure()
+    contained = union.is_subset_of(thickened)
+    measure = union.measure()
     bound = blk.density
-    return BlockMeasure(measure=measure, bound=bound, ok=measure <= bound < blk.eps)
+    return BlockMeasure(measure, bound, contained, contained and measure <= bound < blk.eps)
 
 
 def divergence_partial_sum(inst: CounterexampleInstance, upto: int) -> Fraction:

@@ -14,12 +14,12 @@ on integers; only `measure`, `measure_intersection` and the `pieces` view
 build Fractions.  `_merge` is the one union merge of spans sorted by their
 start: `_canonical` runs it after reducing and sorting arbitrary spans, and
 `approx.build_approx_set` on arcs that its rotation of the residue list
-already delivers in order.  `_overlap_units` is the one integer intersection
-merge: `measure_intersection` uses it, and so do the pairwise scans for the
-pairs the closed form of `overlap._pair_overlap_units` does not cover (a
-weight above 1/2).  `pieces` (a `PieceView`), `repr` and pickling present
-the endpoints as Fractions, exactly as a Fraction-endpoint representation
-would.  All operations are exact and return new values.
+already delivers in order.  `_intersection_ends` is the one intersection
+merge: `intersect` reduces its ends, and `_overlap_units` sums them for
+`measure_intersection` and for the pairs of the pairwise scans that the
+closed form of `overlap._pair_overlap_units` does not cover (a weight above
+1/2).  `pieces` (a `PieceView`), `repr` and pickling present the endpoints
+as Fractions, exactly as a Fraction-endpoint representation would.  All operations are exact and return new values.
 
 The half-open convention makes complement/union/measure exact partitions;
 it differs from closed intervals only on finitely many points, which no
@@ -169,13 +169,6 @@ class TorusIntervalSet:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def _trusted(cls, pieces: tuple) -> "TorusIntervalSet":
-        """Wrap Fraction pieces already known to be canonical; the pickle
-        constructor."""
-        den, spans = _fraction_pairs(pieces)
-        return _new(den, tuple(e for span in spans for e in span))
-
-    @classmethod
     def from_spans(cls, den: int, spans) -> "TorusIntervalSet":
         """The set covered by integer spans (lo, hi) meaning [lo/den, hi/den),
         with the same conventions as the Fraction-pair constructor."""
@@ -233,25 +226,8 @@ class TorusIntervalSet:
         return _canonical(den, spans)
 
     def intersect(self, other: "TorusIntervalSet") -> "TorusIntervalSet":
-        den, a, b = _lift(self, other)
-        out: list[int] = []
-        i = j = 0
-        na, nb = len(a), len(b)
-        while i < na and j < nb:
-            alo, ahi = a[i], a[i + 1]
-            blo, bhi = b[j], b[j + 1]
-            lo = alo if alo > blo else blo
-            if ahi <= bhi:
-                hi = ahi
-                i += 2
-            else:
-                hi = bhi
-                j += 2
-            if hi > lo:
-                out.append(lo)
-                out.append(hi)
         # Intersecting two canonical sets cannot create touching pieces.
-        return _reduced(den, out)
+        return _reduced(*_intersection_ends(self, other))
 
     def complement(self) -> "TorusIntervalSet":
         # 0 and den carry no common factor beyond den's own, so the form
@@ -288,7 +264,7 @@ class TorusIntervalSet:
         hi = Fraction(hi)
         if not (0 <= lo < hi <= 1):
             raise ValueError("restrict window must satisfy 0 <= lo < hi <= 1")
-        return self.intersect(TorusIntervalSet._trusted(((lo, hi),)))
+        return self.intersect(TorusIntervalSet(((lo, hi),)))
 
     def is_subset_of(self, other: "TorusIntervalSet") -> bool:
         """Exact containment of point sets (not just almost-everywhere)."""
@@ -304,7 +280,7 @@ class TorusIntervalSet:
     # -- dunder plumbing ---------------------------------------------------------
 
     def __reduce__(self):
-        return (TorusIntervalSet._trusted, (tuple(self.pieces),))
+        return (TorusIntervalSet, (tuple(self.pieces),))
 
     def __eq__(self, other):
         if not isinstance(other, TorusIntervalSet):
@@ -322,22 +298,17 @@ class TorusIntervalSet:
         return f"TorusIntervalSet({{{inner}}})"
 
 
-def _overlap_units(a: TorusIntervalSet, b: TorusIntervalSet) -> tuple[int, int]:
-    """Measure of a.intersect(b) as (units, den), units/den unreduced.
-
-    The integer merge behind measure_intersection and the pairwise scans'
-    fallback for weights above 1/2.
-    """
+def _intersection_ends(a: TorusIntervalSet, b: TorusIntervalSet) -> tuple[int, list]:
+    """(den, ends) of a.intersect(b) over the lifted denominator, unreduced:
+    the one two-pointer intersection merge."""
     den, ea, eb = _lift(a, b)
-    total = 0
+    out: list[int] = []
     i = j = 0
     na, nb = len(ea), len(eb)
     while i < na and j < nb:
-        alo = ea[i]
-        blo = eb[j]
+        alo, ahi = ea[i], ea[i + 1]
+        blo, bhi = eb[j], eb[j + 1]
         lo = alo if alo > blo else blo
-        ahi = ea[i + 1]
-        bhi = eb[j + 1]
         if ahi <= bhi:
             hi = ahi
             i += 2
@@ -345,8 +316,15 @@ def _overlap_units(a: TorusIntervalSet, b: TorusIntervalSet) -> tuple[int, int]:
             hi = bhi
             j += 2
         if hi > lo:
-            total += hi - lo
-    return total, den
+            out.append(lo)
+            out.append(hi)
+    return den, out
+
+
+def _overlap_units(a: TorusIntervalSet, b: TorusIntervalSet) -> tuple[int, int]:
+    """Measure of a.intersect(b) as (units, den), units/den unreduced."""
+    den, ends = _intersection_ends(a, b)
+    return sum(ends[1::2]) - sum(ends[0::2]), den
 
 
 def measure_intersection(a: TorusIntervalSet, b: TorusIntervalSet) -> Fraction:

@@ -168,6 +168,22 @@ def test_hit_test_examples():
     assert hit_test(0.5, 2, 0.25, 0.0)
 
 
+def _dyadic(lo: int, hi: int):
+    """Rationals n / 2**k in [lo, hi] with k <= 20."""
+    return st.integers(0, 20).flatmap(
+        lambda k: st.integers(lo << k, hi << k).map(lambda n: F(n, 1 << k))
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 64), _dyadic(0, 1), _dyadic(0, 1), _dyadic(-64, 64))
+@example(2, F(3, 8), F(1, 4), F(0))  # t = 3/4 sits on the arc's edge
+@example(2, F(1, 2), F(0), F(0))
+def test_hit_test_float_matches_fraction_on_dyadics(q, x, psi, y):
+    # With q <= 64 and 20-bit dyadics every float operation is exact.
+    assert hit_test(float(x), q, float(psi), float(y)) == hit_test(x, q, psi, y)
+
+
 def test_hit_test_matches_membership():
     rng = random.Random(47)
     checked = 0

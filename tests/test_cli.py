@@ -11,6 +11,7 @@ import pytest
 import torusapprox.cli as cli
 import torusapprox.counterexample as counterexample
 import torusapprox.experiments as experiments
+import torusapprox.overlap as overlap
 import torusapprox.verification as verification
 from torusapprox.approx import ApproxFunction, TargetSequence
 from torusapprox.cli import run
@@ -266,6 +267,7 @@ NAMED_OPTION = {
     "mc --q-range -3..5 --psi const:1/4": "q_range",
     "pairwise --Q 8 --ps div3 --wor 1": "--ps div3 --wor 1",
     "counterexample --m 3": "--m 3",
+    "counterexample --eps abc": "eps",
 }
 
 
@@ -341,6 +343,35 @@ def test_resource_caps_exit_3_with_one_line(capsys, argv):
     assert code == 3
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("budget refusal: ")
+
+
+@pytest.mark.parametrize("q,r", [("1000000000000037", "1000000000000037"),
+                                 ("3", "1000000000000037")])
+def test_overlap_refuses_past_the_piece_cap_before_factorizing(capsys, monkeypatch, q, r):
+    def factorize(n):
+        raise AssertionError("a modulus was factorized before the piece cap refused it")
+
+    monkeypatch.setattr(overlap, "factorize", factorize)
+    code, out, err = run_capture(capsys, ["overlap", "--q", q, "--r", r, "--psi", "const:1/4"])
+    assert code == 3 and out == ""
+    assert err == (
+        "budget refusal: q = 1000000000000037 exceeds the approximation-set cap 1000000\n"
+    )
+
+
+def test_counterexample_verify_builds_each_block_union_once(capsys, monkeypatch):
+    calls = []
+    build = counterexample.block_union_set
+
+    def counted(inst, j):
+        calls.append(j)
+        return build(inst, j)
+
+    monkeypatch.setattr(counterexample, "block_union_set", counted)
+    code, out, _ = run_capture(capsys, ["counterexample", "--primes", "2,3;5,7", "--verify"])
+    assert code == 0
+    assert out.splitlines()[-1].endswith(",True")
+    assert calls == [1, 2]
 
 
 def test_deferred_block_refusal_names_block_and_divisor_count(capsys, tmp_path):

@@ -74,6 +74,8 @@ GOLDEN = [
     ("sift --X -7/3 --Y 50 --n 30", SIFT),
     ("counterexample --blocks 1 --eps 1/2 --verify",
      "da0e8317a565cf00a5bddd8b5a45faffd5e32bac2a2343e3694526c6f0854db8"),
+    ("counterexample --primes 2,3,5,7,11 --verify",
+     "b85ea9007c33647ebd489a0a1f9a4d8ab6e097ae248abb4289f27976942c7f07"),
     ("verify --suite counterexample", VERIFY_COUNTEREXAMPLE),
 ]
 

@@ -13,7 +13,6 @@ from torusapprox.counterexample import (
     divergence_partial_sum,
     instance_from_prime_blocks,
     verify_block_measure,
-    verify_containment,
 )
 from torusapprox.errors import BudgetError
 
@@ -48,9 +47,8 @@ def test_hand_construction_p6():
     # the residues 1/6 and 5/6 thickened by 1/12
     assert union.pieces == ((F(1, 12), F(1, 4)), (F(3, 4), F(11, 12)))
     assert union.measure() == F(1, 3)
-    assert verify_containment(inst, 1)
     measure = verify_block_measure(inst, 1)
-    assert measure == (F(1, 3), F(1, 3), True)
+    assert measure == (F(1, 3), F(1, 3), True, True)
     assert divergence_partial_sum(inst, 1) == F(5, 12)
     assert divergence_partial_sum(inst, 0) == 0
 
@@ -82,8 +80,8 @@ def test_prime_mode_small_second_block_verifies():
         BlockSchedule(blocks=2, eps=(F(1, 2), F(4, 5)), mode="prime")
     )
     assert inst.blocks[1].primes == (5, 7)
-    assert verify_containment(inst, 2)
-    assert verify_block_measure(inst, 2).ok
+    measure = verify_block_measure(inst, 2)
+    assert measure.contained and measure.ok
     total = divergence_partial_sum(inst, 2)
     assert total == F(5, 12) + F(34, 70)
 
@@ -101,8 +99,8 @@ def test_fixture_instances_p30_p210():
         inst = instance_from_prime_blocks([primes])
         block = inst.blocks[0]
         assert block.density == density
-        assert verify_containment(inst, 1)
         measure = verify_block_measure(inst, 1)
+        assert measure.contained
         assert measure.measure == density == measure.bound
         assert divergence_partial_sum(inst, 1) == F(block.P - 1, 2 * block.P)
 
@@ -124,7 +122,7 @@ def test_residue_override_is_verified_too():
     obj["blocks"][0]["y"]["2"] = "4/3"
     inst = CounterexampleInstance.from_json_obj(obj)
     assert inst.y_of(2) == F(4, 3)
-    assert verify_containment(inst, 1)
+    assert verify_block_measure(inst, 1).contained
     assert json.loads(inst.to_json()) == obj
     obj["blocks"][0]["residue"]["2"] = 3  # 3 not reduced mod 3
     obj["blocks"][0]["y"]["2"] = "2/1"
@@ -136,7 +134,8 @@ def test_corrupted_target_breaks_containment():
     inst = instance_from_prime_blocks([[2, 3]])
     inst.residue[2] = 0  # center leaves the P=6 residue grid
     assert inst.y_of(2) == 0
-    assert not verify_containment(inst, 1)
+    measure = verify_block_measure(inst, 1)
+    assert not measure.contained and not measure.ok
     with pytest.raises(ValueError, match="not reduced"):
         inst.validate()
 
@@ -216,7 +215,7 @@ def test_budget_refusals(monkeypatch):
         block_union_set(inst, 1)
     monkeypatch.setattr(counterexample, "_PIECE_CAP", 29)
     with pytest.raises(BudgetError, match="P = 30 exceeds"):
-        verify_containment(instance_from_prime_blocks([[2, 3, 5]]), 1)
+        verify_block_measure(instance_from_prime_blocks([[2, 3, 5]]), 1)
     monkeypatch.setattr(arith, "_PRIME_RUN_CAP", 10)
     with pytest.raises(BudgetError, match="block 1"):
         build_counterexample(BlockSchedule(blocks=1, eps=(F(1, 10**4),)))
@@ -240,7 +239,7 @@ def test_json_round_trip():
     text = inst.to_json()
     again = CounterexampleInstance.from_json(text)
     assert again.to_json() == text
-    assert verify_containment(again, 1)
+    assert verify_block_measure(again, 1).contained
     assert verify_block_measure(again, 1) == verify_block_measure(inst, 1)
 
 

@@ -321,13 +321,15 @@ def _cmd_msum(args) -> int:
 def _cmd_phigcd(args) -> int:
     limit = _int_arg(args, "limit")
     m = _int_arg(args, "m", 3)
+    q = _int_arg(args, "q")
+    if limit is not None and q is not None:
+        raise UsageError("phigcd takes one of --q and --limit, not both")
     if limit is not None:
         ratio = phigcd_ratio_scan(limit, m)
         rows = [{"limit": limit, "m": m, "max_ratio": format_rational(ratio)}]
         config = {"subcommand": "phigcd", "limit": limit, "m": m}
         _emit(["limit", "m", "max_ratio"], rows, config, args.format, args.out)
         return EXIT_OK
-    q = _int_arg(args, "q")
     if q is None:
         raise UsageError("phigcd needs --q or --limit")
     brute, divisor_form = phigcd_sum(q, m)

@@ -28,17 +28,18 @@ import json
 import math
 import sys
 from array import array
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
 from itertools import repeat
+from operator import mul
 
 from .approx import _PIECE_CAP, ApproxFunction, TargetSequence, build_approx_set
 from .arith import _SPF_CAP, factorize, spf_table, totient, totient_range
 from .errors import BudgetError, IdentityError
 from .overlap import (
+    _check_row_limit,
     _main_term_units,
     _overlap_row,
     _overlap_rows,
@@ -339,6 +340,8 @@ def pairwise_overlap_sum(cfg: ExperimentConfig) -> SumReport:
     # refuse only q = _PIECE_CAP + 1, after building every smaller set.
     if cfg.Q > _PIECE_CAP:
         raise BudgetError(f"Q = {cfg.Q} exceeds the approximation-set cap {_PIECE_CAP}")
+    # Likewise the rows, which `_coordinate_rows` builds only in the workers.
+    _check_row_limit(cfg.Q)
     per_q = []
     measure_sum = Fraction(0)
     for q in range(1, cfg.Q + 1):
@@ -492,18 +495,25 @@ def _phigcd_brute(q: int, ms, phi) -> list[int]:
     the histogram of gcd(q, r) over r = 1, ..., q summed against phi**m,
     with phi(g) the totient of a divisor g.
 
-    gcd(q, r) = gcd(q, q - r), so the histogram counts r < q/2 by calling
-    gcd and doubles each count for its mirror q - r, then adds the two
-    unpaired terms: r = q/2 (q even, gcd q/2) and r = q (gcd q).  It
-    never uses the divisor identity it is checked against."""
-    counts = Counter(map(math.gcd, repeat(q), range(1, (q + 1) // 2)))
-    for g in counts:
-        counts[g] *= 2
-    if q % 2 == 0:
-        counts[q // 2] += 1
-    counts[q] += 1
-    phis = {g: phi(g) for g in counts}
-    return [sum(count * phis[g] ** m for g, count in counts.items()) for m in ms]
+    gcd(q, r) is the largest divisor of q that divides r.  So, walking the
+    divisors d > 1 of q from the largest down, the unmarked multiples of d
+    in 1..q are the r with gcd(q, r) = d: they are counted, then marked.
+    The r left unmarked have gcd 1.  The divisors come from trial division
+    up to isqrt(q); it never uses the divisor identity it is checked
+    against, nor a factorization or totient of its own."""
+    small = [d for d in range(1, math.isqrt(q) + 1) if q % d == 0]
+    descending = [q // d for d in small if d * d < q] + small[::-1]
+    marks = bytearray(q + 1)
+    # Slice assignment through a memoryview copies from one shared buffer
+    # of ones, so the transient buffers stay near q bytes besides marks.
+    view, ones = memoryview(marks), memoryview(b"\x01" * (q // 2))
+    counts = []  # counts[i] = #{r <= q : gcd(q, r) = descending[i]}
+    for d in descending[:-1]:
+        counts.append(marks[d::d].count(0))
+        view[d::d] = ones[: q // d]
+    counts.append(marks.count(0) - 1)  # index 0 is no residue
+    phis = list(map(phi, descending))
+    return [sum(map(mul, counts, map(pow, phis, repeat(m)))) for m in ms]
 
 
 def phigcd_sum(q: int, m: int) -> tuple[int, int]:
@@ -585,6 +595,8 @@ def _divisor_forms(limit: int, m: int):
 def phigcd_ratio_scan(limit: int, m: int = 3) -> Fraction:
     """Max over q <= limit of the divisor-form sum against phi(q)**m
     (m >= 3) or q**2 (m = 2).  Divisor form only, so it scales to 10**5."""
+    if limit < 1:
+        raise ValueError("ratio scan needs limit >= 1")
     if m < 2:
         raise ValueError("ratio scan needs m >= 2")
     _check_dimension(m)

@@ -247,9 +247,21 @@ def _overlap_row(q: int, factors, psi_q, y_q) -> tuple:
     )
 
 
+# A row holds about 2.5 KB (its signed divisor lists), so 2**15 rows take
+# about 80 MB; without this cap only the sieve cap of 10**7 bounds them.
+_ROW_CAP = 2**15
+
+
+def _check_row_limit(limit: int) -> None:
+    """Refuse a row table past `_ROW_CAP` before any row is built."""
+    if limit > _ROW_CAP:
+        raise BudgetError(f"Q = {limit} exceeds the overlap-row cap {_ROW_CAP}")
+
+
 def _overlap_rows(limit: int, psi, target=lambda q: 0) -> list:
     """[None, row of 1, ..., row of limit]: `_overlap_row` at psi(q) and
     target(q), every q factorized from one sieve."""
+    _check_row_limit(limit)
     table = spf_table(limit)
     return [None] + [
         _overlap_row(q, factorize_with_table(q, table), psi(q), target(q))

@@ -268,6 +268,9 @@ NAMED_OPTION = {
     "pairwise --Q 8 --ps div3 --wor 1": "--ps div3 --wor 1",
     "counterexample --m 3": "--m 3",
     "counterexample --eps abc": "eps",
+    "phigcd --q 5 --limit 10": "--limit",
+    "phigcd --limit 0": "ratio scan needs limit >= 1",
+    "phigcd --limit -5": "ratio scan needs limit >= 1",
 }
 
 
@@ -305,6 +308,10 @@ NAMED_OPTION = {
     # Abbreviated flags are refused, not expanded to --psi, --workers, --mode.
     "pairwise --Q 8 --ps div3 --wor 1",
     "counterexample --m 3",
+    # One of --q and --limit; the ratio scan names its limit.
+    "phigcd --q 5 --limit 10",
+    "phigcd --limit 0",
+    "phigcd --limit -5",
 ])
 def test_bad_input_exits_2_with_one_line(capsys, argv):
     code, out, err = run_capture(capsys, argv.split())
@@ -337,12 +344,40 @@ def test_bad_input_exits_2_with_one_line(capsys, argv):
     "msum --Q 4 --m 65 --psi const:1/4",
     "phigcd --q 12 --m 65",
     "phigcd --limit 100 --m 65",
+    # Past the overlap-row cap 2**15, refused before any row or set is built.
+    "msum --Q 32769 --psi div3",
+    "pairwise --Q 32769 --psi const:1/4 --mode enclosure",
 ])
 def test_resource_caps_exit_3_with_one_line(capsys, argv):
     code, out, err = run_capture(capsys, argv.split())
     assert code == 3
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("budget refusal: ")
+
+
+@pytest.mark.parametrize("argv", [
+    "msum --Q 32769 --psi div3",
+    "msum --ladder 8,32769 --psi div3",
+    "pairwise --Q 32769 --psi const:1/4 --mode enclosure",
+])
+def test_row_cap_refuses_before_any_row_or_set(capsys, monkeypatch, argv):
+    def refuse(*args):
+        raise AssertionError("a row or a set was built before the row cap refused it")
+
+    monkeypatch.setattr(overlap, "spf_table", refuse)
+    monkeypatch.setattr(experiments, "build_approx_set", refuse)
+    code, out, err = run_capture(capsys, argv.split())
+    assert code == 3 and out == ""
+    assert err == "budget refusal: Q = 32769 exceeds the overlap-row cap 32768\n"
+
+
+def test_row_cap_is_read_at_call_time(capsys, monkeypatch):
+    monkeypatch.setattr(overlap, "_ROW_CAP", 16)
+    code, out, err = run_capture(capsys, ["msum", "--Q", "17", "--psi", "div3"])
+    assert code == 3 and out == ""
+    assert err == "budget refusal: Q = 17 exceeds the overlap-row cap 16\n"
+    code, _, _ = run_capture(capsys, ["msum", "--Q", "16", "--psi", "div3"])
+    assert code == 0
 
 
 @pytest.mark.parametrize("q,r", [("1000000000000037", "1000000000000037"),

@@ -67,6 +67,9 @@ GOLDEN = [
     # 360 has 24 divisors.
     ("phigcd --q 360 --m 4",
      "529b579099ff9889ed87cf73f9d861e4763bd2380f74fc571f845c688af69754"),
+    # 720720 = 2^4 3^2 5 7 11 13 has 240 divisors.
+    ("phigcd --q 720720 --m 4",
+     "8310d9bb2c2d73b2c17a880d7ae3a99ea8dcbce99aaec0d80e903bd0e9998267"),
     ("phigcd --limit 300 --m 3",
      "cf857586b534c59e161b442fd5e20f00d987a31076d0b53110f3b3513fa20da8"),
     ("sift --X=-7/3 --Y 50 --n 30", SIFT),

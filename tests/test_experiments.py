@@ -292,15 +292,28 @@ def test_phigcd_examples():
     assert phigcd_sum(1, 5) == (1, 1)
 
 
+def _gcd_histogram_sums(q, ms):
+    counts = Counter(map(math.gcd, [q] * q, range(1, q + 1)))
+    return [sum(count * totient(g) ** m for g, count in counts.items()) for m in ms]
+
+
 def test_phigcd_brute_matches_the_full_gcd_histogram():
-    # The brute force counts r < q/2 and mirrors them; this oracle calls
-    # gcd at every r = 1, ..., q, from q = 1 and q = 2, where no r mirrors.
+    # The brute force marks the multiples of each divisor of q, largest
+    # first; this oracle calls gcd at every r = 1, ..., q, from q = 1 (no
+    # divisor above 1) and through every square q, whose isqrt(q) is listed once.
     for q in range(1, 601):
-        counts = Counter(math.gcd(q, r) for r in range(1, q + 1))
-        sums = experiments._phigcd_brute(q, range(1, 5), totient)
-        assert sums == [
-            sum(count * totient(g) ** m for g, count in counts.items()) for m in range(1, 5)
-        ]
+        assert experiments._phigcd_brute(q, range(1, 5), totient) == _gcd_histogram_sums(
+            q, range(1, 5)
+        )
+
+
+@pytest.mark.parametrize("q", [720720, 2**20, 999983, 3**12])
+def test_phigcd_brute_matches_the_full_gcd_histogram_at_large_q(q):
+    # 720720 has 240 divisors, 2**20 a chain of 21, 999983 is prime and
+    # 3**12 a square whose isqrt 3**6 is a divisor.
+    assert experiments._phigcd_brute(q, range(1, 5), totient) == _gcd_histogram_sums(
+        q, range(1, 5)
+    )
 
 
 def test_phigcd_checks_catch_a_brute_force_that_drops_a_divisor(monkeypatch):

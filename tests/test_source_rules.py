@@ -8,7 +8,9 @@ parameters.  No function memoizes through `functools.cache` or
 not depend on which calls a process, or a pool worker, made before.
 Every name the package exports is read somewhere in the package itself,
 so no public function survives only because a test calls it; the
-allowlist names the oracles the tests reach on purpose.
+allowlist names the oracles the tests reach on purpose.  The phi(gcd)
+brute force stays independent of the divisor identity it is checked
+against: it names no factorization, totient or divisor-form helper.
 """
 
 import ast
@@ -73,3 +75,14 @@ def test_every_exported_name_has_a_reader_in_the_package():
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
     assert sorted(exported - read - oracles) == []
+
+
+def test_phigcd_brute_force_names_no_factorization_or_totient():
+    banned = {"factorize", "factorize_with_table", "spf_table", "totient",
+              "totient_range", "_divisor_form", "_divisor_forms"}
+    tree = ast.parse((PACKAGE / "experiments.py").read_text())
+    (brute,) = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_phigcd_brute"]
+    named = {node.id for node in ast.walk(brute) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(brute) if isinstance(node, ast.Attribute)}
+    assert sorted(named & banned) == []

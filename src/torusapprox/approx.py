@@ -18,6 +18,7 @@ import csv
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import partial
 from typing import NamedTuple
 
 from .arith import totient
@@ -31,6 +32,13 @@ _HALF = Fraction(1, 2)
 # The union piece cap.  A set has at most phi(q) < q pieces, so refusing
 # q > _PIECE_CAP bounds them without factorizing q.
 _PIECE_CAP = 10**6
+
+
+def _check_piece_cap(n: int, name: str = "q") -> None:
+    """Refuse a modulus n past the piece cap, read at call time; name
+    labels n in the message."""
+    if n > _PIECE_CAP:
+        raise BudgetError(f"{name} = {n} exceeds the approximation-set cap {_PIECE_CAP}")
 
 
 def coprime_residues(q: int) -> list[int]:
@@ -88,8 +96,7 @@ def _build_approx_set(q: int, psi_q, y_q, residues) -> TorusIntervalSet:
     them for several builds at one q, or computed here when None."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    if q > _PIECE_CAP:
-        raise BudgetError(f"q = {q} exceeds the approximation-set cap {_PIECE_CAP}")
+    _check_piece_cap(q)
     psi = Fraction(psi_q)
     if psi < 0:
         raise ValueError("psi must be non-negative")
@@ -216,37 +223,94 @@ def _icbrt(n: int) -> int:
     return k
 
 
-class ApproxFunction:
+def _power(c: Fraction, alpha: int, clip: bool, q: int) -> Fraction:
+    value = c / Fraction(q) ** alpha
+    return _HALF if clip and value > _HALF else value
+
+
+def _div3(q: int) -> Fraction:
+    value = Fraction(q, totient(q) * _icbrt(q))
+    return value if value < _HALF else _HALF
+
+
+def _one_coordinate(y_of, q: int) -> tuple[Fraction]:
+    return (y_of(q),)
+
+
+def _spec_parts(text: str, kind: str, heads, bare: str) -> tuple[str, str, str]:
+    """The stripped spec and its head and rest: "head:rest" for a head of
+    heads, or the one bare word with an empty rest."""
+    s = text.strip()
+    head, colon, rest = s.partition(":")
+    if s != bare and not (colon and head in heads):
+        raise ValueError(f"unrecognized {kind} spec: {text!r}")
+    return s, head, rest
+
+
+def _read_table(path, width: int) -> dict[int, list[Fraction]]:
+    """The rows "q,v1,...,v_width" of a CSV file, less blanks and # comments."""
+    mapping = {}
+    with open(path, newline="") as handle:
+        for row in csv.reader(handle):
+            if not row or row[0].startswith("#"):
+                continue
+            if len(row) <= width:
+                raise ValueError(f"table row {row!r} needs q and {width} value(s)")
+            mapping[int(row[0])] = [parse_rational(v) for v in row[1 : width + 1]]
+    return mapping
+
+
+def _load_instance(path):
+    from .counterexample import CounterexampleInstance  # which imports this module
+
+    return CounterexampleInstance.load(path)
+
+
+class _Family:
+    """A family q -> value: rule(q) when a rule is set, otherwise the table
+    entry at q or the default.  A rule is a module function, a partial of
+    one or a bound method, so a family pickles into pool workers."""
+
+    __slots__ = ("spec", "table", "default", "rule")
+
+    def __init__(self, spec: str, *, table=None, default=None, rule=None):
+        self.spec = spec
+        self.table = table or {}
+        self.default = default
+        self.rule = rule
+
+    def __call__(self, q: int):
+        if q < 1:
+            raise ValueError("q must be >= 1")
+        if self.rule is not None:
+            return self.rule(q)
+        return self.table.get(q, self.default)
+
+    def describe(self) -> str:
+        return self.spec
+
+
+class ApproxFunction(_Family):
     """A rational-valued weight family q -> psi(q).
 
-    Kinds:
-      const      psi(q) = c
-      power      psi(q) = c * q**(-alpha), alpha a non-negative integer,
-                 clipped to <= 1/2 unless clip=False
-      table      explicit map q -> value, 0 off the table
-      div3       min(1/2, q / (phi(q) * floor(q**(1/3)))), a clipped family
-                 whose cubed normalized sum diverges like sum 1/q
-      cx         the weight map of a counterexample instance
+    Specs:
+      const:c        psi(q) = c
+      pow:c,alpha    psi(q) = c * q**(-alpha), alpha a non-negative integer,
+                     clipped to <= 1/2 unless ",raw" follows
+      table:path     explicit map q -> value, 0 off the table
+      div3           min(1/2, q / (phi(q) * floor(q**(1/3)))), a clipped
+                     family whose cubed normalized sum diverges like sum 1/q
+      cx:path        the weight map of a counterexample instance
     """
 
-    __slots__ = ("kind", "value", "alpha", "clip", "table", "instance", "spec")
-
-    def __init__(self, kind, *, value=None, alpha=None, clip=True, table=None,
-                 instance=None, spec=None):
-        self.kind = kind
-        self.value = value
-        self.alpha = alpha
-        self.clip = clip
-        self.table = table
-        self.instance = instance
-        self.spec = spec if spec is not None else kind
+    __slots__ = ()
 
     @classmethod
     def constant(cls, c) -> "ApproxFunction":
         c = Fraction(c)
         if c < 0:
             raise ValueError("psi must be non-negative")
-        return cls("const", value=c, spec=f"const:{c.numerator}/{c.denominator}")
+        return cls(f"const:{c.numerator}/{c.denominator}", default=c)
 
     @classmethod
     def power(cls, c, alpha: int, clip: bool = True) -> "ApproxFunction":
@@ -258,7 +322,7 @@ class ApproxFunction:
         spec = f"pow:{c.numerator}/{c.denominator},{int(alpha)}"
         if not clip:
             spec += ",raw"
-        return cls("power", value=c, alpha=int(alpha), clip=clip, spec=spec)
+        return cls(spec, rule=partial(_power, c, int(alpha), clip))
 
     @classmethod
     def from_table(cls, mapping, spec="table") -> "ApproxFunction":
@@ -266,99 +330,52 @@ class ApproxFunction:
         for q, v in table.items():
             if q < 1 or v < 0:
                 raise ValueError("table entries need q >= 1 and psi >= 0")
-        return cls("table", table=table, spec=spec)
-
-    @classmethod
-    def from_csv(cls, path) -> "ApproxFunction":
-        mapping = {}
-        with open(path, newline="") as handle:
-            for row in csv.reader(handle):
-                if not row or row[0].startswith("#"):
-                    continue
-                if len(row) < 2:
-                    raise ValueError(f"table row {row!r} needs q,psi")
-                mapping[int(row[0])] = parse_rational(row[1])
-        return cls.from_table(mapping, spec=f"table:{path}")
+        return cls(spec, table=table, default=_ZERO)
 
     @classmethod
     def divergent_m3(cls) -> "ApproxFunction":
-        return cls("div3", spec="div3")
+        return cls("div3", rule=_div3)
 
     @classmethod
     def counterexample(cls, instance, spec="cx") -> "ApproxFunction":
-        return cls("cx", instance=instance, spec=spec)
+        return cls(spec, rule=instance.psi_of)
 
     @classmethod
-    def parse(cls, text: str, cx_loader=None) -> "ApproxFunction":
+    def parse(cls, text: str) -> "ApproxFunction":
         """Parse "const:1/4", "pow:1/2,1[,raw]", "table:<path>", "div3",
         "cx:<path>"."""
-        s = text.strip()
+        s, head, rest = _spec_parts(text, "psi", ("const", "pow", "table", "cx"), "div3")
         if s == "div3":
             return cls.divergent_m3()
-        if ":" not in s:
-            raise ValueError(f"unrecognized psi spec: {text!r}")
-        head, rest = s.split(":", 1)
         if head == "const":
             return cls.constant(parse_rational(rest))
         if head == "pow":
             parts = [p.strip() for p in rest.split(",")]
             if len(parts) not in (2, 3):
                 raise ValueError(f"pow spec needs c,alpha: {text!r}")
-            clip = True
-            if len(parts) == 3:
-                if parts[2] != "raw":
-                    raise ValueError(f"unknown pow modifier: {parts[2]!r}")
-                clip = False
-            return cls.power(parse_rational(parts[0]), int(parts[1]), clip=clip)
+            if len(parts) == 3 and parts[2] != "raw":
+                raise ValueError(f"unknown pow modifier: {parts[2]!r}")
+            return cls.power(parse_rational(parts[0]), int(parts[1]), clip=len(parts) == 2)
         if head == "table":
-            return cls.from_csv(rest)
-        if head == "cx":
-            if cx_loader is None:
-                raise ValueError("no counterexample loader available for cx: specs")
-            return cls.counterexample(cx_loader(rest), spec=s)
-        raise ValueError(f"unrecognized psi spec: {text!r}")
-
-    def __call__(self, q: int) -> Fraction:
-        if q < 1:
-            raise ValueError("q must be >= 1")
-        if self.kind == "const":
-            return self.value
-        if self.kind == "power":
-            value = self.value / Fraction(q) ** self.alpha
-            if self.clip and value > _HALF:
-                return _HALF
-            return value
-        if self.kind == "table":
-            return self.table.get(q, _ZERO)
-        if self.kind == "div3":
-            value = Fraction(q, totient(q) * _icbrt(q))
-            return value if value < _HALF else _HALF
-        if self.kind == "cx":
-            return self.instance.psi_of(q)
-        raise AssertionError(f"unknown kind {self.kind}")
-
-    def describe(self) -> str:
-        return self.spec
+            table = _read_table(rest, 1)
+            return cls.from_table({q: v for q, (v,) in table.items()}, spec=s)
+        return cls.counterexample(_load_instance(rest), spec=s)
 
 
-class TargetSequence:
+class TargetSequence(_Family):
     """A target family q -> (y_q[0], ..., y_q[m-1]) of exact rationals."""
 
-    __slots__ = ("kind", "m", "components", "table", "instance", "spec")
+    __slots__ = ("m",)
 
-    def __init__(self, kind, m, *, components=None, table=None, instance=None, spec=None):
+    def __init__(self, m: int, spec: str, **fields):
         if m < 1:
             raise ValueError("dimension must be >= 1")
-        self.kind = kind
+        super().__init__(spec, **fields)
         self.m = m
-        self.components = components
-        self.table = table
-        self.instance = instance
-        self.spec = spec if spec is not None else kind
 
     @classmethod
     def zero(cls, m: int = 1) -> "TargetSequence":
-        return cls("zero", m, spec="zero")
+        return cls(m, "zero", default=(_ZERO,) * m)
 
     @classmethod
     def constant(cls, components, m: int | None = None) -> "TargetSequence":
@@ -370,7 +387,7 @@ class TargetSequence:
         if len(comps) != m:
             raise ValueError(f"{len(comps)} components for dimension {m}")
         spec = "const:" + ",".join(f"{c.numerator}/{c.denominator}" for c in comps)
-        return cls("const", m, components=comps, spec=spec)
+        return cls(m, spec, default=comps)
 
     @classmethod
     def from_table(cls, mapping, m: int, spec="table") -> "TargetSequence":
@@ -380,55 +397,22 @@ class TargetSequence:
             if len(comps) != m:
                 raise ValueError("table row dimension mismatch")
             table[int(q)] = comps
-        return cls("table", m, table=table, spec=spec)
-
-    @classmethod
-    def from_csv(cls, path, m: int) -> "TargetSequence":
-        mapping = {}
-        with open(path, newline="") as handle:
-            for row in csv.reader(handle):
-                if not row or row[0].startswith("#"):
-                    continue
-                mapping[int(row[0])] = [parse_rational(v) for v in row[1 : m + 1]]
-        return cls.from_table(mapping, m, spec=f"table:{path}")
+        return cls(m, spec, table=table, default=(_ZERO,) * m)
 
     @classmethod
     def counterexample(cls, instance, spec="cx") -> "TargetSequence":
-        return cls("cx", 1, instance=instance, spec=spec)
+        return cls(1, spec, rule=partial(_one_coordinate, instance.y_of))
 
     @classmethod
-    def parse(cls, text: str, m: int = 1, cx_loader=None) -> "TargetSequence":
+    def parse(cls, text: str, m: int = 1) -> "TargetSequence":
         """Parse "zero", "const:1/3[,2/5,...]", "table:<path>", "cx:<path>"."""
-        s = text.strip()
+        s, head, rest = _spec_parts(text, "target", ("const", "table", "cx"), "zero")
         if s == "zero":
             return cls.zero(m)
-        if ":" not in s:
-            raise ValueError(f"unrecognized target spec: {text!r}")
-        head, rest = s.split(":", 1)
         if head == "const":
             return cls.constant([parse_rational(v) for v in rest.split(",")], m)
         if head == "table":
-            return cls.from_csv(rest, m)
-        if head == "cx":
-            if cx_loader is None:
-                raise ValueError("no counterexample loader available for cx: specs")
-            if m != 1:
-                raise ValueError("counterexample targets are one-dimensional")
-            return cls.counterexample(cx_loader(rest), spec=s)
-        raise ValueError(f"unrecognized target spec: {text!r}")
-
-    def __call__(self, q: int) -> tuple[Fraction, ...]:
-        if q < 1:
-            raise ValueError("q must be >= 1")
-        if self.kind == "zero":
-            return (_ZERO,) * self.m
-        if self.kind == "const":
-            return self.components
-        if self.kind == "table":
-            return self.table.get(q, (_ZERO,) * self.m)
-        if self.kind == "cx":
-            return (self.instance.y_of(q),)
-        raise AssertionError(f"unknown kind {self.kind}")
-
-    def describe(self) -> str:
-        return self.spec
+            return cls.from_table(_read_table(rest, m), m, spec=s)
+        if m != 1:
+            raise ValueError("counterexample targets are one-dimensional")
+        return cls.counterexample(_load_instance(rest), spec=s)

@@ -7,8 +7,15 @@ decimals), and keeps diagnostics on stderr.  Exit statuses: 0 success,
 failed to hold, reported as one line), 2 usage error (any ValueError or
 OSError, reported as one line), 3 budget refusal.
 
-Flag precedence is flags > config file > defaults; the config file is flat
-`key=value` text whose keys match the long flag names.
+Each flag that takes a value declares its default and its conversion:
+integers and rationals are converted by argparse `type=` functions whose
+errors show the value by `_shown`.  A `--config` file is flat `key=value`
+text whose keys are the long flag names of the chosen subcommand; its lines
+become that subcommand's defaults and the command line is parsed again, so
+a config value is converted exactly like the flag and a flag beats its
+config line.  A key that names no flag of the subcommand taking a value
+(the boolean flags included), or a value outside a flag's choices, is a
+usage error.
 """
 
 from __future__ import annotations
@@ -23,7 +30,6 @@ from fractions import Fraction
 from .approx import ApproxFunction, TargetSequence, approx_set_measure
 from .counterexample import (
     BlockSchedule,
-    CounterexampleInstance,
     _refuse_unbuildable,
     _write_atomic,
     build_counterexample,
@@ -84,6 +90,35 @@ class _Parser(argparse.ArgumentParser):
                 action, f"invalid choice: {_shown(value)} (choose from {choices})"
             )
 
+    def take_config(self, values: dict[str, str]) -> None:
+        """Make a config file's values this subcommand's defaults, checked
+        against the flag's choices, which argparse skips for defaults."""
+        for key, value in values.items():
+            action = self._option_string_actions.get("--" + key)
+            if action is None or action.nargs == 0:
+                raise UsageError(
+                    f"config key {_shown(key)} names no flag of {self.prog} that takes a value"
+                )
+            try:
+                self._check_value(action, value)
+            except argparse.ArgumentError as exc:
+                raise UsageError(f"config key {_shown(key)}: {exc.message}") from exc
+            self.set_defaults(**{action.dest: value})
+
+
+def _converter(convert, wants: str):
+    """An argparse `type=` function: convert, or a usage error showing the value."""
+    def converted(text: str):
+        try:
+            return convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"wants {wants}, got {_shown(text)}") from None
+    return converted
+
+
+_INT = _converter(int, "an integer")
+_RATIONAL = _converter(parse_rational, "a rational p/q")
+
 
 def _spec_error(kind: str, spec, exc: Exception) -> UsageError:
     """A bad spec, shown once by `_shown`, and the parser's reason less its quote of it."""
@@ -92,7 +127,7 @@ def _spec_error(kind: str, spec, exc: Exception) -> UsageError:
 
 
 def _given(**options) -> dict:
-    """The options a flag or config line set; `ExperimentConfig` owns the other defaults."""
+    """The options a flag or config line set; `ExperimentConfig` owns their defaults."""
     return {key: value for key, value in options.items() if value is not None}
 
 
@@ -108,16 +143,6 @@ def _load_config_file(path: str) -> dict[str, str]:
             key, value = line.split("=", 1)
             values[key.strip()] = value.strip()
     return values
-
-
-def _resolve(args, key: str, default=None):
-    """flags > config file > default."""
-    value = getattr(args, key.replace("-", "_"), None)
-    if value is not None:
-        return value
-    if args.config_values and key in args.config_values:
-        return args.config_values[key]
-    return default
 
 
 def _emit(columns, rows, config, fmt: str, out_path):
@@ -159,55 +184,27 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _psi_from(args, key="psi") -> ApproxFunction:
-    spec = _resolve(args, key)
-    if spec is None:
-        raise UsageError(f"--{key} is required")
-    if isinstance(spec, ApproxFunction):
-        return spec
+def _psi_from(args) -> ApproxFunction:
+    if args.psi is None:
+        raise UsageError("--psi is required")
     try:
-        return ApproxFunction.parse(spec, cx_loader=CounterexampleInstance.load)
+        return ApproxFunction.parse(args.psi)
     except (ValueError, OSError) as exc:
-        raise _spec_error("psi", spec, exc) from exc
+        raise _spec_error("psi", args.psi, exc) from exc
 
 
-def _target_from(args, m: int, key="y") -> TargetSequence:
-    spec = _resolve(args, key, "zero")
-    if isinstance(spec, TargetSequence):
-        return spec
+def _target_from(args, m: int) -> TargetSequence:
     try:
-        return TargetSequence.parse(spec, m, cx_loader=CounterexampleInstance.load)
+        return TargetSequence.parse(args.y, m)
     except (ValueError, OSError) as exc:
-        raise _spec_error("target", spec, exc) from exc
-
-
-def _int_arg(args, key, default=None) -> int | None:
-    value = _resolve(args, key, default)
-    if value is None:
-        return None
-    try:
-        return int(value)
-    except ValueError as exc:
-        raise UsageError(f"--{key} wants an integer, got {_shown(value)}") from exc
-
-
-def _rational_arg(args, key, default=None) -> Fraction | None:
-    value = _resolve(args, key, default)
-    if value is None:
-        return None
-    if isinstance(value, Fraction):
-        return value
-    try:
-        return parse_rational(value)
-    except ValueError as exc:
-        raise UsageError(f"--{key} wants a rational p/q, got {_shown(value)}") from exc
+        raise _spec_error("target", args.y, exc) from exc
 
 
 # -- subcommand handlers -------------------------------------------------------------
 
 
 def _cmd_measure(args) -> int:
-    q = _int_arg(args, "q")
+    q = args.q
     if q is None or q < 1:
         raise UsageError("measure needs --q >= 1")
     psi = _psi_from(args)
@@ -229,8 +226,7 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_overlap(args) -> int:
-    q = _int_arg(args, "q")
-    r = _int_arg(args, "r")
+    q, r = args.q, args.r
     if q is None or r is None or q < 1 or r < 1:
         raise UsageError("overlap needs --q and --r, both >= 1")
     psi = _psi_from(args)
@@ -258,15 +254,14 @@ def _cmd_overlap(args) -> int:
 
 
 def _cmd_pairwise(args) -> int:
-    q_max = _int_arg(args, "Q")
+    q_max, m = args.Q, args.m
     if q_max is None:
         raise UsageError("pairwise needs --Q")
-    m = _int_arg(args, "m", 1)
     psi = _psi_from(args)
     target = _target_from(args, m)
     cfg = ExperimentConfig(Q=q_max, psi=psi, target=target, m=m, **_given(
-        mode=_resolve(args, "mode"), precision=_int_arg(args, "precision"),
-        workers=_int_arg(args, "workers"), exact_q_cap=_int_arg(args, "exact-cap"),
+        mode=args.mode, precision=args.precision, workers=args.workers,
+        exact_q_cap=args.exact_cap,
     ))
     start = time.perf_counter()
     report = pairwise_overlap_sum(cfg)
@@ -288,18 +283,16 @@ def _cmd_pairwise(args) -> int:
 
 
 def _cmd_msum(args) -> int:
-    ladder_text = _resolve(args, "ladder")
-    if ladder_text:
+    if args.ladder:
         try:
-            ladder = [int(v) for v in str(ladder_text).split(",")]
+            ladder = [int(v) for v in args.ladder.split(",")]
         except ValueError as exc:
-            raise UsageError(f"bad ladder {_shown(ladder_text)}") from exc
+            raise UsageError(f"bad ladder {_shown(args.ladder)}") from exc
+    elif args.Q is None:
+        raise UsageError("msum needs --Q or --ladder")
     else:
-        q_max = _int_arg(args, "Q")
-        if q_max is None:
-            raise UsageError("msum needs --Q or --ladder")
-        ladder = [q_max]
-    m = _int_arg(args, "m", 1)
+        ladder = [args.Q]
+    m = args.m
     psi = _psi_from(args)
     rows = []
     for entry in main_term_sum_check(psi, m, ladder):
@@ -319,9 +312,7 @@ def _cmd_msum(args) -> int:
 
 
 def _cmd_phigcd(args) -> int:
-    limit = _int_arg(args, "limit")
-    m = _int_arg(args, "m", 3)
-    q = _int_arg(args, "q")
+    limit, m, q = args.limit, args.m, args.q
     if limit is not None and q is not None:
         raise UsageError("phigcd takes one of --q and --limit, not both")
     if limit is not None:
@@ -341,29 +332,27 @@ def _cmd_phigcd(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    primes_text = _resolve(args, "primes")
+    primes_text = args.primes
     if primes_text:
         try:
             blocks = [
                 [int(p) for p in chunk.split(",") if p]
-                for chunk in str(primes_text).split(";")
+                for chunk in primes_text.split(";")
             ]
         except ValueError as exc:
             raise UsageError(f"bad primes spec {_shown(primes_text)}") from exc
         inst = instance_from_prime_blocks(blocks)
         config = {"subcommand": "counterexample", "primes": primes_text}
     else:
-        blocks_n = _int_arg(args, "blocks", 1)
-        eps_text = _resolve(args, "eps")
+        blocks_n, eps_text, mode = args.blocks, args.eps, args.mode
         eps = None
         if eps_text:
             try:
-                eps = tuple(parse_rational(v) for v in str(eps_text).split(","))
+                eps = tuple(parse_rational(v) for v in eps_text.split(","))
             except ValueError as exc:
                 raise UsageError(f"bad eps {_shown(eps_text)}") from exc
             if len(eps) == 1 and blocks_n > 1:
                 eps = eps * blocks_n
-        mode = _resolve(args, "mode", "product")
         schedule = BlockSchedule(blocks=blocks_n, eps=eps, mode=mode)
         inst = build_counterexample(schedule)
         config = {
@@ -408,9 +397,7 @@ def _cmd_counterexample(args) -> int:
 
 
 def _cmd_sift(args) -> int:
-    x = _rational_arg(args, "X")
-    y = _rational_arg(args, "Y")
-    n = _int_arg(args, "n")
+    x, y, n = args.X, args.Y, args.n
     if x is None or y is None or n is None:
         raise UsageError("sift needs --X, --Y and --n")
     if n < 1 or x > y:
@@ -428,14 +415,14 @@ def _cmd_sift(args) -> int:
 
 
 def _cmd_equidist(args) -> int:
-    q_max = _int_arg(args, "Q")
+    q_max = args.Q
     if q_max is None:
         raise UsageError("equidist needs --Q")
     psi = _psi_from(args)
     target = _target_from(args, 1)
-    windows_text = _resolve(args, "windows", "0:1/2")
+    windows_text = args.windows
     windows = []
-    for chunk in str(windows_text).split(","):
+    for chunk in windows_text.split(","):
         try:
             lo, hi = chunk.split(":")
             windows.append((parse_rational(lo), parse_rational(hi)))
@@ -467,10 +454,9 @@ def _cmd_equidist(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    range_text = _resolve(args, "q-range")
-    if not range_text:
+    text = args.q_range
+    if not text:
         raise UsageError("mc needs --q-range (comma list or lo..hi)")
-    text = str(range_text)
     try:
         if ".." in text:
             lo, hi = text.split("..")
@@ -489,14 +475,11 @@ def _cmd_mc(args) -> int:
     if q_low < 1:
         # Checked here: the config built from q_top would name a --Q never passed.
         raise UsageError("q_range must contain integers >= 1")
-    m = _int_arg(args, "m", 1)
-    samples = _int_arg(args, "samples", 10_000)
+    m = args.m
     psi = _psi_from(args)
     target = _target_from(args, m)
-    cfg = ExperimentConfig(
-        Q=q_top + 1, psi=psi, target=target, m=m, **_given(seed=_int_arg(args, "seed")),
-    )
-    report = mc_coverage(cfg, q_range, samples, mode="grid" if args.grid else "random")
+    cfg = ExperimentConfig(Q=q_top + 1, psi=psi, target=target, m=m, **_given(seed=args.seed))
+    report = mc_coverage(cfg, q_range, args.samples, mode="grid" if args.grid else "random")
     row = {
         "samples": report.samples,
         "hits": report.hits,
@@ -532,103 +515,92 @@ def _cmd_verify(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
+    """The parser and its subcommand parsers by name."""
     parser = _Parser(
         prog="torusapprox",
         description="Exact experiments with coprime approximation sets on the circle.",
     )
     parser.add_argument("--config", help="flat key=value config file")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    commands: dict[str, _Parser] = {}
 
-    def common(p):
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", help="write the report here instead of stdout")
+    def command(name, handler, summary, report=True):
+        p = commands[name] = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
+        if report:
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
+            p.add_argument("--out", help="write the report here instead of stdout")
+        return p
 
-    p = sub.add_parser("measure", help="exact measure of one approximation set")
-    p.add_argument("--q", help="denominator, integer >= 1")
-    p.add_argument("--psi", help="weight spec: const:p/q | pow:c,alpha[,raw] | table:path | div3 | cx:path")
-    p.add_argument("--y", help="target spec: zero | const:p/q[,..] | table:path | cx:path")
-    common(p)
-    p.set_defaults(handler=_cmd_measure)
+    def family(p, target=True):
+        p.add_argument("--psi", help="weight spec: const:p/q | pow:c,alpha[,raw] | "
+                                     "table:path | div3 | cx:path")
+        if target:
+            p.add_argument("--y", default="zero",
+                           help="target spec: zero | const:p/q[,..] | table:path | cx:path")
 
-    p = sub.add_parser("overlap", help="exact pair overlap with every bound term")
-    p.add_argument("--q")
-    p.add_argument("--r")
-    p.add_argument("--psi")
-    p.add_argument("--y")
-    common(p)
-    p.set_defaults(handler=_cmd_overlap)
+    p = command("measure", _cmd_measure, "exact measure of one approximation set")
+    p.add_argument("--q", type=_INT, help="denominator, integer >= 1")
+    family(p)
 
-    p = sub.add_parser("pairwise", help="pairwise overlap sum and quasi-independence ratio")
-    p.add_argument("--Q")
-    p.add_argument("--m")
-    p.add_argument("--psi")
-    p.add_argument("--y")
+    p = command("overlap", _cmd_overlap, "exact pair overlap with every bound term")
+    p.add_argument("--q", type=_INT)
+    p.add_argument("--r", type=_INT)
+    family(p)
+
+    p = command("pairwise", _cmd_pairwise, "pairwise overlap sum and quasi-independence ratio")
+    p.add_argument("--Q", type=_INT)
+    p.add_argument("--m", type=_INT, default=1)
+    family(p)
     p.add_argument("--mode", choices=("exact", "enclosure"))
-    p.add_argument("--precision")
-    p.add_argument("--workers")
-    p.add_argument("--exact-cap")
-    common(p)
-    p.set_defaults(handler=_cmd_pairwise)
+    p.add_argument("--precision", type=_INT)
+    p.add_argument("--workers", type=_INT)
+    p.add_argument("--exact-cap", type=_INT)
 
-    p = sub.add_parser("msum", help="main-term pairwise sum against the squared weight sum")
-    p.add_argument("--Q")
+    p = command("msum", _cmd_msum, "main-term pairwise sum against the squared weight sum")
+    p.add_argument("--Q", type=_INT)
     p.add_argument("--ladder", help="comma list of Q values")
-    p.add_argument("--m")
-    p.add_argument("--psi")
-    common(p)
-    p.set_defaults(handler=_cmd_msum)
+    p.add_argument("--m", type=_INT, default=1)
+    family(p, target=False)
 
-    p = sub.add_parser("phigcd", help="totient-of-gcd sums: single q or ratio scan")
-    p.add_argument("--q")
-    p.add_argument("--m")
-    p.add_argument("--limit", help="scan q <= limit and report the max ratio")
-    common(p)
-    p.set_defaults(handler=_cmd_phigcd)
+    p = command("phigcd", _cmd_phigcd, "totient-of-gcd sums: single q or ratio scan")
+    p.add_argument("--q", type=_INT)
+    p.add_argument("--m", type=_INT, default=3)
+    p.add_argument("--limit", type=_INT, help="scan q <= limit and report the max ratio")
 
-    p = sub.add_parser("counterexample", help="build and verify the block construction")
-    p.add_argument("--blocks")
+    p = command("counterexample", _cmd_counterexample, "build and verify the block construction")
+    p.add_argument("--blocks", type=_INT, default=1)
     p.add_argument("--eps", help="comma list of per-block eps values (default 2^-j)")
-    p.add_argument("--mode", choices=("product", "prime"))
+    p.add_argument("--mode", choices=("product", "prime"), default="product")
     p.add_argument("--primes", help="explicit blocks: semicolon-separated comma lists")
     p.add_argument("--verify", action="store_true")
     p.add_argument("--save", help="write the instance JSON here")
-    common(p)
-    p.set_defaults(handler=_cmd_counterexample)
 
-    p = sub.add_parser("sift", help="exact count of integers coprime to n in [X, Y]")
-    p.add_argument("--X")
-    p.add_argument("--Y")
-    p.add_argument("--n")
-    common(p)
-    p.set_defaults(handler=_cmd_sift)
+    p = command("sift", _cmd_sift, "exact count of integers coprime to n in [X, Y]")
+    p.add_argument("--X", type=_RATIONAL)
+    p.add_argument("--Y", type=_RATIONAL)
+    p.add_argument("--n", type=_INT)
 
-    p = sub.add_parser("equidist", help="exact window ratios per q")
-    p.add_argument("--Q")
-    p.add_argument("--psi")
-    p.add_argument("--y")
-    p.add_argument("--windows", help="comma list lo:hi of rational windows")
+    p = command("equidist", _cmd_equidist, "exact window ratios per q")
+    p.add_argument("--Q", type=_INT)
+    family(p)
+    p.add_argument("--windows", default="0:1/2", help="comma list lo:hi of rational windows")
     p.add_argument("--per-q", action="store_true", dest="per_q")
-    common(p)
-    p.set_defaults(handler=_cmd_equidist)
 
-    p = sub.add_parser("mc", help="Monte Carlo coverage of a union of approximation sets")
+    p = command("mc", _cmd_mc, "Monte Carlo coverage of a union of approximation sets")
     p.add_argument("--q-range", dest="q_range", help="comma list or lo..hi")
-    p.add_argument("--m")
-    p.add_argument("--samples")
-    p.add_argument("--seed")
-    p.add_argument("--psi")
-    p.add_argument("--y")
+    p.add_argument("--m", type=_INT, default=1)
+    p.add_argument("--samples", type=_INT, default=10_000)
+    p.add_argument("--seed", type=_INT)
+    family(p)
     p.add_argument("--grid", action="store_true")
-    common(p)
-    p.set_defaults(handler=_cmd_mc)
 
-    p = sub.add_parser("verify", help="run the exhaustive verification suites")
+    p = command("verify", _cmd_verify, "run the exhaustive verification suites", report=False)
     p.add_argument("--suite", default="all",
                    help="suite name or 'all': " + ", ".join(SUITES))
-    p.set_defaults(handler=_cmd_verify)
 
-    return parser
+    return parser, commands
 
 
 def _join_negative_values(argv: list[str]) -> list[str]:
@@ -646,16 +618,18 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
-    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = _build_parser()
+    argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
     try:
         try:
-            args, extra = parser.parse_known_args(_join_negative_values(argv))
+            args, extra = parser.parse_known_args(argv)
+            if args.config:
+                commands[args.subcommand].take_config(_load_config_file(args.config))
+                args, extra = parser.parse_known_args(argv)
         except SystemExit:  # --help printed; a parse error raises UsageError
             return EXIT_OK
         if extra:
             raise UsageError(f"unrecognized arguments: {_shown(' '.join(extra))}")
-        args.config_values = _load_config_file(args.config) if args.config else {}
         return args.handler(args)
     except (ValueError, OSError) as exc:
         # Bad input rejected anywhere below the CLI (UsageError included).

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .approx import _PIECE_CAP, build_approx_set, coprime_residues
+from .approx import _check_piece_cap, build_approx_set, coprime_residues
 from .arith import is_prime, primes_for_epsilon, PRIME_TEST_LIMIT
 from .errors import BudgetError, IdentityError
 from .rationals import format_rational, parse_rational
@@ -310,16 +310,13 @@ def instance_from_prime_blocks(prime_blocks) -> CounterexampleInstance:
 
 def _refuse_unbuildable(blk: Block) -> None:
     """Raise BudgetError when a block's union cannot be built: its divisors
-    were never materialized, or P is past the approximation-set cap (q = P
+    were never materialized, or P is past the piece cap (q = P
     is in the support, and the union has phi(P) < P pieces)."""
     if blk.divisors is None:
         raise BudgetError(
             f"block {blk.index}: {blk.divisor_count} divisors exceed the materialization cap"
         )
-    if blk.P > _PIECE_CAP:
-        raise BudgetError(
-            f"block {blk.index}: P = {blk.P} exceeds the approximation-set cap {_PIECE_CAP}"
-        )
+    _check_piece_cap(blk.P, f"block {blk.index}: P")
 
 
 def block_union_set(inst: CounterexampleInstance, j: int) -> TorusIntervalSet:

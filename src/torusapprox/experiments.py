@@ -35,7 +35,7 @@ from importlib import resources
 from itertools import repeat
 from operator import mul
 
-from .approx import _PIECE_CAP, ApproxFunction, TargetSequence, build_approx_set
+from .approx import _check_piece_cap, ApproxFunction, TargetSequence, build_approx_set
 from .arith import _SPF_CAP, factorize, spf_table, totient, totient_range
 from .errors import BudgetError, IdentityError
 from .overlap import (
@@ -336,10 +336,9 @@ def pairwise_overlap_sum(cfg: ExperimentConfig) -> SumReport:
             f"exact accumulation is capped at Q = {cfg.exact_q_cap}; "
             "use enclosure mode beyond that"
         )
-    # Refused here, before any set is built: `build_approx_set` would
-    # refuse only q = _PIECE_CAP + 1, after building every smaller set.
-    if cfg.Q > _PIECE_CAP:
-        raise BudgetError(f"Q = {cfg.Q} exceeds the approximation-set cap {_PIECE_CAP}")
+    # Refused here, before any set is built: `build_approx_set` would refuse
+    # only the first q past the piece cap, after building every smaller set.
+    _check_piece_cap(cfg.Q, "Q")
     # Likewise the rows, which `_coordinate_rows` builds only in the workers.
     _check_row_limit(cfg.Q)
     per_q = []
@@ -484,12 +483,6 @@ def _divisor_form(q: int, m: int, divisors, phi) -> int:
     return sum(phi[d] ** m * phi[q // d] for d in divisors)
 
 
-def _ratio_den(q: int, m: int, phi_q: int) -> int:
-    """The normaliser of the divisor-form sum for m >= 2: phi(q)**m for
-    m >= 3, q**2 for m = 2."""
-    return phi_q**m if m >= 3 else q * q
-
-
 def _phigcd_brute(q: int, ms, phi) -> list[int]:
     """Brute-force sum over r <= q of phi(gcd(q, r))**m for each m in ms:
     the histogram of gcd(q, r) over r = 1, ..., q summed against phi**m,
@@ -539,27 +532,15 @@ def phigcd_batch_check(limit: int) -> dict:
     """Brute force vs divisor identity for every q <= limit and m in 1..4.
 
     The divisor forms come from the sieve of `_divisor_forms`, not from the
-    brute force.  Also tracks max over q of sum/phi(q)**m for m >= 3 and of
-    sum/q**2 for m = 2.  Returns
-    {"ok": bool, "mismatches": int, "max_ratios": {m: Fraction}}.
+    brute force.  Returns {"ok": bool, "mismatches": int}.
     """
     phi = totient_range(limit)
     mismatches = 0
-    best: dict[int, tuple[int, int]] = {}  # max ratio per m as (num, den)
     forms = [_divisor_forms(limit, m) for m in range(1, 5)]
     for q in range(1, limit + 1):
         sums = _phigcd_brute(q, range(1, 5), phi.__getitem__)
-        for m, (brute, (_, form, _)) in enumerate(zip(sums, map(next, forms)), 1):
-            if brute != form:
-                mismatches += 1
-                continue
-            if m < 2:
-                continue
-            den = _ratio_den(q, m, phi[q])
-            if m not in best or brute * best[m][1] > best[m][0] * den:
-                best[m] = (brute, den)
-    max_ratios = {m: Fraction(num, den) for m, (num, den) in best.items()}
-    return {"ok": mismatches == 0, "mismatches": mismatches, "max_ratios": max_ratios}
+        mismatches += sum(brute != form for brute, (_, form, _) in zip(sums, map(next, forms)))
+    return {"ok": mismatches == 0, "mismatches": mismatches}
 
 
 def _divisor_forms(limit: int, m: int):
@@ -602,7 +583,7 @@ def phigcd_ratio_scan(limit: int, m: int = 3) -> Fraction:
     _check_dimension(m)
     best_num, best_den = 0, 1
     for q, h, phi in _divisor_forms(limit, m):
-        den = _ratio_den(q, m, phi)
+        den = phi**m if m >= 3 else q * q
         if h * best_den > best_num * den:
             best_num, best_den = h, den
     return Fraction(best_num, best_den)
@@ -624,7 +605,6 @@ def _wilson(hits: int, n: int, z: float) -> tuple[float, float]:
 @dataclass(frozen=True)
 class McReport:
     config: dict
-    q_range: tuple[int, ...]
     samples: int
     hits: int
     estimate: float
@@ -685,7 +665,7 @@ def mc_coverage(
     Sample i is the point (unit_sample(seed, i*m + d) for d < m), drawn by
     `_draws` in batches of whole samples; grid mode (one-dimensional only)
     takes the midpoints (i + 1/2) / samples instead.  So the result is
-    deterministic for a given seed.  Refuses a q above _PIECE_CAP, or more
+    deterministic for a given seed.  Refuses a q above the piece cap, or more
     than _MC_WORK_CAP coordinate tests, before building the q set.
     """
     m = cfg.m
@@ -701,8 +681,8 @@ def mc_coverage(
     # range is bounded without walking it.
     if not isinstance(q_range, range):
         q_range = sorted(q_range)
-    if q_range and max(q_range[0], q_range[-1]) > _PIECE_CAP:
-        raise BudgetError(f"q exceeds the approximation-set cap {_PIECE_CAP}")
+    if q_range:
+        _check_piece_cap(max(q_range[0], q_range[-1]))
     if samples * len(q_range) * m > _MC_WORK_CAP:
         raise BudgetError(
             f"samples x q values x m exceeds the Monte Carlo work cap {_MC_WORK_CAP}"
@@ -730,7 +710,6 @@ def mc_coverage(
         hits += _mc_hits(xs, m, per_q)
     return McReport(
         config=cfg.describe(),
-        q_range=qs,
         samples=samples,
         hits=hits,
         estimate=hits / samples,
@@ -758,8 +737,7 @@ def equidistribution_scan(cfg: ExperimentConfig, windows) -> dict:
     Skips q with psi(q) = 0 (the ratio is undefined there).  Targets use
     the first coordinate; the scan is one-dimensional.
     """
-    if cfg.Q > _PIECE_CAP:
-        raise BudgetError(f"Q = {cfg.Q} exceeds the approximation-set cap {_PIECE_CAP}")
+    _check_piece_cap(cfg.Q, "Q")
     parsed = []
     for lo, hi in windows:
         lo = Fraction(lo)

@@ -50,7 +50,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .approx import _PIECE_CAP, build_approx_set, coprime_residues
+from .approx import _check_piece_cap, build_approx_set, coprime_residues
 from .arith import factorize, factorize_with_table, spf_table, totient
 from .errors import BudgetError, IdentityError
 from .torus import measure_intersection
@@ -475,8 +475,7 @@ def overlap_report(q: int, r: int, psi, y_q=0, y_r=0) -> OverlapReport:
     if q < 1 or r < 1:
         raise ValueError("moduli must be >= 1")
     for n in (q, r):  # before any trial division
-        if n > _PIECE_CAP:
-            raise BudgetError(f"q = {n} exceeds the approximation-set cap {_PIECE_CAP}")
+        _check_piece_cap(n)
     psi_q, psi_r = _psi_pair(psi, q, r)
     row_q = _overlap_row(q, factorize(q), psi_q, y_q)
     row_r = _overlap_row(r, factorize(r), psi_r, y_r)

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from torusapprox.approx import (
     hit_test,
 )
 from torusapprox.arith import totient
+from torusapprox.counterexample import instance_from_prime_blocks
 from torusapprox.experiments import ExperimentConfig, equidistribution_scan
 from torusapprox.torus import TorusIntervalSet
 
@@ -250,3 +252,42 @@ def test_target_sequences(tmp_path):
     assert table(3) == (F(0), F(0))
     with pytest.raises(ValueError):
         TargetSequence.parse("const:1/3,2/5", 3)
+
+
+def _families(tmp_path):
+    """One weight and one target family of every kind, cx ones from a saved
+    P = 30 instance."""
+    cx = tmp_path / "cx.json"
+    instance_from_prime_blocks([[2, 3, 5]]).save(cx)
+    psi_csv = tmp_path / "psi.csv"
+    psi_csv.write_text("2,1/4\n6,1/3\n")
+    y_csv = tmp_path / "y.csv"
+    y_csv.write_text("2,1/7\n5,3/7\n")
+    weights = [ApproxFunction.parse(spec) for spec in (
+        "const:1/4", "pow:1/2,1", "pow:3/1,1,raw", f"table:{psi_csv}", "div3", f"cx:{cx}",
+    )]
+    targets = [TargetSequence.parse(spec) for spec in (
+        "zero", "const:2/5", f"table:{y_csv}", f"cx:{cx}",
+    )]
+    return weights, targets
+
+
+def test_every_family_kind_survives_a_pickle_round_trip(tmp_path):
+    weights, targets = _families(tmp_path)
+    for family in weights + targets:
+        copy = pickle.loads(pickle.dumps(family))
+        assert type(copy) is type(family)
+        assert copy.describe() == family.describe()
+        assert [copy(q) for q in range(1, 51)] == [family(q) for q in range(1, 51)]
+
+
+def test_families_share_one_call_and_describe(tmp_path):
+    for cls in (ApproxFunction, TargetSequence):
+        assert "__call__" not in vars(cls) and "describe" not in vars(cls)
+    weights, targets = _families(tmp_path)
+    assert not any(hasattr(family, "kind") for family in weights + targets)
+    # cx specs load their instance without a loader argument.
+    assert weights[-1](6) == F(1, 10)
+    assert targets[-1].describe().startswith("cx:")
+    with pytest.raises(ValueError, match="one-dimensional"):
+        TargetSequence.parse(targets[-1].describe(), 2)

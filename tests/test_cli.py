@@ -190,6 +190,48 @@ def test_config_file_precedence(capsys, tmp_path):
     assert ",1/2," in out.strip().splitlines()[-1]
 
 
+def test_config_lines_reach_every_flag(capsys, tmp_path):
+    conf = tmp_path / "ta.conf"
+    conf.write_text("format=json\npsi=const:1/4\n")
+    code, out, _ = run_capture(capsys, ["--config", str(conf), "measure", "--q", "6"])
+    assert code == 0
+    assert json.loads(out)["rows"][0]["measure"] == "1/6"
+    conf.write_text("suite=sift\n")
+    code, out, _ = run_capture(capsys, ["--config", str(conf), "verify"])
+    assert code == 0
+    assert [line.split(":")[0] for line in out.splitlines()] == ["PASS  sift"]
+
+
+def test_config_windows_reach_equidist_and_the_flag_beats_them(capsys, tmp_path):
+    conf = tmp_path / "ta.conf"
+    conf.write_text("windows=0:1/3\n")
+    argv = ["--config", str(conf), "equidist", "--Q", "12", "--psi", "const:1/4"]
+    code, out, _ = run_capture(capsys, argv)
+    assert code == 0
+    assert "# windows=0:1/3" in out.splitlines()
+    assert out.splitlines()[-1].startswith("0/1:1/3,")
+    code, out, _ = run_capture(capsys, argv + ["--windows", "0:1"])
+    assert code == 0
+    assert "# windows=0:1" in out.splitlines()
+    assert out.splitlines()[-1] == "0/1:1/1,0/1"
+
+
+@pytest.mark.parametrize("line,command,named", [
+    ("bogus=1", "equidist --Q 12", "'bogus'"),
+    ("per-q=1", "equidist --Q 12", "'per-q'"),  # a flag, but one that takes no value
+    ("format=xml", "equidist --Q 12", "'format'"),
+    ("q=abc", "measure", "--q"),
+])
+def test_bad_config_lines_exit_2_naming_the_key(capsys, tmp_path, line, command, named):
+    conf = tmp_path / "ta.conf"
+    conf.write_text(line + "\n")
+    argv = ["--config", str(conf), *command.split(), "--psi", "const:1/4"]
+    code, out, err = run_capture(capsys, argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("usage error: ")
+    assert named in err
+
+
 def test_counterexample_save_and_load(capsys, tmp_path):
     path = tmp_path / "inst.json"
     code, _, _ = run_capture(

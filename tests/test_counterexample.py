@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import torusapprox.approx as approx
 import torusapprox.arith as arith
 import torusapprox.counterexample as counterexample
 from torusapprox.counterexample import (
@@ -213,7 +214,7 @@ def test_budget_refusals(monkeypatch):
     inst = instance_from_prime_blocks([[2, 3, 5, 7, 11, 13, 17, 19]])  # P > 10**6
     with pytest.raises(BudgetError, match="approximation-set cap"):
         block_union_set(inst, 1)
-    monkeypatch.setattr(counterexample, "_PIECE_CAP", 29)
+    monkeypatch.setattr(approx, "_PIECE_CAP", 29)
     with pytest.raises(BudgetError, match="P = 30 exceeds"):
         verify_block_measure(instance_from_prime_blocks([[2, 3, 5]]), 1)
     monkeypatch.setattr(arith, "_PRIME_RUN_CAP", 10)

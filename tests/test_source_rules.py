@@ -3,7 +3,7 @@
 Correctness checks must still run under `python -O`, which strips every
 `assert` statement, so the package raises explicit errors instead.
 Resource caps are module constants read at call time, never per-call
-parameters.  No function memoizes through `functools.cache` or
+parameters, and the piece cap's refusal is written once, in `approx`.  No function memoizes through `functools.cache` or
 `lru_cache`: such a cache is state of the whole process, and results must
 not depend on which calls a process, or a pool worker, made before.
 Every name the package exports is read somewhere in the package itself,
@@ -86,3 +86,13 @@ def test_phigcd_brute_force_names_no_factorization_or_totient():
     named = {node.id for node in ast.walk(brute) if isinstance(node, ast.Name)}
     named |= {node.attr for node in ast.walk(brute) if isinstance(node, ast.Attribute)}
     assert sorted(named & banned) == []
+
+
+def test_piece_cap_policy_is_written_once():
+    found = [
+        f"{path.name}:{number}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if "approximation-set cap" in line
+    ]
+    assert len(found) == 1, found

@@ -313,8 +313,6 @@ def _cmd_msum(args) -> int:
 
 def _cmd_phigcd(args) -> int:
     limit, m, q = args.limit, args.m, args.q
-    if limit is not None and q is not None:
-        raise UsageError("phigcd takes one of --q and --limit, not both")
     if limit is not None:
         ratio = phigcd_ratio_scan(limit, m)
         rows = [{"limit": limit, "m": m, "max_ratio": format_rational(ratio)}]
@@ -344,7 +342,8 @@ def _cmd_counterexample(args) -> int:
         inst = instance_from_prime_blocks(blocks)
         config = {"subcommand": "counterexample", "primes": primes_text}
     else:
-        blocks_n, eps_text, mode = args.blocks, args.eps, args.mode
+        blocks_n = 1 if args.blocks is None else args.blocks
+        eps_text, mode = args.eps, args.mode or "product"
         eps = None
         if eps_text:
             try:
@@ -515,6 +514,23 @@ def _cmd_verify(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
+# Flags of one subcommand that exclude each other, by destination.  None of
+# them has a parser default, so a flag is given when it is not None, from
+# the command line or a config line; `run` refuses a pair given together.
+_CONFLICTS = {
+    "phigcd": (("q", "limit"),),
+    "counterexample": (("primes", "blocks"), ("primes", "eps"), ("primes", "mode")),
+}
+
+
+def _check_conflicts(args) -> None:
+    for first, second in _CONFLICTS.get(args.subcommand, ()):
+        if getattr(args, first) is not None and getattr(args, second) is not None:
+            raise UsageError(
+                f"{args.subcommand} takes one of --{first} and --{second}, not both"
+            )
+
+
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
     """The parser and its subcommand parsers by name."""
     parser = _Parser(
@@ -570,9 +586,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
     p.add_argument("--limit", type=_INT, help="scan q <= limit and report the max ratio")
 
     p = command("counterexample", _cmd_counterexample, "build and verify the block construction")
-    p.add_argument("--blocks", type=_INT, default=1)
+    p.add_argument("--blocks", type=_INT, help="number of blocks (default 1)")
     p.add_argument("--eps", help="comma list of per-block eps values (default 2^-j)")
-    p.add_argument("--mode", choices=("product", "prime"), default="product")
+    p.add_argument("--mode", choices=("product", "prime"), help="block mode (default product)")
     p.add_argument("--primes", help="explicit blocks: semicolon-separated comma lists")
     p.add_argument("--verify", action="store_true")
     p.add_argument("--save", help="write the instance JSON here")
@@ -630,6 +646,7 @@ def run(argv=None) -> int:
             return EXIT_OK
         if extra:
             raise UsageError(f"unrecognized arguments: {_shown(' '.join(extra))}")
+        _check_conflicts(args)
         return args.handler(args)
     except (ValueError, OSError) as exc:
         # Bad input rejected anywhere below the CLI (UsageError included).

@@ -9,8 +9,11 @@ The pairwise scan takes each pair's overlap from the summed closed form
 f(c) (`overlap._pair_overlap_units`) when psi(q), psi(r) <= 1/2, working
 from the per-q integer rows of `overlap._overlap_row`, and falls back to
 the interval merge `torus._overlap_units` on sets built for the other
-pairs only.  The set measures come from the sets themselves, one
-q at a time, so they do not depend on either engine.
+pairs only.  Each q has one row per distinct target component; a pair's
+coordinate plan names each distinct pair of rows once with its
+multiplicity, so each distinct coordinate overlap is computed once and
+raised to that power.  The set measures come from the sets themselves,
+one q at a time, so they do not depend on either engine.
 
 Every pair term stays an unreduced integer (num, den) from the kernel on.
 Exact mode sums each row r (the pairs q < r) as one integer numerator over
@@ -28,9 +31,10 @@ import json
 import math
 import sys
 from array import array
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from importlib import resources
 from itertools import repeat
 from operator import mul
@@ -44,7 +48,6 @@ from .overlap import (
     _overlap_row,
     _overlap_rows,
     _pair_overlap_units,
-    _split,
 )
 from .rationals import parse_rational
 from .torus import _overlap_units
@@ -220,87 +223,96 @@ _HALF = Fraction(1, 2)
 
 
 def _coordinate_rows(cfg: ExperimentConfig) -> list[tuple | None]:
-    """rows[q] = one (key, row) entry per coordinate for q.  The rows of
-    `_overlap_rows` are aimed at target 0; a coordinate with another target
-    component gets q's row again at that target, from the factorization the
-    row carries.  Coordinates sharing a target component share the row and
-    its key, so one overlap serves all of them."""
+    """rows[q] = (distinct, pattern): q's rows at its distinct target
+    components, in the order the coordinates first use them, and
+    pattern[i] the index in distinct of coordinate i's row.  The rows of
+    `_overlap_rows` are aimed at target 0; another component gets q's row
+    again at that target, from the factorization the row carries."""
     rows: list[tuple | None] = _overlap_rows(cfg.Q, cfg.psi)
     for q in range(1, cfg.Q + 1):
         base = rows[q]
-        cache: dict[Fraction, tuple] = {0: ((q, 0), base)}
-        row = []
+        index: dict[Fraction, int] = {}
+        distinct = []
+        pattern = []
         for y in cfg.target(q):
-            if y not in cache:
-                cache[y] = ((q, len(cache)), _overlap_row(q, base[1], cfg.psi(q), y))
-            row.append(cache[y])
-        rows[q] = tuple(row)
+            if y not in index:
+                index[y] = len(distinct)
+                distinct.append(base if y == 0 else _overlap_row(q, base[1], cfg.psi(q), y))
+            pattern.append(index[y])
+        rows[q] = (tuple(distinct), tuple(pattern))
     return rows
 
 
-def _merge_set(sets: dict, key, row):
-    """The interval set of a row, built on first use."""
-    got = sets.get(key)
+def _plan(pattern_q: tuple, pattern_r: tuple) -> tuple:
+    """The coordinate plan of two patterns of `_coordinate_rows`: each
+    distinct (i, j) of the coordinates' row indices, with the number of
+    coordinates that pair row i of q with row j of r.  A pair's value is
+    the product over the plan of overlap(i, j)**multiplicity."""
+    return tuple((i, j, k) for (i, j), k in Counter(zip(pattern_q, pattern_r)).items())
+
+
+def _merge_set(sets: dict, row: tuple):
+    """The interval set of a row, built on first use and kept in sets under
+    its q and target."""
+    q, _, _, den, psi, y, _, _ = row
+    got = sets.get((q, y, den))
     if got is None:
-        q, _, _, den, psi, y, _, _ = row
-        got = sets[key] = build_approx_set(q, Fraction(psi, den), Fraction(y, den))
+        got = sets[q, y, den] = build_approx_set(q, Fraction(psi, den), Fraction(y, den))
     return got
 
 
-def _pair_value(
-    rows, q: int, r: int, m: int, memo: dict | None, sets: dict | None
-) -> tuple[int, int]:
-    """Product over the coordinates of |A_q & A_r| as an unreduced
-    (num, den), (0, 1) when a coordinate misses: by the closed form when
-    `sets` is None, else by the interval merge on sets cached there.  memo
-    holds the coordinate overlaps already computed in q's row, or is None."""
-    num = den_product = 1
-    for i in range(m):
-        ka, a = rows[q][i]
-        kb, b = rows[r][i]
-        got = None if memo is None else memo.get((ka, kb))
-        if got is None:
-            if sets is None:
-                got = _pair_overlap_units(a, b)
-            else:
-                got = _overlap_units(_merge_set(sets, ka, a), _merge_set(sets, kb, b))
-            if memo is not None:
-                memo[(ka, kb)] = got
-        units, den = got
-        if units == 0:
-            return 0, 1
-        num *= units
-        den_product *= den
-    return num, den_product
+def _merge_units(sets: dict, row_q: tuple, row_r: tuple) -> tuple[int, int]:
+    """|A_q & A_r| by the interval merge, on the rows' sets cached in sets."""
+    return _overlap_units(_merge_set(sets, row_q), _merge_set(sets, row_r))
 
 
 def _pairwise_worker(payload) -> tuple[object, tuple[int, int]]:
     """One stripe of rows r, each the pairs q < r: the (r, row sum) list in
     exact mode or one Enclosure of every pair, and the pairs done by closed
-    form and by merge."""
+    form and by merge.
+
+    A pair's value is the product over the coordinates of |A_q & A_r|,
+    zero when a coordinate misses.  Its coordinate plan (`_plan`), cached
+    per pair of patterns, names each distinct pair of rows once, so each
+    distinct coordinate overlap is computed once and raised to its
+    multiplicity."""
     cfg, worker_index, worker_count = payload
     rows = _coordinate_rows(cfg)
     # The closed form needs psi <= 1/2 on both sides of a pair.
     closed = [False] + [cfg.psi(q) <= _HALF for q in range(1, cfg.Q + 1)]
-    sets: dict = {}
+    merged = partial(_merge_units, {})
+    plans: dict[tuple, dict] = {}
     pairs = merge_pairs = 0
     exact = cfg.mode == "exact"
-    partial = [] if exact else Enclosure(cfg.precision)
+    partial_sum = [] if exact else Enclosure(cfg.precision)
     for r in range(1 + worker_index, cfg.Q + 1, worker_count):
+        rows_r, pattern_r = rows[r]
+        plan_of = plans.setdefault(pattern_r, {})
         # The row's sum: one numerator over the running lcm of its pairs'
         # denominators, reduced once when the row is done.
         row_num, row_den = 0, 1
-        # With one coordinate no memo key can repeat in a row.
-        memo = {} if cfg.m > 1 else None
         pairs += r - 1
         for q in range(1, r):
-            merge = not (closed[q] and closed[r])
-            merge_pairs += merge
-            num, den = _pair_value(rows, q, r, cfg.m, memo, sets if merge else None)
+            rows_q, pattern_q = rows[q]
+            plan = plan_of.get(pattern_q)
+            if plan is None:
+                plan = plan_of[pattern_q] = _plan(pattern_q, pattern_r)
+            if closed[q] and closed[r]:
+                overlap = _pair_overlap_units
+            else:
+                overlap = merged
+                merge_pairs += 1
+            num = den = 1
+            for i, j, k in plan:
+                units, d = overlap(rows_q[i], rows_r[j])
+                num *= units**k
+                if not num:
+                    break
+                den *= d**k
             if not num:
                 continue
             if not exact:
-                partial.add(num, den)
+                partial_sum.add(num, den)
                 continue
             if row_den % den:
                 scale = den // math.gcd(row_den, den)
@@ -308,8 +320,30 @@ def _pairwise_worker(payload) -> tuple[object, tuple[int, int]]:
                 row_den *= scale
             row_num += num * (row_den // den)
         if exact:
-            partial.append((r, Fraction(row_num, row_den)))
-    return partial, (pairs - merge_pairs, merge_pairs)
+            partial_sum.append((r, Fraction(row_num, row_den)))
+    return partial_sum, (pairs - merge_pairs, merge_pairs)
+
+
+class ProcessPoolExecutor:
+    """The process pool of a scan with more than one worker.  It wraps
+    `concurrent.futures.ProcessPoolExecutor`, imported only when such a pool
+    starts: with `multiprocessing`, that import costs about as much as the
+    rest of the package's, and a one-worker scan or any other command never
+    needs it.  perfbench's tracer wraps this name to time the pool."""
+
+    def __init__(self, *args, **kwargs):
+        import concurrent.futures
+
+        self._pool = concurrent.futures.ProcessPoolExecutor(*args, **kwargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self._pool.__exit__(*exc)
+
+    def map(self, fn, *iterables):
+        return self._pool.map(fn, *iterables)
 
 
 @dataclass
@@ -453,7 +487,7 @@ def main_term_sum_check(psi: ApproxFunction, m: int, ladder) -> list[MainTermRow
             for row_r in rows[1:q]:
                 if not row_r[4]:
                     continue
-                num, den = _main_term_units(row_q, row_r, _split(row_q, row_r))
+                num, den = _main_term_units(row_q, row_r)
                 if num:
                     g = math.gcd(num, den)
                     den //= g

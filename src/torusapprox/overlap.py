@@ -16,11 +16,12 @@ form
            * prod over p | ell, p not | c of (1 - 2/p),
 
 always a non-negative integer.  Its one body, `_f_terms`, expands it into
-signed divisor terms f(c) = sum over k of a_k [k | c], read off the prime
-split `_split` makes from two per-q rows of `_overlap_row`; every user of
-f reads those terms.  Each row carries rad(q), its primes and the signed
-divisors d * mu(d) of rad(q), so the split walks only the primes of
-gcd(q, r) and the terms are products of two precomputed lists.
+signed divisor terms f(c) = sum over k of a_k [k | c] from two per-q rows
+of `_overlap_row`; every user of f reads those terms.  Each row carries
+rad(q), its primes and the signed divisors d * mu(d) of rad(q), so the
+terms are products of two precomputed lists.  A coprime pair reads both
+lists from the rows as they are; only a pair sharing a prime has its
+primes split by `_split`, which walks the primes of gcd(q, r) alone.
 This module carries the closed form and its brute-force twin, the sifting
 window length D, the exact pairwise overlap measure, the bound right-hand
 sides it is checked against, and exact sifted counts of integers coprime
@@ -49,6 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 from .approx import _check_piece_cap, build_approx_set, coprime_residues
 from .arith import factorize, factorize_with_table, spf_table, totient
@@ -87,8 +89,7 @@ def _split(row_q: tuple, row_r: tuple) -> tuple:
     The prime 2 never enters the signed lists: when it splits, f(c)
     vanishes at every even c, so its readers take f's terms at the odd
     multiples of each step instead of expanding 2 into a pair of terms.
-    It stays among the split primes, which `_main_term_units` reads, and
-    "2 splits" is `2 in split[5]`."""
+    It stays among the split primes, and "2 splits" is `2 in split[5]`."""
     q, fq, _, _, _, _, rad_q, lists_q = row_q
     r, fr, _, _, _, _, rad_r, lists_r = row_r
     rad_g = math.gcd(rad_q, rad_r)
@@ -116,17 +117,29 @@ def _split(row_q: tuple, row_r: tuple) -> tuple:
     return ell, em, q // (ell * em) * r // ell, phi_em, balanced, split, signed_q, signed_r
 
 
-def _f_terms(split: tuple) -> tuple:
+def _f_terms(row_q: tuple, row_r: tuple) -> tuple:
     """The one body of f(c) = phi(em) (ell / rad ell) [gcd(c, en) = 1] prod
-    over p | ell of ((p - 2) + [p | c]), from the pair's `_split`: (left,
-    weights, right), with f(c) the sum over x in left, with its weight
-    w > 0, and y in right of sign(xy) w [xy | c].  The balanced primes
-    expand left.  rad(ell) | ell, which makes f integral, is checked.
+    over p | ell of ((p - 2) + [p | c]), from the pair's two `_overlap_row`
+    rows: (left, weights, right, odd), with f(c) the sum over x in left,
+    with its weight w > 0, and y in right of sign(xy) w [xy | c].
 
-    When 2 splits (`2 in split[5]`) the sum is f(c) at odd c only, and
-    f(c) = 0 at even c: every step xy is then odd, and each reader takes
-    a term at the odd multiples xy, 3xy, 5xy, ... of its step."""
-    ell, _, _, phi_em, balanced, _, left, right = split
+    odd says that 2 splits the pair.  The sum is then f(c) at odd c only,
+    and f(c) = 0 at even c: every step xy is odd, and each reader takes a
+    term at the odd multiples xy, 3xy, 5xy, ... of its step.
+
+    A coprime pair (rad gcd = 1) has ell = em = 1, so f(c) = [gcd(c, qr)
+    = 1]: its terms are the two rows' signed lists of their odd parts,
+    read as they are, with unit weights.  Any other pair expands its
+    `_split`: the balanced primes expand left, and rad(ell) | ell, which
+    makes f integral, is checked."""
+    rad_q = row_q[6]
+    rad_r = row_r[6]
+    if math.gcd(rad_q, rad_r) == 1:
+        return (
+            row_q[7][rad_q if rad_q & 1 else rad_q >> 1][1], repeat(1),
+            row_r[7][rad_r if rad_r & 1 else rad_r >> 1][1], not rad_q & rad_r & 1,
+        )
+    ell, _, _, phi_em, balanced, split, left, right = _split(row_q, row_r)
     rad = 1
     for p in balanced:
         rad *= p
@@ -139,7 +152,7 @@ def _f_terms(split: tuple) -> tuple:
         else:
             weights = [w * m for m in (p - 2, 1) for w in weights]
             left = [x * m for m in (1, p) for x in left]
-    return left, weights, right
+    return left, weights, right, 2 in split
 
 
 def decompose_pair(q: int, r: int) -> PairDecomposition:
@@ -172,12 +185,14 @@ def _decompose(row_q: tuple, row_r: tuple) -> PairDecomposition:
     return dec
 
 
-def _f_table(dec: PairDecomposition) -> list[int]:
-    """f over one period [0, lcm), each term added at the multiples of its
-    step, or at its odd multiples when 2 splits."""
-    table = [0] * dec.lcm
-    left, weights, right = _f_terms(dec.split)
-    odd = 2 in dec.split[5]
+def _f_table(row_q: tuple, row_r: tuple) -> list[int]:
+    """f over one period [0, lcm(q, r)) from the pair's two rows, each term
+    added at the multiples of its step, or at its odd multiples when 2
+    splits."""
+    q = row_q[0]
+    r = row_r[0]
+    table = [0] * (q // math.gcd(q, r) * r)
+    left, weights, right, odd = _f_terms(row_q, row_r)
     for x, w in zip(left, weights):
         for y in right:
             k = x * y
@@ -304,9 +319,7 @@ def _pair_overlap_units(row_q: tuple, row_r: tuple) -> tuple[int, int]:
     delta = scale_q * y_q - scale_r * y_r
     outer = w_q + w_r
     inner = w_q - w_r if w_q > w_r else w_r - w_q
-    split = _split(row_q, row_r)
-    left, weights, right = _f_terms(split)
-    odd = 2 in split[5]
+    left, weights, right, odd = _f_terms(row_q, row_r)
     total = 0
     sparse = 2 * outer
     for x, w in zip(left, weights):
@@ -358,8 +371,8 @@ def _window_units(row_q: tuple, row_r: tuple) -> tuple[int, int]:
 
 def _phi_gcd(split: tuple) -> int:
     """phi(gcd(q, r)) = phi(ell) phi(em), from the pair's `_split`.  The
-    pair formulas below take that split as an argument, so a caller
-    needing several of them splits the pair's primes once."""
+    two bound formulas below take that split as an argument, so a caller
+    needing both splits the pair's primes once."""
     ell, _, _, phi_em, balanced = split[:5]
     for p in balanced:
         ell = ell // p * (p - 1)
@@ -367,24 +380,29 @@ def _phi_gcd(split: tuple) -> int:
 
 
 def _main_term_units(
-    row_q: tuple, row_r: tuple, split: tuple, strict_indicator: bool = False
+    row_q: tuple, row_r: tuple, strict_indicator: bool = False
 ) -> tuple[int, int]:
     """M(q, r) as (num, den), unreduced, in integers: the one form behind
     the report's `M` and `addend1` and the `msum` ladder.
 
     The window test D >= 1 (D > 1 with strict_indicator) and the
-    comparisons p > D over the split primes (those of q*r/gcd**2, read off
-    the pair's `split`) are cross-multiplications with D = dn/dd.
+    comparisons p > D over the split primes (the primes of q or r whose
+    valuations differ, read off the rows' factorizations) are
+    cross-multiplications with D = dn/dd.
     """
-    q, _, phi_q, b, a, _, _, _ = row_q
-    r, _, phi_r, d, c, _, _, _ = row_r
+    q, fq, phi_q, b, a, _, _, _ = row_q
+    r, fr, phi_r, d, c, _, _, _ = row_r
     dn, dd = _window_units(row_q, row_r)
     if dn < dd or (strict_indicator and dn == dd):
         return 0, 1
     num = a * c * phi_q * phi_r
     den = b * d * q * r
-    for p in split[5]:
-        if p * dd > dn:
+    for p, e in fq.items():
+        if p * dd > dn and fr.get(p) != e:
+            num *= p + 1
+            den *= p
+    for p in fr:
+        if p * dd > dn and p not in fq:
             num *= p + 1
             den *= p
     return num, den
@@ -485,8 +503,8 @@ def overlap_report(q: int, r: int, psi, y_q=0, y_r=0) -> OverlapReport:
         q=q, r=r, ell=dec.ell, em=dec.em, en=dec.en,
         D=Fraction(*_window_units(row_q, row_r)),
         exact_overlap=pair_overlap_exact(q, r, psi, y_q, y_r),
-        addend1=Fraction(*_main_term_units(row_q, row_r, dec.split, strict_indicator=True)),
+        addend1=Fraction(*_main_term_units(row_q, row_r, strict_indicator=True)),
         addend2=Fraction(*_addend2_units(row_q, row_r, dec.split)),
-        M=Fraction(*_main_term_units(row_q, row_r, dec.split)),
+        M=Fraction(*_main_term_units(row_q, row_r)),
         trivial_rhs=Fraction(*_trivial_units(hi, lo, dec.split)) if q != r else None,
     )

@@ -73,9 +73,8 @@ def check_coprime_counts(limit: int = 60) -> CheckResult:
     rows = _overlap_rows(limit, lambda q: 0)
     for q in range(2, limit + 1):
         for r in range(1, q):
-            dec = _decompose(rows[q], rows[r])
-            hist = coprime_pair_histogram(dec)
-            table = _f_table(dec)
+            hist = coprime_pair_histogram(_decompose(rows[q], rows[r]))
+            table = _f_table(rows[q], rows[r])
             if table != hist:
                 c = next(c for c, (f, brute) in enumerate(zip(table, hist)) if f != brute)
                 return CheckResult(
@@ -179,7 +178,7 @@ def _bound_ratio_max(limit: int, psi: ApproxFunction) -> tuple[Fraction, Fractio
             if units == 0:
                 continue
             split = _decompose(rows[q], rows[r]).split  # checks the ell/em/en identities
-            n1, d1 = _main_term_units(rows[q], rows[r], split, strict_indicator=True)
+            n1, d1 = _main_term_units(rows[q], rows[r], strict_indicator=True)
             n2, d2 = _addend2_units(rows[q], rows[r], split)
             # exact / (n1/d1 + n2/d2) = units d1 d2 / (den (n1 d2 + n2 d1))
             num = units * d1 * d2

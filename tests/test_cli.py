@@ -30,6 +30,24 @@ def run_capture(capsys, argv):
     return code, captured.out, captured.err
 
 
+POOL_IMPORT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import torusapprox.cli, torusapprox.verification
+print(sorted(name for name in ("concurrent.futures", "multiprocessing") if name in sys.modules))
+"""
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # The pool is imported only when a scan starts one with two or more
+    # workers, so a CLI call pays nothing for it.
+    done = subprocess.run(
+        [sys.executable, "-c", POOL_IMPORT, str(SRC)], capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 def test_overlap_row(capsys):
     code, out, _ = run_capture(
         capsys, ["overlap", "--q", "2", "--r", "3", "--psi", "const:1/4", "--y", "zero"]
@@ -190,6 +208,16 @@ def test_config_file_precedence(capsys, tmp_path):
     assert ",1/2," in out.strip().splitlines()[-1]
 
 
+def test_config_line_conflicts_like_its_flag(capsys, tmp_path):
+    conf = tmp_path / "ta.conf"
+    conf.write_text("blocks=4\n")
+    code, out, err = run_capture(
+        capsys, ["--config", str(conf), "counterexample", "--primes", "2,3"]
+    )
+    assert (code, out) == (2, "")
+    assert err == "usage error: counterexample takes one of --primes and --blocks, not both\n"
+
+
 def test_config_lines_reach_every_flag(capsys, tmp_path):
     conf = tmp_path / "ta.conf"
     conf.write_text("format=json\npsi=const:1/4\n")
@@ -310,7 +338,11 @@ NAMED_OPTION = {
     "pairwise --Q 8 --ps div3 --wor 1": "--ps div3 --wor 1",
     "counterexample --m 3": "--m 3",
     "counterexample --eps abc": "eps",
-    "phigcd --q 5 --limit 10": "--limit",
+    "phigcd --q 5 --limit 10": "phigcd takes one of --q and --limit, not both",
+    "counterexample --primes 2,3 --eps 1/2 --blocks 4 --mode prime":
+        "counterexample takes one of --primes and --blocks, not both",
+    "counterexample --primes 2,3 --mode prime":
+        "counterexample takes one of --primes and --mode, not both",
     "phigcd --limit 0": "ratio scan needs limit >= 1",
     "phigcd --limit -5": "ratio scan needs limit >= 1",
 }
@@ -350,8 +382,10 @@ NAMED_OPTION = {
     # Abbreviated flags are refused, not expanded to --psi, --workers, --mode.
     "pairwise --Q 8 --ps div3 --wor 1",
     "counterexample --m 3",
-    # One of --q and --limit; the ratio scan names its limit.
+    # Flags that exclude each other; the ratio scan names its limit.
     "phigcd --q 5 --limit 10",
+    "counterexample --primes 2,3 --eps 1/2 --blocks 4 --mode prime",
+    "counterexample --primes 2,3 --mode prime",
     "phigcd --limit 0",
     "phigcd --limit -5",
 ])

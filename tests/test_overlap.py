@@ -35,6 +35,16 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 CONST4 = ApproxFunction.constant(F(1, 4))
 
 
+def zero_row(n):
+    """n's `_overlap_row` at psi = 0 and target 0; f reads only n, its
+    factorization and its signed divisor lists."""
+    return _overlap_row(n, factorize(n), 0, 0)
+
+
+def f_table(q, r):
+    return _f_table(zero_row(q), zero_row(r))
+
+
 def test_decomposition_examples():
     dec = decompose_pair(12, 18)
     assert (dec.ell, dec.em, dec.en) == (1, 6, 36)
@@ -69,10 +79,10 @@ def test_decomposition_identities_random():
 
 
 def test_pair_count_examples():
-    assert _f_table(decompose_pair(3, 2))[1] == 1
+    assert f_table(3, 2)[1] == 1
     d = decompose_pair(6, 10)
-    assert _f_table(d)[3] == 0
-    assert _f_table(d)[4] == 1
+    assert f_table(6, 10)[3] == 0
+    assert f_table(6, 10)[4] == 1
     hist = coprime_pair_histogram(decompose_pair(3, 2))
     assert [c for c, v in enumerate(hist) if v] == [1, 5]
     assert sum(coprime_pair_histogram(d)) == totient(6) * totient(10) == 8
@@ -84,9 +94,8 @@ def test_pair_count_formula_vs_brute_small():
     # module-scale slice of the exhaustive acceptance check
     for q in range(2, 25):
         for r in range(1, q):
-            dec = decompose_pair(q, r)
-            hist = coprime_pair_histogram(dec)
-            assert _f_table(dec) == hist
+            hist = coprime_pair_histogram(decompose_pair(q, r))
+            assert f_table(q, r) == hist
             assert sum(hist) == totient(q) * totient(r)
 
 
@@ -305,7 +314,7 @@ def test_pair_formulas_on_rows_sharing_a_denominator_with_y(q, r, spec, y_q, y_r
     assert row_q[2] == totient(q)
     split = _split(row_q, row_r)
     for strict in (False, True):
-        assert F(*_main_term_units(row_q, row_r, split, strict)) == ref_main_term(
+        assert F(*_main_term_units(row_q, row_r, strict)) == ref_main_term(
             q, r, psi_q, psi_r, strict
         )
     phi_g = ref_phi(math.gcd(q, r))
@@ -355,7 +364,7 @@ def test_pair_count_outside_one_period(q, r, offset, periods):
     # The full-period table is the brute-force histogram, and the product
     # form at any c outside the period reads the table at c mod lcm.
     dec = decompose_pair(q, r)
-    table = _f_table(dec)
+    table = f_table(q, r)
     assert table == coprime_pair_histogram(dec)
     offset %= dec.lcm
     c = offset + periods * dec.lcm  # c < 0 or c >= lcm
@@ -369,12 +378,12 @@ def test_split_two_leaves_odd_steps_and_halves_the_terms():
     for q in range(1, 61):
         for r in range(1, 61):
             dec = decompose_pair(q, r)
-            left, _, right = _f_terms(dec.split)
+            left, _, right, odd = _f_terms(zero_row(q), zero_row(r))
             steps = [x * y for x in left for y in right]
             odd_balanced = [p for p in ref_primes(dec.ell) if p != 2]
             unfolded = 2 ** (len(ref_primes(dec.en)) + len(odd_balanced))
             two_splits = dec.en % 2 == 0
-            assert (2 in dec.split[5]) == two_splits
+            assert odd == (2 in dec.split[5]) == two_splits
             if two_splits:
                 assert all(k % 2 for k in steps)
                 assert 2 * len(steps) == unfolded
@@ -385,9 +394,9 @@ def test_split_two_leaves_odd_steps_and_halves_the_terms():
 
 
 def test_coprime_count_suite_names_the_first_differing_residue(monkeypatch):
-    def perturbed(dec):
-        table = _f_table(dec)
-        if (dec.q, dec.r) == (6, 4):
+    def perturbed(row_q, row_r):
+        table = _f_table(row_q, row_r)
+        if (row_q[0], row_r[0]) == (6, 4):
             table[9] += 1
             table[5] -= 1
         return table
@@ -452,17 +461,19 @@ def test_main_term_sum_check_matches_pairwise_main_terms(spec, m, q1, q2):
 RAD_CHECK = """
 import sys
 sys.path.insert(0, sys.argv[1])
+from fractions import Fraction
 from torusapprox.errors import IdentityError
-from torusapprox.overlap import PairDecomposition, _f_table
-# ell = 3 is not divisible by rad(ell) = 6 read off the balanced primes
-dec = PairDecomposition(q=6, r=6, gcd=6, lcm=6, ell=3, em=1, en=1,
-                        split=(3, 1, 1, 1, (2, 3), (), (1,), (1,)))
-try:
-    _f_table(dec)
-except IdentityError as exc:
-    print(exc)
-    sys.exit(0)
-sys.exit(1)
+from torusapprox.overlap import _f_table, _overlap_row, _pair_overlap_units
+# A factorization of 6 with 2**0 in it: the pair (6, 6) then has ell = 3,
+# not divisible by rad(ell) = 6 read off its balanced primes 2 and 3.
+row = _overlap_row(6, {2: 0, 3: 1}, Fraction(1, 4), 0)
+for read in (_f_table, _pair_overlap_units):
+    try:
+        read(row, row)
+    except IdentityError as exc:
+        print(exc)
+    else:
+        sys.exit(1)
 """
 
 
@@ -472,7 +483,7 @@ def test_pair_count_integrality_check_survives_optimize_flag():
         capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("rad(ell) = 6 does not divide ell = 3")
+    assert done.stdout.splitlines() == ["rad(ell) = 6 does not divide ell = 3"] * 2
 
 
 @pytest.mark.parametrize("spec", ["const:1/4", "pow:1/2,1", "const:3/4", "div3"])

@@ -15,14 +15,15 @@ import textwrap
 from fractions import Fraction as F
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from torusapprox import overlap, verification
 from torusapprox.approx import ApproxFunction, TargetSequence, build_approx_set
 from torusapprox.arith import factorize
 from torusapprox.cli import run
-from torusapprox.experiments import ExperimentConfig, pairwise_overlap_sum
-from torusapprox.overlap import _overlap_row, _pair_overlap_units
+from torusapprox.experiments import ExperimentConfig, _plan, pairwise_overlap_sum
+from torusapprox.overlap import _overlap_row, _pair_overlap_units, pair_overlap_exact
 from torusapprox.torus import measure_intersection
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -119,8 +120,8 @@ def test_scan_with_merge_fallback_matches_direct_sum():
 
 
 def test_scan_m2_shared_target_components():
-    # Rows where both coordinates share a target share one memo key; the
-    # others need two overlaps per pair.
+    # Rows where both coordinates share a target have one distinct row, so
+    # a pair of them needs one overlap, squared; the others need two.
     rows = {}
     for q in range(1, 15):
         if q % 3 == 0:
@@ -132,6 +133,69 @@ def test_scan_m2_shared_target_components():
     report = pairwise_overlap_sum(ExperimentConfig(Q=14, psi=psi, target=target, m=2))
     assert report.pair_sum == direct_double_sum(14, psi, target)
     assert report.closed_form_pairs == 14 * 13 // 2 and report.merge_pairs == 0
+
+
+def test_coordinate_plan_names_each_distinct_row_pair_once():
+    assert _plan((0, 0, 0), (0, 0, 0)) == ((0, 0, 3),)
+    assert _plan((0, 1, 0), (0, 0, 1)) == ((0, 0, 1), (1, 0, 1), (0, 1, 1))
+    assert _plan((0, 1, 0, 1), (0, 1, 0, 1)) == ((0, 0, 2), (1, 1, 2))
+
+
+def exact_overlap_double_sum(Q, psi, target):
+    """Sum over ordered pairs q != r <= Q of the product over the
+    coordinates of `pair_overlap_exact`, in Fractions."""
+    total = F(0)
+    for q in range(1, Q + 1):
+        for r in range(1, q):
+            value = F(1)
+            for y_q, y_r in zip(target(q), target(r)):
+                value *= pair_overlap_exact(q, r, psi, y_q, y_r)
+            total += 2 * value
+    return total
+
+
+def partly_repeating(m):
+    """A per-q target whose components repeat in part, with a pattern of
+    repeats that changes with q mod 3 (all equal, two equal, all distinct
+    for m = 3)."""
+    table = {}
+    for q in range(1, 25):
+        a, b, c = F(q, 7), F(1, 3), F(-q, 5)
+        table[q] = ((a, a, a), (a, b, a), (a, b, c))[q % 3][:m]
+    return TargetSequence.from_table(table, m)
+
+
+# psi > 1/2 at q = 4, 9 and 14 sends their pairs to the merge path.
+MIXED_PSI = ApproxFunction.from_table(
+    {q: F(3, 5) if q % 5 == 4 else F(1, 3) for q in range(1, 25)}
+)
+
+
+@pytest.mark.parametrize("psi", [ApproxFunction.constant(F(1, 3)), MIXED_PSI],
+                         ids=["closed-form", "with-merge"])
+@pytest.mark.parametrize("m, target", [
+    (3, TargetSequence.constant([0, F(1, 3), 0], 3)),
+    (2, partly_repeating(2)),
+    (3, partly_repeating(3)),
+], ids=["const-0,1/3,0", "table-m2", "table-m3"])
+def test_coordinate_plans_match_the_exact_double_sum(psi, m, target):
+    Q = 24
+    expected = exact_overlap_double_sum(Q, psi, target)
+    for mode in ("exact", "enclosure"):
+        reports = [
+            pairwise_overlap_sum(ExperimentConfig(
+                Q=Q, psi=psi, target=target, m=m, mode=mode, workers=workers))
+            for workers in (1, 2)
+        ]
+        one, two = reports
+        assert (one.pair_sum, one.row_sums, one.closed_form_pairs, one.merge_pairs) == (
+            two.pair_sum, two.row_sums, two.closed_form_pairs, two.merge_pairs)
+        assert (one.merge_pairs > 0) == (psi is MIXED_PSI)
+        if mode == "exact":
+            assert one.pair_sum == expected
+        else:
+            lo, hi = one.pair_sum
+            assert lo <= expected <= hi
 
 
 def test_worker_invariance_with_moving_targets():

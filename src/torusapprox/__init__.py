@@ -1,9 +1,10 @@
 """Exact rational machinery for coprime approximation sets on the circle.
 
-Interval algebra with Fraction endpoints, reduced-residue point sets,
-pairwise overlap accounting with closed-form coprime pair counts, a block
-construction with divergent weight sums but vanishing limsup measure, and
-batch experiment drivers with deterministic parallel reduction.
+Interval algebra on sets in integer form (a reduced denominator and
+integer endpoints), reduced-residue point sets, pairwise overlap
+accounting with closed-form coprime pair counts, a block construction with
+divergent weight sums but vanishing limsup measure, and batch experiment
+drivers with deterministic parallel reduction.
 """
 
 from .approx import (

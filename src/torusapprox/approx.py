@@ -32,6 +32,9 @@ _HALF = Fraction(1, 2)
 # The union piece cap.  A set has at most phi(q) < q pieces, so refusing
 # q > _PIECE_CAP bounds them without factorizing q.
 _PIECE_CAP = 10**6
+# Dimension m of a target family, scan or sum.  Terms are raised to the m-th
+# power, so their size grows with m; the verify suites use m <= 4.
+_DIMENSION_CAP = 64
 
 
 def _check_piece_cap(n: int, name: str = "q") -> None:
@@ -39,6 +42,15 @@ def _check_piece_cap(n: int, name: str = "q") -> None:
     labels n in the message."""
     if n > _PIECE_CAP:
         raise BudgetError(f"{name} = {n} exceeds the approximation-set cap {_PIECE_CAP}")
+
+
+def _check_dimension(m: int) -> None:
+    """Refuse a dimension below 1 or past `_DIMENSION_CAP`, read at call
+    time, before anything of length m is built."""
+    if m < 1:
+        raise ValueError("dimension must be >= 1")
+    if m > _DIMENSION_CAP:
+        raise BudgetError(f"dimension m = {m} exceeds the cap {_DIMENSION_CAP}")
 
 
 def coprime_residues(q: int) -> list[int]:
@@ -363,18 +375,19 @@ class ApproxFunction(_Family):
 
 
 class TargetSequence(_Family):
-    """A target family q -> (y_q[0], ..., y_q[m-1]) of exact rationals."""
+    """A target family q -> (y_q[0], ..., y_q[m-1]) of exact rationals.
+    Every constructor checks m before it builds a tuple of length m."""
 
     __slots__ = ("m",)
 
     def __init__(self, m: int, spec: str, **fields):
-        if m < 1:
-            raise ValueError("dimension must be >= 1")
+        _check_dimension(m)
         super().__init__(spec, **fields)
         self.m = m
 
     @classmethod
     def zero(cls, m: int = 1) -> "TargetSequence":
+        _check_dimension(m)
         return cls(m, "zero", default=(_ZERO,) * m)
 
     @classmethod
@@ -382,6 +395,7 @@ class TargetSequence(_Family):
         comps = tuple(Fraction(c) for c in components)
         if m is None:
             m = len(comps)
+        _check_dimension(m)
         if len(comps) == 1 and m > 1:
             comps = comps * m  # broadcast a single shift to every coordinate
         if len(comps) != m:
@@ -391,6 +405,7 @@ class TargetSequence(_Family):
 
     @classmethod
     def from_table(cls, mapping, m: int, spec="table") -> "TargetSequence":
+        _check_dimension(m)
         table = {}
         for q, vec in mapping.items():
             comps = tuple(Fraction(v) for v in vec)
@@ -406,6 +421,7 @@ class TargetSequence(_Family):
     @classmethod
     def parse(cls, text: str, m: int = 1) -> "TargetSequence":
         """Parse "zero", "const:1/3[,2/5,...]", "table:<path>", "cx:<path>"."""
+        _check_dimension(m)  # before a table is read m values a row
         s, head, rest = _spec_parts(text, "target", ("const", "table", "cx"), "zero")
         if s == "zero":
             return cls.zero(m)

@@ -174,15 +174,11 @@ def primes_for_epsilon(above: int, eps) -> tuple[list[int], Fraction]:
     while not product < eps:
         if len(primes) >= _PRIME_RUN_CAP:
             # The exact partial product can run to thousands of digits, so
-            # the message carries a decimal rendering; the exact value rides
-            # on the exception.
-            error = BudgetError(
+            # the message carries a decimal rendering.
+            raise BudgetError(
                 f"prime run cap {_PRIME_RUN_CAP} reached above {above}; "
                 f"partial product ~ {float(product):.6g} (target {float(eps):.6g})"
             )
-            error.partial_product = product
-            error.primes = primes
-            raise error
         primes.append(candidate)
         product *= Fraction(candidate - 1, candidate)
         if product < eps:

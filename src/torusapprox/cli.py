@@ -69,6 +69,14 @@ def _shown(value) -> str:
     return f"{text[:60]!r}... ({len(text)} characters)"
 
 
+def _report(kind: str, exc: Exception) -> None:
+    """Print one refusal or failure line: the kind and the message, with
+    each run of more than 60 digits shown by its first 20 and its length,
+    so that no number echoed back makes the line as long as itself."""
+    text = re.sub(r"\d{61,}", lambda run: f"{run[0][:20]}...({len(run[0])} digits)", str(exc))
+    print(f"{kind}: {text}", file=sys.stderr)
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose errors raise `UsageError`, so a bad command
     line is reported as one `usage error:` line instead of a usage block.
@@ -650,13 +658,13 @@ def run(argv=None) -> int:
         return args.handler(args)
     except (ValueError, OSError) as exc:
         # Bad input rejected anywhere below the CLI (UsageError included).
-        print(f"usage error: {exc}", file=sys.stderr)
+        _report("usage error", exc)
         return EXIT_USAGE
     except BudgetError as exc:
-        print(f"budget refusal: {exc}", file=sys.stderr)
+        _report("budget refusal", exc)
         return EXIT_BUDGET
     except IdentityError as exc:
-        print(f"identity failure: {exc}", file=sys.stderr)
+        _report("identity failure", exc)
         return EXIT_VERIFY_FAIL
 
 

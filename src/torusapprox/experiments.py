@@ -39,7 +39,9 @@ from importlib import resources
 from itertools import repeat
 from operator import mul
 
-from .approx import _check_piece_cap, ApproxFunction, TargetSequence, build_approx_set
+from .approx import (
+    _check_dimension, _check_piece_cap, ApproxFunction, TargetSequence, build_approx_set,
+)
 from .arith import _SPF_CAP, factorize, spf_table, totient, totient_range
 from .errors import BudgetError, IdentityError
 from .overlap import (
@@ -50,7 +52,7 @@ from .overlap import (
     _pair_overlap_units,
 )
 from .rationals import parse_rational
-from .torus import _overlap_units
+from .torus import TorusIntervalSet, _overlap_units, measure_intersection
 
 DEFAULT_EXACT_Q_CAP = 512
 # Worker processes a scan may start (the ladder suite uses 8).
@@ -62,18 +64,8 @@ _PRECISION_CAP = 2048
 # Coordinate tests (samples x q values x m) one Monte Carlo run may make;
 # the full-size calibration suite makes at most 3 * 10**5 per configuration.
 _MC_WORK_CAP = 10**8
-# Dimension m of a scan or sum.  Terms are raised to the m-th power, so their
-# size grows with m; the verify suites use m <= 4.
-_DIMENSION_CAP = 64
 
 _ZERO = Fraction(0)
-
-
-def _check_dimension(m: int) -> None:
-    if m < 1:
-        raise ValueError("dimension must be >= 1")
-    if m > _DIMENSION_CAP:
-        raise BudgetError(f"dimension m = {m} exceeds the cap {_DIMENSION_CAP}")
 
 
 # -- deterministic counter-based sampling --------------------------------------
@@ -569,27 +561,28 @@ def phigcd_batch_check(limit: int) -> dict:
     brute force.  Returns {"ok": bool, "mismatches": int}.
     """
     phi = totient_range(limit)
+    ms = range(1, 5)
     mismatches = 0
-    forms = [_divisor_forms(limit, m) for m in range(1, 5)]
-    for q in range(1, limit + 1):
-        sums = _phigcd_brute(q, range(1, 5), phi.__getitem__)
-        mismatches += sum(brute != form for brute, (_, form, _) in zip(sums, map(next, forms)))
+    for q, forms, _ in _divisor_forms(limit, ms):
+        sums = _phigcd_brute(q, ms, phi.__getitem__)
+        mismatches += sum(brute != form for brute, form in zip(sums, forms))
     return {"ok": mismatches == 0, "mismatches": mismatches}
 
 
-def _divisor_forms(limit: int, m: int):
-    """Yield (q, h(q), phi(q)) for q = 1, ..., limit, where h(q) is the
-    divisor-form sum sum_{d | q} phi(d)**m phi(q/d).
+def _divisor_forms(limit: int, ms):
+    """Yield (q, [h_m(q) for m in ms], phi(q)) for q = 1, ..., limit, where
+    h_m(q) is the divisor-form sum sum_{d | q} phi(d)**m phi(q/d), from one
+    sieve.
 
-    phi and h are multiplicative (h is the Dirichlet convolution of phi**m
-    and phi), so each is its value at p**e times its value at q / p**e, for
-    the smallest prime p of q, and `_divisor_form` runs on prime powers
-    only.  A proper factor of q is at most q/2, so only the lower half of
-    the range is kept."""
+    phi and every h_m are multiplicative (h_m is the Dirichlet convolution
+    of phi**m and phi), so each is its value at p**e times its value at
+    q / p**e, for the smallest prime p of q, and `_divisor_form` runs on
+    prime powers only.  A proper factor of q is at most q/2, so only the
+    lower half of the range is kept, one list per m."""
     table = spf_table(limit)
-    kept_h = [0, 1] + [0] * (limit // 2 - 1)
-    kept_phi = kept_h[:]
-    yield 1, 1, 1
+    kept_phi = [0, 1] + [0] * (limit // 2 - 1)
+    kept_h = [kept_phi[:] for _ in ms]
+    yield 1, [1] * len(kept_h), 1
     for q in range(2, limit + 1):
         p = table[q]
         powers = [1, p]
@@ -598,13 +591,17 @@ def _divisor_forms(limit: int, m: int):
         power = powers[-1]
         if power == q:
             phis = {d: d - d // p for d in powers}
-            h, phi = _divisor_form(q, m, powers, phis), phis[q]
+            hs = [_divisor_form(q, m, powers, phis) for m in ms]
+            phi = phis[q]
         else:
-            h = kept_h[power] * kept_h[q // power]
-            phi = kept_phi[power] * kept_phi[q // power]
-        if q < len(kept_h):
-            kept_h[q], kept_phi[q] = h, phi
-        yield q, h, phi
+            rest = q // power
+            hs = [kept[power] * kept[rest] for kept in kept_h]
+            phi = kept_phi[power] * kept_phi[rest]
+        if q < len(kept_phi):
+            kept_phi[q] = phi
+            for kept, h in zip(kept_h, hs):
+                kept[q] = h
+        yield q, hs, phi
 
 
 def phigcd_ratio_scan(limit: int, m: int = 3) -> Fraction:
@@ -616,7 +613,7 @@ def phigcd_ratio_scan(limit: int, m: int = 3) -> Fraction:
         raise ValueError("ratio scan needs m >= 2")
     _check_dimension(m)
     best_num, best_den = 0, 1
-    for q, h, phi in _divisor_forms(limit, m):
+    for q, (h,), phi in _divisor_forms(limit, (m,)):
         den = phi**m if m >= 3 else q * q
         if h * best_den > best_num * den:
             best_num, best_den = h, den
@@ -768,30 +765,33 @@ class EquidistRow:
 def equidistribution_scan(cfg: ExperimentConfig, windows) -> dict:
     """Exact per-q window ratios and the max deviation per window.
 
-    Skips q with psi(q) = 0 (the ratio is undefined there).  Targets use
-    the first coordinate; the scan is one-dimensional.
+    Skips q with psi(q) = 0 (the ratio is undefined there); psi(q) > 0
+    makes the set's measure positive.  Targets use the first coordinate;
+    the scan is one-dimensional.  Each window's set is built once and
+    measured against every approximation set.  A window given twice is
+    refused: the max deviations are keyed by window.
     """
     _check_piece_cap(cfg.Q, "Q")
-    parsed = []
+    max_dev: dict[tuple[Fraction, Fraction], Fraction] = {}
+    window_sets = []
     for lo, hi in windows:
-        lo = Fraction(lo)
-        hi = Fraction(hi)
+        lo, hi = Fraction(lo), Fraction(hi)
         if not (0 <= lo < hi <= 1):
             raise ValueError("windows must satisfy 0 <= lo < hi <= 1")
-        parsed.append((lo, hi))
+        if (lo, hi) in max_dev:
+            raise ValueError(f"window {lo}:{hi} is given twice")
+        max_dev[lo, hi] = _ZERO
+        window_sets.append(((lo, hi), hi - lo, TorusIntervalSet(((lo, hi),))))
     rows: list[EquidistRow] = []
-    max_dev = {window: _ZERO for window in parsed}
     for q in range(1, cfg.Q + 1):
         psi_q = cfg.psi(q)
         if psi_q == 0:
             continue
         approx = build_approx_set(q, psi_q, cfg.target(q)[0])
         total = approx.measure()
-        if total == 0:
-            continue
-        for window in parsed:
-            ratio = approx.restrict(*window).measure() / total
-            deviation = abs(ratio - (window[1] - window[0]))
+        for window, length, window_set in window_sets:
+            ratio = measure_intersection(approx, window_set) / total
+            deviation = abs(ratio - length)
             rows.append(EquidistRow(q=q, window=window, ratio=ratio, deviation=deviation))
             if deviation > max_dev[window]:
                 max_dev[window] = deviation

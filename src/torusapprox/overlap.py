@@ -60,7 +60,7 @@ from .torus import measure_intersection
 
 @dataclass(frozen=True)
 class PairDecomposition:
-    """ell/em/en splitting of a pair of moduli, with gcd, lcm and the split."""
+    """ell/em/en splitting of a pair of moduli, with gcd, lcm and phi(gcd)."""
 
     q: int
     r: int
@@ -69,8 +69,7 @@ class PairDecomposition:
     ell: int
     em: int
     en: int
-    # (ell, em, en, phi(em), balanced primes, split primes, signed_q, signed_r)
-    split: tuple
+    phi_gcd: int
 
 
 def _split(row_q: tuple, row_r: tuple) -> tuple:
@@ -166,23 +165,21 @@ def _decompose(row_q: tuple, row_r: tuple) -> PairDecomposition:
     """`decompose_pair` from the pair's two `_overlap_row` rows."""
     q = row_q[0]
     r = row_r[0]
-    split = _split(row_q, row_r)
-    ell, em, en = split[:3]
+    ell, em, en = _split(row_q, row_r)[:3]
     g = math.gcd(q, r)
     l = q * r // g
-    dec = PairDecomposition(q=q, r=r, gcd=g, lcm=l, ell=ell, em=em, en=en,
-                            split=split[:4] + tuple(map(tuple, split[4:])))
+    phi_ell, phi_em, phi_g = totient(ell), totient(em), totient(g)
     if not (
         g == ell * em
         and l == ell * en
         and q * r * em == g * g * en
         and math.gcd(ell, em * en) == 1
         and en % em == 0
-        and totient(em) * totient(ell) == totient(g)
-        and totient(em) * totient(ell) ** 2 * totient(en) == totient(q) * totient(r)
+        and phi_em * phi_ell == phi_g
+        and phi_em * phi_ell**2 * totient(en) == totient(q) * totient(r)
     ):
         raise IdentityError(f"ell/em/en identities fail for q={q}, r={r}")
-    return dec
+    return PairDecomposition(q=q, r=r, gcd=g, lcm=l, ell=ell, em=em, en=en, phi_gcd=phi_g)
 
 
 def _f_table(row_q: tuple, row_r: tuple) -> list[int]:
@@ -218,22 +215,14 @@ def coprime_pair_histogram(dec: PairDecomposition) -> list[int]:
     return hist
 
 
-def _psi_pair(psi, q: int, r: int) -> tuple[Fraction, Fraction]:
-    """psi(q) and psi(r) as Fractions."""
-    psi_q, psi_r = Fraction(psi(q)), Fraction(psi(r))
-    if psi_q < 0 or psi_r < 0:
-        raise ValueError("psi must be non-negative")
-    return psi_q, psi_r
-
-
 def pair_overlap_exact(q: int, r: int, psi, y_q=0, y_r=0) -> Fraction:
     """Exact measure of the intersection of the two approximation sets.
 
     q = r is allowed and yields the self-intersection (the set measure),
     which is reported for diagnostics but excluded from bound checks.
+    `build_approx_set` refuses a negative psi.
     """
-    psi_q, psi_r = _psi_pair(psi, q, r)
-    return measure_intersection(build_approx_set(q, psi_q, y_q), build_approx_set(r, psi_r, y_r))
+    return measure_intersection(build_approx_set(q, psi(q), y_q), build_approx_set(r, psi(r), y_r))
 
 
 def _overlap_row(q: int, factors, psi_q, y_q) -> tuple:
@@ -369,16 +358,6 @@ def _window_units(row_q: tuple, row_r: tuple) -> tuple[int, int]:
     return 2 * lcm * c, d * r
 
 
-def _phi_gcd(split: tuple) -> int:
-    """phi(gcd(q, r)) = phi(ell) phi(em), from the pair's `_split`.  The
-    two bound formulas below take that split as an argument, so a caller
-    needing both splits the pair's primes once."""
-    ell, _, _, phi_em, balanced = split[:5]
-    for p in balanced:
-        ell = ell // p * (p - 1)
-    return ell * phi_em
-
-
 def _main_term_units(
     row_q: tuple, row_r: tuple, strict_indicator: bool = False
 ) -> tuple[int, int]:
@@ -408,21 +387,22 @@ def _main_term_units(
     return num, den
 
 
-def _addend2_units(row_q: tuple, row_r: tuple, split: tuple) -> tuple[int, int]:
-    """phi(gcd(q, r)) * min(psi(q)/q, psi(r)/r) as (num, den)."""
+def _addend2_units(row_q: tuple, row_r: tuple, phi_g: int) -> tuple[int, int]:
+    """phi(gcd(q, r)) * min(psi(q)/q, psi(r)/r) as (num, den), given
+    phi_g = phi(gcd(q, r)), the `phi_gcd` of the pair's decomposition."""
     q, _, _, b, a, _, _, _ = row_q
     r, _, _, d, c, _, _, _ = row_r
-    phi_g = _phi_gcd(split)
     if a * d * r <= c * b * q:
         return phi_g * a, b * q
     return phi_g * c, d * r
 
 
-def _trivial_units(row_q: tuple, row_r: tuple, split: tuple) -> tuple[int, int]:
-    """psi(q)psi(r) + (psi(q)/q) phi(gcd) = a(cq + d phi(gcd)) / (bdq) as (num, den)."""
+def _trivial_units(row_q: tuple, row_r: tuple, phi_g: int) -> tuple[int, int]:
+    """psi(q)psi(r) + (psi(q)/q) phi(gcd) = a(cq + d phi(gcd)) / (bdq) as
+    (num, den), given phi_g = phi(gcd(q, r))."""
     q, _, _, b, a, _, _, _ = row_q
     _, _, _, d, c, _, _, _ = row_r
-    return a * (c * q + d * _phi_gcd(split)), b * d * q
+    return a * (c * q + d * phi_g), b * d * q
 
 
 def sifted_interval_count(x, y, n: int) -> tuple[int, Fraction, Fraction]:
@@ -489,22 +469,23 @@ def overlap_report(q: int, r: int, psi, y_q=0, y_r=0) -> OverlapReport:
     use; they differ only on the measure-zero locus D = 1.  addend2 is
     phi(gcd(q, r)) min(psi(q)/q, psi(r)/r), and trivial_rhs the elementary
     bound psi(q)psi(r) + (psi(q)/q) phi(gcd(q, r)) with q the larger
-    modulus.  Each row is built once, at psi and the targets."""
+    modulus.  Each row is built once, at psi and the targets, after the
+    exact overlap, whose set builds refuse a negative psi."""
     if q < 1 or r < 1:
         raise ValueError("moduli must be >= 1")
     for n in (q, r):  # before any trial division
         _check_piece_cap(n)
-    psi_q, psi_r = _psi_pair(psi, q, r)
-    row_q = _overlap_row(q, factorize(q), psi_q, y_q)
-    row_r = _overlap_row(r, factorize(r), psi_r, y_r)
+    exact = pair_overlap_exact(q, r, psi, y_q, y_r)
+    row_q = _overlap_row(q, factorize(q), psi(q), y_q)
+    row_r = _overlap_row(r, factorize(r), psi(r), y_r)
     dec = _decompose(row_q, row_r)
     hi, lo = (row_q, row_r) if q > r else (row_r, row_q)
     return OverlapReport(
         q=q, r=r, ell=dec.ell, em=dec.em, en=dec.en,
         D=Fraction(*_window_units(row_q, row_r)),
-        exact_overlap=pair_overlap_exact(q, r, psi, y_q, y_r),
+        exact_overlap=exact,
         addend1=Fraction(*_main_term_units(row_q, row_r, strict_indicator=True)),
-        addend2=Fraction(*_addend2_units(row_q, row_r, dec.split)),
+        addend2=Fraction(*_addend2_units(row_q, row_r, dec.phi_gcd)),
         M=Fraction(*_main_term_units(row_q, row_r)),
-        trivial_rhs=Fraction(*_trivial_units(hi, lo, dec.split)) if q != r else None,
+        trivial_rhs=Fraction(*_trivial_units(hi, lo, dec.phi_gcd)) if q != r else None,
     )

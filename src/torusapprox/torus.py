@@ -19,11 +19,11 @@ merge: `intersect` reduces its ends, and `_overlap_units` sums them for
 `measure_intersection` and for the pairs of the pairwise scans that the
 closed form of `overlap._pair_overlap_units` does not cover (a weight above
 1/2).  `pieces` (a `PieceView`), `repr` and pickling present the endpoints
-as Fractions, exactly as a Fraction-endpoint representation would.  All operations are exact and return new values.
+as Fractions.  All operations are exact and return new values.
 
-The half-open convention makes complement/union/measure exact partitions;
-it differs from closed intervals only on finitely many points, which no
-measure computed here can see.
+The half-open convention makes union and measure exact; it differs from
+closed intervals only on finitely many points, which no measure computed
+here can see.
 """
 
 from __future__ import annotations
@@ -199,9 +199,6 @@ class TorusIntervalSet:
         ends = self.ends
         return Fraction(sum(ends[1::2]) - sum(ends[0::2]), self.den)
 
-    def is_empty(self) -> bool:
-        return not self.ends
-
     def contains(self, x) -> bool:
         """Point membership under the half-open convention, x taken mod 1."""
         point = Fraction(x)
@@ -229,19 +226,6 @@ class TorusIntervalSet:
         # Intersecting two canonical sets cannot create touching pieces.
         return _reduced(*_intersection_ends(self, other))
 
-    def complement(self) -> "TorusIntervalSet":
-        # 0 and den carry no common factor beyond den's own, so the form
-        # stays reduced.
-        ends = (0,) + self.ends + (self.den,)
-        if ends[0] == ends[1]:
-            ends = ends[2:]
-        if ends and ends[-2] == ends[-1]:
-            ends = ends[:-2]
-        return _new(self.den, ends)
-
-    def minus(self, other: "TorusIntervalSet") -> "TorusIntervalSet":
-        return self.intersect(other.complement())
-
     def translate(self, t) -> "TorusIntervalSet":
         """Rotate by t (mod 1).  Measure preserving."""
         shift = Fraction(t)
@@ -257,14 +241,6 @@ class TorusIntervalSet:
             for i in range(0, len(ends), 2)
         ]
         return _canonical(den, spans)
-
-    def restrict(self, lo, hi) -> "TorusIntervalSet":
-        """Intersection with the window [lo, hi), 0 <= lo < hi <= 1."""
-        lo = Fraction(lo)
-        hi = Fraction(hi)
-        if not (0 <= lo < hi <= 1):
-            raise ValueError("restrict window must satisfy 0 <= lo < hi <= 1")
-        return self.intersect(TorusIntervalSet(((lo, hi),)))
 
     def is_subset_of(self, other: "TorusIntervalSet") -> bool:
         """Exact containment of point sets (not just almost-everywhere)."""

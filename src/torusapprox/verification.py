@@ -177,15 +177,15 @@ def _bound_ratio_max(limit: int, psi: ApproxFunction) -> tuple[Fraction, Fractio
             units, den = _overlap_units(sets[q], sets[r])
             if units == 0:
                 continue
-            split = _decompose(rows[q], rows[r]).split  # checks the ell/em/en identities
+            phi_g = _decompose(rows[q], rows[r]).phi_gcd  # checks the ell/em/en identities
             n1, d1 = _main_term_units(rows[q], rows[r], strict_indicator=True)
-            n2, d2 = _addend2_units(rows[q], rows[r], split)
+            n2, d2 = _addend2_units(rows[q], rows[r], phi_g)
             # exact / (n1/d1 + n2/d2) = units d1 d2 / (den (n1 d2 + n2 d1))
             num = units * d1 * d2
             rden = den * (n1 * d2 + n2 * d1)
             if num * bound_den > bound_num * rden:
                 bound_num, bound_den = num, rden
-            tn, td = _trivial_units(rows[q], rows[r], split)
+            tn, td = _trivial_units(rows[q], rows[r], phi_g)
             num = units * td
             rden = den * tn
             if num * trivial_den > trivial_num * rden:

@@ -91,7 +91,7 @@ def test_build_examples():
         (F(1, 12), F(1, 4)),
         (F(3, 4), F(11, 12)),
     )
-    assert build_approx_set(5, 0, 0).is_empty()
+    assert build_approx_set(5, 0, 0) == TorusIntervalSet.empty()
     assert build_approx_set(1, F(1, 2), F(3, 7)) == TorusIntervalSet.full()
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import torusapprox.approx as approx
 import torusapprox.cli as cli
 import torusapprox.counterexample as counterexample
 import torusapprox.experiments as experiments
@@ -345,6 +346,9 @@ NAMED_OPTION = {
         "counterexample takes one of --primes and --mode, not both",
     "phigcd --limit 0": "ratio scan needs limit >= 1",
     "phigcd --limit -5": "ratio scan needs limit >= 1",
+    "equidist --Q 5 --psi const:1/4 --windows 0:1/2,0:1/2": "window 0:1/2 is given twice",
+    "equidist --Q 5 --psi const:1/4 --windows 0:1/2,1/4:3/4,0/3:2/4":
+        "window 0:1/2 is given twice",
 }
 
 
@@ -388,6 +392,9 @@ NAMED_OPTION = {
     "counterexample --primes 2,3 --mode prime",
     "phigcd --limit 0",
     "phigcd --limit -5",
+    # One max-deviation row per window: a window given twice is refused.
+    "equidist --Q 5 --psi const:1/4 --windows 0:1/2,0:1/2",
+    "equidist --Q 5 --psi const:1/4 --windows 0:1/2,1/4:3/4,0/3:2/4",
 ])
 def test_bad_input_exits_2_with_one_line(capsys, argv):
     code, out, err = run_capture(capsys, argv.split())
@@ -395,6 +402,9 @@ def test_bad_input_exits_2_with_one_line(capsys, argv):
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("usage error: ")
     assert NAMED_OPTION.get(argv, "") in err
+
+
+NINES = "9" * 4000
 
 
 @pytest.mark.parametrize("argv", [
@@ -423,12 +433,25 @@ def test_bad_input_exits_2_with_one_line(capsys, argv):
     # Past the overlap-row cap 2**15, refused before any row or set is built.
     "msum --Q 32769 --psi div3",
     "pairwise --Q 32769 --psi const:1/4 --mode enclosure",
+    # The dimension is checked before a target tuple of length m is built.
+    pytest.param(f"pairwise --Q 5 --m {NINES} --psi div3", id="pairwise-m-4000-digits"),
+    pytest.param(f"mc --q-range 2 --m {NINES} --psi const:1/4", id="mc-m-4000-digits"),
+    # A number echoed back is shortened: the line stays short for any input.
+    pytest.param(f"measure --q {NINES} --psi const:1/4", id="measure-q-4000-digits"),
+    pytest.param(f"phigcd --q {NINES}", id="phigcd-q-4000-digits"),
+    pytest.param(f"phigcd --limit {NINES}", id="phigcd-limit-4000-digits"),
+    pytest.param(f"msum --Q {NINES} --psi div3", id="msum-Q-4000-digits"),
+    pytest.param(f"pairwise --Q {NINES} --mode enclosure --psi const:1/4",
+                 id="pairwise-Q-4000-digits"),
+    # Block 3's starting point has about 1,900 digits.
+    "counterexample --blocks 4",
 ])
 def test_resource_caps_exit_3_with_one_line(capsys, argv):
     code, out, err = run_capture(capsys, argv.split())
     assert code == 3
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("budget refusal: ")
+    assert len(err.encode()) <= 200
 
 
 @pytest.mark.parametrize("argv", [
@@ -491,8 +514,11 @@ def test_deferred_block_refusal_names_block_and_divisor_count(capsys, tmp_path):
         capsys, ["counterexample", "--blocks", "2", "--verify", "--save", str(saved)]
     )
     count = build_counterexample(BlockSchedule(blocks=2)).blocks[1].divisor_count
+    digits = str(count)
+    assert len(digits) > 60  # so the line shows its first 20 digits and its length
+    shown = f"{digits[:20]}...({len(digits)} digits)"
     assert code == 3 and out == ""
-    assert err == f"budget refusal: block 2: {count} divisors exceed the materialization cap\n"
+    assert err == f"budget refusal: block 2: {shown} divisors exceed the materialization cap\n"
     assert not saved.exists()  # refused before anything is written
     # Without --verify the same instance is reported as before.
     code, out, _ = run_capture(capsys, ["counterexample", "--blocks", "2"])
@@ -562,7 +588,7 @@ def test_oversized_scans_refuse_before_building_a_set(capsys, monkeypatch, argv)
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_reports_render_integers_past_the_str_digit_limit(capsys, monkeypatch, fmt):
     # The ratio's numerator and denominator run to thousands of digits.
-    monkeypatch.setattr(experiments, "_DIMENSION_CAP", 600)
+    monkeypatch.setattr(approx, "_DIMENSION_CAP", 600)
     argv = f"pairwise --Q 30 --m 600 --psi const:1/3 --format {fmt}".split()
     code, out, err = run_capture(capsys, argv)
     assert code == 0

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from torusapprox import experiments
 from torusapprox.approx import ApproxFunction, TargetSequence, build_approx_set, hit_test
-from torusapprox.arith import totient, totient_range
+from torusapprox.arith import spf_table, totient, totient_range
 from torusapprox.errors import BudgetError, IdentityError
 from torusapprox.experiments import (
     Enclosure,
@@ -344,14 +344,27 @@ def test_divisor_forms_match_divisor_enumeration():
     for d in range(1, limit + 1):
         for multiple in range(d, limit + 1, d):
             divisors[multiple].append(d)
-    for m in range(2, 6):
-        forms = list(experiments._divisor_forms(limit, m))
-        assert forms == [
-            (q, sum(phi[d] ** m * phi[q // d] for d in divisors[q]), phi[q])
-            for q in range(1, limit + 1)
-        ]
-        best = max(F(h, phi_q**m if m >= 3 else q * q) for q, h, phi_q in forms)
+    ms = range(2, 6)
+    forms = list(experiments._divisor_forms(limit, ms))
+    assert forms == [
+        (q, [sum(phi[d] ** m * phi[q // d] for d in divisors[q]) for m in ms], phi[q])
+        for q in range(1, limit + 1)
+    ]
+    for i, m in enumerate(ms):
+        best = max(F(hs[i], phi_q**m if m >= 3 else q * q) for q, hs, phi_q in forms)
         assert phigcd_ratio_scan(limit, m) == best
+
+
+def test_phigcd_batch_check_builds_one_sieve(monkeypatch):
+    sieves = []
+
+    def counting(limit):
+        sieves.append(limit)
+        return spf_table(limit)
+
+    monkeypatch.setattr(experiments, "spf_table", counting)
+    assert phigcd_batch_check(200) == {"ok": True, "mismatches": 0}
+    assert sieves == [200]
 
 
 def test_unit_sample_deterministic():

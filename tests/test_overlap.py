@@ -13,6 +13,7 @@ from torusapprox.arith import factorize, totient
 from torusapprox.experiments import main_term_sum_check
 from torusapprox.overlap import (
     _addend2_units,
+    _decompose,
     _f_table,
     _f_terms,
     _main_term_units,
@@ -52,7 +53,8 @@ def test_decomposition_examples():
     assert (dec.ell, dec.em, dec.en) == (2, 1, 15)
     dec = decompose_pair(9, 9)
     assert (dec.ell, dec.em, dec.en) == (9, 1, 1)
-    assert dec.split == (9, 1, 1, 1, (3,), (), (1,), (1,))
+    assert dec.phi_gcd == 6
+    assert _split(zero_row(9), zero_row(9)) == (9, 1, 1, 1, [3], (), (1,), (1,))
     assert hash(dec) == hash(decompose_pair(9, 9))  # frozen, so hashable
     # 2, 3 and 5 balanced, 7 and 11 split
     dec = decompose_pair(210, 330)
@@ -180,6 +182,18 @@ def test_overlap_report_splits_the_pair_once(monkeypatch):
     report = overlap_report(12, 18, CONST4, F(1, 5), F(2, 7))
     assert calls == [(12, 18)]
     assert report.exact_overlap == pair_overlap_exact(12, 18, CONST4, F(1, 5), F(2, 7))
+
+
+def test_overlap_report_refuses_a_negative_psi_before_any_row(monkeypatch):
+    from torusapprox import overlap
+
+    def refuse(*args):
+        raise AssertionError("a row was built for a negative psi")
+
+    monkeypatch.setattr(overlap, "_overlap_row", refuse)
+    negative = ApproxFunction("negative", rule=lambda q: F(-1, 4) if q == 18 else F(1, 4))
+    with pytest.raises(ValueError, match="^psi must be non-negative$"):
+        overlap_report(12, 18, negative)
 
 
 def test_sifted_count_examples():
@@ -312,14 +326,14 @@ def test_pair_formulas_on_rows_sharing_a_denominator_with_y(q, r, spec, y_q, y_r
     row_r = _overlap_row(r, factorize(r), psi_r, y_r)
     assert F(row_q[4], row_q[3]) == psi_q and F(row_q[5], row_q[3]) == y_q
     assert row_q[2] == totient(q)
-    split = _split(row_q, row_r)
     for strict in (False, True):
         assert F(*_main_term_units(row_q, row_r, strict)) == ref_main_term(
             q, r, psi_q, psi_r, strict
         )
     phi_g = ref_phi(math.gcd(q, r))
-    assert F(*_addend2_units(row_q, row_r, split)) == phi_g * min(psi_q / q, psi_r / r)
-    assert F(*_trivial_units(row_q, row_r, split)) == psi_q * psi_r + psi_q / q * phi_g
+    assert _decompose(row_q, row_r).phi_gcd == phi_g
+    assert F(*_addend2_units(row_q, row_r, phi_g)) == phi_g * min(psi_q / q, psi_r / r)
+    assert F(*_trivial_units(row_q, row_r, phi_g)) == psi_q * psi_r + psi_q / q * phi_g
 
 
 def test_example_row_psi_is_unreduced():
@@ -383,7 +397,7 @@ def test_split_two_leaves_odd_steps_and_halves_the_terms():
             odd_balanced = [p for p in ref_primes(dec.ell) if p != 2]
             unfolded = 2 ** (len(ref_primes(dec.en)) + len(odd_balanced))
             two_splits = dec.en % 2 == 0
-            assert odd == (2 in dec.split[5]) == two_splits
+            assert odd == (2 in _split(zero_row(q), zero_row(r))[5]) == two_splits
             if two_splits:
                 assert all(k % 2 for k in steps)
                 assert 2 * len(steps) == unfolded

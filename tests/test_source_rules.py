@@ -8,7 +8,10 @@ parameters, and the piece cap's refusal is written once, in `approx`.  No functi
 not depend on which calls a process, or a pool worker, made before.
 Every name the package exports is read somewhere in the package itself,
 so no public function survives only because a test calls it; the
-allowlist names the oracles the tests reach on purpose.  The phi(gcd)
+allowlist names the oracles the tests reach on purpose.  Likewise every
+public `TorusIntervalSet` method is read outside the class's public
+methods, or is on the allowlist of reference operations tests compare
+other code against.  The phi(gcd)
 brute force stays independent of the divisor identity it is checked
 against: it names no factorization, totient or divisor-form helper.
 """
@@ -75,6 +78,21 @@ def test_every_exported_name_has_a_reader_in_the_package():
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
     assert sorted(exported - read - oracles) == []
+
+
+def test_every_public_torus_method_has_a_reader_in_the_package():
+    references = {"intersect", "contains", "translate"}
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    (cls,) = [node for node in trees["torus.py"].body
+              if isinstance(node, ast.ClassDef) and node.name == "TorusIntervalSet"]
+    public = {node.name: node for node in cls.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    # A public method read only by another public method has no reader.
+    inside = {id(node) for method in public.values() for node in ast.walk(method)}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and id(node) not in inside}
+    assert sorted(set(public) - read - references) == []
 
 
 def test_phigcd_brute_force_names_no_factorization_or_totient():

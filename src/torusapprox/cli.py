@@ -16,6 +16,11 @@ a config value is converted exactly like the flag and a flag beats its
 config line.  A key that names no flag of the subcommand taking a value
 (the boolean flags included), or a value outside a flag's choices, is a
 usage error.
+
+The flags each subcommand needs and those that exclude each other are two
+tables, `_NEEDS` and `_CONFLICTS`, checked once after parsing, so a config
+line meets a need or makes a conflict like its flag.  List flags are split
+by `_listed`, not `type=`, so report headers echo their text as given.
 """
 
 from __future__ import annotations
@@ -193,8 +198,6 @@ def _fmt(value) -> str:
 
 
 def _psi_from(args) -> ApproxFunction:
-    if args.psi is None:
-        raise UsageError("--psi is required")
     try:
         return ApproxFunction.parse(args.psi)
     except (ValueError, OSError) as exc:
@@ -208,13 +211,23 @@ def _target_from(args, m: int) -> TargetSequence:
         raise _spec_error("target", args.y, exc) from exc
 
 
+def _listed(text: str, convert, what: str, sep: str = ",", count: int | None = None) -> list:
+    """A list flag's items, each converted: a usage error showing the text
+    when an item does not convert or the items are not `count` many."""
+    try:
+        items = [convert(item) for item in text.split(sep)]
+        if count in (None, len(items)):
+            return items
+    except ValueError:
+        pass
+    raise UsageError(f"bad {what} {_shown(text)}")
+
+
 # -- subcommand handlers -------------------------------------------------------------
 
 
 def _cmd_measure(args) -> int:
     q = args.q
-    if q is None or q < 1:
-        raise UsageError("measure needs --q >= 1")
     psi = _psi_from(args)
     target = _target_from(args, 1)
     psi_q = psi(q)
@@ -235,8 +248,6 @@ def _cmd_measure(args) -> int:
 
 def _cmd_overlap(args) -> int:
     q, r = args.q, args.r
-    if q is None or r is None or q < 1 or r < 1:
-        raise UsageError("overlap needs --q and --r, both >= 1")
     psi = _psi_from(args)
     target = _target_from(args, 1)
     report = overlap_report(q, r, psi, target(q)[0], target(r)[0])
@@ -263,8 +274,6 @@ def _cmd_overlap(args) -> int:
 
 def _cmd_pairwise(args) -> int:
     q_max, m = args.Q, args.m
-    if q_max is None:
-        raise UsageError("pairwise needs --Q")
     psi = _psi_from(args)
     target = _target_from(args, m)
     cfg = ExperimentConfig(Q=q_max, psi=psi, target=target, m=m, **_given(
@@ -291,15 +300,7 @@ def _cmd_pairwise(args) -> int:
 
 
 def _cmd_msum(args) -> int:
-    if args.ladder:
-        try:
-            ladder = [int(v) for v in args.ladder.split(",")]
-        except ValueError as exc:
-            raise UsageError(f"bad ladder {_shown(args.ladder)}") from exc
-    elif args.Q is None:
-        raise UsageError("msum needs --Q or --ladder")
-    else:
-        ladder = [args.Q]
+    ladder = [args.Q] if args.ladder is None else _listed(args.ladder, int, "ladder")
     m = args.m
     psi = _psi_from(args)
     rows = []
@@ -327,8 +328,6 @@ def _cmd_phigcd(args) -> int:
         config = {"subcommand": "phigcd", "limit": limit, "m": m}
         _emit(["limit", "m", "max_ratio"], rows, config, args.format, args.out)
         return EXIT_OK
-    if q is None:
-        raise UsageError("phigcd needs --q or --limit")
     brute, divisor_form = phigcd_sum(q, m)
     rows = [{"q": q, "m": m, "brute": brute, "divisor_form": divisor_form,
              "ok": brute == divisor_form}]
@@ -340,13 +339,10 @@ def _cmd_phigcd(args) -> int:
 def _cmd_counterexample(args) -> int:
     primes_text = args.primes
     if primes_text:
-        try:
-            blocks = [
-                [int(p) for p in chunk.split(",") if p]
-                for chunk in primes_text.split(";")
-            ]
-        except ValueError as exc:
-            raise UsageError(f"bad primes spec {_shown(primes_text)}") from exc
+        blocks = _listed(
+            primes_text, lambda chunk: [int(p) for p in chunk.split(",") if p],
+            "primes spec", sep=";",
+        )
         inst = instance_from_prime_blocks(blocks)
         config = {"subcommand": "counterexample", "primes": primes_text}
     else:
@@ -354,10 +350,7 @@ def _cmd_counterexample(args) -> int:
         eps_text, mode = args.eps, args.mode or "product"
         eps = None
         if eps_text:
-            try:
-                eps = tuple(parse_rational(v) for v in eps_text.split(","))
-            except ValueError as exc:
-                raise UsageError(f"bad eps {_shown(eps_text)}") from exc
+            eps = tuple(_listed(eps_text, parse_rational, "eps"))
             if len(eps) == 1 and blocks_n > 1:
                 eps = eps * blocks_n
         schedule = BlockSchedule(blocks=blocks_n, eps=eps, mode=mode)
@@ -405,10 +398,6 @@ def _cmd_counterexample(args) -> int:
 
 def _cmd_sift(args) -> int:
     x, y, n = args.X, args.Y, args.n
-    if x is None or y is None or n is None:
-        raise UsageError("sift needs --X, --Y and --n")
-    if n < 1 or x > y:
-        raise UsageError("sift needs n >= 1 and X <= Y")
     count, main, error = sifted_interval_count(x, y, n)
     omega = len(factorize(n))
     rows = [{
@@ -423,18 +412,11 @@ def _cmd_sift(args) -> int:
 
 def _cmd_equidist(args) -> int:
     q_max = args.Q
-    if q_max is None:
-        raise UsageError("equidist needs --Q")
     psi = _psi_from(args)
     target = _target_from(args, 1)
     windows_text = args.windows
-    windows = []
-    for chunk in windows_text.split(","):
-        try:
-            lo, hi = chunk.split(":")
-            windows.append((parse_rational(lo), parse_rational(hi)))
-        except ValueError as exc:
-            raise UsageError(f"bad window {_shown(chunk)}; want lo:hi") from exc
+    windows = [_listed(chunk, parse_rational, "window", sep=":", count=2)
+               for chunk in windows_text.split(",")]
     cfg = ExperimentConfig(Q=q_max, psi=psi, target=target, m=1)
     scan = equidistribution_scan(cfg, windows)
     rows = []
@@ -462,16 +444,11 @@ def _cmd_equidist(args) -> int:
 
 def _cmd_mc(args) -> int:
     text = args.q_range
-    if not text:
-        raise UsageError("mc needs --q-range (comma list or lo..hi)")
-    try:
-        if ".." in text:
-            lo, hi = text.split("..")
-            q_range = range(int(lo), int(hi) + 1)
-        else:
-            q_range = [int(v) for v in text.split(",")]
-    except ValueError as exc:
-        raise UsageError(f"bad q-range {_shown(text)}") from exc
+    if ".." in text:
+        lo, hi = _listed(text, int, "q-range", sep="..", count=2)
+        q_range = range(lo, hi + 1)
+    else:
+        q_range = _listed(text, int, "q-range")
     if not q_range:
         raise UsageError(f"empty q-range {_shown(text)}")
     # A range's ends are its extremes; min() and max() would walk all of it.
@@ -504,8 +481,6 @@ def _cmd_mc(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    if any(name not in SUITES for name in names):
-        raise UsageError(f"unknown suite {_shown(args.suite)}; choose from {', '.join(SUITES)} or all")
     failures = 0
     for name in names:
         start = time.perf_counter()
@@ -522,21 +497,43 @@ def _cmd_verify(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
-# Flags of one subcommand that exclude each other, by destination.  None of
-# them has a parser default, so a flag is given when it is not None, from
-# the command line or a config line; `run` refuses a pair given together.
+# The flags each subcommand needs, and the pairs of its flags that exclude
+# each other, by destination.  A need is one flag or a tuple of
+# alternatives.  None of these flags has a parser default, so a flag is
+# given when it is not None, from the command line or a config line: a
+# config line only sets a default, so argparse's `required=` would refuse a
+# need that the config file meets.  `_check_tables` reads both after parsing.
+_NEEDS = {
+    "measure": ("q", "psi"),
+    "overlap": ("q", "r", "psi"),
+    "pairwise": ("Q", "psi"),
+    "msum": (("Q", "ladder"), "psi"),
+    "phigcd": (("q", "limit"),),
+    "sift": ("X", "Y", "n"),
+    "equidist": ("Q", "psi"),
+    "mc": ("q_range", "psi"),
+}
 _CONFLICTS = {
+    "msum": (("Q", "ladder"),),
     "phigcd": (("q", "limit"),),
     "counterexample": (("primes", "blocks"), ("primes", "eps"), ("primes", "mode")),
 }
 
 
-def _check_conflicts(args) -> None:
+def _check_tables(args, parser: _Parser) -> None:
+    """Refuse a missing need or two flags that exclude each other, each
+    named as spelled on the command line."""
+    spelled = {action.dest: action.option_strings[0][2:] for action in parser._actions}
+    given = {dest for dest in spelled if getattr(args, dest, None) is not None}
+    for need in _NEEDS.get(args.subcommand, ()):
+        alternatives = (need,) if isinstance(need, str) else need
+        if given.isdisjoint(alternatives):
+            flags = " or --".join(spelled[dest] for dest in alternatives)
+            raise UsageError(f"{args.subcommand} needs --{flags}")
     for first, second in _CONFLICTS.get(args.subcommand, ()):
-        if getattr(args, first) is not None and getattr(args, second) is not None:
-            raise UsageError(
-                f"{args.subcommand} takes one of --{first} and --{second}, not both"
-            )
+        if {first, second} <= given:
+            raise UsageError(f"{args.subcommand} takes one of --{spelled[first]} "
+                             f"and --{spelled[second]}, not both")
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
@@ -621,8 +618,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
     p.add_argument("--grid", action="store_true")
 
     p = command("verify", _cmd_verify, "run the exhaustive verification suites", report=False)
-    p.add_argument("--suite", default="all",
-                   help="suite name or 'all': " + ", ".join(SUITES))
+    p.add_argument("--suite", default="all", choices=[*SUITES, "all"])
 
     return parser, commands
 
@@ -654,7 +650,7 @@ def run(argv=None) -> int:
             return EXIT_OK
         if extra:
             raise UsageError(f"unrecognized arguments: {_shown(' '.join(extra))}")
-        _check_conflicts(args)
+        _check_tables(args, commands[args.subcommand])
         return args.handler(args)
     except (ValueError, OSError) as exc:
         # Bad input rejected anywhere below the CLI (UsageError included).

@@ -12,8 +12,9 @@ the interval merge `torus._overlap_units` on sets built for the other
 pairs only.  Each q has one row per distinct target component; a pair's
 coordinate plan names each distinct pair of rows once with its
 multiplicity, so each distinct coordinate overlap is computed once and
-raised to that power.  The set measures come from the sets themselves,
-one q at a time, so they do not depend on either engine.
+raised to that power.  The set measures come from one set per q, centred
+on 0: a rotation keeps the measure, so every coordinate of q has that
+set's measure, and it does not depend on either engine.
 
 Every pair term stays an unreduced integer (num, den) from the kernel on.
 Exact mode sums each row r (the pairs q < r) as one integer numerator over
@@ -367,18 +368,11 @@ def pairwise_overlap_sum(cfg: ExperimentConfig) -> SumReport:
     _check_piece_cap(cfg.Q, "Q")
     # Likewise the rows, which `_coordinate_rows` builds only in the workers.
     _check_row_limit(cfg.Q)
-    per_q = []
-    measure_sum = Fraction(0)
-    for q in range(1, cfg.Q + 1):
-        psi_q = cfg.psi(q)
-        measures: dict[Fraction, Fraction] = {}
-        value = Fraction(1)
-        for y in cfg.target(q):
-            if y not in measures:
-                measures[y] = build_approx_set(q, psi_q, y).measure()
-            value *= measures[y]
-        per_q.append((q, value))
-        measure_sum += value
+    # A rotation keeps the measure, so every coordinate of q has the
+    # measure of the set centred on 0.
+    per_q = [(q, build_approx_set(q, cfg.psi(q), 0).measure() ** cfg.m)
+             for q in range(1, cfg.Q + 1)]
+    measure_sum = sum(value for _, value in per_q)
 
     worker_count = min(cfg.workers, max(1, cfg.Q - 1))
     payloads = [(cfg, w, worker_count) for w in range(worker_count)]
@@ -423,10 +417,8 @@ def quasi_independence_ladder(
     if min(ladder) < 2:
         raise ValueError("ladder values must be >= 2")
     q_top = max(ladder)
-    top = pairwise_overlap_sum(ExperimentConfig(
-        Q=q_top, psi=psi, target=target, m=m, workers=workers,
-        exact_q_cap=max(DEFAULT_EXACT_Q_CAP, q_top),
-    ))
+    top = pairwise_overlap_sum(ExperimentConfig(Q=q_top, psi=psi, target=target, m=m,
+                                                workers=workers))
     reports = []
     for q_max in ladder:
         rows, measures = top.row_sums[:q_max], top.per_q_measures[:q_max]

@@ -219,6 +219,120 @@ def test_config_line_conflicts_like_its_flag(capsys, tmp_path):
     assert err == "usage error: counterexample takes one of --primes and --blocks, not both\n"
 
 
+# One valid command line per subcommand in `cli._NEEDS`; each meets every need.
+MEETS_NEEDS = {
+    "measure": "measure --q 6 --psi const:1/4",
+    "overlap": "overlap --q 2 --r 3 --psi const:1/4",
+    "pairwise": "pairwise --Q 6 --psi const:1/4",
+    "msum": "msum --Q 6 --psi div3",
+    "phigcd": "phigcd --q 6",
+    "sift": "sift --X 0 --Y 10 --n 6",
+    "equidist": "equidist --Q 6 --psi const:1/4",
+    "mc": "mc --q-range 2,3 --psi const:1/4 --samples 1000",
+}
+# Values for the flags of each conflict in `cli._CONFLICTS`, on top of a
+# command line that is otherwise valid.
+CONFLICT_VALUES = {
+    "msum": ("msum --psi div3", {"Q": "10", "ladder": "4,8"}),
+    "phigcd": ("phigcd", {"q": "5", "limit": "10"}),
+    "counterexample": ("counterexample",
+                       {"primes": "2,3", "blocks": "2", "eps": "1/2", "mode": "prime"}),
+}
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _alternatives(need) -> tuple:
+    return (need,) if isinstance(need, str) else need
+
+
+def _without(argv: list[str], flags) -> tuple[list[str], dict[str, str]]:
+    """The command line less the given flags and their values, and those values by flag."""
+    kept, dropped = [], {}
+    pairs = iter(argv[1:])
+    for token in pairs:
+        if token in flags:
+            dropped[token] = next(pairs)
+        else:
+            kept.append(token)
+    return [argv[0], *kept], dropped
+
+
+NEEDS = [
+    pytest.param(command, need, id=f"{command}-{'|'.join(_alternatives(need))}")
+    for command, needs in cli._NEEDS.items() for need in needs
+]
+CONFLICTS = [
+    pytest.param(command, pair, id=f"{command}-{'|'.join(pair)}")
+    for command, pairs in cli._CONFLICTS.items() for pair in pairs
+]
+
+
+def test_every_subcommand_with_needs_has_a_valid_command_line(capsys):
+    assert set(MEETS_NEEDS) == set(cli._NEEDS)
+    assert set(CONFLICT_VALUES) == set(cli._CONFLICTS)
+    for argv in MEETS_NEEDS.values():
+        code, _, err = run_capture(capsys, argv.split())
+        assert code == 0, err
+
+
+@pytest.mark.parametrize("command,need", NEEDS)
+def test_a_missing_need_exits_2_naming_the_flag(capsys, command, need):
+    flags = [_flag(dest) for dest in _alternatives(need)]
+    argv, dropped = _without(MEETS_NEEDS[command].split(), flags)
+    assert dropped
+    code, out, err = run_capture(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"usage error: {command} needs {' or '.join(flags)}\n"
+
+
+@pytest.mark.parametrize("command,need", NEEDS)
+def test_a_need_met_by_a_config_line_runs(capsys, tmp_path, command, need):
+    flags = [_flag(dest) for dest in _alternatives(need)]
+    argv, dropped = _without(MEETS_NEEDS[command].split(), flags)
+    conf = tmp_path / "ta.conf"
+    conf.write_text("".join(f"{flag[2:]}={value}\n" for flag, value in dropped.items()))
+    code, _, err = run_capture(capsys, ["--config", str(conf), *argv])
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+@pytest.mark.parametrize("command,pair", CONFLICTS)
+def test_a_conflict_exits_2_from_a_flag_or_a_config_line(capsys, tmp_path, command, pair,
+                                                         via_config):
+    base, values = CONFLICT_VALUES[command]
+    first, second = pair
+    argv = [*base.split(), _flag(first), values[first]]
+    line = f"{_flag(second)[2:]}={values[second]}\n"
+    if via_config:
+        conf = tmp_path / "ta.conf"
+        conf.write_text(line)
+        argv = ["--config", str(conf), *argv]
+    else:
+        argv += [_flag(second), values[second]]
+    code, out, err = run_capture(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"usage error: {command} takes one of {_flag(first)} and {_flag(second)}, not both\n"
+    )
+
+
+def test_table_flags_belong_to_their_subcommand_and_have_no_default():
+    # A default would make a need always met, or a conflict always fire.
+    _, commands = cli._build_parser()
+    named = [(command, dest) for command, needs in cli._NEEDS.items()
+             for need in needs for dest in _alternatives(need)]
+    named += [(command, dest) for command, pairs in cli._CONFLICTS.items()
+              for pair in pairs for dest in pair]
+    for command, dest in named:
+        parser = commands[command]
+        assert _flag(dest) in parser._option_string_actions, (command, dest)
+        assert parser._option_string_actions[_flag(dest)].dest == dest
+        assert parser.get_default(dest) is None, (command, dest)
+
+
 def test_config_lines_reach_every_flag(capsys, tmp_path):
     conf = tmp_path / "ta.conf"
     conf.write_text("format=json\npsi=const:1/4\n")
@@ -340,6 +454,7 @@ NAMED_OPTION = {
     "counterexample --m 3": "--m 3",
     "counterexample --eps abc": "eps",
     "phigcd --q 5 --limit 10": "phigcd takes one of --q and --limit, not both",
+    "msum --Q 10 --ladder 4,8 --psi div3 --m 3": "msum takes one of --Q and --ladder, not both",
     "counterexample --primes 2,3 --eps 1/2 --blocks 4 --mode prime":
         "counterexample takes one of --primes and --blocks, not both",
     "counterexample --primes 2,3 --mode prime":
@@ -388,6 +503,7 @@ NAMED_OPTION = {
     "counterexample --m 3",
     # Flags that exclude each other; the ratio scan names its limit.
     "phigcd --q 5 --limit 10",
+    "msum --Q 10 --ladder 4,8 --psi div3 --m 3",
     "counterexample --primes 2,3 --eps 1/2 --blocks 4 --mode prime",
     "counterexample --primes 2,3 --mode prime",
     "phigcd --limit 0",

@@ -137,6 +137,30 @@ def test_pairwise_exact_cap_refusal():
         )
 
 
+def test_ladder_past_the_exact_cap_refuses_before_building_a_set(monkeypatch):
+    def build_approx_set(*args):
+        raise AssertionError("a set was built before the exact cap refused the ladder")
+
+    monkeypatch.setattr(experiments, "build_approx_set", build_approx_set)
+    with pytest.raises(BudgetError, match="capped at Q = 512"):
+        quasi_independence_ladder(CONST4, ZERO1, 1, [16, experiments.DEFAULT_EXACT_Q_CAP + 1])
+
+
+def test_measure_sum_matches_each_coordinates_own_set():
+    # Targets that differ by coordinate and by q: each coordinate's set is a
+    # rotation of the set centred on 0, so the product of their measures is
+    # the measure of that one set to the power m.
+    weights = ["1/4", "1/3", "3/5", "1/5", "1/2", "2/3", "1/4", "1/6", "3/4"]
+    psi = ApproxFunction.from_table({q: F(w) for q, w in enumerate(weights, start=1)})
+    target = TargetSequence.from_table(
+        {q: (F(q, 13), F(1, q + 1), F(2, 7)) for q in range(1, 10)}, 3
+    )
+    report = pairwise_overlap_sum(ExperimentConfig(Q=9, psi=psi, target=target, m=3))
+    for q, value in report.per_q_measures:
+        assert value == math.prod(build_approx_set(q, psi(q), y).measure() for y in target(q))
+    assert report.measure_sum == sum(value for _, value in report.per_q_measures)
+
+
 def test_enclosure_mode_brackets_exact_value():
     exact = pairwise_overlap_sum(ExperimentConfig(Q=16, psi=CONST4, target=ZERO1))
     enclosed = pairwise_overlap_sum(

@@ -129,7 +129,15 @@ def _converter(convert, wants: str):
     return converted
 
 
+def _modulus(text: str) -> int:
+    """An integer >= 1, refused by the parser so that the error names the flag."""
+    if int(text) < 1:
+        raise ValueError(text)
+    return int(text)
+
+
 _INT = _converter(int, "an integer")
+_MODULUS = _converter(_modulus, "an integer >= 1")
 _RATIONAL = _converter(parse_rational, "a rational p/q")
 
 
@@ -161,14 +169,10 @@ def _load_config_file(path: str) -> dict[str, str]:
 def _emit(columns, rows, config, fmt: str, out_path):
     """Render rows either as CSV with a commented config header or as JSON.
 
-    Execution-only settings (worker count) go to stderr: results are
-    worker-invariant by construction and the data stream must be too.
+    A config holds what the report depends on, so no execution setting
+    such as the worker count: `pairwise` prints that on stderr itself.
     """
-    config = dict(config)
-    workers = config.pop("workers", None)
-    if workers is not None:
-        print(f"workers={workers}", file=sys.stderr)
-    config["fixture_version"] = baselines_version()
+    config = config | {"fixture_version": baselines_version()}
     with _unlimited_int_digits():
         if fmt == "csv":
             lines = [f"# {key}={config[key]}" for key in sorted(config)]
@@ -292,6 +296,7 @@ def _cmd_pairwise(args) -> int:
     }
     _emit(list(row), [row], report.config, args.format, args.out)
     print(
+        f"workers={cfg.workers}\n"
         f"pairs closed_form={report.closed_form_pairs} merge={report.merge_pairs} "
         f"seconds={elapsed:.3f}",
         file=sys.stderr,
@@ -419,22 +424,22 @@ def _cmd_equidist(args) -> int:
                for chunk in windows_text.split(",")]
     cfg = ExperimentConfig(Q=q_max, psi=psi, target=target, m=1)
     scan = equidistribution_scan(cfg, windows)
-    rows = []
     if args.per_q:
-        for entry in scan["rows"]:
-            rows.append({
-                "q": entry.q,
-                "window": f"{format_rational(entry.window[0])}:{format_rational(entry.window[1])}",
-                "ratio": format_rational(entry.ratio),
-                "deviation": format_rational(entry.deviation),
-            })
+        rows = [{
+            "q": entry.q,
+            "window": ":".join(map(format_rational, entry.window)),
+            "ratio": format_rational(entry.ratio),
+            "deviation": format_rational(entry.deviation),
+        } for entry in scan]
         columns = ["q", "window", "ratio", "deviation"]
     else:
-        for window, deviation in scan["max_deviation"].items():
-            rows.append({
-                "window": f"{format_rational(window[0])}:{format_rational(window[1])}",
-                "max_deviation": format_rational(deviation),
-            })
+        # The scan refused a repeated window, so each window is one key.
+        worst = dict.fromkeys(map(tuple, windows), Fraction(0))
+        for entry in scan:
+            worst[entry.window] = max(worst[entry.window], entry.deviation)
+        rows = [{"window": ":".join(map(format_rational, window)),
+                 "max_deviation": format_rational(deviation)}
+                for window, deviation in worst.items()]
         columns = ["window", "max_deviation"]
     config = {"subcommand": "equidist", "Q": q_max, "psi": psi.describe(),
               "y": target.describe(), "windows": windows_text}
@@ -474,7 +479,7 @@ def _cmd_mc(args) -> int:
         "wilson3s_hi": repr(report.wilson3s[1]),
     }
     _emit(list(row), [row], report.config | {
-        "subcommand": "mc", "q_range": text, "seed": report.seed, "mode": report.mode,
+        "subcommand": "mc", "q_range": text, "mode": report.mode,
     }, args.format, args.out)
     return EXIT_OK
 
@@ -562,12 +567,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
                            help="target spec: zero | const:p/q[,..] | table:path | cx:path")
 
     p = command("measure", _cmd_measure, "exact measure of one approximation set")
-    p.add_argument("--q", type=_INT, help="denominator, integer >= 1")
+    p.add_argument("--q", type=_MODULUS, help="denominator, integer >= 1")
     family(p)
 
     p = command("overlap", _cmd_overlap, "exact pair overlap with every bound term")
-    p.add_argument("--q", type=_INT)
-    p.add_argument("--r", type=_INT)
+    p.add_argument("--q", type=_MODULUS)
+    p.add_argument("--r", type=_MODULUS)
     family(p)
 
     p = command("pairwise", _cmd_pairwise, "pairwise overlap sum and quasi-independence ratio")
@@ -586,7 +591,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
     family(p, target=False)
 
     p = command("phigcd", _cmd_phigcd, "totient-of-gcd sums: single q or ratio scan")
-    p.add_argument("--q", type=_INT)
+    p.add_argument("--q", type=_MODULUS)
     p.add_argument("--m", type=_INT, default=3)
     p.add_argument("--limit", type=_INT, help="scan q <= limit and report the max ratio")
 
@@ -601,7 +606,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
     p = command("sift", _cmd_sift, "exact count of integers coprime to n in [X, Y]")
     p.add_argument("--X", type=_RATIONAL)
     p.add_argument("--Y", type=_RATIONAL)
-    p.add_argument("--n", type=_INT)
+    p.add_argument("--n", type=_MODULUS)
 
     p = command("equidist", _cmd_equidist, "exact window ratios per q")
     p.add_argument("--Q", type=_INT)

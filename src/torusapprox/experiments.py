@@ -33,6 +33,7 @@ import math
 import sys
 from array import array
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
@@ -43,7 +44,7 @@ from operator import mul
 from .approx import (
     _check_dimension, _check_piece_cap, ApproxFunction, TargetSequence, build_approx_set,
 )
-from .arith import _SPF_CAP, factorize, spf_table, totient, totient_range
+from .arith import _SPF_CAP, factorize, factorize_with_table, spf_table, totient, totient_range
 from .errors import BudgetError, IdentityError
 from .overlap import (
     _check_row_limit,
@@ -65,8 +66,6 @@ _PRECISION_CAP = 2048
 # Coordinate tests (samples x q values x m) one Monte Carlo run may make;
 # the full-size calibration suite makes at most 3 * 10**5 per configuration.
 _MC_WORK_CAP = 10**8
-
-_ZERO = Fraction(0)
 
 
 # -- deterministic counter-based sampling --------------------------------------
@@ -204,7 +203,6 @@ class ExperimentConfig:
             "target": self.target.describe(),
             "mode": self.mode,
             "precision": self.precision if self.mode == "enclosure" else None,
-            "workers": self.workers,
             "seed": self.seed,
         }
 
@@ -218,21 +216,21 @@ _HALF = Fraction(1, 2)
 def _coordinate_rows(cfg: ExperimentConfig) -> list[tuple | None]:
     """rows[q] = (distinct, pattern): q's rows at its distinct target
     components, in the order the coordinates first use them, and
-    pattern[i] the index in distinct of coordinate i's row.  The rows of
-    `_overlap_rows` are aimed at target 0; another component gets q's row
-    again at that target, from the factorization the row carries."""
-    rows: list[tuple | None] = _overlap_rows(cfg.Q, cfg.psi)
+    pattern[i] the index in distinct of coordinate i's row.  Each distinct
+    (q, component) row is built once, every q factorized from one sieve."""
+    table = spf_table(cfg.Q)
+    rows: list[tuple | None] = [None]
     for q in range(1, cfg.Q + 1):
-        base = rows[q]
+        factors = factorize_with_table(q, table)
         index: dict[Fraction, int] = {}
         distinct = []
         pattern = []
         for y in cfg.target(q):
             if y not in index:
                 index[y] = len(distinct)
-                distinct.append(base if y == 0 else _overlap_row(q, base[1], cfg.psi(q), y))
+                distinct.append(_overlap_row(q, factors, cfg.psi(q), y))
             pattern.append(index[y])
-        rows[q] = (tuple(distinct), tuple(pattern))
+        rows.append((tuple(distinct), tuple(pattern)))
     return rows
 
 
@@ -633,7 +631,6 @@ class McReport:
     estimate: float
     wilson95: tuple[float, float]
     wilson3s: tuple[float, float]
-    seed: int
     mode: str
 
 
@@ -720,7 +717,6 @@ def mc_coverage(
             continue
         targets = tuple(float(y) for y in cfg.target(q))
         per_q.append((q, psi_q, targets))
-    seed = cfg.seed
     hits = 0
     # Whole samples per batch, so draw i*m + d keeps its counter.
     per_batch = _LANES // m
@@ -729,7 +725,7 @@ def mc_coverage(
         if mode == "grid":
             xs = [(i + 0.5) / samples for i in range(first, first + count)]
         else:
-            xs = _draws(seed, first * m, count * m)
+            xs = _draws(cfg.seed, first * m, count * m)
         hits += _mc_hits(xs, m, per_q)
     return McReport(
         config=cfg.describe(),
@@ -738,7 +734,6 @@ def mc_coverage(
         estimate=hits / samples,
         wilson95=_wilson(hits, samples, 1.959963984540054),
         wilson3s=_wilson(hits, samples, 3.0),
-        seed=seed,
         mode=mode,
     )
 
@@ -754,40 +749,37 @@ class EquidistRow:
     deviation: Fraction  # |ratio - window length|
 
 
-def equidistribution_scan(cfg: ExperimentConfig, windows) -> dict:
-    """Exact per-q window ratios and the max deviation per window.
+def equidistribution_scan(cfg: ExperimentConfig, windows) -> Iterator[EquidistRow]:
+    """Exact per-q window ratios, one row per (q, window), as an iterator:
+    the windows are checked at the call, the rows made as they are read.
 
     Skips q with psi(q) = 0 (the ratio is undefined there); psi(q) > 0
     makes the set's measure positive.  Targets use the first coordinate;
     the scan is one-dimensional.  Each window's set is built once and
     measured against every approximation set.  A window given twice is
-    refused: the max deviations are keyed by window.
+    refused: a summary keyed by window would merge its rows.
     """
     _check_piece_cap(cfg.Q, "Q")
-    max_dev: dict[tuple[Fraction, Fraction], Fraction] = {}
-    window_sets = []
+    window_sets: dict[tuple[Fraction, Fraction], TorusIntervalSet] = {}
     for lo, hi in windows:
         lo, hi = Fraction(lo), Fraction(hi)
         if not (0 <= lo < hi <= 1):
             raise ValueError("windows must satisfy 0 <= lo < hi <= 1")
-        if (lo, hi) in max_dev:
+        if (lo, hi) in window_sets:
             raise ValueError(f"window {lo}:{hi} is given twice")
-        max_dev[lo, hi] = _ZERO
-        window_sets.append(((lo, hi), hi - lo, TorusIntervalSet(((lo, hi),))))
-    rows: list[EquidistRow] = []
-    for q in range(1, cfg.Q + 1):
-        psi_q = cfg.psi(q)
-        if psi_q == 0:
-            continue
-        approx = build_approx_set(q, psi_q, cfg.target(q)[0])
-        total = approx.measure()
-        for window, length, window_set in window_sets:
-            ratio = measure_intersection(approx, window_set) / total
-            deviation = abs(ratio - length)
-            rows.append(EquidistRow(q=q, window=window, ratio=ratio, deviation=deviation))
-            if deviation > max_dev[window]:
-                max_dev[window] = deviation
-    return {"rows": rows, "max_deviation": max_dev}
+        window_sets[lo, hi] = TorusIntervalSet(((lo, hi),))
+
+    def rows() -> Iterator[EquidistRow]:
+        for q in range(1, cfg.Q + 1):
+            psi_q = cfg.psi(q)
+            if psi_q == 0:
+                continue
+            approx = build_approx_set(q, psi_q, cfg.target(q)[0])
+            total = approx.measure()
+            for (lo, hi), window_set in window_sets.items():
+                ratio = measure_intersection(approx, window_set) / total
+                yield EquidistRow(q, (lo, hi), ratio, abs(ratio - (hi - lo)))
+    return rows()
 
 
 # -- regression baselines --------------------------------------------------------------

@@ -18,10 +18,10 @@ form
 always a non-negative integer.  Its one body, `_f_terms`, expands it into
 signed divisor terms f(c) = sum over k of a_k [k | c] from two per-q rows
 of `_overlap_row`; every user of f reads those terms.  Each row carries
-rad(q), its primes and the signed divisors d * mu(d) of rad(q), so the
-terms are products of two precomputed lists.  A coprime pair reads both
-lists from the rows as they are; only a pair sharing a prime has its
-primes split by `_split`, which walks the primes of gcd(q, r) alone.
+rad(q), its primes and the signed divisors d * mu(d) of the odd part of
+each t | rad(q), so the terms are products of two precomputed lists.  A
+coprime pair reads both lists from the rows as they are; only a pair
+sharing a prime is split by `_split`, which walks the primes of gcd(q, r).
 This module carries the closed form and its brute-force twin, the sifting
 window length D, the exact pairwise overlap measure, the bound right-hand
 sides it is checked against, and exact sifted counts of integers coprime
@@ -74,30 +74,24 @@ class PairDecomposition:
 
 def _split(row_q: tuple, row_r: tuple) -> tuple:
     """The ell/em/en split of a pair from its two `_overlap_row` rows:
-    (ell, em, en, phi(em), balanced primes, split primes, signed_q,
-    signed_r).  The d * mu(d) over the odd d | rad(en) are the products of
-    an entry of signed_q and one of signed_r.
+    (ell, em, en, phi(em), balanced primes, signed_q, signed_r).  The
+    d * mu(d) over the odd d | rad(en) are the products of an entry of
+    signed_q and one of signed_r.
 
     Only the primes of rad(gcd) = gcd(rad q, rad r) are split by
     valuation: equal valuations put p**u into ell, unequal ones p**min into
     em and an odd p into signed_q.  Every other prime is split, and
-    signed_q and signed_r start as the rows' signed lists of the odd parts
-    of rad(q)/rad(gcd) and rad(r)/rad(gcd).  A coprime pair has no common
-    prime and starts from both rows' odd parts.
+    signed_q and signed_r start as the rows' signed lists of
+    rad(q)/rad(gcd) and rad(r)/rad(gcd), which hold odd divisors only.
 
     The prime 2 never enters the signed lists: when it splits, f(c)
     vanishes at every even c, so its readers take f's terms at the odd
-    multiples of each step instead of expanding 2 into a pair of terms.
-    It stays among the split primes, and "2 splits" is `2 in split[5]`."""
+    multiples of each step instead of expanding 2 into a pair of terms."""
     q, fq, _, _, _, _, rad_q, lists_q = row_q
     r, fr, _, _, _, _, rad_r, lists_r = row_r
     rad_g = math.gcd(rad_q, rad_r)
-    only_q = rad_q // rad_g
-    only_r = rad_r // rad_g
-    split = lists_q[only_q][0] + lists_r[only_r][0]
-    # A split 2 leaves the signed lists: they are those of the odd part.
-    signed_q = lists_q[only_q if only_q & 1 else only_q // 2][1]
-    signed_r = lists_r[only_r if only_r & 1 else only_r // 2][1]
+    signed_q = lists_q[rad_q // rad_g][1]
+    signed_r = lists_r[rad_r // rad_g][1]
     ell = em = phi_em = 1
     balanced = []
     for p in lists_q[rad_g][0]:
@@ -107,13 +101,12 @@ def _split(row_q: tuple, row_r: tuple) -> tuple:
             ell *= p**u
             balanced.append(p)
             continue
-        split += (p,)
         low = u if u < v else v
         em *= p**low
         phi_em *= p ** (low - 1) * (p - 1)
         if p != 2:
             signed_q = [d * m for m in (1, -p) for d in signed_q]
-    return ell, em, q // (ell * em) * r // ell, phi_em, balanced, split, signed_q, signed_r
+    return ell, em, q // (ell * em) * r // ell, phi_em, balanced, signed_q, signed_r
 
 
 def _f_terms(row_q: tuple, row_r: tuple) -> tuple:
@@ -122,23 +115,20 @@ def _f_terms(row_q: tuple, row_r: tuple) -> tuple:
     rows: (left, weights, right, odd), with f(c) the sum over x in left,
     with its weight w > 0, and y in right of sign(xy) w [xy | c].
 
-    odd says that 2 splits the pair.  The sum is then f(c) at odd c only,
-    and f(c) = 0 at even c: every step xy is odd, and each reader takes a
-    term at the odd multiples xy, 3xy, 5xy, ... of its step.
+    odd says that 2 splits the pair, v2(q) != v2(r).  The sum is then f(c)
+    at odd c only, and f(c) = 0 at even c: every step xy is odd, and each
+    reader takes a term at the odd multiples xy, 3xy, 5xy, ... of its step.
 
     A coprime pair (rad gcd = 1) has ell = em = 1, so f(c) = [gcd(c, qr)
-    = 1]: its terms are the two rows' signed lists of their odd parts,
-    read as they are, with unit weights.  Any other pair expands its
-    `_split`: the balanced primes expand left, and rad(ell) | ell, which
-    makes f integral, is checked."""
+    = 1]: its terms are the two rows' signed lists, read as they are, with
+    unit weights.  Any other pair expands its `_split`: the balanced primes
+    expand left, and rad(ell) | ell, which makes f integral, is checked."""
+    odd = row_q[0] & -row_q[0] != row_r[0] & -row_r[0]  # lowest set bits differ
     rad_q = row_q[6]
     rad_r = row_r[6]
     if math.gcd(rad_q, rad_r) == 1:
-        return (
-            row_q[7][rad_q if rad_q & 1 else rad_q >> 1][1], repeat(1),
-            row_r[7][rad_r if rad_r & 1 else rad_r >> 1][1], not rad_q & rad_r & 1,
-        )
-    ell, _, _, phi_em, balanced, split, left, right = _split(row_q, row_r)
+        return row_q[7][rad_q][1], repeat(1), row_r[7][rad_r][1], odd
+    ell, _, _, phi_em, balanced, left, right = _split(row_q, row_r)
     rad = 1
     for p in balanced:
         rad *= p
@@ -151,7 +141,7 @@ def _f_terms(row_q: tuple, row_r: tuple) -> tuple:
         else:
             weights = [w * m for m in (p - 2, 1) for w in weights]
             left = [x * m for m in (1, p) for x in left]
-    return left, weights, right, 2 in split
+    return left, weights, right, odd
 
 
 def decompose_pair(q: int, r: int) -> PairDecomposition:
@@ -228,18 +218,21 @@ def pair_overlap_exact(q: int, r: int, psi, y_q=0, y_r=0) -> Fraction:
 def _overlap_row(q: int, factors, psi_q, y_q) -> tuple:
     """One set's integer data, read by every pair formula:
     (q, {p: e}, phi(q), den, psi, y, rad(q), lists) with psi(q) = psi/den,
-    y_q = y/den and lists[t] = (primes of t, signed divisors of t), the
-    signed divisors being the d * mu(d) over the d | t, for each t | rad(q).
-    psi/den is unreduced when den(y_q) has a factor den(psi(q)) lacks; the
-    pair formulas only cross-multiply, so that changes no value."""
+    y_q = y/den and, for each t | rad(q), lists[t] = (primes of t, the
+    d * mu(d) over the odd d | t): no reader expands the prime 2, taken
+    last, so lists[2t] shares lists[t]'s tuple.  psi/den is unreduced when
+    den(y_q) has a factor den(psi(q)) lacks; the pair formulas only
+    cross-multiply, so that changes no value."""
     factors = dict(factors)
     phi = rad = 1
     lists = {1: ((), (1,))}
-    for p, e in factors.items():
+    for p, e in sorted(factors.items(), key=lambda item: item[0] == 2):
         phi *= p ** (e - 1) * (p - 1)
         rad *= p
         for t, (primes, signed) in list(lists.items()):
-            lists[t * p] = (primes + (p,), tuple(d * m for m in (1, -p) for d in signed))
+            if p != 2:
+                signed = tuple(d * m for m in (1, -p) for d in signed)
+            lists[t * p] = (primes + (p,), signed)
     psi = Fraction(psi_q)
     y = Fraction(y_q)
     den = math.lcm(psi.denominator, y.denominator)
@@ -251,8 +244,8 @@ def _overlap_row(q: int, factors, psi_q, y_q) -> tuple:
     )
 
 
-# A row holds about 2.5 KB (its signed divisor lists), so 2**15 rows take
-# about 80 MB; without this cap only the sieve cap of 10**7 bounds them.
+# A row holds about 2 KB (its signed divisor lists), so 2**15 rows take
+# about 65 MB; without this cap only the sieve cap of 10**7 bounds them.
 _ROW_CAP = 2**15
 
 

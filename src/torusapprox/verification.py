@@ -35,6 +35,7 @@ from .experiments import (
     ExperimentConfig,
     baseline_fraction,
     mc_coverage,
+    pairwise_overlap_sum,
     phigcd_batch_check,
     phigcd_ratio_scan,
     quasi_independence_ladder,
@@ -325,7 +326,8 @@ def check_quasi_ladder(
     # The ladder's own scan at the top Q is the 1-worker run.
     sums = [
         top.pair_sum if workers == 1
-        else quasi_independence_ladder(psi, target, 3, [q_top], workers)[0].pair_sum
+        else pairwise_overlap_sum(ExperimentConfig(
+            Q=q_top, psi=psi, target=target, m=3, workers=workers)).pair_sum
         for workers in worker_counts
     ]
     if any(s != sums[0] for s in sums[1:]):

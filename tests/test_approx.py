@@ -157,7 +157,7 @@ def test_build_matches_from_spans(q, psi, y):
 def test_equidistribution_ratio():
     psi = ApproxFunction.from_table({2: F(1, 4), 5: F(1, 5)})
     cfg = ExperimentConfig(Q=5, psi=psi, target=TargetSequence.zero())
-    rows = equidistribution_scan(cfg, [(0, F(1, 2)), (0, 1)])["rows"]
+    rows = equidistribution_scan(cfg, [(0, F(1, 2)), (0, 1)])
     ratios = {(row.q, row.window[1]): row.ratio for row in rows}
     # psi(q) = 0 at q = 1, 3, 4: the ratio is undefined and the scan skips q.
     assert ratios == {(2, F(1, 2)): F(1, 2), (2, 1): 1, (5, F(1, 2)): F(1, 2), (5, 1): 1}

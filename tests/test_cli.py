@@ -19,7 +19,7 @@ from torusapprox.cli import run
 from torusapprox.counterexample import BlockSchedule, build_counterexample, instance_from_prime_blocks
 from torusapprox.errors import IdentityError
 from torusapprox.experiments import ExperimentConfig, pairwise_overlap_sum
-from torusapprox.rationals import _unlimited_int_digits, parse_rational
+from torusapprox.rationals import _unlimited_int_digits, format_rational, parse_rational
 from torusapprox.verification import check_counterexample, check_sifted_counts
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -412,6 +412,44 @@ def test_equidist_summary(capsys):
     assert lines[2] == "0/1:1/1,0/1"
 
 
+def test_equidist_summary_is_the_fold_of_the_per_q_rows(capsys):
+    argv = ["equidist", "--Q", "40", "--psi", "pow:1/2,1", "--y", "const:1/3",
+            "--windows", "0:1/3,1/4:3/4,1/2:1"]
+    code, out, _ = run_capture(capsys, argv)
+    assert code == 0
+    code, per_q, _ = run_capture(capsys, argv + ["--per-q"])
+    assert code == 0
+    worst = {}
+    for line in per_q.splitlines()[7:]:  # six config lines and the columns
+        _, window, _, deviation = line.split(",")
+        worst[window] = max(worst.get(window, Fraction(0)), parse_rational(deviation))
+    assert len(worst) == 3 and all(worst.values())
+    summary = [line.split(",") for line in out.splitlines()[7:]]
+    assert summary == [[w, format_rational(d)] for w, d in worst.items()]
+    # Each window's maximum starts at 0: no q has psi > 0 here.
+    code, out, _ = run_capture(capsys, ["equidist", "--Q", "3", "--psi", "const:0"])
+    assert code == 0
+    assert out.splitlines()[-1] == "0/1:1/2,0/1"
+
+
+def test_only_pairwise_prints_its_worker_count(capsys):
+    cfg = ExperimentConfig(Q=3, psi=ApproxFunction.constant(Fraction(1, 4)),
+                           target=TargetSequence.zero(), workers=2)
+    assert "workers" not in cfg.describe()
+    code, _, err = run_capture(capsys, ["mc", "--q-range", "2,3", "--psi", "const:1/4",
+                                        "--samples", "2000"])
+    assert code == 0
+    assert "workers=" not in err
+    code, out, err = run_capture(capsys, ["pairwise", "--Q", "10", "--psi", "const:1/4",
+                                          "--workers", "2"])
+    assert code == 0
+    assert "workers" not in out
+    lines = err.splitlines()
+    assert lines[0] == "workers=2"
+    assert re.fullmatch(r"pairs closed_form=45 merge=0 seconds=\d+\.\d{3}", lines[1])
+    assert len(lines) == 2
+
+
 def test_verify_single_suite(capsys):
     code, out, _ = run_capture(capsys, ["verify", "--suite", "counterexample"])
     assert code == 0
@@ -464,6 +502,9 @@ NAMED_OPTION = {
     "equidist --Q 5 --psi const:1/4 --windows 0:1/2,0:1/2": "window 0:1/2 is given twice",
     "equidist --Q 5 --psi const:1/4 --windows 0:1/2,1/4:3/4,0/3:2/4":
         "window 0:1/2 is given twice",
+    # A modulus below 1 is refused by its flag, not by the engine's check.
+    "overlap --q 3 --r 0 --psi const:1/4": "argument --r: wants an integer >= 1, got '0'",
+    "sift --X 0 --Y 10 --n 0": "argument --n: wants an integer >= 1, got '0'",
 }
 
 
@@ -477,6 +518,7 @@ NAMED_OPTION = {
     "measure --q 0 --psi const:1/4",
     "measure --q 5 --psi const:-1/4",
     "overlap --q 0 --r 3 --psi const:1/4",
+    "overlap --q 3 --r 0 --psi const:1/4",
     "msum --ladder 1,2 --psi div3",
     "phigcd --q 0",
     "sift --X 0 --Y 10 --n 0",

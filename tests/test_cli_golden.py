@@ -5,6 +5,7 @@ rendering that alters a single byte of these reports fails here.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -13,6 +14,8 @@ from pathlib import Path
 import pytest
 
 from torusapprox.cli import run
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def sha256(data: bytes) -> str:
@@ -96,10 +99,35 @@ def test_python_dash_m_runs_the_cli(module):
     done = subprocess.run(
         [sys.executable, "-m", module, "verify", "--suite", "counterexample"],
         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, timeout=120,
-        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+        env={**os.environ, "PYTHONPATH": str(SRC)},
     )
     assert done.returncode == 0
     assert sha256(done.stdout) == VERIFY_COUNTEREXAMPLE
+
+
+GOLDEN_UNDER_O = """
+import contextlib, hashlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from torusapprox.cli import run
+digests = []
+for command in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = run(command.split())
+    digests.append([code, hashlib.sha256(out.getvalue().encode()).hexdigest()])
+print(json.dumps(digests))
+"""
+
+
+def test_golden_reports_hold_under_optimize_flag():
+    # `python -O` strips asserts; no report byte may depend on one.
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", GOLDEN_UNDER_O, str(SRC),
+         json.dumps([command for command, _ in GOLDEN])],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[0, digest] for _, digest in GOLDEN]
 
 
 def test_counterexample_save_digests(capsys, tmp_path):

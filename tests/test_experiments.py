@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from torusapprox import experiments
+from torusapprox import experiments, overlap
 from torusapprox.approx import ApproxFunction, TargetSequence, build_approx_set, hit_test
 from torusapprox.arith import spf_table, totient, totient_range
 from torusapprox.errors import BudgetError, IdentityError
@@ -496,19 +496,52 @@ def test_mc_hundred_seed_calibration():
     assert inside >= 99
 
 
+@pytest.mark.parametrize("target", [
+    # Every target moves off 0: a zero-target row of any q would be waste.
+    TargetSequence.from_table({q: (F(q % 4 + 1, 5),) for q in range(1, 31)}, 1),
+    ZERO1,
+], ids=["moving", "zero"])
+def test_coordinate_rows_build_each_row_once(monkeypatch, target):
+    built = Counter()
+    row = experiments._overlap_row
+
+    def counted(q, factors, psi_q, y_q):
+        built[q, y_q] += 1
+        return row(q, factors, psi_q, y_q)
+
+    for module in (experiments, overlap):
+        monkeypatch.setattr(module, "_overlap_row", counted)
+    rows = experiments._coordinate_rows(ExperimentConfig(Q=30, psi=CONST4, target=target))
+    assert sum(built.values()) == 30 and set(built.values()) == {1}
+    for q in range(1, 31):
+        (row,), _ = rows[q]
+        assert F(row[5], row[3]) == target(q)[0]  # aimed at its target
+
+
+def test_equidistribution_scan_is_an_iterator_checked_at_the_call():
+    cfg = ExperimentConfig(Q=5, psi=CONST4, target=ZERO1)
+    scan = equidistribution_scan(cfg, [(0, F(1, 2)), (F(1, 4), 1)])
+    assert iter(scan) is scan
+    assert [(row.q, row.window) for row in scan][:3] == [
+        (1, (0, F(1, 2))), (1, (F(1, 4), 1)), (2, (0, F(1, 2))),
+    ]
+    with pytest.raises(ValueError, match="given twice"):
+        equidistribution_scan(cfg, [(0, F(1, 2)), (0, F(1, 2))])
+
+
 def test_equidistribution_scan():
     table = ApproxFunction.from_table({5: F(1, 5)})
     cfg = ExperimentConfig(Q=5, psi=table, target=ZERO1)
-    scan = equidistribution_scan(cfg, [(0, F(1, 2))])
-    assert scan["max_deviation"][(F(0), F(1, 2))] == 0
+    scan = list(equidistribution_scan(cfg, [(0, F(1, 2))]))
+    assert [(row.q, row.deviation) for row in scan] == [(5, 0)]
     full = equidistribution_scan(
         ExperimentConfig(Q=30, psi=CONST4, target=ZERO1), [(0, 1)]
     )
-    assert full["max_deviation"][(F(0), F(1))] == 0
+    assert max(row.deviation for row in full) == 0
     # odd primes with psi = 1/q split [0, 1/2] evenly
     for row in equidistribution_scan(
         ExperimentConfig(Q=13, psi=ApproxFunction.power(1, 1, clip=False), target=ZERO1),
         [(0, F(1, 2))],
-    )["rows"]:
+    ):
         if row.q in (3, 5, 7, 11, 13):
             assert row.deviation == 0

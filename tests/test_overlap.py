@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from torusapprox.approx import ApproxFunction
-from torusapprox.arith import factorize, totient
+from torusapprox.arith import factorize, factorize_with_table, spf_table, totient
 from torusapprox.experiments import main_term_sum_check
 from torusapprox.overlap import (
     _addend2_units,
@@ -54,7 +54,7 @@ def test_decomposition_examples():
     dec = decompose_pair(9, 9)
     assert (dec.ell, dec.em, dec.en) == (9, 1, 1)
     assert dec.phi_gcd == 6
-    assert _split(zero_row(9), zero_row(9)) == (9, 1, 1, 1, [3], (), (1,), (1,))
+    assert _split(zero_row(9), zero_row(9)) == (9, 1, 1, 1, [3], (1,), (1,))
     assert hash(dec) == hash(decompose_pair(9, 9))  # frozen, so hashable
     # 2, 3 and 5 balanced, 7 and 11 split
     dec = decompose_pair(210, 330)
@@ -338,7 +338,7 @@ def test_pair_formulas_on_rows_sharing_a_denominator_with_y(q, r, spec, y_q, y_r
 
 def test_example_row_psi_is_unreduced():
     row = _overlap_row(2, factorize(2), F(1, 4), F(1, 6))
-    assert row == (2, {2: 1}, 1, 12, 3, 2, 2, {1: ((), (1,)), 2: ((2,), (1, -2))})
+    assert row == (2, {2: 1}, 1, 12, 3, 2, 2, {1: ((), (1,)), 2: ((2,), (1,))})
 
 
 def ref_pair_count(q, r, c):
@@ -397,7 +397,7 @@ def test_split_two_leaves_odd_steps_and_halves_the_terms():
             odd_balanced = [p for p in ref_primes(dec.ell) if p != 2]
             unfolded = 2 ** (len(ref_primes(dec.en)) + len(odd_balanced))
             two_splits = dec.en % 2 == 0
-            assert odd == (2 in _split(zero_row(q), zero_row(r))[5]) == two_splits
+            assert odd == two_splits
             if two_splits:
                 assert all(k % 2 for k in steps)
                 assert 2 * len(steps) == unfolded
@@ -405,6 +405,33 @@ def test_split_two_leaves_odd_steps_and_halves_the_terms():
             else:
                 assert len(steps) == unfolded
     assert folded > 1000
+
+
+def test_rows_keep_odd_signed_lists_shared_across_the_prime_two():
+    # No reader expands the prime 2, so an even t shares the list of t / 2.
+    table = spf_table(2000)
+    for q in range(1, 2001):
+        lists = _overlap_row(q, factorize_with_table(q, table), 0, 0)[7]
+        for t, (primes, signed) in lists.items():
+            assert all(d % 2 for d in signed)
+            assert math.prod(primes) == t
+            if t % 2 == 0:
+                assert signed is lists[t // 2][1]
+            else:
+                assert len(signed) == 2 ** len(primes)
+
+
+def test_f_terms_odd_is_two_splitting_the_pair():
+    def v2(n):
+        k = 0
+        while n % 2 == 0:
+            n //= 2
+            k += 1
+        return k
+
+    for q in range(1, 65):
+        for r in range(1, 65):
+            assert _f_terms(zero_row(q), zero_row(r))[3] == (v2(q) != v2(r))
 
 
 def test_coprime_count_suite_names_the_first_differing_residue(monkeypatch):

@@ -204,19 +204,20 @@ def _measure_check(q: int, psi: Fraction, approx: TorusIntervalSet, phi: int) ->
 def hit_test(x, q: int, psi_q, y_q) -> bool:
     """Whether |q*x - a - y_q| < psi_q holds for some a coprime to q.
 
-    Only the three integers nearest q*x - y_q can qualify.  Exact when x is
-    a rational; a float x stays in float arithmetic (the Monte Carlo path).
-    The strict inequality differs from the half-open set exactly on interval
+    Exact: x, psi_q and y_q are read as Fractions (a float converts
+    exactly).  Only the integers from floor(t - psi_q) to ceil(t + psi_q),
+    t = q*x - y_q, can qualify, and q + 2 of them hold q consecutive
+    integers strictly within psi_q of t, one of them coprime to q.  The
+    strict inequality differs from the half-open set exactly on interval
     endpoints, a measure-zero discrepancy.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    num = float if isinstance(x, float) else Fraction
-    psi = num(psi_q)
-    t = q * num(x) - num(y_q)
-    base = math.floor(t + num(0.5))
-    for a in (base - 1, base, base + 1):
-        if abs(t - a) < psi and math.gcd(abs(a), q) == 1:
+    psi = Fraction(psi_q)
+    t = q * Fraction(x) - Fraction(y_q)
+    low = math.floor(t - psi)
+    for a in range(low, min(math.ceil(t + psi), low + q + 1) + 1):
+        if abs(t - a) < psi and math.gcd(a, q) == 1:
             return True
     return False
 

@@ -468,7 +468,9 @@ def _cmd_mc(args) -> int:
     psi = _psi_from(args)
     target = _target_from(args, m)
     cfg = ExperimentConfig(Q=q_top + 1, psi=psi, target=target, m=m, **_given(seed=args.seed))
+    start = time.perf_counter()
     report = mc_coverage(cfg, q_range, args.samples, mode="grid" if args.grid else "random")
+    elapsed = time.perf_counter() - start
     row = {
         "samples": report.samples,
         "hits": report.hits,
@@ -481,6 +483,8 @@ def _cmd_mc(args) -> int:
     _emit(list(row), [row], report.config | {
         "subcommand": "mc", "q_range": text, "mode": report.mode,
     }, args.format, args.out)
+    print(f"tables={report.tables} entries={report.entries} seconds={elapsed:.3f}",
+          file=sys.stderr)
     return EXIT_OK
 
 

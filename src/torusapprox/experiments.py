@@ -32,13 +32,14 @@ import json
 import math
 import sys
 from array import array
+from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from importlib import resources
-from itertools import repeat
+from itertools import compress, repeat
 from operator import mul
 
 from .approx import (
@@ -63,8 +64,9 @@ _WORKER_CAP = 64
 # --precision would build integers of that many bits per pair; 2048 bits
 # (617 digits) is far finer than any reported bound needs.
 _PRECISION_CAP = 2048
-# Coordinate tests (samples x q values x m) one Monte Carlo run may make;
-# the full-size calibration suite makes at most 3 * 10**5 per configuration.
+# Steps one Monte Carlo run may take: samples x q values x m coordinate
+# tests plus q + 2 per arc table built; the full-size calibration suite
+# takes at most about 3 * 10**5 per configuration.
 _MC_WORK_CAP = 10**8
 
 
@@ -110,9 +112,10 @@ _LANE_ONES, _LANE_RAMP = _lane_constants()
 _LANE_MASK = _LANE_ONES * _MASK64
 
 
-def _draws(seed: int, start: int, count: int) -> list[float]:
-    """[unit_sample(seed, start + k) for k in range(count)], _LANES at a time."""
-    out: list[float] = []
+def _draws(seed: int, start: int, count: int) -> array:
+    """The sample units v of unit_sample(seed, start + k) = v / 2**53 for
+    k < count, as 53-bit integers, _LANES at a time."""
+    out = array("Q")
     for first in range(start, start + count, _LANES):
         z = ((seed + first * _GOLDEN) & _MASK64) * _LANE_ONES + _LANE_RAMP & _LANE_MASK
         # Mask before each product: the shift pulls the next lane's low
@@ -124,7 +127,7 @@ def _draws(seed: int, start: int, count: int) -> list[float]:
         words = array("Q", ((z ^ (z >> 31)) >> 11).to_bytes(_LANES * _LANE_BITS // 8, "little"))
         if sys.byteorder == "big":
             words.byteswap()
-        out += [v * 2.0**-53 for v in words[0 : 2 * min(_LANES, start + count - first) : 2]]
+        out += words[0 : 2 * min(_LANES, start + count - first) : 2]
     return out
 
 
@@ -407,7 +410,7 @@ def pairwise_overlap_sum(cfg: ExperimentConfig) -> SumReport:
 
 
 def quasi_independence_ladder(
-    psi: ApproxFunction, target: TargetSequence, m: int, ladder, workers: int = 1
+    psi: ApproxFunction, target: TargetSequence, m: int, ladder
 ) -> list[SumReport]:
     """pairwise_overlap_sum at each Q of a ladder, exact mode, read off one
     scan at the top Q: the prefixes r <= Q of its rows and measures.  Every
@@ -415,8 +418,7 @@ def quasi_independence_ladder(
     if min(ladder) < 2:
         raise ValueError("ladder values must be >= 2")
     q_top = max(ladder)
-    top = pairwise_overlap_sum(ExperimentConfig(Q=q_top, psi=psi, target=target, m=m,
-                                                workers=workers))
+    top = pairwise_overlap_sum(ExperimentConfig(Q=q_top, psi=psi, target=target, m=m))
     reports = []
     for q_max in ladder:
         rows, measures = top.row_sums[:q_max], top.per_q_measures[:q_max]
@@ -632,61 +634,111 @@ class McReport:
     wilson95: tuple[float, float]
     wilson3s: tuple[float, float]
     mode: str
+    tables: int  # arc table builds, one per batch, q and target component
+    entries: int  # their steps, q + 2 each, charged to _MC_WORK_CAP
 
 
-def _mc_hits(xs: list[float], m: int, per_q) -> int:
-    """How many points (xs[i*m : i*m + m]) lie in the set of some (q, psi_q,
-    targets) of per_q: in every coordinate, q*x - y is within psi_q of one
-    of its three nearest integers a, with a coprime to q (`hit_test`).
+def _arc_units(q: int, psi: Fraction, y: Fraction, scale: int) -> list[int]:
+    """The sample units v in [0, scale) whose point v/scale lies strictly
+    inside an arc (a + y - psi)/q < x < (a + y + psi)/q, mod 1, of some a
+    coprime to q, as the sorted ends [start, stop, start, stop, ...] of
+    disjoint runs start <= v < stop: v hits exactly when
+    bisect_right(ends, v) is odd.
 
-    -p < v < p is abs(v) < p without the call; one dimension, the common
-    case, gets its own loop without the per-point tuples."""
-    gcd = math.gcd
-    floor = math.floor
-    hits = 0
-    if m == 1:
-        per_q1 = [(q, p, -p, y) for q, p, (y,) in per_q]
-        for x in xs:
-            for q, p, n, y in per_q1:
-                t = q * x - y
-                a = floor(t + 0.5)
-                if (
-                    n < t - a < p and gcd(a, q) == 1
-                    or n < t - (a - 1) < p and gcd(a - 1, q) == 1
-                    or n < t - (a + 1) < p and gcd(a + 1, q) == 1
-                ):
-                    hits += 1
-                    break
-        return hits
-    for point in zip(*[iter(xs)] * m):
-        for q, p, targets in per_q:
-            n = -p
-            for x, y in zip(point, targets):
-                t = q * x - y
-                a = floor(t + 0.5)
-                if not (
-                    n < t - a < p and gcd(a, q) == 1
-                    or n < t - (a - 1) < p and gcd(a - 1, q) == 1
-                    or n < t - (a + 1) < p and gcd(a + 1, q) == 1
-                ):
-                    break
+    Integers only: over the common denominator den of y and psi, the arc of
+    a holds the units from floor((a*den + y*den - psi*den) * scale /
+    (q*den)) + 1 up to, not including, the ceiling of the same with
+    + psi*den.  Runs that overlap or abut as units merge; open arcs that
+    only touch leave their common end out, so at psi = 1/2 a unit on that
+    end stays a miss.
+    """
+    den = math.lcm(psi.denominator, y.denominator)
+    shift = y.numerator * (den // y.denominator) * scale
+    width = psi.numerator * (den // psi.denominator) * scale
+    step, div = den * scale, q * den
+    coprime = bytearray(b"\x01") * q
+    for p, _ in factorize(q):
+        coprime[::p] = bytes(len(range(0, q, p)))
+    runs = []
+    for a in compress(range(q), coprime):
+        centre = a * step + shift
+        start = (centre - width) // div + 1
+        length = -(-(centre + width) // div) - start
+        if length >= scale:
+            return [0, scale]
+        if length > 0:
+            start %= scale
+            if start + length > scale:
+                runs += ((start, scale), (0, start + length - scale))
             else:
-                hits += 1
-                break
-    return hits
+                runs.append((start, start + length))
+    runs.sort()
+    ends: list[int] = []
+    for start, stop in runs:
+        if ends and start <= ends[-1]:
+            ends[-1] = max(ends[-1], stop)
+        else:
+            ends += (start, stop)
+    return ends
+
+
+_ODD = (1).__and__
+
+
+def _mc_hits(units, m: int, per_q, scale: int, budget: int) -> tuple[int, int, int]:
+    """How many points (units[i*m : i*m + m]) over scale lie in the set of
+    some (q, psi_q, targets) of per_q: strictly inside an arc of q in every
+    coordinate, read from q's table of each component (`_arc_units`).
+
+    A q's tables are built when the q is reached and dropped after it, at
+    q + 2 steps each; BudgetError is raised before the build that would
+    take more than budget steps.  A q's hits are one byte per point, 0 or
+    1, read as one int: ANDed over the coordinates, ORed over q, and the q
+    loop stops once every point is hit.  Returns the hits, the tables built
+    and their steps."""
+    columns = [units[d::m] for d in range(m)]
+    every = int.from_bytes(b"\x01" * len(columns[0]), "little")
+    hit = tables = steps = 0
+    for q, psi_q, targets in per_q:
+        components = set(targets)
+        tables += len(components)
+        steps += (q + 2) * len(components)
+        if steps > budget:
+            raise BudgetError(
+                f"the arc tables take the Monte Carlo run past its work cap {_MC_WORK_CAP}"
+            )
+        ends = {y: _arc_units(q, psi_q, y, scale) for y in components}
+        inside = every
+        for column, y in zip(columns, targets):
+            inside &= int.from_bytes(
+                bytes(map(_ODD, map(bisect_right, repeat(ends[y]), column))), "little"
+            )
+        hit |= inside
+        if hit == every:
+            break
+    return hit.bit_count(), tables, steps
 
 
 def mc_coverage(
     cfg: ExperimentConfig, q_range, samples: int, mode: str = "random"
 ) -> McReport:
     """Fraction of sampled points of [0,1)**m landing in the union of the
-    approximation sets over q_range, via the strict hit test per coordinate.
+    approximation sets over q_range, counted exactly on the points drawn.
 
-    Sample i is the point (unit_sample(seed, i*m + d) for d < m), drawn by
-    `_draws` in batches of whole samples; grid mode (one-dimensional only)
-    takes the midpoints (i + 1/2) / samples instead.  So the result is
-    deterministic for a given seed.  Refuses a q above the piece cap, or more
-    than _MC_WORK_CAP coordinate tests, before building the q set.
+    Points are integer sample units over a scale: sample i is the point
+    (v_d / 2**53 for d < m), v_d = the unit of unit_sample(seed, i*m + d),
+    drawn by `_draws` in batches of whole samples; grid mode
+    (one-dimensional only) takes the midpoints (2i + 1) / (2 * samples)
+    instead.  A point hits when, in every coordinate, it lies strictly
+    inside an arc (a + y - psi)/q < x < (a + y + psi)/q with a coprime to
+    q, for some q: one bisect per coordinate into an integer table of the
+    arcs (`_arc_units`), so the count agrees with `hit_test` on the exact
+    points and is deterministic for a given seed.  Each batch builds the
+    tables of the q it reaches and drops them.  Refuses a q above the piece
+    cap, or more than _MC_WORK_CAP coordinate tests (samples x q values x
+    m), before building the q set; the tables' q + 2 steps each are charged
+    on top as they are built, and the build that would pass the cap is
+    refused.
     """
     m = cfg.m
     if m > 3:
@@ -703,7 +755,8 @@ def mc_coverage(
         q_range = sorted(q_range)
     if q_range:
         _check_piece_cap(max(q_range[0], q_range[-1]))
-    if samples * len(q_range) * m > _MC_WORK_CAP:
+    tests = samples * len(q_range) * m
+    if tests > _MC_WORK_CAP:
         raise BudgetError(
             f"samples x q values x m exceeds the Monte Carlo work cap {_MC_WORK_CAP}"
         )
@@ -712,21 +765,21 @@ def mc_coverage(
         raise ValueError("q_range must contain integers >= 1")
     per_q = []
     for q in qs:
-        psi_q = float(cfg.psi(q))
-        if psi_q == 0.0:
-            continue
-        targets = tuple(float(y) for y in cfg.target(q))
-        per_q.append((q, psi_q, targets))
-    hits = 0
+        psi_q = Fraction(cfg.psi(q))
+        if psi_q:
+            per_q.append((q, psi_q, tuple(Fraction(y) for y in cfg.target(q))))
+    scale = 2 * samples if mode == "grid" else 2**53
+    hits = tables = entries = 0
     # Whole samples per batch, so draw i*m + d keeps its counter.
     per_batch = _LANES // m
     for first in range(0, samples, per_batch):
         count = min(per_batch, samples - first)
         if mode == "grid":
-            xs = [(i + 0.5) / samples for i in range(first, first + count)]
+            units = range(2 * first + 1, 2 * (first + count), 2)
         else:
-            xs = _draws(cfg.seed, first * m, count * m)
-        hits += _mc_hits(xs, m, per_q)
+            units = _draws(cfg.seed, first * m, count * m)
+        found, built, steps = _mc_hits(units, m, per_q, scale, _MC_WORK_CAP - tests - entries)
+        hits, tables, entries = hits + found, tables + built, entries + steps
     return McReport(
         config=cfg.describe(),
         samples=samples,
@@ -735,6 +788,8 @@ def mc_coverage(
         wilson95=_wilson(hits, samples, 1.959963984540054),
         wilson3s=_wilson(hits, samples, 3.0),
         mode=mode,
+        tables=tables,
+        entries=entries,
     )
 
 

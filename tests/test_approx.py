@@ -168,6 +168,10 @@ def test_hit_test_examples():
     assert not hit_test(F(0), 2, F(1, 4), 0)
     assert not hit_test(F(1, 2), 2, 0, 0)
     assert hit_test(0.5, 2, 0.25, 0.0)
+    # q*x = 3 is within 5/2 of 1 and 5, two steps past its nearest integers
+    # 2, 3 and 4, none of them coprime to 6.
+    assert hit_test(F(1, 2), 6, F(5, 2), 0)
+    assert not hit_test(F(1, 2), 6, F(2), 0)
 
 
 def _dyadic(lo: int, hi: int):
@@ -182,7 +186,7 @@ def _dyadic(lo: int, hi: int):
 @example(2, F(3, 8), F(1, 4), F(0))  # t = 3/4 sits on the arc's edge
 @example(2, F(1, 2), F(0), F(0))
 def test_hit_test_float_matches_fraction_on_dyadics(q, x, psi, y):
-    # With q <= 64 and 20-bit dyadics every float operation is exact.
+    # A float argument is read as the Fraction it equals.
     assert hit_test(float(x), q, float(psi), float(y)) == hit_test(x, q, psi, y)
 
 
@@ -191,7 +195,7 @@ def test_hit_test_matches_membership():
     checked = 0
     while checked < 10**4:
         q = rng.randint(1, 60)
-        psi = F(rng.randint(1, 30), 60)
+        psi = F(rng.randint(1, 240), 60)
         y = F(rng.randint(-120, 120), rng.randint(1, 20))
         approx = build_approx_set(q, psi, y)
         for _ in range(25):

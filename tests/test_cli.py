@@ -450,6 +450,23 @@ def test_only_pairwise_prints_its_worker_count(capsys):
     assert len(lines) == 2
 
 
+def test_mc_prints_its_tables_on_stderr_only(capsys):
+    code, out, err = run_capture(capsys, ["mc", "--q-range", "2,3,6", "--psi", "const:1/4",
+                                          "--samples", "2000", "--seed", "7"])
+    assert code == 0
+    assert out.splitlines()[-1].startswith("2000,1324,0.662,")
+    assert "tables" not in out
+    # One table per q, of q + 2 steps: 4 + 5 + 8.
+    assert re.fullmatch(r"tables=3 entries=17 seconds=\d+\.\d{3}\n", err)
+    # The arcs of q = 1, 2, 3 leave out finitely many points, so every
+    # sample is hit before q = 4 and no further table is built or charged.
+    code, out, err = run_capture(capsys, ["mc", "--q-range", "1..20000", "--psi", "const:1/4",
+                                          "--samples", "1000"])
+    assert code == 0
+    assert out.splitlines()[-1].startswith("1000,1000,1.0,")
+    assert re.fullmatch(r"tables=3 entries=12 seconds=\d+\.\d{3}\n", err)
+
+
 def test_verify_single_suite(capsys):
     code, out, _ = run_capture(capsys, ["verify", "--suite", "counterexample"])
     assert code == 0
@@ -579,6 +596,9 @@ NINES = "9" * 4000
     "mc --q-range 1..2000000 --samples 1000 --psi const:1/4",
     "mc --q-range 1..1000000 --samples 1000 --psi const:1/4",
     "mc --q-range 1..100000000000000000000 --samples 1000 --psi const:1/4",
+    # 10**8 coordinate tests fill the cap, so the first arc table, of
+    # q = 900001, is refused before it is built.
+    "mc --q-range 900001..1000000 --samples 1000 --psi const:1/4",
     # Block 2 has 2^k - 1 divisors for a k past the materialization cap.
     "counterexample --blocks 2 --verify",
     "counterexample --primes 2,3,5,7,11,13,17,19 --verify",

@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 
@@ -115,7 +116,7 @@ def test_quasi_ladder_reads_prefixes_of_one_scan(monkeypatch, workers):
         experiments, "pairwise_overlap_sum", lambda cfg: calls.append(cfg.Q) or scan(cfg)
     )
     ladder = (7, 2, 11, 5)
-    reports = quasi_independence_ladder(psi, target, 2, ladder, workers=workers)
+    reports = quasi_independence_ladder(psi, target, 2, ladder)
     assert calls == [11]
     assert reports[2].merge_pairs > 0
     for q_max, report in zip(ladder, reports):
@@ -422,7 +423,7 @@ def test_mc_inline_draws_match_unit_sample(m, spec, comps, q_range, seed, hits):
     assert report.hits == hits
     expected = sum(
         any(
-            all(hit_test(unit_sample(seed, i * m + d), q, psi(q), comps[d]) for d in range(m))
+            all(hit_test(F(unit_sample(seed, i * m + d)), q, psi(q), comps[d]) for d in range(m))
             for q in q_range
         )
         for i in range(4000)
@@ -434,7 +435,7 @@ def test_mc_inline_draws_match_unit_sample(m, spec, comps, q_range, seed, hits):
 def test_draws_match_unit_sample_across_batches(seed):
     start = 3 * experiments._LANES + 5
     for count in (1, experiments._LANES - 1, experiments._LANES, experiments._LANES + 1):
-        assert experiments._draws(seed, start, count) == [
+        assert [v * 2.0**-53 for v in experiments._draws(seed, start, count)] == [
             unit_sample(seed, start + k) for k in range(count)
         ]
 
@@ -457,6 +458,60 @@ def test_mc_grid_mode_exact_for_aligned_set():
     with pytest.raises(ValueError):
         mc_coverage(ExperimentConfig(Q=3, psi=CONST4, target=TargetSequence.zero(2), m=2),
                     [2], 2000, mode="grid")
+
+
+@pytest.mark.parametrize("q_range, psi, y, samples", [
+    # Midpoint 501/1002 = 1/2 is where the open arcs (1/6, 1/2) and
+    # (1/2, 5/6) of q = 3 touch: a miss.
+    ((3,), F(1, 2), F(0), 1001),
+    # Both ends 3/8 = 753/2008 and 5/8 = 1255/2008 of q = 2 are midpoints.
+    ((2,), F(1, 4), F(0), 1004),
+    # y = 1/5 puts the left end (1 + 1/5 - 1/10)/4 = 11/40 = 825/3000 of
+    # q = 4 on a midpoint.
+    ((4,), F(1, 10), F(1, 5), 1500),
+])
+def test_mc_grid_counts_arc_ends_exactly(q_range, psi, y, samples):
+    cfg = ExperimentConfig(Q=max(q_range) + 1, psi=ApproxFunction.constant(psi),
+                           target=TargetSequence.constant([y], 1))
+    report = mc_coverage(cfg, q_range, samples, mode="grid")
+    expected = sum(
+        any(hit_test(F(2 * i + 1, 2 * samples), q, psi, y) for q in q_range)
+        for i in range(samples)
+    )
+    assert report.hits == expected
+
+
+def test_mc_builds_tables_per_batch_and_charges_them_to_the_cap(monkeypatch):
+    cfg = ExperimentConfig(Q=8, psi=ApproxFunction.constant(F(1, 5)),
+                           target=TargetSequence.constant([F(1, 3), F(0)], 2), m=2, seed=3)
+    # 5000 points of m = 2 are 3 batches; each q reads two tables, of
+    # q + 2 steps each.
+    report = mc_coverage(cfg, [3, 5, 7], 5000)
+    assert (report.tables, report.entries) == (3 * 6, 3 * 2 * (5 + 7 + 9))
+    built = []
+    monkeypatch.setattr(experiments, "_arc_units", lambda q, *rest: built.append(q) or [])
+    # Room for the tests and two batches' tables: the third batch is
+    # refused before its first table.
+    monkeypatch.setattr(experiments, "_MC_WORK_CAP", 5000 * 3 * 2 + 2 * report.entries // 3)
+    with pytest.raises(BudgetError):
+        mc_coverage(cfg, [3, 5, 7], 5000)
+    assert built == [3, 3, 5, 5, 7, 7] * 2
+
+
+def test_arc_units_match_hit_test_at_every_unit():
+    # q = 3, psi = 1/2 over 6 units: the arcs (1/6, 1/2) and (1/2, 5/6)
+    # hold units 2 and 4, and unit 3 (x = 1/2) is their common end.
+    assert experiments._arc_units(3, F(1, 2), F(0), 6) == [2, 3, 4, 5]
+    # Small scales put many units on arc ends, where the strict test bites.
+    for q in range(1, 13):
+        for psi in (F(1, 60), F(1, 4), F(1, 3), F(1, 2), F(3, 4), F(2), F(5, 2)):
+            for y in (F(0), F(1, 3), F(-7, 5), F(5, 2)):
+                for scale in (12, 60, 61):
+                    ends = experiments._arc_units(q, psi, y, scale)
+                    assert ends == sorted(set(ends))
+                    assert [bisect_right(ends, v) % 2 == 1 for v in range(scale)] == [
+                        hit_test(F(v, scale), q, psi, y) for v in range(scale)
+                    ], (q, psi, y, scale)
 
 
 def test_mc_validation():

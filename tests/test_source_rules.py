@@ -13,7 +13,9 @@ public `TorusIntervalSet` method is read outside the class's public
 methods, or is on the allowlist of reference operations tests compare
 other code against.  The phi(gcd)
 brute force stays independent of the divisor identity it is checked
-against: it names no factorization, totient or divisor-form helper.
+against: it names no factorization, totient or divisor-form helper.  The
+Monte Carlo hit count and its arc tables use no float, so every count is
+exact on the points drawn.
 """
 
 import ast
@@ -114,3 +116,17 @@ def test_piece_cap_policy_is_written_once():
         if "approximation-set cap" in line
     ]
     assert len(found) == 1, found
+
+
+def test_monte_carlo_hit_count_uses_no_float():
+    tree = ast.parse((PACKAGE / "experiments.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    found = [
+        f"{name}:{node.lineno}"
+        for name in ("_mc_hits", "_arc_units")
+        for node in ast.walk(functions[name])
+        if isinstance(node, ast.Constant) and isinstance(node.value, float)
+        or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "float"
+    ]
+    assert found == []

@@ -202,14 +202,15 @@ def _measure_check(q: int, psi: Fraction, approx: TorusIntervalSet, phi: int) ->
 
 
 def hit_test(x, q: int, psi_q, y_q) -> bool:
-    """Whether |q*x - a - y_q| < psi_q holds for some a coprime to q.
+    """Whether -psi_q <= q*x - a - y_q < psi_q holds for some a coprime to
+    q: x lies in the half-open arc [(a + y_q - psi_q)/q, (a + y_q +
+    psi_q)/q), so this is `build_approx_set(q, psi_q, y_q).contains(x)`,
+    arc ends included.
 
     Exact: x, psi_q and y_q are read as Fractions (a float converts
     exactly).  Only the integers from floor(t - psi_q) to ceil(t + psi_q),
     t = q*x - y_q, can qualify, and q + 2 of them hold q consecutive
-    integers strictly within psi_q of t, one of them coprime to q.  The
-    strict inequality differs from the half-open set exactly on interval
-    endpoints, a measure-zero discrepancy.
+    integers a with t - psi_q < a <= t + psi_q, one of them coprime to q.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -217,7 +218,7 @@ def hit_test(x, q: int, psi_q, y_q) -> bool:
     t = q * Fraction(x) - Fraction(y_q)
     low = math.floor(t - psi)
     for a in range(low, min(math.ceil(t + psi), low + q + 1) + 1):
-        if abs(t - a) < psi and math.gcd(a, q) == 1:
+        if -psi <= t - a < psi and math.gcd(a, q) == 1:
             return True
     return False
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from importlib import resources
-from itertools import compress, repeat
+from itertools import repeat
 from operator import mul
 
 from .approx import (
@@ -639,47 +639,19 @@ class McReport:
 
 
 def _arc_units(q: int, psi: Fraction, y: Fraction, scale: int) -> list[int]:
-    """The sample units v in [0, scale) whose point v/scale lies strictly
-    inside an arc (a + y - psi)/q < x < (a + y + psi)/q, mod 1, of some a
-    coprime to q, as the sorted ends [start, stop, start, stop, ...] of
-    disjoint runs start <= v < stop: v hits exactly when
+    """The ends of `build_approx_set(q, psi, y)` in sample units over scale:
+    unit v (the point v/scale) lies in the set exactly when
     bisect_right(ends, v) is odd.
 
-    Integers only: over the common denominator den of y and psi, the arc of
-    a holds the units from floor((a*den + y*den - psi*den) * scale /
-    (q*den)) + 1 up to, not including, the ceiling of the same with
-    + psi*den.  Runs that overlap or abut as units merge; open arcs that
-    only touch leave their common end out, so at psi = 1/2 a unit on that
-    end stays a miss.
+    A piece [e_i/den, e_{i+1}/den) holds the units from ceil(e_i * scale /
+    den) up to, not including, ceil(e_{i+1} * scale / den), so each end
+    becomes one ceiling division.  A piece that holds no unit gives two
+    equal ends, which bisect_right passes together, so they change no
+    unit's parity.
     """
-    den = math.lcm(psi.denominator, y.denominator)
-    shift = y.numerator * (den // y.denominator) * scale
-    width = psi.numerator * (den // psi.denominator) * scale
-    step, div = den * scale, q * den
-    coprime = bytearray(b"\x01") * q
-    for p, _ in factorize(q):
-        coprime[::p] = bytes(len(range(0, q, p)))
-    runs = []
-    for a in compress(range(q), coprime):
-        centre = a * step + shift
-        start = (centre - width) // div + 1
-        length = -(-(centre + width) // div) - start
-        if length >= scale:
-            return [0, scale]
-        if length > 0:
-            start %= scale
-            if start + length > scale:
-                runs += ((start, scale), (0, start + length - scale))
-            else:
-                runs.append((start, start + length))
-    runs.sort()
-    ends: list[int] = []
-    for start, stop in runs:
-        if ends and start <= ends[-1]:
-            ends[-1] = max(ends[-1], stop)
-        else:
-            ends += (start, stop)
-    return ends
+    approx = build_approx_set(q, psi, y)
+    den = approx.den
+    return [-(-e * scale // den) for e in approx.ends]
 
 
 _ODD = (1).__and__
@@ -687,7 +659,7 @@ _ODD = (1).__and__
 
 def _mc_hits(units, m: int, per_q, scale: int, budget: int) -> tuple[int, int, int]:
     """How many points (units[i*m : i*m + m]) over scale lie in the set of
-    some (q, psi_q, targets) of per_q: strictly inside an arc of q in every
+    some (q, psi_q, targets) of per_q: in q's approximation set in every
     coordinate, read from q's table of each component (`_arc_units`).
 
     A q's tables are built when the q is reached and dropped after it, at
@@ -729,16 +701,15 @@ def mc_coverage(
     (v_d / 2**53 for d < m), v_d = the unit of unit_sample(seed, i*m + d),
     drawn by `_draws` in batches of whole samples; grid mode
     (one-dimensional only) takes the midpoints (2i + 1) / (2 * samples)
-    instead.  A point hits when, in every coordinate, it lies strictly
-    inside an arc (a + y - psi)/q < x < (a + y + psi)/q with a coprime to
-    q, for some q: one bisect per coordinate into an integer table of the
-    arcs (`_arc_units`), so the count agrees with `hit_test` on the exact
-    points and is deterministic for a given seed.  Each batch builds the
-    tables of the q it reaches and drops them.  Refuses a q above the piece
-    cap, or more than _MC_WORK_CAP coordinate tests (samples x q values x
-    m), before building the q set; the tables' q + 2 steps each are charged
-    on top as they are built, and the build that would pass the cap is
-    refused.
+    instead.  A point hits when, for some q, every coordinate lies in the
+    approximation set of q and its target: one bisect per coordinate into
+    the set's ends in sample units (`_arc_units`), so the count agrees with
+    `hit_test` on the exact points and is deterministic for a given seed.
+    Each batch builds the tables of the q it reaches and drops them.
+    Refuses a q above the piece cap, or more than _MC_WORK_CAP coordinate
+    tests (samples x q values x m), before building the q set; the tables'
+    q + 2 steps each are charged on top as they are built, and the build
+    that would pass the cap is refused.
     """
     m = cfg.m
     if m > 3:

@@ -171,7 +171,9 @@ def test_hit_test_examples():
     # q*x = 3 is within 5/2 of 1 and 5, two steps past its nearest integers
     # 2, 3 and 4, none of them coprime to 6.
     assert hit_test(F(1, 2), 6, F(5, 2), 0)
-    assert not hit_test(F(1, 2), 6, F(2), 0)
+    # psi = 2: q*x = 3 is the left end of a = 5's arc [3/6, 7/6) and the
+    # right end, left out, of a = 1's arc [-1/6, 3/6).
+    assert hit_test(F(1, 2), 6, F(2), 0)
 
 
 def _dyadic(lo: int, hi: int):
@@ -192,20 +194,20 @@ def test_hit_test_float_matches_fraction_on_dyadics(q, x, psi, y):
 
 def test_hit_test_matches_membership():
     rng = random.Random(47)
-    checked = 0
-    while checked < 10**4:
-        q = rng.randint(1, 60)
-        psi = F(rng.randint(1, 240), 60)
-        y = F(rng.randint(-120, 120), rng.randint(1, 20))
+    configs = [(q, psi, y) for q in range(1, 13) for psi in (F(1, 2), F(1))
+               for y in (F(0), F(1, 3), F(-7, 5))]
+    while len(configs) < 500:
+        configs.append((rng.randint(1, 60), F(rng.randint(1, 240), 60),
+                        F(rng.randint(-120, 120), rng.randint(1, 20))))
+    for q, psi, y in configs:
         approx = build_approx_set(q, psi, y)
-        for _ in range(25):
-            x = F(rng.randint(0, 10**6), 10**6 + 3)
-            # skip exact endpoints, where the strict inequality and the
-            # half-open pieces disagree by convention
-            if any(x == lo or x == hi for lo, hi in approx.pieces):
-                continue
-            assert hit_test(x, q, psi, y) == approx.contains(x)
-            checked += 1
+        # Every arc end (a + y -+ psi)/q, where the half-open convention
+        # decides, and at psi = 1/2 and psi = 1 the points where arcs touch
+        # end to end.
+        points = [(a + y + sign * psi) / q for a in coprime_residues(q) for sign in (-1, 1)]
+        points += [F(rng.randint(0, 10**6), 10**6 + 3) for _ in range(25)]
+        for x in points:
+            assert hit_test(x, q, psi, y) == approx.contains(x), (q, psi, y, x)
 
 
 def test_approx_function_families():

@@ -461,8 +461,8 @@ def test_mc_grid_mode_exact_for_aligned_set():
 
 
 @pytest.mark.parametrize("q_range, psi, y, samples", [
-    # Midpoint 501/1002 = 1/2 is where the open arcs (1/6, 1/2) and
-    # (1/2, 5/6) of q = 3 touch: a miss.
+    # Midpoint 501/1002 = 1/2 is where the arcs [1/6, 1/2) and [1/2, 5/6)
+    # of q = 3 touch: the left end of the second, a hit.
     ((3,), F(1, 2), F(0), 1001),
     # Both ends 3/8 = 753/2008 and 5/8 = 1255/2008 of q = 2 are midpoints.
     ((2,), F(1, 4), F(0), 1004),
@@ -499,19 +499,22 @@ def test_mc_builds_tables_per_batch_and_charges_them_to_the_cap(monkeypatch):
 
 
 def test_arc_units_match_hit_test_at_every_unit():
-    # q = 3, psi = 1/2 over 6 units: the arcs (1/6, 1/2) and (1/2, 5/6)
-    # hold units 2 and 4, and unit 3 (x = 1/2) is their common end.
-    assert experiments._arc_units(3, F(1, 2), F(0), 6) == [2, 3, 4, 5]
-    # Small scales put many units on arc ends, where the strict test bites.
+    # q = 3, psi = 1/2 over 6 units: the arcs [1/6, 1/2) and [1/2, 5/6)
+    # touch at unit 3 (x = 1/2) and together hold units 1 to 4.
+    assert experiments._arc_units(3, F(1, 2), F(0), 6) == [1, 5]
+    # Small scales put many units on arc ends, where the convention decides.
     for q in range(1, 13):
         for psi in (F(1, 60), F(1, 4), F(1, 3), F(1, 2), F(3, 4), F(2), F(5, 2)):
             for y in (F(0), F(1, 3), F(-7, 5), F(5, 2)):
+                approx = build_approx_set(q, psi, y)
                 for scale in (12, 60, 61):
                     ends = experiments._arc_units(q, psi, y, scale)
-                    assert ends == sorted(set(ends))
-                    assert [bisect_right(ends, v) % 2 == 1 for v in range(scale)] == [
-                        hit_test(F(v, scale), q, psi, y) for v in range(scale)
-                    ], (q, psi, y, scale)
+                    # A piece that holds no unit gives two equal ends.
+                    assert ends == sorted(ends)
+                    hits = [bisect_right(ends, v) % 2 == 1 for v in range(scale)]
+                    points = [F(v, scale) for v in range(scale)]
+                    assert hits == [hit_test(x, q, psi, y) for x in points], (q, psi, y, scale)
+                    assert hits == [approx.contains(x) for x in points], (q, psi, y, scale)
 
 
 def test_mc_validation():

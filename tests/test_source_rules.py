@@ -15,7 +15,8 @@ other code against.  The phi(gcd)
 brute force stays independent of the divisor identity it is checked
 against: it names no factorization, totient or divisor-form helper.  The
 Monte Carlo hit count and its arc tables use no float, so every count is
-exact on the points drawn.
+exact on the points drawn, and the tables are read off the approximation
+sets, so the package keeps one interval encoding.
 """
 
 import ast
@@ -130,3 +131,14 @@ def test_monte_carlo_hit_count_uses_no_float():
         and node.func.id == "float"
     ]
     assert found == []
+
+
+def test_monte_carlo_arc_tables_are_read_off_the_approximation_sets():
+    tree = ast.parse((PACKAGE / "experiments.py").read_text())
+    (tables,) = [node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_arc_units"]
+    called = [node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+              for node in ast.walk(tables) if isinstance(node, ast.Call)
+              and isinstance(node.func, (ast.Name, ast.Attribute))]
+    assert "build_approx_set" in called
+    assert sorted({"sorted", "sort"} & set(called)) == []

@@ -19,9 +19,10 @@ import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import partial
+from itertools import compress
 from typing import NamedTuple
 
-from .arith import totient
+from .arith import factorize, totient
 from .errors import BudgetError
 from .rationals import parse_rational
 from .torus import TorusIntervalSet, _merge, _reduced
@@ -54,12 +55,13 @@ def _check_dimension(m: int) -> None:
 
 
 def coprime_residues(q: int) -> list[int]:
-    """Residues 0 <= a < q with gcd(a, q) = 1; [0] when q = 1."""
+    """Residues 0 <= a < q with gcd(a, q) = 1 ([0] when q = 1): q's primes sieved out."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    if q == 1:
-        return [0]
-    return [a for a in range(1, q) if math.gcd(a, q) == 1]
+    keep = bytearray(b"\x01") * q
+    for p, _ in factorize(q):
+        keep[::p] = bytes(q // p)
+    return list(compress(range(q), keep))
 
 
 def _sumset_numerators(r: int, s: int) -> list[int]:
@@ -67,12 +69,8 @@ def _sumset_numerators(r: int, s: int) -> list[int]:
     as sorted numerators over r*s; r and s must be coprime.  The Chinese
     remainder theorem makes a/r + b/s (mod 1) a bijection onto the reduced
     fractions with denominator r*s, so this is `coprime_residues(r*s)`."""
-    rs = r * s
-    return sorted(
-        (a * s + b * r) % rs
-        for a in coprime_residues(r)
-        for b in coprime_residues(s)
-    )
+    rs, residues_s = r * s, coprime_residues(s)
+    return sorted((a * s + b * r) % rs for a in coprime_residues(r) for b in residues_s)
 
 
 def build_approx_set(q: int, psi_q, y_q) -> TorusIntervalSet:

@@ -422,8 +422,7 @@ def _cmd_equidist(args) -> int:
     windows_text = args.windows
     windows = [_listed(chunk, parse_rational, "window", sep=":", count=2)
                for chunk in windows_text.split(",")]
-    cfg = ExperimentConfig(Q=q_max, psi=psi, target=target, m=1)
-    scan = equidistribution_scan(cfg, windows)
+    scan = equidistribution_scan(q_max, psi, target, windows)
     if args.per_q:
         rows = [{
             "q": entry.q,
@@ -450,26 +449,19 @@ def _cmd_equidist(args) -> int:
 def _cmd_mc(args) -> int:
     text = args.q_range
     if ".." in text:
-        lo, hi = _listed(text, int, "q-range", sep="..", count=2)
-        q_range = range(lo, hi + 1)
+        lo, q_top = _listed(text, int, "q-range", sep="..", count=2)
+        q_range = range(lo, q_top + 1)
     else:
         q_range = _listed(text, int, "q-range")
+        q_top = max(q_range)
     if not q_range:
         raise UsageError(f"empty q-range {_shown(text)}")
-    # A range's ends are its extremes; min() and max() would walk all of it.
-    if isinstance(q_range, range):
-        q_low, q_top = q_range[0], q_range[-1]
-    else:
-        q_low, q_top = min(q_range), max(q_range)
-    if q_low < 1:
-        # Checked here: the config built from q_top would name a --Q never passed.
-        raise UsageError("q_range must contain integers >= 1")
     m = args.m
     psi = _psi_from(args)
     target = _target_from(args, m)
-    cfg = ExperimentConfig(Q=q_top + 1, psi=psi, target=target, m=m, **_given(seed=args.seed))
     start = time.perf_counter()
-    report = mc_coverage(cfg, q_range, args.samples, mode="grid" if args.grid else "random")
+    report = mc_coverage(psi, target, q_range, args.samples, seed=args.seed,
+                         mode="grid" if args.grid else "random")
     elapsed = time.perf_counter() - start
     row = {
         "samples": report.samples,
@@ -480,9 +472,12 @@ def _cmd_mc(args) -> int:
         "wilson3s_lo": repr(report.wilson3s[0]),
         "wilson3s_hi": repr(report.wilson3s[1]),
     }
-    _emit(list(row), [row], report.config | {
-        "subcommand": "mc", "q_range": text, "mode": report.mode,
-    }, args.format, args.out)
+    # Nothing reads Q or precision (mc has neither flag); the keys stay so that
+    # no report byte moves (CHANGES.md, the FOUND line on unread header keys).
+    config = {"subcommand": "mc", "q_range": text, "Q": q_top + 1, "precision": None,
+              "m": m, "psi": psi.describe(), "target": target.describe(),
+              "mode": report.mode, "seed": args.seed}
+    _emit(list(row), [row], config, args.format, args.out)
     print(f"tables={report.tables} entries={report.entries} seconds={elapsed:.3f}",
           file=sys.stderr)
     return EXIT_OK
@@ -613,7 +608,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
     p.add_argument("--n", type=_MODULUS)
 
     p = command("equidist", _cmd_equidist, "exact window ratios per q")
-    p.add_argument("--Q", type=_INT)
+    p.add_argument("--Q", type=_MODULUS)
     family(p)
     p.add_argument("--windows", default="0:1/2", help="comma list lo:hi of rational windows")
     p.add_argument("--per-q", action="store_true", dest="per_q")
@@ -622,7 +617,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
     p.add_argument("--q-range", dest="q_range", help="comma list or lo..hi")
     p.add_argument("--m", type=_INT, default=1)
     p.add_argument("--samples", type=_INT, default=10_000)
-    p.add_argument("--seed", type=_INT)
+    p.add_argument("--seed", type=_INT, default=0)
     family(p)
     p.add_argument("--grid", action="store_true")
 

@@ -169,6 +169,8 @@ class Enclosure:
 
 @dataclass
 class ExperimentConfig:
+    """The configuration of the pairwise scan, `pairwise_overlap_sum`."""
+
     Q: int
     psi: ApproxFunction
     target: TargetSequence
@@ -176,7 +178,6 @@ class ExperimentConfig:
     mode: str = "exact"  # or "enclosure"
     precision: int = 128
     workers: int = 1
-    seed: int = 0
     exact_q_cap: int = DEFAULT_EXACT_Q_CAP
 
     def __post_init__(self):
@@ -206,7 +207,9 @@ class ExperimentConfig:
             "target": self.target.describe(),
             "mode": self.mode,
             "precision": self.precision if self.mode == "enclosure" else None,
-            "seed": self.seed,
+            # Nothing reads a seed; the key stays so that no report byte
+            # moves (CHANGES.md, the FOUND line on unread header keys).
+            "seed": 0,
         }
 
 
@@ -627,7 +630,6 @@ def _wilson(hits: int, n: int, z: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class McReport:
-    config: dict
     samples: int
     hits: int
     estimate: float
@@ -691,11 +693,10 @@ def _mc_hits(units, m: int, per_q, scale: int, budget: int) -> tuple[int, int, i
     return hit.bit_count(), tables, steps
 
 
-def mc_coverage(
-    cfg: ExperimentConfig, q_range, samples: int, mode: str = "random"
-) -> McReport:
-    """Fraction of sampled points of [0,1)**m landing in the union of the
-    approximation sets over q_range, counted exactly on the points drawn.
+def mc_coverage(psi: ApproxFunction, target: TargetSequence, q_range, samples: int,
+                seed: int = 0, mode: str = "random") -> McReport:
+    """Fraction of sampled points of [0,1)**m, m = target.m, in the union of
+    the approximation sets over q_range, counted exactly on the points drawn.
 
     Points are integer sample units over a scale: sample i is the point
     (v_d / 2**53 for d < m), v_d = the unit of unit_sample(seed, i*m + d),
@@ -711,7 +712,7 @@ def mc_coverage(
     q + 2 steps each are charged on top as they are built, and the build
     that would pass the cap is refused.
     """
-    m = cfg.m
+    m = target.m
     if m > 3:
         raise ValueError("Monte Carlo coverage is limited to m <= 3")
     if samples < 1000:
@@ -736,9 +737,9 @@ def mc_coverage(
         raise ValueError("q_range must contain integers >= 1")
     per_q = []
     for q in qs:
-        psi_q = Fraction(cfg.psi(q))
+        psi_q = Fraction(psi(q))
         if psi_q:
-            per_q.append((q, psi_q, tuple(Fraction(y) for y in cfg.target(q))))
+            per_q.append((q, psi_q, tuple(Fraction(y) for y in target(q))))
     scale = 2 * samples if mode == "grid" else 2**53
     hits = tables = entries = 0
     # Whole samples per batch, so draw i*m + d keeps its counter.
@@ -748,11 +749,10 @@ def mc_coverage(
         if mode == "grid":
             units = range(2 * first + 1, 2 * (first + count), 2)
         else:
-            units = _draws(cfg.seed, first * m, count * m)
+            units = _draws(seed, first * m, count * m)
         found, built, steps = _mc_hits(units, m, per_q, scale, _MC_WORK_CAP - tests - entries)
         hits, tables, entries = hits + found, tables + built, entries + steps
     return McReport(
-        config=cfg.describe(),
         samples=samples,
         hits=hits,
         estimate=hits / samples,
@@ -775,9 +775,10 @@ class EquidistRow:
     deviation: Fraction  # |ratio - window length|
 
 
-def equidistribution_scan(cfg: ExperimentConfig, windows) -> Iterator[EquidistRow]:
-    """Exact per-q window ratios, one row per (q, window), as an iterator:
-    the windows are checked at the call, the rows made as they are read.
+def equidistribution_scan(Q: int, psi: ApproxFunction, target: TargetSequence,
+                          windows) -> Iterator[EquidistRow]:
+    """Exact window ratios for q <= Q, one row per (q, window), as an iterator:
+    Q and the windows are checked at the call, the rows made as they are read.
 
     Skips q with psi(q) = 0 (the ratio is undefined there); psi(q) > 0
     makes the set's measure positive.  Targets use the first coordinate;
@@ -785,7 +786,9 @@ def equidistribution_scan(cfg: ExperimentConfig, windows) -> Iterator[EquidistRo
     measured against every approximation set.  A window given twice is
     refused: a summary keyed by window would merge its rows.
     """
-    _check_piece_cap(cfg.Q, "Q")
+    if Q < 1:
+        raise ValueError("Q must be >= 1")
+    _check_piece_cap(Q, "Q")
     window_sets: dict[tuple[Fraction, Fraction], TorusIntervalSet] = {}
     for lo, hi in windows:
         lo, hi = Fraction(lo), Fraction(hi)
@@ -796,11 +799,11 @@ def equidistribution_scan(cfg: ExperimentConfig, windows) -> Iterator[EquidistRo
         window_sets[lo, hi] = TorusIntervalSet(((lo, hi),))
 
     def rows() -> Iterator[EquidistRow]:
-        for q in range(1, cfg.Q + 1):
-            psi_q = cfg.psi(q)
+        for q in range(1, Q + 1):
+            psi_q = psi(q)
             if psi_q == 0:
                 continue
-            approx = build_approx_set(q, psi_q, cfg.target(q)[0])
+            approx = build_approx_set(q, psi_q, target(q)[0])
             total = approx.measure()
             for (lo, hi), window_set in window_sets.items():
                 ratio = measure_intersection(approx, window_set) / total

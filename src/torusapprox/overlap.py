@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 
-from .approx import _check_piece_cap, build_approx_set, coprime_residues
+from .approx import _check_piece_cap, build_approx_set
 from .arith import factorize, factorize_with_table, spf_table, totient
 from .errors import BudgetError, IdentityError
 from .torus import measure_intersection
@@ -193,12 +193,14 @@ def _f_table(row_q: tuple, row_r: tuple) -> list[int]:
 def coprime_pair_histogram(dec: PairDecomposition) -> list[int]:
     """Brute-force f over a full period: histogram of (a*r' - b*q') mod lcm
     over all coprime residue pairs.  The independent oracle for the closed
-    form; its total mass is phi(q) * phi(r)."""
+    form, so it finds the residues by gcd, not by factorizing; its total
+    mass is phi(q) * phi(r)."""
     rp = dec.lcm // dec.q
     qp = dec.lcm // dec.r
     hist = [0] * dec.lcm
-    residues_r = coprime_residues(dec.r)
-    for a in coprime_residues(dec.q):
+    residues_q, residues_r = ([a for a in range(n) if math.gcd(a, n) == 1]
+                              for n in (dec.q, dec.r))
+    for a in residues_q:
         base = a * rp
         for b in residues_r:
             hist[(base - b * qp) % dec.lcm] += 1

@@ -34,6 +34,7 @@ from .errors import IdentityError
 from .experiments import (
     ExperimentConfig,
     baseline_fraction,
+    load_baselines,
     mc_coverage,
     pairwise_overlap_sum,
     phigcd_batch_check,
@@ -310,9 +311,11 @@ def check_sifted_counts(trials: int = 10**4, seed: int = 20260808) -> CheckResul
 def check_quasi_ladder(
     ladder=(16, 32, 64, 128, 256, 512), worker_counts=(1, 4, 8)
 ) -> CheckResult:
-    psi = ApproxFunction.divergent_m3()
-    target = TargetSequence.zero(3)
-    reports = quasi_independence_ladder(psi, target, m=3, ladder=ladder)
+    fixture = load_baselines()["quasi_ladder"]
+    psi = ApproxFunction.parse(fixture["family"])
+    m = fixture["m"]
+    target = TargetSequence.parse(fixture["target"], m)
+    reports = quasi_independence_ladder(psi, target, m=m, ladder=ladder)
     for report in reports:
         q_max = report.config["Q"]
         base = baseline_fraction("quasi_ladder", str(q_max))
@@ -327,7 +330,7 @@ def check_quasi_ladder(
     sums = [
         top.pair_sum if workers == 1
         else pairwise_overlap_sum(ExperimentConfig(
-            Q=q_top, psi=psi, target=target, m=3, workers=workers)).pair_sum
+            Q=q_top, psi=psi, target=target, m=m, workers=workers)).pair_sum
         for workers in worker_counts
     ]
     if any(s != sums[0] for s in sums[1:]):
@@ -364,7 +367,7 @@ def _calibration_configs():
         psi = ApproxFunction.from_table({q: psi_val})
         target = TargetSequence.constant([y], 1)
         exact = approx_set_measure(q, psi_val, y).measure
-        configs.append((psi, target, 1, (q,), exact))
+        configs.append((psi, target, (q,), exact))
     # one-dimensional, several q (exact union measure)
     for qs, psi_val in [((2, 3), quarter), ((5, 7), Fraction(1, 5)), ((2, 4, 8), quarter)]:
         psi = ApproxFunction.constant(psi_val)
@@ -372,12 +375,12 @@ def _calibration_configs():
         union = TorusIntervalSet.empty()
         for q in qs:
             union = union.union(build_approx_set(q, psi_val, 0))
-        configs.append((psi, target, 1, qs, union.measure()))
+        configs.append((psi, target, qs, union.measure()))
     # the first block of the J=1 construction: union measure phi(6)/6 = 1/3
     inst = build_counterexample(BlockSchedule(blocks=1, eps=(Fraction(1, 2),)))
     psi = ApproxFunction.counterexample(inst)
     target = TargetSequence.counterexample(inst)
-    configs.append((psi, target, 1, (2, 3, 6), Fraction(1, 3)))
+    configs.append((psi, target, (2, 3, 6), Fraction(1, 3)))
     # higher dimensions, single q: product measure
     for q, psi_val, comps, m in [
         (3, quarter, (Fraction(0), Fraction(1, 2)), 2),
@@ -394,7 +397,7 @@ def _calibration_configs():
         exact = Fraction(1)
         for y in comps:
             exact *= approx_set_measure(q, psi_val, y).measure
-        configs.append((psi, target, m, (q,), exact))
+        configs.append((psi, target, (q,), exact))
     if len(configs) != 20:
         raise IdentityError(f"{len(configs)} calibration configurations, expected 20")
     return configs
@@ -402,25 +405,19 @@ def _calibration_configs():
 
 def check_mc_calibration(samples: int = 100_000, seed: int = 7) -> CheckResult:
     inside = 0
-    total = 0
     configs = _calibration_configs()
-    for index, (psi, target, m, q_range, exact) in enumerate(configs):
+    for index, (psi, target, q_range, exact) in enumerate(configs):
         # One sample stream per configuration.  Configurations 6 and 8
         # cover complementary halves of the circle, so on a shared stream
         # their hit counts sum to `samples` and they miss together.
-        cfg = ExperimentConfig(
-            Q=max(q_range) + 1, psi=psi, target=target, m=m,
-            seed=seed * len(configs) + index,
-        )
-        report = mc_coverage(cfg, q_range, samples)
+        report = mc_coverage(psi, target, q_range, samples, seed=seed * len(configs) + index)
         lo, hi = report.wilson3s
-        total += 1
         if lo <= float(exact) <= hi:
             inside += 1
     ok = inside >= 19
     return CheckResult(
         "mc", ok,
-        f"exact measure inside the 3-sigma interval in {inside}/{total} "
+        f"exact measure inside the 3-sigma interval in {inside}/{len(configs)} "
         f"configurations at {samples} samples, seed {seed}",
     )
 

@@ -18,7 +18,7 @@ from torusapprox.approx import (
 )
 from torusapprox.arith import totient
 from torusapprox.counterexample import instance_from_prime_blocks
-from torusapprox.experiments import ExperimentConfig, equidistribution_scan
+from torusapprox.experiments import equidistribution_scan
 from torusapprox.torus import TorusIntervalSet
 
 F = Fraction
@@ -29,11 +29,10 @@ def test_reduced_fractions():
     assert coprime_residues(1) == [0]
     assert coprime_residues(6) == [1, 5]
     assert coprime_residues(5) == [1, 2, 3, 4]
-    for q in range(1, 200):
+    for q in range(1, 3001):
         residues = coprime_residues(q)
         assert len(residues) == totient(q)
-        assert residues == sorted(residues)
-        assert all(0 <= a < q and math.gcd(a, q) == 1 for a in residues)
+        assert residues == [a for a in range(q) if math.gcd(a, q) == 1]
 
 
 def test_sumset_examples():
@@ -156,8 +155,7 @@ def test_build_matches_from_spans(q, psi, y):
 
 def test_equidistribution_ratio():
     psi = ApproxFunction.from_table({2: F(1, 4), 5: F(1, 5)})
-    cfg = ExperimentConfig(Q=5, psi=psi, target=TargetSequence.zero())
-    rows = equidistribution_scan(cfg, [(0, F(1, 2)), (0, 1)])
+    rows = equidistribution_scan(5, psi, TargetSequence.zero(), [(0, F(1, 2)), (0, 1)])
     ratios = {(row.q, row.window[1]): row.ratio for row in rows}
     # psi(q) = 0 at q = 1, 3, 4: the ratio is undefined and the scan skips q.
     assert ratios == {(2, F(1, 2)): F(1, 2), (2, 1): 1, (5, F(1, 2)): F(1, 2), (5, 1): 1}

@@ -432,6 +432,14 @@ def test_equidist_summary_is_the_fold_of_the_per_q_rows(capsys):
     assert out.splitlines()[-1] == "0/1:1/2,0/1"
 
 
+def test_equidist_runs_at_Q_1(capsys):
+    # A_1 = [0, 1/4) + [3/4, 1) is well defined; only a Q below 1 is refused.
+    argv = ["equidist", "--Q", "1", "--psi", "const:1/4", "--per-q"]
+    code, out, err = run_capture(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "1,0/1:1/2,1/2,0/1"
+
+
 def test_only_pairwise_prints_its_worker_count(capsys):
     cfg = ExperimentConfig(Q=3, psi=ApproxFunction.constant(Fraction(1, 4)),
                            target=TargetSequence.zero(), workers=2)
@@ -522,6 +530,7 @@ NAMED_OPTION = {
     # A modulus below 1 is refused by its flag, not by the engine's check.
     "overlap --q 3 --r 0 --psi const:1/4": "argument --r: wants an integer >= 1, got '0'",
     "sift --X 0 --Y 10 --n 0": "argument --n: wants an integer >= 1, got '0'",
+    "equidist --Q 0 --psi const:1/4": "argument --Q: wants an integer >= 1, got '0'",
 }
 
 
@@ -539,6 +548,7 @@ NAMED_OPTION = {
     "msum --ladder 1,2 --psi div3",
     "phigcd --q 0",
     "sift --X 0 --Y 10 --n 0",
+    "equidist --Q 0 --psi const:1/4",
     "equidist --Q 10 --psi const:1/4 --windows 1/2:1/4",
     "mc --q-range 2,3 --psi const:1/4 --samples 10",
     "mc --q-range 5..3 --psi const:1/4",

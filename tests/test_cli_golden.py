@@ -65,6 +65,16 @@ GOLDEN = [
      "edf6df23996a1b1b7a5d7d65e6a48f9304eff0365fac556f565edce6bc1d0f64"),
     ("mc --q-range 2,3,5 --m 3 --psi const:1/3 --y const:1/5,2/7,0 --samples 5000 --seed 11",
      "a476599214fb5d3f342c3cec20ad4a7e8bd29c851107bff535f0f8258cc0eac0"),
+    # JSON reports keep their config's types: integer Q and seed, and a
+    # null precision outside enclosure mode.
+    ("pairwise --Q 40 --m 2 --psi const:1/4 --y const:1/5 --format json",
+     "46a1c89a20dcec220fabf4b43bc5b7bf496a7f6086963d0db6b039613a511fdb"),
+    ("pairwise --Q 40 --psi pow:1/2,1 --mode enclosure --precision 64 --format json",
+     "3e112f0e915acea296c38bec570adeaeb2a87c3950bb22a34f063323f9180875"),
+    ("mc --q-range 2,3,6 --psi const:1/4 --samples 2000 --seed 7 --format json",
+     "5edea1fc5f37c6e1f10cd386bbab511bb4d4cfb378bd64f09e586475dee76000"),
+    ("equidist --Q 30 --psi const:1/4 --y const:1/3 --windows 0:1/3,1/4:3/4 --format json",
+     "0cf03b743a3ed06cd0c4a37b82f7e7e5a87102347e57cb1ab3f24d4e00a80354"),
     ("phigcd --q 6 --m 3",
      "a64c1b48b7addbd68bd67ce864ee24e8e3dc2e60254a23f42bfe4cf88fee2c2c"),
     # 360 has 24 divisors.

@@ -2,11 +2,12 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from torusapprox import experiments, overlap
+from torusapprox import experiments, overlap, verification
 from torusapprox.approx import ApproxFunction, TargetSequence, build_approx_set, hit_test
 from torusapprox.arith import spf_table, totient, totient_range
 from torusapprox.errors import BudgetError, IdentityError
@@ -99,6 +100,25 @@ def test_quasi_ladder_line_pinned():
         "ratio(64) ~ 1.035396478 (exact rational checked); "
         "bit-identical for workers (1, 2)"
     )
+
+
+def test_quasi_ladder_takes_its_family_from_the_fixture(monkeypatch):
+    fixture = experiments.load_baselines()
+    fixture["quasi_ladder"].update(family="const:1/4", m=2, target="const:1/3,0")
+    monkeypatch.setattr(verification, "load_baselines", lambda: fixture)
+    seen = []
+
+    class Stop(Exception):
+        pass
+
+    def ladder(psi, target, m, ladder):
+        seen.append((psi.describe(), target.describe(), target.m, m))
+        raise Stop  # before any scan runs
+
+    monkeypatch.setattr(verification, "quasi_independence_ladder", ladder)
+    with pytest.raises(Stop):
+        check_quasi_ladder(ladder=(16,))
+    assert seen == [("const:1/4", "const:1/3,0/1", 2, 2)]
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -416,10 +436,7 @@ MC_PINNED = [
 @pytest.mark.parametrize("m, spec, comps, q_range, seed, hits", MC_PINNED)
 def test_mc_inline_draws_match_unit_sample(m, spec, comps, q_range, seed, hits):
     psi = ApproxFunction.parse(spec)
-    cfg = ExperimentConfig(
-        Q=max(q_range) + 1, psi=psi, target=TargetSequence.constant(comps, m), m=m, seed=seed,
-    )
-    report = mc_coverage(cfg, q_range, 4000)
+    report = mc_coverage(psi, TargetSequence.constant(comps, m), q_range, 4000, seed=seed)
     assert report.hits == hits
     expected = sum(
         any(
@@ -441,23 +458,20 @@ def test_draws_match_unit_sample_across_batches(seed):
 
 
 def test_mc_determinism_and_exact_zero():
-    cfg = ExperimentConfig(Q=3, psi=CONST4, target=ZERO1, seed=5)
-    first = mc_coverage(cfg, [2], 2000)
-    second = mc_coverage(cfg, [2], 2000)
+    first = mc_coverage(CONST4, ZERO1, [2], 2000, seed=5)
+    second = mc_coverage(CONST4, ZERO1, [2], 2000, seed=5)
     assert first.hits == second.hits
     zero_psi = ApproxFunction.constant(0)
-    report = mc_coverage(ExperimentConfig(Q=3, psi=zero_psi, target=ZERO1), [2], 2000)
+    report = mc_coverage(zero_psi, ZERO1, [2], 2000)
     assert report.estimate == 0.0
 
 
 def test_mc_grid_mode_exact_for_aligned_set():
-    cfg = ExperimentConfig(Q=3, psi=CONST4, target=ZERO1)
-    report = mc_coverage(cfg, [2], 2000, mode="grid")
+    report = mc_coverage(CONST4, ZERO1, [2], 2000, mode="grid")
     # grid midpoints hit [3/8, 5/8) in exactly 1/4 of the cases
     assert report.hits == 500
     with pytest.raises(ValueError):
-        mc_coverage(ExperimentConfig(Q=3, psi=CONST4, target=TargetSequence.zero(2), m=2),
-                    [2], 2000, mode="grid")
+        mc_coverage(CONST4, TargetSequence.zero(2), [2], 2000, mode="grid")
 
 
 @pytest.mark.parametrize("q_range, psi, y, samples", [
@@ -471,9 +485,8 @@ def test_mc_grid_mode_exact_for_aligned_set():
     ((4,), F(1, 10), F(1, 5), 1500),
 ])
 def test_mc_grid_counts_arc_ends_exactly(q_range, psi, y, samples):
-    cfg = ExperimentConfig(Q=max(q_range) + 1, psi=ApproxFunction.constant(psi),
-                           target=TargetSequence.constant([y], 1))
-    report = mc_coverage(cfg, q_range, samples, mode="grid")
+    report = mc_coverage(ApproxFunction.constant(psi), TargetSequence.constant([y], 1),
+                         q_range, samples, mode="grid")
     expected = sum(
         any(hit_test(F(2 * i + 1, 2 * samples), q, psi, y) for q in q_range)
         for i in range(samples)
@@ -482,11 +495,11 @@ def test_mc_grid_counts_arc_ends_exactly(q_range, psi, y, samples):
 
 
 def test_mc_builds_tables_per_batch_and_charges_them_to_the_cap(monkeypatch):
-    cfg = ExperimentConfig(Q=8, psi=ApproxFunction.constant(F(1, 5)),
-                           target=TargetSequence.constant([F(1, 3), F(0)], 2), m=2, seed=3)
+    run = partial(mc_coverage, ApproxFunction.constant(F(1, 5)),
+                  TargetSequence.constant([F(1, 3), F(0)], 2), [3, 5, 7], 5000, seed=3)
     # 5000 points of m = 2 are 3 batches; each q reads two tables, of
     # q + 2 steps each.
-    report = mc_coverage(cfg, [3, 5, 7], 5000)
+    report = run()
     assert (report.tables, report.entries) == (3 * 6, 3 * 2 * (5 + 7 + 9))
     built = []
     monkeypatch.setattr(experiments, "_arc_units", lambda q, *rest: built.append(q) or [])
@@ -494,7 +507,7 @@ def test_mc_builds_tables_per_batch_and_charges_them_to_the_cap(monkeypatch):
     # refused before its first table.
     monkeypatch.setattr(experiments, "_MC_WORK_CAP", 5000 * 3 * 2 + 2 * report.entries // 3)
     with pytest.raises(BudgetError):
-        mc_coverage(cfg, [3, 5, 7], 5000)
+        run()
     assert built == [3, 3, 5, 5, 7, 7] * 2
 
 
@@ -518,12 +531,10 @@ def test_arc_units_match_hit_test_at_every_unit():
 
 
 def test_mc_validation():
-    cfg = ExperimentConfig(Q=3, psi=CONST4, target=ZERO1)
     with pytest.raises(ValueError):
-        mc_coverage(cfg, [2], 100)  # too few samples
+        mc_coverage(CONST4, ZERO1, [2], 100)  # too few samples
     with pytest.raises(ValueError):
-        mc_coverage(ExperimentConfig(Q=3, psi=CONST4, target=TargetSequence.zero(4), m=4),
-                    [2], 2000)
+        mc_coverage(CONST4, TargetSequence.zero(4), [2], 2000)
 
 
 def test_mc_three_sigma_calibration_block():
@@ -531,13 +542,8 @@ def test_mc_three_sigma_calibration_block():
     from torusapprox.counterexample import BlockSchedule, build_counterexample
 
     inst = build_counterexample(BlockSchedule(blocks=1, eps=(F(1, 2),)))
-    cfg = ExperimentConfig(
-        Q=7,
-        psi=ApproxFunction.counterexample(inst),
-        target=TargetSequence.counterexample(inst),
-        seed=3,
-    )
-    report = mc_coverage(cfg, [2, 3, 6], 20000)
+    report = mc_coverage(ApproxFunction.counterexample(inst),
+                         TargetSequence.counterexample(inst), [2, 3, 6], 20000, seed=3)
     lo, hi = report.wilson3s
     assert lo <= 1 / 3 <= hi
 
@@ -547,8 +553,7 @@ def test_mc_hundred_seed_calibration():
     exact = float(F(1, 4))
     inside = 0
     for seed in range(100):
-        cfg = ExperimentConfig(Q=3, psi=CONST4, target=ZERO1, seed=seed)
-        report = mc_coverage(cfg, [2], 10_000)
+        report = mc_coverage(CONST4, ZERO1, [2], 10_000, seed=seed)
         lo, hi = report.wilson3s
         inside += lo <= exact <= hi
     assert inside >= 99
@@ -577,29 +582,26 @@ def test_coordinate_rows_build_each_row_once(monkeypatch, target):
 
 
 def test_equidistribution_scan_is_an_iterator_checked_at_the_call():
-    cfg = ExperimentConfig(Q=5, psi=CONST4, target=ZERO1)
-    scan = equidistribution_scan(cfg, [(0, F(1, 2)), (F(1, 4), 1)])
+    scan = equidistribution_scan(5, CONST4, ZERO1, [(0, F(1, 2)), (F(1, 4), 1)])
     assert iter(scan) is scan
     assert [(row.q, row.window) for row in scan][:3] == [
         (1, (0, F(1, 2))), (1, (F(1, 4), 1)), (2, (0, F(1, 2))),
     ]
     with pytest.raises(ValueError, match="given twice"):
-        equidistribution_scan(cfg, [(0, F(1, 2)), (0, F(1, 2))])
+        equidistribution_scan(5, CONST4, ZERO1, [(0, F(1, 2)), (0, F(1, 2))])
+    with pytest.raises(ValueError, match="Q must be >= 1"):
+        equidistribution_scan(0, CONST4, ZERO1, [(0, 1)])
 
 
 def test_equidistribution_scan():
     table = ApproxFunction.from_table({5: F(1, 5)})
-    cfg = ExperimentConfig(Q=5, psi=table, target=ZERO1)
-    scan = list(equidistribution_scan(cfg, [(0, F(1, 2))]))
+    scan = list(equidistribution_scan(5, table, ZERO1, [(0, F(1, 2))]))
     assert [(row.q, row.deviation) for row in scan] == [(5, 0)]
-    full = equidistribution_scan(
-        ExperimentConfig(Q=30, psi=CONST4, target=ZERO1), [(0, 1)]
-    )
+    full = equidistribution_scan(30, CONST4, ZERO1, [(0, 1)])
     assert max(row.deviation for row in full) == 0
     # odd primes with psi = 1/q split [0, 1/2] evenly
     for row in equidistribution_scan(
-        ExperimentConfig(Q=13, psi=ApproxFunction.power(1, 1, clip=False), target=ZERO1),
-        [(0, F(1, 2))],
+        13, ApproxFunction.power(1, 1, clip=False), ZERO1, [(0, F(1, 2))]
     ):
         if row.q in (3, 5, 7, 11, 13):
             assert row.deviation == 0

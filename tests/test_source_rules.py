@@ -13,7 +13,10 @@ public `TorusIntervalSet` method is read outside the class's public
 methods, or is on the allowlist of reference operations tests compare
 other code against.  The phi(gcd)
 brute force stays independent of the divisor identity it is checked
-against: it names no factorization, totient or divisor-form helper.  The
+against: it names no factorization, totient or divisor-form helper; so
+does the brute-force f(c) histogram against the closed form, which also
+names no sieved residue list.  `ExperimentConfig` configures the pairwise
+scan alone, so only the scan's callers construct one.  The
 Monte Carlo hit count and its arc tables use no float, so every count is
 exact on the points drawn, and the tables are read off the approximation
 sets, so the package keeps one interval encoding.
@@ -98,15 +101,41 @@ def test_every_public_torus_method_has_a_reader_in_the_package():
     assert sorted(set(public) - read - references) == []
 
 
+def _names_in(module: str, function: str) -> set[str]:
+    """The names and attributes a top-level function of a module reads."""
+    tree = ast.parse((PACKAGE / module).read_text())
+    (body,) = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == function]
+    named = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+    return named | {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
+
+
 def test_phigcd_brute_force_names_no_factorization_or_totient():
     banned = {"factorize", "factorize_with_table", "spf_table", "totient",
               "totient_range", "_divisor_form", "_divisor_forms"}
-    tree = ast.parse((PACKAGE / "experiments.py").read_text())
-    (brute,) = [node for node in tree.body
-                if isinstance(node, ast.FunctionDef) and node.name == "_phigcd_brute"]
-    named = {node.id for node in ast.walk(brute) if isinstance(node, ast.Name)}
-    named |= {node.attr for node in ast.walk(brute) if isinstance(node, ast.Attribute)}
-    assert sorted(named & banned) == []
+    assert sorted(_names_in("experiments.py", "_phigcd_brute") & banned) == []
+
+
+def test_pair_histogram_names_no_factorization_or_totient():
+    banned = {"factorize", "factorize_with_table", "spf_table", "totient",
+              "coprime_residues"}
+    assert sorted(_names_in("overlap.py", "coprime_pair_histogram") & banned) == []
+
+
+def test_only_the_scans_callers_construct_an_experiment_config():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "ExperimentConfig" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)
+                ):
+                    found.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert sorted(found) == [
+        "cli._cmd_pairwise",
+        "experiments.quasi_independence_ladder",
+        "verification.check_quasi_ladder",
+    ]
 
 
 def test_piece_cap_policy_is_written_once():

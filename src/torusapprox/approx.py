@@ -86,15 +86,12 @@ def build_approx_set(q: int, psi_q, y_q) -> TorusIntervalSet:
     arcs starting at or past 1 are a suffix of `coprime_residues(q)`, found
     by one bisect, and rotating that suffix (shifted down by den) to the
     front lists the starts in order: no arc is reduced mod 1 and nothing is
-    sorted.  Up to psi = 1/2 only the last arc can cross 1, so its two
-    halves are written around the other ends, its part past 1, [0, tail),
-    joining the first piece when that starts at tail.  Below psi = 1/2 no
-    two arcs touch and the ends are the interleaved starts and ends.  At
-    psi = 1/2 arcs of consecutive residues touch end to end, so the pieces
-    are the runs of starts one scale apart, cut at the larger gaps.  Above
-    psi = 1/2 arcs may overlap: the arcs crossing 1 leave [0, tail) in
-    front, and one pass of the torus union merge joins the arcs, whose ends
-    (capped at 1) never decrease.
+    sorted.  Below psi = 1/2 no two arcs touch: the ends are the
+    interleaved starts and ends, and only the last arc can cross 1, its
+    part past 1, [0, tail), written in front.  From psi = 1/2 arcs touch or
+    overlap: the arcs crossing 1 leave [0, tail) in front, and one pass of
+    the torus union merge joins the arcs, whose ends (capped at 1) never
+    decrease.
 
     Refuses q above the piece cap before building anything.
     """
@@ -126,40 +123,24 @@ def _build_approx_set(q: int, psi_q, y_q, residues) -> TorusIntervalSet:
     wrap = off - den
     starts = [a * scale + wrap for a in residues[k:]]
     starts += [a * scale + off for a in residues[:k]]
-    if length < scale:
-        # No two arcs touch.  The gap cut below, at gaps > length, would give
-        # these same interleaved ends, but slice assignment writes them three
-        # to four times faster, and most builds are below psi = 1/2.
-        ends = [0] * (2 * len(starts))
-        ends[0::2] = starts
-        ends[1::2] = [lo + length for lo in starts]
-    elif length == scale:
-        # Consecutive starts differ by a multiple of scale = length, so two
-        # arcs touch exactly when their starts are scale apart: a piece ends
-        # and the next begins at each larger gap.
-        ends = [starts[0]]
-        ends += [
-            end
-            for lo, hi in zip(starts, starts[1:])
-            if hi - lo > scale
-            for end in (lo + scale, hi)
-        ]
-        ends.append(starts[-1] + scale)
-    else:
+    if length >= scale:
+        # Arcs may touch or overlap; one pass of the merge joins them.
         crossing = bisect_right(starts, den - length)
         his = [lo + length for lo in starts[:crossing]]
         his += [den] * (len(starts) - crossing)
         ends = [0, starts[-1] + length - den] if crossing < len(starts) else []
         return _reduced(den, _merge(zip(starts, his), ends))
-    # Only the last arc can cross 1.  Its part past 1, [0, tail), joins the
-    # first piece when that starts at tail, which only psi = 1/2 allows.
+    # No two arcs touch, so the ends interleave; slice assignment writes them
+    # three to four times faster than the merge, and most builds are here.
+    ends = [0] * (2 * len(starts))
+    ends[0::2] = starts
+    ends[1::2] = [lo + length for lo in starts]
+    # Only the last arc can cross 1.  Its part past 1, [0, tail), ends at
+    # least scale - length > 0 before the first start.
     tail = ends[-1] - den
     if tail > 0:
         ends[-1] = den
-        if ends[0] == tail:
-            ends[0] = 0
-        else:
-            ends[:0] = (0, tail)
+        ends[:0] = (0, tail)
     return _reduced(den, ends)
 
 
@@ -260,15 +241,19 @@ def _spec_parts(text: str, kind: str, heads, bare: str) -> tuple[str, str, str]:
 
 
 def _read_table(path, width: int) -> dict[int, list[Fraction]]:
-    """The rows "q,v1,...,v_width" of a CSV file, less blanks and # comments."""
+    """The rows "q,v1,...,v_width" of a CSV file, less blanks and # comments;
+    a row of another width or a q given twice is refused."""
     mapping = {}
     with open(path, newline="") as handle:
         for row in csv.reader(handle):
             if not row or row[0].startswith("#"):
                 continue
-            if len(row) <= width:
+            if len(row) != width + 1:
                 raise ValueError(f"table row {row!r} needs q and {width} value(s)")
-            mapping[int(row[0])] = [parse_rational(v) for v in row[1 : width + 1]]
+            q = int(row[0])
+            if q in mapping:
+                raise ValueError(f"table gives q = {q} twice")
+            mapping[q] = [parse_rational(v) for v in row[1:]]
     return mapping
 
 
@@ -411,6 +396,8 @@ class TargetSequence(_Family):
             comps = tuple(Fraction(v) for v in vec)
             if len(comps) != m:
                 raise ValueError("table row dimension mismatch")
+            if int(q) < 1:
+                raise ValueError("table entries need q >= 1")
             table[int(q)] = comps
         return cls(m, spec, table=table, default=(_ZERO,) * m)
 

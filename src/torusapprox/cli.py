@@ -460,11 +460,11 @@ def _cmd_mc(args) -> int:
     psi = _psi_from(args)
     target = _target_from(args, m)
     start = time.perf_counter()
-    report = mc_coverage(psi, target, q_range, args.samples, seed=args.seed,
-                         mode="grid" if args.grid else "random")
+    mode = "grid" if args.grid else "random"
+    report = mc_coverage(psi, target, q_range, args.samples, seed=args.seed, mode=mode)
     elapsed = time.perf_counter() - start
     row = {
-        "samples": report.samples,
+        "samples": args.samples,
         "hits": report.hits,
         "estimate": repr(report.estimate),
         "wilson95_lo": repr(report.wilson95[0]),
@@ -476,7 +476,7 @@ def _cmd_mc(args) -> int:
     # no report byte moves (CHANGES.md, the FOUND line on unread header keys).
     config = {"subcommand": "mc", "q_range": text, "Q": q_top + 1, "precision": None,
               "m": m, "psi": psi.describe(), "target": target.describe(),
-              "mode": report.mode, "seed": args.seed}
+              "mode": mode, "seed": args.seed}
     _emit(list(row), [row], config, args.format, args.out)
     print(f"tables={report.tables} entries={report.entries} seconds={elapsed:.3f}",
           file=sys.stderr)

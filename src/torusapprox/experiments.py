@@ -625,17 +625,19 @@ def _wilson(hits: int, n: int, z: float) -> tuple[float, float]:
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
     half = z * math.sqrt(p * (1.0 - p) / n + z * z / (4 * n * n)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    # At hits = 0 (or n) the bound center - half (or center + half) is 0 (or
+    # 1) exactly, but float rounding can land it off by an ulp.
+    lo = 0.0 if hits == 0 else max(0.0, center - half)
+    hi = 1.0 if hits == n else min(1.0, center + half)
+    return lo, hi
 
 
 @dataclass(frozen=True)
 class McReport:
-    samples: int
     hits: int
     estimate: float
     wilson95: tuple[float, float]
     wilson3s: tuple[float, float]
-    mode: str
     tables: int  # arc table builds, one per batch, q and target component
     entries: int  # their steps, q + 2 each, charged to _MC_WORK_CAP
 
@@ -753,12 +755,10 @@ def mc_coverage(psi: ApproxFunction, target: TargetSequence, q_range, samples: i
         found, built, steps = _mc_hits(units, m, per_q, scale, _MC_WORK_CAP - tests - entries)
         hits, tables, entries = hits + found, tables + built, entries + steps
     return McReport(
-        samples=samples,
         hits=hits,
         estimate=hits / samples,
         wilson95=_wilson(hits, samples, 1.959963984540054),
         wilson3s=_wilson(hits, samples, 3.0),
-        mode=mode,
         tables=tables,
         entries=entries,
     )

@@ -740,19 +740,31 @@ def _p6_file(**block_fields) -> str:
     return json.dumps(obj)
 
 
-@pytest.mark.parametrize("kind,text", [
-    ("cx", _p6_file(psi={"3": "1/4", "6": "1/2"})),
-    ("cx", _p6_file(psi={"2": "1/6", "3": "1/4", "5": "5/12", "6": "1/2"})),
-    ("cx", json.dumps({"mode": "explicit"})),
-    ("cx", _p6_file(divisors="abc")),
-    ("cx", "[]"),
-    ("table", "5\n"),
+PSI_FILE = "measure --q 2 --psi {}"
+Y_FILE = "measure --q 2 --psi const:1/4 --y {}"
+
+
+@pytest.mark.parametrize("command,kind,text", [
+    (PSI_FILE, "cx", _p6_file(psi={"3": "1/4", "6": "1/2"})),
+    (PSI_FILE, "cx", _p6_file(psi={"2": "1/6", "3": "1/4", "5": "5/12", "6": "1/2"})),
+    (PSI_FILE, "cx", json.dumps({"mode": "explicit"})),
+    (PSI_FILE, "cx", _p6_file(divisors="abc")),
+    (PSI_FILE, "cx", "[]"),
+    (PSI_FILE, "table", "5\n"),
+    (PSI_FILE, "table", "2,1/4\n2,1/3\n"),
+    (PSI_FILE, "table", "2,1/4,extra\n"),
+    (Y_FILE, "table", "2,1/5\n3,1/7\n2,1/5\n"),
+    (Y_FILE, "table", "0,1/2\n"),
+    (Y_FILE, "table", "-4,1/5\n"),
+    ("pairwise --Q 8 --m 2 --psi const:1/4 --y {}", "table", "2,1/5,1/3,1/7\n"),
 ], ids=["cx-psi-2-missing", "cx-psi-5-extra", "cx-no-blocks", "cx-divisors-str",
-        "cx-json-list", "table-one-column"])
-def test_bad_input_files_exit_2_with_one_line(capsys, tmp_path, kind, text):
+        "cx-json-list", "table-one-column", "table-q-twice", "table-extra-column",
+        "target-table-q-twice", "target-table-q-0", "target-table-q-negative",
+        "target-table-wider-than-m"])
+def test_bad_input_files_exit_2_with_one_line(capsys, tmp_path, command, kind, text):
     path = tmp_path / "input"
     path.write_text(text)
-    code, out, err = run_capture(capsys, ["measure", "--q", "2", "--psi", f"{kind}:{path}"])
+    code, out, err = run_capture(capsys, command.format(f"{kind}:{path}").split())
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("usage error: ")

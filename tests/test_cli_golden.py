@@ -38,6 +38,14 @@ GOLDEN = [
      "354c52a41556dec808ea155640388888ef8f671f92dc06baae0bdeffef09e73f"),
     ("measure --q 3 --psi const:2 --y zero",
      "6a5173417c4586b13c0ec247b8118874ba040bbad727217de4f03af2422169d0"),
+    # Touching arcs whose last run straddles 1 (residues 7 and 8 at y = 2),
+    # and overlapping arcs whose merged run crosses 1 (measure 5/6).
+    ("measure --q 9 --psi const:1/2 --y const:2",
+     "9882ac99e7421452c719b1bde65bf13ee9b43620af01f7a8b74a97c5f59a171f"),
+    ("measure --q 9 --psi const:3/4 --y const:2/3",
+     "be9686902df1ab23576945608b3dffc6f77f953fbe0d4b55001b5a681866e659"),
+    ("overlap --q 12 --r 9 --psi const:1/2 --y const:1/5",
+     "8d0d69793f8927ee7af1b59bfbcb5fa9b01c4058ed5542a14ea497c7ad7b28a7"),
     ("overlap --q 12 --r 18 --psi const:1/4 --y const:1/3",
      "45219c07ed33ad99d0d1a76a488a610a26692ffd551e1ca98d860d50013698f4"),
     ("pairwise --Q 40 --m 2 --psi const:1/4 --y const:1/5", PAIRWISE_M2),
@@ -53,6 +61,9 @@ GOLDEN = [
      "47246124dd4c7a879b8c40fa621e8a3dfce7e6ab6881e4f6aeb575f3721ef347"),
     ("equidist --Q 30 --psi const:1/4 --y const:1/3 --windows 0:1/3,1/4:3/4 --per-q",
      "c6dc0ef003761dacb417ea30fc05e0ef34391ae137fe692ec9ab236c4542f3b0"),
+    # Touching arcs against windows, one of them ending at 1.
+    ("equidist --Q 30 --psi const:1/2 --y const:1/3 --windows 0:1/2,1/3:1 --per-q",
+     "5eb8b728d934157b5f041c9889a71b8c876049848518628ccb08612fa03104cd"),
     ("msum --ladder 16,32 --m 3 --psi div3",
      "9064102a8fdd94dfb53bef38f530f895214261cce21ad9af740dc36ff83a6543"),
     ("mc --q-range 2,3,6 --psi const:1/4 --samples 2000 --seed 7",

@@ -466,6 +466,21 @@ def test_mc_determinism_and_exact_zero():
     assert report.estimate == 0.0
 
 
+def test_wilson_interval_reaches_0_and_1_exactly():
+    # Rounding left 2.2e-19 at 0 hits of 1000 and 1 - 2**-53 at 7919 of 7919.
+    for z in (1.959963984540054, 3.0):
+        for n in range(1000, 20001, 7):
+            lo, hi = experiments._wilson(0, n, z)
+            assert lo == 0.0 and 0.0 < hi < 1.0
+            lo, hi = experiments._wilson(n, n, z)
+            assert 0.0 < lo < 1.0 and hi == 1.0
+    report = mc_coverage(ApproxFunction.constant(0), ZERO1, [5], 1000)
+    assert report.wilson95[0] == report.wilson3s[0] == 0.0
+    report = mc_coverage(ApproxFunction.constant(F(1, 2)), ZERO1, [1], 7919)
+    assert report.hits == 7919
+    assert report.wilson95[1] == report.wilson3s[1] == 1.0
+
+
 def test_mc_grid_mode_exact_for_aligned_set():
     report = mc_coverage(CONST4, ZERO1, [2], 2000, mode="grid")
     # grid midpoints hit [3/8, 5/8) in exactly 1/4 of the cases

@@ -282,8 +282,9 @@ def _cmd_pairwise(args) -> int:
     target = _target_from(args, m)
     cfg = ExperimentConfig(Q=q_max, psi=psi, target=target, m=m, **_given(
         mode=args.mode, precision=args.precision, workers=args.workers,
-        exact_q_cap=args.exact_cap,
     ))
+    if args.exact_cap is not None:
+        cfg.exact_q_cap = args.exact_cap
     start = time.perf_counter()
     report = pairwise_overlap_sum(cfg)
     elapsed = time.perf_counter() - start
@@ -296,7 +297,7 @@ def _cmd_pairwise(args) -> int:
     }
     _emit(list(row), [row], report.config, args.format, args.out)
     print(
-        f"workers={cfg.workers}\n"
+        f"workers={report.workers}\n"
         f"pairs closed_form={report.closed_form_pairs} merge={report.merge_pairs} "
         f"seconds={elapsed:.3f}",
         file=sys.stderr,

@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -36,7 +35,6 @@ from .torus import TorusIntervalSet
 _DIVISOR_CAP = 1 << 16
 
 
-@dataclass(frozen=True)
 class BlockSchedule:
     """How many blocks to build and how aggressively.
 
@@ -47,22 +45,26 @@ class BlockSchedule:
     property used downstream, disjointness of the blocks' prime sets.
     """
 
-    blocks: int
-    eps: tuple[Fraction, ...] | None = None
-    mode: str = "product"
+    __slots__ = ("blocks", "eps", "mode")
 
-    def __post_init__(self):
-        if self.blocks < 1:
+    def __init__(self, blocks: int, eps: tuple[Fraction, ...] | None = None,
+                 mode: str = "product"):
+        if blocks < 1:
             raise ValueError("need at least one block")
-        if self.mode not in ("product", "prime"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.eps is not None:
-            eps = tuple(Fraction(e) for e in self.eps)
-            if len(eps) != self.blocks:
+        if mode not in ("product", "prime"):
+            raise ValueError(f"unknown mode {mode!r}")
+        if eps is not None:
+            eps = tuple(Fraction(e) for e in eps)
+            if len(eps) != blocks:
                 raise ValueError("eps sequence length must equal the block count")
             if any(not 0 < e <= 1 for e in eps):
                 raise ValueError("eps values must lie in (0, 1]")
-            object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "mode", mode)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("BlockSchedule is immutable")
 
     def eps_for(self, j: int) -> Fraction:
         if self.eps is not None:
@@ -70,8 +72,7 @@ class BlockSchedule:
         return Fraction(1, 2**j)
 
 
-@dataclass
-class Block:
+class Block(NamedTuple):
     index: int
     primes: tuple[int, ...]
     P: int
@@ -94,7 +95,6 @@ def _block(index: int, primes: tuple[int, ...], eps: Fraction) -> Block:
     return Block(index, primes, P, eps, Fraction(phi, P), count, divisors)
 
 
-@dataclass
 class CounterexampleInstance:
     """A fully explicit instance: blocks and residue choices.
 
@@ -103,9 +103,12 @@ class CounterexampleInstance:
     other q takes a = 1, or a = 0 when q = P_j.
     """
 
-    mode: str
-    blocks: list[Block]
-    residue: dict[int, int] = field(default_factory=dict)
+    __slots__ = ("mode", "blocks", "residue")
+
+    def __init__(self, mode: str, blocks: list[Block]):
+        self.mode = mode
+        self.blocks = blocks
+        self.residue: dict[int, int] = {}
 
     def block(self, j: int) -> Block:
         if not 1 <= j <= len(self.blocks):

@@ -35,12 +35,12 @@ from array import array
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from importlib import resources
 from itertools import repeat
 from operator import mul
+from typing import NamedTuple
 
 from .approx import (
     _check_dimension, _check_piece_cap, ApproxFunction, TargetSequence, build_approx_set,
@@ -134,7 +134,6 @@ def _draws(seed: int, start: int, count: int) -> array:
 # -- guaranteed enclosure accumulation ------------------------------------------
 
 
-@dataclass
 class Enclosure:
     """Sum of values rounded outward onto a dyadic grid.
 
@@ -142,9 +141,12 @@ class Enclosure:
     the enclosure does not depend on how terms were grouped.
     """
 
-    bits: int
-    lo_units: int = 0  # multiples of 2**-bits
-    hi_units: int = 0
+    __slots__ = ("bits", "lo_units", "hi_units")
+
+    def __init__(self, bits: int):
+        self.bits = bits
+        self.lo_units = 0  # multiples of 2**-bits
+        self.hi_units = 0
 
     def add(self, num: int, den: int) -> None:
         """Add num/den (den > 0, reduced or not): floor and ceil of
@@ -167,37 +169,40 @@ class Enclosure:
 # -- configuration ----------------------------------------------------------------
 
 
-@dataclass
 class ExperimentConfig:
-    """The configuration of the pairwise scan, `pairwise_overlap_sum`."""
+    """The configuration of the pairwise scan, `pairwise_overlap_sum`.
 
-    Q: int
-    psi: ApproxFunction
-    target: TargetSequence
-    m: int = 1
-    mode: str = "exact"  # or "enclosure"
-    precision: int = 128
-    workers: int = 1
-    exact_q_cap: int = DEFAULT_EXACT_Q_CAP
+    Exact mode refuses Q past `exact_q_cap`, DEFAULT_EXACT_Q_CAP unless the
+    attribute is set after construction (the CLI's --exact-cap): no
+    function takes a cap as a parameter."""
 
-    def __post_init__(self):
-        if self.Q < 2:
+    __slots__ = ("Q", "psi", "target", "m", "mode", "precision", "workers", "exact_q_cap")
+
+    def __init__(self, Q: int, psi: ApproxFunction, target: TargetSequence, m: int = 1,
+                 mode: str = "exact", precision: int = 128, workers: int = 1):
+        if Q < 2:
             raise ValueError("Q must be >= 2")
-        _check_dimension(self.m)
-        if self.target.m != self.m:
-            raise ValueError(
-                f"target dimension {self.target.m} does not match m={self.m}"
-            )
-        if self.mode not in ("exact", "enclosure"):
-            raise ValueError(f"unknown accumulation mode {self.mode!r}")
-        if self.mode == "enclosure" and self.precision < 64:
+        _check_dimension(m)
+        if target.m != m:
+            raise ValueError(f"target dimension {target.m} does not match m={m}")
+        if mode not in ("exact", "enclosure"):
+            raise ValueError(f"unknown accumulation mode {mode!r}")
+        if mode == "enclosure" and precision < 64:
             raise ValueError("enclosure precision must be at least 64 bits")
-        if self.workers < 1:
+        if workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.mode == "enclosure" and self.precision > _PRECISION_CAP:
+        if mode == "enclosure" and precision > _PRECISION_CAP:
             raise BudgetError(f"enclosure precision is capped at {_PRECISION_CAP} bits")
-        if self.workers > _WORKER_CAP:
+        if workers > _WORKER_CAP:
             raise BudgetError(f"workers are capped at {_WORKER_CAP}")
+        self.Q = Q
+        self.psi = psi
+        self.target = target
+        self.m = m
+        self.mode = mode
+        self.precision = precision
+        self.workers = workers
+        self.exact_q_cap = DEFAULT_EXACT_Q_CAP
 
     def describe(self) -> dict:
         return {
@@ -248,6 +253,12 @@ def _plan(pattern_q: tuple, pattern_r: tuple) -> tuple:
     return tuple((i, j, k) for (i, j), k in Counter(zip(pattern_q, pattern_r)).items())
 
 
+def _closed_form_flags(psi: ApproxFunction, Q: int) -> list[bool]:
+    """flags[q] for q <= Q: whether psi(q) <= 1/2.  The closed form takes a
+    pair when both its flags are set, and the interval merge the others."""
+    return [False] + [psi(q) <= _HALF for q in range(1, Q + 1)]
+
+
 def _merge_set(sets: dict, row: tuple):
     """The interval set of a row, built on first use and kept in sets under
     its q and target."""
@@ -275,8 +286,7 @@ def _pairwise_worker(payload) -> tuple[object, tuple[int, int]]:
     multiplicity."""
     cfg, worker_index, worker_count = payload
     rows = _coordinate_rows(cfg)
-    # The closed form needs psi <= 1/2 on both sides of a pair.
-    closed = [False] + [cfg.psi(q) <= _HALF for q in range(1, cfg.Q + 1)]
+    closed = _closed_form_flags(cfg.psi, cfg.Q)
     merged = partial(_merge_units, {})
     plans: dict[tuple, dict] = {}
     pairs = merge_pairs = 0
@@ -343,8 +353,7 @@ class ProcessPoolExecutor:
         return self._pool.map(fn, *iterables)
 
 
-@dataclass
-class SumReport:
+class SumReport(NamedTuple):
     config: dict
     pair_sum: object  # Fraction, or (lo, hi) bounds in enclosure mode
     measure_sum: Fraction
@@ -353,9 +362,11 @@ class SumReport:
     # Exact mode: (r, sum over q < r of the pair's overlap) for r <= Q.
     row_sums: tuple = ()
     # Pairs q < r whose overlap came from the closed form f(c) / from the
-    # interval merge; execution detail, not part of the report.
+    # interval merge, and the worker processes (or 1, in-process) that ran
+    # them; execution detail, not part of the report.
     closed_form_pairs: int = 0
     merge_pairs: int = 0
+    workers: int = 1
 
 
 def pairwise_overlap_sum(cfg: ExperimentConfig) -> SumReport:
@@ -409,29 +420,46 @@ def pairwise_overlap_sum(cfg: ExperimentConfig) -> SumReport:
         row_sums=row_sums,
         closed_form_pairs=sum(counts[0] for _, counts in results),
         merge_pairs=sum(counts[1] for _, counts in results),
+        workers=worker_count,
     )
+
+
+def _check_ladder(ladder) -> None:
+    """Refuse a ladder value below 2, or one given twice: `msum` would list
+    it twice in its header over one row, as a window given twice is refused
+    by `equidistribution_scan`."""
+    if min(ladder) < 2:
+        raise ValueError("ladder values must be >= 2")
+    seen = set()
+    for value in ladder:
+        if value in seen:
+            raise ValueError(f"ladder value {value} is given twice")
+        seen.add(value)
 
 
 def quasi_independence_ladder(
     psi: ApproxFunction, target: TargetSequence, m: int, ladder
 ) -> list[SumReport]:
-    """pairwise_overlap_sum at each Q of a ladder, exact mode, read off one
-    scan at the top Q: the prefixes r <= Q of its rows and measures.  Every
-    report keeps that scan's pair counts."""
-    if min(ladder) < 2:
-        raise ValueError("ladder values must be >= 2")
+    """pairwise_overlap_sum at each Q of a ladder, exact mode and one
+    worker, read off one scan at the top Q: the prefixes r <= Q of its rows
+    and measures, and the pair counts of those prefixes."""
+    _check_ladder(ladder)
     q_top = max(ladder)
     top = pairwise_overlap_sum(ExperimentConfig(Q=q_top, psi=psi, target=target, m=m))
+    closed = _closed_form_flags(psi, q_top)
     reports = []
     for q_max in ladder:
         rows, measures = top.row_sums[:q_max], top.per_q_measures[:q_max]
         pair_sum = 2 * sum(row_sum for _, row_sum in rows)
         measure_sum = sum(measure for _, measure in measures)
-        reports.append(replace(
-            top, config=top.config | {"Q": q_max}, pair_sum=pair_sum,
+        flagged = sum(closed[: q_max + 1])
+        closed_form_pairs = flagged * (flagged - 1) // 2
+        reports.append(top._replace(
+            config=top.config | {"Q": q_max}, pair_sum=pair_sum,
             measure_sum=measure_sum,
             ratio=pair_sum / measure_sum**2 if measure_sum > 0 else None,
-            per_q_measures=measures, row_sums=rows,
+            per_q_measures=measures, row_sums=rows, closed_form_pairs=closed_form_pairs,
+            merge_pairs=q_max * (q_max - 1) // 2 - closed_form_pairs,
         ))
     return reports
 
@@ -439,8 +467,7 @@ def quasi_independence_ladder(
 # -- main-term sum check ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MainTermRow:
+class MainTermRow(NamedTuple):
     Q: int
     m: int
     pair_sum: Fraction
@@ -455,8 +482,7 @@ def main_term_sum_check(psi: ApproxFunction, m: int, ladder) -> list[MainTermRow
     Works from the `_overlap_row` of each q <= max(ladder); no per-pair
     identity checks, so ladders to Q = 512 stay cheap.
     """
-    if min(ladder) < 2:
-        raise ValueError("ladder values must be >= 2")
+    _check_ladder(ladder)
     _check_dimension(m)
     rows = _overlap_rows(max(ladder), psi)
     results = []
@@ -465,7 +491,7 @@ def main_term_sum_check(psi: ApproxFunction, m: int, ladder) -> list[MainTermRow
     # pending[den] = sum of num**m over the terms (num/den)**m.
     pending: dict[int, int] = {}
     rhs_base = Fraction(0)  # sum of the weights psi(q) phi(q) / q
-    ladder_sorted = sorted(set(ladder))
+    ladder_sorted = sorted(ladder)
     bound_index = 0
     for row_q in rows[1:]:
         q, _, phi_q, den_q, psi_q, _, _, _ = row_q
@@ -632,8 +658,7 @@ def _wilson(hits: int, n: int, z: float) -> tuple[float, float]:
     return lo, hi
 
 
-@dataclass(frozen=True)
-class McReport:
+class McReport(NamedTuple):
     hits: int
     estimate: float
     wilson95: tuple[float, float]
@@ -767,8 +792,7 @@ def mc_coverage(psi: ApproxFunction, target: TargetSequence, q_range, samples: i
 # -- equidistribution scans -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EquidistRow:
+class EquidistRow(NamedTuple):
     q: int
     window: tuple[Fraction, Fraction]
     ratio: Fraction

@@ -48,9 +48,9 @@ the oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
+from typing import NamedTuple
 
 from .approx import _check_piece_cap, build_approx_set
 from .arith import factorize, factorize_with_table, spf_table, totient
@@ -58,8 +58,7 @@ from .errors import BudgetError, IdentityError
 from .torus import measure_intersection
 
 
-@dataclass(frozen=True)
-class PairDecomposition:
+class PairDecomposition(NamedTuple):
     """ell/em/en splitting of a pair of moduli, with gcd, lcm and phi(gcd)."""
 
     q: int
@@ -441,8 +440,7 @@ def sifted_interval_count(x, y, n: int) -> tuple[int, Fraction, Fraction]:
     return count, Fraction(main_num, main_den), Fraction(gap, main_den)
 
 
-@dataclass(frozen=True)
-class OverlapReport:
+class OverlapReport(NamedTuple):
     """Everything the CLI prints for one pair."""
 
     q: int

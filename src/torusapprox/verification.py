@@ -9,8 +9,8 @@ these; a suite failure is a real failure, never a tolerance tweak.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .approx import (
     ApproxFunction,
@@ -57,8 +57,7 @@ from .rationals import format_rational
 from .torus import TorusIntervalSet, _overlap_units, measure_intersection
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str

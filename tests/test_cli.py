@@ -458,6 +458,16 @@ def test_only_pairwise_prints_its_worker_count(capsys):
     assert len(lines) == 2
 
 
+@pytest.mark.parametrize("Q,asked,ran", [("2", "3", "1"), ("3", "3", "2")])
+def test_pairwise_prints_the_workers_that_ran(capsys, Q, asked, ran):
+    # A scan runs at most Q - 1 workers, and a single worker runs
+    # in-process; the test above has the uncapped case.
+    code, _, err = run_capture(capsys, ["pairwise", "--Q", Q, "--psi", "const:1/4",
+                                        "--workers", asked])
+    assert code == 0
+    assert err.splitlines()[0] == f"workers={ran}"
+
+
 def test_mc_prints_its_tables_on_stderr_only(capsys):
     code, out, err = run_capture(capsys, ["mc", "--q-range", "2,3,6", "--psi", "const:1/4",
                                           "--samples", "2000", "--seed", "7"])
@@ -525,6 +535,7 @@ NAMED_OPTION = {
     "phigcd --limit 0": "ratio scan needs limit >= 1",
     "phigcd --limit -5": "ratio scan needs limit >= 1",
     "equidist --Q 5 --psi const:1/4 --windows 0:1/2,0:1/2": "window 0:1/2 is given twice",
+    "msum --ladder 5,5 --psi div3": "ladder value 5 is given twice",
     "equidist --Q 5 --psi const:1/4 --windows 0:1/2,1/4:3/4,0/3:2/4":
         "window 0:1/2 is given twice",
     # A modulus below 1 is refused by its flag, not by the engine's check.
@@ -546,6 +557,8 @@ NAMED_OPTION = {
     "overlap --q 0 --r 3 --psi const:1/4",
     "overlap --q 3 --r 0 --psi const:1/4",
     "msum --ladder 1,2 --psi div3",
+    # One row per ladder value: a value given twice is refused.
+    "msum --ladder 5,5 --psi div3",
     "phigcd --q 0",
     "sift --X 0 --Y 10 --n 0",
     "equidist --Q 0 --psi const:1/4",

@@ -1,4 +1,5 @@
 import math
+import pickle
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
@@ -24,7 +25,8 @@ from torusapprox.experiments import (
     quasi_independence_ladder,
     unit_sample,
 )
-from torusapprox.overlap import overlap_report, pair_overlap_exact
+from torusapprox.counterexample import BlockSchedule, build_counterexample
+from torusapprox.overlap import decompose_pair, overlap_report, pair_overlap_exact
 from torusapprox.torus import measure_intersection
 from torusapprox.verification import check_quasi_ladder
 
@@ -149,13 +151,31 @@ def test_quasi_ladder_reads_prefixes_of_one_scan(monkeypatch, workers):
         assert report.row_sums == alone.row_sums
         assert [r for r, _ in alone.row_sums] == list(range(1, q_max + 1))
         assert 2 * sum(row_sum for _, row_sum in alone.row_sums) == alone.pair_sum
+        # Field by field, pair counts too; the ladder's one scan ran in-process.
+        assert report._asdict() == alone._replace(workers=1)._asdict()
+
+
+@pytest.mark.parametrize("ladder", [(5, 5), (4, 8, 4), (3, 2, 7, 2)])
+def test_a_ladder_value_given_twice_is_refused(ladder):
+    twice = next(v for i, v in enumerate(ladder) if v in ladder[:i])
+    for check in (partial(main_term_sum_check, CONST4, 1),
+                  partial(quasi_independence_ladder, CONST4, ZERO1, 1)):
+        with pytest.raises(ValueError, match=f"^ladder value {twice} is given twice$"):
+            check(ladder)
+
+
+@pytest.mark.parametrize("Q, asked, ran", [(2, 3, 1), (3, 3, 2), (6, 2, 2), (6, 1, 1)])
+def test_sum_report_counts_the_workers_that_ran(Q, asked, ran):
+    report = pairwise_overlap_sum(ExperimentConfig(Q=Q, psi=CONST4, target=ZERO1, workers=asked))
+    assert report.workers == ran
+    assert report.closed_form_pairs == Q * (Q - 1) // 2
 
 
 def test_pairwise_exact_cap_refusal():
+    cfg = ExperimentConfig(Q=40, psi=CONST4, target=ZERO1)
+    cfg.exact_q_cap = 32
     with pytest.raises(BudgetError, match="enclosure"):
-        pairwise_overlap_sum(
-            ExperimentConfig(Q=40, psi=CONST4, target=ZERO1, exact_q_cap=32)
-        )
+        pairwise_overlap_sum(cfg)
 
 
 def test_ladder_past_the_exact_cap_refuses_before_building_a_set(monkeypatch):
@@ -180,6 +200,48 @@ def test_measure_sum_matches_each_coordinates_own_set():
     for q, value in report.per_q_measures:
         assert value == math.prod(build_approx_set(q, psi(q), y).measure() for y in target(q))
     assert report.measure_sum == sum(value for _, value in report.per_q_measures)
+
+
+def test_config_and_enclosure_survive_a_pickle_round_trip():
+    # The pool pickles each worker's config and returns its Enclosure.
+    cfg = ExperimentConfig(Q=9, psi=CONST4, target=TargetSequence.constant((F(1, 3),)),
+                           mode="enclosure", precision=80, workers=2)
+    cfg.exact_q_cap = 64
+    again = pickle.loads(pickle.dumps(cfg))
+    assert (again.Q, again.m, again.mode, again.precision, again.workers,
+            again.exact_q_cap) == (9, 1, "enclosure", 80, 2, 64)
+    assert again.describe() == cfg.describe()
+    assert pairwise_overlap_sum(again) == pairwise_overlap_sum(cfg)
+    enc = Enclosure(64)
+    enc.add(1, 3)
+    enc.add(-2, 7)
+    back = pickle.loads(pickle.dumps(enc))
+    assert (back.bits, back.lo_units, back.hi_units) == (enc.bits, enc.lo_units, enc.hi_units)
+    assert back.bounds() == enc.bounds()
+
+
+def test_records_refuse_assignment():
+    psi = ApproxFunction.constant(F(1, 4))
+    records = {
+        "PairDecomposition": (decompose_pair(12, 18), "gcd"),
+        "OverlapReport": (overlap_report(2, 3, psi), "M"),
+        "SumReport": (pairwise_overlap_sum(ExperimentConfig(Q=3, psi=psi, target=ZERO1)),
+                      "pair_sum"),
+        "MainTermRow": (main_term_sum_check(psi, 1, [4])[0], "ratio"),
+        "McReport": (mc_coverage(psi, ZERO1, [2, 3], 1000), "hits"),
+        "EquidistRow": (next(equidistribution_scan(3, psi, ZERO1, [(0, F(1, 2))])), "ratio"),
+        "CheckResult": (verification.check_counterexample(), "ok"),
+        "Block": (build_counterexample(BlockSchedule(blocks=1)).blocks[0], "P"),
+        "BlockSchedule": (BlockSchedule(blocks=2), "blocks"),
+    }
+    for name, (record, field) in records.items():
+        assert type(record).__name__ == name
+        before = getattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        assert getattr(record, field) == before
+        with pytest.raises(AttributeError):
+            record.extra = 1
 
 
 def test_enclosure_mode_brackets_exact_value():

@@ -19,10 +19,16 @@ names no sieved residue list.  `ExperimentConfig` configures the pairwise
 scan alone, so only the scan's callers construct one.  The
 Monte Carlo hit count and its arc tables use no float, so every count is
 exact on the points drawn, and the tables are read off the approximation
-sets, so the package keeps one interval encoding.
+sets, so the package keeps one interval encoding.  No module imports
+`dataclasses`: records are `typing.NamedTuple`s and classes that validate
+or change state are plain `__slots__` classes, so that a command does not
+pay for `dataclasses` and the `inspect` it pulls in at every start.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "torusapprox"
@@ -171,3 +177,26 @@ def test_monte_carlo_arc_tables_are_read_off_the_approximation_sets():
               and isinstance(node.func, (ast.Name, ast.Attribute))]
     assert "build_approx_set" in called
     assert sorted({"sorted", "sort"} & set(called)) == []
+
+
+def test_package_source_imports_no_dataclasses():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Import) and any(
+            alias.name.split(".")[0] == "dataclasses" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses"
+    ]
+    assert found == []
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    # -S skips site, whose .pth hooks may import either on their own.
+    script = ("import sys, torusapprox.cli; "
+              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

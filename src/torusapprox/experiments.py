@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 from array import array
 from bisect import bisect_right
@@ -37,7 +38,6 @@ from collections import Counter
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import partial
-from importlib import resources
 from itertools import repeat
 from operator import mul
 from typing import NamedTuple
@@ -321,11 +321,15 @@ def _pairwise_worker(payload) -> tuple[object, tuple[int, int]]:
             if not exact:
                 partial_sum.add(num, den)
                 continue
-            if row_den % den:
-                scale = den // math.gcd(row_den, den)
-                row_num *= scale
-                row_den *= scale
-            row_num += num * (row_den // den)
+            quo, rem = divmod(row_den, den)
+            if rem:
+                # gcd(rem, den) = gcd(row_den, den) = g; the new row_den,
+                # lcm(row_den, den), is den times row_den // g.
+                g = math.gcd(rem, den)
+                quo = row_den // g
+                row_num *= den // g
+                row_den = quo * den
+            row_num += num * quo
         if exact:
             partial_sum.append((r, Fraction(row_num, row_den)))
     return partial_sum, (pairs - merge_pairs, merge_pairs)
@@ -506,8 +510,11 @@ def main_term_sum_check(psi: ApproxFunction, m: int, ladder) -> list[MainTermRow
                     den //= g
                     pending[den] = pending.get(den, 0) + (num // g) ** m
         while bound_index < len(ladder_sorted) and ladder_sorted[bound_index] == q:
-            for den, total in pending.items():
-                lhs_half += Fraction(total, den**m)
+            # One Fraction for all pending terms: lcm(den**m) = lcm(den)**m.
+            lcm = math.lcm(*pending)
+            lhs_half += Fraction(
+                sum(total * (lcm // den) ** m for den, total in pending.items()), lcm**m
+            )
             pending.clear()
             rhs = rhs_base**2
             pair_sum = 2 * lhs_half
@@ -839,8 +846,11 @@ def equidistribution_scan(Q: int, psi: ApproxFunction, target: TargetSequence,
 
 
 def load_baselines() -> dict:
-    text = resources.files("torusapprox").joinpath("baselines.json").read_text()
-    return json.loads(text)
+    """baselines.json, read from beside this module: `importlib.resources`
+    would cost every command the `tempfile`, `shutil` and compression
+    modules it imports."""
+    with open(os.path.join(os.path.dirname(__file__), "baselines.json"), encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def baselines_version() -> str:

@@ -41,8 +41,10 @@ multiples of k has a closed form.  When 2 splits the pair (2 | en), the
 factor [gcd(c, en) = 1] makes f vanish at even c, so the terms carry no
 prime 2 and each is summed over the odd multiples k, 3k, 5k, ... of its
 step instead: an arithmetic progression of step 2k, the same closed form.
-The interval merge of `pair_overlap_exact` / `measure_intersection` stays
-the oracle.
+When the two centres coincide, y_q/q = y_r/r (every pair at y = 0, the
+homogeneous case), the points sit symmetrically about 0 and each term's
+sum takes one floor division.  The interval merge of `pair_overlap_exact`
+/ `measure_intersection` stays the oracle.
 """
 
 from __future__ import annotations
@@ -287,6 +289,17 @@ def _pair_overlap_units(row_q: tuple, row_r: tuple) -> tuple[int, int]:
     c = (2i + 1)k only, whose points X = 2s i + (s + delta) form the same
     progression with step 2s and d = (delta + s) mod 2s.  When the step is
     at least 2h only the point nearest 0 can lie inside the hat.
+
+    A centred pair, delta = 0 (y_q/q = y_r/r), takes its own loop over the
+    same terms: its points +-js, or +-(2i + 1)s when 2 splits, are
+    symmetric about 0, so with u = h//s and n = (h + s)//(2s), the number
+    of odd multiples of s up to h,
+
+        2 * sum_j H_h(js) = 2(h(2u + 1) - s u(u + 1)),
+        2 * sum_i H_h((2i + 1)s) = 4(n h - s n**2),
+
+    and each term is the outer hat's sum less the inner's.  A point at
+    |X| = h adds 0, so counting it or not changes no sum.
     """
     q, _, _, den_q, psi_q, y_q, _, _ = row_q
     r, _, _, den_r, psi_r, y_r, _, _ = row_r
@@ -304,6 +317,32 @@ def _pair_overlap_units(row_q: tuple, row_r: tuple) -> tuple[int, int]:
     inner = w_q - w_r if w_q > w_r else w_r - w_q
     left, weights, right, odd = _f_terms(row_q, row_r)
     total = 0
+    if not delta:
+        # Centred: each hat's sum, halved, is added and total doubled once.
+        for x, w in zip(left, weights):
+            x *= den
+            for y in right:
+                s = x * y
+                a = w
+                if s < 0:
+                    s = -s
+                    a = -w
+                if odd:
+                    # The points +-(2i + 1)s, n of them on each side of 0.
+                    step = s + s
+                    n = (outer + s) // step
+                    value = n * (outer + outer - step * n)
+                    if inner:
+                        n = (inner + s) // step
+                        value -= n * (inner + inner - step * n)
+                else:
+                    u = outer // s
+                    value = outer * (u + u + 1) - s * u * (u + 1)
+                    if inner:
+                        u = inner // s
+                        value -= inner * (u + u + 1) - s * u * (u + 1)
+                total += a * value
+        return total + total, 2 * q * (r // g) * den
     sparse = 2 * outer
     for x, w in zip(left, weights):
         x *= den

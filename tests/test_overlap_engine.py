@@ -79,6 +79,10 @@ def moduli_pairs(draw):
 @example((12, 8), F(1, 2), F(1, 2), F(-1, 5), F(3, 4))  # v2 = 2 and 3
 @example((2, 16), F(1, 2), F(1, 2), F(2, 3), F(-1, 6))  # v2 = 1 and 4
 @example((6, 10), F(1, 2), F(1, 2), F(1, 3), F(3, 7))  # 2 balanced: the control
+# Centred pairs, y_q/q = y_r/r with nonzero targets: the centred sums.
+@example((2, 3), F(1, 2), F(1, 2), F(2, 5), F(3, 5))  # 2 splits
+@example((2, 10), F(1, 2), F(1, 2), F(2, 5), F(2))  # 2 balanced
+@example((3, 4), F(1, 4), F(1, 3), F(3, 5), F(4, 5))  # 2 splits, equal widths: inner = 0
 def test_kernel_equals_merge(pair, psi_q, psi_r, y_q, y_r):
     q, r = pair
     expected = merge(q, psi_q, y_q, r, psi_r, y_r)
@@ -274,6 +278,17 @@ def test_overlap_engine_suite_catches_a_dropped_odd_offset(monkeypatch):
     # Without the lift by s, a 2-split pair's terms sit at the even multiples.
     assert verification.check_overlap_engine(limit=8).ok
     broken = mutant(overlap._pair_overlap_units, "(delta + s) % (s + s)", "delta % (s + s)")
+    monkeypatch.setattr(verification, "_pair_overlap_units", broken)
+    assert not verification.check_overlap_engine(limit=8).ok
+
+
+@pytest.mark.parametrize("old, new", [
+    ("(outer + s) // step", "outer // step"),  # odd multiples counted as even ones
+    ("u = outer // s", "u = outer // s + 1"),  # one point too many on each side
+])
+def test_overlap_engine_suite_catches_a_broken_centred_sum(monkeypatch, old, new):
+    # The zero-target family puts every pair's centres together.
+    broken = mutant(overlap._pair_overlap_units, old, new)
     monkeypatch.setattr(verification, "_pair_overlap_units", broken)
     assert not verification.check_overlap_engine(limit=8).ok
 

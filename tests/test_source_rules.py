@@ -192,9 +192,9 @@ def test_package_source_imports_no_dataclasses():
 
 
 def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
-    # -S skips site, whose .pth hooks may import either on their own.
-    script = ("import sys, torusapprox.cli; "
-              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    # -S skips site, whose .pth hooks may import any of them on their own.
+    script = ("import sys, torusapprox.cli; print(sorted("
+              "{'dataclasses', 'inspect', 'importlib.resources'} & set(sys.modules)))")
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     done = subprocess.run([sys.executable, "-S", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)

@@ -43,7 +43,8 @@ prime 2 and each is summed over the odd multiples k, 3k, 5k, ... of its
 step instead: an arithmetic progression of step 2k, the same closed form.
 When the two centres coincide, y_q/q = y_r/r (every pair at y = 0, the
 homogeneous case), the points sit symmetrically about 0 and each term's
-sum takes one floor division.  The interval merge of `pair_overlap_exact`
+sum takes one floor division; the terms stop at the outer hat, and those
+past it sum in one closed form.  The interval merge of `pair_overlap_exact`
 / `measure_intersection` stays the oracle.
 """
 
@@ -222,10 +223,10 @@ def _overlap_row(q: int, factors, psi_q, y_q) -> tuple:
     """One set's integer data, read by every pair formula:
     (q, {p: e}, phi(q), den, psi, y, rad(q), lists) with psi(q) = psi/den,
     y_q = y/den and, for each t | rad(q), lists[t] = (primes of t, the
-    d * mu(d) over the odd d | t): no reader expands the prime 2, taken
-    last, so lists[2t] shares lists[t]'s tuple.  psi/den is unreduced when
-    den(y_q) has a factor den(psi(q)) lacks; the pair formulas only
-    cross-multiply, so that changes no value."""
+    d * mu(d) over the odd d | t, sorted by |d|): no reader expands the
+    prime 2, taken last and not sorted at, so lists[2t] shares lists[t]'s
+    tuple.  psi/den is unreduced when den(y_q) has a factor den(psi(q))
+    lacks; the pair formulas only cross-multiply, so that changes no value."""
     factors = dict(factors)
     phi = rad = 1
     lists = {1: ((), (1,))}
@@ -234,7 +235,7 @@ def _overlap_row(q: int, factors, psi_q, y_q) -> tuple:
         rad *= p
         for t, (primes, signed) in list(lists.items()):
             if p != 2:
-                signed = tuple(d * m for m in (1, -p) for d in signed)
+                signed = tuple(sorted((d * m for m in (1, -p) for d in signed), key=abs))
             lists[t * p] = (primes + (p,), signed)
     psi = Fraction(psi_q)
     y = Fraction(y_q)
@@ -298,8 +299,13 @@ def _pair_overlap_units(row_q: tuple, row_r: tuple) -> tuple[int, int]:
         2 * sum_j H_h(js) = 2(h(2u + 1) - s u(u + 1)),
         2 * sum_i H_h((2i + 1)s) = 4(n h - s n**2),
 
-    and each term is the outer hat's sum less the inner's.  A point at
-    |X| = h adds 0, so counting it or not changes no sum.
+    and each term is the outer hat's sum less the inner's, the first
+    written h + u(2h - s(u + 1)).  A point at |X| = h adds 0, so counting
+    it or not changes no sum.  A term with s > outer adds a(outer - inner),
+    or 0 over odd multiples.  right is one row's signed list, sorted by |d|,
+    of an odd t; its signs sum to the sum over d | t of mu(d) = [t = 1].  So
+    the loop stops at the first s > outer and adds (a whole - head)(outer -
+    inner) for the rest, head the sum of the a seen, whole = [t = 1].
     """
     q, _, _, den_q, psi_q, y_q, _, _ = row_q
     r, _, _, den_r, psi_r, y_r, _, _ = row_r
@@ -319,28 +325,36 @@ def _pair_overlap_units(row_q: tuple, row_r: tuple) -> tuple[int, int]:
     total = 0
     if not delta:
         # Centred: each hat's sum, halved, is added and total doubled once.
+        whole = right == (1,)
+        hat = 0 if odd else outer - inner
         for x, w in zip(left, weights):
             x *= den
+            head = 0
             for y in right:
                 s = x * y
                 a = w
                 if s < 0:
                     s = -s
                     a = -w
+                if s > outer:
+                    # Each term left adds its a * hat; their a sum to a * whole - head.
+                    total += (a * whole - head) * hat
+                    break
+                head += a
                 if odd:
                     # The points +-(2i + 1)s, n of them on each side of 0.
                     step = s + s
                     n = (outer + s) // step
                     value = n * (outer + outer - step * n)
-                    if inner:
+                    if inner >= s:
                         n = (inner + s) // step
                         value -= n * (inner + inner - step * n)
                 else:
                     u = outer // s
-                    value = outer * (u + u + 1) - s * u * (u + 1)
-                    if inner:
+                    value = hat + u * (outer + outer - s * (u + 1))
+                    if inner >= s:
                         u = inner // s
-                        value -= inner * (u + u + 1) - s * u * (u + 1)
+                        value -= u * (inner + inner - s * (u + 1))
                 total += a * value
         return total + total, 2 * q * (r // g) * den
     sparse = 2 * outer

@@ -421,6 +421,17 @@ def test_rows_keep_odd_signed_lists_shared_across_the_prime_two():
                 assert len(signed) == 2 ** len(primes)
 
 
+def test_rows_sort_odd_signed_lists_by_absolute_value():
+    # The centred kernel stops at the first step past the outer hat.
+    table = spf_table(2000)
+    for q in range(1, 2001):
+        lists = _overlap_row(q, factorize_with_table(q, table), 0, 0)[7]
+        for t, (_, signed) in lists.items():
+            if t % 2:
+                assert signed[0] == 1
+                assert all(abs(d) < abs(e) for d, e in zip(signed, signed[1:]))
+
+
 def test_f_terms_odd_is_two_splitting_the_pair():
     def v2(n):
         k = 0

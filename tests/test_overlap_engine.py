@@ -8,6 +8,7 @@ the scan must give the same sums whichever engine serves a pair.
 
 import hashlib
 import inspect
+import random
 import re
 import subprocess
 import sys
@@ -88,6 +89,41 @@ def test_kernel_equals_merge(pair, psi_q, psi_r, y_q, y_r):
     expected = merge(q, psi_q, y_q, r, psi_r, y_r)
     assert kernel(q, psi_q, y_q, r, psi_r, y_r) == expected
     assert kernel(r, psi_r, y_r, q, psi_q, y_q) == expected
+
+
+def centred_pairs(rng, count):
+    """count pairs q != r with 120 < r <= 1000, a quarter of them with every
+    odd prime of r in q, where `_f_terms` reads the list (1,) from r's row."""
+    pairs = []
+    while len(pairs) < count:
+        if len(pairs) % 4:
+            q, r = rng.randint(1, 1000), rng.randint(121, 1000)
+        else:
+            q = r = rng.randint(2, 120)
+            primes = [p for p, _ in factorize(q)] + [2]
+            while r <= 120:
+                r *= rng.choice(primes)
+        if r <= 1000 and r != q:
+            pairs.append((q, r))
+    return pairs
+
+
+@pytest.mark.parametrize("psi", ["div3", "const:1/4", "const:1/2", "equal widths"])
+@pytest.mark.parametrize("target", ["zero", "q/3"])
+def test_centred_kernel_past_the_suite_reach(psi, target):
+    # check_overlap_engine stops at q = 120; wide steps, and so the early
+    # break, are mostly above it.  Equal widths, psi(q)/q = psi(r)/r, make
+    # the inner hat 0.
+    rng = random.Random(f"{psi} {target}")
+    shift = (lambda n: 0) if target == "zero" else (lambda n: F(n, 3))
+    for q, r in centred_pairs(rng, 50):
+        if psi == "equal widths":
+            rule = lambda n: F(n, 2 * max(q, r))
+        else:
+            rule = ApproxFunction.parse(psi)
+        expected = pair_overlap_exact(q, r, rule, shift(q), shift(r))
+        assert kernel(q, rule(q), shift(q), r, rule(r), shift(r)) == expected
+        assert kernel(r, rule(r), shift(r), q, rule(q), shift(q)) == expected
 
 
 def direct_double_sum(Q, psi, target):
@@ -285,6 +321,11 @@ def test_overlap_engine_suite_catches_a_dropped_odd_offset(monkeypatch):
 @pytest.mark.parametrize("old, new", [
     ("(outer + s) // step", "outer // step"),  # odd multiples counted as even ones
     ("u = outer // s", "u = outer // s + 1"),  # one point too many on each side
+    # The terms past the outer hat.
+    ("total += (a * whole - head) * hat", "pass"),  # dropped
+    ("(a * whole - head)", "(head - a * whole)"),  # sign flipped
+    ("if s > outer:", "if s > inner:"),  # the break at the inner hat
+    ("whole = right == (1,)", "whole = 0"),  # the list (1,) summed as if t > 1
 ])
 def test_overlap_engine_suite_catches_a_broken_centred_sum(monkeypatch, old, new):
     # The zero-target family puts every pair's centres together.

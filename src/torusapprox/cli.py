@@ -309,17 +309,9 @@ def _cmd_msum(args) -> int:
     ladder = [args.Q] if args.ladder is None else _listed(args.ladder, int, "ladder")
     m = args.m
     psi = _psi_from(args)
-    rows = []
-    for entry in main_term_sum_check(psi, m, ladder):
-        rows.append(
-            {
-                "Q": entry.Q,
-                "m": entry.m,
-                "pair_sum": format_rational(entry.pair_sum),
-                "rhs": format_rational(entry.rhs),
-                "ratio": _fmt(entry.ratio),
-            }
-        )
+    rows = [{"Q": entry.Q, "m": entry.m, "pair_sum": format_rational(entry.pair_sum),
+             "rhs": format_rational(entry.rhs), "ratio": _fmt(entry.ratio)}
+            for entry in main_term_sum_check(psi, m, ladder)]
     config = {"subcommand": "msum", "ladder": ",".join(str(v) for v in ladder),
               "m": m, "psi": psi.describe()}
     _emit(["Q", "m", "pair_sum", "rhs", "ratio"], rows, config, args.format, args.out)
@@ -582,7 +574,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
     p.add_argument("--mode", choices=("exact", "enclosure"))
     p.add_argument("--precision", type=_INT)
     p.add_argument("--workers", type=_INT)
-    p.add_argument("--exact-cap", type=_INT)
+    p.add_argument("--exact-cap", type=_MODULUS)
 
     p = command("msum", _cmd_msum, "main-term pairwise sum against the squared weight sum")
     p.add_argument("--Q", type=_INT)

@@ -5,25 +5,23 @@ independence ratio), the main-term sum check, totient-of-gcd sums both by
 brute force and through the divisor identity, Monte Carlo coverage with a
 counter-based generator, and exact equidistribution scans.
 
-The pairwise scan takes each pair's overlap from the summed closed form
-f(c) (`overlap._pair_overlap_units`) when psi(q), psi(r) <= 1/2, working
-from the per-q integer rows of `overlap._overlap_row`, and falls back to
-the interval merge `torus._overlap_units` on sets built for the other
-pairs only.  Each q has one row per distinct target component; a pair's
-coordinate plan names each distinct pair of rows once with its
-multiplicity, so each distinct coordinate overlap is computed once and
-raised to that power.  The set measures come from one set per q, centred
-on 0: a rotation keeps the measure, so every coordinate of q has that
-set's measure, and it does not depend on either engine.
+Both pair sums run through one loop, `_pairwise_worker`: a stripe of rows
+r, each the pairs q < r, of a pair kernel on the integer rows of
+`overlap._overlap_row`, summed into an accumulator.  The scan's kernel is
+the summed closed form f(c) (`overlap._pair_overlap_units`), gated to
+psi(q), psi(r) <= 1/2, with the interval merge `torus._overlap_units` for
+the other pairs; msum's is M(q, r) (`overlap._main_term_units`), ungated.
+Each q has one row per distinct target component, and a pair's coordinate
+plan names each distinct pair of rows once with its multiplicity.
 
-Every pair term stays an unreduced integer (num, den) from the kernel on.
-Exact mode sums each row r (the pairs q < r) as one integer numerator over
-the running lcm of the row's denominators and reduces it once, to the
-row's Fraction; results are independent of the worker count because
-rational addition is exact.  Enclosure mode rounds every pair term outward
-to a dyadic grid of the configured precision before summing, so partial
-sums stay cheap, the reported lower/upper bounds are guaranteed, and the
-output is still bit-identical for any partitioning.
+Every pair term is an integer (num, den) from the kernel on.  Each
+accumulator takes it by add(num, den), closes a row by end_row(r) and
+joins another stripe's by merge, so no result depends on the worker count:
+`_RowSums` (exact scan) sums a row as one numerator over the running lcm
+of its denominators, reduced once; `_DenominatorSums` (msum) keeps one
+integer per reduced denominator, folded once per ladder value; `Enclosure`
+rounds each term outward to a dyadic grid of the configured precision, so
+partial sums stay cheap and the bounds are guaranteed.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ import math
 import os
 import sys
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Iterator
 from fractions import Fraction
@@ -47,13 +45,7 @@ from .approx import (
 )
 from .arith import _SPF_CAP, factorize, factorize_with_table, spf_table, totient, totient_range
 from .errors import BudgetError, IdentityError
-from .overlap import (
-    _check_row_limit,
-    _main_term_units,
-    _overlap_row,
-    _overlap_rows,
-    _pair_overlap_units,
-)
+from .overlap import _check_row_limit, _main_term_units, _overlap_row, _pair_overlap_units
 from .rationals import parse_rational
 from .torus import TorusIntervalSet, _overlap_units, measure_intersection
 
@@ -155,6 +147,9 @@ class Enclosure:
         self.lo_units += num // den
         self.hi_units -= (-num) // den
 
+    def end_row(self, r: int) -> None:
+        """Each term is rounded as it is added: a row needs no closing."""
+
     def merge(self, other: "Enclosure") -> None:
         if other.bits != self.bits:
             raise ValueError("cannot merge enclosures of different precision")
@@ -164,6 +159,34 @@ class Enclosure:
     def bounds(self) -> tuple[Fraction, Fraction]:
         scale = 1 << self.bits
         return Fraction(self.lo_units, scale), Fraction(self.hi_units, scale)
+
+
+class _RowSums:
+    """Exact row sums: each row's terms as one integer numerator over the
+    running lcm of their denominators, reduced once at the row's end."""
+
+    __slots__ = ("rows", "num", "den")
+
+    def __init__(self):
+        self.rows: list[tuple[int, Fraction]] = []
+        self.num, self.den = 0, 1
+
+    def add(self, num: int, den: int) -> None:
+        quo, rem = divmod(self.den, den)
+        if rem:
+            # gcd(rem, den) = gcd(self.den, den) = g; the lcm is den * (self.den // g).
+            g = math.gcd(rem, den)
+            quo = self.den // g
+            self.num *= den // g
+            self.den = quo * den
+        self.num += num * quo
+
+    def end_row(self, r: int) -> None:
+        self.rows.append((r, Fraction(self.num, self.den)))
+        self.num, self.den = 0, 1
+
+    def merge(self, other: "_RowSums") -> None:
+        self.rows += other.rows
 
 
 # -- configuration ----------------------------------------------------------------
@@ -224,22 +247,21 @@ class ExperimentConfig:
 _HALF = Fraction(1, 2)
 
 
-def _coordinate_rows(cfg: ExperimentConfig) -> list[tuple | None]:
+def _coordinate_rows(Q: int, psi: ApproxFunction, target: TargetSequence) -> list[tuple | None]:
     """rows[q] = (distinct, pattern): q's rows at its distinct target
     components, in the order the coordinates first use them, and
     pattern[i] the index in distinct of coordinate i's row.  Each distinct
     (q, component) row is built once, every q factorized from one sieve."""
-    table = spf_table(cfg.Q)
+    table = spf_table(Q)
     rows: list[tuple | None] = [None]
-    for q in range(1, cfg.Q + 1):
+    for q in range(1, Q + 1):
         factors = factorize_with_table(q, table)
         index: dict[Fraction, int] = {}
-        distinct = []
-        pattern = []
-        for y in cfg.target(q):
+        distinct, pattern = [], []
+        for y in target(q):
             if y not in index:
                 index[y] = len(distinct)
-                distinct.append(_overlap_row(q, factors, cfg.psi(q), y))
+                distinct.append(_overlap_row(q, factors, psi(q), y))
             pattern.append(index[y])
         rows.append((tuple(distinct), tuple(pattern)))
     return rows
@@ -259,6 +281,13 @@ def _closed_form_flags(psi: ApproxFunction, Q: int) -> list[bool]:
     return [False] + [psi(q) <= _HALF for q in range(1, Q + 1)]
 
 
+def _pair_counts(flags: list[bool], Q: int) -> dict:
+    """The pairs q < r <= Q that the closed form and the merge take."""
+    flagged = sum(flags[: Q + 1])
+    closed = flagged * (flagged - 1) // 2
+    return {"closed_form_pairs": closed, "merge_pairs": Q * (Q - 1) // 2 - closed}
+
+
 def _merge_set(sets: dict, row: tuple):
     """The interval set of a row, built on first use and kept in sets under
     its q and target."""
@@ -274,41 +303,38 @@ def _merge_units(sets: dict, row_q: tuple, row_r: tuple) -> tuple[int, int]:
     return _overlap_units(_merge_set(sets, row_q), _merge_set(sets, row_r))
 
 
-def _pairwise_worker(payload) -> tuple[object, tuple[int, int]]:
-    """One stripe of rows r, each the pairs q < r: the (r, row sum) list in
-    exact mode or one Enclosure of every pair, and the pairs done by closed
-    form and by merge.
-
-    A pair's value is the product over the coordinates of |A_q & A_r|,
-    zero when a coordinate misses.  Its coordinate plan (`_plan`), cached
-    per pair of patterns, names each distinct pair of rows once, so each
-    distinct coordinate overlap is computed once and raised to its
-    multiplicity."""
-    cfg, worker_index, worker_count = payload
-    rows = _coordinate_rows(cfg)
-    closed = _closed_form_flags(cfg.psi, cfg.Q)
+def _pairwise_worker(payload):
+    """The one pair loop: a stripe of rows r, each the pairs q < r, summed
+    into the payload's accumulator, which it returns.  The payload is (Q,
+    psi, target), the kernel, its gate (given psi and Q, it flags the q
+    whose pairs the kernel takes; None: every pair), the accumulator and
+    the stripe.  A pair's value is the product over the coordinates of
+    |A_q & A_r|: when every q has one distinct row, the kernel's value,
+    reduced, to the power m; otherwise the product over the pair's
+    coordinate plan (`_plan`), cached per pair of patterns."""
+    (Q, psi, target), kernel, gate, total, worker_index, worker_count = payload
+    rows = _coordinate_rows(Q, psi, target)
+    flags = gate(psi, Q) if gate else [True] * (Q + 1)
     merged = partial(_merge_units, {})
+    single = all(len(distinct) == 1 for distinct, _ in rows[1:])
+    m = target.m
     plans: dict[tuple, dict] = {}
-    pairs = merge_pairs = 0
-    exact = cfg.mode == "exact"
-    partial_sum = [] if exact else Enclosure(cfg.precision)
-    for r in range(1 + worker_index, cfg.Q + 1, worker_count):
+    add, gcd = total.add, math.gcd
+    for r in range(1 + worker_index, Q + 1, worker_count):
         rows_r, pattern_r = rows[r]
+        row_r, flag_r = rows_r[0], flags[r]
         plan_of = plans.setdefault(pattern_r, {})
-        # The row's sum: one numerator over the running lcm of its pairs'
-        # denominators, reduced once when the row is done.
-        row_num, row_den = 0, 1
-        pairs += r - 1
-        for q in range(1, r):
-            rows_q, pattern_q = rows[q]
+        for (rows_q, pattern_q), flag_q in zip(rows[1:r], flags[1:r]):
+            overlap = kernel if flag_q and flag_r else merged
+            if single:
+                num, den = overlap(rows_q[0], row_r)
+                if num:
+                    g = gcd(num, den)
+                    add((num // g) ** m, (den // g) ** m)
+                continue
             plan = plan_of.get(pattern_q)
             if plan is None:
                 plan = plan_of[pattern_q] = _plan(pattern_q, pattern_r)
-            if closed[q] and closed[r]:
-                overlap = _pair_overlap_units
-            else:
-                overlap = merged
-                merge_pairs += 1
             num = den = 1
             for i, j, k in plan:
                 units, d = overlap(rows_q[i], rows_r[j])
@@ -316,23 +342,10 @@ def _pairwise_worker(payload) -> tuple[object, tuple[int, int]]:
                 if not num:
                     break
                 den *= d**k
-            if not num:
-                continue
-            if not exact:
-                partial_sum.add(num, den)
-                continue
-            quo, rem = divmod(row_den, den)
-            if rem:
-                # gcd(rem, den) = gcd(row_den, den) = g; the new row_den,
-                # lcm(row_den, den), is den times row_den // g.
-                g = math.gcd(rem, den)
-                quo = row_den // g
-                row_num *= den // g
-                row_den = quo * den
-            row_num += num * quo
-        if exact:
-            partial_sum.append((r, Fraction(row_num, row_den)))
-    return partial_sum, (pairs - merge_pairs, merge_pairs)
+            if num:
+                add(num, den)
+        total.end_row(r)
+    return total
 
 
 class ProcessPoolExecutor:
@@ -387,14 +400,18 @@ def pairwise_overlap_sum(cfg: ExperimentConfig) -> SumReport:
     _check_piece_cap(cfg.Q, "Q")
     # Likewise the rows, which `_coordinate_rows` builds only in the workers.
     _check_row_limit(cfg.Q)
+    weights = [0] + [cfg.psi(q) for q in range(1, cfg.Q + 1)]
     # A rotation keeps the measure, so every coordinate of q has the
     # measure of the set centred on 0.
-    per_q = [(q, build_approx_set(q, cfg.psi(q), 0).measure() ** cfg.m)
+    per_q = [(q, build_approx_set(q, weights[q], 0).measure() ** cfg.m)
              for q in range(1, cfg.Q + 1)]
     measure_sum = sum(value for _, value in per_q)
 
     worker_count = min(cfg.workers, max(1, cfg.Q - 1))
-    payloads = [(cfg, w, worker_count) for w in range(worker_count)]
+    exact = cfg.mode == "exact"
+    payloads = [((cfg.Q, cfg.psi, cfg.target), _pair_overlap_units, _closed_form_flags,
+                 _RowSums() if exact else Enclosure(cfg.precision), w, worker_count)
+                for w in range(worker_count)]
     if worker_count == 1:
         results = [_pairwise_worker(payloads[0])]
     else:
@@ -402,29 +419,23 @@ def pairwise_overlap_sum(cfg: ExperimentConfig) -> SumReport:
             results = list(pool.map(_pairwise_worker, payloads))
 
     # Both sums are exact, so the order of the stripes does not matter.
+    total = results[0]
+    for partial in results[1:]:
+        total.merge(partial)
     row_sums: tuple = ()
-    if cfg.mode == "exact":
-        row_sums = tuple(sorted(row for partial, _ in results for row in partial))
+    if exact:
+        row_sums = tuple(sorted(total.rows))
         pair_sum: object = 2 * sum(row_sum for _, row_sum in row_sums)
         ratio: object = pair_sum / measure_sum**2 if measure_sum > 0 else None
     else:
-        total = Enclosure(cfg.precision)
-        for partial, _ in results:
-            total.merge(partial)
         lo, hi = total.bounds()
         pair_sum = (2 * lo, 2 * hi)
         ratio = (2 * lo / measure_sum**2, 2 * hi / measure_sum**2) if measure_sum > 0 else None
 
     return SumReport(
-        config=cfg.describe(),
-        pair_sum=pair_sum,
-        measure_sum=measure_sum,
-        ratio=ratio,
-        per_q_measures=tuple(per_q),
-        row_sums=row_sums,
-        closed_form_pairs=sum(counts[0] for _, counts in results),
-        merge_pairs=sum(counts[1] for _, counts in results),
-        workers=worker_count,
+        config=cfg.describe(), pair_sum=pair_sum, measure_sum=measure_sum, ratio=ratio,
+        per_q_measures=tuple(per_q), row_sums=row_sums, workers=worker_count,
+        **_pair_counts(_closed_form_flags(weights.__getitem__, cfg.Q), cfg.Q),
     )
 
 
@@ -434,11 +445,9 @@ def _check_ladder(ladder) -> None:
     by `equidistribution_scan`."""
     if min(ladder) < 2:
         raise ValueError("ladder values must be >= 2")
-    seen = set()
-    for value in ladder:
-        if value in seen:
+    for i, value in enumerate(ladder):
+        if value in ladder[:i]:
             raise ValueError(f"ladder value {value} is given twice")
-        seen.add(value)
 
 
 def quasi_independence_ladder(
@@ -456,14 +465,11 @@ def quasi_independence_ladder(
         rows, measures = top.row_sums[:q_max], top.per_q_measures[:q_max]
         pair_sum = 2 * sum(row_sum for _, row_sum in rows)
         measure_sum = sum(measure for _, measure in measures)
-        flagged = sum(closed[: q_max + 1])
-        closed_form_pairs = flagged * (flagged - 1) // 2
         reports.append(top._replace(
             config=top.config | {"Q": q_max}, pair_sum=pair_sum,
             measure_sum=measure_sum,
             ratio=pair_sum / measure_sum**2 if measure_sum > 0 else None,
-            per_q_measures=measures, row_sums=rows, closed_form_pairs=closed_form_pairs,
-            merge_pairs=q_max * (q_max - 1) // 2 - closed_form_pairs,
+            per_q_measures=measures, row_sums=rows, **_pair_counts(closed, q_max),
         ))
     return reports
 
@@ -479,52 +485,54 @@ class MainTermRow(NamedTuple):
     ratio: Fraction | None
 
 
+class _DenominatorSums:
+    """msum's exact sums: integers per reduced denominator, gathered per row
+    and added at its end to its ladder step, the rows since the last value."""
+
+    __slots__ = ("ladder", "steps", "row")
+
+    def __init__(self, ladder):
+        self.ladder = sorted(ladder)
+        self.steps = [Counter() for _ in self.ladder]
+        self.row: dict[int, int] = {}
+
+    def add(self, num: int, den: int) -> None:
+        self.row[den] = self.row.get(den, 0) + num
+
+    def end_row(self, r: int) -> None:
+        self.steps[bisect_left(self.ladder, r)].update(self.row)
+        self.row = {}
+
+    def merge(self, other: "_DenominatorSums") -> None:
+        for step, sums in zip(self.steps, other.steps):
+            step.update(sums)
+
+
 def main_term_sum_check(psi: ApproxFunction, m: int, ladder) -> list[MainTermRow]:
     """Sum of M(q, r)**m over q != r <= Q against the squared normalized
-    weight sum, for each Q in the ladder.
-
-    Works from the `_overlap_row` of each q <= max(ladder); no per-pair
-    identity checks, so ladders to Q = 512 stay cheap.
-    """
+    weight sum, for each Q in the ladder, in increasing order: the ladder
+    over one `_pairwise_worker` stripe to max(ladder) with the ungated
+    kernel `_main_term_units` (a weight above 1/2 keeps its main term) at m
+    coordinates of target 0.  Each step is one Fraction over the lcm of its
+    denominators; the rhs is summed apart."""
     _check_ladder(ladder)
     _check_dimension(m)
-    rows = _overlap_rows(max(ladder), psi)
+    q_top = max(ladder)
+    _check_row_limit(q_top)
+    weights = [0] + [Fraction(psi(q)) for q in range(1, q_top + 1)]  # psi read once per q
+    sums = _pairwise_worker(((q_top, weights.__getitem__, TargetSequence.zero(m)),
+                             _main_term_units, None, _DenominatorSums(ladder), 0, 1))
+    phi = totient_range(q_top)
     results = []
-    lhs_half = Fraction(0)
-    # Terms not yet in lhs_half, summed as integers per reduced denominator:
-    # pending[den] = sum of num**m over the terms (num/den)**m.
-    pending: dict[int, int] = {}
-    rhs_base = Fraction(0)  # sum of the weights psi(q) phi(q) / q
-    ladder_sorted = sorted(ladder)
-    bound_index = 0
-    for row_q in rows[1:]:
-        q, _, phi_q, den_q, psi_q, _, _, _ = row_q
-        rhs_base += Fraction(psi_q * phi_q, den_q * q) ** m
-        if psi_q:
-            for row_r in rows[1:q]:
-                if not row_r[4]:
-                    continue
-                num, den = _main_term_units(row_q, row_r)
-                if num:
-                    g = math.gcd(num, den)
-                    den //= g
-                    pending[den] = pending.get(den, 0) + (num // g) ** m
-        while bound_index < len(ladder_sorted) and ladder_sorted[bound_index] == q:
-            # One Fraction for all pending terms: lcm(den**m) = lcm(den)**m.
-            lcm = math.lcm(*pending)
-            lhs_half += Fraction(
-                sum(total * (lcm // den) ** m for den, total in pending.items()), lcm**m
-            )
-            pending.clear()
-            rhs = rhs_base**2
-            pair_sum = 2 * lhs_half
-            results.append(
-                MainTermRow(
-                    Q=q, m=m, pair_sum=pair_sum, rhs=rhs,
-                    ratio=pair_sum / rhs if rhs > 0 else None,
-                )
-            )
-            bound_index += 1
+    half = rhs_base = Fraction(0)  # rhs_base: the sum of (psi(q) phi(q) / q)**m
+    for low, q_max, step in zip([0] + sums.ladder, sums.ladder, sums.steps):
+        lcm = math.lcm(*step)
+        half += Fraction(sum(num * (lcm // den) for den, num in step.items()), lcm)
+        rhs_base += sum(Fraction(w.numerator * phi[q], w.denominator * q) ** m
+                        for q, w in enumerate(weights[low + 1 : q_max + 1], low + 1))
+        rhs = rhs_base**2
+        results.append(MainTermRow(Q=q_max, m=m, pair_sum=2 * half, rhs=rhs,
+                                   ratio=2 * half / rhs if rhs > 0 else None))
     return results
 
 

@@ -542,6 +542,10 @@ NAMED_OPTION = {
     "overlap --q 3 --r 0 --psi const:1/4": "argument --r: wants an integer >= 1, got '0'",
     "sift --X 0 --Y 10 --n 0": "argument --n: wants an integer >= 1, got '0'",
     "equidist --Q 0 --psi const:1/4": "argument --Q: wants an integer >= 1, got '0'",
+    "pairwise --Q 5 --psi const:1/4 --exact-cap -5":
+        "argument --exact-cap: wants an integer >= 1, got '-5'",
+    "pairwise --Q 5 --psi const:1/4 --exact-cap 0":
+        "argument --exact-cap: wants an integer >= 1, got '0'",
 }
 
 
@@ -593,6 +597,9 @@ NAMED_OPTION = {
     # One max-deviation row per window: a window given twice is refused.
     "equidist --Q 5 --psi const:1/4 --windows 0:1/2,0:1/2",
     "equidist --Q 5 --psi const:1/4 --windows 0:1/2,1/4:3/4,0/3:2/4",
+    # A cap below 1 is refused by its flag, not reported as a budget refusal.
+    "pairwise --Q 5 --psi const:1/4 --exact-cap -5",
+    "pairwise --Q 5 --psi const:1/4 --exact-cap 0",
 ])
 def test_bad_input_exits_2_with_one_line(capsys, argv):
     code, out, err = run_capture(capsys, argv.split())
@@ -664,7 +671,8 @@ def test_row_cap_refuses_before_any_row_or_set(capsys, monkeypatch, argv):
     def refuse(*args):
         raise AssertionError("a row or a set was built before the row cap refused it")
 
-    monkeypatch.setattr(overlap, "spf_table", refuse)
+    for module in (overlap, experiments):  # `_overlap_rows`, `_coordinate_rows`
+        monkeypatch.setattr(module, "spf_table", refuse)
     monkeypatch.setattr(experiments, "build_approx_set", refuse)
     code, out, err = run_capture(capsys, argv.split())
     assert code == 3 and out == ""

@@ -381,6 +381,48 @@ def test_main_term_sum_matches_module_function():
     assert rows[0].rhs == expected_rhs
 
 
+@pytest.mark.parametrize("psi, m, ladder", [
+    (ApproxFunction.parse("div3"), 3, [16, 32]),
+    # Weights 0, 1/4 and 3/4: the scan's gate would send the 3/4 pairs to
+    # the merge, msum's ungated kernel keeps them.
+    (ApproxFunction.from_table({q: F((0, 1, 3)[q % 3], 4) for q in range(1, 25)}), 2, [24]),
+], ids=["div3", "table"])
+def test_msum_stripes_merge_to_the_one_stripe_sums(monkeypatch, psi, m, ladder):
+    one = main_term_sum_check(psi, m, ladder)
+    worker = experiments._pairwise_worker
+    stripes = []
+
+    def striped(payload):
+        inputs, kernel, gate, empty, index, count = payload
+        assert (gate, index, count) == (None, 0, 1)
+        # Each stripe gets its own empty accumulator, as a pool worker does.
+        stripes.extend(worker((inputs, kernel, gate, pickle.loads(pickle.dumps(empty)), w, 2))
+                       for w in range(2))
+        assert all(any(stripe.steps) for stripe in stripes)  # both hold terms
+        merged = pickle.loads(pickle.dumps(stripes[0]))
+        merged.merge(stripes[1])
+        return merged
+
+    def merge_units(*args):
+        raise AssertionError("msum sent a pair to the interval merge")
+
+    monkeypatch.setattr(experiments, "_pairwise_worker", striped)
+    monkeypatch.setattr(experiments, "_merge_units", merge_units)
+    assert main_term_sum_check(psi, m, ladder) == one
+    assert len(stripes) == 2
+
+
+def test_msum_is_not_held_to_the_scans_exact_cap(monkeypatch):
+    # msum sums exactly at any Q: the exact cap is the scan's, read from its
+    # config, and msum builds none (the source rule on ExperimentConfig);
+    # past the row cap `msum` exits 3 (test_cli's row-cap tests).
+    div3 = ApproxFunction.parse("div3")
+    expected = main_term_sum_check(div3, 3, [8])
+    monkeypatch.setattr(experiments, "DEFAULT_EXACT_Q_CAP", 4)
+    assert main_term_sum_check(div3, 3, [8]) == expected
+    assert expected[0].Q == 8 and expected[0].pair_sum > 0
+
+
 def test_main_term_sum_undefined_ratio():
     unsupported = ApproxFunction.from_table({100: F(1, 4)})
     rows = main_term_sum_check(unsupported, 1, [16])
@@ -651,7 +693,7 @@ def test_coordinate_rows_build_each_row_once(monkeypatch, target):
 
     for module in (experiments, overlap):
         monkeypatch.setattr(module, "_overlap_row", counted)
-    rows = experiments._coordinate_rows(ExperimentConfig(Q=30, psi=CONST4, target=target))
+    rows = experiments._coordinate_rows(30, CONST4, target)
     assert sum(built.values()) == 30 and set(built.values()) == {1}
     for q in range(1, 31):
         (row,), _ = rows[q]

@@ -16,7 +16,9 @@ brute force stays independent of the divisor identity it is checked
 against: it names no factorization, totient or divisor-form helper; so
 does the brute-force f(c) histogram against the closed form, which also
 names no sieved residue list.  `ExperimentConfig` configures the pairwise
-scan alone, so only the scan's callers construct one.  The
+scan alone, so only the scan's callers construct one.  `_pairwise_worker`
+is the one pair-summing loop: no other function of `experiments` calls a
+pair kernel or a coordinate plan by name.  The
 Monte Carlo hit count and its arc tables use no float, so every count is
 exact on the points drawn, and the tables are read off the approximation
 sets, so the package keeps one interval encoding.  No module imports
@@ -142,6 +144,18 @@ def test_only_the_scans_callers_construct_an_experiment_config():
         "experiments.quasi_independence_ladder",
         "verification.check_quasi_ladder",
     ]
+
+
+def test_only_the_pair_loop_calls_a_pair_kernel_or_plan():
+    named = {"_pair_overlap_units", "_main_term_units", "_plan"}
+    found = set()
+    for top in ast.parse((PACKAGE / "experiments.py").read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and named & {
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            }:
+                found.add(getattr(top, "name", "<module>"))
+    assert sorted(found) == ["_pairwise_worker"]
 
 
 def test_piece_cap_policy_is_written_once():

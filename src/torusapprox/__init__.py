@@ -28,7 +28,6 @@ from .arith import (
 from .counterexample import (
     Block,
     BlockMeasure,
-    BlockSchedule,
     CounterexampleInstance,
     block_union_set,
     build_counterexample,

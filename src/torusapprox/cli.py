@@ -34,7 +34,6 @@ from fractions import Fraction
 
 from .approx import ApproxFunction, TargetSequence, approx_set_measure
 from .counterexample import (
-    BlockSchedule,
     _refuse_unbuildable,
     _write_atomic,
     build_counterexample,
@@ -336,7 +335,7 @@ def _cmd_phigcd(args) -> int:
 
 def _cmd_counterexample(args) -> int:
     primes_text = args.primes
-    if primes_text:
+    if primes_text is not None:
         blocks = _listed(
             primes_text, lambda chunk: [int(p) for p in chunk.split(",") if p],
             "primes spec", sep=";",
@@ -347,12 +346,11 @@ def _cmd_counterexample(args) -> int:
         blocks_n = 1 if args.blocks is None else args.blocks
         eps_text, mode = args.eps, args.mode or "product"
         eps = None
-        if eps_text:
+        if eps_text is not None:
             eps = tuple(_listed(eps_text, parse_rational, "eps"))
             if len(eps) == 1 and blocks_n > 1:
                 eps = eps * blocks_n
-        schedule = BlockSchedule(blocks=blocks_n, eps=eps, mode=mode)
-        inst = build_counterexample(schedule)
+        inst = build_counterexample(blocks_n, eps, mode)
         config = {
             "subcommand": "counterexample", "blocks": blocks_n,
             "eps": eps_text or "2^-j", "mode": mode,

@@ -14,6 +14,10 @@ union sits inside those points thickened by 1/(2 P_j) and has measure
 exactly phi(P_j)/P_j, while the normalized weight sum over the block is
 (P_j - 1) / (2 P_j), bounded below by 1/4 per block.  Small block measures
 with divergent weight sums is the whole point.
+
+`build_counterexample(blocks, eps, mode)` takes the block count, the eps_j
+(default 2^-j) and where each block's prime run starts, and checks them
+before any prime search; `instance_from_prime_blocks` takes the primes.
 """
 
 from __future__ import annotations
@@ -33,43 +37,6 @@ from .torus import TorusIntervalSet
 # Blocks with more divisors than this keep `divisors = None`; read at
 # call time.
 _DIVISOR_CAP = 1 << 16
-
-
-class BlockSchedule:
-    """How many blocks to build and how aggressively.
-
-    eps defaults to eps_j = 2**-j.  In "product" mode block j starts at
-    the smallest prime exceeding the previous block product P_{j-1};
-    "prime" mode starts just past the largest prime used so far, which
-    keeps later blocks reachable at small scale while preserving the only
-    property used downstream, disjointness of the blocks' prime sets.
-    """
-
-    __slots__ = ("blocks", "eps", "mode")
-
-    def __init__(self, blocks: int, eps: tuple[Fraction, ...] | None = None,
-                 mode: str = "product"):
-        if blocks < 1:
-            raise ValueError("need at least one block")
-        if mode not in ("product", "prime"):
-            raise ValueError(f"unknown mode {mode!r}")
-        if eps is not None:
-            eps = tuple(Fraction(e) for e in eps)
-            if len(eps) != blocks:
-                raise ValueError("eps sequence length must equal the block count")
-            if any(not 0 < e <= 1 for e in eps):
-                raise ValueError("eps values must lie in (0, 1]")
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "mode", mode)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BlockSchedule is immutable")
-
-    def eps_for(self, j: int) -> Fraction:
-        if self.eps is not None:
-            return self.eps[j - 1]
-        return Fraction(1, 2**j)
 
 
 class Block(NamedTuple):
@@ -275,26 +242,42 @@ def _squarefree_divisors_with_totients(primes) -> list[tuple[int, int]]:
     return divisors
 
 
-def build_counterexample(schedule: BlockSchedule) -> CounterexampleInstance:
-    """Build an instance block by block according to the schedule.
+def build_counterexample(blocks: int, eps=None, mode: str = "product") -> CounterexampleInstance:
+    """Build `blocks` blocks, block j against eps[j - 1] (default 2**-j).
 
-    Residue choices take the default numerator 1 (0 when the cofactor is
-    1); every verified property is choice-independent.
+    In "product" mode block j starts at the smallest prime exceeding the
+    previous block product P_{j-1}; "prime" mode starts just past the
+    largest prime used so far, which keeps later blocks reachable at small
+    scale while preserving the only property used downstream, disjointness
+    of the blocks' prime sets.  The values are checked before any prime
+    search.  Residue choices take the default numerator 1 (0 when the
+    cofactor is 1); every verified property is choice-independent.
     """
-    inst = CounterexampleInstance(mode=schedule.mode, blocks=[])
+    if blocks < 1:
+        raise ValueError("need at least one block")
+    if mode not in ("product", "prime"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if eps is not None:
+        eps = tuple(Fraction(e) for e in eps)
+        if len(eps) != blocks:
+            raise ValueError("eps sequence length must equal the block count")
+        if any(not 0 < e <= 1 for e in eps):
+            raise ValueError("eps values must lie in (0, 1]")
+    inst = CounterexampleInstance(mode=mode, blocks=[])
     previous_P = 1
     largest_prime = 1
-    for j in range(1, schedule.blocks + 1):
-        start = previous_P if schedule.mode == "product" else largest_prime
+    for j in range(1, blocks + 1):
+        start = previous_P if mode == "product" else largest_prime
         if start >= PRIME_TEST_LIMIT:
             raise BudgetError(
                 f"block {j}: starting point {start} is past the 64-bit prime range"
             )
+        eps_j = Fraction(1, 2**j) if eps is None else eps[j - 1]
         try:
-            primes, _ = primes_for_epsilon(start, schedule.eps_for(j))
+            primes, _ = primes_for_epsilon(start, eps_j)
         except BudgetError as exc:
             raise BudgetError(f"block {j}: {exc}") from exc
-        inst.blocks.append(_block(j, tuple(primes), schedule.eps_for(j)))
+        inst.blocks.append(_block(j, tuple(primes), eps_j))
         previous_P = inst.blocks[-1].P
         largest_prime = primes[-1]
     inst.validate()
@@ -306,6 +289,8 @@ def instance_from_prime_blocks(prime_blocks) -> CounterexampleInstance:
     with eps = 1 for every block, which any product of primes beats."""
     inst = CounterexampleInstance(mode="explicit", blocks=[])
     for j, primes in enumerate(prime_blocks, start=1):
+        if not primes:
+            raise ValueError(f"block {j} has no primes")
         inst.blocks.append(_block(j, tuple(sorted(int(p) for p in primes)), Fraction(1)))
     inst.validate()
     return inst

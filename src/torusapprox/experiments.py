@@ -7,12 +7,14 @@ counter-based generator, and exact equidistribution scans.
 
 Both pair sums run through one loop, `_pairwise_worker`: a stripe of rows
 r, each the pairs q < r, of a pair kernel on the integer rows of
-`overlap._overlap_row`, summed into an accumulator.  The scan's kernel is
-the summed closed form f(c) (`overlap._pair_overlap_units`), gated to
-psi(q), psi(r) <= 1/2, with the interval merge `torus._overlap_units` for
-the other pairs; msum's is M(q, r) (`overlap._main_term_units`), ungated.
-Each q has one row per distinct target component, and a pair's coordinate
-plan names each distinct pair of rows once with its multiplicity.
+`overlap._overlap_rows`, summed into an accumulator.  The loop reads the
+weights once per q and one flag per q: a pair goes to the kernel when both
+its flags are set, and to the interval merge `torus._overlap_units`
+otherwise.  The scan's kernel is the summed closed form f(c)
+(`overlap._pair_overlap_units`), flagged at psi(q) <= 1/2; msum's is
+M(q, r) (`overlap._main_term_units`), every flag set.  Each q has one row
+per distinct target component, and a pair's coordinate plan names each
+distinct pair of rows once with its multiplicity.
 
 Every pair term is an integer (num, den) from the kernel on.  Each
 accumulator takes it by add(num, den), closes a row by end_row(r) and
@@ -43,9 +45,9 @@ from typing import NamedTuple
 from .approx import (
     _check_dimension, _check_piece_cap, ApproxFunction, TargetSequence, build_approx_set,
 )
-from .arith import _SPF_CAP, factorize, factorize_with_table, spf_table, totient, totient_range
+from .arith import _SPF_CAP, factorize, spf_table, totient, totient_range
 from .errors import BudgetError, IdentityError
-from .overlap import _check_row_limit, _main_term_units, _overlap_row, _pair_overlap_units
+from .overlap import _check_row_limit, _main_term_units, _overlap_rows, _pair_overlap_units
 from .rationals import parse_rational
 from .torus import TorusIntervalSet, _overlap_units, measure_intersection
 
@@ -247,28 +249,8 @@ class ExperimentConfig:
 _HALF = Fraction(1, 2)
 
 
-def _coordinate_rows(Q: int, psi: ApproxFunction, target: TargetSequence) -> list[tuple | None]:
-    """rows[q] = (distinct, pattern): q's rows at its distinct target
-    components, in the order the coordinates first use them, and
-    pattern[i] the index in distinct of coordinate i's row.  Each distinct
-    (q, component) row is built once, every q factorized from one sieve."""
-    table = spf_table(Q)
-    rows: list[tuple | None] = [None]
-    for q in range(1, Q + 1):
-        factors = factorize_with_table(q, table)
-        index: dict[Fraction, int] = {}
-        distinct, pattern = [], []
-        for y in target(q):
-            if y not in index:
-                index[y] = len(distinct)
-                distinct.append(_overlap_row(q, factors, psi(q), y))
-            pattern.append(index[y])
-        rows.append((tuple(distinct), tuple(pattern)))
-    return rows
-
-
 def _plan(pattern_q: tuple, pattern_r: tuple) -> tuple:
-    """The coordinate plan of two patterns of `_coordinate_rows`: each
+    """The coordinate plan of two patterns of `overlap._overlap_rows`: each
     distinct (i, j) of the coordinates' row indices, with the number of
     coordinates that pair row i of q with row j of r.  A pair's value is
     the product over the plan of overlap(i, j)**multiplicity."""
@@ -306,15 +288,14 @@ def _merge_units(sets: dict, row_q: tuple, row_r: tuple) -> tuple[int, int]:
 def _pairwise_worker(payload):
     """The one pair loop: a stripe of rows r, each the pairs q < r, summed
     into the payload's accumulator, which it returns.  The payload is (Q,
-    psi, target), the kernel, its gate (given psi and Q, it flags the q
-    whose pairs the kernel takes; None: every pair), the accumulator and
+    psi, target), the kernel, the flags (the kernel takes a pair when both
+    its flags are set, the interval merge the others), the accumulator and
     the stripe.  A pair's value is the product over the coordinates of
     |A_q & A_r|: when every q has one distinct row, the kernel's value,
     reduced, to the power m; otherwise the product over the pair's
     coordinate plan (`_plan`), cached per pair of patterns."""
-    (Q, psi, target), kernel, gate, total, worker_index, worker_count = payload
-    rows = _coordinate_rows(Q, psi, target)
-    flags = gate(psi, Q) if gate else [True] * (Q + 1)
+    (Q, psi, target), kernel, flags, total, worker_index, worker_count = payload
+    rows = _overlap_rows(Q, psi, target)
     merged = partial(_merge_units, {})
     single = all(len(distinct) == 1 for distinct, _ in rows[1:])
     m = target.m
@@ -398,9 +379,10 @@ def pairwise_overlap_sum(cfg: ExperimentConfig) -> SumReport:
     # Refused here, before any set is built: `build_approx_set` would refuse
     # only the first q past the piece cap, after building every smaller set.
     _check_piece_cap(cfg.Q, "Q")
-    # Likewise the rows, which `_coordinate_rows` builds only in the workers.
+    # Likewise the rows, which `_overlap_rows` builds only in the workers.
     _check_row_limit(cfg.Q)
-    weights = [0] + [cfg.psi(q) for q in range(1, cfg.Q + 1)]
+    weights = [0] + [cfg.psi(q) for q in range(1, cfg.Q + 1)]  # psi read once per q
+    flags = _closed_form_flags(weights.__getitem__, cfg.Q)
     # A rotation keeps the measure, so every coordinate of q has the
     # measure of the set centred on 0.
     per_q = [(q, build_approx_set(q, weights[q], 0).measure() ** cfg.m)
@@ -409,7 +391,7 @@ def pairwise_overlap_sum(cfg: ExperimentConfig) -> SumReport:
 
     worker_count = min(cfg.workers, max(1, cfg.Q - 1))
     exact = cfg.mode == "exact"
-    payloads = [((cfg.Q, cfg.psi, cfg.target), _pair_overlap_units, _closed_form_flags,
+    payloads = [((cfg.Q, weights.__getitem__, cfg.target), _pair_overlap_units, flags,
                  _RowSums() if exact else Enclosure(cfg.precision), w, worker_count)
                 for w in range(worker_count)]
     if worker_count == 1:
@@ -435,7 +417,7 @@ def pairwise_overlap_sum(cfg: ExperimentConfig) -> SumReport:
     return SumReport(
         config=cfg.describe(), pair_sum=pair_sum, measure_sum=measure_sum, ratio=ratio,
         per_q_measures=tuple(per_q), row_sums=row_sums, workers=worker_count,
-        **_pair_counts(_closed_form_flags(weights.__getitem__, cfg.Q), cfg.Q),
+        **_pair_counts(flags, cfg.Q),
     )
 
 
@@ -511,17 +493,18 @@ class _DenominatorSums:
 def main_term_sum_check(psi: ApproxFunction, m: int, ladder) -> list[MainTermRow]:
     """Sum of M(q, r)**m over q != r <= Q against the squared normalized
     weight sum, for each Q in the ladder, in increasing order: the ladder
-    over one `_pairwise_worker` stripe to max(ladder) with the ungated
-    kernel `_main_term_units` (a weight above 1/2 keeps its main term) at m
-    coordinates of target 0.  Each step is one Fraction over the lcm of its
-    denominators; the rhs is summed apart."""
+    over one `_pairwise_worker` stripe to max(ladder) with the kernel
+    `_main_term_units` and every flag set (a weight above 1/2 keeps its
+    main term) at m coordinates of target 0.  Each step is one Fraction
+    over the lcm of its denominators; the rhs is summed apart."""
     _check_ladder(ladder)
     _check_dimension(m)
     q_top = max(ladder)
     _check_row_limit(q_top)
     weights = [0] + [Fraction(psi(q)) for q in range(1, q_top + 1)]  # psi read once per q
     sums = _pairwise_worker(((q_top, weights.__getitem__, TargetSequence.zero(m)),
-                             _main_term_units, None, _DenominatorSums(ladder), 0, 1))
+                             _main_term_units, [True] * (q_top + 1), _DenominatorSums(ladder),
+                             0, 1))
     phi = totient_range(q_top)
     results = []
     half = rhs_base = Fraction(0)  # rhs_base: the sum of (psi(q) phi(q) / q)**m

@@ -259,15 +259,21 @@ def _check_row_limit(limit: int) -> None:
         raise BudgetError(f"Q = {limit} exceeds the overlap-row cap {_ROW_CAP}")
 
 
-def _overlap_rows(limit: int, psi, target=lambda q: 0) -> list:
-    """[None, row of 1, ..., row of limit]: `_overlap_row` at psi(q) and
-    target(q), every q factorized from one sieve."""
+def _overlap_rows(limit: int, psi, target) -> list:
+    """[None, rows of 1, ..., rows of limit], rows[q] = (distinct, pattern):
+    q's `_overlap_row`s at psi(q) and its distinct target components, in
+    the order the coordinates first use them, and pattern[i] the index in
+    distinct of coordinate i's row.  Each distinct (q, component) row is
+    built once, every q factorized from one sieve."""
     _check_row_limit(limit)
     table = spf_table(limit)
-    return [None] + [
-        _overlap_row(q, factorize_with_table(q, table), psi(q), target(q))
-        for q in range(1, limit + 1)
-    ]
+    rows: list = [None]
+    for q in range(1, limit + 1):
+        factors, psi_q, ys = factorize_with_table(q, table), psi(q), target(q)
+        distinct = list(dict.fromkeys(ys))
+        rows.append((tuple(_overlap_row(q, factors, psi_q, y) for y in distinct),
+                     tuple(map(distinct.index, ys))))
+    return rows
 
 
 def _pair_overlap_units(row_q: tuple, row_r: tuple) -> tuple[int, int]:

@@ -24,7 +24,6 @@ from .approx import (
 )
 from .arith import totient, totient_range
 from .counterexample import (
-    BlockSchedule,
     build_counterexample,
     divergence_partial_sum,
     instance_from_prime_blocks,
@@ -66,12 +65,18 @@ class CheckResult(NamedTuple):
         return f"{'PASS' if self.ok else 'FAIL'}  {self.name}: {self.detail}"
 
 
+def _scalar_rows(limit: int, psi, target=TargetSequence.zero()) -> list:
+    """[None, row of 1, ..., row of limit] of `_overlap_rows` at a
+    one-coordinate target."""
+    return [None] + [row for (row,), _ in _overlap_rows(limit, psi, target)[1:]]
+
+
 # -- 1: closed-form coprime pair counts vs brute force ---------------------------
 
 
 def check_coprime_counts(limit: int = 60) -> CheckResult:
     pairs = 0
-    rows = _overlap_rows(limit, lambda q: 0)
+    rows = _scalar_rows(limit, lambda q: 0)
     for q in range(2, limit + 1):
         for r in range(1, q):
             hist = coprime_pair_histogram(_decompose(rows[q], rows[r]))
@@ -169,7 +174,7 @@ def _bound_ratio_max(limit: int, psi: ApproxFunction) -> tuple[Fraction, Fractio
     and `trivial_rhs`, and each ratio is compared by cross-multiplication
     as (num, den).
     """
-    rows = _overlap_rows(limit, psi)
+    rows = _scalar_rows(limit, psi)
     sets = [None] + [build_approx_set(q, psi(q), 0) for q in range(1, limit + 1)]
     bound_num, bound_den = 0, 1
     trivial_num, trivial_den = 0, 1
@@ -228,7 +233,7 @@ def check_counterexample() -> CheckResult:
         210: Fraction(8, 35),
         2310: Fraction(16, 77),
     }
-    built = build_counterexample(BlockSchedule(blocks=1, eps=(Fraction(1, 2),)))
+    built = build_counterexample(1, (Fraction(1, 2),))
     fixtures = [
         ("schedule J=1 eps=1/2", built),
         ("P=30", instance_from_prime_blocks([[2, 3, 5]])),
@@ -376,7 +381,7 @@ def _calibration_configs():
             union = union.union(build_approx_set(q, psi_val, 0))
         configs.append((psi, target, qs, union.measure()))
     # the first block of the J=1 construction: union measure phi(6)/6 = 1/3
-    inst = build_counterexample(BlockSchedule(blocks=1, eps=(Fraction(1, 2),)))
+    inst = build_counterexample(1, (Fraction(1, 2),))
     psi = ApproxFunction.counterexample(inst)
     target = TargetSequence.counterexample(inst)
     configs.append((psi, target, (2, 3, 6), Fraction(1, 3)))
@@ -429,9 +434,8 @@ def check_overlap_engine(limit: int = 120, seed: int = 20260808) -> CheckResult:
     every pair r < q <= limit, for weights up to 1/2 and fixed or moving
     targets."""
     rng = random.Random(seed)
-    moving = [None] + [
-        Fraction(rng.randint(-64, 64), rng.randint(1, 64)) for _ in range(limit)
-    ]
+    moving = {q: (Fraction(rng.randint(-64, 64), rng.randint(1, 64)),)
+              for q in range(1, limit + 1)}
     families = (
         ApproxFunction.constant(Fraction(1, 4)),
         ApproxFunction.constant(Fraction(1, 2)),
@@ -439,15 +443,16 @@ def check_overlap_engine(limit: int = 120, seed: int = 20260808) -> CheckResult:
         ApproxFunction.divergent_m3(),
     )
     targets = (
-        ("zero", lambda q: 0),
-        ("1/3", lambda q: Fraction(1, 3)),
-        (f"moving (seed {seed})", moving.__getitem__),
+        ("zero", TargetSequence.zero()),
+        ("1/3", TargetSequence.constant([Fraction(1, 3)])),
+        (f"moving (seed {seed})", TargetSequence.from_table(moving, 1)),
     )
     pairs = 0
     for psi in families:
         for label, target in targets:
-            rows = _overlap_rows(limit, psi, target)
-            sets = [None] + [build_approx_set(q, psi(q), target(q)) for q in range(1, limit + 1)]
+            rows = _scalar_rows(limit, psi, target)
+            sets = [None] + [build_approx_set(q, psi(q), target(q)[0])
+                             for q in range(1, limit + 1)]
             for q in range(2, limit + 1):
                 for r in range(1, q):
                     units, den = _pair_overlap_units(rows[q], rows[r])

@@ -16,7 +16,7 @@ import torusapprox.overlap as overlap
 import torusapprox.verification as verification
 from torusapprox.approx import ApproxFunction, TargetSequence
 from torusapprox.cli import run
-from torusapprox.counterexample import BlockSchedule, build_counterexample, instance_from_prime_blocks
+from torusapprox.counterexample import build_counterexample, instance_from_prime_blocks
 from torusapprox.errors import IdentityError
 from torusapprox.experiments import ExperimentConfig, pairwise_overlap_sum
 from torusapprox.rationals import _unlimited_int_digits, format_rational, parse_rational
@@ -546,6 +546,9 @@ NAMED_OPTION = {
         "argument --exact-cap: wants an integer >= 1, got '-5'",
     "pairwise --Q 5 --psi const:1/4 --exact-cap 0":
         "argument --exact-cap: wants an integer >= 1, got '0'",
+    "counterexample --primes=": "block 1 has no primes",
+    "counterexample --eps=": "bad eps ''",
+    "counterexample --primes 2,3;": "block 2 has no primes",
 }
 
 
@@ -600,6 +603,10 @@ NAMED_OPTION = {
     # A cap below 1 is refused by its flag, not reported as a budget refusal.
     "pairwise --Q 5 --psi const:1/4 --exact-cap -5",
     "pairwise --Q 5 --psi const:1/4 --exact-cap 0",
+    # An empty list is given, not absent: refused, not the default schedule.
+    "counterexample --primes=",
+    "counterexample --eps=",
+    "counterexample --primes 2,3;",
 ])
 def test_bad_input_exits_2_with_one_line(capsys, argv):
     code, out, err = run_capture(capsys, argv.split())
@@ -671,7 +678,7 @@ def test_row_cap_refuses_before_any_row_or_set(capsys, monkeypatch, argv):
     def refuse(*args):
         raise AssertionError("a row or a set was built before the row cap refused it")
 
-    for module in (overlap, experiments):  # `_overlap_rows`, `_coordinate_rows`
+    for module in (overlap, experiments):  # the sieve of `_overlap_rows`, and experiments' own
         monkeypatch.setattr(module, "spf_table", refuse)
     monkeypatch.setattr(experiments, "build_approx_set", refuse)
     code, out, err = run_capture(capsys, argv.split())
@@ -722,7 +729,7 @@ def test_deferred_block_refusal_names_block_and_divisor_count(capsys, tmp_path):
     code, out, err = run_capture(
         capsys, ["counterexample", "--blocks", "2", "--verify", "--save", str(saved)]
     )
-    count = build_counterexample(BlockSchedule(blocks=2)).blocks[1].divisor_count
+    count = build_counterexample(2).blocks[1].divisor_count
     digits = str(count)
     assert len(digits) > 60  # so the line shows its first 20 digits and its length
     shown = f"{digits[:20]}...({len(digits)} digits)"

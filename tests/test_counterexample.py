@@ -7,7 +7,6 @@ import torusapprox.approx as approx
 import torusapprox.arith as arith
 import torusapprox.counterexample as counterexample
 from torusapprox.counterexample import (
-    BlockSchedule,
     CounterexampleInstance,
     block_union_set,
     build_counterexample,
@@ -20,18 +19,27 @@ from torusapprox.errors import BudgetError
 F = Fraction
 
 
-def test_block_schedule_validation():
-    with pytest.raises(ValueError):
-        BlockSchedule(blocks=0)
-    with pytest.raises(ValueError):
-        BlockSchedule(blocks=2, eps=(F(1, 2),))
-    with pytest.raises(ValueError):
-        BlockSchedule(blocks=1, mode="fast")
-    assert BlockSchedule(blocks=3).eps_for(3) == F(1, 8)
+def test_build_counterexample_validation(monkeypatch):
+    def search(*args):
+        raise AssertionError("a prime search ran before the values were checked")
+
+    monkeypatch.setattr(counterexample, "primes_for_epsilon", search)
+    with pytest.raises(ValueError, match="at least one block"):
+        build_counterexample(0)
+    with pytest.raises(ValueError, match="unknown mode 'fast'"):
+        build_counterexample(1, mode="fast")
+    with pytest.raises(ValueError, match="length must equal the block count"):
+        build_counterexample(2, (F(1, 2),))
+    for eps in (F(0), F(-1, 2), F(3, 2)):
+        with pytest.raises(ValueError, match=r"must lie in \(0, 1\]"):
+            build_counterexample(2, (F(1, 2), eps))
+    monkeypatch.undo()
+    # Two blocks only: the third block's prime run hits the run cap.
+    assert [blk.eps for blk in build_counterexample(2).blocks] == [F(1, 2), F(1, 4)]
 
 
 def test_hand_construction_p6():
-    inst = build_counterexample(BlockSchedule(blocks=1, eps=(F(1, 2),)))
+    inst = build_counterexample(1, (F(1, 2),))
     block = inst.blocks[0]
     assert block.primes == (2, 3)
     assert block.P == 6
@@ -55,7 +63,7 @@ def test_hand_construction_p6():
 
 
 def test_single_prime_block():
-    inst = build_counterexample(BlockSchedule(blocks=1, eps=(F(1),)))
+    inst = build_counterexample(1, (F(1),))
     assert inst.blocks[0].P == 2
     assert inst.psi_of(2) == F(1, 2)
     assert inst.y_of(2) == 0
@@ -66,9 +74,7 @@ def test_single_prime_block():
 
 
 def test_prime_mode_second_block_starts_after_largest_prime():
-    inst = build_counterexample(
-        BlockSchedule(blocks=2, eps=(F(1, 2), F(1, 2)), mode="prime")
-    )
+    inst = build_counterexample(2, (F(1, 2), F(1, 2)), "prime")
     assert inst.blocks[0].primes == (2, 3)
     assert inst.blocks[1].primes[0] == 5
     prime_sets = [set(blk.primes) for blk in inst.blocks]
@@ -77,9 +83,7 @@ def test_prime_mode_second_block_starts_after_largest_prime():
 
 def test_prime_mode_small_second_block_verifies():
     # keep eps mild so the second block stays within the piece budget
-    inst = build_counterexample(
-        BlockSchedule(blocks=2, eps=(F(1, 2), F(4, 5)), mode="prime")
-    )
+    inst = build_counterexample(2, (F(1, 2), F(4, 5)), "prime")
     assert inst.blocks[1].primes == (5, 7)
     measure = verify_block_measure(inst, 2)
     assert measure.contained and measure.ok
@@ -88,9 +92,7 @@ def test_prime_mode_small_second_block_verifies():
 
 
 def test_product_mode_second_block_starts_past_previous_product():
-    inst = build_counterexample(
-        BlockSchedule(blocks=2, eps=(F(1, 2), F(9, 10)), mode="product")
-    )
+    inst = build_counterexample(2, (F(1, 2), F(9, 10)), "product")
     assert inst.blocks[0].P == 6
     assert inst.blocks[1].primes[0] == 7
 
@@ -219,7 +221,7 @@ def test_budget_refusals(monkeypatch):
         verify_block_measure(instance_from_prime_blocks([[2, 3, 5]]), 1)
     monkeypatch.setattr(arith, "_PRIME_RUN_CAP", 10)
     with pytest.raises(BudgetError, match="block 1"):
-        build_counterexample(BlockSchedule(blocks=1, eps=(F(1, 10**4),)))
+        build_counterexample(1, (F(1, 10**4),))
 
 
 def test_deferred_block_closed_form_divergence(monkeypatch):
@@ -236,7 +238,7 @@ def test_deferred_block_closed_form_divergence(monkeypatch):
 
 
 def test_json_round_trip():
-    inst = build_counterexample(BlockSchedule(blocks=1, eps=(F(1, 2),)))
+    inst = build_counterexample(1, (F(1, 2),))
     text = inst.to_json()
     again = CounterexampleInstance.from_json(text)
     assert again.to_json() == text
@@ -253,9 +255,7 @@ def test_json_file_round_trip(tmp_path):
 
 
 def test_block_supports_disjoint():
-    inst = build_counterexample(
-        BlockSchedule(blocks=2, eps=(F(1, 2), F(4, 5)), mode="prime")
-    )
+    inst = build_counterexample(2, (F(1, 2), F(4, 5)), "prime")
     supports = [set(blk.divisors) for blk in inst.blocks]
     assert supports[0].isdisjoint(supports[1])
     for q in supports[0]:

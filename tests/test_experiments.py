@@ -25,7 +25,7 @@ from torusapprox.experiments import (
     quasi_independence_ladder,
     unit_sample,
 )
-from torusapprox.counterexample import BlockSchedule, build_counterexample
+from torusapprox.counterexample import build_counterexample
 from torusapprox.overlap import decompose_pair, overlap_report, pair_overlap_exact
 from torusapprox.torus import measure_intersection
 from torusapprox.verification import check_quasi_ladder
@@ -231,8 +231,7 @@ def test_records_refuse_assignment():
         "McReport": (mc_coverage(psi, ZERO1, [2, 3], 1000), "hits"),
         "EquidistRow": (next(equidistribution_scan(3, psi, ZERO1, [(0, F(1, 2))])), "ratio"),
         "CheckResult": (verification.check_counterexample(), "ok"),
-        "Block": (build_counterexample(BlockSchedule(blocks=1)).blocks[0], "P"),
-        "BlockSchedule": (BlockSchedule(blocks=2), "blocks"),
+        "Block": (build_counterexample(1).blocks[0], "P"),
     }
     for name, (record, field) in records.items():
         assert type(record).__name__ == name
@@ -383,8 +382,8 @@ def test_main_term_sum_matches_module_function():
 
 @pytest.mark.parametrize("psi, m, ladder", [
     (ApproxFunction.parse("div3"), 3, [16, 32]),
-    # Weights 0, 1/4 and 3/4: the scan's gate would send the 3/4 pairs to
-    # the merge, msum's ungated kernel keeps them.
+    # Weights 0, 1/4 and 3/4: the scan's flags would send the 3/4 pairs to
+    # the merge, msum's kernel keeps them with every flag set.
     (ApproxFunction.from_table({q: F((0, 1, 3)[q % 3], 4) for q in range(1, 25)}), 2, [24]),
 ], ids=["div3", "table"])
 def test_msum_stripes_merge_to_the_one_stripe_sums(monkeypatch, psi, m, ladder):
@@ -393,10 +392,10 @@ def test_msum_stripes_merge_to_the_one_stripe_sums(monkeypatch, psi, m, ladder):
     stripes = []
 
     def striped(payload):
-        inputs, kernel, gate, empty, index, count = payload
-        assert (gate, index, count) == (None, 0, 1)
+        inputs, kernel, flags, empty, index, count = payload
+        assert (all(flags), index, count) == (True, 0, 1)
         # Each stripe gets its own empty accumulator, as a pool worker does.
-        stripes.extend(worker((inputs, kernel, gate, pickle.loads(pickle.dumps(empty)), w, 2))
+        stripes.extend(worker((inputs, kernel, flags, pickle.loads(pickle.dumps(empty)), w, 2))
                        for w in range(2))
         assert all(any(stripe.steps) for stripe in stripes)  # both hold terms
         merged = pickle.loads(pickle.dumps(stripes[0]))
@@ -658,9 +657,9 @@ def test_mc_validation():
 
 def test_mc_three_sigma_calibration_block():
     # the first construction block: exact union measure 1/3
-    from torusapprox.counterexample import BlockSchedule, build_counterexample
+    from torusapprox.counterexample import build_counterexample
 
-    inst = build_counterexample(BlockSchedule(blocks=1, eps=(F(1, 2),)))
+    inst = build_counterexample(1, (F(1, 2),))
     report = mc_coverage(ApproxFunction.counterexample(inst),
                          TargetSequence.counterexample(inst), [2, 3, 6], 20000, seed=3)
     lo, hi = report.wilson3s
@@ -678,26 +677,30 @@ def test_mc_hundred_seed_calibration():
     assert inside >= 99
 
 
-@pytest.mark.parametrize("target", [
+@pytest.mark.parametrize("target, pattern", [
     # Every target moves off 0: a zero-target row of any q would be waste.
-    TargetSequence.from_table({q: (F(q % 4 + 1, 5),) for q in range(1, 31)}, 1),
-    ZERO1,
-], ids=["moving", "zero"])
-def test_coordinate_rows_build_each_row_once(monkeypatch, target):
+    (TargetSequence.from_table({q: (F(q % 4 + 1, 5),) for q in range(1, 31)}, 1), (0,)),
+    (ZERO1, (0,)),
+    # Two coordinates share a component: two distinct rows per q, not three.
+    (TargetSequence.constant([0, F(1, 3), 0]), (0, 1, 0)),
+], ids=["moving", "zero", "m3"])
+def test_coordinate_rows_build_each_row_once(monkeypatch, target, pattern):
     built = Counter()
-    row = experiments._overlap_row
+    row = overlap._overlap_row
 
     def counted(q, factors, psi_q, y_q):
         built[q, y_q] += 1
         return row(q, factors, psi_q, y_q)
 
-    for module in (experiments, overlap):
-        monkeypatch.setattr(module, "_overlap_row", counted)
-    rows = experiments._coordinate_rows(30, CONST4, target)
-    assert sum(built.values()) == 30 and set(built.values()) == {1}
+    monkeypatch.setattr(overlap, "_overlap_row", counted)
+    rows = overlap._overlap_rows(30, CONST4, target)
+    distinct = len(set(pattern))
+    assert sum(built.values()) == 30 * distinct and set(built.values()) == {1}
     for q in range(1, 31):
-        (row,), _ = rows[q]
-        assert F(row[5], row[3]) == target(q)[0]  # aimed at its target
+        rows_q, pattern_q = rows[q]
+        assert pattern_q == pattern and len(rows_q) == distinct
+        # each coordinate's row is aimed at its target
+        assert [F(rows_q[i][5], rows_q[i][3]) for i in pattern_q] == list(target(q))
 
 
 def test_equidistribution_scan_is_an_iterator_checked_at_the_call():

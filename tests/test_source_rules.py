@@ -18,7 +18,9 @@ does the brute-force f(c) histogram against the closed form, which also
 names no sieved residue list.  `ExperimentConfig` configures the pairwise
 scan alone, so only the scan's callers construct one.  `_pairwise_worker`
 is the one pair-summing loop: no other function of `experiments` calls a
-pair kernel or a coordinate plan by name.  The
+pair kernel or a coordinate plan by name.  `overlap._overlap_rows` is the
+one row builder: no function of `experiments` or `verification` calls
+`_overlap_row` by name.  The
 Monte Carlo hit count and its arc tables use no float, so every count is
 exact on the points drawn, and the tables are read off the approximation
 sets, so the package keeps one interval encoding.  No module imports
@@ -156,6 +158,18 @@ def test_only_the_pair_loop_calls_a_pair_kernel_or_plan():
             }:
                 found.add(getattr(top, "name", "<module>"))
     assert sorted(found) == ["_pairwise_worker"]
+
+
+def test_only_the_row_builder_calls_overlap_row():
+    found = [
+        f"{name}.{getattr(top, 'name', '<module>')}"
+        for name in ("experiments", "verification")
+        for top in ast.parse((PACKAGE / f"{name}.py").read_text()).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and "_overlap_row" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert found == []
 
 
 def test_piece_cap_policy_is_written_once():

@@ -135,7 +135,15 @@ def _modulus(text: str) -> int:
     return int(text)
 
 
+def _path(text: str) -> str:
+    """A file path; an empty value is given, not absent, so it is refused."""
+    if not text:
+        raise ValueError(text)
+    return text
+
+
 _INT = _converter(int, "an integer")
+_PATH = _converter(_path, "a file path")
 _MODULUS = _converter(_modulus, "an integer >= 1")
 _RATIONAL = _converter(parse_rational, "a rational p/q")
 
@@ -184,7 +192,7 @@ def _emit(columns, rows, config, fmt: str, out_path):
                 {"config": config, "columns": list(columns), "rows": rows},
                 sort_keys=True, indent=2,
             ) + "\n"
-    if out_path:
+    if out_path is not None:
         _write_atomic(out_path, text)
     else:
         sys.stdout.write(text)
@@ -360,7 +368,7 @@ def _cmd_counterexample(args) -> int:
         # block is checked or the instance is saved.
         for block in inst.blocks:
             _refuse_unbuildable(block)
-    if args.save:
+    if args.save is not None:
         inst.save(args.save)
     rows = []
     all_ok = True
@@ -537,7 +545,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
         prog="torusapprox",
         description="Exact experiments with coprime approximation sets on the circle.",
     )
-    parser.add_argument("--config", help="flat key=value config file")
+    parser.add_argument("--config", type=_PATH, help="flat key=value config file")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     commands: dict[str, _Parser] = {}
 
@@ -546,7 +554,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
         p.set_defaults(handler=handler)
         if report:
             p.add_argument("--format", choices=("csv", "json"), default="csv")
-            p.add_argument("--out", help="write the report here instead of stdout")
+            p.add_argument("--out", type=_PATH, help="write the report here instead of stdout")
         return p
 
     def family(p, target=True):
@@ -591,7 +599,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
     p.add_argument("--mode", choices=("product", "prime"), help="block mode (default product)")
     p.add_argument("--primes", help="explicit blocks: semicolon-separated comma lists")
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--save", help="write the instance JSON here")
+    p.add_argument("--save", type=_PATH, help="write the instance JSON here")
 
     p = command("sift", _cmd_sift, "exact count of integers coprime to n in [X, Y]")
     p.add_argument("--X", type=_RATIONAL)
@@ -638,7 +646,7 @@ def run(argv=None) -> int:
     try:
         try:
             args, extra = parser.parse_known_args(argv)
-            if args.config:
+            if args.config is not None:
                 commands[args.subcommand].take_config(_load_config_file(args.config))
                 args, extra = parser.parse_known_args(argv)
         except SystemExit:  # --help printed; a parse error raises UsageError

@@ -13,8 +13,9 @@ its flags are set, and to the interval merge `torus._overlap_units`
 otherwise.  The scan's kernel is the summed closed form f(c)
 (`overlap._pair_overlap_units`), flagged at psi(q) <= 1/2; msum's is
 M(q, r) (`overlap._main_term_units`), every flag set.  Each q has one row
-per distinct target component, and a pair's coordinate plan names each
-distinct pair of rows once with its multiplicity.
+per column, a distinct coordinate sequence of the target, and a pair's
+value is the product over the columns of the kernel's value to the power
+of the column's number of coordinates.
 
 Every pair term is an integer (num, den) from the kernel on.  Each
 accumulator takes it by add(num, den), closes a row by end_row(r) and
@@ -249,14 +250,6 @@ class ExperimentConfig:
 _HALF = Fraction(1, 2)
 
 
-def _plan(pattern_q: tuple, pattern_r: tuple) -> tuple:
-    """The coordinate plan of two patterns of `overlap._overlap_rows`: each
-    distinct (i, j) of the coordinates' row indices, with the number of
-    coordinates that pair row i of q with row j of r.  A pair's value is
-    the product over the plan of overlap(i, j)**multiplicity."""
-    return tuple((i, j, k) for (i, j), k in Counter(zip(pattern_q, pattern_r)).items())
-
-
 def _closed_form_flags(psi: ApproxFunction, Q: int) -> list[bool]:
     """flags[q] for q <= Q: whether psi(q) <= 1/2.  The closed form takes a
     pair when both its flags are set, and the interval merge the others."""
@@ -290,22 +283,19 @@ def _pairwise_worker(payload):
     into the payload's accumulator, which it returns.  The payload is (Q,
     psi, target), the kernel, the flags (the kernel takes a pair when both
     its flags are set, the interval merge the others), the accumulator and
-    the stripe.  A pair's value is the product over the coordinates of
-    |A_q & A_r|: when every q has one distinct row, the kernel's value,
-    reduced, to the power m; otherwise the product over the pair's
-    coordinate plan (`_plan`), cached per pair of patterns."""
+    the stripe.  A pair's value is the product over the target's columns
+    (`overlap._overlap_rows`) of |A_q & A_r| at the column, to the power of
+    its number of coordinates: with one column, the kernel's value,
+    reduced, to the power m."""
     (Q, psi, target), kernel, flags, total, worker_index, worker_count = payload
-    rows = _overlap_rows(Q, psi, target)
+    rows, powers = _overlap_rows(Q, psi, target)
     merged = partial(_merge_units, {})
-    single = all(len(distinct) == 1 for distinct, _ in rows[1:])
-    m = target.m
-    plans: dict[tuple, dict] = {}
+    single = len(powers) == 1
+    m = powers[0]
     add, gcd = total.add, math.gcd
     for r in range(1 + worker_index, Q + 1, worker_count):
-        rows_r, pattern_r = rows[r]
-        row_r, flag_r = rows_r[0], flags[r]
-        plan_of = plans.setdefault(pattern_r, {})
-        for (rows_q, pattern_q), flag_q in zip(rows[1:r], flags[1:r]):
+        rows_r, row_r, flag_r = rows[r], rows[r][0], flags[r]
+        for rows_q, flag_q in zip(rows[1:r], flags[1:r]):
             overlap = kernel if flag_q and flag_r else merged
             if single:
                 num, den = overlap(rows_q[0], row_r)
@@ -313,12 +303,9 @@ def _pairwise_worker(payload):
                     g = gcd(num, den)
                     add((num // g) ** m, (den // g) ** m)
                 continue
-            plan = plan_of.get(pattern_q)
-            if plan is None:
-                plan = plan_of[pattern_q] = _plan(pattern_q, pattern_r)
             num = den = 1
-            for i, j, k in plan:
-                units, d = overlap(rows_q[i], rows_r[j])
+            for column_q, column_r, k in zip(rows_q, rows_r, powers):
+                units, d = overlap(column_q, column_r)
                 num *= units**k
                 if not num:
                     break

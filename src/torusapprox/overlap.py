@@ -18,10 +18,10 @@ form
 always a non-negative integer.  Its one body, `_f_terms`, expands it into
 signed divisor terms f(c) = sum over k of a_k [k | c] from two per-q rows
 of `_overlap_row`; every user of f reads those terms.  Each row carries
-rad(q), its primes and the signed divisors d * mu(d) of the odd part of
-each t | rad(q), so the terms are products of two precomputed lists.  A
-coprime pair reads both lists from the rows as they are; only a pair
-sharing a prime is split by `_split`, which walks the primes of gcd(q, r).
+rad(q) and the signed divisors d * mu(d) of the odd part of each t | rad(q),
+so the terms are products of two precomputed lists.  A coprime pair reads
+both lists from the rows as they are; only a pair sharing a prime is split
+by `_split`, which walks the primes of gcd(q, r) in q's factorization.
 This module carries the closed form and its brute-force twin, the sifting
 window length D, the exact pairwise overlap measure, the bound right-hand
 sides it is checked against, and exact sifted counts of integers coprime
@@ -51,6 +51,7 @@ past it sum in one closed form.  The interval merge of `pair_overlap_exact`
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import repeat
 from typing import NamedTuple
@@ -80,10 +81,10 @@ def _split(row_q: tuple, row_r: tuple) -> tuple:
     d * mu(d) over the odd d | rad(en) are the products of an entry of
     signed_q and one of signed_r.
 
-    Only the primes of rad(gcd) = gcd(rad q, rad r) are split by
-    valuation: equal valuations put p**u into ell, unequal ones p**min into
-    em and an odd p into signed_q.  Every other prime is split, and
-    signed_q and signed_r start as the rows' signed lists of
+    Only the primes of rad(gcd) = gcd(rad q, rad r), read off q's factors,
+    are split by valuation: equal valuations put p**u into ell, unequal ones
+    p**min into em and an odd p into signed_q.  Every other prime is split,
+    and signed_q and signed_r start as the rows' signed lists of
     rad(q)/rad(gcd) and rad(r)/rad(gcd), which hold odd divisors only.
 
     The prime 2 never enters the signed lists: when it splits, f(c)
@@ -92,12 +93,13 @@ def _split(row_q: tuple, row_r: tuple) -> tuple:
     q, fq, _, _, _, _, rad_q, lists_q = row_q
     r, fr, _, _, _, _, rad_r, lists_r = row_r
     rad_g = math.gcd(rad_q, rad_r)
-    signed_q = lists_q[rad_q // rad_g][1]
-    signed_r = lists_r[rad_r // rad_g][1]
+    signed_q = lists_q[rad_q // rad_g]
+    signed_r = lists_r[rad_r // rad_g]
     ell = em = phi_em = 1
     balanced = []
-    for p in lists_q[rad_g][0]:
-        u = fq[p]
+    for p, u in fq.items():
+        if rad_g % p:
+            continue
         v = fr[p]
         if u == v:
             ell *= p**u
@@ -129,7 +131,7 @@ def _f_terms(row_q: tuple, row_r: tuple) -> tuple:
     rad_q = row_q[6]
     rad_r = row_r[6]
     if math.gcd(rad_q, rad_r) == 1:
-        return row_q[7][rad_q][1], repeat(1), row_r[7][rad_r][1], odd
+        return row_q[7][rad_q], repeat(1), row_r[7][rad_r], odd
     ell, _, _, phi_em, balanced, left, right = _split(row_q, row_r)
     rad = 1
     for p in balanced:
@@ -222,21 +224,21 @@ def pair_overlap_exact(q: int, r: int, psi, y_q=0, y_r=0) -> Fraction:
 def _overlap_row(q: int, factors, psi_q, y_q) -> tuple:
     """One set's integer data, read by every pair formula:
     (q, {p: e}, phi(q), den, psi, y, rad(q), lists) with psi(q) = psi/den,
-    y_q = y/den and, for each t | rad(q), lists[t] = (primes of t, the
-    d * mu(d) over the odd d | t, sorted by |d|): no reader expands the
-    prime 2, taken last and not sorted at, so lists[2t] shares lists[t]'s
-    tuple.  psi/den is unreduced when den(y_q) has a factor den(psi(q))
-    lacks; the pair formulas only cross-multiply, so that changes no value."""
+    y_q = y/den and, for each t | rad(q), lists[t] the d * mu(d) over the
+    odd d | t, sorted by |d| (about 1.4 KB a row in all): no reader expands
+    the prime 2, taken last and not sorted at, so lists[2t] is lists[t].
+    psi/den is unreduced when den(y_q) has a factor den(psi(q)) lacks; the
+    pair formulas only cross-multiply, so that changes no value."""
     factors = dict(factors)
     phi = rad = 1
-    lists = {1: ((), (1,))}
+    lists = {1: (1,)}
     for p, e in sorted(factors.items(), key=lambda item: item[0] == 2):
         phi *= p ** (e - 1) * (p - 1)
         rad *= p
-        for t, (primes, signed) in list(lists.items()):
+        for t, signed in list(lists.items()):
             if p != 2:
                 signed = tuple(sorted((d * m for m in (1, -p) for d in signed), key=abs))
-            lists[t * p] = (primes + (p,), signed)
+            lists[t * p] = signed
     psi = Fraction(psi_q)
     y = Fraction(y_q)
     den = math.lcm(psi.denominator, y.denominator)
@@ -248,8 +250,8 @@ def _overlap_row(q: int, factors, psi_q, y_q) -> tuple:
     )
 
 
-# A row holds about 2 KB (its signed divisor lists), so 2**15 rows take
-# about 65 MB; without this cap only the sieve cap of 10**7 bounds them.
+# A row holds about 1.4 KB (its signed divisor lists), so 2**15 rows take
+# about 46 MB; without this cap only the sieve cap of 10**7 bounds them.
 _ROW_CAP = 2**15
 
 
@@ -259,21 +261,23 @@ def _check_row_limit(limit: int) -> None:
         raise BudgetError(f"Q = {limit} exceeds the overlap-row cap {_ROW_CAP}")
 
 
-def _overlap_rows(limit: int, psi, target) -> list:
-    """[None, rows of 1, ..., rows of limit], rows[q] = (distinct, pattern):
-    q's `_overlap_row`s at psi(q) and its distinct target components, in
-    the order the coordinates first use them, and pattern[i] the index in
-    distinct of coordinate i's row.  Each distinct (q, component) row is
-    built once, every q factorized from one sieve."""
+def _overlap_rows(limit: int, psi, target) -> tuple[list, tuple]:
+    """(rows, powers) over the target's columns, its distinct coordinate
+    sequences (y_q[i] for q <= limit) in the order the coordinates first
+    use them: rows = [None, rows of 1, ..., rows of limit] with rows[q][c]
+    q's `_overlap_row` at psi(q) and column c's component, and powers[c]
+    the number of coordinates equal to column c.  Each distinct (q,
+    component) row is built once, so columns that agree at q share its
+    row, and every q is factorized from one sieve."""
     _check_row_limit(limit)
     table = spf_table(limit)
+    powers = Counter(zip(*(target(q) for q in range(1, limit + 1))))
     rows: list = [None]
-    for q in range(1, limit + 1):
-        factors, psi_q, ys = factorize_with_table(q, table), psi(q), target(q)
-        distinct = list(dict.fromkeys(ys))
-        rows.append((tuple(_overlap_row(q, factors, psi_q, y) for y in distinct),
-                     tuple(map(distinct.index, ys))))
-    return rows
+    for q, ys in enumerate(zip(*powers), 1):
+        factors, psi_q = factorize_with_table(q, table), psi(q)
+        built = {y: _overlap_row(q, factors, psi_q, y) for y in dict.fromkeys(ys)}
+        rows.append(tuple(map(built.__getitem__, ys)))
+    return rows, tuple(powers.values())
 
 
 def _pair_overlap_units(row_q: tuple, row_r: tuple) -> tuple[int, int]:

@@ -68,7 +68,7 @@ class CheckResult(NamedTuple):
 def _scalar_rows(limit: int, psi, target=TargetSequence.zero()) -> list:
     """[None, row of 1, ..., row of limit] of `_overlap_rows` at a
     one-coordinate target."""
-    return [None] + [row for (row,), _ in _overlap_rows(limit, psi, target)[1:]]
+    return [None] + [row for (row,) in _overlap_rows(limit, psi, target)[0][1:]]
 
 
 # -- 1: closed-form coprime pair counts vs brute force ---------------------------

@@ -549,6 +549,10 @@ NAMED_OPTION = {
     "counterexample --primes=": "block 1 has no primes",
     "counterexample --eps=": "bad eps ''",
     "counterexample --primes 2,3;": "block 2 has no primes",
+    "measure --q 5 --psi const:1/4 --out=": "argument --out: wants a file path, got ''",
+    "pairwise --Q 8 --psi div3 --out=": "argument --out: wants a file path, got ''",
+    "counterexample --save=": "argument --save: wants a file path, got ''",
+    "--config= measure --q 5 --psi const:1/4": "argument --config: wants a file path, got ''",
 }
 
 
@@ -607,6 +611,12 @@ NAMED_OPTION = {
     "counterexample --primes=",
     "counterexample --eps=",
     "counterexample --primes 2,3;",
+    # An empty path is given, not absent: refused before any work, not
+    # read as "no file" with the report on stdout.
+    "measure --q 5 --psi const:1/4 --out=",
+    "pairwise --Q 8 --psi div3 --out=",
+    "counterexample --save=",
+    "--config= measure --q 5 --psi const:1/4",
 ])
 def test_bad_input_exits_2_with_one_line(capsys, argv):
     code, out, err = run_capture(capsys, argv.split())

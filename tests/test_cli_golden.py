@@ -57,6 +57,12 @@ GOLDEN = [
      "8f62b1b68899c75b0cec8c2f104b16374a703f4632d69da06789945fd3bd4408"),
     ("pairwise --Q 40 --psi pow:1/2,1 --y zero --mode enclosure --precision 64",
      "1121f0fa785ffff19bd722f7e6014260c523c5aaaf8a2f9a5d196624ca14ae8d"),
+    # Two target columns, the coordinates 0 and 2 sharing one, exact and
+    # enclosed.
+    ("pairwise --Q 40 --m 3 --psi const:1/4 --y const:0,1/3,0",
+     "2db08962fa69e52098ab53d7eb049eafc21da7429247c6436ef3d2ab335f218f"),
+    ("pairwise --Q 40 --m 3 --psi pow:1/2,1 --y const:0,1/3,0 --mode enclosure --precision 64",
+     "a95e0a8674110a8282b7ebd44a8849d01107a46e16c833f3834bebd8589dfd8b"),
     ("equidist --Q 30 --psi const:1/4 --y const:1/3 --windows 0:1/3,1/4:3/4",
      "47246124dd4c7a879b8c40fa621e8a3dfce7e6ab6881e4f6aeb575f3721ef347"),
     ("equidist --Q 30 --psi const:1/4 --y const:1/3 --windows 0:1/3,1/4:3/4 --per-q",

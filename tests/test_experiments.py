@@ -350,6 +350,8 @@ def _direct_pair_sums(psi, target, m, q_max):
     targets=[F(q, 7) for q in range(33)], workers=3,
 )
 @example(m=3, weights=[F(1, 4)] * 11, targets=[F(0)] * 33, workers=1)
+# Period 11: the two coordinates coincide at every q, one column of power 2.
+@example(m=2, weights=[F(1, 3)] * 11, targets=[F(q % 11, 13) for q in range(33)], workers=1)
 def test_row_sums_match_a_fraction_double_sum(m, weights, targets, workers):
     q_max = len(weights)
     psi = ApproxFunction.from_table({q: w for q, w in enumerate(weights, start=1)})
@@ -677,14 +679,18 @@ def test_mc_hundred_seed_calibration():
     assert inside >= 99
 
 
-@pytest.mark.parametrize("target, pattern", [
+@pytest.mark.parametrize("target, powers", [
     # Every target moves off 0: a zero-target row of any q would be waste.
-    (TargetSequence.from_table({q: (F(q % 4 + 1, 5),) for q in range(1, 31)}, 1), (0,)),
-    (ZERO1, (0,)),
+    (TargetSequence.from_table({q: (F(q % 4 + 1, 5),) for q in range(1, 31)}, 1), (1,)),
+    (ZERO1, (1,)),
     # Two coordinates share a component: two distinct rows per q, not three.
-    (TargetSequence.constant([0, F(1, 3), 0]), (0, 1, 0)),
-], ids=["moving", "zero", "m3"])
-def test_coordinate_rows_build_each_row_once(monkeypatch, target, pattern):
+    (TargetSequence.constant([0, F(1, 3), 0]), (2, 1)),
+    # Coordinates 0 and 2 agree at even q only: two columns share q's row there.
+    (TargetSequence.from_table(
+        {q: (F(q, 7), F(1, 3), F(q, 7) if q % 2 == 0 else F(-q, 5)) for q in range(1, 31)}, 3),
+     (1, 1, 1)),
+], ids=["moving", "zero", "m3", "m3-per-q"])
+def test_coordinate_rows_build_each_row_once(monkeypatch, target, powers):
     built = Counter()
     row = overlap._overlap_row
 
@@ -693,14 +699,13 @@ def test_coordinate_rows_build_each_row_once(monkeypatch, target, pattern):
         return row(q, factors, psi_q, y_q)
 
     monkeypatch.setattr(overlap, "_overlap_row", counted)
-    rows = overlap._overlap_rows(30, CONST4, target)
-    distinct = len(set(pattern))
-    assert sum(built.values()) == 30 * distinct and set(built.values()) == {1}
+    rows, got = overlap._overlap_rows(30, CONST4, target)
+    assert got == powers
+    assert built == Counter({(q, y): 1 for q in range(1, 31) for y in target(q)})
     for q in range(1, 31):
-        rows_q, pattern_q = rows[q]
-        assert pattern_q == pattern and len(rows_q) == distinct
         # each coordinate's row is aimed at its target
-        assert [F(rows_q[i][5], rows_q[i][3]) for i in pattern_q] == list(target(q))
+        aims = [F(row[5], row[3]) for row, k in zip(rows[q], powers) for _ in range(k)]
+        assert sorted(aims) == sorted(target(q))
 
 
 def test_equidistribution_scan_is_an_iterator_checked_at_the_call():

@@ -338,7 +338,7 @@ def test_pair_formulas_on_rows_sharing_a_denominator_with_y(q, r, spec, y_q, y_r
 
 def test_example_row_psi_is_unreduced():
     row = _overlap_row(2, factorize(2), F(1, 4), F(1, 6))
-    assert row == (2, {2: 1}, 1, 12, 3, 2, 2, {1: ((), (1,)), 2: ((2,), (1,))})
+    assert row == (2, {2: 1}, 1, 12, 3, 2, 2, {1: (1,), 2: (1,)})
 
 
 def ref_pair_count(q, r, c):
@@ -411,14 +411,14 @@ def test_rows_keep_odd_signed_lists_shared_across_the_prime_two():
     # No reader expands the prime 2, so an even t shares the list of t / 2.
     table = spf_table(2000)
     for q in range(1, 2001):
-        lists = _overlap_row(q, factorize_with_table(q, table), 0, 0)[7]
-        for t, (primes, signed) in lists.items():
+        _, factors, _, _, _, _, rad, lists = _overlap_row(q, factorize_with_table(q, table), 0, 0)
+        assert len(lists) == 2 ** len(factors) and all(rad % t == 0 for t in lists)
+        for t, signed in lists.items():
             assert all(d % 2 for d in signed)
-            assert math.prod(primes) == t
             if t % 2 == 0:
-                assert signed is lists[t // 2][1]
+                assert signed is lists[t // 2]
             else:
-                assert len(signed) == 2 ** len(primes)
+                assert len(signed) == 2 ** sum(t % p == 0 for p in factors)
 
 
 def test_rows_sort_odd_signed_lists_by_absolute_value():
@@ -426,7 +426,7 @@ def test_rows_sort_odd_signed_lists_by_absolute_value():
     table = spf_table(2000)
     for q in range(1, 2001):
         lists = _overlap_row(q, factorize_with_table(q, table), 0, 0)[7]
-        for t, (_, signed) in lists.items():
+        for t, signed in lists.items():
             if t % 2:
                 assert signed[0] == 1
                 assert all(abs(d) < abs(e) for d, e in zip(signed, signed[1:]))

@@ -23,7 +23,7 @@ from torusapprox import overlap, verification
 from torusapprox.approx import ApproxFunction, TargetSequence, build_approx_set
 from torusapprox.arith import factorize
 from torusapprox.cli import run
-from torusapprox.experiments import ExperimentConfig, _plan, pairwise_overlap_sum
+from torusapprox.experiments import ExperimentConfig, pairwise_overlap_sum
 from torusapprox.overlap import _overlap_row, _pair_overlap_units, pair_overlap_exact
 from torusapprox.torus import measure_intersection
 
@@ -175,12 +175,6 @@ def test_scan_m2_shared_target_components():
     assert report.closed_form_pairs == 14 * 13 // 2 and report.merge_pairs == 0
 
 
-def test_coordinate_plan_names_each_distinct_row_pair_once():
-    assert _plan((0, 0, 0), (0, 0, 0)) == ((0, 0, 3),)
-    assert _plan((0, 1, 0), (0, 0, 1)) == ((0, 0, 1), (1, 0, 1), (0, 1, 1))
-    assert _plan((0, 1, 0, 1), (0, 1, 0, 1)) == ((0, 0, 2), (1, 1, 2))
-
-
 def exact_overlap_double_sum(Q, psi, target):
     """Sum over ordered pairs q != r <= Q of the product over the
     coordinates of `pair_overlap_exact`, in Fractions."""
@@ -195,9 +189,9 @@ def exact_overlap_double_sum(Q, psi, target):
 
 
 def partly_repeating(m):
-    """A per-q target whose components repeat in part, with a pattern of
-    repeats that changes with q mod 3 (all equal, two equal, all distinct
-    for m = 3)."""
+    """A per-q target whose components repeat in part, the repeats changing
+    with q mod 3 (all equal, two equal, all distinct for m = 3), so its
+    columns share rows at some q only."""
     table = {}
     for q in range(1, 25):
         a, b, c = F(q, 7), F(1, 3), F(-q, 5)
@@ -339,3 +333,28 @@ def test_coprime_count_suite_catches_a_parity_blind_table(monkeypatch):
     broken = mutant(overlap._f_table, "if odd else", "if False else")
     monkeypatch.setattr(verification, "_f_table", broken)
     assert not verification.check_coprime_counts(8).ok
+
+
+def coincident_below(q0):
+    """An m = 3 table whose coordinates 0 and 2 agree for q <= q0 and
+    differ above it."""
+    return TargetSequence.from_table(
+        {q: (F(q, 7), F(1, 3), F(q, 7) if q <= q0 else F(-q, 5)) for q in range(1, 25)}, 3)
+
+
+@pytest.mark.parametrize("Q, target, powers", [
+    (20, TargetSequence.constant([0, F(1, 3), 0], 3), (2, 1)),
+    (20, coincident_below(20), (2, 1)),
+    (24, coincident_below(20), (1, 1, 1)),
+], ids=["const-0,1/3,0", "table-Q20", "table-Q24"])
+def test_columns_are_the_distinct_coordinate_sequences(Q, target, powers):
+    psi = ApproxFunction.constant(F(1, 3))
+    rows, got = overlap._overlap_rows(Q, psi, target)
+    assert got == powers
+    for q in range(1, Q + 1):
+        assert len(rows[q]) == len(powers)
+        # Columns that agree at q share its one row.
+        components = [F(row[5], row[3]) for row in rows[q]]
+        assert len({id(row) for row in rows[q]}) == len(set(components))
+    report = pairwise_overlap_sum(ExperimentConfig(Q=Q, psi=psi, target=target, m=3))
+    assert report.pair_sum == exact_overlap_double_sum(Q, psi, target)

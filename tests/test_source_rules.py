@@ -17,8 +17,8 @@ against: it names no factorization, totient or divisor-form helper; so
 does the brute-force f(c) histogram against the closed form, which also
 names no sieved residue list.  `ExperimentConfig` configures the pairwise
 scan alone, so only the scan's callers construct one.  `_pairwise_worker`
-is the one pair-summing loop: no other function of `experiments` calls a
-pair kernel or a coordinate plan by name.  `overlap._overlap_rows` is the
+is the one pair-summing loop and receives its kernel as data: no function
+of `experiments` calls a pair kernel by name.  `overlap._overlap_rows` is the
 one row builder: no function of `experiments` or `verification` calls
 `_overlap_row` by name.  The
 Monte Carlo hit count and its arc tables use no float, so every count is
@@ -148,16 +148,23 @@ def test_only_the_scans_callers_construct_an_experiment_config():
     ]
 
 
-def test_only_the_pair_loop_calls_a_pair_kernel_or_plan():
-    named = {"_pair_overlap_units", "_main_term_units", "_plan"}
-    found = set()
-    for top in ast.parse((PACKAGE / "experiments.py").read_text()).body:
-        for node in ast.walk(top):
-            if isinstance(node, ast.Call) and named & {
-                getattr(node.func, "id", None), getattr(node.func, "attr", None)
-            }:
-                found.add(getattr(top, "name", "<module>"))
-    assert sorted(found) == ["_pairwise_worker"]
+def _pair_kernel_callers(source: str) -> list[str]:
+    """The top-level definitions of source that call a pair kernel by name."""
+    named = {"_pair_overlap_units", "_main_term_units"}
+    return sorted({
+        getattr(top, "name", "<module>")
+        for top in ast.parse(source).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and named & {
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)}
+    })
+
+
+def test_no_function_of_experiments_calls_a_pair_kernel():
+    # The pair loop receives its kernel as data, so no driver names one in a call.
+    assert _pair_kernel_callers((PACKAGE / "experiments.py").read_text()) == []
+    driver = "def driver(rows):\n    return overlap._main_term_units(rows[1], rows[2])\n"
+    assert _pair_kernel_callers(driver) == ["driver"]
 
 
 def test_only_the_row_builder_calls_overlap_row():

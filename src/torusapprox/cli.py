@@ -203,9 +203,7 @@ def _fmt(value) -> str:
         return "undefined"
     if isinstance(value, tuple):
         return f"[{format_rational(value[0])};{format_rational(value[1])}]"
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    return str(value)
+    return format_rational(value)
 
 
 def _psi_from(args) -> ApproxFunction:

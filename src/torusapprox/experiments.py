@@ -560,11 +560,12 @@ def phigcd_sum(q: int, m: int) -> tuple[int, int]:
     return brute, divisor_form
 
 
-def phigcd_batch_check(limit: int) -> dict:
+def phigcd_batch_check(limit: int) -> None:
     """Brute force vs divisor identity for every q <= limit and m in 1..4.
 
     The divisor forms come from the sieve of `_divisor_forms`, not from the
-    brute force.  Returns {"ok": bool, "mismatches": int}.
+    brute force.  Returns None when every sum agrees; otherwise raises
+    IdentityError naming the count of (q, m) mismatches.
     """
     phi = totient_range(limit)
     ms = range(1, 5)
@@ -572,7 +573,8 @@ def phigcd_batch_check(limit: int) -> dict:
     for q, forms, _ in _divisor_forms(limit, ms):
         sums = _phigcd_brute(q, ms, phi.__getitem__)
         mismatches += sum(brute != form for brute, form in zip(sums, forms))
-    return {"ok": mismatches == 0, "mismatches": mismatches}
+    if mismatches:
+        raise IdentityError(f"{mismatches} brute/divisor mismatches below {limit}")
 
 
 def _divisor_forms(limit: int, ms):
@@ -630,8 +632,6 @@ def phigcd_ratio_scan(limit: int, m: int = 3) -> Fraction:
 
 
 def _wilson(hits: int, n: int, z: float) -> tuple[float, float]:
-    if n == 0:
-        return 0.0, 1.0
     p = hits / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom

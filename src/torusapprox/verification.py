@@ -2,12 +2,16 @@
 
 Each suite checks one family of exact identities, proof-backed
 inequalities, or regression-guarded empirical constants at full scale and
-returns a CheckResult.  The pytest acceptance module and the CLI both run
+returns a CheckResult.  A suite fails one way: its body raises `_Failed`,
+or the code it checks raises `IdentityError`, and `_suite` turns either
+into the suite's FAIL result, so one failed identity never stops the
+suites after it.  The pytest acceptance module and the CLI both run
 these; a suite failure is a real failure, never a tolerance tweak.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 from typing import NamedTuple
@@ -65,6 +69,31 @@ class CheckResult(NamedTuple):
         return f"{'PASS' if self.ok else 'FAIL'}  {self.name}: {self.detail}"
 
 
+class _Failed(Exception):
+    """A suite's check did not hold; the message is its FAIL detail."""
+
+
+SUITES: dict = {}  # name -> suite, in definition order
+
+
+def _suite(name: str):
+    """Register a suite under `name`.  Its body returns the PASS detail; a
+    `_Failed` or `IdentityError` raised below it becomes the FAIL result.
+    The body's `-> CheckResult` names what the registered suite returns."""
+    def register(check):
+        @functools.wraps(check)
+        def suite(*args, **kwargs) -> CheckResult:
+            try:
+                return CheckResult(name, True, check(*args, **kwargs))
+            except (_Failed, IdentityError) as exc:
+                return CheckResult(name, False, str(exc))
+
+        SUITES[name] = suite
+        return suite
+
+    return register
+
+
 def _scalar_rows(limit: int, psi, target=TargetSequence.zero()) -> list:
     """[None, row of 1, ..., row of limit] of `_overlap_rows` at a
     one-coordinate target."""
@@ -74,6 +103,7 @@ def _scalar_rows(limit: int, psi, target=TargetSequence.zero()) -> list:
 # -- 1: closed-form coprime pair counts vs brute force ---------------------------
 
 
+@_suite("coprime-count")
 def check_coprime_counts(limit: int = 60) -> CheckResult:
     pairs = 0
     rows = _scalar_rows(limit, lambda q: 0)
@@ -83,20 +113,11 @@ def check_coprime_counts(limit: int = 60) -> CheckResult:
             table = _f_table(rows[q], rows[r])
             if table != hist:
                 c = next(c for c, (f, brute) in enumerate(zip(table, hist)) if f != brute)
-                return CheckResult(
-                    "coprime-count", False,
-                    f"formula != brute force at q={q}, r={r}, c={c}",
-                )
+                raise _Failed(f"formula != brute force at q={q}, r={r}, c={c}")
             if sum(hist) != totient(q) * totient(r):
-                return CheckResult(
-                    "coprime-count", False,
-                    f"mass sum mismatch at q={q}, r={r}",
-                )
+                raise _Failed(f"mass sum mismatch at q={q}, r={r}")
             pairs += 1
-    return CheckResult(
-        "coprime-count", True,
-        f"formula == brute force on every residue for {pairs} pairs with r < q <= {limit}",
-    )
+    return f"formula == brute force on every residue for {pairs} pairs with r < q <= {limit}"
 
 
 # -- 2: reduced-fraction sumsets ----------------------------------------------------
@@ -112,6 +133,7 @@ def _squarefree_flags(limit: int) -> list[bool]:
     return flags
 
 
+@_suite("sumset")
 def check_sumsets(limit: int = 2310) -> CheckResult:
     squarefree = _squarefree_flags(limit)
     checked = 0
@@ -123,19 +145,15 @@ def check_sumsets(limit: int = 2310) -> CheckResult:
             if q % r != 0:
                 continue
             if _sumset_numerators(r, q // r) != expected:
-                return CheckResult(
-                    "sumset", False, f"sumset mismatch at q={q}, r={r}"
-                )
+                raise _Failed(f"sumset mismatch at q={q}, r={r}")
             checked += 1
-    return CheckResult(
-        "sumset", True,
-        f"{checked} (q, r) sumsets match the reduced fractions, squarefree q <= {limit}",
-    )
+    return f"{checked} (q, r) sumsets match the reduced fractions, squarefree q <= {limit}"
 
 
 # -- 3: exact measure law -------------------------------------------------------------
 
 
+@_suite("measure-law")
 def check_measure_law(
     limit: int = 500, targets_per: int = 20, seed: int = 20260808
 ) -> CheckResult:
@@ -152,15 +170,9 @@ def check_measure_law(
                 approx = _build_approx_set(q, psi, y, residues)
                 report = _measure_check(q, psi, approx, phi[q])
                 if report.measure != expected or not report.ok:
-                    return CheckResult(
-                        "measure-law", False,
-                        f"measure != 2 phi psi / q at q={q}, psi={psi}, y={y}",
-                    )
+                    raise _Failed(f"measure != 2 phi psi / q at q={q}, psi={psi}, y={y}")
                 checked += 1
-    return CheckResult(
-        "measure-law", True,
-        f"{checked} exact measure identities over q <= {limit}, psi in {{1/4, 1/3, 1/2}}",
-    )
+    return f"{checked} exact measure identities over q <= {limit}, psi in {{1/4, 1/3, 1/2}}"
 
 
 # -- 4: overlap bound soundness --------------------------------------------------------
@@ -199,6 +211,7 @@ def _bound_ratio_max(limit: int, psi: ApproxFunction) -> tuple[Fraction, Fractio
     return Fraction(bound_num, bound_den), Fraction(trivial_num, trivial_den)
 
 
+@_suite("overlap-bound")
 def check_overlap_bound(limit: int = 200) -> CheckResult:
     families = (ApproxFunction.constant(Fraction(1, 4)), ApproxFunction.power(Fraction(1, 2), 1))
     details = []
@@ -207,25 +220,21 @@ def check_overlap_bound(limit: int = 200) -> CheckResult:
         base = baseline_fraction("overlap_bound_C", psi.describe())
         base_trivial = baseline_fraction("trivial_bound_C", psi.describe())
         if not within_baseline(worst_bound, base):
-            return CheckResult(
-                "overlap-bound", False,
-                f"{psi.describe()}: C = {worst_bound} exceeds baseline {base} by more than 1%",
+            raise _Failed(
+                f"{psi.describe()}: C = {worst_bound} exceeds baseline {base} by more than 1%"
             )
         if not within_baseline(worst_trivial, base_trivial):
-            return CheckResult(
-                "overlap-bound", False,
-                f"{psi.describe()}: trivial C = {worst_trivial} exceeds baseline {base_trivial}",
+            raise _Failed(
+                f"{psi.describe()}: trivial C = {worst_trivial} exceeds baseline {base_trivial}"
             )
         details.append(f"{psi.describe()}: C={format_rational(worst_bound)}")
-    return CheckResult(
-        "overlap-bound", True,
-        f"soundness over q != r <= {limit}; " + "; ".join(details),
-    )
+    return f"soundness over q != r <= {limit}; " + "; ".join(details)
 
 
 # -- 5: block construction -------------------------------------------------------------
 
 
+@_suite("counterexample")
 def check_counterexample() -> CheckResult:
     expected_density = {
         6: Fraction(1, 3),
@@ -241,57 +250,40 @@ def check_counterexample() -> CheckResult:
         ("P=2310", instance_from_prime_blocks([[2, 3, 5, 7, 11]])),
     ]
     if built.blocks[0].P != 6:
-        return CheckResult("counterexample", False, "J=1 schedule did not produce P=6")
+        raise _Failed("J=1 schedule did not produce P=6")
     for label, inst in fixtures:
         block = inst.blocks[0]
         measure = verify_block_measure(inst, 1)
         if not measure.contained:
-            return CheckResult("counterexample", False, f"{label}: containment failed")
+            raise _Failed(f"{label}: containment failed")
         expected = expected_density[block.P]
         if measure.measure != expected or measure.bound != expected or not measure.ok:
-            return CheckResult(
-                "counterexample", False,
-                f"{label}: measure {measure.measure} != phi(P)/P = {expected}",
-            )
+            raise _Failed(f"{label}: measure {measure.measure} != phi(P)/P = {expected}")
         closed = Fraction(block.P - 1, 2 * block.P)
         if divergence_partial_sum(inst, 1) != closed:
-            return CheckResult(
-                "counterexample", False, f"{label}: divergence sum != (P-1)/(2P)"
-            )
-    return CheckResult(
-        "counterexample", True,
-        "containment, exact block measure phi(P)/P, and divergence sums "
-        "verified for P in {6, 30, 210, 2310}",
-    )
+            raise _Failed(f"{label}: divergence sum != (P-1)/(2P)")
+    return ("containment, exact block measure phi(P)/P, and divergence sums "
+            "verified for P in {6, 30, 210, 2310}")
 
 
 # -- 6: totient-of-gcd sums --------------------------------------------------------------
 
 
+@_suite("phigcd")
 def check_phigcd(limit_equal: int = 10**4, limit_ratio: int = 10**5) -> CheckResult:
-    outcome = phigcd_batch_check(limit_equal)
-    if not outcome["ok"]:
-        return CheckResult(
-            "phigcd", False,
-            f"{outcome['mismatches']} brute/divisor mismatches below {limit_equal}",
-        )
+    phigcd_batch_check(limit_equal)
     ratio = phigcd_ratio_scan(limit_ratio, m=3)
     base = baseline_fraction("phigcd_m3_ratio_max")
     if not within_baseline(ratio, base):
-        return CheckResult(
-            "phigcd", False,
-            f"m=3 ratio {ratio} exceeds baseline {base} by more than 1%",
-        )
-    return CheckResult(
-        "phigcd", True,
-        f"brute == divisor form for q <= {limit_equal}, m in 1..4; "
-        f"m=3 ratio max {format_rational(ratio)} over q <= {limit_ratio}",
-    )
+        raise _Failed(f"m=3 ratio {ratio} exceeds baseline {base} by more than 1%")
+    return (f"brute == divisor form for q <= {limit_equal}, m in 1..4; "
+            f"m=3 ratio max {format_rational(ratio)} over q <= {limit_ratio}")
 
 
 # -- 7: sifted interval counts ---------------------------------------------------------------
 
 
+@_suite("sift")
 def check_sifted_counts(trials: int = 10**4, seed: int = 20260808) -> CheckResult:
     rng = random.Random(seed)
     for trial in range(trials):
@@ -302,16 +294,14 @@ def check_sifted_counts(trials: int = 10**4, seed: int = 20260808) -> CheckResul
         try:
             sifted_interval_count(x, y, n)
         except IdentityError as exc:
-            return CheckResult("sift", False, f"trial {trial}: {exc}")
-    return CheckResult(
-        "sift", True,
-        f"{trials} random windows: |count - main term| <= 2**omega(n) throughout",
-    )
+            raise _Failed(f"trial {trial}: {exc}") from exc
+    return f"{trials} random windows: |count - main term| <= 2**omega(n) throughout"
 
 
 # -- 8: quasi-independence ladder ---------------------------------------------------------------
 
 
+@_suite("ladder")
 def check_quasi_ladder(
     ladder=(16, 32, 64, 128, 256, 512), worker_counts=(1, 4, 8)
 ) -> CheckResult:
@@ -324,10 +314,7 @@ def check_quasi_ladder(
         q_max = report.config["Q"]
         base = baseline_fraction("quasi_ladder", str(q_max))
         if report.ratio is None or not within_baseline(report.ratio, base):
-            return CheckResult(
-                "ladder", False,
-                f"Q={q_max}: ratio {report.ratio} exceeds baseline {base}",
-            )
+            raise _Failed(f"Q={q_max}: ratio {report.ratio} exceeds baseline {base}")
     q_top = max(ladder)
     top = max(reports, key=lambda report: report.config["Q"])
     # The ladder's own scan at the top Q is the 1-worker run.
@@ -338,16 +325,10 @@ def check_quasi_ladder(
         for workers in worker_counts
     ]
     if any(s != sums[0] for s in sums[1:]):
-        return CheckResult(
-            "ladder", False,
-            f"pair sums differ across worker counts {worker_counts} at Q={q_top}",
-        )
-    return CheckResult(
-        "ladder", True,
-        f"ratios bounded by baselines over Q in {tuple(ladder)}; "
-        f"ratio({q_top}) ~ {float(top.ratio):.9f} (exact rational checked); "
-        f"bit-identical for workers {tuple(worker_counts)}",
-    )
+        raise _Failed(f"pair sums differ across worker counts {worker_counts} at Q={q_top}")
+    return (f"ratios bounded by baselines over Q in {tuple(ladder)}; "
+            f"ratio({q_top}) ~ {float(top.ratio):.9f} (exact rational checked); "
+            f"bit-identical for workers {tuple(worker_counts)}")
 
 
 # -- 9: Monte Carlo calibration ---------------------------------------------------------------
@@ -407,6 +388,7 @@ def _calibration_configs():
     return configs
 
 
+@_suite("mc")
 def check_mc_calibration(samples: int = 100_000, seed: int = 7) -> CheckResult:
     inside = 0
     configs = _calibration_configs()
@@ -418,17 +400,17 @@ def check_mc_calibration(samples: int = 100_000, seed: int = 7) -> CheckResult:
         lo, hi = report.wilson3s
         if lo <= float(exact) <= hi:
             inside += 1
-    ok = inside >= 19
-    return CheckResult(
-        "mc", ok,
-        f"exact measure inside the 3-sigma interval in {inside}/{len(configs)} "
-        f"configurations at {samples} samples, seed {seed}",
-    )
+    detail = (f"exact measure inside the 3-sigma interval in {inside}/{len(configs)} "
+              f"configurations at {samples} samples, seed {seed}")
+    if inside < 19:
+        raise _Failed(detail)
+    return detail
 
 
 # -- 10: closed-form overlap engine vs the interval merge -----------------------------
 
 
+@_suite("overlap-engine")
 def check_overlap_engine(limit: int = 120, seed: int = 20260808) -> CheckResult:
     """The scan's closed-form pair overlap against the interval merge on
     every pair r < q <= limit, for weights up to 1/2 and fixed or moving
@@ -457,29 +439,10 @@ def check_overlap_engine(limit: int = 120, seed: int = 20260808) -> CheckResult:
                 for r in range(1, q):
                     units, den = _pair_overlap_units(rows[q], rows[r])
                     if Fraction(units, den) != measure_intersection(sets[q], sets[r]):
-                        return CheckResult(
-                            "overlap-engine", False,
-                            f"closed form != merge at q={q}, r={r}, "
-                            f"psi={psi.describe()}, y={label}",
-                        )
+                        raise _Failed(f"closed form != merge at q={q}, r={r}, "
+                                      f"psi={psi.describe()}, y={label}")
                     pairs += 1
-    return CheckResult(
-        "overlap-engine", True,
-        f"closed form == interval merge on {pairs} pairs r < q <= {limit}: psi in "
-        + ", ".join(psi.describe() for psi in families)
-        + "; targets " + ", ".join(label for label, _ in targets),
-    )
+    return (f"closed form == interval merge on {pairs} pairs r < q <= {limit}: psi in "
+            + ", ".join(psi.describe() for psi in families)
+            + "; targets " + ", ".join(label for label, _ in targets))
 
-
-SUITES = {
-    "coprime-count": check_coprime_counts,
-    "sumset": check_sumsets,
-    "measure-law": check_measure_law,
-    "overlap-bound": check_overlap_bound,
-    "counterexample": check_counterexample,
-    "phigcd": check_phigcd,
-    "sift": check_sifted_counts,
-    "ladder": check_quasi_ladder,
-    "mc": check_mc_calibration,
-    "overlap-engine": check_overlap_engine,
-}

@@ -518,6 +518,48 @@ def test_verify_times_each_suite_on_stderr_only(capsys, monkeypatch):
     assert re.fullmatch(r"suite=sift seconds=\d+\.\d{3}", lines[1])
 
 
+def test_a_failed_identity_is_its_suites_fail_line_and_later_suites_run(capsys, monkeypatch):
+    def broken(*args):
+        raise IdentityError("ell * em * en != phi(q) phi(r)")
+
+    monkeypatch.setattr(verification, "_decompose", broken)
+    monkeypatch.setattr(cli, "SUITES", {name: verification.SUITES[name]
+                                        for name in ("coprime-count", "sift")})
+    code, out, err = run_capture(capsys, ["verify", "--suite", "all"])
+    assert code == 1
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        "FAIL  coprime-count", "PASS  sift"]
+    assert out.splitlines()[0] == "FAIL  coprime-count: ell * em * en != phi(q) phi(r)"
+    assert "identity failure" not in out + err
+
+
+EXACT_CAP_REFUSAL = ("budget refusal: exact accumulation is capped at Q = 39; "
+                     "use enclosure mode beyond that\n")
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+def test_exact_cap_from_a_flag_or_a_config_line_moves_the_refusal(capsys, tmp_path,
+                                                                  via_config):
+    argv = ["pairwise", "--Q", "40", "--psi", "const:1/4"]
+    if via_config:
+        conf = tmp_path / "ta.conf"
+        conf.write_text("exact-cap=39\n")
+        argv = ["--config", str(conf), *argv]
+    else:
+        argv += ["--exact-cap", "39"]
+    code, out, err = run_capture(capsys, argv)
+    assert (code, out, err) == (3, "", EXACT_CAP_REFUSAL)
+
+
+def test_exact_cap_admits_a_scan_past_the_default_cap(capsys):
+    argv = ["pairwise", "--Q", "513", "--psi", "const:1/4"]
+    code, out, _ = run_capture(capsys, argv)
+    assert (code, out) == (3, "")
+    code, out, _ = run_capture(capsys, argv + ["--exact-cap", "513"])
+    assert code == 0
+    assert out.splitlines()[-1].startswith("513,1,")
+
+
 # Rows whose message must name the option at fault: a value that starts
 # with "-" and a digit is joined to its flag, not read as one.
 NAMED_OPTION = {
@@ -732,6 +774,17 @@ def test_counterexample_verify_builds_each_block_union_once(capsys, monkeypatch)
     assert code == 0
     assert out.splitlines()[-1].endswith(",True")
     assert calls == [1, 2]
+
+
+def test_one_eps_is_copied_to_every_block(capsys, tmp_path):
+    saved = tmp_path / "cx.json"
+    code, out, _ = run_capture(
+        capsys, ["counterexample", "--blocks", "2", "--eps", "1/2", "--save", str(saved)]
+    )
+    assert code == 0
+    assert "# eps=1/2" in out.splitlines()
+    blocks = json.loads(saved.read_text())["blocks"]
+    assert [block["eps"] for block in blocks] == ["1/2", "1/2"]
 
 
 def test_deferred_block_refusal_names_block_and_divisor_count(capsys, tmp_path):

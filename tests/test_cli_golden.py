@@ -23,6 +23,7 @@ def sha256(data: bytes) -> str:
 
 
 PAIRWISE_M2 = "bb7e97b86031ec54d2d98fbe85181117ecb242033fc982fa470f671929fe0976"
+PAIRWISE_MERGE = "65bcde36f8f6b69c202f2edd94dea047440488cd537c59e8f3ef2fa12da57d33"
 SIFT = "98bb2f5c134507794f1a955d57ae479a4cea662bf460ef50a51bcb2b70afeec3"
 VERIFY_COUNTEREXAMPLE = "4d50a061bbfc43655fa460f93400123c6a487141e6a7bb83d564fe6b0112d30b"
 
@@ -63,6 +64,17 @@ GOLDEN = [
      "2db08962fa69e52098ab53d7eb049eafc21da7429247c6436ef3d2ab335f218f"),
     ("pairwise --Q 40 --m 3 --psi pow:1/2,1 --y const:0,1/3,0 --mode enclosure --precision 64",
      "a95e0a8674110a8282b7ebd44a8849d01107a46e16c833f3834bebd8589dfd8b"),
+    # An exact cap at Q admits the scan and leaves the report as at the
+    # default cap.
+    ("pairwise --Q 40 --psi const:1/4 --exact-cap 40",
+     "32ca0067a47ec1b8c526b42fac06528802cf17a7b1504ef4f86dc087e9db1872"),
+    # Weights above 1/2 send all 276 pairs, over two columns, to the
+    # interval merge.
+    ("pairwise --Q 24 --m 2 --psi const:3/4 --y const:0,1/3", PAIRWISE_MERGE),
+    ("pairwise --Q 24 --m 2 --psi const:3/4 --y const:0,1/3 --workers 2", PAIRWISE_MERGE),
+    # Zero weights: the ratio 0/0 renders as `undefined`.
+    ("pairwise --Q 24 --psi const:0",
+     "905445e39ed7630c54318f90511b29dc01d6e025f5c7e69600e9bd8dafaa17a0"),
     ("equidist --Q 30 --psi const:1/4 --y const:1/3 --windows 0:1/3,1/4:3/4",
      "47246124dd4c7a879b8c40fa621e8a3dfce7e6ab6881e4f6aeb575f3721ef347"),
     ("equidist --Q 30 --psi const:1/4 --y const:1/3 --windows 0:1/3,1/4:3/4 --per-q",
@@ -72,6 +84,8 @@ GOLDEN = [
      "5eb8b728d934157b5f041c9889a71b8c876049848518628ccb08612fa03104cd"),
     ("msum --ladder 16,32 --m 3 --psi div3",
      "9064102a8fdd94dfb53bef38f530f895214261cce21ad9af740dc36ff83a6543"),
+    ("msum --Q 24 --m 2 --psi const:3/4",
+     "5a5020fbc696ec6517e24c221f533877871e6043fe6a0802a2668f35cb51ff63"),
     ("mc --q-range 2,3,6 --psi const:1/4 --samples 2000 --seed 7",
      "4beda6487cff73735475285f144ed878013a0064698ae287f89925daa684df41"),
     ("mc --q-range 2,3,6 --psi const:1/4 --samples 2000 --seed 7 --grid",
@@ -107,6 +121,9 @@ GOLDEN = [
     ("sift --X -7/3 --Y 50 --n 30", SIFT),
     ("counterexample --blocks 1 --eps 1/2 --verify",
      "da0e8317a565cf00a5bddd8b5a45faffd5e32bac2a2343e3694526c6f0854db8"),
+    # One eps for every block; block 2 has 15 primes and 32,767 divisors.
+    ("counterexample --blocks 2 --eps 1/2",
+     "ac5b89233cb26daafd5c784859d73c293b728a13a0d8235eece04f37ea282ac8"),
     ("counterexample --primes 2,3,5,7,11 --verify",
      "b85ea9007c33647ebd489a0a1f9a4d8ab6e097ae248abb4289f27976942c7f07"),
     ("verify --suite counterexample", VERIFY_COUNTEREXAMPLE),

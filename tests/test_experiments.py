@@ -477,13 +477,13 @@ def test_phigcd_checks_catch_a_brute_force_that_drops_a_divisor(monkeypatch):
     monkeypatch.setattr(experiments, "_phigcd_brute", drop_two)
     with pytest.raises(IdentityError):
         phigcd_sum(4, 3)
-    outcome = phigcd_batch_check(20)
-    assert outcome["ok"] is False
-    assert outcome["mismatches"] == 4 * len(range(2, 21, 2))
+    # 4 * len(range(2, 21, 2)) = 40 mismatches: every m at every even q.
+    with pytest.raises(IdentityError, match="^40 brute/divisor mismatches below 20$"):
+        phigcd_batch_check(20)
 
 
 def test_phigcd_batch_and_scan_agree():
-    assert phigcd_batch_check(400) == {"ok": True, "mismatches": 0}
+    assert phigcd_batch_check(400) is None
     assert phigcd_ratio_scan(400, 2) <= 1  # the m = 2 sum never exceeds q**2
 
 
@@ -513,7 +513,7 @@ def test_phigcd_batch_check_builds_one_sieve(monkeypatch):
         return spf_table(limit)
 
     monkeypatch.setattr(experiments, "spf_table", counting)
-    assert phigcd_batch_check(200) == {"ok": True, "mismatches": 0}
+    assert phigcd_batch_check(200) is None
     assert sieves == [200]
 
 

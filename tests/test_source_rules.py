@@ -20,7 +20,8 @@ scan alone, so only the scan's callers construct one.  `_pairwise_worker`
 is the one pair-summing loop and receives its kernel as data: no function
 of `experiments` calls a pair kernel by name.  `overlap._overlap_rows` is the
 one row builder: no function of `experiments` or `verification` calls
-`_overlap_row` by name.  The
+`_overlap_row` by name.  A verification suite fails one way, by raising,
+so in `verification` only the `_suite` wrapper constructs a `CheckResult`.  The
 Monte Carlo hit count and its arc tables use no float, so every count is
 exact on the points drawn, and the tables are read off the approximation
 sets, so the package keeps one interval encoding.  No module imports
@@ -177,6 +178,24 @@ def test_only_the_row_builder_calls_overlap_row():
             getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
     assert found == []
+
+
+def _check_result_constructions(source: str) -> list[str]:
+    """The top-level definition of source around each CheckResult call."""
+    return [
+        getattr(top, "name", "<module>")
+        for top in ast.parse(source).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and "CheckResult" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+def test_only_the_suite_wrapper_constructs_a_check_result():
+    found = _check_result_constructions((PACKAGE / "verification.py").read_text())
+    assert sorted(set(found)) == ["_suite"]
+    suite = 'def check_x():\n    return CheckResult("x", False, "detail")\n'
+    assert _check_result_constructions(suite) == ["check_x"]
 
 
 def test_piece_cap_policy_is_written_once():

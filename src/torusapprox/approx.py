@@ -250,7 +250,10 @@ def _read_table(path, width: int) -> dict[int, list[Fraction]]:
                 continue
             if len(row) != width + 1:
                 raise ValueError(f"table row {row!r} needs q and {width} value(s)")
-            q = int(row[0])
+            try:
+                q = int(row[0])
+            except ValueError:
+                raise ValueError(f"table q = {row[0]!r} is not an integer") from None
             if q in mapping:
                 raise ValueError(f"table gives q = {q} twice")
             mapping[q] = [parse_rational(v) for v in row[1:]]
@@ -352,7 +355,11 @@ class ApproxFunction(_Family):
                 raise ValueError(f"pow spec needs c,alpha: {text!r}")
             if len(parts) == 3 and parts[2] != "raw":
                 raise ValueError(f"unknown pow modifier: {parts[2]!r}")
-            return cls.power(parse_rational(parts[0]), int(parts[1]), clip=len(parts) == 2)
+            try:
+                alpha = int(parts[1])
+            except ValueError:
+                raise ValueError("power exponent must be a non-negative integer") from None
+            return cls.power(parse_rational(parts[0]), alpha, clip=len(parts) == 2)
         if head == "table":
             table = _read_table(rest, 1)
             return cls.from_table({q: v for q, (v,) in table.items()}, spec=s)

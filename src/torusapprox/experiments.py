@@ -6,16 +6,16 @@ brute force and through the divisor identity, Monte Carlo coverage with a
 counter-based generator, and exact equidistribution scans.
 
 Both pair sums run through one loop, `_pairwise_worker`: a stripe of rows
-r, each the pairs q < r, of a pair kernel on the integer rows of
+r, each the pairs q < r, of a pair kernel on the target parts of
 `overlap._overlap_rows`, summed into an accumulator.  The loop reads the
 weights once per q and one flag per q: a pair goes to the kernel when both
-its flags are set, and to the interval merge `torus._overlap_units`
+its flags are set, and to the interval merge `overlap._merge_units`
 otherwise.  The scan's kernel is the summed closed form f(c)
 (`overlap._pair_overlap_units`), flagged at psi(q) <= 1/2; msum's is
-M(q, r) (`overlap._main_term_units`), every flag set.  Each q has one row
-per column, a distinct coordinate sequence of the target, and a pair's
-value is the product over the columns of the kernel's value to the power
-of the column's number of coordinates.
+M(q, r) (`overlap._main_term_units`), every flag set.  Each q has one part
+per column, a distinct coordinate sequence of the target, shared by columns
+that agree at q, and a pair's value is the product over its distinct pairs
+of parts of the kernel's value to the power of the coordinates each covers.
 
 Every pair term is an integer (num, den) from the kernel on.  Each
 accumulator takes it by add(num, den), closes a row by end_row(r) and
@@ -48,9 +48,10 @@ from .approx import (
 )
 from .arith import _SPF_CAP, factorize, spf_table, totient, totient_range
 from .errors import BudgetError, IdentityError
-from .overlap import _check_row_limit, _main_term_units, _overlap_rows, _pair_overlap_units
+from .overlap import _check_row_limit, _main_term_units, _merge_units
+from .overlap import _overlap_rows, _pair_overlap_units
 from .rationals import parse_rational
-from .torus import TorusIntervalSet, _overlap_units, measure_intersection
+from .torus import TorusIntervalSet, measure_intersection
 
 DEFAULT_EXACT_Q_CAP = 512
 # Worker processes a scan may start (the ladder suite uses 8).
@@ -263,30 +264,15 @@ def _pair_counts(flags: list[bool], Q: int) -> dict:
     return {"closed_form_pairs": closed, "merge_pairs": Q * (Q - 1) // 2 - closed}
 
 
-def _merge_set(sets: dict, row: tuple):
-    """The interval set of a row, built on first use and kept in sets under
-    its q and target."""
-    q, _, _, den, psi, y, _, _ = row
-    got = sets.get((q, y, den))
-    if got is None:
-        got = sets[q, y, den] = build_approx_set(q, Fraction(psi, den), Fraction(y, den))
-    return got
-
-
-def _merge_units(sets: dict, row_q: tuple, row_r: tuple) -> tuple[int, int]:
-    """|A_q & A_r| by the interval merge, on the rows' sets cached in sets."""
-    return _overlap_units(_merge_set(sets, row_q), _merge_set(sets, row_r))
-
-
 def _pairwise_worker(payload):
     """The one pair loop: a stripe of rows r, each the pairs q < r, summed
     into the payload's accumulator, which it returns.  The payload is (Q,
     psi, target), the kernel, the flags (the kernel takes a pair when both
     its flags are set, the interval merge the others), the accumulator and
-    the stripe.  A pair's value is the product over the target's columns
-    (`overlap._overlap_rows`) of |A_q & A_r| at the column, to the power of
-    its number of coordinates: with one column, the kernel's value,
-    reduced, to the power m."""
+    the stripe.  A pair's value is the product over the distinct pairs of
+    parts (`overlap._overlap_rows`), by identity, of |A_q & A_r| at the
+    pair, to the power of the number of coordinates it covers: with one
+    column, the kernel's value, reduced, to the power m."""
     (Q, psi, target), kernel, flags, total, worker_index, worker_count = payload
     rows, powers = _overlap_rows(Q, psi, target)
     merged = partial(_merge_units, {})
@@ -294,17 +280,20 @@ def _pairwise_worker(payload):
     m = powers[0]
     add, gcd = total.add, math.gcd
     for r in range(1 + worker_index, Q + 1, worker_count):
-        rows_r, row_r, flag_r = rows[r], rows[r][0], flags[r]
+        rows_r, part_r, flag_r = rows[r], rows[r][0], flags[r]
         for rows_q, flag_q in zip(rows[1:r], flags[1:r]):
             overlap = kernel if flag_q and flag_r else merged
             if single:
-                num, den = overlap(rows_q[0], row_r)
+                num, den = overlap(rows_q[0], part_r)
                 if num:
                     g = gcd(num, den)
                     add((num // g) ** m, (den // g) ** m)
                 continue
-            num = den = 1
+            pairs: dict = {}  # columns that agree at q and at r share one pair
             for column_q, column_r, k in zip(rows_q, rows_r, powers):
+                pairs.setdefault((id(column_q), id(column_r)), [column_q, column_r, 0])[2] += k
+            num = den = 1
+            for column_q, column_r, k in pairs.values():
                 units, d = overlap(column_q, column_r)
                 num *= units**k
                 if not num:

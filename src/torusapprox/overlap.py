@@ -17,11 +17,13 @@ form
 
 always a non-negative integer.  Its one body, `_f_terms`, expands it into
 signed divisor terms f(c) = sum over k of a_k [k | c] from two per-q rows
-of `_overlap_row`; every user of f reads those terms.  Each row carries
+of `_arith_row`; every user of f reads those terms.  Each row carries
 rad(q) and the signed divisors d * mu(d) of the odd part of each t | rad(q),
 so the terms are products of two precomputed lists.  A coprime pair reads
 both lists from the rows as they are; only a pair sharing a prime is split
-by `_split`, which walks the primes of gcd(q, r) in q's factorization.
+by `_split`, which walks the primes of gcd(q, r) in q's factorization.  A
+weight and target are a small `_target_part` on q's row, which every target
+column shares; no other module reads either layout.
 This module carries the closed form and its brute-force twin, the sifting
 window length D, the exact pairwise overlap measure, the bound right-hand
 sides it is checked against, and exact sifted counts of integers coprime
@@ -59,7 +61,7 @@ from typing import NamedTuple
 from .approx import _check_piece_cap, build_approx_set
 from .arith import factorize, factorize_with_table, spf_table, totient
 from .errors import BudgetError, IdentityError
-from .torus import measure_intersection
+from .torus import _overlap_units, measure_intersection
 
 
 class PairDecomposition(NamedTuple):
@@ -76,7 +78,7 @@ class PairDecomposition(NamedTuple):
 
 
 def _split(row_q: tuple, row_r: tuple) -> tuple:
-    """The ell/em/en split of a pair from its two `_overlap_row` rows:
+    """The ell/em/en split of a pair from its two `_arith_row` rows:
     (ell, em, en, phi(em), balanced primes, signed_q, signed_r).  The
     d * mu(d) over the odd d | rad(en) are the products of an entry of
     signed_q and one of signed_r.
@@ -90,8 +92,8 @@ def _split(row_q: tuple, row_r: tuple) -> tuple:
     The prime 2 never enters the signed lists: when it splits, f(c)
     vanishes at every even c, so its readers take f's terms at the odd
     multiples of each step instead of expanding 2 into a pair of terms."""
-    q, fq, _, _, _, _, rad_q, lists_q = row_q
-    r, fr, _, _, _, _, rad_r, lists_r = row_r
+    q, fq, _, rad_q, lists_q = row_q
+    r, fr, _, rad_r, lists_r = row_r
     rad_g = math.gcd(rad_q, rad_r)
     signed_q = lists_q[rad_q // rad_g]
     signed_r = lists_r[rad_r // rad_g]
@@ -115,7 +117,7 @@ def _split(row_q: tuple, row_r: tuple) -> tuple:
 
 def _f_terms(row_q: tuple, row_r: tuple) -> tuple:
     """The one body of f(c) = phi(em) (ell / rad ell) [gcd(c, en) = 1] prod
-    over p | ell of ((p - 2) + [p | c]), from the pair's two `_overlap_row`
+    over p | ell of ((p - 2) + [p | c]), from the pair's two `_arith_row`
     rows: (left, weights, right, odd), with f(c) the sum over x in left,
     with its weight w > 0, and y in right of sign(xy) w [xy | c].
 
@@ -128,10 +130,9 @@ def _f_terms(row_q: tuple, row_r: tuple) -> tuple:
     unit weights.  Any other pair expands its `_split`: the balanced primes
     expand left, and rad(ell) | ell, which makes f integral, is checked."""
     odd = row_q[0] & -row_q[0] != row_r[0] & -row_r[0]  # lowest set bits differ
-    rad_q = row_q[6]
-    rad_r = row_r[6]
+    rad_q, rad_r = row_q[3], row_r[3]
     if math.gcd(rad_q, rad_r) == 1:
-        return row_q[7][rad_q], repeat(1), row_r[7][rad_r], odd
+        return row_q[4][rad_q], repeat(1), row_r[4][rad_r], odd
     ell, _, _, phi_em, balanced, left, right = _split(row_q, row_r)
     rad = 1
     for p in balanced:
@@ -152,13 +153,12 @@ def decompose_pair(q: int, r: int) -> PairDecomposition:
     """Decompose (q, r) and check every structural identity on the spot."""
     if q < 1 or r < 1:
         raise ValueError("moduli must be >= 1")
-    return _decompose(_overlap_row(q, factorize(q), 0, 0), _overlap_row(r, factorize(r), 0, 0))
+    return _decompose(_arith_row(q, factorize(q)), _arith_row(r, factorize(r)))
 
 
 def _decompose(row_q: tuple, row_r: tuple) -> PairDecomposition:
-    """`decompose_pair` from the pair's two `_overlap_row` rows."""
-    q = row_q[0]
-    r = row_r[0]
+    """`decompose_pair` from the pair's two `_arith_row` rows."""
+    q, r = row_q[0], row_r[0]
     ell, em, en = _split(row_q, row_r)[:3]
     g = math.gcd(q, r)
     l = q * r // g
@@ -177,11 +177,10 @@ def _decompose(row_q: tuple, row_r: tuple) -> PairDecomposition:
 
 
 def _f_table(row_q: tuple, row_r: tuple) -> list[int]:
-    """f over one period [0, lcm(q, r)) from the pair's two rows, each term
-    added at the multiples of its step, or at its odd multiples when 2
-    splits."""
-    q = row_q[0]
-    r = row_r[0]
+    """f over one period [0, lcm(q, r)) from the pair's two arithmetic rows,
+    each term added at the multiples of its step, or at its odd multiples
+    when 2 splits."""
+    q, r = row_q[0], row_r[0]
     table = [0] * (q // math.gcd(q, r) * r)
     left, weights, right, odd = _f_terms(row_q, row_r)
     for x, w in zip(left, weights):
@@ -221,14 +220,11 @@ def pair_overlap_exact(q: int, r: int, psi, y_q=0, y_r=0) -> Fraction:
     return measure_intersection(build_approx_set(q, psi(q), y_q), build_approx_set(r, psi(r), y_r))
 
 
-def _overlap_row(q: int, factors, psi_q, y_q) -> tuple:
-    """One set's integer data, read by every pair formula:
-    (q, {p: e}, phi(q), den, psi, y, rad(q), lists) with psi(q) = psi/den,
-    y_q = y/den and, for each t | rad(q), lists[t] the d * mu(d) over the
-    odd d | t, sorted by |d| (about 1.4 KB a row in all): no reader expands
-    the prime 2, taken last and not sorted at, so lists[2t] is lists[t].
-    psi/den is unreduced when den(y_q) has a factor den(psi(q)) lacks; the
-    pair formulas only cross-multiply, so that changes no value."""
+def _arith_row(q: int, factors) -> tuple:
+    """q's data that no weight or target changes, read by every pair formula:
+    (q, {p: e}, phi(q), rad(q), lists), lists[t] for each t | rad(q) the
+    d * mu(d) over the odd d | t sorted by |d| (about 1.3 KB a row): no reader
+    expands the prime 2, taken last and not sorted at, so lists[2t] is lists[t]."""
     factors = dict(factors)
     phi = rad = 1
     lists = {1: (1,)}
@@ -239,19 +235,20 @@ def _overlap_row(q: int, factors, psi_q, y_q) -> tuple:
             if p != 2:
                 signed = tuple(sorted((d * m for m in (1, -p) for d in signed), key=abs))
             lists[t * p] = signed
-    psi = Fraction(psi_q)
-    y = Fraction(y_q)
+    return q, factors, phi, rad, lists
+
+
+def _target_part(arith: tuple, psi_q, y_q) -> tuple:
+    """(arith, den, psi, y) on q's arithmetic row: psi(q) = psi/den and y_q =
+    y/den, psi/den unreduced when den(y_q) has a factor den(psi(q)) lacks;
+    the pair formulas only cross-multiply, so that changes no value."""
+    psi, y = Fraction(psi_q), Fraction(y_q)
     den = math.lcm(psi.denominator, y.denominator)
-    return (
-        q, factors, phi, den,
-        psi.numerator * (den // psi.denominator),
-        y.numerator * (den // y.denominator),
-        rad, lists,
-    )
+    return arith, den, psi.numerator * den // psi.denominator, y.numerator * den // y.denominator
 
 
-# A row holds about 1.4 KB (its signed divisor lists), so 2**15 rows take
-# about 46 MB; without this cap only the sieve cap of 10**7 bounds them.
+# 2**15 rows take about 48 MB: 1.3 KB for q's arithmetic row and 0.2 KB per
+# column's part (60 MB at three).  Else only the sieve cap of 10**7 bounds them.
 _ROW_CAP = 2**15
 
 
@@ -261,31 +258,36 @@ def _check_row_limit(limit: int) -> None:
         raise BudgetError(f"Q = {limit} exceeds the overlap-row cap {_ROW_CAP}")
 
 
+def _arith_rows(limit: int) -> list:
+    """[None, `_arith_row` of 1, ..., of limit], factorized from one sieve."""
+    _check_row_limit(limit)
+    table = spf_table(limit)
+    return [None] + [_arith_row(q, factorize_with_table(q, table)) for q in range(1, limit + 1)]
+
+
 def _overlap_rows(limit: int, psi, target) -> tuple[list, tuple]:
     """(rows, powers) over the target's columns, its distinct coordinate
     sequences (y_q[i] for q <= limit) in the order the coordinates first
-    use them: rows = [None, rows of 1, ..., rows of limit] with rows[q][c]
-    q's `_overlap_row` at psi(q) and column c's component, and powers[c]
-    the number of coordinates equal to column c.  Each distinct (q,
-    component) row is built once, so columns that agree at q share its
-    row, and every q is factorized from one sieve."""
-    _check_row_limit(limit)
-    table = spf_table(limit)
+    use them: rows = [None, parts of 1, ..., parts of limit] with rows[q][c]
+    q's `_target_part` at psi(q) and column c's component, and powers[c]
+    the number of coordinates equal to column c.  The parts of q point at
+    its one arithmetic row, and columns that agree at q share one part."""
+    ariths = _arith_rows(limit)
     powers = Counter(zip(*(target(q) for q in range(1, limit + 1))))
     rows: list = [None]
     for q, ys in enumerate(zip(*powers), 1):
-        factors, psi_q = factorize_with_table(q, table), psi(q)
-        built = {y: _overlap_row(q, factors, psi_q, y) for y in dict.fromkeys(ys)}
+        arith, psi_q = ariths[q], psi(q)
+        built = {y: _target_part(arith, psi_q, y) for y in dict.fromkeys(ys)}
         rows.append(tuple(map(built.__getitem__, ys)))
     return rows, tuple(powers.values())
 
 
-def _pair_overlap_units(row_q: tuple, row_r: tuple) -> tuple[int, int]:
+def _pair_overlap_units(part_q: tuple, part_r: tuple) -> tuple[int, int]:
     """|A_q & A_r| as (units, den), units/den unreduced, by the summed
-    closed form of the module docstring.  Both rows from `_overlap_row`;
+    closed form of the module docstring.  Both parts from `_target_part`;
     requires psi(q), psi(r) <= 1/2.
 
-    Everything is scaled by N = L * den, den the lcm of the two row
+    Everything is scaled by N = L * den, den the lcm of the two part
     denominators, so the centre offset of the pair at difference c is
     X = c*den + delta, and with W_q = N w_q the trapezoid is the difference
     of two hats H_h(X) = max(0, h - |X|) of half-widths h = W_q + W_r and
@@ -317,12 +319,12 @@ def _pair_overlap_units(row_q: tuple, row_r: tuple) -> tuple[int, int]:
     the loop stops at the first s > outer and adds (a whole - head)(outer -
     inner) for the rest, head the sum of the a seen, whole = [t = 1].
     """
-    q, _, _, den_q, psi_q, y_q, _, _ = row_q
-    r, _, _, den_r, psi_r, y_r, _, _ = row_r
+    (q, _, _, _, _), den_q, psi_q, y_q = part_q
+    (r, _, _, _, _), den_r, psi_r, y_r = part_r
     if not psi_q or not psi_r:
         return 0, 1
     g = math.gcd(q, r)
-    # L/q and L/r, each times den over the row's own denominator.
+    # L/q and L/r, each times den over the part's own denominator.
     den = den_q // math.gcd(den_q, den_r) * den_r
     scale_q = r // g * (den // den_q)
     scale_r = q // g * (den // den_r)
@@ -331,7 +333,7 @@ def _pair_overlap_units(row_q: tuple, row_r: tuple) -> tuple[int, int]:
     delta = scale_q * y_q - scale_r * y_r
     outer = w_q + w_r
     inner = w_q - w_r if w_q > w_r else w_r - w_q
-    left, weights, right, odd = _f_terms(row_q, row_r)
+    left, weights, right, odd = _f_terms(part_q[0], part_r[0])
     total = 0
     if not delta:
         # Centred: each hat's sum, halved, is added and total doubled once.
@@ -403,12 +405,23 @@ def _pair_overlap_units(row_q: tuple, row_r: tuple) -> tuple[int, int]:
     return total, 2 * q * (r // g) * den
 
 
-def _window_units(row_q: tuple, row_r: tuple) -> tuple[int, int]:
+def _merge_units(sets: dict, part_q: tuple, part_r: tuple) -> tuple[int, int]:
+    """|A_q & A_r| by the interval merge, for the pairs the kernels do not
+    take, on each part's interval set, cached in sets under its q and target."""
+    pair = []
+    for (q, _, _, _, _), den, psi, y in (part_q, part_r):
+        if (q, y, den) not in sets:
+            sets[q, y, den] = build_approx_set(q, Fraction(psi, den), Fraction(y, den))
+        pair.append(sets[q, y, den])
+    return _overlap_units(*pair)
+
+
+def _window_units(part_q: tuple, part_r: tuple) -> tuple[int, int]:
     """The sifting window length D = 2 lcm(q, r) max(psi(q)/q, psi(r)/r)
     as (num, den): with psi(q) = a/b and psi(r) = c/d, the larger of
     2 lcm a/(bq) and 2 lcm c/(dr), chosen by cross-multiplication."""
-    q, _, _, b, a, _, _, _ = row_q
-    r, _, _, d, c, _, _, _ = row_r
+    (q, _, _, _, _), b, a, _ = part_q
+    (r, _, _, _, _), d, c, _ = part_r
     lcm = q // math.gcd(q, r) * r
     if a * d * r >= c * b * q:
         return 2 * lcm * a, b * q
@@ -416,19 +429,19 @@ def _window_units(row_q: tuple, row_r: tuple) -> tuple[int, int]:
 
 
 def _main_term_units(
-    row_q: tuple, row_r: tuple, strict_indicator: bool = False
+    part_q: tuple, part_r: tuple, strict_indicator: bool = False
 ) -> tuple[int, int]:
     """M(q, r) as (num, den), unreduced, in integers: the one form behind
     the report's `M` and `addend1` and the `msum` ladder.
 
     The window test D >= 1 (D > 1 with strict_indicator) and the
     comparisons p > D over the split primes (the primes of q or r whose
-    valuations differ, read off the rows' factorizations) are
+    valuations differ, read off the arithmetic rows' factorizations) are
     cross-multiplications with D = dn/dd.
     """
-    q, fq, phi_q, b, a, _, _, _ = row_q
-    r, fr, phi_r, d, c, _, _, _ = row_r
-    dn, dd = _window_units(row_q, row_r)
+    (q, fq, phi_q, _, _), b, a, _ = part_q
+    (r, fr, phi_r, _, _), d, c, _ = part_r
+    dn, dd = _window_units(part_q, part_r)
     if dn < dd or (strict_indicator and dn == dd):
         return 0, 1
     num = a * c * phi_q * phi_r
@@ -444,21 +457,21 @@ def _main_term_units(
     return num, den
 
 
-def _addend2_units(row_q: tuple, row_r: tuple, phi_g: int) -> tuple[int, int]:
+def _addend2_units(part_q: tuple, part_r: tuple, phi_g: int) -> tuple[int, int]:
     """phi(gcd(q, r)) * min(psi(q)/q, psi(r)/r) as (num, den), given
     phi_g = phi(gcd(q, r)), the `phi_gcd` of the pair's decomposition."""
-    q, _, _, b, a, _, _, _ = row_q
-    r, _, _, d, c, _, _, _ = row_r
+    (q, _, _, _, _), b, a, _ = part_q
+    (r, _, _, _, _), d, c, _ = part_r
     if a * d * r <= c * b * q:
         return phi_g * a, b * q
     return phi_g * c, d * r
 
 
-def _trivial_units(row_q: tuple, row_r: tuple, phi_g: int) -> tuple[int, int]:
+def _trivial_units(part_q: tuple, part_r: tuple, phi_g: int) -> tuple[int, int]:
     """psi(q)psi(r) + (psi(q)/q) phi(gcd) = a(cq + d phi(gcd)) / (bdq) as
     (num, den), given phi_g = phi(gcd(q, r))."""
-    q, _, _, b, a, _, _, _ = row_q
-    _, _, _, d, c, _, _, _ = row_r
+    (q, _, _, _, _), b, a, _ = part_q
+    _, d, c, _ = part_r
     return a * (c * q + d * phi_g), b * d * q
 
 
@@ -525,23 +538,23 @@ def overlap_report(q: int, r: int, psi, y_q=0, y_r=0) -> OverlapReport:
     use; they differ only on the measure-zero locus D = 1.  addend2 is
     phi(gcd(q, r)) min(psi(q)/q, psi(r)/r), and trivial_rhs the elementary
     bound psi(q)psi(r) + (psi(q)/q) phi(gcd(q, r)) with q the larger
-    modulus.  Each row is built once, at psi and the targets, after the
-    exact overlap, whose set builds refuse a negative psi."""
+    modulus.  Each row and part is built once, at psi and the targets,
+    after the exact overlap, whose set builds refuse a negative psi."""
     if q < 1 or r < 1:
         raise ValueError("moduli must be >= 1")
     for n in (q, r):  # before any trial division
         _check_piece_cap(n)
     exact = pair_overlap_exact(q, r, psi, y_q, y_r)
-    row_q = _overlap_row(q, factorize(q), psi(q), y_q)
-    row_r = _overlap_row(r, factorize(r), psi(r), y_r)
-    dec = _decompose(row_q, row_r)
-    hi, lo = (row_q, row_r) if q > r else (row_r, row_q)
+    arith_q, arith_r = _arith_row(q, factorize(q)), _arith_row(r, factorize(r))
+    dec = _decompose(arith_q, arith_r)
+    part_q, part_r = _target_part(arith_q, psi(q), y_q), _target_part(arith_r, psi(r), y_r)
+    hi, lo = (part_q, part_r) if q > r else (part_r, part_q)
     return OverlapReport(
         q=q, r=r, ell=dec.ell, em=dec.em, en=dec.en,
-        D=Fraction(*_window_units(row_q, row_r)),
+        D=Fraction(*_window_units(part_q, part_r)),
         exact_overlap=exact,
-        addend1=Fraction(*_main_term_units(row_q, row_r, strict_indicator=True)),
-        addend2=Fraction(*_addend2_units(row_q, row_r, dec.phi_gcd)),
-        M=Fraction(*_main_term_units(row_q, row_r)),
+        addend1=Fraction(*_main_term_units(part_q, part_r, strict_indicator=True)),
+        addend2=Fraction(*_addend2_units(part_q, part_r, dec.phi_gcd)),
+        M=Fraction(*_main_term_units(part_q, part_r)),
         trivial_rhs=Fraction(*_trivial_units(hi, lo, dec.phi_gcd)) if q != r else None,
     )

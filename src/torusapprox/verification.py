@@ -47,6 +47,7 @@ from .experiments import (
 )
 from .overlap import (
     _addend2_units,
+    _arith_rows,
     _decompose,
     _f_table,
     _main_term_units,
@@ -94,19 +95,12 @@ def _suite(name: str):
     return register
 
 
-def _scalar_rows(limit: int, psi, target=TargetSequence.zero()) -> list:
-    """[None, row of 1, ..., row of limit] of `_overlap_rows` at a
-    one-coordinate target."""
-    return [None] + [row for (row,) in _overlap_rows(limit, psi, target)[0][1:]]
-
-
 # -- 1: closed-form coprime pair counts vs brute force ---------------------------
 
 
 @_suite("coprime-count")
 def check_coprime_counts(limit: int = 60) -> CheckResult:
-    pairs = 0
-    rows = _scalar_rows(limit, lambda q: 0)
+    rows = _arith_rows(limit)
     for q in range(2, limit + 1):
         for r in range(1, q):
             hist = coprime_pair_histogram(_decompose(rows[q], rows[r]))
@@ -116,7 +110,7 @@ def check_coprime_counts(limit: int = 60) -> CheckResult:
                 raise _Failed(f"formula != brute force at q={q}, r={r}, c={c}")
             if sum(hist) != totient(q) * totient(r):
                 raise _Failed(f"mass sum mismatch at q={q}, r={r}")
-            pairs += 1
+    pairs = limit * (limit - 1) // 2
     return f"formula == brute force on every residue for {pairs} pairs with r < q <= {limit}"
 
 
@@ -186,7 +180,7 @@ def _bound_ratio_max(limit: int, psi: ApproxFunction) -> tuple[Fraction, Fractio
     and `trivial_rhs`, and each ratio is compared by cross-multiplication
     as (num, den).
     """
-    rows = _scalar_rows(limit, psi)
+    rows, ariths = _overlap_rows(limit, psi, TargetSequence.zero())[0], _arith_rows(limit)
     sets = [None] + [build_approx_set(q, psi(q), 0) for q in range(1, limit + 1)]
     bound_num, bound_den = 0, 1
     trivial_num, trivial_den = 0, 1
@@ -195,15 +189,15 @@ def _bound_ratio_max(limit: int, psi: ApproxFunction) -> tuple[Fraction, Fractio
             units, den = _overlap_units(sets[q], sets[r])
             if units == 0:
                 continue
-            phi_g = _decompose(rows[q], rows[r]).phi_gcd  # checks the ell/em/en identities
-            n1, d1 = _main_term_units(rows[q], rows[r], strict_indicator=True)
-            n2, d2 = _addend2_units(rows[q], rows[r], phi_g)
+            phi_g = _decompose(ariths[q], ariths[r]).phi_gcd  # checks the ell/em/en identities
+            n1, d1 = _main_term_units(*rows[q], *rows[r], strict_indicator=True)
+            n2, d2 = _addend2_units(*rows[q], *rows[r], phi_g)
             # exact / (n1/d1 + n2/d2) = units d1 d2 / (den (n1 d2 + n2 d1))
             num = units * d1 * d2
             rden = den * (n1 * d2 + n2 * d1)
             if num * bound_den > bound_num * rden:
                 bound_num, bound_den = num, rden
-            tn, td = _trivial_units(rows[q], rows[r], phi_g)
+            tn, td = _trivial_units(*rows[q], *rows[r], phi_g)
             num = units * td
             rden = den * tn
             if num * trivial_den > trivial_num * rden:
@@ -429,19 +423,18 @@ def check_overlap_engine(limit: int = 120, seed: int = 20260808) -> CheckResult:
         ("1/3", TargetSequence.constant([Fraction(1, 3)])),
         (f"moving (seed {seed})", TargetSequence.from_table(moving, 1)),
     )
-    pairs = 0
     for psi in families:
         for label, target in targets:
-            rows = _scalar_rows(limit, psi, target)
+            rows = _overlap_rows(limit, psi, target)[0]
             sets = [None] + [build_approx_set(q, psi(q), target(q)[0])
                              for q in range(1, limit + 1)]
             for q in range(2, limit + 1):
                 for r in range(1, q):
-                    units, den = _pair_overlap_units(rows[q], rows[r])
+                    units, den = _pair_overlap_units(*rows[q], *rows[r])
                     if Fraction(units, den) != measure_intersection(sets[q], sets[r]):
                         raise _Failed(f"closed form != merge at q={q}, r={r}, "
                                       f"psi={psi.describe()}, y={label}")
-                    pairs += 1
+    pairs = len(families) * len(targets) * limit * (limit - 1) // 2
     return (f"closed form == interval merge on {pairs} pairs r < q <= {limit}: psi in "
             + ", ".join(psi.describe() for psi in families)
             + "; targets " + ", ".join(label for label, _ in targets))

@@ -595,6 +595,11 @@ NAMED_OPTION = {
     "pairwise --Q 8 --psi div3 --out=": "argument --out: wants a file path, got ''",
     "counterexample --save=": "argument --save: wants a file path, got ''",
     "--config= measure --q 5 --psi const:1/4": "argument --config: wants a file path, got ''",
+    "pairwise --Q 3 --psi pow:1/2,1.5": "power exponent must be a non-negative integer",
+    "pairwise --Q 3 --psi pow:1/2,x": "power exponent must be a non-negative integer",
+    "pairwise --Q 3 --psi table:{tables}/q-1.5.csv": "table q = '1.5' is not an integer",
+    "pairwise --Q 3 --psi table:{tables}/q-x.csv": "table q = 'x' is not an integer",
+    "pairwise --Q 3 --psi const:1/4 --y table:{tables}/q-x.csv": "table q = 'x' is not an integer",
 }
 
 
@@ -659,13 +664,23 @@ NAMED_OPTION = {
     "pairwise --Q 8 --psi div3 --out=",
     "counterexample --save=",
     "--config= measure --q 5 --psi const:1/4",
+    # Values that are not integers: the reason, not the text of int()'s error.
+    "pairwise --Q 3 --psi pow:1/2,1.5",
+    "pairwise --Q 3 --psi pow:1/2,x",
+    # {tables} is a directory of table files whose one row has q = 1.5 or x.
+    "pairwise --Q 3 --psi table:{tables}/q-1.5.csv",
+    "pairwise --Q 3 --psi table:{tables}/q-x.csv",
+    "pairwise --Q 3 --psi const:1/4 --y table:{tables}/q-x.csv",
 ])
-def test_bad_input_exits_2_with_one_line(capsys, argv):
-    code, out, err = run_capture(capsys, argv.split())
+def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv):
+    for q in ("1.5", "x"):
+        (tmp_path / f"q-{q}.csv").write_text(f"{q},1/4\n")
+    code, out, err = run_capture(capsys, argv.replace("{tables}", str(tmp_path)).split())
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("usage error: ")
     assert NAMED_OPTION.get(argv, "") in err
+    assert "invalid literal" not in err
 
 
 NINES = "9" * 4000

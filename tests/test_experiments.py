@@ -691,20 +691,27 @@ def test_mc_hundred_seed_calibration():
      (1, 1, 1)),
 ], ids=["moving", "zero", "m3", "m3-per-q"])
 def test_coordinate_rows_build_each_row_once(monkeypatch, target, powers):
-    built = Counter()
-    row = overlap._overlap_row
+    built, arith_built = Counter(), Counter()
+    part, arith = overlap._target_part, overlap._arith_row
 
-    def counted(q, factors, psi_q, y_q):
-        built[q, y_q] += 1
-        return row(q, factors, psi_q, y_q)
+    def counted(arith_q, psi_q, y_q):
+        built[arith_q[0], y_q] += 1
+        return part(arith_q, psi_q, y_q)
 
-    monkeypatch.setattr(overlap, "_overlap_row", counted)
+    def arith_counted(q, factors):
+        arith_built[q] += 1
+        return arith(q, factors)
+
+    monkeypatch.setattr(overlap, "_target_part", counted)
+    monkeypatch.setattr(overlap, "_arith_row", arith_counted)
     rows, got = overlap._overlap_rows(30, CONST4, target)
     assert got == powers
     assert built == Counter({(q, y): 1 for q in range(1, 31) for y in target(q)})
+    assert arith_built == Counter(range(1, 31))  # one arithmetic row per q
     for q in range(1, 31):
-        # each coordinate's row is aimed at its target
-        aims = [F(row[5], row[3]) for row, k in zip(rows[q], powers) for _ in range(k)]
+        assert all(row[0] is rows[q][0][0] for row in rows[q])  # q's one arithmetic row
+        # each coordinate's part is aimed at its target
+        aims = [F(row[3], row[1]) for row, k in zip(rows[q], powers) for _ in range(k)]
         assert sorted(aims) == sorted(target(q))
 
 

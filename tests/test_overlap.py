@@ -2,6 +2,7 @@ import math
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,12 +14,13 @@ from torusapprox.arith import factorize, factorize_with_table, spf_table, totien
 from torusapprox.experiments import main_term_sum_check
 from torusapprox.overlap import (
     _addend2_units,
+    _arith_row,
     _decompose,
     _f_table,
     _f_terms,
     _main_term_units,
-    _overlap_row,
     _split,
+    _target_part,
     _trivial_units,
     coprime_pair_histogram,
     decompose_pair,
@@ -36,14 +38,14 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 CONST4 = ApproxFunction.constant(F(1, 4))
 
 
-def zero_row(n):
-    """n's `_overlap_row` at psi = 0 and target 0; f reads only n, its
-    factorization and its signed divisor lists."""
-    return _overlap_row(n, factorize(n), 0, 0)
+def arith_row(n):
+    """n's `_arith_row`; f reads only n, its factorization and its signed
+    divisor lists."""
+    return _arith_row(n, factorize(n))
 
 
 def f_table(q, r):
-    return _f_table(zero_row(q), zero_row(r))
+    return _f_table(arith_row(q), arith_row(r))
 
 
 def test_decomposition_examples():
@@ -54,7 +56,7 @@ def test_decomposition_examples():
     dec = decompose_pair(9, 9)
     assert (dec.ell, dec.em, dec.en) == (9, 1, 1)
     assert dec.phi_gcd == 6
-    assert _split(zero_row(9), zero_row(9)) == (9, 1, 1, 1, [3], (1,), (1,))
+    assert _split(arith_row(9), arith_row(9)) == (9, 1, 1, 1, [3], (1,), (1,))
     assert hash(dec) == hash(decompose_pair(9, 9))  # frozen, so hashable
     # 2, 3 and 5 balanced, 7 and 11 split
     dec = decompose_pair(210, 330)
@@ -190,7 +192,8 @@ def test_overlap_report_refuses_a_negative_psi_before_any_row(monkeypatch):
     def refuse(*args):
         raise AssertionError("a row was built for a negative psi")
 
-    monkeypatch.setattr(overlap, "_overlap_row", refuse)
+    monkeypatch.setattr(overlap, "_arith_row", refuse)
+    monkeypatch.setattr(overlap, "_target_part", refuse)
     negative = ApproxFunction("negative", rule=lambda q: F(-1, 4) if q == 18 else F(1, 4))
     with pytest.raises(ValueError, match="^psi must be non-negative$"):
         overlap_report(12, 18, negative)
@@ -318,27 +321,29 @@ def test_main_term_window_exactly_one_with_table_weights():
 @example(4, 2, "const:1/4", F(5, 4), F(1, 6))  # D = 1 exactly, psi(2) = 3/12
 @example(6, 10, "pow:1/2,1", F(-1, 3), F(7, 10))
 def test_pair_formulas_on_rows_sharing_a_denominator_with_y(q, r, spec, y_q, y_r):
-    # Each row carries psi over lcm(den psi, den y), unreduced when y's
+    # Each part carries psi over lcm(den psi, den y), unreduced when y's
     # denominator adds a factor; the integer forms must not notice.
     psi = ApproxFunction.parse(spec)
     psi_q, psi_r = F(psi(q)), F(psi(r))
-    row_q = _overlap_row(q, factorize(q), psi_q, y_q)
-    row_r = _overlap_row(r, factorize(r), psi_r, y_r)
-    assert F(row_q[4], row_q[3]) == psi_q and F(row_q[5], row_q[3]) == y_q
-    assert row_q[2] == totient(q)
+    row_q = _target_part(arith_row(q), psi_q, y_q)
+    row_r = _target_part(arith_row(r), psi_r, y_r)
+    assert F(row_q[2], row_q[1]) == psi_q and F(row_q[3], row_q[1]) == y_q
+    assert row_q[0][2] == totient(q)
     for strict in (False, True):
         assert F(*_main_term_units(row_q, row_r, strict)) == ref_main_term(
             q, r, psi_q, psi_r, strict
         )
     phi_g = ref_phi(math.gcd(q, r))
-    assert _decompose(row_q, row_r).phi_gcd == phi_g
+    assert _decompose(row_q[0], row_r[0]).phi_gcd == phi_g
     assert F(*_addend2_units(row_q, row_r, phi_g)) == phi_g * min(psi_q / q, psi_r / r)
     assert F(*_trivial_units(row_q, row_r, phi_g)) == psi_q * psi_r + psi_q / q * phi_g
 
 
 def test_example_row_psi_is_unreduced():
-    row = _overlap_row(2, factorize(2), F(1, 4), F(1, 6))
-    assert row == (2, {2: 1}, 1, 12, 3, 2, 2, {1: (1,), 2: (1,)})
+    arith = _arith_row(2, factorize(2))
+    assert arith == (2, {2: 1}, 1, 2, {1: (1,), 2: (1,)})
+    part = _target_part(arith, F(1, 4), F(1, 6))
+    assert part == (arith, 12, 3, 2) and part[0] is arith
 
 
 def ref_pair_count(q, r, c):
@@ -385,6 +390,62 @@ def test_pair_count_outside_one_period(q, r, offset, periods):
     assert table[offset] == ref_pair_count(q, r, c)
 
 
+def per_prime_pair_count(q, r, c):
+    """f(c) by the CRT, with no ell/em/en split and no Moebius terms: a pair
+    of units (a mod q, b mod r) with a (L/q) - b (L/r) = c (mod L) is one
+    pair of units mod p**u and p**v for each prime p of L, u = v_p(q) and
+    v = v_p(r), meeting the condition mod p**max(u, v).  So f(c) is the
+    product over p of that count, each by brute force over p's residues."""
+    lcm = q // math.gcd(q, r) * r
+    count = 1
+    for p in set(ref_primes(q) + ref_primes(r)):
+        pu, pv = math.gcd(q, p**64), math.gcd(r, p**64)
+        mod = max(pu, pv)
+        # hits[x]: the units b mod p**v with b (L/r) = x (mod p**max(u, v)).
+        hits = Counter(b * (lcm // r) % mod for b in range(pv) if math.gcd(b, pv) == 1)
+        count *= sum(hits[(a * (lcm // q) - c) % mod] for a in range(pu) if math.gcd(a, pu) == 1)
+    return count
+
+
+def f_terms_at(q, r, c):
+    """The sum of a_k [k | c] over the terms of `_f_terms`, at odd c only
+    when 2 splits the pair."""
+    left, weights, right, odd = _f_terms(arith_row(q), arith_row(r))
+    if odd and c % 2 == 0:
+        return 0
+    return sum(w if x * y > 0 else -w
+               for x, w in zip(left, weights) for y in right if c % (x * y) == 0)
+
+
+def random_unit(rng, n):
+    while True:
+        a = rng.randrange(n)
+        if math.gcd(a, n) == 1:
+            return a
+
+
+def test_f_terms_match_a_per_prime_count_far_past_q_120():
+    # Moduli up to 10**6 share powers of primes p <= 23 with random
+    # valuations, so they split primes >= 11 with unequal valuations >= 2,
+    # which no pair with q, r <= 120 does.  Half the c are attained by a
+    # pair of units, so that f(c) > 0 there; the others are random.
+    rng = random.Random(20)
+    checked = 0
+    while checked < 1500:
+        shared = rng.sample([2, 3, 5, 7, 11, 13, 17, 19, 23], rng.randint(1, 3))
+        q, r = (rng.randint(1, 500) * math.prod(p ** rng.randint(1, 3) for p in shared)
+                for _ in range(2))
+        if max(q, r) > 10**6:
+            continue
+        lcm = q // math.gcd(q, r) * r
+        c = rng.randrange(lcm)
+        if checked % 2:
+            a, b = (random_unit(rng, n) for n in (q, r))
+            c = (a * (lcm // q) - b * (lcm // r)) % lcm
+        assert f_terms_at(q, r, c) == per_prime_pair_count(q, r, c), (q, r, c)
+        checked += 1
+
+
 def test_split_two_leaves_odd_steps_and_halves_the_terms():
     # Unfolded, f has one term per squarefree d | rad(en) times two per odd
     # balanced prime.  A split 2 adds no term pair: every step stays odd.
@@ -392,7 +453,7 @@ def test_split_two_leaves_odd_steps_and_halves_the_terms():
     for q in range(1, 61):
         for r in range(1, 61):
             dec = decompose_pair(q, r)
-            left, _, right, odd = _f_terms(zero_row(q), zero_row(r))
+            left, _, right, odd = _f_terms(arith_row(q), arith_row(r))
             steps = [x * y for x in left for y in right]
             odd_balanced = [p for p in ref_primes(dec.ell) if p != 2]
             unfolded = 2 ** (len(ref_primes(dec.en)) + len(odd_balanced))
@@ -411,7 +472,7 @@ def test_rows_keep_odd_signed_lists_shared_across_the_prime_two():
     # No reader expands the prime 2, so an even t shares the list of t / 2.
     table = spf_table(2000)
     for q in range(1, 2001):
-        _, factors, _, _, _, _, rad, lists = _overlap_row(q, factorize_with_table(q, table), 0, 0)
+        _, factors, _, rad, lists = _arith_row(q, factorize_with_table(q, table))
         assert len(lists) == 2 ** len(factors) and all(rad % t == 0 for t in lists)
         for t, signed in lists.items():
             assert all(d % 2 for d in signed)
@@ -425,7 +486,7 @@ def test_rows_sort_odd_signed_lists_by_absolute_value():
     # The centred kernel stops at the first step past the outer hat.
     table = spf_table(2000)
     for q in range(1, 2001):
-        lists = _overlap_row(q, factorize_with_table(q, table), 0, 0)[7]
+        lists = _arith_row(q, factorize_with_table(q, table))[4]
         for t, signed in lists.items():
             if t % 2:
                 assert signed[0] == 1
@@ -442,7 +503,7 @@ def test_f_terms_odd_is_two_splitting_the_pair():
 
     for q in range(1, 65):
         for r in range(1, 65):
-            assert _f_terms(zero_row(q), zero_row(r))[3] == (v2(q) != v2(r))
+            assert _f_terms(arith_row(q), arith_row(r))[3] == (v2(q) != v2(r))
 
 
 def test_coprime_count_suite_names_the_first_differing_residue(monkeypatch):
@@ -515,11 +576,12 @@ import sys
 sys.path.insert(0, sys.argv[1])
 from fractions import Fraction
 from torusapprox.errors import IdentityError
-from torusapprox.overlap import _f_table, _overlap_row, _pair_overlap_units
+from torusapprox.overlap import _arith_row, _f_table, _pair_overlap_units, _target_part
 # A factorization of 6 with 2**0 in it: the pair (6, 6) then has ell = 3,
 # not divisible by rad(ell) = 6 read off its balanced primes 2 and 3.
-row = _overlap_row(6, {2: 0, 3: 1}, Fraction(1, 4), 0)
-for read in (_f_table, _pair_overlap_units):
+arith = _arith_row(6, {2: 0, 3: 1})
+part = _target_part(arith, Fraction(1, 4), 0)
+for read, row in ((_f_table, arith), (_pair_overlap_units, part)):
     try:
         read(row, row)
     except IdentityError as exc:

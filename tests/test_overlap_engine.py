@@ -6,6 +6,7 @@ sets.  They must agree exactly whenever both weights are at most 1/2, and
 the scan must give the same sums whichever engine serves a pair.
 """
 
+import gc
 import hashlib
 import inspect
 import random
@@ -13,27 +14,28 @@ import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from torusapprox import overlap, verification
+from torusapprox import experiments, overlap, verification
 from torusapprox.approx import ApproxFunction, TargetSequence, build_approx_set
 from torusapprox.arith import factorize
 from torusapprox.cli import run
 from torusapprox.experiments import ExperimentConfig, pairwise_overlap_sum
-from torusapprox.overlap import _overlap_row, _pair_overlap_units, pair_overlap_exact
+from torusapprox.overlap import _arith_row, _pair_overlap_units, _target_part, pair_overlap_exact
 from torusapprox.torus import measure_intersection
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def kernel(q, psi_q, y_q, r, psi_r, y_r):
-    row_q = _overlap_row(q, factorize(q), psi_q, y_q)
-    row_r = _overlap_row(r, factorize(r), psi_r, y_r)
-    return F(*_pair_overlap_units(row_q, row_r))
+    part_q = _target_part(_arith_row(q, factorize(q)), psi_q, y_q)
+    part_r = _target_part(_arith_row(r, factorize(r)), psi_r, y_r)
+    return F(*_pair_overlap_units(part_q, part_r))
 
 
 def merge(q, psi_q, y_q, r, psi_r, y_r):
@@ -353,8 +355,62 @@ def test_columns_are_the_distinct_coordinate_sequences(Q, target, powers):
     assert got == powers
     for q in range(1, Q + 1):
         assert len(rows[q]) == len(powers)
-        # Columns that agree at q share its one row.
-        components = [F(row[5], row[3]) for row in rows[q]]
-        assert len({id(row) for row in rows[q]}) == len(set(components))
+        # Columns that agree at q share its one part.
+        components = [F(part[3], part[1]) for part in rows[q]]
+        assert len({id(part) for part in rows[q]}) == len(set(components))
     report = pairwise_overlap_sum(ExperimentConfig(Q=Q, psi=psi, target=target, m=3))
     assert report.pair_sum == exact_overlap_double_sum(Q, psi, target)
+
+
+def test_each_distinct_pair_of_parts_is_valued_once(monkeypatch):
+    # Coordinates (a, a, a), (a, a, b) and (a, b, c) by q mod 3: three
+    # columns that agree at some q, so a pair (q, r) has between one and
+    # three distinct pairs of target parts, and the kernel runs once for each.
+    # No overlap of these sets is 0, so no pair stops at a zero factor.
+    Q = 40
+    table = {}
+    for q in range(1, Q + 1):
+        a, b, c = F(1, q + 2), F(1, 3), F(2, q + 3)
+        table[q] = ((a, a, a), (a, a, b), (a, b, c))[q % 3]
+    target = TargetSequence.from_table(table, 3)
+    psi = ApproxFunction.constant(F(1, 2))
+    calls = []
+
+    def counted(part_q, part_r):
+        calls.append(1)
+        return _pair_overlap_units(part_q, part_r)
+
+    monkeypatch.setattr(experiments, "_pair_overlap_units", counted)
+    report = pairwise_overlap_sum(ExperimentConfig(Q=Q, psi=psi, target=target, m=3))
+    distinct = sum(len(set(zip(target(q), target(r))))
+                   for r in range(2, Q + 1) for q in range(1, r))
+    assert len(calls) == distinct < 3 * Q * (Q - 1) // 2
+    assert report.pair_sum == exact_overlap_double_sum(Q, psi, target)
+
+
+def test_more_columns_add_only_their_parts():
+    # A row's divisor lists depend on q alone, so three columns hold one
+    # arithmetic row per q and a small part per column: a random
+    # three-column table holds little more than the zero target, where
+    # rebuilding q's lists per column held about 2.9 times as much.
+    Q = 1024
+    rng = random.Random(36)
+    table = TargetSequence.from_table(
+        {q: tuple(F(rng.randint(-64, 64), rng.randint(1, 64)) for _ in range(3))
+         for q in range(1, Q + 1)}, 3)
+    psi = ApproxFunction.parse("div3")
+    held = []
+    for target in (TargetSequence.zero(3), table):
+        gc.collect()  # empties the free lists, whose reuse tracemalloc does not see
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rows, powers = overlap._overlap_rows(Q, psi, target)
+            held.append(tracemalloc.get_traced_memory()[0] - before)
+        finally:
+            tracemalloc.stop()
+    assert powers == (1, 1, 1)
+    assert held[1] <= 1.4 * held[0], held
+    for q in range(1, Q + 1):
+        assert len({id(part) for part in rows[q]}) == len(set(table(q)))
+        assert all(part[0] is rows[q][0][0] for part in rows[q])

@@ -18,10 +18,12 @@ does the brute-force f(c) histogram against the closed form, which also
 names no sieved residue list.  `ExperimentConfig` configures the pairwise
 scan alone, so only the scan's callers construct one.  `_pairwise_worker`
 is the one pair-summing loop and receives its kernel as data: no function
-of `experiments` calls a pair kernel by name.  `overlap._overlap_rows` is the
-one row builder: no function of `experiments` or `verification` calls
-`_overlap_row` by name.  A verification suite fails one way, by raising,
-so in `verification` only the `_suite` wrapper constructs a `CheckResult`.  The
+of `experiments` calls a pair kernel by name.  `overlap._arith_rows` and
+`overlap._overlap_rows` are the row builders: no function of `experiments`
+or `verification` calls the arithmetic row constructor `_arith_row` or the
+target part constructor `_target_part` by name, so `overlap` alone knows
+the row layout.  A verification suite fails one way, by raising, so in
+`verification` only the `_suite` wrapper constructs a `CheckResult`.  The
 Monte Carlo hit count and its arc tables use no float, so every count is
 exact on the points drawn, and the tables are read off the approximation
 sets, so the package keeps one interval encoding.  No module imports
@@ -168,16 +170,25 @@ def test_no_function_of_experiments_calls_a_pair_kernel():
     assert _pair_kernel_callers(driver) == ["driver"]
 
 
-def test_only_the_row_builder_calls_overlap_row():
-    found = [
+def _row_constructor_callers(*modules: str) -> list[str]:
+    """The top-level definitions of the modules that call the arithmetic
+    row or the target part constructor by name."""
+    named = {"_arith_row", "_target_part"}
+    return sorted({
         f"{name}.{getattr(top, 'name', '<module>')}"
-        for name in ("experiments", "verification")
+        for name in modules
         for top in ast.parse((PACKAGE / f"{name}.py").read_text()).body
         for node in ast.walk(top)
-        if isinstance(node, ast.Call) and "_overlap_row" in (
-            getattr(node.func, "id", None), getattr(node.func, "attr", None))
-    ]
-    assert found == []
+        if isinstance(node, ast.Call) and named & {
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)}
+    })
+
+
+def test_only_the_row_builder_calls_overlap_row():
+    assert _row_constructor_callers("experiments", "verification") == []
+    # The rule reads the constructors' present names: the builders call them.
+    assert {"overlap._arith_rows", "overlap._overlap_rows"} <= set(
+        _row_constructor_callers("overlap"))
 
 
 def _check_result_constructions(source: str) -> list[str]:

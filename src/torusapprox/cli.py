@@ -300,7 +300,12 @@ def _cmd_pairwise(args) -> int:
         "measure_sum": _fmt(report.measure_sum),
         "ratio": _fmt(report.ratio),
     }
-    _emit(list(row), [row], report.config, args.format, args.out)
+    # Nothing reads a seed; the key stays so that no report byte moves
+    # (CHANGES.md, the FOUND line on unread header keys).
+    config = {"Q": q_max, "m": m, "psi": psi.describe(), "target": target.describe(),
+              "mode": cfg.mode, "precision": cfg.precision if cfg.mode == "enclosure" else None,
+              "seed": 0}
+    _emit(list(row), [row], config, args.format, args.out)
     print(
         f"workers={report.workers}\n"
         f"pairs closed_form={report.closed_form_pairs} merge={report.merge_pairs} "
@@ -314,7 +319,7 @@ def _cmd_msum(args) -> int:
     ladder = [args.Q] if args.ladder is None else _listed(args.ladder, int, "ladder")
     m = args.m
     psi = _psi_from(args)
-    rows = [{"Q": entry.Q, "m": entry.m, "pair_sum": format_rational(entry.pair_sum),
+    rows = [{"Q": entry.Q, "m": m, "pair_sum": format_rational(entry.pair_sum),
              "rhs": format_rational(entry.rhs), "ratio": _fmt(entry.ratio)}
             for entry in main_term_sum_check(psi, m, ladder)]
     config = {"subcommand": "msum", "ladder": ",".join(str(v) for v in ladder),

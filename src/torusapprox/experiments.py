@@ -3,7 +3,8 @@
 Pairwise overlap sums against the squared measure sum (the quasi-
 independence ratio), the main-term sum check, totient-of-gcd sums both by
 brute force and through the divisor identity, Monte Carlo coverage with a
-counter-based generator, and exact equidistribution scans.
+counter-based generator, and exact equidistribution scans.  The reports
+carry values only: `cli` writes each report header from what it parsed.
 
 Both pair sums run through one loop, `_pairwise_worker`: a stripe of rows
 r, each the pairs q < r, of a pair kernel on the target parts of
@@ -48,7 +49,7 @@ from .approx import (
 )
 from .arith import _SPF_CAP, factorize, spf_table, totient, totient_range
 from .errors import BudgetError, IdentityError
-from .overlap import _check_row_limit, _main_term_units, _merge_units
+from .overlap import _arith_rows, _check_row_limit, _main_term_units, _merge_units
 from .overlap import _overlap_rows, _pair_overlap_units
 from .rationals import parse_rational
 from .torus import TorusIntervalSet, measure_intersection
@@ -231,19 +232,6 @@ class ExperimentConfig:
         self.workers = workers
         self.exact_q_cap = DEFAULT_EXACT_Q_CAP
 
-    def describe(self) -> dict:
-        return {
-            "Q": self.Q,
-            "m": self.m,
-            "psi": self.psi.describe(),
-            "target": self.target.describe(),
-            "mode": self.mode,
-            "precision": self.precision if self.mode == "enclosure" else None,
-            # Nothing reads a seed; the key stays so that no report byte
-            # moves (CHANGES.md, the FOUND line on unread header keys).
-            "seed": 0,
-        }
-
 
 # -- pairwise overlap sums ----------------------------------------------------------
 
@@ -274,7 +262,7 @@ def _pairwise_worker(payload):
     pair, to the power of the number of coordinates it covers: with one
     column, the kernel's value, reduced, to the power m."""
     (Q, psi, target), kernel, flags, total, worker_index, worker_count = payload
-    rows, powers = _overlap_rows(Q, psi, target)
+    rows, powers = _overlap_rows(_arith_rows(Q), psi, target)
     merged = partial(_merge_units, {})
     single = len(powers) == 1
     m = powers[0]
@@ -328,7 +316,6 @@ class ProcessPoolExecutor:
 
 
 class SumReport(NamedTuple):
-    config: dict
     pair_sum: object  # Fraction, or (lo, hi) bounds in enclosure mode
     measure_sum: Fraction
     ratio: object  # Fraction, (lo, hi), or None when undefined
@@ -391,9 +378,8 @@ def pairwise_overlap_sum(cfg: ExperimentConfig) -> SumReport:
         ratio = (2 * lo / measure_sum**2, 2 * hi / measure_sum**2) if measure_sum > 0 else None
 
     return SumReport(
-        config=cfg.describe(), pair_sum=pair_sum, measure_sum=measure_sum, ratio=ratio,
-        per_q_measures=tuple(per_q), row_sums=row_sums, workers=worker_count,
-        **_pair_counts(flags, cfg.Q),
+        pair_sum=pair_sum, measure_sum=measure_sum, ratio=ratio, per_q_measures=tuple(per_q),
+        row_sums=row_sums, workers=worker_count, **_pair_counts(flags, cfg.Q),
     )
 
 
@@ -424,8 +410,7 @@ def quasi_independence_ladder(
         pair_sum = 2 * sum(row_sum for _, row_sum in rows)
         measure_sum = sum(measure for _, measure in measures)
         reports.append(top._replace(
-            config=top.config | {"Q": q_max}, pair_sum=pair_sum,
-            measure_sum=measure_sum,
+            pair_sum=pair_sum, measure_sum=measure_sum,
             ratio=pair_sum / measure_sum**2 if measure_sum > 0 else None,
             per_q_measures=measures, row_sums=rows, **_pair_counts(closed, q_max),
         ))
@@ -437,7 +422,6 @@ def quasi_independence_ladder(
 
 class MainTermRow(NamedTuple):
     Q: int
-    m: int
     pair_sum: Fraction
     rhs: Fraction  # (sum of (phi psi / q)**m)**2
     ratio: Fraction | None
@@ -489,9 +473,8 @@ def main_term_sum_check(psi: ApproxFunction, m: int, ladder) -> list[MainTermRow
         half += Fraction(sum(num * (lcm // den) for den, num in step.items()), lcm)
         rhs_base += sum(Fraction(w.numerator * phi[q], w.denominator * q) ** m
                         for q, w in enumerate(weights[low + 1 : q_max + 1], low + 1))
-        rhs = rhs_base**2
-        results.append(MainTermRow(Q=q_max, m=m, pair_sum=2 * half, rhs=rhs,
-                                   ratio=2 * half / rhs if rhs > 0 else None))
+        pair_sum, rhs = 2 * half, rhs_base**2
+        results.append(MainTermRow(q_max, pair_sum, rhs, pair_sum / rhs if rhs > 0 else None))
     return results
 
 

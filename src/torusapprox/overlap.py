@@ -265,15 +265,14 @@ def _arith_rows(limit: int) -> list:
     return [None] + [_arith_row(q, factorize_with_table(q, table)) for q in range(1, limit + 1)]
 
 
-def _overlap_rows(limit: int, psi, target) -> tuple[list, tuple]:
-    """(rows, powers) over the target's columns, its distinct coordinate
-    sequences (y_q[i] for q <= limit) in the order the coordinates first
-    use them: rows = [None, parts of 1, ..., parts of limit] with rows[q][c]
-    q's `_target_part` at psi(q) and column c's component, and powers[c]
-    the number of coordinates equal to column c.  The parts of q point at
-    its one arithmetic row, and columns that agree at q share one part."""
-    ariths = _arith_rows(limit)
-    powers = Counter(zip(*(target(q) for q in range(1, limit + 1))))
+def _overlap_rows(ariths: list, psi, target) -> tuple[list, tuple]:
+    """(rows, powers) on the `_arith_rows` ariths, over the target's columns,
+    its distinct coordinate sequences (y_q[i] for q < len(ariths)) in the
+    order the coordinates first use them: rows[q][c] is the `_target_part`
+    on ariths[q] at psi(q) and column c's component, rows[0] is None, and
+    powers[c] the number of coordinates equal to column c.  Columns that
+    agree at q share one part."""
+    powers = Counter(zip(*(target(q) for q in range(1, len(ariths)))))
     rows: list = [None]
     for q, ys in enumerate(zip(*powers), 1):
         arith, psi_q = ariths[q], psi(q)

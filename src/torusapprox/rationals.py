@@ -5,9 +5,18 @@ Floating point never enters here; "0.5" is rejected on purpose.
 
 from __future__ import annotations
 
+import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+
+
+def _integer(part: str, what: str) -> int:
+    """int(part) of a base-10 integer literal, and a ValueError naming any
+    other part; int() refuses one past Python's digit limit itself."""
+    if not re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", part):
+        raise ValueError(f"{what}{part.strip()!r} is not an integer")
+    return int(part)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -16,11 +25,12 @@ def parse_rational(text: str) -> Fraction:
     if not s:
         raise ValueError("empty rational")
     if "/" in s:
-        num, den = (int(part) for part in s.split("/", 1))
+        num, den = s.split("/", 1)
+        num, den = _integer(num, "numerator "), _integer(den, "denominator ")
         if den == 0:
             raise ValueError(f"zero denominator in {text!r}")
         return Fraction(num, den)
-    return Fraction(int(s))
+    return Fraction(_integer(s, ""))
 
 
 @contextmanager

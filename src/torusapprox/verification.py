@@ -172,19 +172,20 @@ def check_measure_law(
 # -- 4: overlap bound soundness --------------------------------------------------------
 
 
-def _bound_ratio_max(limit: int, psi: ApproxFunction) -> tuple[Fraction, Fraction]:
-    """Max of exact/(addend1+addend2) and exact/trivial over r < q <= limit.
+def _bound_ratio_max(ariths: list, psi: ApproxFunction) -> tuple[Fraction, Fraction]:
+    """Max of exact/(addend1+addend2) and exact/trivial over the pairs
+    r < q < len(ariths) of the `_arith_rows` ariths.
 
     The exact overlap is the interval merge; the bound terms come from the
     integer forms behind the `overlap_report` fields `addend1`, `addend2`
     and `trivial_rhs`, and each ratio is compared by cross-multiplication
     as (num, den).
     """
-    rows, ariths = _overlap_rows(limit, psi, TargetSequence.zero())[0], _arith_rows(limit)
-    sets = [None] + [build_approx_set(q, psi(q), 0) for q in range(1, limit + 1)]
+    rows = _overlap_rows(ariths, psi, TargetSequence.zero())[0]
+    sets = [None] + [build_approx_set(q, psi(q), 0) for q in range(1, len(ariths))]
     bound_num, bound_den = 0, 1
     trivial_num, trivial_den = 0, 1
-    for q in range(2, limit + 1):
+    for q in range(2, len(ariths)):
         for r in range(1, q):
             units, den = _overlap_units(sets[q], sets[r])
             if units == 0:
@@ -208,9 +209,10 @@ def _bound_ratio_max(limit: int, psi: ApproxFunction) -> tuple[Fraction, Fractio
 @_suite("overlap-bound")
 def check_overlap_bound(limit: int = 200) -> CheckResult:
     families = (ApproxFunction.constant(Fraction(1, 4)), ApproxFunction.power(Fraction(1, 2), 1))
+    ariths = _arith_rows(limit)
     details = []
     for psi in families:
-        worst_bound, worst_trivial = _bound_ratio_max(limit, psi)
+        worst_bound, worst_trivial = _bound_ratio_max(ariths, psi)
         base = baseline_fraction("overlap_bound_C", psi.describe())
         base_trivial = baseline_fraction("trivial_bound_C", psi.describe())
         if not within_baseline(worst_bound, base):
@@ -304,13 +306,12 @@ def check_quasi_ladder(
     m = fixture["m"]
     target = TargetSequence.parse(fixture["target"], m)
     reports = quasi_independence_ladder(psi, target, m=m, ladder=ladder)
-    for report in reports:
-        q_max = report.config["Q"]
+    for q_max, report in zip(ladder, reports):
         base = baseline_fraction("quasi_ladder", str(q_max))
         if report.ratio is None or not within_baseline(report.ratio, base):
             raise _Failed(f"Q={q_max}: ratio {report.ratio} exceeds baseline {base}")
     q_top = max(ladder)
-    top = max(reports, key=lambda report: report.config["Q"])
+    top = reports[ladder.index(q_top)]
     # The ladder's own scan at the top Q is the 1-worker run.
     sums = [
         top.pair_sum if workers == 1
@@ -423,9 +424,10 @@ def check_overlap_engine(limit: int = 120, seed: int = 20260808) -> CheckResult:
         ("1/3", TargetSequence.constant([Fraction(1, 3)])),
         (f"moving (seed {seed})", TargetSequence.from_table(moving, 1)),
     )
+    ariths = _arith_rows(limit)
     for psi in families:
         for label, target in targets:
-            rows = _overlap_rows(limit, psi, target)[0]
+            rows = _overlap_rows(ariths, psi, target)[0]
             sets = [None] + [build_approx_set(q, psi(q), target(q)[0])
                              for q in range(1, limit + 1)]
             for q in range(2, limit + 1):

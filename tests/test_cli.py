@@ -441,9 +441,11 @@ def test_equidist_runs_at_Q_1(capsys):
 
 
 def test_only_pairwise_prints_its_worker_count(capsys):
-    cfg = ExperimentConfig(Q=3, psi=ApproxFunction.constant(Fraction(1, 4)),
-                           target=TargetSequence.zero(), workers=2)
-    assert "workers" not in cfg.describe()
+    code, out, _ = run_capture(capsys, ["pairwise", "--Q", "3", "--psi", "const:1/4",
+                                        "--workers", "2"])
+    assert code == 0
+    keys = [line[2:].split("=")[0] for line in out.splitlines() if line.startswith("# ")]
+    assert "seed" in keys and "workers" not in keys
     code, _, err = run_capture(capsys, ["mc", "--q-range", "2,3", "--psi", "const:1/4",
                                         "--samples", "2000"])
     assert code == 0
@@ -600,6 +602,10 @@ NAMED_OPTION = {
     "pairwise --Q 3 --psi table:{tables}/q-1.5.csv": "table q = '1.5' is not an integer",
     "pairwise --Q 3 --psi table:{tables}/q-x.csv": "table q = 'x' is not an integer",
     "pairwise --Q 3 --psi const:1/4 --y table:{tables}/q-x.csv": "table q = 'x' is not an integer",
+    "pairwise --Q 3 --psi const:x": "bad psi spec 'const:x': 'x' is not an integer",
+    "pairwise --Q 3 --psi pow:x,1": "bad psi spec 'pow:x,1': 'x' is not an integer",
+    "pairwise --Q 3 --psi const:1/4 --y const:x": "bad target spec 'const:x': 'x' is not an integer",
+    "pairwise --Q 3 --psi const:1/2/3": "denominator '2/3' is not an integer",
 }
 
 
@@ -671,6 +677,11 @@ NAMED_OPTION = {
     "pairwise --Q 3 --psi table:{tables}/q-1.5.csv",
     "pairwise --Q 3 --psi table:{tables}/q-x.csv",
     "pairwise --Q 3 --psi const:1/4 --y table:{tables}/q-x.csv",
+    # A rational whose part is not an integer.
+    "pairwise --Q 3 --psi const:x",
+    "pairwise --Q 3 --psi pow:x,1",
+    "pairwise --Q 3 --psi const:1/4 --y const:x",
+    "pairwise --Q 3 --psi const:1/2/3",
 ])
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv):
     for q in ("1.5", "x"):
@@ -745,7 +756,7 @@ def test_row_cap_refuses_before_any_row_or_set(capsys, monkeypatch, argv):
     def refuse(*args):
         raise AssertionError("a row or a set was built before the row cap refused it")
 
-    for module in (overlap, experiments):  # the sieve of `_overlap_rows`, and experiments' own
+    for module in (overlap, experiments):  # the sieve of `_arith_rows`, and experiments' own
         monkeypatch.setattr(module, "spf_table", refuse)
     monkeypatch.setattr(experiments, "build_approx_set", refuse)
     code, out, err = run_capture(capsys, argv.split())
@@ -827,10 +838,12 @@ def test_deferred_block_refusal_names_block_and_divisor_count(capsys, tmp_path):
     ["measure", "--q", "5", "--psi", "x" * 500],
     ["measure", "--q", "5", "--psi", "const:1/4", "--y", "y" * 500],
     ["measure", "--q", "5", "--psi", "pow:" + "1" * 500],
+    # An integer past int()'s digit limit inside a rational spec.
+    ["measure", "--q", "5", "--psi", "const:1/" + "9" * 5000],
     ["pairwise", "--Q", "8", "--psi", "const:1/4", "--mode", "x" * 3000],
     ["pairwise", "--Q", "8", "--psi", "const:1/4", "--" + "z" * 3000, "1"],
-], ids=["int", "rational", "ladder", "q-range", "psi", "target", "psi-pow", "choice",
-        "unrecognized"])
+], ids=["int", "rational", "ladder", "q-range", "psi", "target", "psi-pow", "psi-digits",
+        "choice", "unrecognized"])
 def test_usage_errors_echo_a_bounded_input(capsys, argv):
     code, out, err = run_capture(capsys, argv)
     assert code == 2 and out == ""
@@ -863,10 +876,11 @@ Y_FILE = "measure --q 2 --psi const:1/4 --y {}"
     (Y_FILE, "table", "0,1/2\n"),
     (Y_FILE, "table", "-4,1/5\n"),
     ("pairwise --Q 8 --m 2 --psi const:1/4 --y {}", "table", "2,1/5,1/3,1/7\n"),
+    (PSI_FILE, "table", "1,x\n"),
 ], ids=["cx-psi-2-missing", "cx-psi-5-extra", "cx-no-blocks", "cx-divisors-str",
         "cx-json-list", "table-one-column", "table-q-twice", "table-extra-column",
         "target-table-q-twice", "target-table-q-0", "target-table-q-negative",
-        "target-table-wider-than-m"])
+        "target-table-wider-than-m", "table-value-not-an-integer"])
 def test_bad_input_files_exit_2_with_one_line(capsys, tmp_path, command, kind, text):
     path = tmp_path / "input"
     path.write_text(text)
@@ -874,6 +888,7 @@ def test_bad_input_files_exit_2_with_one_line(capsys, tmp_path, command, kind, t
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("usage error: ")
+    assert "invalid literal" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -15,6 +15,7 @@ from torusapprox.experiments import main_term_sum_check
 from torusapprox.overlap import (
     _addend2_units,
     _arith_row,
+    _arith_rows,
     _decompose,
     _f_table,
     _f_terms,
@@ -611,4 +612,24 @@ def test_bound_ratio_max_matches_fraction_api(spec):
             if exact:
                 worst_bound = max(worst_bound, exact / (report.addend1 + report.addend2))
                 worst_trivial = max(worst_trivial, exact / report.trivial_rhs)
-    assert _bound_ratio_max(30, psi) == (worst_bound, worst_trivial)
+    assert _bound_ratio_max(_arith_rows(30), psi) == (worst_bound, worst_trivial)
+
+
+@pytest.mark.parametrize("suite, limit", [
+    (verification.check_overlap_bound, 30),
+    (verification.check_overlap_engine, 20),
+])
+def test_each_suite_builds_its_arithmetic_rows_once(monkeypatch, suite, limit):
+    # One row per q, shared by every weight family and target the suite runs.
+    from torusapprox import overlap
+
+    built = Counter()
+    arith = overlap._arith_row
+
+    def counted(q, factors):
+        built[q] += 1
+        return arith(q, factors)
+
+    monkeypatch.setattr(overlap, "_arith_row", counted)
+    assert suite(limit=limit).ok
+    assert built == Counter(range(1, limit + 1))

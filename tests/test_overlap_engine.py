@@ -351,7 +351,7 @@ def coincident_below(q0):
 ], ids=["const-0,1/3,0", "table-Q20", "table-Q24"])
 def test_columns_are_the_distinct_coordinate_sequences(Q, target, powers):
     psi = ApproxFunction.constant(F(1, 3))
-    rows, got = overlap._overlap_rows(Q, psi, target)
+    rows, got = overlap._overlap_rows(overlap._arith_rows(Q), psi, target)
     assert got == powers
     for q in range(1, Q + 1):
         assert len(rows[q]) == len(powers)
@@ -405,7 +405,7 @@ def test_more_columns_add_only_their_parts():
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            rows, powers = overlap._overlap_rows(Q, psi, target)
+            rows, powers = overlap._overlap_rows(overlap._arith_rows(Q), psi, target)
             held.append(tracemalloc.get_traced_memory()[0] - before)
         finally:
             tracemalloc.stop()

@@ -22,9 +22,12 @@ of `experiments` calls a pair kernel by name.  `overlap._arith_rows` and
 `overlap._overlap_rows` are the row builders: no function of `experiments`
 or `verification` calls the arithmetic row constructor `_arith_row` or the
 target part constructor `_target_part` by name, so `overlap` alone knows
-the row layout.  A verification suite fails one way, by raising, so in
-`verification` only the `_suite` wrapper constructs a `CheckResult`.  The
-Monte Carlo hit count and its arc tables use no float, so every count is
+the row layout.  Only `cli` builds a report header: `experiments` has no
+`describe` method and its report records carry no header field, and no
+other module writes the unread header key "seed".  A verification suite
+fails one way, by raising, so in `verification` only the `_suite` wrapper
+constructs a `CheckResult`.  The Monte Carlo hit count and its arc
+tables use no float, so every count is
 exact on the points drawn, and the tables are read off the approximation
 sets, so the package keeps one interval encoding.  No module imports
 `dataclasses`: records are `typing.NamedTuple`s and classes that validate
@@ -189,6 +192,39 @@ def test_only_the_row_builder_calls_overlap_row():
     # The rule reads the constructors' present names: the builders call them.
     assert {"overlap._arith_rows", "overlap._overlap_rows"} <= set(
         _row_constructor_callers("overlap"))
+
+
+def _report_header_builders(module: str, source: str) -> list[str]:
+    """What a module builds of a report header: in `experiments` a
+    `describe` method, a `config` field on `SumReport` or an `m` field on
+    `MainTermRow`; in any module a dict key "seed"."""
+    fields = {"SumReport": "config", "MainTermRow": "m"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and module == "experiments":
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "describe":
+                    found.append(f"{node.name}.describe")
+                elif (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                      and item.target.id == fields.get(node.name)):
+                    found.append(f"{node.name}.{item.target.id}")
+        elif isinstance(node, ast.Dict):
+            found += [f"{module}:{key.lineno} seed" for key in node.keys
+                      if isinstance(key, ast.Constant) and key.value == "seed"]
+    return found
+
+
+def test_only_cli_builds_a_report_header():
+    found = [item for path in sorted(PACKAGE.glob("*.py")) if path.name != "cli.py"
+             for item in _report_header_builders(path.stem, path.read_text())]
+    assert found == []
+    # The rule reads the present form: cli's pairwise and mc headers keep "seed".
+    assert len(_report_header_builders("cli", (PACKAGE / "cli.py").read_text())) == 2
+    snippet = ("class SumReport(NamedTuple):\n    config: dict\n"
+               "class MainTermRow(NamedTuple):\n    Q: int\n    m: int\n"
+               "class ExperimentConfig:\n    def describe(self):\n        return {'seed': 0}\n")
+    assert sorted(_report_header_builders("experiments", snippet)) == [
+        "ExperimentConfig.describe", "MainTermRow.m", "SumReport.config", "experiments:8 seed"]
 
 
 def _check_result_constructions(source: str) -> list[str]:

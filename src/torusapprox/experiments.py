@@ -1,8 +1,9 @@
 """Batch experiments over many denominators.
 
 Pairwise overlap sums against the squared measure sum (the quasi-
-independence ratio), the main-term sum check, totient-of-gcd sums both by
-brute force and through the divisor identity, Monte Carlo coverage with a
+independence ratio; each measure is 2 phi(q) psi(q)/q up to psi(q) = 1/2,
+and the built set's above), the main-term sum check, totient-of-gcd sums
+both by brute force and through the divisor identity, Monte Carlo coverage with a
 counter-based generator, and exact equidistribution scans.  The reports
 carry values only: `cli` writes each report header from what it parsed.
 
@@ -346,10 +347,13 @@ def pairwise_overlap_sum(cfg: ExperimentConfig) -> SumReport:
     _check_row_limit(cfg.Q)
     weights = [0] + [cfg.psi(q) for q in range(1, cfg.Q + 1)]  # psi read once per q
     flags = _closed_form_flags(weights.__getitem__, cfg.Q)
-    # A rotation keeps the measure, so every coordinate of q has the
-    # measure of the set centred on 0.
-    per_q = [(q, build_approx_set(q, weights[q], 0).measure() ** cfg.m)
-             for q in range(1, cfg.Q + 1)]
+    # A rotation keeps the measure, so every coordinate of q has the measure
+    # of the set centred on 0: 2 phi(q) psi(q)/q while its arcs are disjoint,
+    # psi(q) <= 1/2.  Any other weight builds the set, which refuses psi < 0.
+    phi = totient_range(cfg.Q)
+    per_q = [(q, (2 * phi[q] * Fraction(w) / q if 0 <= w <= _HALF
+                  else build_approx_set(q, w, 0).measure()) ** cfg.m)
+             for q, w in enumerate(weights[1:], 1)]
     measure_sum = sum(value for _, value in per_q)
 
     worker_count = min(cfg.workers, max(1, cfg.Q - 1))

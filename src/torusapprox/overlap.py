@@ -21,7 +21,8 @@ of `_arith_row`; every user of f reads those terms.  Each row carries
 rad(q) and the signed divisors d * mu(d) of the odd part of each t | rad(q),
 so the terms are products of two precomputed lists.  A coprime pair reads
 both lists from the rows as they are; only a pair sharing a prime is split
-by `_split`, which walks the primes of gcd(q, r) in q's factorization.  A
+by `_split`, which sorts the primes of g = gcd(q, r) by gcds, so that both
+lists are read from the rows and only the balanced primes expand.  A
 weight and target are a small `_target_part` on q's row, which every target
 column shares; no other module reads either layout.
 This module carries the closed form and its brute-force twin, the sifting
@@ -83,60 +84,58 @@ def _split(row_q: tuple, row_r: tuple) -> tuple:
     d * mu(d) over the odd d | rad(en) are the products of an entry of
     signed_q and one of signed_r.
 
-    Only the primes of rad(gcd) = gcd(rad q, rad r), read off q's factors,
-    are split by valuation: equal valuations put p**u into ell, unequal ones
-    p**min into em and an odd p into signed_q.  Every other prime is split,
-    and signed_q and signed_r start as the rows' signed lists of
-    rad(q)/rad(gcd) and rad(r)/rad(gcd), which hold odd divisors only.
+    The primes of g = gcd(q, r) are classified by gcds, not by a walk: a
+    prime p | g has v_p(q) != v_p(r) exactly when p divides (q/g)(r/g), so
+    the unequal-valuation primes are those of unequal = gcd(rad g,
+    (q/g)(r/g)) and the other primes of g are balanced.  Every prime outside
+    the balanced ones splits, so signed_q and signed_r are the rows' own
+    sorted lists of rad(q)/rad(g) * unequal and rad(r)/rad(g).  ell is built
+    from q's exponents of its balanced primes, em = g/ell, and phi(em) =
+    em/unequal * phi(unequal), read off the row: the entries d * mu(d) of
+    lists[t] sum to the product over odd p | t of (1 - p), which is +-phi(t).
 
     The prime 2 never enters the signed lists: when it splits, f(c)
     vanishes at every even c, so its readers take f's terms at the odd
     multiples of each step instead of expanding 2 into a pair of terms."""
     q, fq, _, rad_q, lists_q = row_q
-    r, fr, _, rad_r, lists_r = row_r
+    r, _, _, rad_r, lists_r = row_r
+    g = math.gcd(q, r)
     rad_g = math.gcd(rad_q, rad_r)
-    signed_q = lists_q[rad_q // rad_g]
-    signed_r = lists_r[rad_r // rad_g]
-    ell = em = phi_em = 1
+    unequal = math.gcd(rad_g, q // g * (r // g))
+    rad_ell = rad_g // unequal
+    ell = 1
     balanced = []
-    for p, u in fq.items():
-        if rad_g % p:
-            continue
-        v = fr[p]
-        if u == v:
-            ell *= p**u
-            balanced.append(p)
-            continue
-        low = u if u < v else v
-        em *= p**low
-        phi_em *= p ** (low - 1) * (p - 1)
-        if p != 2:
-            signed_q = [d * m for m in (1, -p) for d in signed_q]
-    return ell, em, q // (ell * em) * r // ell, phi_em, balanced, signed_q, signed_r
+    if rad_ell > 1:
+        for p, u in fq.items():
+            if not rad_ell % p:
+                ell *= p**u
+                balanced.append(p)
+    em = g // ell
+    phi_em = em // unequal * abs(sum(lists_q[unequal]))
+    return (ell, em, q // g * r // ell, phi_em, balanced,
+            lists_q[rad_q // rad_g * unequal], lists_r[rad_r // rad_g])
 
 
-def _f_terms(row_q: tuple, row_r: tuple) -> tuple:
+def _f_terms(row_q: tuple, row_r: tuple, g: int) -> tuple:
     """The one body of f(c) = phi(em) (ell / rad ell) [gcd(c, en) = 1] prod
     over p | ell of ((p - 2) + [p | c]), from the pair's two `_arith_row`
-    rows: (left, weights, right, odd), with f(c) the sum over x in left,
-    with its weight w > 0, and y in right of sign(xy) w [xy | c].
+    rows and g = gcd(q, r): (left, weights, right, odd), with f(c) the sum
+    over x in left, with its weight w > 0, and y in right of sign(xy) w
+    [xy | c].
 
     odd says that 2 splits the pair, v2(q) != v2(r).  The sum is then f(c)
     at odd c only, and f(c) = 0 at even c: every step xy is odd, and each
     reader takes a term at the odd multiples xy, 3xy, 5xy, ... of its step.
 
-    A coprime pair (rad gcd = 1) has ell = em = 1, so f(c) = [gcd(c, qr)
-    = 1]: its terms are the two rows' signed lists, read as they are, with
-    unit weights.  Any other pair expands its `_split`: the balanced primes
+    A coprime pair (g = 1) has ell = em = 1, so f(c) = [gcd(c, qr) = 1]:
+    its terms are the two rows' signed lists, read as they are, with unit
+    weights.  Any other pair expands its `_split`: the balanced primes
     expand left, and rad(ell) | ell, which makes f integral, is checked."""
     odd = row_q[0] & -row_q[0] != row_r[0] & -row_r[0]  # lowest set bits differ
-    rad_q, rad_r = row_q[3], row_r[3]
-    if math.gcd(rad_q, rad_r) == 1:
-        return row_q[4][rad_q], repeat(1), row_r[4][rad_r], odd
+    if g == 1:
+        return row_q[4][row_q[3]], repeat(1), row_r[4][row_r[3]], odd
     ell, _, _, phi_em, balanced, left, right = _split(row_q, row_r)
-    rad = 1
-    for p in balanced:
-        rad *= p
+    rad = math.prod(balanced)
     if ell % rad:
         raise IdentityError(f"rad(ell) = {rad} does not divide ell = {ell}")
     weights = [phi_em * (ell // rad)] * len(left)
@@ -181,8 +180,9 @@ def _f_table(row_q: tuple, row_r: tuple) -> list[int]:
     each term added at the multiples of its step, or at its odd multiples
     when 2 splits."""
     q, r = row_q[0], row_r[0]
-    table = [0] * (q // math.gcd(q, r) * r)
-    left, weights, right, odd = _f_terms(row_q, row_r)
+    g = math.gcd(q, r)
+    table = [0] * (q // g * r)
+    left, weights, right, odd = _f_terms(row_q, row_r, g)
     for x, w in zip(left, weights):
         for y in right:
             k = x * y
@@ -332,7 +332,7 @@ def _pair_overlap_units(part_q: tuple, part_r: tuple) -> tuple[int, int]:
     delta = scale_q * y_q - scale_r * y_r
     outer = w_q + w_r
     inner = w_q - w_r if w_q > w_r else w_r - w_q
-    left, weights, right, odd = _f_terms(part_q[0], part_r[0])
+    left, weights, right, odd = _f_terms(part_q[0], part_r[0], g)
     total = 0
     if not delta:
         # Centred: each hat's sum, halved, is added and total doubled once.
@@ -436,7 +436,8 @@ def _main_term_units(
     The window test D >= 1 (D > 1 with strict_indicator) and the
     comparisons p > D over the split primes (the primes of q or r whose
     valuations differ, read off the arithmetic rows' factorizations) are
-    cross-multiplications with D = dn/dd.
+    cross-multiplications with D = dn/dd.  No prime of q or r exceeds
+    max(q, r), so at D >= max(q, r) no prime is walked.
     """
     (q, fq, phi_q, _, _), b, a, _ = part_q
     (r, fr, phi_r, _, _), d, c, _ = part_r
@@ -445,6 +446,8 @@ def _main_term_units(
         return 0, 1
     num = a * c * phi_q * phi_r
     den = b * d * q * r
+    if dn >= (q if q > r else r) * dd:
+        return num, den
     for p, e in fq.items():
         if p * dd > dn and fr.get(p) != e:
             num *= p + 1

@@ -46,6 +46,22 @@ def test_pairwise_hand_example_q3():
     assert report.per_q_measures == ((1, F(1, 2)), (2, F(1, 4)), (3, F(1, 3)))
 
 
+@pytest.mark.parametrize("m", [1, 3])
+def test_measure_sum_matches_the_sets_on_both_sides_of_a_half(m):
+    # Weights up to 1/2 take 2 phi(q) psi(q)/q; 3/4 builds the set.
+    psi = ApproxFunction.from_table({q: F(q % 4, 4) for q in range(1, 25)})
+    report = pairwise_overlap_sum(
+        ExperimentConfig(Q=24, psi=psi, target=TargetSequence.zero(m), m=m))
+    assert report.per_q_measures == tuple(
+        (q, build_approx_set(q, psi(q), 0).measure() ** m) for q in range(1, 25))
+    assert all(type(value) is F for _, value in report.per_q_measures)
+    # A family past `from_table`'s check still meets the set's refusal.
+    negative = ApproxFunction("negative", table={1: F(1, 4), 2: F(-1, 4)}, default=F(0))
+    with pytest.raises(ValueError, match="^psi must be non-negative$"):
+        pairwise_overlap_sum(
+            ExperimentConfig(Q=3, psi=negative, target=TargetSequence.zero(m), m=m))
+
+
 def test_pairwise_zero_weight():
     zero_psi = ApproxFunction.constant(0)
     report = pairwise_overlap_sum(ExperimentConfig(Q=3, psi=zero_psi, target=ZERO1))

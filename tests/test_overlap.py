@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import subprocess
@@ -47,6 +48,10 @@ def arith_row(n):
 
 def f_table(q, r):
     return _f_table(arith_row(q), arith_row(r))
+
+
+def f_terms(q, r):
+    return _f_terms(arith_row(q), arith_row(r), math.gcd(q, r))
 
 
 def test_decomposition_examples():
@@ -411,7 +416,7 @@ def per_prime_pair_count(q, r, c):
 def f_terms_at(q, r, c):
     """The sum of a_k [k | c] over the terms of `_f_terms`, at odd c only
     when 2 splits the pair."""
-    left, weights, right, odd = _f_terms(arith_row(q), arith_row(r))
+    left, weights, right, odd = f_terms(q, r)
     if odd and c % 2 == 0:
         return 0
     return sum(w if x * y > 0 else -w
@@ -425,11 +430,12 @@ def random_unit(rng, n):
             return a
 
 
-def test_f_terms_match_a_per_prime_count_far_past_q_120():
-    # Moduli up to 10**6 share powers of primes p <= 23 with random
-    # valuations, so they split primes >= 11 with unequal valuations >= 2,
-    # which no pair with q, r <= 120 does.  Half the c are attained by a
-    # pair of units, so that f(c) > 0 there; the others are random.
+def far_pairs():
+    """1,500 seeded (q, r, c): moduli up to 10**6 that share powers of
+    primes p <= 23 with random valuations, so they split primes >= 11 with
+    unequal valuations >= 2, which no pair with q, r <= 120 does.  Half the
+    c are attained by a pair of units, so that f(c) > 0 there; the others
+    are random."""
     rng = random.Random(20)
     checked = 0
     while checked < 1500:
@@ -443,8 +449,58 @@ def test_f_terms_match_a_per_prime_count_far_past_q_120():
         if checked % 2:
             a, b = (random_unit(rng, n) for n in (q, r))
             c = (a * (lcm // q) - b * (lcm // r)) % lcm
-        assert f_terms_at(q, r, c) == per_prime_pair_count(q, r, c), (q, r, c)
+        yield q, r, c
         checked += 1
+
+
+def test_f_terms_match_a_per_prime_count_far_past_q_120():
+    for q, r, c in far_pairs():
+        assert f_terms_at(q, r, c) == per_prime_pair_count(q, r, c), (q, r, c)
+
+
+def valuation(n, p):
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return k
+
+
+def signed_divisors(primes):
+    """d * mu(d) over the d | prod(primes), as a multiset."""
+    signed = [1]
+    for p in primes:
+        signed = [d * m for m in (1, -p) for d in signed]
+    return Counter(signed)
+
+
+def test_split_matches_per_prime_valuations_far_past_q_120():
+    # Each prime is classified by its two valuations, one at a time, with
+    # no gcd.  The far pairs reach exponent 9; powers 2**16 to 2**19, shared
+    # or not, make a shortcut that caps an exponent, such as gcd(g, rad**15),
+    # fail here, where the scans' 2**15 row cap and `decompose_pair` hide it.
+    powers = [2**e * k for e in range(16, 20) for k in (1, 3, 5, 15) if 2**e * k <= 10**6]
+    top = 0
+    for q, r in [(q, r) for q, r, _ in far_pairs()] + list(itertools.product(powers, repeat=2)):
+        ell, em, en, phi_em, balanced, signed_q, signed_r = _split(arith_row(q), arith_row(r))
+        want = [1, 1, 1]
+        want_balanced, odd_q, odd_r = [], [], []
+        for p in sorted(set(ref_primes(q) + ref_primes(r))):
+            u, v = valuation(q, p), valuation(r, p)
+            top = max(top, u, v)
+            if u == v:
+                want[0] *= p**u
+                want_balanced.append(p)
+                continue
+            want[1] *= p ** min(u, v)
+            want[2] *= p ** max(u, v)
+            if p != 2:
+                (odd_q if u else odd_r).append(p)
+        assert [ell, em, en] == want, (q, r)
+        assert phi_em == ref_phi(em) and sorted(balanced) == want_balanced, (q, r)
+        assert Counter(signed_q) == signed_divisors(odd_q), (q, r)
+        assert Counter(signed_r) == signed_divisors(odd_r), (q, r)
+    assert top >= 16
 
 
 def test_split_two_leaves_odd_steps_and_halves_the_terms():
@@ -454,7 +510,7 @@ def test_split_two_leaves_odd_steps_and_halves_the_terms():
     for q in range(1, 61):
         for r in range(1, 61):
             dec = decompose_pair(q, r)
-            left, _, right, odd = _f_terms(arith_row(q), arith_row(r))
+            left, _, right, odd = f_terms(q, r)
             steps = [x * y for x in left for y in right]
             odd_balanced = [p for p in ref_primes(dec.ell) if p != 2]
             unfolded = 2 ** (len(ref_primes(dec.en)) + len(odd_balanced))
@@ -504,7 +560,7 @@ def test_f_terms_odd_is_two_splitting_the_pair():
 
     for q in range(1, 65):
         for r in range(1, 65):
-            assert _f_terms(arith_row(q), arith_row(r))[3] == (v2(q) != v2(r))
+            assert f_terms(q, r)[3] == (v2(q) != v2(r))
 
 
 def test_coprime_count_suite_names_the_first_differing_residue(monkeypatch):

@@ -21,8 +21,11 @@ of `_arith_row`; every user of f reads those terms.  Each row carries
 rad(q) and the signed divisors d * mu(d) of the odd part of each t | rad(q),
 so the terms are products of two precomputed lists.  A coprime pair reads
 both lists from the rows as they are; only a pair sharing a prime is split
-by `_split`, which sorts the primes of g = gcd(q, r) by gcds, so that both
-lists are read from the rows and only the balanced primes expand.  A
+by `_split`, which sorts the primes of g = gcd(q, r) by gcds.  r's list is
+read from its row, and q's side of the split, with its balanced primes
+expanded, depends on (q, g, unequal primes) alone: `_expansion` builds it
+once per key into a memo on q's row, which every later partner, weight
+family and target reads, and which lives as long as the row list.  A
 weight and target are a small `_target_part` on q's row, which every target
 column shares; no other module reads either layout.
 This module carries the closed form and its brute-force twin, the sifting
@@ -78,30 +81,48 @@ class PairDecomposition(NamedTuple):
     phi_gcd: int
 
 
-def _split(row_q: tuple, row_r: tuple) -> tuple:
-    """The ell/em/en split of a pair from its two `_arith_row` rows:
-    (ell, em, en, phi(em), balanced primes, signed_q, signed_r).  The
-    d * mu(d) over the odd d | rad(en) are the products of an entry of
-    signed_q and one of signed_r.
+def _split(row_q: tuple, row_r: tuple, g: int) -> tuple:
+    """The ell/em/en split of a pair from its two `_arith_row` rows and
+    g = gcd(q, r): (q's `_expansion`, read from q's row memo or built into
+    it, and signed_r).  em = g/ell and en = (q/g)(r/ell).  The d * mu(d)
+    over the odd d | rad(en) are the products of an entry of signed_q, q's
+    list of rad(q)/rad(g) * unequal, and one of signed_r.
 
-    The primes of g = gcd(q, r) are classified by gcds, not by a walk: a
-    prime p | g has v_p(q) != v_p(r) exactly when p divides (q/g)(r/g), so
-    the unequal-valuation primes are those of unequal = gcd(rad g,
-    (q/g)(r/g)) and the other primes of g are balanced.  Every prime outside
-    the balanced ones splits, so signed_q and signed_r are the rows' own
-    sorted lists of rad(q)/rad(g) * unequal and rad(r)/rad(g).  ell is built
-    from q's exponents of its balanced primes, em = g/ell, and phi(em) =
-    em/unequal * phi(unequal), read off the row: the entries d * mu(d) of
-    lists[t] sum to the product over odd p | t of (1 - p), which is +-phi(t).
+    The primes of g are classified by gcds, not by a walk: a prime p | g
+    has v_p(q) != v_p(r) exactly when p divides (q/g)(r/g), so the
+    unequal-valuation primes are those of unequal = gcd(rad g, (q/g)(r/g))
+    and the other primes of g are balanced.  Every prime outside the
+    balanced ones splits, so signed_q and signed_r are the rows' own sorted
+    lists.  The gcds and signed_r are the pair's own part; q's side depends
+    on (q, g, unequal) alone, so it is expanded once per key.
 
     The prime 2 never enters the signed lists: when it splits, f(c)
     vanishes at every even c, so its readers take f's terms at the odd
     multiples of each step instead of expanding 2 into a pair of terms."""
-    q, fq, _, rad_q, lists_q = row_q
-    r, _, _, rad_r, lists_r = row_r
-    g = math.gcd(q, r)
+    q, _, _, rad_q, _, memo = row_q
+    r, _, _, rad_r, lists_r, _ = row_r
     rad_g = math.gcd(rad_q, rad_r)
     unequal = math.gcd(rad_g, q // g * (r // g))
+    return (memo.get((g, unequal)) or _expansion(row_q, g, rad_g, unequal),
+            lists_r[rad_r // rad_g])
+
+
+def _expansion(row_q: tuple, g: int, rad_g: int, unequal: int) -> tuple:
+    """q's side of the split of a pair (q, r) with g = gcd(q, r), rad g and
+    its unequal-valuation primes unequal, stored in q's row memo under
+    (g, unequal): (ell, left, weights).  ell is built from q's exponents of
+    the balanced primes rad(g)/unequal, em = g/ell, and phi(em) =
+    em/unequal * phi(unequal), read off the row: the entries d * mu(d) of
+    lists[t] sum to the product over odd p | t of (1 - p), which is +-phi(t).
+
+    left and weights are f's left factor: each balanced prime p expands
+    signed_q, q's sorted list of rad(q)/rad(g) * unequal, into the terms
+    (p - 2) + [p | c], all weighted by phi(em) ell / rad(ell).  With no
+    balanced prime, left is signed_q itself and weights one endless repeat
+    of phi(em), which no zip over left exhausts, so every reader shares it.
+    rad(ell) | ell, which makes f integral, is checked on every expansion
+    built; a failed check stores nothing."""
+    _, fq, _, rad_q, lists_q, memo = row_q
     rad_ell = rad_g // unequal
     ell = 1
     balanced = []
@@ -110,10 +131,21 @@ def _split(row_q: tuple, row_r: tuple) -> tuple:
             if not rad_ell % p:
                 ell *= p**u
                 balanced.append(p)
+    rad = math.prod(balanced)
+    if ell % rad:
+        raise IdentityError(f"rad(ell) = {rad} does not divide ell = {ell}")
     em = g // ell
     phi_em = em // unequal * abs(sum(lists_q[unequal]))
-    return (ell, em, q // g * r // ell, phi_em, balanced,
-            lists_q[rad_q // rad_g * unequal], lists_r[rad_r // rad_g])
+    left = lists_q[rad_q // rad_g * unequal]
+    weights = repeat(phi_em) if not balanced else [phi_em * (ell // rad)] * len(left)
+    for p in balanced:
+        if p == 2:  # p - 2 = 0: only the [2 | c] half survives
+            left = [2 * x for x in left]
+        else:
+            weights = [w * m for m in (p - 2, 1) for w in weights]
+            left = [x * m for m in (1, p) for x in left]
+    memo[g, unequal] = entry = ell, left, weights
+    return entry
 
 
 def _f_terms(row_q: tuple, row_r: tuple, g: int) -> tuple:
@@ -129,22 +161,12 @@ def _f_terms(row_q: tuple, row_r: tuple, g: int) -> tuple:
 
     A coprime pair (g = 1) has ell = em = 1, so f(c) = [gcd(c, qr) = 1]:
     its terms are the two rows' signed lists, read as they are, with unit
-    weights.  Any other pair expands its `_split`: the balanced primes
-    expand left, and rad(ell) | ell, which makes f integral, is checked."""
+    weights.  Any other pair reads its `_split`: left and weights from q's
+    expansion, right from r's row."""
     odd = row_q[0] & -row_q[0] != row_r[0] & -row_r[0]  # lowest set bits differ
     if g == 1:
         return row_q[4][row_q[3]], repeat(1), row_r[4][row_r[3]], odd
-    ell, _, _, phi_em, balanced, left, right = _split(row_q, row_r)
-    rad = math.prod(balanced)
-    if ell % rad:
-        raise IdentityError(f"rad(ell) = {rad} does not divide ell = {ell}")
-    weights = [phi_em * (ell // rad)] * len(left)
-    for p in balanced:
-        if p == 2:  # p - 2 = 0: only the [2 | c] half survives
-            left = [2 * x for x in left]
-        else:
-            weights = [w * m for m in (p - 2, 1) for w in weights]
-            left = [x * m for m in (1, p) for x in left]
+    (_, left, weights), right = _split(row_q, row_r, g)
     return left, weights, right, odd
 
 
@@ -158,8 +180,9 @@ def decompose_pair(q: int, r: int) -> PairDecomposition:
 def _decompose(row_q: tuple, row_r: tuple) -> PairDecomposition:
     """`decompose_pair` from the pair's two `_arith_row` rows."""
     q, r = row_q[0], row_r[0]
-    ell, em, en = _split(row_q, row_r)[:3]
     g = math.gcd(q, r)
+    ell = _split(row_q, row_r, g)[0][0]
+    em, en = g // ell, q // g * r // ell
     l = q * r // g
     phi_ell, phi_em, phi_g = totient(ell), totient(em), totient(g)
     if not (
@@ -222,9 +245,11 @@ def pair_overlap_exact(q: int, r: int, psi, y_q=0, y_r=0) -> Fraction:
 
 def _arith_row(q: int, factors) -> tuple:
     """q's data that no weight or target changes, read by every pair formula:
-    (q, {p: e}, phi(q), rad(q), lists), lists[t] for each t | rad(q) the
-    d * mu(d) over the odd d | t sorted by |d| (about 1.3 KB a row): no reader
-    expands the prime 2, taken last and not sorted at, so lists[2t] is lists[t]."""
+    (q, {p: e}, phi(q), rad(q), lists, memo), lists[t] for each t | rad(q)
+    the d * mu(d) over the odd d | t sorted by |d| (about 1.3 KB a row): no
+    reader expands the prime 2, taken last and not sorted at, so lists[2t] is
+    lists[t].  memo, empty here, keeps q's `_expansion`s under (g, unequal)
+    for the pairs that read q's side of a `_split`."""
     factors = dict(factors)
     phi = rad = 1
     lists = {1: (1,)}
@@ -235,7 +260,7 @@ def _arith_row(q: int, factors) -> tuple:
             if p != 2:
                 signed = tuple(sorted((d * m for m in (1, -p) for d in signed), key=abs))
             lists[t * p] = signed
-    return q, factors, phi, rad, lists
+    return q, factors, phi, rad, lists, {}
 
 
 def _target_part(arith: tuple, psi_q, y_q) -> tuple:
@@ -249,6 +274,10 @@ def _target_part(arith: tuple, psi_q, y_q) -> tuple:
 
 # 2**15 rows take about 48 MB: 1.3 KB for q's arithmetic row and 0.2 KB per
 # column's part (60 MB at three).  Else only the sieve cap of 10**7 bounds them.
+# The rows' expansion memos grow as pairs read them: after every pair of a
+# scan, 0.45 MB at Q = 256, 0.97 MB at 512, 7.3 MB at 2048 and 46 MB at 8192
+# (14.3 Q keys, about 410 B a key) in each worker; the trend gives some 250 MB
+# at 2**15, not measured.
 _ROW_CAP = 2**15
 
 
@@ -318,8 +347,8 @@ def _pair_overlap_units(part_q: tuple, part_r: tuple) -> tuple[int, int]:
     the loop stops at the first s > outer and adds (a whole - head)(outer -
     inner) for the rest, head the sum of the a seen, whole = [t = 1].
     """
-    (q, _, _, _, _), den_q, psi_q, y_q = part_q
-    (r, _, _, _, _), den_r, psi_r, y_r = part_r
+    (q, _, _, _, _, _), den_q, psi_q, y_q = part_q
+    (r, _, _, _, _, _), den_r, psi_r, y_r = part_r
     if not psi_q or not psi_r:
         return 0, 1
     g = math.gcd(q, r)
@@ -408,7 +437,7 @@ def _merge_units(sets: dict, part_q: tuple, part_r: tuple) -> tuple[int, int]:
     """|A_q & A_r| by the interval merge, for the pairs the kernels do not
     take, on each part's interval set, cached in sets under its q and target."""
     pair = []
-    for (q, _, _, _, _), den, psi, y in (part_q, part_r):
+    for (q, _, _, _, _, _), den, psi, y in (part_q, part_r):
         if (q, y, den) not in sets:
             sets[q, y, den] = build_approx_set(q, Fraction(psi, den), Fraction(y, den))
         pair.append(sets[q, y, den])
@@ -419,8 +448,8 @@ def _window_units(part_q: tuple, part_r: tuple) -> tuple[int, int]:
     """The sifting window length D = 2 lcm(q, r) max(psi(q)/q, psi(r)/r)
     as (num, den): with psi(q) = a/b and psi(r) = c/d, the larger of
     2 lcm a/(bq) and 2 lcm c/(dr), chosen by cross-multiplication."""
-    (q, _, _, _, _), b, a, _ = part_q
-    (r, _, _, _, _), d, c, _ = part_r
+    (q, _, _, _, _, _), b, a, _ = part_q
+    (r, _, _, _, _, _), d, c, _ = part_r
     lcm = q // math.gcd(q, r) * r
     if a * d * r >= c * b * q:
         return 2 * lcm * a, b * q
@@ -439,8 +468,8 @@ def _main_term_units(
     cross-multiplications with D = dn/dd.  No prime of q or r exceeds
     max(q, r), so at D >= max(q, r) no prime is walked.
     """
-    (q, fq, phi_q, _, _), b, a, _ = part_q
-    (r, fr, phi_r, _, _), d, c, _ = part_r
+    (q, fq, phi_q, _, _, _), b, a, _ = part_q
+    (r, fr, phi_r, _, _, _), d, c, _ = part_r
     dn, dd = _window_units(part_q, part_r)
     if dn < dd or (strict_indicator and dn == dd):
         return 0, 1
@@ -462,8 +491,8 @@ def _main_term_units(
 def _addend2_units(part_q: tuple, part_r: tuple, phi_g: int) -> tuple[int, int]:
     """phi(gcd(q, r)) * min(psi(q)/q, psi(r)/r) as (num, den), given
     phi_g = phi(gcd(q, r)), the `phi_gcd` of the pair's decomposition."""
-    (q, _, _, _, _), b, a, _ = part_q
-    (r, _, _, _, _), d, c, _ = part_r
+    (q, _, _, _, _, _), b, a, _ = part_q
+    (r, _, _, _, _, _), d, c, _ = part_r
     if a * d * r <= c * b * q:
         return phi_g * a, b * q
     return phi_g * c, d * r
@@ -472,7 +501,7 @@ def _addend2_units(part_q: tuple, part_r: tuple, phi_g: int) -> tuple[int, int]:
 def _trivial_units(part_q: tuple, part_r: tuple, phi_g: int) -> tuple[int, int]:
     """psi(q)psi(r) + (psi(q)/q) phi(gcd) = a(cq + d phi(gcd)) / (bdq) as
     (num, den), given phi_g = phi(gcd(q, r))."""
-    (q, _, _, _, _), b, a, _ = part_q
+    (q, _, _, _, _, _), b, a, _ = part_q
     _, d, c, _ = part_r
     return a * (c * q + d * phi_g), b * d * q
 

@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from torusapprox.approx import ApproxFunction
+from torusapprox.approx import ApproxFunction, TargetSequence
 from torusapprox.arith import factorize, factorize_with_table, spf_table, totient
-from torusapprox.experiments import main_term_sum_check
+from torusapprox.experiments import ExperimentConfig, main_term_sum_check, pairwise_overlap_sum
 from torusapprox.overlap import (
     _addend2_units,
     _arith_row,
@@ -54,6 +54,15 @@ def f_terms(q, r):
     return _f_terms(arith_row(q), arith_row(r), math.gcd(q, r))
 
 
+def split(row_q, row_r):
+    """The pair's `_split` as (ell, em, en, left, signed_r), left q's
+    expanded terms as a multiset of (x, weight) and signed_r as a multiset."""
+    q, r = row_q[0], row_r[0]
+    g = math.gcd(q, r)
+    (ell, left, weights), signed_r = _split(row_q, row_r, g)
+    return ell, g // ell, q // g * r // ell, Counter(zip(left, weights)), Counter(signed_r)
+
+
 def test_decomposition_examples():
     dec = decompose_pair(12, 18)
     assert (dec.ell, dec.em, dec.en) == (1, 6, 36)
@@ -62,7 +71,9 @@ def test_decomposition_examples():
     dec = decompose_pair(9, 9)
     assert (dec.ell, dec.em, dec.en) == (9, 1, 1)
     assert dec.phi_gcd == 6
-    assert _split(arith_row(9), arith_row(9)) == (9, 1, 1, 1, [3], (1,), (1,))
+    # 3 balanced: f(c) = phi(1) 9/3 ((3 - 2) + [3 | c]), two terms of weight 3
+    assert split(arith_row(9), arith_row(9)) == (9, 1, 1, Counter({(1, 3): 1, (3, 3): 1}),
+                                                 Counter({1: 1}))
     assert hash(dec) == hash(decompose_pair(9, 9))  # frozen, so hashable
     # 2, 3 and 5 balanced, 7 and 11 split
     dec = decompose_pair(210, 330)
@@ -347,7 +358,7 @@ def test_pair_formulas_on_rows_sharing_a_denominator_with_y(q, r, spec, y_q, y_r
 
 def test_example_row_psi_is_unreduced():
     arith = _arith_row(2, factorize(2))
-    assert arith == (2, {2: 1}, 1, 2, {1: (1,), 2: (1,)})
+    assert arith == (2, {2: 1}, 1, 2, {1: (1,), 2: (1,)}, {})
     part = _target_part(arith, F(1, 4), F(1, 6))
     assert part == (arith, 12, 3, 2) and part[0] is arith
 
@@ -416,7 +427,13 @@ def per_prime_pair_count(q, r, c):
 def f_terms_at(q, r, c):
     """The sum of a_k [k | c] over the terms of `_f_terms`, at odd c only
     when 2 splits the pair."""
-    left, weights, right, odd = f_terms(q, r)
+    return terms_at(f_terms(q, r), c)
+
+
+def terms_at(terms, c):
+    """The sum of a_k [k | c] over the terms (left, weights, right, odd) of
+    `_f_terms`, at odd c only when odd."""
+    left, weights, right, odd = terms
     if odd and c % 2 == 0:
         return 0
     return sum(w if x * y > 0 else -w
@@ -474,33 +491,70 @@ def signed_divisors(primes):
     return Counter(signed)
 
 
+def per_prime_split(q, r):
+    """`split` of (q, r) with each prime classified by its two valuations,
+    one at a time, with no gcd.  q's terms are its signed divisors of the
+    odd split primes, weighted phi(em) ell / rad(ell), and each balanced
+    prime p turns a term (x, w) into (2x, w) for p = 2, else into (x, (p -
+    2)w) and (px, w): f's factor (p - 2) + [p | c]."""
+    ell = em = en = 1
+    balanced, odd_q, odd_r = [], [], []
+    for p in sorted(set(ref_primes(q) + ref_primes(r))):
+        u, v = valuation(q, p), valuation(r, p)
+        if u == v:
+            ell *= p**u
+            balanced.append(p)
+            continue
+        em *= p ** min(u, v)
+        en *= p ** max(u, v)
+        if p != 2:
+            (odd_q if u else odd_r).append(p)
+    weight = ref_phi(em) * ell // math.prod(balanced)
+    terms = [(x, weight) for x in signed_divisors(odd_q).elements()]
+    for p in balanced:
+        terms = ([(2 * x, w) for x, w in terms] if p == 2 else
+                 [(x, (p - 2) * w) for x, w in terms] + [(p * x, w) for x, w in terms])
+    return ell, em, en, Counter(terms), signed_divisors(odd_r)
+
+
+# The far pairs reach exponent 9; powers 2**16 to 2**19, shared or not, make
+# a shortcut that caps an exponent, such as gcd(g, rad**15), fail, where the
+# scans' 2**15 row cap and `decompose_pair` hide it.
+POWERS = [2**e * k for e in range(16, 20) for k in (1, 3, 5, 15) if 2**e * k <= 10**6]
+
+
 def test_split_matches_per_prime_valuations_far_past_q_120():
-    # Each prime is classified by its two valuations, one at a time, with
-    # no gcd.  The far pairs reach exponent 9; powers 2**16 to 2**19, shared
-    # or not, make a shortcut that caps an exponent, such as gcd(g, rad**15),
-    # fail here, where the scans' 2**15 row cap and `decompose_pair` hide it.
-    powers = [2**e * k for e in range(16, 20) for k in (1, 3, 5, 15) if 2**e * k <= 10**6]
-    top = 0
-    for q, r in [(q, r) for q, r, _ in far_pairs()] + list(itertools.product(powers, repeat=2)):
-        ell, em, en, phi_em, balanced, signed_q, signed_r = _split(arith_row(q), arith_row(r))
-        want = [1, 1, 1]
-        want_balanced, odd_q, odd_r = [], [], []
-        for p in sorted(set(ref_primes(q) + ref_primes(r))):
-            u, v = valuation(q, p), valuation(r, p)
-            top = max(top, u, v)
-            if u == v:
-                want[0] *= p**u
-                want_balanced.append(p)
-                continue
-            want[1] *= p ** min(u, v)
-            want[2] *= p ** max(u, v)
-            if p != 2:
-                (odd_q if u else odd_r).append(p)
-        assert [ell, em, en] == want, (q, r)
-        assert phi_em == ref_phi(em) and sorted(balanced) == want_balanced, (q, r)
-        assert Counter(signed_q) == signed_divisors(odd_q), (q, r)
-        assert Counter(signed_r) == signed_divisors(odd_r), (q, r)
-    assert top >= 16
+    pairs = [(q, r) for q, r, _ in far_pairs()] + list(itertools.product(POWERS, repeat=2))
+    for q, r in pairs:
+        assert split(arith_row(q), arith_row(r)) == per_prime_split(q, r), (q, r)
+    assert max(valuation(n, 2) for pair in pairs for n in pair) >= 16
+
+
+def test_row_memos_serve_every_partner_against_the_per_prime_oracles():
+    # Each modulus's row is built once, and each q visits its partners in
+    # increasing order, then in decreasing order: an expansion that one
+    # partner writes to q's row is read, and checked, by every other
+    # partner with the same key, and by the same partner again.
+    cs = {}
+    for q, r, c in far_pairs():
+        cs.setdefault((q, r), []).append(c)
+    for pair in itertools.product(POWERS, repeat=2):
+        cs.setdefault(pair, [])
+    rows = {n: arith_row(n) for pair in cs for n in pair}
+    partners = {}
+    for q, r in sorted(cs):
+        partners.setdefault(q, []).append(r)
+    counts = {(q, r, c): per_prime_pair_count(q, r, c) for (q, r), c_list in cs.items()
+              for c in c_list}
+    splits = {pair: per_prime_split(*pair) for pair in cs}
+    for q, rs in partners.items():
+        for r in rs + rs[::-1]:
+            assert split(rows[q], rows[r]) == splits[q, r], (q, r)
+            terms = _f_terms(rows[q], rows[r], math.gcd(q, r))
+            for c in cs[q, r]:
+                assert terms_at(terms, c) == counts[q, r, c], (q, r, c)
+    # Fewer expansions than pairs: some entry served more than one partner.
+    assert sum(len(row[5]) for row in rows.values()) < len(cs)
 
 
 def test_split_two_leaves_odd_steps_and_halves_the_terms():
@@ -529,7 +583,7 @@ def test_rows_keep_odd_signed_lists_shared_across_the_prime_two():
     # No reader expands the prime 2, so an even t shares the list of t / 2.
     table = spf_table(2000)
     for q in range(1, 2001):
-        _, factors, _, rad, lists = _arith_row(q, factorize_with_table(q, table))
+        _, factors, _, rad, lists, _ = _arith_row(q, factorize_with_table(q, table))
         assert len(lists) == 2 ** len(factors) and all(rad % t == 0 for t in lists)
         for t, signed in lists.items():
             assert all(d % 2 for d in signed)
@@ -689,3 +743,36 @@ def test_each_suite_builds_its_arithmetic_rows_once(monkeypatch, suite, limit):
     monkeypatch.setattr(overlap, "_arith_row", counted)
     assert suite(limit=limit).ok
     assert built == Counter(range(1, limit + 1))
+
+
+def scan_64_div3():
+    return pairwise_overlap_sum(ExperimentConfig(
+        Q=64, psi=ApproxFunction.divergent_m3(), target=TargetSequence.zero(3), m=3))
+
+
+@pytest.mark.parametrize("run, pairs", [
+    # The scan takes every pair q < r (div3 stays at most 1/2) on q's row.
+    (scan_64_div3, [(q, r) for r in range(2, 65) for q in range(1, r)]),
+    # Twelve families and targets over one row list, each pair on the larger's row.
+    (lambda: verification.check_overlap_engine(limit=20).ok,
+     [(q, r) for q in range(2, 21) for r in range(1, q)]),
+])
+def test_each_expansion_is_built_once(monkeypatch, run, pairs):
+    from torusapprox import overlap
+
+    built = Counter()
+    expansion = overlap._expansion
+
+    def counted(row_q, g, rad_g, unequal):
+        built[row_q[0], g, unequal] += 1
+        return expansion(row_q, g, rad_g, unequal)
+
+    monkeypatch.setattr(overlap, "_expansion", counted)
+    assert run()
+    keys = set()
+    for q, r in pairs:
+        g = math.gcd(q, r)
+        if g > 1:
+            unequal = math.prod(p for p in ref_primes(g) if valuation(q, p) != valuation(r, p))
+            keys.add((q, g, unequal))
+    assert built == Counter(keys)

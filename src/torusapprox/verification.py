@@ -5,9 +5,10 @@ inequalities, or regression-guarded empirical constants at full scale and
 returns a CheckResult.  A suite fails one way: its body raises `_Failed`,
 or the code it checks raises `IdentityError`, and `_suite` turns either
 into the suite's FAIL result, so one failed identity never stops the
-suites after it.  The pytest acceptance module and the CLI both run
-these; a suite failure is a real failure, never a tolerance tweak.
-"""
+suites after it.  The overlap-bound suite takes each pair's overlap from
+the closed form and has the interval merge confirm each family's maxima.
+The pytest acceptance module and the CLI both run these; a suite failure
+is a real failure, never a tolerance tweak."""
 
 from __future__ import annotations
 
@@ -36,6 +37,7 @@ from .counterexample import (
 from .errors import IdentityError
 from .experiments import (
     ExperimentConfig,
+    _closed_form_flags,
     baseline_fraction,
     load_baselines,
     mc_coverage,
@@ -51,6 +53,7 @@ from .overlap import (
     _decompose,
     _f_table,
     _main_term_units,
+    _merge_units,
     _overlap_rows,
     _pair_overlap_units,
     _trivial_units,
@@ -58,7 +61,7 @@ from .overlap import (
     sifted_interval_count,
 )
 from .rationals import format_rational
-from .torus import TorusIntervalSet, _overlap_units, measure_intersection
+from .torus import TorusIntervalSet, measure_intersection
 
 
 class CheckResult(NamedTuple):
@@ -172,59 +175,56 @@ def check_measure_law(
 # -- 4: overlap bound soundness --------------------------------------------------------
 
 
-def _bound_ratio_max(ariths: list, psi: ApproxFunction) -> tuple[Fraction, Fraction]:
-    """Max of exact/(addend1+addend2) and exact/trivial over the pairs
-    r < q < len(ariths) of the `_arith_rows` ariths.
-
-    The exact overlap is the interval merge; the bound terms come from the
-    integer forms behind the `overlap_report` fields `addend1`, `addend2`
-    and `trivial_rhs`, and each ratio is compared by cross-multiplication
-    as (num, den).
-    """
-    rows = _overlap_rows(ariths, psi, TargetSequence.zero())[0]
-    sets = [None] + [build_approx_set(q, psi(q), 0) for q in range(1, len(ariths))]
-    bound_num, bound_den = 0, 1
-    trivial_num, trivial_den = 0, 1
+def _bound_ratio_max(ariths: list, families: tuple) -> list[tuple[Fraction, Fraction]]:
+    """Per weight family, the max of exact/(addend1+addend2) and of
+    exact/trivial over the pairs r < q < len(ariths), in one pass that
+    decomposes each pair once.  The exact overlap is the closed form on the
+    pairs the scan's `_closed_form_flags` give it, the merge on the others,
+    and the merge confirms each family's maximising pairs (IdentityError if
+    not).  The bound terms are the integer forms of the `overlap_report`
+    fields `addend1`, `addend2` and `trivial_rhs`."""
+    runs = [(_overlap_rows(ariths, psi, TargetSequence.zero())[0],
+             _closed_form_flags(psi, len(ariths) - 1), functools.partial(_merge_units, {}),
+             [[0, 1, None], [0, 1, None]]) for psi in families]
     for q in range(2, len(ariths)):
         for r in range(1, q):
-            units, den = _overlap_units(sets[q], sets[r])
-            if units == 0:
-                continue
             phi_g = _decompose(ariths[q], ariths[r]).phi_gcd  # checks the ell/em/en identities
-            n1, d1 = _main_term_units(*rows[q], *rows[r], strict_indicator=True)
-            n2, d2 = _addend2_units(*rows[q], *rows[r], phi_g)
-            # exact / (n1/d1 + n2/d2) = units d1 d2 / (den (n1 d2 + n2 d1))
-            num = units * d1 * d2
-            rden = den * (n1 * d2 + n2 * d1)
-            if num * bound_den > bound_num * rden:
-                bound_num, bound_den = num, rden
-            tn, td = _trivial_units(*rows[q], *rows[r], phi_g)
-            num = units * td
-            rden = den * tn
-            if num * trivial_den > trivial_num * rden:
-                trivial_num, trivial_den = num, rden
-    return Fraction(bound_num, bound_den), Fraction(trivial_num, trivial_den)
+            for rows, flags, merged, (bound, trivial) in runs:
+                part_q, part_r = rows[q][0], rows[r][0]
+                exact = (_pair_overlap_units if flags[q] and flags[r] else merged)(part_q, part_r)
+                units, den = exact
+                if units == 0:
+                    continue
+                n1, d1 = _main_term_units(part_q, part_r, strict_indicator=True)
+                n2, d2 = _addend2_units(part_q, part_r, phi_g)
+                tn, td = _trivial_units(part_q, part_r, phi_g)
+                # exact / (n1/d1 + n2/d2) = units d1 d2 / (den (n1 d2 + n2 d1))
+                for best, num, rden in ((bound, units * d1 * d2, den * (n1 * d2 + n2 * d1)),
+                                        (trivial, units * td, den * tn)):
+                    if num * best[1] > best[0] * rden:
+                        best[:] = num, rden, (q, r, exact)
+    for psi, (rows, _, merged, worst) in zip(families, runs):
+        for q, r, exact in (best[2] for best in worst if best[2]):
+            if Fraction(*merged(rows[q][0], rows[r][0])) != Fraction(*exact):
+                raise IdentityError(f"{psi.describe()}: closed form != merge at q={q}, r={r}")
+    return [(Fraction(*bound[:2]), Fraction(*trivial[:2])) for *_, (bound, trivial) in runs]
 
 
 @_suite("overlap-bound")
 def check_overlap_bound(limit: int = 200) -> CheckResult:
     families = (ApproxFunction.constant(Fraction(1, 4)), ApproxFunction.power(Fraction(1, 2), 1))
-    ariths = _arith_rows(limit)
-    details = []
-    for psi in families:
-        worst_bound, worst_trivial = _bound_ratio_max(ariths, psi)
+    worst = _bound_ratio_max(_arith_rows(limit), families)
+    for psi, (worst_bound, worst_trivial) in zip(families, worst):
         base = baseline_fraction("overlap_bound_C", psi.describe())
         base_trivial = baseline_fraction("trivial_bound_C", psi.describe())
         if not within_baseline(worst_bound, base):
-            raise _Failed(
-                f"{psi.describe()}: C = {worst_bound} exceeds baseline {base} by more than 1%"
-            )
+            raise _Failed(f"{psi.describe()}: C = {worst_bound} exceeds baseline {base} "
+                          "by more than 1%")
         if not within_baseline(worst_trivial, base_trivial):
-            raise _Failed(
-                f"{psi.describe()}: trivial C = {worst_trivial} exceeds baseline {base_trivial}"
-            )
-        details.append(f"{psi.describe()}: C={format_rational(worst_bound)}")
-    return f"soundness over q != r <= {limit}; " + "; ".join(details)
+            raise _Failed(f"{psi.describe()}: trivial C = {worst_trivial} "
+                          f"exceeds baseline {base_trivial}")
+    return f"soundness over q != r <= {limit}; " + "; ".join(
+        f"{psi.describe()}: C={format_rational(c)}" for psi, (c, _) in zip(families, worst))
 
 
 # -- 5: block construction -------------------------------------------------------------

@@ -711,18 +711,86 @@ def test_pair_count_integrality_check_survives_optimize_flag():
     assert done.stdout.splitlines() == ["rad(ell) = 6 does not divide ell = 3"] * 2
 
 
-@pytest.mark.parametrize("spec", ["const:1/4", "pow:1/2,1", "const:3/4", "div3"])
-def test_bound_ratio_max_matches_fraction_api(spec):
-    psi = ApproxFunction.parse(spec)
-    worst_bound = worst_trivial = F(0)
-    for q in range(2, 31):
+def worst_pairs(psi, limit):
+    """Each ratio's first maximising pair r < q <= limit in (q, r) order, as
+    ((bound ratio, (q, r)), (trivial ratio, (q, r))), by the Fraction API."""
+    worst = [(F(0), None), (F(0), None)]
+    for q in range(2, limit + 1):
         for r in range(1, q):
             report = overlap_report(q, r, psi)
             exact = report.exact_overlap
             if exact:
-                worst_bound = max(worst_bound, exact / (report.addend1 + report.addend2))
-                worst_trivial = max(worst_trivial, exact / report.trivial_rhs)
-    assert _bound_ratio_max(_arith_rows(30), psi) == (worst_bound, worst_trivial)
+                ratios = exact / (report.addend1 + report.addend2), exact / report.trivial_rhs
+                for i, ratio in enumerate(ratios):
+                    if ratio > worst[i][0]:
+                        worst[i] = ratio, (q, r)
+    return tuple(worst)
+
+
+def bound_family(spec):
+    if spec == "alternating":  # closed-form pairs and merged pairs in one family
+        return ApproxFunction.from_table({q: F(1 if q % 2 else 3, 4) for q in range(1, 31)})
+    return ApproxFunction.parse(spec)
+
+
+@pytest.mark.parametrize("spec", ["const:1/4", "pow:1/2,1", "const:3/4", "div3", "alternating"])
+def test_bound_ratio_max_matches_fraction_api(monkeypatch, spec):
+    psi = bound_family(spec)
+    (worst_bound, bound_pair), (worst_trivial, trivial_pair) = worst_pairs(psi, 30)
+    merged = Counter()
+    merge = verification._merge_units
+
+    def counted(sets, part_q, part_r):
+        merged[part_q[0][0], part_r[0][0]] += 1
+        return merge(sets, part_q, part_r)
+
+    monkeypatch.setattr(verification, "_merge_units", counted)
+    assert _bound_ratio_max(_arith_rows(30), (psi,)) == [(worst_bound, worst_trivial)]
+    # Pairs with a weight above 1/2 go to the merge, and the merge confirms
+    # each ratio's maximising pair.
+    gated = Counter((q, r) for q in range(2, 31) for r in range(1, q)
+                    if psi(q) > F(1, 2) or psi(r) > F(1, 2))
+    assert merged == gated + Counter([bound_pair, trivial_pair])
+    assert (spec in ("const:3/4", "alternating")) == bool(gated)
+
+
+def test_bound_ratio_max_takes_each_family_apart():
+    # Each family has its own set cache, keyed without psi: const:3/4 and
+    # the table share the denominator 4 at every odd q.
+    families = tuple(map(bound_family, ["const:1/4", "const:3/4", "alternating"]))
+    ariths = _arith_rows(30)
+    assert _bound_ratio_max(ariths, families) == [
+        _bound_ratio_max(ariths, (psi,))[0] for psi in families]
+
+
+def test_overlap_bound_decomposes_each_pair_once(monkeypatch):
+    # Both weights stay at most 1/2, so the only sets built are those of the
+    # maximising pairs the merge confirms, each once per family.
+    from torusapprox import overlap
+
+    confirmed = set()
+    for psi in (CONST4, ApproxFunction.power(F(1, 2), 1)):
+        for _, pair in worst_pairs(psi, 30):
+            confirmed.update((n, psi(n)) for n in pair)
+    decomposed = Counter()
+    decompose = verification._decompose
+    built = Counter()
+    build = overlap.build_approx_set
+
+    def counted_decompose(row_q, row_r):
+        decomposed[row_q[0], row_r[0]] += 1
+        return decompose(row_q, row_r)
+
+    def counted_build(q, psi, y):
+        built[q, psi] += 1
+        return build(q, psi, y)
+
+    monkeypatch.setattr(verification, "_decompose", counted_decompose)
+    monkeypatch.setattr(verification, "build_approx_set", counted_build)
+    monkeypatch.setattr(overlap, "build_approx_set", counted_build)
+    assert verification.check_overlap_bound(limit=30).ok
+    assert decomposed == Counter((q, r) for q in range(2, 31) for r in range(1, q))  # 435
+    assert built == Counter(confirmed)
 
 
 @pytest.mark.parametrize("suite, limit", [

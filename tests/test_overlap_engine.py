@@ -128,6 +128,22 @@ def test_centred_kernel_past_the_suite_reach(psi, target):
         assert kernel(r, rule(r), shift(r), q, rule(q), shift(q)) == expected
 
 
+@pytest.mark.parametrize("psi", ["const:1/4", "pow:1/2,1"])
+def test_kernel_equals_merge_over_the_overlap_bound_reach(psi):
+    # check_overlap_bound takes every pair r < q <= 200 from the closed form
+    # and has the merge confirm only each family's maximising pairs, while
+    # check_overlap_engine stops at q = 120.
+    rows = overlap._overlap_rows(overlap._arith_rows(200), ApproxFunction.parse(psi),
+                                 TargetSequence.zero())[0]
+    sets: dict = {}
+    for q in range(2, 201):
+        for r in range(1, q):
+            part_q, part_r = rows[q][0], rows[r][0]
+            units, den = _pair_overlap_units(part_q, part_r)
+            merged, merged_den = overlap._merge_units(sets, part_q, part_r)
+            assert units * merged_den == merged * den, (q, r)
+
+
 def direct_double_sum(Q, psi, target):
     """Sum over ordered pairs q != r <= Q of the product of the per-
     coordinate set intersections, by the interval merge alone."""
@@ -335,6 +351,41 @@ def test_coprime_count_suite_catches_a_parity_blind_table(monkeypatch):
     broken = mutant(overlap._f_table, "if odd else", "if False else")
     monkeypatch.setattr(verification, "_f_table", broken)
     assert not verification.check_coprime_counts(8).ok
+
+
+INFLATED_MAXIMUM = """
+from torusapprox import verification
+real = verification._pair_overlap_units
+
+
+def inflated(part_q, part_r):
+    # (29, 1) maximises both ratios of pow:1/2,1 and the trivial ratio of
+    # const:1/4 at limit 30.
+    units, den = real(part_q, part_r)
+    return (2 * units if (part_q[0][0], part_r[0][0]) == (29, 1) else units), den
+"""
+
+INFLATED_FAIL = "FAIL  overlap-bound: const:1/4: closed form != merge at q=29, r=1"
+
+
+def test_overlap_bound_suite_confirms_its_maxima_by_the_merge(monkeypatch):
+    assert verification.check_overlap_bound(limit=30).ok
+    namespace: dict = {}
+    exec(INFLATED_MAXIMUM, namespace)
+    monkeypatch.setattr(verification, "_pair_overlap_units", namespace["inflated"])
+    assert verification.check_overlap_bound(limit=30).line() == INFLATED_FAIL
+
+
+def test_overlap_bound_confirmation_survives_optimize_flag():
+    script = ("import sys\nsys.path.insert(0, sys.argv[1])\n" + INFLATED_MAXIMUM
+              + "verification._pair_overlap_units = inflated\n"
+              + "print(verification.check_overlap_bound(limit=30).line())\n")
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script, str(SRC)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [INFLATED_FAIL]
 
 
 def coincident_below(q0):

@@ -1,9 +1,8 @@
 """Batch experiments over many denominators.
 
 Pairwise overlap sums against the squared measure sum (the quasi-
-independence ratio; each measure is 2 phi(q) psi(q)/q up to psi(q) = 1/2,
-and the built set's above), the main-term sum check, totient-of-gcd sums
-both by brute force and through the divisor identity, Monte Carlo coverage with a
+independence ratio), the main-term sum check, totient-of-gcd sums both by
+brute force and through the divisor identity, Monte Carlo coverage with a
 counter-based generator, and exact equidistribution scans.  The reports
 carry values only: `cli` writes each report header from what it parsed.
 
@@ -13,8 +12,9 @@ r, each the pairs q < r, of a pair kernel on the target parts of
 weights once per q and one flag per q: a pair goes to the kernel when both
 its flags are set, and to the interval merge `overlap._merge_units`
 otherwise.  The scan's kernel is the summed closed form f(c)
-(`overlap._pair_overlap_units`), flagged at psi(q) <= 1/2; msum's is
-M(q, r) (`overlap._main_term_units`), every flag set.  Each q has one part
+(`overlap._pair_overlap_units`), its flags, measures and pair counts from
+`overlap`'s one gate, `_closed_form_flags`; msum's kernel is M(q, r)
+(`overlap._main_term_units`), every flag set.  Each q has one part
 per column, a distinct coordinate sequence of the target, shared by columns
 that agree at q, and a pair's value is the product over its distinct pairs
 of parts of the kernel's value to the power of the coordinates each covers.
@@ -50,6 +50,7 @@ from .approx import (
 )
 from .arith import _SPF_CAP, factorize, spf_table, totient, totient_range
 from .errors import BudgetError, IdentityError
+from . import overlap
 from .overlap import _arith_rows, _check_row_limit, _main_term_units, _merge_units
 from .overlap import _overlap_rows, _pair_overlap_units
 from .rationals import parse_rational
@@ -237,27 +238,11 @@ class ExperimentConfig:
 # -- pairwise overlap sums ----------------------------------------------------------
 
 
-_HALF = Fraction(1, 2)
-
-
-def _closed_form_flags(psi: ApproxFunction, Q: int) -> list[bool]:
-    """flags[q] for q <= Q: whether psi(q) <= 1/2.  The closed form takes a
-    pair when both its flags are set, and the interval merge the others."""
-    return [False] + [psi(q) <= _HALF for q in range(1, Q + 1)]
-
-
-def _pair_counts(flags: list[bool], Q: int) -> dict:
-    """The pairs q < r <= Q that the closed form and the merge take."""
-    flagged = sum(flags[: Q + 1])
-    closed = flagged * (flagged - 1) // 2
-    return {"closed_form_pairs": closed, "merge_pairs": Q * (Q - 1) // 2 - closed}
-
-
 def _pairwise_worker(payload):
     """The one pair loop: a stripe of rows r, each the pairs q < r, summed
     into the payload's accumulator, which it returns.  The payload is (Q,
     psi, target), the kernel, the flags (the kernel takes a pair when both
-    its flags are set, the interval merge the others), the accumulator and
+    its flags are set, `_merge_units` the others), the accumulator and
     the stripe.  A pair's value is the product over the distinct pairs of
     parts (`overlap._overlap_rows`), by identity, of |A_q & A_r| at the
     pair, to the power of the number of coordinates it covers: with one
@@ -271,9 +256,9 @@ def _pairwise_worker(payload):
     for r in range(1 + worker_index, Q + 1, worker_count):
         rows_r, part_r, flag_r = rows[r], rows[r][0], flags[r]
         for rows_q, flag_q in zip(rows[1:r], flags[1:r]):
-            overlap = kernel if flag_q and flag_r else merged
+            units_of = kernel if flag_q and flag_r else merged
             if single:
-                num, den = overlap(rows_q[0], part_r)
+                num, den = units_of(rows_q[0], part_r)
                 if num:
                     g = gcd(num, den)
                     add((num // g) ** m, (den // g) ** m)
@@ -283,7 +268,7 @@ def _pairwise_worker(payload):
                 pairs.setdefault((id(column_q), id(column_r)), [column_q, column_r, 0])[2] += k
             num = den = 1
             for column_q, column_r, k in pairs.values():
-                units, d = overlap(column_q, column_r)
+                units, d = units_of(column_q, column_r)
                 num *= units**k
                 if not num:
                     break
@@ -323,9 +308,8 @@ class SumReport(NamedTuple):
     per_q_measures: tuple = ()
     # Exact mode: (r, sum over q < r of the pair's overlap) for r <= Q.
     row_sums: tuple = ()
-    # Pairs q < r whose overlap came from the closed form f(c) / from the
-    # interval merge, and the worker processes (or 1, in-process) that ran
-    # them; execution detail, not part of the report.
+    # `overlap._pair_counts` of the scan's flags, and the worker processes
+    # (or 1, in-process) that ran the pairs; execution detail, not report.
     closed_form_pairs: int = 0
     merge_pairs: int = 0
     workers: int = 1
@@ -346,13 +330,9 @@ def pairwise_overlap_sum(cfg: ExperimentConfig) -> SumReport:
     # Likewise the rows, which `_overlap_rows` builds only in the workers.
     _check_row_limit(cfg.Q)
     weights = [0] + [cfg.psi(q) for q in range(1, cfg.Q + 1)]  # psi read once per q
-    flags = _closed_form_flags(weights.__getitem__, cfg.Q)
-    # A rotation keeps the measure, so every coordinate of q has the measure
-    # of the set centred on 0: 2 phi(q) psi(q)/q while its arcs are disjoint,
-    # psi(q) <= 1/2.  Any other weight builds the set, which refuses psi < 0.
+    flags = overlap._closed_form_flags(weights.__getitem__, cfg.Q)
     phi = totient_range(cfg.Q)
-    per_q = [(q, (2 * phi[q] * Fraction(w) / q if 0 <= w <= _HALF
-                  else build_approx_set(q, w, 0).measure()) ** cfg.m)
+    per_q = [(q, overlap._set_measure(q, phi[q], w, flags[q]) ** cfg.m)
              for q, w in enumerate(weights[1:], 1)]
     measure_sum = sum(value for _, value in per_q)
 
@@ -383,7 +363,7 @@ def pairwise_overlap_sum(cfg: ExperimentConfig) -> SumReport:
 
     return SumReport(
         pair_sum=pair_sum, measure_sum=measure_sum, ratio=ratio, per_q_measures=tuple(per_q),
-        row_sums=row_sums, workers=worker_count, **_pair_counts(flags, cfg.Q),
+        row_sums=row_sums, workers=worker_count, **overlap._pair_counts(flags, cfg.Q),
     )
 
 
@@ -407,7 +387,7 @@ def quasi_independence_ladder(
     _check_ladder(ladder)
     q_top = max(ladder)
     top = pairwise_overlap_sum(ExperimentConfig(Q=q_top, psi=psi, target=target, m=m))
-    closed = _closed_form_flags(psi, q_top)
+    flags = overlap._closed_form_flags(psi, q_top)
     reports = []
     for q_max in ladder:
         rows, measures = top.row_sums[:q_max], top.per_q_measures[:q_max]
@@ -416,7 +396,7 @@ def quasi_independence_ladder(
         reports.append(top._replace(
             pair_sum=pair_sum, measure_sum=measure_sum,
             ratio=pair_sum / measure_sum**2 if measure_sum > 0 else None,
-            per_q_measures=measures, row_sums=rows, **_pair_counts(closed, q_max),
+            per_q_measures=measures, row_sums=rows, **overlap._pair_counts(flags, q_max),
         ))
     return reports
 

@@ -62,7 +62,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import NamedTuple
 
-from .approx import _check_piece_cap, build_approx_set
+from .approx import _HALF, _check_piece_cap, build_approx_set
 from .arith import factorize, factorize_with_table, spf_table, totient
 from .errors import BudgetError, IdentityError
 from .torus import _overlap_units, measure_intersection
@@ -310,10 +310,29 @@ def _overlap_rows(ariths: list, psi, target) -> tuple[list, tuple]:
     return rows, tuple(powers.values())
 
 
+def _closed_form_flags(psi, limit: int) -> list[bool]:
+    """The one closed-form gate: flags[q] for q <= limit, whether A_q's arcs
+    are disjoint, 0 <= psi(q) <= 1/2.  It sets `_set_measure`'s form, and a
+    pair with both flags set takes `_pair_overlap_units`, else `_merge_units`."""
+    return [False] + [0 <= psi(q) <= _HALF for q in range(1, limit + 1)]
+
+
+def _set_measure(q: int, phi_q: int, psi_q, closed: bool) -> Fraction:
+    """|A_q| at any target (a rotation keeps the measure): the closed form
+    when q's flag is set, else the built set's, which refuses psi_q < 0."""
+    return 2 * phi_q * Fraction(psi_q) / q if closed else build_approx_set(q, psi_q, 0).measure()
+
+
+def _pair_counts(flags: list[bool], limit: int) -> dict:
+    """The pairs q < r <= limit that the closed form and the merge take."""
+    closed = math.comb(sum(flags[: limit + 1]), 2)
+    return {"closed_form_pairs": closed, "merge_pairs": math.comb(limit, 2) - closed}
+
+
 def _pair_overlap_units(part_q: tuple, part_r: tuple) -> tuple[int, int]:
     """|A_q & A_r| as (units, den), units/den unreduced, by the summed
     closed form of the module docstring.  Both parts from `_target_part`;
-    requires psi(q), psi(r) <= 1/2.
+    valid only on the pairs `_closed_form_flags` gives it.
 
     Everything is scaled by N = L * den, den the lcm of the two part
     denominators, so the centre offset of the pair at difference c is
@@ -435,12 +454,12 @@ def _pair_overlap_units(part_q: tuple, part_r: tuple) -> tuple[int, int]:
 
 def _merge_units(sets: dict, part_q: tuple, part_r: tuple) -> tuple[int, int]:
     """|A_q & A_r| by the interval merge, for the pairs the kernels do not
-    take, on each part's interval set, cached in sets under its q and target."""
+    take, on each part's interval set, cached in sets under (q, den, psi, y)."""
     pair = []
     for (q, _, _, _, _, _), den, psi, y in (part_q, part_r):
-        if (q, y, den) not in sets:
-            sets[q, y, den] = build_approx_set(q, Fraction(psi, den), Fraction(y, den))
-        pair.append(sets[q, y, den])
+        if (q, den, psi, y) not in sets:
+            sets[q, den, psi, y] = build_approx_set(q, Fraction(psi, den), Fraction(y, den))
+        pair.append(sets[q, den, psi, y])
     return _overlap_units(*pair)
 
 

@@ -37,7 +37,6 @@ from .counterexample import (
 from .errors import IdentityError
 from .experiments import (
     ExperimentConfig,
-    _closed_form_flags,
     baseline_fraction,
     load_baselines,
     mc_coverage,
@@ -47,6 +46,7 @@ from .experiments import (
     quasi_independence_ladder,
     within_baseline,
 )
+from . import overlap
 from .overlap import (
     _addend2_units,
     _arith_rows,
@@ -178,18 +178,19 @@ def check_measure_law(
 def _bound_ratio_max(ariths: list, families: tuple) -> list[tuple[Fraction, Fraction]]:
     """Per weight family, the max of exact/(addend1+addend2) and of
     exact/trivial over the pairs r < q < len(ariths), in one pass that
-    decomposes each pair once.  The exact overlap is the closed form on the
-    pairs the scan's `_closed_form_flags` give it, the merge on the others,
-    and the merge confirms each family's maximising pairs (IdentityError if
-    not).  The bound terms are the integer forms of the `overlap_report`
-    fields `addend1`, `addend2` and `trivial_rhs`."""
+    decomposes each pair once.  The overlap is the closed form where
+    `overlap._closed_form_flags` allows it, else the merge, one set cache
+    for all families, which also confirms each family's maximising pairs
+    (IdentityError if not).  The bound terms are the integer forms of the
+    `overlap_report` fields `addend1`, `addend2` and `trivial_rhs`."""
+    merged = functools.partial(_merge_units, {})
     runs = [(_overlap_rows(ariths, psi, TargetSequence.zero())[0],
-             _closed_form_flags(psi, len(ariths) - 1), functools.partial(_merge_units, {}),
+             overlap._closed_form_flags(psi, len(ariths) - 1),
              [[0, 1, None], [0, 1, None]]) for psi in families]
     for q in range(2, len(ariths)):
         for r in range(1, q):
             phi_g = _decompose(ariths[q], ariths[r]).phi_gcd  # checks the ell/em/en identities
-            for rows, flags, merged, (bound, trivial) in runs:
+            for rows, flags, (bound, trivial) in runs:
                 part_q, part_r = rows[q][0], rows[r][0]
                 exact = (_pair_overlap_units if flags[q] and flags[r] else merged)(part_q, part_r)
                 units, den = exact
@@ -203,7 +204,7 @@ def _bound_ratio_max(ariths: list, families: tuple) -> list[tuple[Fraction, Frac
                                         (trivial, units * td, den * tn)):
                     if num * best[1] > best[0] * rden:
                         best[:] = num, rden, (q, r, exact)
-    for psi, (rows, _, merged, worst) in zip(families, runs):
+    for psi, (rows, _, worst) in zip(families, runs):
         for q, r, exact in (best[2] for best in worst if best[2]):
             if Fraction(*merged(rows[q][0], rows[r][0])) != Fraction(*exact):
                 raise IdentityError(f"{psi.describe()}: closed form != merge at q={q}, r={r}")

@@ -755,8 +755,8 @@ def test_bound_ratio_max_matches_fraction_api(monkeypatch, spec):
 
 
 def test_bound_ratio_max_takes_each_family_apart():
-    # Each family has its own set cache, keyed without psi: const:3/4 and
-    # the table share the denominator 4 at every odd q.
+    # Every family reads one set cache, keyed on the whole part: const:3/4
+    # and the table share q and the denominator 4 at every odd q.
     families = tuple(map(bound_family, ["const:1/4", "const:3/4", "alternating"]))
     ariths = _arith_rows(30)
     assert _bound_ratio_max(ariths, families) == [

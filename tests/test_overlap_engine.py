@@ -15,6 +15,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -142,6 +143,59 @@ def test_kernel_equals_merge_over_the_overlap_bound_reach(psi):
             units, den = _pair_overlap_units(part_q, part_r)
             merged, merged_den = overlap._merge_units(sets, part_q, part_r)
             assert units * merged_den == merged * den, (q, r)
+
+
+def test_one_merge_cache_serves_every_weight_family():
+    # The set cache is keyed on the whole part: the pair (5, 7) at 3/4 must
+    # not leave its sets behind for the same pair at 1/4.
+    sets: dict = {}
+    ariths = overlap._arith_rows(7)
+    for psi in map(ApproxFunction.constant, (F(3, 4), F(1, 4))):
+        rows = overlap._overlap_rows(ariths, psi, TargetSequence.zero())[0]
+        units, den = overlap._merge_units(sets, rows[5][0], rows[7][0])
+        assert F(units, den) == pair_overlap_exact(5, 7, psi)
+    assert F(units, den) == F(6, 35)
+    assert len(sets) == 4
+
+
+def no_kernel(part_q, part_r):
+    raise AssertionError("a gated pair reached the closed-form kernel")
+
+
+def test_the_gate_alone_sends_pairs_to_the_merge(monkeypatch):
+    # With every flag of `overlap`'s gate cleared, the scan, the ladder and
+    # the overlap-bound pass value every pair by the merge and every measure
+    # by its built set, and give the values the closed form gives.
+    psi = ApproxFunction.parse("div3")
+    families = (ApproxFunction.constant(F(1, 4)), ApproxFunction.power(F(1, 2), 1))
+    config = ExperimentConfig(Q=20, psi=psi, target=TargetSequence.zero(2), m=2)
+    scan = pairwise_overlap_sum(config)
+    ladder = experiments.quasi_independence_ladder(psi, TargetSequence.zero(2), 2, (8, 20))
+    bound = verification._bound_ratio_max(overlap._arith_rows(20), families)
+    assert scan.merge_pairs == 0 and ladder[0].closed_form_pairs == 28
+
+    monkeypatch.setattr(overlap, "_closed_form_flags", lambda psi, limit: [False] * (limit + 1))
+    monkeypatch.setattr(experiments, "_pair_overlap_units", no_kernel)
+    monkeypatch.setattr(verification, "_pair_overlap_units", no_kernel)
+    built = Counter()
+    build = overlap.build_approx_set
+
+    def counted(q, psi_q, y_q):
+        built[q] += 1
+        return build(q, psi_q, y_q)
+
+    monkeypatch.setattr(overlap, "build_approx_set", counted)
+    gated = pairwise_overlap_sum(config)
+    # Once for the measure and once into the merge's set cache.
+    assert built == Counter({q: 2 for q in range(1, 21)})
+    assert gated._replace(closed_form_pairs=scan.closed_form_pairs, merge_pairs=0) == scan
+    assert (gated.closed_form_pairs, gated.merge_pairs) == (0, 190)
+    gated_ladder = experiments.quasi_independence_ladder(psi, TargetSequence.zero(2), 2, (8, 20))
+    assert [(report.closed_form_pairs, report.merge_pairs) for report in gated_ladder] == [
+        (0, 28), (0, 190)]
+    assert [report._replace(closed_form_pairs=0, merge_pairs=0) for report in gated_ladder] == [
+        report._replace(closed_form_pairs=0, merge_pairs=0) for report in ladder]
+    assert verification._bound_ratio_max(overlap._arith_rows(20), families) == bound
 
 
 def direct_double_sum(Q, psi, target):
@@ -450,6 +504,9 @@ def test_more_columns_add_only_their_parts():
         {q: tuple(F(rng.randint(-64, 64), rng.randint(1, 64)) for _ in range(3))
          for q in range(1, Q + 1)}, 3)
     psi = ApproxFunction.parse("div3")
+    # On Python 3.12+ `Fraction.__hash__` fills a stdlib lru_cache, which
+    # tracemalloc would charge to the rows: hash the table's values first.
+    hash(tuple(table(q) for q in range(1, Q + 1)))
     held = []
     for target in (TargetSequence.zero(3), table):
         gc.collect()  # empties the free lists, whose reuse tracemalloc does not see

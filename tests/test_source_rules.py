@@ -25,7 +25,12 @@ of `experiments` calls a pair kernel by name.  `overlap._arith_rows` and
 `overlap._overlap_rows` are the row builders: no function of `experiments`
 or `verification` calls the arithmetic row constructor `_arith_row` or the
 target part constructor `_target_part` by name, so `overlap` alone knows
-the row layout.  Only `cli` builds a report header: `experiments` has no
+the row layout.  `overlap` alone holds the closed-form gate: it defines
+the flags, measures and pair counts of weights at most 1/2, and no
+comparison in `experiments`, `verification` or `cli` reads `_HALF` or
+`Fraction(1, 2)` (`approx` clips `div3` and `pow` at 1/2, and its measure
+oracle tests the same bound: those define a weight or check a set, and
+stay).  Only `cli` builds a report header: `experiments` has no
 `describe` method and its report records carry no header field, and no
 other module writes the unread header key "seed".  A verification suite
 fails one way, by raising, so in `verification` only the `_suite` wrapper
@@ -195,6 +200,47 @@ def test_only_the_row_builder_calls_overlap_row():
     # The rule reads the constructors' present names: the builders call them.
     assert {"overlap._arith_rows", "overlap._overlap_rows"} <= set(
         _row_constructor_callers("overlap"))
+
+
+def _gate_sites(module: str, source: str) -> tuple[list[str], list[str]]:
+    """Where a module writes the closed-form gate: (its definitions of the
+    flag, measure or pair-count function, when the module is not
+    `overlap`; its comparisons with `_HALF` or `Fraction(1, 2)` as an
+    operand)."""
+    gate = {"_closed_form_flags", "_set_measure", "_pair_counts"}
+    defined, compared = [], []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name in gate and module != "overlap":
+            defined.append(f"{module}.{node.name}")
+        elif isinstance(node, ast.Compare):
+            for operand in [node.left, *node.comparators]:
+                if (getattr(operand, "id", None) == "_HALF"
+                        or getattr(operand, "attr", None) == "_HALF"
+                        or isinstance(operand, ast.Call)
+                        and getattr(operand.func, "id", None) == "Fraction"
+                        and [getattr(arg, "value", None) for arg in operand.args] == [1, 2]):
+                    compared.append(f"{module}:{node.lineno}")
+    return defined, compared
+
+
+def test_only_overlap_holds_the_closed_form_gate():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        defined, compared = _gate_sites(path.stem, path.read_text())
+        found += defined
+        if path.stem in ("experiments", "verification", "cli"):
+            found += compared
+    assert found == []
+    # The rule reads the present form: overlap's flags compare with 1/2 once,
+    # and approx's clip of div3 and pow compares with its own _HALF.
+    assert len(_gate_sites("overlap", (PACKAGE / "overlap.py").read_text())[1]) == 1
+    assert _gate_sites("approx", (PACKAGE / "approx.py").read_text())[1]
+    snippet = ("_HALF = Fraction(1, 2)\n"
+               "def _closed_form_flags(psi, Q):\n    return [psi(q) <= _HALF for q in Q]\n"
+               "def measure(w):\n    return 0 <= w <= Fraction(1, 2)\n")
+    defined, compared = _gate_sites("experiments", snippet)
+    assert (defined, sorted(compared)) == (
+        ["experiments._closed_form_flags"], ["experiments:3", "experiments:5"])
 
 
 def _report_header_builders(module: str, source: str) -> list[str]:

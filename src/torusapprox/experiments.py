@@ -13,20 +13,23 @@ weights once per q and one flag per q: a pair goes to the kernel when both
 its flags are set, and to the interval merge `overlap._merge_units`
 otherwise.  The scan's kernel is the summed closed form f(c)
 (`overlap._pair_overlap_units`), its flags, measures and pair counts from
-`overlap`'s one gate, `_closed_form_flags`; msum's kernel is M(q, r)
-(`overlap._main_term_units`), every flag set.  Each q has one part
-per column, a distinct coordinate sequence of the target, shared by columns
-that agree at q, and a pair's value is the product over its distinct pairs
-of parts of the kernel's value to the power of the coordinates each covers.
+`overlap`'s one gate, `_closed_form_flags`; msum's kernel is the excess
+E = M(q, r)**m - (W_q W_r)**m of the main term over its product form
+(`overlap._main_term_excess_units`), at one coordinate with every flag
+set: it is 0 wherever M(q, r) = W_q W_r, and the loop adds no 0.  Each q
+has one part per column, a distinct coordinate sequence of the target,
+shared by columns that agree at q, and a pair's value is the product over
+its distinct pairs of parts of the kernel's value to the power of the
+coordinates each covers.
 
 Every pair term is an integer (num, den) from the kernel on.  Each
 accumulator takes it by add(num, den), closes a row by end_row(r) and
 joins another stripe's by merge, so no result depends on the worker count:
 `_RowSums` (exact scan) sums a row as one numerator over the running lcm
 of its denominators, reduced once; `_DenominatorSums` (msum) keeps one
-integer per reduced denominator, folded once per ladder value; `Enclosure`
-rounds each term outward to a dyadic grid of the configured precision, so
-partial sums stay cheap and the bounds are guaranteed.
+integer per reduced denominator of E, folded once per ladder value;
+`Enclosure` rounds each term outward to a dyadic grid of the configured
+precision, so partial sums stay cheap and the bounds are guaranteed.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from .approx import (
 from .arith import _SPF_CAP, factorize, spf_table, totient, totient_range
 from .errors import BudgetError, IdentityError
 from . import overlap
-from .overlap import _arith_rows, _check_row_limit, _main_term_units, _merge_units
+from .overlap import _arith_rows, _check_row_limit, _merge_units
 from .overlap import _overlap_rows, _pair_overlap_units
 from .rationals import parse_rational
 from .torus import TorusIntervalSet, measure_intersection
@@ -412,8 +415,9 @@ class MainTermRow(NamedTuple):
 
 
 class _DenominatorSums:
-    """msum's exact sums: integers per reduced denominator, gathered per row
-    and added at its end to its ladder step, the rows since the last value."""
+    """msum's exact sums of the excess E: integers per reduced denominator,
+    gathered per row and added at its end to its ladder step, the rows
+    since the last value.  Only the pairs with E != 0 reach it."""
 
     __slots__ = ("ladder", "steps", "row")
 
@@ -436,28 +440,34 @@ class _DenominatorSums:
 
 def main_term_sum_check(psi: ApproxFunction, m: int, ladder) -> list[MainTermRow]:
     """Sum of M(q, r)**m over q != r <= Q against the squared normalized
-    weight sum, for each Q in the ladder, in increasing order: the ladder
-    over one `_pairwise_worker` stripe to max(ladder) with the kernel
-    `_main_term_units` and every flag set (a weight above 1/2 keeps its
-    main term) at m coordinates of target 0.  Each step is one Fraction
-    over the lcm of its denominators; the rhs is summed apart."""
+    weight sum S_Q**2, S_Q the sum of W_q**m = (phi(q) psi(q) / q)**m, for
+    each Q in the ladder, in increasing order.  M(q, r) is W_q W_r at most
+    pairs, so the pair sum is S_Q**2 - sum over q <= Q of W_q**(2m) + 2 sum
+    over q < r <= Q of E = M**m - (W_q W_r)**m.  E, the kernel
+    `overlap._main_term_excess_units`, runs in one `_pairwise_worker` stripe
+    to max(ladder) at one coordinate of target 0 with every flag set (a
+    weight above 1/2 keeps its main term); each step's E sum is one
+    Fraction over the lcm of its denominators."""
     _check_ladder(ladder)
     _check_dimension(m)
     q_top = max(ladder)
     _check_row_limit(q_top)
     weights = [0] + [Fraction(psi(q)) for q in range(1, q_top + 1)]  # psi read once per q
-    sums = _pairwise_worker(((q_top, weights.__getitem__, TargetSequence.zero(m)),
-                             _main_term_units, [True] * (q_top + 1), _DenominatorSums(ladder),
-                             0, 1))
+    sums = _pairwise_worker(((q_top, weights.__getitem__, TargetSequence.zero(1)),
+                             partial(overlap._main_term_excess_units, m), [True] * (q_top + 1),
+                             _DenominatorSums(ladder), 0, 1))
     phi = totient_range(q_top)
     results = []
-    half = rhs_base = Fraction(0)  # rhs_base: the sum of (psi(q) phi(q) / q)**m
+    excess = rhs_base = squares = Fraction(0)  # rhs_base: S_Q; squares: the sum of W_q**(2m)
     for low, q_max, step in zip([0] + sums.ladder, sums.ladder, sums.steps):
         lcm = math.lcm(*step)
-        half += Fraction(sum(num * (lcm // den) for den, num in step.items()), lcm)
-        rhs_base += sum(Fraction(w.numerator * phi[q], w.denominator * q) ** m
-                        for q, w in enumerate(weights[low + 1 : q_max + 1], low + 1))
-        pair_sum, rhs = 2 * half, rhs_base**2
+        excess += Fraction(sum(num * (lcm // den) for den, num in step.items()), lcm)
+        for q, w in enumerate(weights[low + 1 : q_max + 1], low + 1):
+            power = Fraction(w.numerator * phi[q], w.denominator * q) ** m
+            rhs_base += power
+            squares += power * power
+        rhs = rhs_base**2
+        pair_sum = rhs - squares + 2 * excess
         results.append(MainTermRow(q_max, pair_sum, rhs, pair_sum / rhs if rhs > 0 else None))
     return results
 

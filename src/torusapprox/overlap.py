@@ -99,8 +99,8 @@ def _split(row_q: tuple, row_r: tuple, g: int) -> tuple:
     The prime 2 never enters the signed lists: when it splits, f(c)
     vanishes at every even c, so its readers take f's terms at the odd
     multiples of each step instead of expanding 2 into a pair of terms."""
-    q, _, _, rad_q, _, memo = row_q
-    r, _, _, rad_r, lists_r, _ = row_r
+    q, _, _, rad_q, _, memo, _ = row_q
+    r, _, _, rad_r, lists_r, _, _ = row_r
     rad_g = math.gcd(rad_q, rad_r)
     unequal = math.gcd(rad_g, q // g * (r // g))
     return (memo.get((g, unequal)) or _expansion(row_q, g, rad_g, unequal),
@@ -122,7 +122,7 @@ def _expansion(row_q: tuple, g: int, rad_g: int, unequal: int) -> tuple:
     of phi(em), which no zip over left exhausts, so every reader shares it.
     rad(ell) | ell, which makes f integral, is checked on every expansion
     built; a failed check stores nothing."""
-    _, fq, _, rad_q, lists_q, memo = row_q
+    _, fq, _, rad_q, lists_q, memo, _ = row_q
     rad_ell = rad_g // unequal
     ell = 1
     balanced = []
@@ -177,14 +177,17 @@ def decompose_pair(q: int, r: int) -> PairDecomposition:
     return _decompose(_arith_row(q, factorize(q)), _arith_row(r, factorize(r)))
 
 
-def _decompose(row_q: tuple, row_r: tuple) -> PairDecomposition:
-    """`decompose_pair` from the pair's two `_arith_row` rows."""
+def _decompose(row_q: tuple, row_r: tuple, phi=None) -> PairDecomposition:
+    """`decompose_pair` from the pair's two `_arith_row` rows, its totient
+    identities checked by phi, a lookup in a `totient_range` table up to
+    q r, or `totient` when None; neither reads the rows' factorizations."""
+    phi = phi or totient
     q, r = row_q[0], row_r[0]
     g = math.gcd(q, r)
     ell = _split(row_q, row_r, g)[0][0]
     em, en = g // ell, q // g * r // ell
     l = q * r // g
-    phi_ell, phi_em, phi_g = totient(ell), totient(em), totient(g)
+    phi_ell, phi_em, phi_g = phi(ell), phi(em), phi(g)
     if not (
         g == ell * em
         and l == ell * en
@@ -192,7 +195,7 @@ def _decompose(row_q: tuple, row_r: tuple) -> PairDecomposition:
         and math.gcd(ell, em * en) == 1
         and en % em == 0
         and phi_em * phi_ell == phi_g
-        and phi_em * phi_ell**2 * totient(en) == totient(q) * totient(r)
+        and phi_em * phi_ell**2 * phi(en) == phi(q) * phi(r)
     ):
         raise IdentityError(f"ell/em/en identities fail for q={q}, r={r}")
     return PairDecomposition(q=q, r=r, gcd=g, lcm=l, ell=ell, em=em, en=en, phi_gcd=phi_g)
@@ -245,11 +248,12 @@ def pair_overlap_exact(q: int, r: int, psi, y_q=0, y_r=0) -> Fraction:
 
 def _arith_row(q: int, factors) -> tuple:
     """q's data that no weight or target changes, read by every pair formula:
-    (q, {p: e}, phi(q), rad(q), lists, memo), lists[t] for each t | rad(q)
+    (q, {p: e}, phi(q), rad(q), lists, memo, top), lists[t] for each t | rad(q)
     the d * mu(d) over the odd d | t sorted by |d| (about 1.3 KB a row): no
     reader expands the prime 2, taken last and not sorted at, so lists[2t] is
     lists[t].  memo, empty here, keeps q's `_expansion`s under (g, unequal)
-    for the pairs that read q's side of a `_split`."""
+    for the pairs that read q's side of a `_split`.  top is q's largest
+    prime, 1 at q = 1: past it the main term walks no prime of q."""
     factors = dict(factors)
     phi = rad = 1
     lists = {1: (1,)}
@@ -260,7 +264,7 @@ def _arith_row(q: int, factors) -> tuple:
             if p != 2:
                 signed = tuple(sorted((d * m for m in (1, -p) for d in signed), key=abs))
             lists[t * p] = signed
-    return q, factors, phi, rad, lists, {}
+    return q, factors, phi, rad, lists, {}, max(factors, default=1)
 
 
 def _target_part(arith: tuple, psi_q, y_q) -> tuple:
@@ -272,8 +276,9 @@ def _target_part(arith: tuple, psi_q, y_q) -> tuple:
     return arith, den, psi.numerator * den // psi.denominator, y.numerator * den // y.denominator
 
 
-# 2**15 rows take about 48 MB: 1.3 KB for q's arithmetic row and 0.2 KB per
-# column's part (60 MB at three).  Else only the sieve cap of 10**7 bounds them.
+# 2**15 rows take about 48 MB: 1.3 KB for q's arithmetic row (8 B of it for
+# its seventh field, the largest prime) and 0.2 KB per column's part (60 MB
+# at three).  Else only the sieve cap of 10**7 bounds them.
 # The rows' expansion memos grow as pairs read them: after every pair of a
 # scan, 0.45 MB at Q = 256, 0.97 MB at 512, 7.3 MB at 2048 and 46 MB at 8192
 # (14.3 Q keys, about 410 B a key) in each worker; the trend gives some 250 MB
@@ -366,8 +371,8 @@ def _pair_overlap_units(part_q: tuple, part_r: tuple) -> tuple[int, int]:
     the loop stops at the first s > outer and adds (a whole - head)(outer -
     inner) for the rest, head the sum of the a seen, whole = [t = 1].
     """
-    (q, _, _, _, _, _), den_q, psi_q, y_q = part_q
-    (r, _, _, _, _, _), den_r, psi_r, y_r = part_r
+    (q, _, _, _, _, _, _), den_q, psi_q, y_q = part_q
+    (r, _, _, _, _, _, _), den_r, psi_r, y_r = part_r
     if not psi_q or not psi_r:
         return 0, 1
     g = math.gcd(q, r)
@@ -456,7 +461,7 @@ def _merge_units(sets: dict, part_q: tuple, part_r: tuple) -> tuple[int, int]:
     """|A_q & A_r| by the interval merge, for the pairs the kernels do not
     take, on each part's interval set, cached in sets under (q, den, psi, y)."""
     pair = []
-    for (q, _, _, _, _, _), den, psi, y in (part_q, part_r):
+    for (q, _, _, _, _, _, _), den, psi, y in (part_q, part_r):
         if (q, den, psi, y) not in sets:
             sets[q, den, psi, y] = build_approx_set(q, Fraction(psi, den), Fraction(y, den))
         pair.append(sets[q, den, psi, y])
@@ -467,35 +472,33 @@ def _window_units(part_q: tuple, part_r: tuple) -> tuple[int, int]:
     """The sifting window length D = 2 lcm(q, r) max(psi(q)/q, psi(r)/r)
     as (num, den): with psi(q) = a/b and psi(r) = c/d, the larger of
     2 lcm a/(bq) and 2 lcm c/(dr), chosen by cross-multiplication."""
-    (q, _, _, _, _, _), b, a, _ = part_q
-    (r, _, _, _, _, _), d, c, _ = part_r
+    (q, _, _, _, _, _, _), b, a, _ = part_q
+    (r, _, _, _, _, _, _), d, c, _ = part_r
     lcm = q // math.gcd(q, r) * r
     if a * d * r >= c * b * q:
         return 2 * lcm * a, b * q
     return 2 * lcm * c, d * r
 
 
-def _main_term_units(
-    part_q: tuple, part_r: tuple, strict_indicator: bool = False
-) -> tuple[int, int]:
-    """M(q, r) as (num, den), unreduced, in integers: the one form behind
-    the report's `M` and `addend1` and the `msum` ladder.
+def _split_prime_factor(part_q: tuple, part_r: tuple, strict: bool = False) -> tuple[int, int]:
+    """C(q, r) [D >= 1] as (num, den), unreduced: the one window test and
+    product over split primes, read by both main-term kernels.  C is the
+    product of (p + 1)/p over the split primes p > D, the primes of q or r
+    whose valuations differ, read off the rows' factorizations.
 
-    The window test D >= 1 (D > 1 with strict_indicator) and the
-    comparisons p > D over the split primes (the primes of q or r whose
-    valuations differ, read off the arithmetic rows' factorizations) are
-    cross-multiplications with D = dn/dd.  No prime of q or r exceeds
-    max(q, r), so at D >= max(q, r) no prime is walked.
+    The window test D >= 1 (D > 1 with strict) and the comparisons p > D
+    are cross-multiplications with D = dn/dd; a shut window gives (0, 1).
+    No prime of q or r exceeds the larger of the rows' largest primes, so
+    at D >= that C is (1, 1) and no prime is walked.
     """
-    (q, fq, phi_q, _, _, _), b, a, _ = part_q
-    (r, fr, phi_r, _, _, _), d, c, _ = part_r
+    (_, fq, _, _, _, _, top_q), _, _, _ = part_q
+    (_, fr, _, _, _, _, top_r), _, _, _ = part_r
     dn, dd = _window_units(part_q, part_r)
-    if dn < dd or (strict_indicator and dn == dd):
+    if dn < dd or (strict and dn == dd):
         return 0, 1
-    num = a * c * phi_q * phi_r
-    den = b * d * q * r
-    if dn >= (q if q > r else r) * dd:
-        return num, den
+    if dn >= (top_q if top_q > top_r else top_r) * dd:
+        return 1, 1
+    num = den = 1
     for p, e in fq.items():
         if p * dd > dn and fr.get(p) != e:
             num *= p + 1
@@ -507,11 +510,42 @@ def _main_term_units(
     return num, den
 
 
+def _main_term_units(
+    part_q: tuple, part_r: tuple, strict_indicator: bool = False
+) -> tuple[int, int]:
+    """M(q, r) = W_q W_r C(q, r) [D >= 1] as (num, den), unreduced, in
+    integers, with W_q = phi(q) psi(q)/q and C [D >= 1] the
+    `_split_prime_factor`: the one form behind the report's `M` and
+    `addend1`.  A shut window gives (0, 1)."""
+    (q, _, phi_q, _, _, _, _), b, a, _ = part_q
+    (r, _, phi_r, _, _, _, _), d, c, _ = part_r
+    num, den = _split_prime_factor(part_q, part_r, strict_indicator)
+    if not num:
+        return 0, 1
+    return a * c * phi_q * phi_r * num, b * d * q * r * den
+
+
+def _main_term_excess_units(m: int, part_q: tuple, part_r: tuple) -> tuple[int, int]:
+    """E(q, r) = M(q, r)**m - (W_q W_r)**m = (W_q W_r)**m (C**m [D >= 1] - 1)
+    as (num, den), unreduced: msum's pair kernel.  It is (0, 1), which the
+    pair loop skips, exactly where M(q, r) = W_q W_r: a weight is 0, or the
+    window is open and no split prime exceeds D."""
+    num, den = _split_prime_factor(part_q, part_r)
+    if num == den:
+        return 0, 1
+    (q, _, phi_q, _, _, _, _), b, a, _ = part_q
+    (r, _, phi_r, _, _, _, _), d, c, _ = part_r
+    w = a * c * phi_q * phi_r
+    if not w:
+        return 0, 1
+    return w**m * (num**m - den**m), (b * d * q * r * den) ** m
+
+
 def _addend2_units(part_q: tuple, part_r: tuple, phi_g: int) -> tuple[int, int]:
     """phi(gcd(q, r)) * min(psi(q)/q, psi(r)/r) as (num, den), given
     phi_g = phi(gcd(q, r)), the `phi_gcd` of the pair's decomposition."""
-    (q, _, _, _, _, _), b, a, _ = part_q
-    (r, _, _, _, _, _), d, c, _ = part_r
+    (q, _, _, _, _, _, _), b, a, _ = part_q
+    (r, _, _, _, _, _, _), d, c, _ = part_r
     if a * d * r <= c * b * q:
         return phi_g * a, b * q
     return phi_g * c, d * r
@@ -520,7 +554,7 @@ def _addend2_units(part_q: tuple, part_r: tuple, phi_g: int) -> tuple[int, int]:
 def _trivial_units(part_q: tuple, part_r: tuple, phi_g: int) -> tuple[int, int]:
     """psi(q)psi(r) + (psi(q)/q) phi(gcd) = a(cq + d phi(gcd)) / (bdq) as
     (num, den), given phi_g = phi(gcd(q, r))."""
-    (q, _, _, _, _, _), b, a, _ = part_q
+    (q, _, _, _, _, _, _), b, a, _ = part_q
     _, d, c, _ = part_r
     return a * (c * q + d * phi_g), b * d * q
 

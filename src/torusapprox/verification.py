@@ -27,7 +27,7 @@ from .approx import (
     build_approx_set,
     coprime_residues,
 )
-from .arith import totient, totient_range
+from .arith import totient_range
 from .counterexample import (
     build_counterexample,
     divergence_partial_sum,
@@ -104,14 +104,15 @@ def _suite(name: str):
 @_suite("coprime-count")
 def check_coprime_counts(limit: int = 60) -> CheckResult:
     rows = _arith_rows(limit)
+    phi = totient_range(limit**2).__getitem__
     for q in range(2, limit + 1):
         for r in range(1, q):
-            hist = coprime_pair_histogram(_decompose(rows[q], rows[r]))
+            hist = coprime_pair_histogram(_decompose(rows[q], rows[r], phi))
             table = _f_table(rows[q], rows[r])
             if table != hist:
                 c = next(c for c, (f, brute) in enumerate(zip(table, hist)) if f != brute)
                 raise _Failed(f"formula != brute force at q={q}, r={r}, c={c}")
-            if sum(hist) != totient(q) * totient(r):
+            if sum(hist) != phi(q) * phi(r):
                 raise _Failed(f"mass sum mismatch at q={q}, r={r}")
     pairs = limit * (limit - 1) // 2
     return f"formula == brute force on every residue for {pairs} pairs with r < q <= {limit}"
@@ -184,12 +185,13 @@ def _bound_ratio_max(ariths: list, families: tuple) -> list[tuple[Fraction, Frac
     (IdentityError if not).  The bound terms are the integer forms of the
     `overlap_report` fields `addend1`, `addend2` and `trivial_rhs`."""
     merged = functools.partial(_merge_units, {})
+    phi = totient_range(len(ariths) ** 2).__getitem__
     runs = [(_overlap_rows(ariths, psi, TargetSequence.zero())[0],
              overlap._closed_form_flags(psi, len(ariths) - 1),
              [[0, 1, None], [0, 1, None]]) for psi in families]
     for q in range(2, len(ariths)):
         for r in range(1, q):
-            phi_g = _decompose(ariths[q], ariths[r]).phi_gcd  # checks the ell/em/en identities
+            phi_g = _decompose(ariths[q], ariths[r], phi).phi_gcd  # checks its identities
             for rows, flags, (bound, trivial) in runs:
                 part_q, part_r = rows[q][0], rows[r][0]
                 exact = (_pair_overlap_units if flags[q] and flags[r] else merged)(part_q, part_r)

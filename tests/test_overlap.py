@@ -11,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from torusapprox.approx import ApproxFunction, TargetSequence
-from torusapprox.arith import factorize, factorize_with_table, spf_table, totient
+from torusapprox.arith import factorize, factorize_with_table, spf_table, totient, totient_range
+from torusapprox.errors import IdentityError
 from torusapprox.experiments import ExperimentConfig, main_term_sum_check, pairwise_overlap_sum
 from torusapprox.overlap import (
     _addend2_units,
@@ -20,6 +21,7 @@ from torusapprox.overlap import (
     _decompose,
     _f_table,
     _f_terms,
+    _main_term_excess_units,
     _main_term_units,
     _split,
     _target_part,
@@ -358,7 +360,7 @@ def test_pair_formulas_on_rows_sharing_a_denominator_with_y(q, r, spec, y_q, y_r
 
 def test_example_row_psi_is_unreduced():
     arith = _arith_row(2, factorize(2))
-    assert arith == (2, {2: 1}, 1, 2, {1: (1,), 2: (1,)}, {})
+    assert arith == (2, {2: 1}, 1, 2, {1: (1,), 2: (1,)}, {}, 2)
     part = _target_part(arith, F(1, 4), F(1, 6))
     assert part == (arith, 12, 3, 2) and part[0] is arith
 
@@ -583,8 +585,9 @@ def test_rows_keep_odd_signed_lists_shared_across_the_prime_two():
     # No reader expands the prime 2, so an even t shares the list of t / 2.
     table = spf_table(2000)
     for q in range(1, 2001):
-        _, factors, _, rad, lists, _ = _arith_row(q, factorize_with_table(q, table))
+        _, factors, _, rad, lists, _, top = _arith_row(q, factorize_with_table(q, table))
         assert len(lists) == 2 ** len(factors) and all(rad % t == 0 for t in lists)
+        assert top == max(factors, default=1)
         for t, signed in lists.items():
             assert all(d % 2 for d in signed)
             if t % 2 == 0:
@@ -682,6 +685,48 @@ def test_main_term_sum_check_matches_pairwise_main_terms(spec, m, q1, q2):
         ) ** 2
 
 
+# Weights 0, 1/4 and 3/4; const:1/100 has pairs with D < 1.
+ZEROS_TABLE = ApproxFunction.from_table({q: F((0, 1, 3)[q % 3], 4) for q in range(1, 121)})
+EXCESS_FAMILIES = [ApproxFunction.parse(spec) for spec in (
+    "div3", "const:1/4", "const:3/4", "const:1/100")] + [ZEROS_TABLE]
+
+
+def test_main_term_excess_is_m_th_powers_apart_and_zero_only_where_m_is_w_w():
+    kept = Counter()  # per family, the pairs with M(q, r) = W_q W_r
+    for psi in EXCESS_FAMILIES:
+        parts = [None] + [_target_part(arith_row(q), psi(q), 0) for q in range(1, 121)]
+        weights = [None] + [F(psi(q)) * totient(q) / q for q in range(1, 121)]
+        for q, r in itertools.combinations(range(1, 121), 2):
+            main, product = F(*_main_term_units(parts[q], parts[r])), weights[q] * weights[r]
+            kept[psi.describe()] += main == product
+            for m in (1, 2, 3):
+                excess = _main_term_excess_units(m, parts[q], parts[r])
+                if main == product:
+                    assert excess == (0, 1)
+                else:
+                    assert excess != (0, 1) and F(*excess) == main**m - product**m
+    # Both branches run: const:1/100 keeps no pair (its windows are narrow
+    # or shut), const:3/4 every pair, and the other three some of each.
+    everything = math.comb(120, 2)
+    assert kept.pop("const:1/100") == 0 and kept.pop("const:3/4") == everything
+    assert all(0 < count < everything for count in kept.values())
+
+
+@pytest.mark.parametrize("psi, m", [
+    (ApproxFunction.parse("div3"), 3), (ApproxFunction.parse("const:1/100"), 2), (ZEROS_TABLE, 1),
+], ids=["div3", "const:1/100", "table"])
+def test_msum_matches_the_main_term_double_sum_at_every_step(psi, m):
+    # S_Q**2 - sum of W_q**(2m) + 2 sum of E is read per step: steps of one
+    # and of many q catch a weight or pair on the wrong side of a boundary.
+    ladder = [2, 3, 4, 9, 16, 17, 30]
+    main = {(q, r): overlap_report(q, r, psi).M ** m
+            for q in range(1, 31) for r in range(1, 31) if q != r}
+    rows = main_term_sum_check(psi, m, ladder[::-1])
+    assert [row.Q for row in rows] == ladder
+    for row in rows:
+        assert row.pair_sum == sum(v for (q, r), v in main.items() if max(q, r) <= row.Q)
+
+
 RAD_CHECK = """
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -777,9 +822,9 @@ def test_overlap_bound_decomposes_each_pair_once(monkeypatch):
     built = Counter()
     build = overlap.build_approx_set
 
-    def counted_decompose(row_q, row_r):
+    def counted_decompose(row_q, row_r, *phi):
         decomposed[row_q[0], row_r[0]] += 1
-        return decompose(row_q, row_r)
+        return decompose(row_q, row_r, *phi)
 
     def counted_build(q, psi, y):
         built[q, psi] += 1
@@ -791,6 +836,16 @@ def test_overlap_bound_decomposes_each_pair_once(monkeypatch):
     assert verification.check_overlap_bound(limit=30).ok
     assert decomposed == Counter((q, r) for q in range(2, 31) for r in range(1, q))  # 435
     assert built == Counter(confirmed)
+
+
+def test_decompose_checks_its_identities_on_a_sieved_totient_table():
+    # The suites read phi from a sieve that reads no row's factorization, so
+    # a wrong entry at the pair's en = 36 fails as a wrong totient would.
+    rows, table = _arith_rows(18), totient_range(18**2)
+    assert _decompose(rows[12], rows[18], table.__getitem__) == decompose_pair(12, 18)
+    table[36] += 1
+    with pytest.raises(IdentityError, match="ell/em/en identities fail for q=12, r=18"):
+        _decompose(rows[12], rows[18], table.__getitem__)
 
 
 @pytest.mark.parametrize("suite, limit", [

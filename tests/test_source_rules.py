@@ -164,7 +164,7 @@ def test_only_the_scans_callers_construct_an_experiment_config():
 
 def _pair_kernel_callers(source: str) -> list[str]:
     """The top-level definitions of source that call a pair kernel by name."""
-    named = {"_pair_overlap_units", "_main_term_units"}
+    named = {"_pair_overlap_units", "_main_term_units", "_main_term_excess_units"}
     return sorted({
         getattr(top, "name", "<module>")
         for top in ast.parse(source).body

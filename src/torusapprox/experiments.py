@@ -25,11 +25,10 @@ coordinates each covers.
 Every pair term is an integer (num, den) from the kernel on.  Each
 accumulator takes it by add(num, den), closes a row by end_row(r) and
 joins another stripe's by merge, so no result depends on the worker count:
-`_RowSums` (exact scan) sums a row as one numerator over the running lcm
-of its denominators, reduced once; `_DenominatorSums` (msum) keeps one
-integer per reduced denominator of E, folded once per ladder value;
-`Enclosure` rounds each term outward to a dyadic grid of the configured
-precision, so partial sums stay cheap and the bounds are guaranteed.
+`_RowSums` (the exact scan and msum) sums a row as one numerator over the
+running lcm of its denominators, reduced once; `Enclosure` rounds each
+term outward to a dyadic grid of the configured precision, so partial
+sums stay cheap and the bounds are guaranteed.
 """
 
 from __future__ import annotations
@@ -39,8 +38,7 @@ import math
 import os
 import sys
 from array import array
-from bisect import bisect_left, bisect_right
-from collections import Counter
+from bisect import bisect_right
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import partial
@@ -414,30 +412,6 @@ class MainTermRow(NamedTuple):
     ratio: Fraction | None
 
 
-class _DenominatorSums:
-    """msum's exact sums of the excess E: integers per reduced denominator,
-    gathered per row and added at its end to its ladder step, the rows
-    since the last value.  Only the pairs with E != 0 reach it."""
-
-    __slots__ = ("ladder", "steps", "row")
-
-    def __init__(self, ladder):
-        self.ladder = sorted(ladder)
-        self.steps = [Counter() for _ in self.ladder]
-        self.row: dict[int, int] = {}
-
-    def add(self, num: int, den: int) -> None:
-        self.row[den] = self.row.get(den, 0) + num
-
-    def end_row(self, r: int) -> None:
-        self.steps[bisect_left(self.ladder, r)].update(self.row)
-        self.row = {}
-
-    def merge(self, other: "_DenominatorSums") -> None:
-        for step, sums in zip(self.steps, other.steps):
-            step.update(sums)
-
-
 def main_term_sum_check(psi: ApproxFunction, m: int, ladder) -> list[MainTermRow]:
     """Sum of M(q, r)**m over q != r <= Q against the squared normalized
     weight sum S_Q**2, S_Q the sum of W_q**m = (phi(q) psi(q) / q)**m, for
@@ -446,8 +420,8 @@ def main_term_sum_check(psi: ApproxFunction, m: int, ladder) -> list[MainTermRow
     over q < r <= Q of E = M**m - (W_q W_r)**m.  E, the kernel
     `overlap._main_term_excess_units`, runs in one `_pairwise_worker` stripe
     to max(ladder) at one coordinate of target 0 with every flag set (a
-    weight above 1/2 keeps its main term); each step's E sum is one
-    Fraction over the lcm of its denominators."""
+    weight above 1/2 keeps its main term); each step adds the `_RowSums`
+    rows r in (previous value, Q]."""
     _check_ladder(ladder)
     _check_dimension(m)
     q_top = max(ladder)
@@ -455,13 +429,14 @@ def main_term_sum_check(psi: ApproxFunction, m: int, ladder) -> list[MainTermRow
     weights = [0] + [Fraction(psi(q)) for q in range(1, q_top + 1)]  # psi read once per q
     sums = _pairwise_worker(((q_top, weights.__getitem__, TargetSequence.zero(1)),
                              partial(overlap._main_term_excess_units, m), [True] * (q_top + 1),
-                             _DenominatorSums(ladder), 0, 1))
+                             _RowSums(), 0, 1))
+    row_sums = [row_sum for _, row_sum in sorted(sums.rows)]  # row r at index r - 1, in any merge order
     phi = totient_range(q_top)
     results = []
     excess = rhs_base = squares = Fraction(0)  # rhs_base: S_Q; squares: the sum of W_q**(2m)
-    for low, q_max, step in zip([0] + sums.ladder, sums.ladder, sums.steps):
-        lcm = math.lcm(*step)
-        excess += Fraction(sum(num * (lcm // den) for den, num in step.items()), lcm)
+    ladder = sorted(ladder)
+    for low, q_max in zip([0] + ladder, ladder):
+        excess += sum(row_sums[low:q_max])
         for q, w in enumerate(weights[low + 1 : q_max + 1], low + 1):
             power = Fraction(w.numerator * phi[q], w.denominator * q) ** m
             rhs_base += power

@@ -408,13 +408,13 @@ def test_msum_stripes_merge_to_the_one_stripe_sums(monkeypatch, psi, m, ladder):
     worker = experiments._pairwise_worker
     stripes = []
 
-    def striped(payload):
+    def striped(payload, order):
         inputs, kernel, flags, empty, index, count = payload
         assert (all(flags), index, count) == (True, 0, 1)
         # Each stripe gets its own empty accumulator, as a pool worker does.
-        stripes.extend(worker((inputs, kernel, flags, pickle.loads(pickle.dumps(empty)), w, 2))
-                       for w in range(2))
-        assert all(any(stripe.steps) for stripe in stripes)  # both hold terms
+        stripes[:] = [worker((inputs, kernel, flags, pickle.loads(pickle.dumps(empty)), w, 2))
+                      for w in range(2)][order]
+        assert all(any(row for _, row in stripe.rows) for stripe in stripes)  # both hold terms
         merged = pickle.loads(pickle.dumps(stripes[0]))
         merged.merge(stripes[1])
         return merged
@@ -422,10 +422,12 @@ def test_msum_stripes_merge_to_the_one_stripe_sums(monkeypatch, psi, m, ladder):
     def merge_units(*args):
         raise AssertionError("msum sent a pair to the interval merge")
 
-    monkeypatch.setattr(experiments, "_pairwise_worker", striped)
     monkeypatch.setattr(experiments, "_merge_units", merge_units)
-    assert main_term_sum_check(psi, m, ladder) == one
-    assert len(stripes) == 2
+    # Stripe 1 into stripe 0, then 0 into 1: the merged rows come in either order.
+    for order in (slice(None), slice(None, None, -1)):
+        monkeypatch.setattr(experiments, "_pairwise_worker", partial(striped, order=order))
+        assert main_term_sum_check(psi, m, ladder) == one
+        assert len(stripes) == 2
 
 
 def test_msum_is_not_held_to_the_scans_exact_cap(monkeypatch):

@@ -714,7 +714,8 @@ def test_main_term_excess_is_m_th_powers_apart_and_zero_only_where_m_is_w_w():
 
 @pytest.mark.parametrize("psi, m", [
     (ApproxFunction.parse("div3"), 3), (ApproxFunction.parse("const:1/100"), 2), (ZEROS_TABLE, 1),
-], ids=["div3", "const:1/100", "table"])
+    (ApproxFunction.parse("pow:1/2,1"), 2),
+], ids=["div3", "const:1/100", "table", "pow:1/2,1"])
 def test_msum_matches_the_main_term_double_sum_at_every_step(psi, m):
     # S_Q**2 - sum of W_q**(2m) + 2 sum of E is read per step: steps of one
     # and of many q catch a weight or pair on the wrong side of a boundary.

@@ -30,7 +30,6 @@ import json
 import re
 import sys
 import time
-from fractions import Fraction
 
 from .approx import ApproxFunction, TargetSequence, approx_set_measure
 from .counterexample import (
@@ -434,12 +433,13 @@ def _cmd_equidist(args) -> int:
         } for entry in scan]
         columns = ["q", "window", "ratio", "deviation"]
     else:
-        # The scan refused a repeated window, so each window is one key.
-        worst = dict.fromkeys(map(tuple, windows), Fraction(0))
+        # One key per window (the scan refused repeats), None until a q is measured.
+        worst = dict.fromkeys(map(tuple, windows))
         for entry in scan:
-            worst[entry.window] = max(worst[entry.window], entry.deviation)
+            seen = worst[entry.window]
+            worst[entry.window] = entry.deviation if seen is None else max(seen, entry.deviation)
         rows = [{"window": ":".join(map(format_rational, window)),
-                 "max_deviation": format_rational(deviation)}
+                 "max_deviation": _fmt(deviation)}
                 for window, deviation in worst.items()]
         columns = ["window", "max_deviation"]
     config = {"subcommand": "equidist", "Q": q_max, "psi": psi.describe(),

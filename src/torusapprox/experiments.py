@@ -250,14 +250,13 @@ def _pairwise_worker(payload):
     column, the kernel's value, reduced, to the power m."""
     (Q, psi, target), kernel, flags, total, worker_index, worker_count = payload
     rows, powers = _overlap_rows(_arith_rows(Q), psi, target)
-    merged = partial(_merge_units, {})
     single = len(powers) == 1
     m = powers[0]
-    add, gcd = total.add, math.gcd
+    add, gcd, merge = total.add, math.gcd, _merge_units
     for r in range(1 + worker_index, Q + 1, worker_count):
         rows_r, part_r, flag_r = rows[r], rows[r][0], flags[r]
         for rows_q, flag_q in zip(rows[1:r], flags[1:r]):
-            units_of = kernel if flag_q and flag_r else merged
+            units_of = kernel if flag_q and flag_r else merge
             if single:
                 num, den = units_of(rows_q[0], part_r)
                 if num:

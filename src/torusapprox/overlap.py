@@ -252,8 +252,9 @@ def _arith_row(q: int, factors) -> tuple:
     the d * mu(d) over the odd d | t sorted by |d| (about 1.3 KB a row): no
     reader expands the prime 2, taken last and not sorted at, so lists[2t] is
     lists[t].  memo, empty here, keeps q's `_expansion`s under (g, unequal)
-    for the pairs that read q's side of a `_split`.  top is q's largest
-    prime, 1 at q = 1: past it the main term walks no prime of q."""
+    for the pairs that read q's side of a `_split`, and the interval sets
+    `_merge_units` builds under (den, psi, y).  top is q's largest prime, 1
+    at q = 1: past it the main term walks no prime of q."""
     factors = dict(factors)
     phi = rad = 1
     lists = {1: (1,)}
@@ -282,7 +283,7 @@ def _target_part(arith: tuple, psi_q, y_q) -> tuple:
 # The rows' expansion memos grow as pairs read them: after every pair of a
 # scan, 0.45 MB at Q = 256, 0.97 MB at 512, 7.3 MB at 2048 and 46 MB at 8192
 # (14.3 Q keys, about 410 B a key) in each worker; the trend gives some 250 MB
-# at 2**15, not measured.
+# at 2**15, not measured.  Where psi(q) > 1/2 a memo also keeps q's merged sets.
 _ROW_CAP = 2**15
 
 
@@ -457,14 +458,14 @@ def _pair_overlap_units(part_q: tuple, part_r: tuple) -> tuple[int, int]:
     return total, 2 * q * (r // g) * den
 
 
-def _merge_units(sets: dict, part_q: tuple, part_r: tuple) -> tuple[int, int]:
+def _merge_units(part_q: tuple, part_r: tuple) -> tuple[int, int]:
     """|A_q & A_r| by the interval merge, for the pairs the kernels do not
-    take, on each part's interval set, cached in sets under (q, den, psi, y)."""
+    take, on each part's set, kept in its row's memo under (den, psi, y)."""
     pair = []
-    for (q, _, _, _, _, _, _), den, psi, y in (part_q, part_r):
-        if (q, den, psi, y) not in sets:
-            sets[q, den, psi, y] = build_approx_set(q, Fraction(psi, den), Fraction(y, den))
-        pair.append(sets[q, den, psi, y])
+    for (q, _, _, _, _, memo, _), den, psi, y in (part_q, part_r):
+        if (den, psi, y) not in memo:
+            memo[den, psi, y] = build_approx_set(q, Fraction(psi, den), Fraction(y, den))
+        pair.append(memo[den, psi, y])
     return _overlap_units(*pair)
 
 

@@ -180,11 +180,10 @@ def _bound_ratio_max(ariths: list, families: tuple) -> list[tuple[Fraction, Frac
     """Per weight family, the max of exact/(addend1+addend2) and of
     exact/trivial over the pairs r < q < len(ariths), in one pass that
     decomposes each pair once.  The overlap is the closed form where
-    `overlap._closed_form_flags` allows it, else the merge, one set cache
-    for all families, which also confirms each family's maximising pairs
+    `overlap._closed_form_flags` allows it, else the merge (its sets kept
+    on the shared rows), which also confirms each family's maximising pairs
     (IdentityError if not).  The bound terms are the integer forms of the
     `overlap_report` fields `addend1`, `addend2` and `trivial_rhs`."""
-    merged = functools.partial(_merge_units, {})
     phi = totient_range(len(ariths) ** 2).__getitem__
     runs = [(_overlap_rows(ariths, psi, TargetSequence.zero())[0],
              overlap._closed_form_flags(psi, len(ariths) - 1),
@@ -194,7 +193,8 @@ def _bound_ratio_max(ariths: list, families: tuple) -> list[tuple[Fraction, Frac
             phi_g = _decompose(ariths[q], ariths[r], phi).phi_gcd  # checks its identities
             for rows, flags, (bound, trivial) in runs:
                 part_q, part_r = rows[q][0], rows[r][0]
-                exact = (_pair_overlap_units if flags[q] and flags[r] else merged)(part_q, part_r)
+                kernel = _pair_overlap_units if flags[q] and flags[r] else _merge_units
+                exact = kernel(part_q, part_r)
                 units, den = exact
                 if units == 0:
                     continue
@@ -208,7 +208,7 @@ def _bound_ratio_max(ariths: list, families: tuple) -> list[tuple[Fraction, Frac
                         best[:] = num, rden, (q, r, exact)
     for psi, (rows, _, worst) in zip(families, runs):
         for q, r, exact in (best[2] for best in worst if best[2]):
-            if Fraction(*merged(rows[q][0], rows[r][0])) != Fraction(*exact):
+            if Fraction(*_merge_units(rows[q][0], rows[r][0])) != Fraction(*exact):
                 raise IdentityError(f"{psi.describe()}: closed form != merge at q={q}, r={r}")
     return [(Fraction(*bound[:2]), Fraction(*trivial[:2])) for *_, (bound, trivial) in runs]
 

@@ -256,6 +256,8 @@ def test_target_sequences(tmp_path):
     assert table(3) == (F(0), F(0))
     with pytest.raises(ValueError):
         TargetSequence.parse("const:1/3,2/5", 3)
+    with pytest.raises(ValueError, match="table row dimension mismatch"):
+        TargetSequence.from_table({1: (0, 1)}, 1)
 
 
 def _families(tmp_path):

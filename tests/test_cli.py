@@ -335,7 +335,7 @@ def test_table_flags_belong_to_their_subcommand_and_have_no_default():
 
 def test_config_lines_reach_every_flag(capsys, tmp_path):
     conf = tmp_path / "ta.conf"
-    conf.write_text("format=json\npsi=const:1/4\n")
+    conf.write_text("# a comment line\nformat=json\n\npsi=const:1/4\n")
     code, out, _ = run_capture(capsys, ["--config", str(conf), "measure", "--q", "6"])
     assert code == 0
     assert json.loads(out)["rows"][0]["measure"] == "1/6"
@@ -364,6 +364,7 @@ def test_config_windows_reach_equidist_and_the_flag_beats_them(capsys, tmp_path)
     ("per-q=1", "equidist --Q 12", "'per-q'"),  # a flag, but one that takes no value
     ("format=xml", "equidist --Q 12", "'format'"),
     ("q=abc", "measure", "--q"),
+    ("Q10", "equidist --Q 12", "bad config line: 'Q10'"),
 ])
 def test_bad_config_lines_exit_2_naming_the_key(capsys, tmp_path, line, command, named):
     conf = tmp_path / "ta.conf"
@@ -426,10 +427,17 @@ def test_equidist_summary_is_the_fold_of_the_per_q_rows(capsys):
     assert len(worst) == 3 and all(worst.values())
     summary = [line.split(",") for line in out.splitlines()[7:]]
     assert summary == [[w, format_rational(d)] for w, d in worst.items()]
-    # Each window's maximum starts at 0: no q has psi > 0 here.
-    code, out, _ = run_capture(capsys, ["equidist", "--Q", "3", "--psi", "const:0"])
+    # psi = 0 skips every q, so no window has a per-q row to fold, and its
+    # maximum is undefined, not 0, in CSV and in JSON.
+    empty = ["equidist", "--Q", "5", "--psi", "const:0", "--windows", "0:1/2,1/4:3/4"]
+    code, per_q, _ = run_capture(capsys, empty + ["--per-q"])
+    assert code == 0 and per_q.splitlines()[7:] == []
+    code, out, _ = run_capture(capsys, empty)
     assert code == 0
-    assert out.splitlines()[-1] == "0/1:1/2,0/1"
+    assert out.splitlines()[7:] == ["0/1:1/2,undefined", "1/4:3/4,undefined"]
+    code, out, _ = run_capture(capsys, empty + ["--format", "json"])
+    assert code == 0
+    assert [row["max_deviation"] for row in json.loads(out)["rows"]] == ["undefined"] * 2
 
 
 def test_equidist_runs_at_Q_1(capsys):
@@ -578,6 +586,8 @@ NAMED_OPTION = {
         "counterexample takes one of --primes and --mode, not both",
     "phigcd --limit 0": "ratio scan needs limit >= 1",
     "phigcd --limit -5": "ratio scan needs limit >= 1",
+    "phigcd --q 5 --m 0": "phigcd_sum requires q >= 1 and m >= 1",
+    "phigcd --limit 10 --m 1": "ratio scan needs m >= 2",
     "equidist --Q 5 --psi const:1/4 --windows 0:1/2,0:1/2": "window 0:1/2 is given twice",
     "msum --ladder 5,5 --psi div3": "ladder value 5 is given twice",
     "equidist --Q 5 --psi const:1/4 --windows 0:1/2,1/4:3/4,0/3:2/4":
@@ -604,6 +614,7 @@ NAMED_OPTION = {
     "pairwise --Q 3 --psi const:1/4 --y table:{tables}/q-x.csv": "table q = 'x' is not an integer",
     "pairwise --Q 3 --psi const:x": "bad psi spec 'const:x': 'x' is not an integer",
     "pairwise --Q 3 --psi pow:x,1": "bad psi spec 'pow:x,1': 'x' is not an integer",
+    "pairwise --Q 10 --psi pow:1/2,1,xyz": "unknown pow modifier",
     "pairwise --Q 3 --psi const:1/4 --y const:x": "bad target spec 'const:x': 'x' is not an integer",
     "pairwise --Q 3 --psi const:1/2/3": "denominator '2/3' is not an integer",
 }
@@ -654,6 +665,8 @@ NAMED_OPTION = {
     "counterexample --primes 2,3 --mode prime",
     "phigcd --limit 0",
     "phigcd --limit -5",
+    "phigcd --q 5 --m 0",
+    "phigcd --limit 10 --m 1",
     # One max-deviation row per window: a window given twice is refused.
     "equidist --Q 5 --psi const:1/4 --windows 0:1/2,0:1/2",
     "equidist --Q 5 --psi const:1/4 --windows 0:1/2,1/4:3/4,0/3:2/4",
@@ -680,6 +693,7 @@ NAMED_OPTION = {
     # A rational whose part is not an integer.
     "pairwise --Q 3 --psi const:x",
     "pairwise --Q 3 --psi pow:x,1",
+    "pairwise --Q 10 --psi pow:1/2,1,xyz",
     "pairwise --Q 3 --psi const:1/4 --y const:x",
     "pairwise --Q 3 --psi const:1/2/3",
 ])

@@ -14,6 +14,7 @@ from torusapprox.counterexample import (
     instance_from_prime_blocks,
     verify_block_measure,
 )
+from torusapprox.cli import run
 from torusapprox.errors import BudgetError
 
 F = Fraction
@@ -143,7 +144,7 @@ def test_corrupted_target_breaks_containment():
         inst.validate()
 
 
-def test_validation_rejections():
+def test_validation_rejections(capsys, tmp_path):
     with pytest.raises(ValueError, match="not prime"):
         instance_from_prime_blocks([[4]])
     with pytest.raises(ValueError, match="reused"):
@@ -154,6 +155,24 @@ def test_validation_rejections():
     obj["blocks"][0]["psi"]["2"] = "1/7"
     with pytest.raises(ValueError, match="psi\\(2\\) is not 1/6"):
         CounterexampleInstance.from_json_obj(obj)
+    # A block's density must stay below its eps, in a loaded file too.
+    obj = _saved(instance_from_prime_blocks([[2, 3]]))
+    obj["blocks"][0]["eps"] = "1/3"
+    with pytest.raises(ValueError, match="density 1/3 not below eps 1/3"):
+        CounterexampleInstance.from_json_obj(obj)
+    path = tmp_path / "cx.json"
+    path.write_text(json.dumps(obj))
+    assert run(["measure", "--q", "6", "--psi", f"cx:{path}"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "density 1/3 not below eps 1/3" in err
+    inst = instance_from_prime_blocks([[2, 3]])
+    with pytest.raises(ValueError, match="block index 0 out of range"):
+        inst.block(0)
+    with pytest.raises(ValueError, match="block count 2 out of range"):
+        divergence_partial_sum(inst, 2)
+    inst.residue[7] = 1
+    with pytest.raises(ValueError, match="outside every materialized block"):
+        inst.validate()
 
 
 def _drop(key):

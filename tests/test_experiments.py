@@ -292,6 +292,10 @@ def test_worker_and_precision_caps():
         ExperimentConfig(Q=3, psi=CONST4, target=ZERO1, mode="enclosure", precision=bits + 1)
     # Exact mode never reads the precision.
     ExperimentConfig(Q=3, psi=CONST4, target=ZERO1, precision=bits + 1)
+    with pytest.raises(ValueError, match="target dimension 2 does not match m=1"):
+        ExperimentConfig(Q=3, psi=CONST4, target=TargetSequence.zero(2), m=1)
+    with pytest.raises(ValueError, match="unknown accumulation mode 'fast'"):
+        ExperimentConfig(Q=3, psi=CONST4, target=ZERO1, mode="fast")
 
 
 def test_build_cap_refuses_before_building():
@@ -328,6 +332,8 @@ def test_dyadic_rounding():
         lo, hi = unreduced.bounds()
         assert lo < F(num, den) < hi and hi - lo == F(1, 256)
     assert third.bounds() == (F(85, 256), F(86, 256))
+    with pytest.raises(ValueError, match="cannot merge enclosures of different precision"):
+        Enclosure(64).merge(Enclosure(80))
     negative = Enclosure(8)
     negative.add(-2, 6)
     assert negative.bounds() == (F(-86, 256), F(-85, 256))
@@ -672,6 +678,8 @@ def test_mc_validation():
         mc_coverage(CONST4, ZERO1, [2], 100)  # too few samples
     with pytest.raises(ValueError):
         mc_coverage(CONST4, TargetSequence.zero(4), [2], 2000)
+    with pytest.raises(ValueError, match="unknown sampling mode 'fast'"):
+        mc_coverage(CONST4, ZERO1, [2], 2000, mode="fast")
 
 
 def test_mc_three_sigma_calibration_block():

@@ -786,9 +786,9 @@ def test_bound_ratio_max_matches_fraction_api(monkeypatch, spec):
     merged = Counter()
     merge = verification._merge_units
 
-    def counted(sets, part_q, part_r):
+    def counted(part_q, part_r):
         merged[part_q[0][0], part_r[0][0]] += 1
-        return merge(sets, part_q, part_r)
+        return merge(part_q, part_r)
 
     monkeypatch.setattr(verification, "_merge_units", counted)
     assert _bound_ratio_max(_arith_rows(30), (psi,)) == [(worst_bound, worst_trivial)]
@@ -801,8 +801,8 @@ def test_bound_ratio_max_matches_fraction_api(monkeypatch, spec):
 
 
 def test_bound_ratio_max_takes_each_family_apart():
-    # Every family reads one set cache, keyed on the whole part: const:3/4
-    # and the table share q and the denominator 4 at every odd q.
+    # Every family reads the sets kept in the rows' memos, keyed on the whole
+    # part: const:3/4 and the table share q and the denominator 4 at every odd q.
     families = tuple(map(bound_family, ["const:1/4", "const:3/4", "alternating"]))
     ariths = _arith_rows(30)
     assert _bound_ratio_max(ariths, families) == [

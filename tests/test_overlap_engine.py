@@ -136,26 +136,39 @@ def test_kernel_equals_merge_over_the_overlap_bound_reach(psi):
     # check_overlap_engine stops at q = 120.
     rows = overlap._overlap_rows(overlap._arith_rows(200), ApproxFunction.parse(psi),
                                  TargetSequence.zero())[0]
-    sets: dict = {}
     for q in range(2, 201):
         for r in range(1, q):
             part_q, part_r = rows[q][0], rows[r][0]
             units, den = _pair_overlap_units(part_q, part_r)
-            merged, merged_den = overlap._merge_units(sets, part_q, part_r)
+            merged, merged_den = overlap._merge_units(part_q, part_r)
             assert units * merged_den == merged * den, (q, r)
 
 
-def test_one_merge_cache_serves_every_weight_family():
-    # The set cache is keyed on the whole part: the pair (5, 7) at 3/4 must
-    # not leave its sets behind for the same pair at 1/4.
-    sets: dict = {}
+def test_one_merge_cache_serves_every_weight_family(monkeypatch):
+    # The row memo keys each set on the whole part: the pair (5, 7) at 3/4
+    # must not leave its sets behind for the same pair at 1/4.
     ariths = overlap._arith_rows(7)
+    parts = []
     for psi in map(ApproxFunction.constant, (F(3, 4), F(1, 4))):
         rows = overlap._overlap_rows(ariths, psi, TargetSequence.zero())[0]
-        units, den = overlap._merge_units(sets, rows[5][0], rows[7][0])
+        parts.append((rows[5][0], rows[7][0]))
+        units, den = overlap._merge_units(*parts[-1])
         assert F(units, den) == pair_overlap_exact(5, 7, psi)
     assert F(units, den) == F(6, 35)
-    assert len(sets) == 4
+    for q in (5, 7):
+        assert len(ariths[q][5]) == 2  # the memo holds one set per weight
+    # Merging the same parts again builds no set.
+    built = Counter()
+    build = overlap.build_approx_set
+
+    def counted(q, psi_q, y_q):
+        built[q] += 1
+        return build(q, psi_q, y_q)
+
+    monkeypatch.setattr(overlap, "build_approx_set", counted)
+    for part_q, part_r in parts:
+        overlap._merge_units(part_q, part_r)
+    assert not built
 
 
 def no_kernel(part_q, part_r):

@@ -6,9 +6,10 @@ Resource caps are module constants read at call time, never per-call
 parameters, and the piece cap's refusal is written once, in `approx`.  No function memoizes through `functools.cache` or
 `lru_cache`: such a cache is state of the whole process, and results must
 not depend on which calls a process, or a pool worker, made before.  The
-memo of q's pair expansions on an `overlap` arithmetic row is state of one
-row list, not of the process: it is built empty with the rows of one scan
-or suite and dropped with them, so the rule still holds.
+memo of q's pair expansions and merged interval sets on an `overlap`
+arithmetic row is state of one row list, not of the process: it is built
+empty with the rows of one scan or suite and dropped with them, so the
+rule still holds.
 Every name the package exports is read somewhere in the package itself,
 so no public function survives only because a test calls it; the
 allowlist names the oracles the tests reach on purpose.  Likewise every
